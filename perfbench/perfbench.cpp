@@ -7,10 +7,10 @@
 //   upload_flood    restart from a ~100k-VP store; one closed-loop uploader
 //                   floods the newest two minutes while the trusted clock
 //                   walks forward, so retention evicts. No investigations.
-//   incident_zipf   restart from a dense-downtown store; open-loop
-//                   investigators over a Zipf(1.1) (site, minute) mix plus
-//                   kLive requests on the newest minute, beside an upload
-//                   trickle into the newest two minutes.
+//   incident_zipf   restart from a dense-downtown store; after an untimed
+//                   cache warm-up, open-loop investigators over a Zipf(1.1)
+//                   (site, minute) mix plus kLive requests on the newest
+//                   minute, beside an upload trickle into the newest two.
 //   incident_sweep  the same store; a closed loop of kBatch five-minute
 //                   sweeps over sites never asked for before, beside late
 //                   uploads into the minutes being swept.
@@ -32,6 +32,8 @@
 // stdout: a {"stamp": …}, a {"checks": …} and an {"e2e": …} line, then,
 // last, the result object {"correct", "attempted", "failed", "metrics"}.
 #include <malloc.h>
+#include <sys/resource.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,7 +42,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -51,7 +52,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -111,6 +111,13 @@ double percentile(std::vector<double> v, double q) {
 }
 
 double sum(const std::vector<double>& v) { return std::accumulate(v.begin(), v.end(), 0.0); }
+
+/// The driver stands in for clients on other machines: its threads get a
+/// higher CPU weight (nice −10, where permitted), so that a daemon that
+/// saturates the cores delays its work, not the driver's clock.
+void favour_this_thread() {
+  (void)::setpriority(PRIO_PROCESS, static_cast<id_t>(::syscall(SYS_gettid)), -10);
+}
 
 // ───────────────────────────── inputs ──────────────────────────────
 //
@@ -419,7 +426,7 @@ struct Shape {
   std::string name;
   CityConfig city;
   TimeSec retention_sec = 0;
-  int setups = 3;  ///< start() repetitions; setup_s is their median
+  int setups = 5;  ///< start() repetitions; setup_s is their median
   // Uploads (the uploader thread).
   bool flood = false;                         ///< closed loop, one client
   double upload_rate = 0.0;                   ///< open-loop trickle, uploads/s
@@ -429,6 +436,10 @@ struct Shape {
   double request_rate = 0.0;  ///< incident_zipf open loop, requests/s
   double live_share = 0.0;
   double zipf_alpha = 1.1;
+  int zipf_minutes = 3;  ///< the quiescent minutes just before the newest two
+  double warm_up_s = 0.0;  ///< untimed requests before the window
+  int live_probes = 24;  ///< sequential kLive requests after the window
+  int sweep_probes = 6;  ///< … and kBatch sweeps, where the shape sends none
   std::size_t sweep_outstanding = 0;  ///< incident_sweep closed loop
   int sweep_minutes = 5;
   std::chrono::milliseconds live_deadline{2000};
@@ -448,6 +459,7 @@ Shape shape_for(const std::string& name, bool smoke) {
     s.flood = true;
     s.uploads_per_clock_minute = 1000;
     s.checkpoint_every = 1000ms;
+    s.sweep_probes = 16;  // cheap here: flood minutes are small
   } else if (name == "incident_zipf" || name == "incident_sweep") {
     c.minutes = 60;
     c.vps_per_minute = 2000;
@@ -455,8 +467,9 @@ Shape shape_for(const std::string& name, bool smoke) {
     s.checkpoint_every = 2000ms;
     if (name == "incident_zipf") {
       s.workload = Workload::kIncidentZipf;
-      s.request_rate = 6.0;
+      s.request_rate = 12.0;
       s.live_share = 0.1;
+      s.warm_up_s = 3.0;
     } else {
       s.workload = Workload::kIncidentSweep;
       s.sweep_outstanding = 3;
@@ -473,6 +486,8 @@ Shape shape_for(const std::string& name, bool smoke) {
     c.corridor_half_m = 150.0;
     c.site_half_m = 40.0;
     s.setups = 1;
+    s.live_probes = 6;
+    if (s.warm_up_s > 0) s.warm_up_s = 0.5;
     s.uploads_per_clock_minute = 600;
     if (s.upload_rate > 0) s.upload_rate = 50.0;
     if (s.request_rate > 0) s.request_rate = 10.0;
@@ -545,7 +560,9 @@ enum class ReqKind : std::uint8_t { kNormal, kLive, kSweep };
 
 /// The seeded incident_zipf schedule: fixed spacing at the workload's
 /// rate; ~10% kLive on the newest minute, the rest Zipf(α) over
-/// (site, quiescent minute) keys ranked in a seeded random order.
+/// (site, quiescent minute) keys ranked in a seeded random order. The keys
+/// span the zipf_minutes minutes before the two that take uploads — a
+/// small hot set, so the result cache answers most requests.
 struct Planned {
   double at_s = 0.0;
   ReqKind kind = ReqKind::kNormal;
@@ -558,8 +575,9 @@ std::vector<Planned> plan_zipf(const Shape& s, double seconds, std::uint64_t see
   if (s.request_rate <= 0.0) return plan;
   Rng rng(seed ^ 0x21bfull);
   const auto sites = static_cast<std::size_t>(s.city.sites);
-  const auto quiet = static_cast<std::size_t>(s.city.minutes - 2);
-  const std::size_t keys = sites * quiet;
+  const int quiet = std::min(s.zipf_minutes, s.city.minutes - 2);
+  const int first_quiet = s.city.minutes - 2 - quiet;
+  const std::size_t keys = sites * static_cast<std::size_t>(quiet);
   std::vector<std::size_t> order(keys);
   std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);
@@ -569,20 +587,33 @@ std::vector<Planned> plan_zipf(const Shape& s, double seconds, std::uint64_t see
     total += 1.0 / std::pow(static_cast<double>(k + 1), s.zipf_alpha);
     cdf[k] = total;
   }
-  const auto count = static_cast<std::size_t>(seconds * s.request_rate);
+  const auto count = static_cast<std::size_t>((s.warm_up_s + seconds) * s.request_rate);
+  // Every seed gets the same mix, so seeds differ in inputs, not in load:
+  // every live_every-th request is kLive, cycling over the sites, and the
+  // normal requests' Zipf ranks are stratified draws (the j-th of m from
+  // the j-th of m equal slices of the mass), shuffled into a seeded order.
+  const std::size_t live_every =
+      s.live_share > 0.0 ? static_cast<std::size_t>(std::lround(1.0 / s.live_share)) : count + 1;
+  const std::size_t normal = count - count / live_every;
+  std::vector<std::size_t> ranks(normal);
+  for (std::size_t j = 0; j < normal; ++j) {
+    const double u = (static_cast<double>(j) + rng.uniform(0.0, 1.0)) / static_cast<double>(normal);
+    ranks[j] = static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u * total) -
+                                        cdf.begin());
+  }
+  rng.shuffle(ranks);
+  std::size_t next_rank = 0, next_site = rng.index(sites);
   for (std::size_t i = 0; i < count; ++i) {
     Planned p;
     p.at_s = static_cast<double>(i) / s.request_rate;
-    if (rng.bernoulli(s.live_share)) {
+    if (i % live_every == live_every - 1) {
       p.kind = ReqKind::kLive;
-      p.site = rng.index(sites);
+      p.site = next_site++ % sites;
       p.minute = s.city.minutes - 1;
     } else {
-      const auto rank = static_cast<std::size_t>(
-          std::lower_bound(cdf.begin(), cdf.end(), rng.uniform(0.0, total)) - cdf.begin());
-      const std::size_t key = order[std::min(rank, keys - 1)];
+      const std::size_t key = order[std::min(ranks[next_rank++], keys - 1)];
       p.site = key % sites;
-      p.minute = static_cast<int>(key / sites);
+      p.minute = first_quiet + static_cast<int>(key / sites);
     }
     plan.push_back(p);
   }
@@ -743,11 +774,15 @@ double delta_percentile_us(const obs::Histogram::Snapshot& a,
   return static_cast<double>(d.percentile(q));
 }
 
+/// When a request was sent: in the untimed cache warm-up before the
+/// window, in the measured window, or in the sequential probe after it.
+enum class Phase : std::uint8_t { kWarmUp, kWindow, kProbe };
+
 struct Pending {
   std::future<Reports> fut;
   Clock::time_point due;  ///< scheduled send (open loop) or the send itself
   ReqKind kind = ReqKind::kNormal;
-  bool probe = false;
+  Phase phase = Phase::kWindow;
   geo::Rect site{};
   TimeSec begin = 0;
   std::uint64_t id = 0;
@@ -755,7 +790,7 @@ struct Pending {
 
 struct Resolved {
   ReqKind kind = ReqKind::kNormal;
-  bool probe = false;
+  Phase phase = Phase::kWindow;
   bool ok = false;          ///< resolved with reports: not refused, failed or expired
   Clock::time_point done{};
   double ms = kInf;         ///< due → resolved
@@ -786,11 +821,13 @@ class Run {
   Run(const Options& opt, const Shape& shape, daemon::ServiceLifecycle& d, const World& world,
       std::vector<Planned> plan, std::uint64_t salt)
       : opt_(opt), shape_(shape), d_(d), world_(world), plan_(std::move(plan)), salt_(salt),
-        epoch_(Clock::now()) {
-    const double cap = shape.flood ? opt.seconds * 500'000.0
-                                   : opt.seconds * shape.upload_rate + 16.0;
-    sent_.resize(static_cast<std::size_t>(cap));
-    visible_ms_.assign(sent_.size(), 0.0f);
+        epoch_(Clock::now()), stride_(shape.flood ? 16 : 1) {
+    max_uploads_ = static_cast<std::size_t>(shape.flood ? opt.seconds * 500'000.0
+                                                        : opt.seconds * shape.upload_rate + 16.0);
+    // Left uninitialised: a page becomes resident, and counts in
+    // peak_rss_mb, only once an upload writes to it.
+    sent_ = std::make_unique_for_overwrite<Clock::rep[]>(max_uploads_ / stride_ + 1);
+    visible_ms_ = std::make_unique_for_overwrite<float[]>(max_uploads_ / stride_ + 1);
     ingest_base_ = d_.service().ingest_totals();
     processed_base_ = processed(ingest_base_);
     clock_unit_ = shape.city.first_minute + (shape.city.minutes - 1) * kUnitTimeSec;
@@ -811,12 +848,8 @@ class Run {
   void write_spans(const std::string& path) const;
   /// Uploads the daemon admitted, plus any it refused.
   [[nodiscard]] std::size_t uploads_sent() const { return sent_count_.load() + refused_uploads_; }
-  [[nodiscard]] std::size_t requests() const {
-    std::lock_guard lock(mu_);
-    return enqueued_;
-  }
+  [[nodiscard]] std::size_t requests() const { return enqueued_; }
   [[nodiscard]] std::size_t failed() const {
-    std::lock_guard lock(mu_);
     std::size_t n = refused_uploads_;
     for (const Resolved& r : resolved_) n += r.ok ? 0 : 1;
     return n;
@@ -828,18 +861,25 @@ class Run {
   void submit_zipf();
   void submit_sweeps();
   void send(ReqKind kind, const geo::Rect& site, TimeSec begin, Clock::time_point due,
-            bool probe);
+            Phase phase);
   void send_and_wait(ReqKind kind, const geo::Rect& site, TimeSec begin);
+  /// Resolves every outstanding request whose future is ready; then, until
+  /// `until`, keeps doing so in short sleeps.
+  void reap_until(Clock::time_point until);
   void resolve(Pending p, Clock::time_point now);
   void digest_report(const sys::InvestigationReport& rep, const Pending& p,
                      double& served_ms, double& top_ms);
   bool cache_rebuild_identical();
   [[nodiscard]] TimeSec upload_minute(std::size_t k, TimeSec clock) const;
-  [[nodiscard]] std::vector<double> latencies(ReqKind kind, bool probe) const;
+  [[nodiscard]] std::vector<double> latencies(ReqKind kind, Phase phase) const;
   [[nodiscard]] bool main_sends(ReqKind kind) const {
     if (shape_.workload == Workload::kIncidentZipf) return kind != ReqKind::kSweep;
     if (shape_.workload == Workload::kIncidentSweep) return kind == ReqKind::kSweep;
     return false;
+  }
+  /// Where a kind's end-to-end metrics come from: the window, or the probe.
+  [[nodiscard]] Phase measured_in(ReqKind kind) const {
+    return main_sends(kind) ? Phase::kWindow : Phase::kProbe;
   }
   const Options& opt_;
   const Shape& shape_;
@@ -853,8 +893,15 @@ class Run {
   index::IngestStats ingest_base_{};
   std::size_t processed_base_ = 0;
 
-  // Uploader → poller: send times by sequence number, published by count.
-  std::vector<Clock::time_point> sent_;
+  // Uploader → poller: send times of every stride_-th upload (the flood
+  // samples one in 16, so the driver's own bookkeeping stays small beside
+  // the daemon's memory), published by the count of uploads sent.
+  const std::size_t stride_;
+  std::size_t max_uploads_ = 0;
+  std::unique_ptr<Clock::rep[]> sent_;  ///< send time − epoch_, in clock ticks
+  [[nodiscard]] Clock::time_point sent_at(std::size_t sample) const {
+    return epoch_ + Clock::duration(sent_[sample]);
+  }
   std::atomic<std::size_t> sent_count_{0};
   std::atomic<TimeSec> clock_unit_{0};   ///< newest minute with a trust seed
   std::atomic<TimeSec> sweep_begin_{0};  ///< first minute of the newest sweep
@@ -865,31 +912,32 @@ class Run {
   std::vector<double> upload_late_ms_;
   std::vector<double> submit_block_ms_;
   std::vector<CallSpan> upload_calls_;
-  // Poller-owned; read once it has been joined.
-  std::vector<float> visible_ms_;
-  std::atomic<std::size_t> visible_{0};
+  // Poller-owned (uploads and checkpoints only, so nothing else delays
+  // its visibility stamps); read once it has been joined.
+  std::unique_ptr<float[]> visible_ms_;  ///< per sampled upload
+  std::size_t visible_samples_ = 0;
+  std::atomic<std::size_t> visible_{0};  ///< uploads ingest_totals() covers
   std::vector<double> sealed_ms_;
+  std::uint64_t checkpoint_failures_ = 0;
   std::size_t backlog_peak_ = 0;
   LayerSnapshot at_start_, at_end_;
+  LayerSnapshot after_probe_;  ///< main thread, once the probe is done
   std::vector<CallSpan> poll_calls_;
+  // Main-thread-owned: the submitter also collects the replies.
+  std::vector<Pending> outstanding_;
+  std::vector<Resolved> resolved_;
+  std::size_t enqueued_ = 0;
   std::vector<double> members_, edges_, iterations_;  ///< fresh builds only
   std::map<std::string, std::vector<double>> span_self_ms_;  ///< per report
   std::vector<double> pin_ms_;
   std::size_t trusted_verdicts_ = 0, fake_legitimate_ = 0, expired_ = 0;
   std::vector<HitSample> served_hits_;
   std::vector<std::string> span_lines_;
-  // Main-thread-owned.
   std::vector<double> request_late_ms_;
   std::vector<CallSpan> submit_calls_;
   index::IngestStats ingest_settled_{};
   bool settled_ = true;
   std::uint64_t next_id_ = 0;
-  // Shared between the main thread and the poller.
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Pending> inbox_;      ///< under mu_
-  std::vector<Resolved> resolved_;  ///< under mu_
-  std::size_t enqueued_ = 0;        ///< under mu_
   // Declared last: joined first on destruction.
   std::jthread poller_;
   std::jthread uploader_;
@@ -910,7 +958,7 @@ void Run::upload_loop(const std::stop_token& stop) {
   std::size_t good_this_minute = 0;
   // The newest good upload, as what re-creates its exact bytes.
   std::optional<std::tuple<std::size_t, TimeSec, std::uint64_t>> last_good;
-  for (std::size_t k = 0; k < sent_.size() && !stop.stop_requested(); ++k) {
+  for (std::size_t k = 0; k < max_uploads_ && !stop.stop_requested(); ++k) {
     Clock::time_point due = Clock::now();
     if (!shape_.flood) {
       due = window_start_ + seconds_d(static_cast<double>(k) / shape_.upload_rate);
@@ -941,7 +989,7 @@ void Run::upload_loop(const std::stop_token& stop) {
       last_good.emplace(t, unit, serial);
       p = restamp(tmpl, unit, serial++, salt_);
     }
-    sent_[k] = due;
+    if (k % stride_ == 0) sent_[k / stride_] = (due - epoch_).count();
     const auto t0 = Clock::now();
     const bool admitted = ingest.submit(std::move(p));
     if (opt_.trace) {
@@ -976,13 +1024,12 @@ void Run::upload_loop(const std::stop_token& stop) {
 void Run::poll_loop(const std::stop_token& stop) {
   sys::ViewMapService& svc = d_.service();
   daemon::CheckpointDaemon* ckpt = d_.checkpointer();
-  std::vector<Pending> outstanding;
-  std::size_t visible = 0, sealed = 0, cover = 0;
+  std::size_t visible = 0, sealed = 0, cover = 0;  // uploads; sealed counts samples
   bool busy = false;
-  std::uint64_t cycles_at_poke = 0;
+  std::uint64_t cycles_at_poke = 0, failures_at_poke = 0;
+  const std::uint64_t failures_at_start = ckpt != nullptr ? ckpt->failures() : 0;
   Clock::time_point next_poke = window_start_;
   bool have_start = false, have_end = false;
-  std::optional<Clock::time_point> stop_seen;
   for (;;) {
     const auto now = Clock::now();
     if (!have_start && now >= window_start_) {
@@ -996,54 +1043,61 @@ void Run::poll_loop(const std::stop_token& stop) {
     // Uploads: visible once ingest_totals() covers them (no snapshot pin).
     const std::size_t done = processed(svc.ingest_totals()) - processed_base_;
     const std::size_t sent = sent_count_.load(std::memory_order_acquire);
-    for (const std::size_t upto = std::min(done, sent); visible < upto; ++visible)
-      visible_ms_[visible] = static_cast<float>(ms_between(sent_[visible], now));
+    visible = std::max(visible, std::min(done, sent));
+    for (; visible_samples_ * stride_ < visible; ++visible_samples_)
+      visible_ms_[visible_samples_] = static_cast<float>(ms_between(sent_at(visible_samples_), now));
     visible_.store(visible, std::memory_order_release);
     backlog_peak_ = std::max(backlog_peak_, svc.upload_channel().pending());
     // Checkpoints: poke at a fixed cadence, one in flight at a time; an
     // upload is sealed when the first checkpoint poked after it became
-    // visible completes.
+    // visible completes. A failed checkpoint seals nothing: poke again.
     if (ckpt != nullptr) {
-      const std::uint64_t cycles = ckpt->written() + ckpt->skipped() + ckpt->failures();
+      const std::uint64_t cycles = ckpt->written() + ckpt->skipped();
+      const std::uint64_t failures = ckpt->failures();
+      checkpoint_failures_ = failures - failures_at_start;
       if (busy && cycles > cycles_at_poke) {
-        for (; sealed < cover; ++sealed) sealed_ms_.push_back(ms_between(sent_[sealed], now));
+        for (; sealed * stride_ < cover; ++sealed)
+          sealed_ms_.push_back(ms_between(sent_at(sealed), now));
         busy = false;
+      } else if (busy && failures > failures_at_poke) {
+        busy = false;
+        next_poke = now;
       }
       if (!busy && poking_.load(std::memory_order_acquire) && now >= next_poke) {
         cover = visible;
         cycles_at_poke = cycles;
+        failures_at_poke = failures;
         ckpt->poke();
         if (opt_.trace) poll_calls_.push_back({"CheckpointDaemon::poke", ms_between(epoch_, now), 0.0});
         busy = true;
         next_poke = std::max(next_poke + shape_.checkpoint_every, now);
       }
     }
-    {
-      std::lock_guard lock(mu_);
-      for (Pending& p : inbox_) outstanding.push_back(std::move(p));
-      inbox_.clear();
-    }
-    for (auto it = outstanding.begin(); it != outstanding.end();) {
+    if (stop.stop_requested()) break;
+    std::this_thread::sleep_for(100us);
+  }
+}
+
+void Run::reap_until(Clock::time_point until) {
+  for (;;) {
+    for (auto it = outstanding_.begin(); it != outstanding_.end();) {
       if (it->fut.wait_for(0s) == std::future_status::ready) {
         resolve(std::move(*it), Clock::now());
-        it = outstanding.erase(it);
+        it = outstanding_.erase(it);
       } else {
         ++it;
       }
     }
-    if (stop.stop_requested()) {
-      if (!stop_seen) stop_seen = now;
-      std::lock_guard lock(mu_);
-      if ((outstanding.empty() && inbox_.empty()) || now - *stop_seen > 60s) break;
-    }
-    std::this_thread::sleep_for(100us);
+    const auto now = Clock::now();
+    if (now >= until) return;
+    std::this_thread::sleep_for(std::min<Clock::duration>(100us, until - now));
   }
 }
 
 void Run::resolve(Pending p, Clock::time_point now) {
   Resolved r;
   r.kind = p.kind;
-  r.probe = p.probe;
+  r.phase = p.phase;
   r.done = now;
   try {
     const Reports reports = p.fut.get();
@@ -1058,11 +1112,7 @@ void Run::resolve(Pending p, Clock::time_point now) {
     ++expired_;
   } catch (const std::exception&) {
   }
-  {
-    std::lock_guard lock(mu_);
-    resolved_.push_back(r);
-  }
-  cv_.notify_all();
+  resolved_.push_back(r);
 }
 
 void Run::digest_report(const sys::InvestigationReport& rep, const Pending& p,
@@ -1084,7 +1134,7 @@ void Run::digest_report(const sys::InvestigationReport& rep, const Pending& p,
     edges_.push_back(static_cast<double>(rep.viewmap.edge_count()));
     iterations_.push_back(v.ranks.iterations);
   } else if (shape_.workload == Workload::kIncidentZipf && p.kind == ReqKind::kNormal &&
-             !p.probe && served_hits_.size() < 6 &&
+             p.phase == Phase::kWindow && served_hits_.size() < 6 &&
              rep.viewmap.unit_time() < clock_unit_.load() - kUnitTimeSec) {
     served_hits_.push_back({p.site, rep.viewmap.unit_time(), fingerprint(rep)});
   }
@@ -1112,7 +1162,7 @@ void Run::digest_report(const sys::InvestigationReport& rep, const Pending& p,
 }
 
 void Run::send(ReqKind kind, const geo::Rect& site, TimeSec begin, Clock::time_point due,
-               bool probe) {
+               Phase phase) {
   sys::InvestigationServer* server = d_.service().server();
   sys::SubmitOptions o;
   if (kind == ReqKind::kLive) {
@@ -1124,7 +1174,7 @@ void Run::send(ReqKind kind, const geo::Rect& site, TimeSec begin, Clock::time_p
   Pending p;
   p.due = due;
   p.kind = kind;
-  p.probe = probe;
+  p.phase = phase;
   p.site = site;
   p.begin = begin;
   p.id = next_id_++;
@@ -1135,26 +1185,29 @@ void Run::send(ReqKind kind, const geo::Rect& site, TimeSec begin, Clock::time_p
   if (opt_.trace)
     submit_calls_.push_back({"InvestigationServer::submit", ms_between(epoch_, t0),
                              ms_between(t0, Clock::now())});
-  std::lock_guard lock(mu_);
   ++enqueued_;
   if (!p.fut.valid()) {  // refused by the server
     Resolved r;
     r.kind = kind;
-    r.probe = probe;
+    r.phase = phase;
     resolved_.push_back(r);
     return;
   }
-  inbox_.push_back(std::move(p));
+  outstanding_.push_back(std::move(p));
 }
 
 void Run::submit_zipf() {
+  // The plan starts warm_up_s before the window: those requests fill the
+  // result cache and are left out of every latency.
+  const auto plan_start = window_start_ - seconds_d(shape_.warm_up_s);
   for (const Planned& p : plan_) {
-    const auto due = window_start_ + seconds_d(p.at_s);
+    const auto due = plan_start + seconds_d(p.at_s);
     if (due >= window_end_) break;
-    std::this_thread::sleep_until(due);
-    request_late_ms_.push_back(ms_between(due, Clock::now()));
+    reap_until(due);
+    const Phase phase = due < window_start_ ? Phase::kWarmUp : Phase::kWindow;
+    if (phase == Phase::kWindow) request_late_ms_.push_back(ms_between(due, Clock::now()));
     send(p.kind, world_.sites[p.site], shape_.city.first_minute + p.minute * kUnitTimeSec, due,
-         false);
+         phase);
   }
 }
 
@@ -1163,11 +1216,8 @@ void Run::submit_sweeps() {
   const int quiet = shape_.city.minutes - 2;
   const auto sites = world_.sites.size();
   for (std::size_t i = 0;; ++i) {
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait_until(lock, window_end_,
-                     [&] { return enqueued_ - resolved_.size() < shape_.sweep_outstanding; });
-    }
+    while (outstanding_.size() >= shape_.sweep_outstanding && Clock::now() < window_end_)
+      reap_until(Clock::now() + 100us);
     if (Clock::now() >= window_end_) break;
     // Never-repeated rectangles: each lap over the sites shifts them east.
     geo::Rect site = world_.sites[i % sites];
@@ -1178,16 +1228,23 @@ void Run::submit_sweeps() {
                                                static_cast<std::size_t>(quiet - span + 1));
     const TimeSec begin = shape_.city.first_minute + begin_minute * kUnitTimeSec;
     sweep_begin_.store(begin, std::memory_order_relaxed);
-    send(ReqKind::kSweep, site, begin, Clock::now(), false);
+    send(ReqKind::kSweep, site, begin, Clock::now(), Phase::kWindow);
   }
 }
 
 void Run::main_phase() {
-  window_start_ = Clock::now() + 100ms;
+  window_start_ = Clock::now() + 100ms + seconds_d(shape_.warm_up_s);
   window_end_ = window_start_ + seconds_d(opt_.seconds);
   poking_.store(true);
-  poller_ = std::jthread([this](std::stop_token st) { poll_loop(st); });
-  uploader_ = std::jthread([this](std::stop_token st) { upload_loop(st); });
+  favour_this_thread();
+  poller_ = std::jthread([this](std::stop_token st) {
+    favour_this_thread();
+    poll_loop(st);
+  });
+  uploader_ = std::jthread([this](std::stop_token st) {
+    favour_this_thread();
+    upload_loop(st);
+  });
   switch (shape_.workload) {
     case Workload::kIncidentZipf: submit_zipf(); break;
     case Workload::kIncidentSweep: submit_sweeps(); break;
@@ -1196,61 +1253,85 @@ void Run::main_phase() {
   uploader_.join();
   // Settle: every sent upload visible, every request resolved.
   const auto limit = Clock::now() + 120s;
-  for (;;) {
-    std::size_t unresolved = 0;
-    {
-      std::lock_guard lock(mu_);
-      unresolved = enqueued_ - resolved_.size();
-    }
-    if (visible_.load() >= sent_count_.load() && unresolved == 0) break;
+  while (visible_.load() < sent_count_.load() || !outstanding_.empty()) {
     if (Clock::now() > limit) {
       settled_ = false;
       break;
     }
-    std::this_thread::sleep_for(1ms);
+    reap_until(Clock::now() + 1ms);
   }
   ingest_settled_ = d_.service().ingest_totals();
   poking_.store(false);
 }
 
 void Run::send_and_wait(ReqKind kind, const geo::Rect& site, TimeSec begin) {
-  send(kind, site, begin, Clock::now(), true);
-  std::unique_lock lock(mu_);
-  const std::size_t target = enqueued_;
-  cv_.wait_for(lock, 120s, [&] { return resolved_.size() >= target; });
+  send(kind, site, begin, Clock::now(), Phase::kProbe);
+  const auto limit = Clock::now() + 120s;
+  while (!outstanding_.empty()) {
+    if (Clock::now() > limit) {
+      settled_ = false;
+      return;
+    }
+    reap_until(Clock::now() + 100us);
+  }
 }
 
 /// Requests the main shape does not send, one at a time, after the window,
 /// on minutes inside the retention window that carry a trust seed and take
 /// no more uploads — so every workload reports every end-to-end metric.
 void Run::probe_phase() {
-  Rng rng(opt_.seed ^ 0x9b0beull);
   const TimeSec newest = clock_unit_.load();
+  std::size_t next_back = 0;
   const auto minutes_back = [&](int span) {
     // The first of `span` minutes ending at least two minutes before
-    // `newest`, and no older than the oldest minute still retained.
+    // `newest`, and no older than the oldest minute still retained; taken
+    // in a fixed stride, so every seed probes the same minutes.
     const auto choices = static_cast<std::size_t>(shape_.city.minutes - 1 - span);
-    return newest - static_cast<TimeSec>(span + 1 + static_cast<int>(rng.index(choices))) *
-                        kUnitTimeSec;
+    const std::size_t pick = (5 * next_back++) % choices;
+    return newest - static_cast<TimeSec>(span + 1 + static_cast<int>(pick)) * kUnitTimeSec;
   };
-  const auto site = [&] { return world_.sites[rng.index(world_.sites.size())]; };
-  if (!main_sends(ReqKind::kNormal))
-    for (int k = 0; k < 4; ++k) {
-      const geo::Rect s = site();
+  // Each kind takes the sites in a fixed cycle, so every seed probes the
+  // same mix of them.
+  std::array<std::size_t, 3> next_site{};
+  const auto site = [&](ReqKind kind) {
+    return world_.sites[next_site[static_cast<std::size_t>(kind)]++ % world_.sites.size()];
+  };
+  // kLive runs in every workload's probe (incident_zipf's ~10% share alone
+  // leaves too few samples for a steady p90). Each asks for a rectangle
+  // never asked for before, so each is a live-minute build, not a hit on
+  // a minute that stopped changing when the window closed. The flood's
+  // newest minute holds however many uploads the window's last clock
+  // period got; its newest complete minute (two back) always holds the
+  // same number.
+  const TimeSec live = shape_.flood ? newest - 2 * kUnitTimeSec : newest;
+  const std::size_t keys = main_sends(ReqKind::kNormal) ? 0 : 3 * world_.sites.size();
+  const auto lives = static_cast<std::size_t>(shape_.live_probes);
+  const auto sweeps =
+      static_cast<std::size_t>(main_sends(ReqKind::kSweep) ? 0 : shape_.sweep_probes);
+  // The kinds take turns, so a slow spell of the host falls on all of them
+  // alike rather than on whichever kind it happened to meet.
+  for (std::size_t k = 0; k < std::max({keys, lives, sweeps}); ++k) {
+    if (k < keys) {
+      const geo::Rect s = site(ReqKind::kNormal);
       const TimeSec unit = minutes_back(1);
       send_and_wait(ReqKind::kNormal, s, unit);  // a miss, then two hits: the
       send_and_wait(ReqKind::kNormal, s, unit);  // median lands on a hit and
-      send_and_wait(ReqKind::kNormal, s, unit);  // p99 on a miss
+      send_and_wait(ReqKind::kNormal, s, unit);  // p90 on a miss
     }
-  if (!main_sends(ReqKind::kLive))
-    for (int k = 0; k < 6; ++k) send_and_wait(ReqKind::kLive, site(), newest);
-  if (!main_sends(ReqKind::kSweep))
-    for (int k = 0; k < 2; ++k) {
-      geo::Rect s = site();
+    if (k < lives) {
+      geo::Rect s = site(ReqKind::kLive);
+      s.min.x += 0.01 * static_cast<double>(k + 1);
+      s.max.x += 0.01 * static_cast<double>(k + 1);
+      send_and_wait(ReqKind::kLive, s, live);
+    }
+    if (k < sweeps) {
+      geo::Rect s = site(ReqKind::kSweep);
       s.min.x += 0.125;  // a rectangle no main-phase request used
       s.max.x += 0.125;
       send_and_wait(ReqKind::kSweep, s, minutes_back(shape_.sweep_minutes));
     }
+  }
+  after_probe_ = capture(d_.service());
 }
 
 /// Cache-served reports must equal fresh builds: sampled keys (served
@@ -1285,6 +1366,7 @@ bool Run::cache_rebuild_identical() {
 
 void Run::add_checks(Checks& checks) {
   checks.add("every_operation_settled", settled_);
+  checks.add("no_checkpoint_failed", checkpoint_failures_ == 0 && !sealed_ms_.empty());
   const index::IngestStats& t = ingest_settled_;
   const index::IngestStats& b = ingest_base_;
   checks.add("ingest_counts_match_injected_mix",
@@ -1304,11 +1386,10 @@ void Run::add_checks(Checks& checks) {
   checks.add("cache_rebuild_identical", cache_rebuild_identical());
 }
 
-std::vector<double> Run::latencies(ReqKind kind, bool probe) const {
-  std::lock_guard lock(mu_);
+std::vector<double> Run::latencies(ReqKind kind, Phase phase) const {
   std::vector<double> out;
   for (const Resolved& r : resolved_)
-    if (r.kind == kind && r.probe == probe) out.push_back(r.ok ? r.ms : kInf);
+    if (r.kind == kind && r.phase == phase) out.push_back(r.ok ? r.ms : kInf);
   return out;
 }
 
@@ -1316,38 +1397,43 @@ void Run::e2e_metrics(std::vector<Metric>& out) const {
   const double window_s = ms_between(at_start_.at, at_end_.at) / 1e3;
   out.push_back({"upload_vps_per_s",
                  static_cast<double>(at_end_.processed - at_start_.processed) / window_s, "1/s"});
-  const std::vector<double> visible(visible_ms_.begin(),
-                                    visible_ms_.begin() + static_cast<std::ptrdiff_t>(sent_count_.load()));
+  // Visibility over the uploads sent inside the window (the flood starts
+  // before it). The tail is p90, not p99: an upload sent while the host
+  // has the VM descheduled waits out the stall, so with a few percent of
+  // steal the p99 read the host's stalls, not the daemon.
+  std::vector<double> visible;
+  for (std::size_t i = 0; i < visible_samples_; ++i)
+    if (sent_at(i) >= window_start_) visible.push_back(visible_ms_[i]);
   out.push_back({"upload_visible_p50_ms", percentile(visible, 0.5), "ms"});
-  out.push_back({"upload_visible_p99_ms", percentile(visible, 0.99), "ms"});
+  out.push_back({"upload_visible_p90_ms", percentile(visible, 0.9), "ms"});
   out.push_back({"sealed_lag_p50_ms", percentile(sealed_ms_, 0.5), "ms"});
-  std::vector<double> inv = latencies(ReqKind::kNormal, !main_sends(ReqKind::kNormal));
-  if (main_sends(ReqKind::kLive)) {
-    const std::vector<double> live = latencies(ReqKind::kLive, false);
-    inv.insert(inv.end(), live.begin(), live.end());
-  }
+  // investigate_* covers the kNormal submits: with the ~10% kLive builds on
+  // the growing newest minute mixed in, p90 sat on the edge between those
+  // and the cache misses and jumped between them from seed to seed.
+  const std::vector<double> inv = latencies(ReqKind::kNormal, measured_in(ReqKind::kNormal));
   out.push_back({"investigate_p50_ms", percentile(inv, 0.5), "ms"});
-  out.push_back({"investigate_p99_ms", percentile(inv, 0.99), "ms"});
-  out.push_back({"live_p90_ms", percentile(latencies(ReqKind::kLive, !main_sends(ReqKind::kLive)), 0.9),
-                 "ms"});
+  out.push_back({"investigate_p90_ms", percentile(inv, 0.9), "ms"});
+  std::vector<double> live = latencies(ReqKind::kLive, Phase::kProbe);
+  if (main_sends(ReqKind::kLive)) {
+    const std::vector<double> main_live = latencies(ReqKind::kLive, Phase::kWindow);
+    live.insert(live.end(), main_live.begin(), main_live.end());
+  }
+  out.push_back({"live_p90_ms", percentile(live, 0.9), "ms"});
   // Main-phase sweeps: every verified minute over the time from the window
   // start to the last resolution (whole requests, no rounding at the
   // window edge); probe sweeps run one at a time, so their latencies are
   // the time.
   double minutes = 0.0, seconds = 0.0;
-  {
-    std::lock_guard lock(mu_);
-    const bool main = main_sends(ReqKind::kSweep);
-    for (const Resolved& r : resolved_) {
-      if (r.kind != ReqKind::kSweep || r.probe == main || !r.ok) continue;
-      minutes += static_cast<double>(r.minutes);
-      seconds = main ? std::max(seconds, ms_between(window_start_, r.done) / 1e3)
-                     : seconds + r.ms / 1e3;
-    }
+  const bool main = main_sends(ReqKind::kSweep);
+  for (const Resolved& r : resolved_) {
+    if (r.kind != ReqKind::kSweep || r.phase != measured_in(ReqKind::kSweep) || !r.ok) continue;
+    minutes += static_cast<double>(r.minutes);
+    seconds = main ? std::max(seconds, ms_between(window_start_, r.done) / 1e3)
+                   : seconds + r.ms / 1e3;
   }
   out.push_back({"sweep_minutes_per_s", seconds > 0 ? minutes / seconds : 0.0, "1/s"});
   out.push_back({"sweep_p50_ms",
-                 percentile(latencies(ReqKind::kSweep, !main_sends(ReqKind::kSweep)), 0.5), "ms"});
+                 percentile(latencies(ReqKind::kSweep, measured_in(ReqKind::kSweep)), 0.5), "ms"});
 }
 
 void Run::layer_metrics(std::vector<Metric>& out) const {
@@ -1379,13 +1465,10 @@ void Run::layer_metrics(std::vector<Metric>& out) const {
   out.push_back({"system.viewmap_edges_p50", percentile(edges_, 0.5), "count"});
   out.push_back({"system.trust_rank_iterations_p50", percentile(iterations_, 0.5), "count"});
   std::vector<double> waits, coverage;
-  {
-    std::lock_guard lock(mu_);
-    for (const Resolved& r : resolved_) {
-      if (!r.ok) continue;
-      waits.push_back(r.queue_wait_ms);
-      if (r.ms > 0) coverage.push_back(r.covered_ms / r.ms);
-    }
+  for (const Resolved& r : resolved_) {
+    if (!r.ok || r.phase == Phase::kWarmUp) continue;
+    waits.push_back(r.queue_wait_ms);
+    if (r.ms > 0) coverage.push_back(r.covered_ms / r.ms);
   }
   out.push_back({"system.queue_wait_ms_p50", percentile(waits, 0.5), "ms"});
   out.push_back({"system.queue_wait_ms_p99", percentile(waits, 0.99), "ms"});
@@ -1396,12 +1479,15 @@ void Run::layer_metrics(std::vector<Metric>& out) const {
   out.push_back({"system.snapshots_per_batch",
                  batches > 0 ? d(b.server.snapshots, a.server.snapshots) / batches : 0.0, "ratio"});
   out.push_back({"system.deadline_expired", static_cast<double>(expired_), "count"});
-  const double hits = d(b.cache.hits, a.cache.hits);
-  const double lookups = hits + d(b.cache.misses, a.cache.misses);
+  // The cache over the window, and over the probe too where the probe asks
+  // for repeated keys: they are the only hits a sweep or a flood run has.
+  const LayerSnapshot& p = main_sends(ReqKind::kNormal) ? b : after_probe_;
+  const double hits = d(p.cache.hits, a.cache.hits);
+  const double lookups = hits + d(p.cache.misses, a.cache.misses);
   out.push_back({"system.cache_hit_rate", lookups > 0 ? hits / lookups : 0.0, "ratio"});
-  out.push_back({"system.cache_hit_us_p50", delta_percentile_us(a.cache_hit_us, b.cache_hit_us, 0.5), "us"});
-  out.push_back({"system.cache_evictions", d(b.cache.evictions, a.cache.evictions), "count"});
-  out.push_back({"system.cache_bytes", static_cast<double>(b.cache.resident_bytes), "bytes"});
+  out.push_back({"system.cache_hit_us_p50", delta_percentile_us(a.cache_hit_us, p.cache_hit_us, 0.5), "us"});
+  out.push_back({"system.cache_evictions", d(p.cache.evictions, a.cache.evictions), "count"});
+  out.push_back({"system.cache_bytes", static_cast<double>(p.cache.resident_bytes), "bytes"});
   out.push_back({"store.checkpoints", d(b.checkpoints, a.checkpoints), "count"});
   out.push_back({"store.checkpoint_ms_p50", delta_percentile_us(a.checkpoint_us, b.checkpoint_us, 0.5) / 1e3, "ms"});
   out.push_back({"store.checkpoint_ms_p99", delta_percentile_us(a.checkpoint_us, b.checkpoint_us, 0.99) / 1e3, "ms"});
@@ -1463,8 +1549,7 @@ std::string metric_objects(const std::vector<Metric>& ms) {
 }
 
 void reset_peak_rss() {
-  // VmHWM restarts from the current RSS, so peak_rss_mb covers the daemon
-  // and not the input generator before it.
+  // VmHWM restarts from the current RSS.
   std::ofstream f("/proc/self/clear_refs");
   if (f) f << "5";
 }
@@ -1475,6 +1560,21 @@ double peak_rss_mb() {
   while (std::getline(f, line))
     if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
   return 0.0;
+}
+
+/// Host-wide CPU ticks (all, steal) from /proc/stat. Under a hypervisor,
+/// steal is time the vCPUs were runnable but not run: the share of it
+/// during a run explains timings that moved without the code moving.
+std::pair<std::uint64_t, std::uint64_t> cpu_ticks() {
+  std::ifstream f("/proc/stat");
+  std::string cpu;
+  std::uint64_t v = 0, total = 0, steal = 0;
+  f >> cpu;
+  for (int i = 0; i < 8 && f >> v; ++i) {  // user … steal
+    total += v;
+    if (i == 7) steal = v;
+  }
+  return {total, steal};
 }
 
 #if defined(__clang__)
@@ -1523,11 +1623,11 @@ int run(const Options& opt) {
   std::vector<Planned> plan = plan_zipf(shape, opt.seconds, opt.seed);
   hash_plan(sha, plan, salt);
   const std::string input_sha = to_hex(sha.finish().bytes);
-  ::malloc_trim(0);
-  reset_peak_rss();
 
   // Set-up, repeated: construct (RSA keygen, untimed in setup_s), then
   // start() until Running — recovery of the sealed store plus threads.
+  // peak_rss_mb covers the last (serving) daemon only: not the input
+  // generator, nor the daemons before it.
   std::vector<double> setup_s, construct_s;
   std::unique_ptr<daemon::ServiceLifecycle> d;
   bool whole_store = true;
@@ -1536,6 +1636,8 @@ int run(const Options& opt) {
       d->kill_for_test();
       d.reset();
     }
+    ::malloc_trim(0);
+    reset_peak_rss();
     const auto t0 = Clock::now();
     d = std::make_unique<daemon::ServiceLifecycle>(daemon_config(shape, dir.string()));
     const auto t1 = Clock::now();
@@ -1553,10 +1655,16 @@ int run(const Options& opt) {
 
   std::vector<Metric> e2e, layers;
   std::size_t uploads = 0, requests = 0, failed = 0;
+  double steal_pct = 0.0;
   {
     Run r(opt, shape, *d, world, std::move(plan), salt);
+    const auto ticks0 = cpu_ticks();
     r.main_phase();
     r.probe_phase();
+    const auto ticks1 = cpu_ticks();
+    if (ticks1.first > ticks0.first)
+      steal_pct = 100.0 * static_cast<double>(ticks1.second - ticks0.second) /
+                  static_cast<double>(ticks1.first - ticks0.first);
     r.stop_polling();
     const double rss = peak_rss_mb();
     r.add_checks(checks);
@@ -1600,7 +1708,7 @@ int run(const Options& opt) {
     layers.push_back({"daemon.start_other_ms",
                       serving_setup_ms - static_cast<double>(rec.total_us) / 1e3, "ms"});
     layers.push_back({"daemon.construct_s", percentile(construct_s, 0.5), "s"});
-    // Filled in by perfbench/run.py from the untraced runs saved before.
+    // Filled in by perfbench/run.py from untraced runs of the same code.
     layers.push_back({"bench.trace_overhead_pct", 0.0, "%"});
   }
 
@@ -1610,6 +1718,7 @@ int run(const Options& opt) {
            ", \"smoke\": " + (opt.smoke ? "true" : "false") +
            ", \"input_sha256\": " + quote(input_sha) +
            ", \"host_cores\": " + std::to_string(std::thread::hardware_concurrency()) +
+           ", \"host_steal_pct\": " + number(steal_pct) +
            ", \"build_type\": " + quote(PERFBENCH_BUILD_TYPE) +
            ", \"compiler\": " + quote(kCompiler) + ", \"commit\": " + quote(opt.commit);
   stamp += ", \"rates\": {\"store_minutes\": " + std::to_string(shape.city.minutes) +
@@ -1622,6 +1731,10 @@ int run(const Options& opt) {
            ", \"request_rate_per_s\": " + number(shape.request_rate) +
            ", \"live_share\": " + number(shape.live_share) +
            ", \"zipf_alpha\": " + number(shape.zipf_alpha) +
+           ", \"zipf_minutes\": " + std::to_string(shape.zipf_minutes) +
+           ", \"warm_up_s\": " + number(shape.warm_up_s) +
+           ", \"live_probes\": " + std::to_string(shape.live_probes) +
+           ", \"sweep_probes\": " + std::to_string(shape.sweep_probes) +
            ", \"sweep_outstanding\": " + std::to_string(shape.sweep_outstanding) +
            ", \"sweep_minutes\": " + std::to_string(shape.sweep_minutes) +
            ", \"live_deadline_ms\": " + std::to_string(shape.live_deadline.count()) +

@@ -60,22 +60,29 @@ def build(out):
     return out / "perfbench"
 
 
-def commit_id():
+def git(*args):
     try:
-        r = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+        r = subprocess.run(["git", "-C", str(ROOT), *args],
                            capture_output=True, text=True, timeout=10)
-        if r.returncode == 0 and r.stdout.strip():
-            return r.stdout.strip()
+        return r.stdout.strip() if r.returncode == 0 else None
     except (OSError, subprocess.SubprocessError):
-        pass
-    # Not a git checkout: name the sources by their content.
+        return None
+
+
+def commit_id():
+    """The git commit, when src/ and perfbench/ are as committed; else
+    (uncommitted edits, or not a git checkout) a hash of their content."""
+    head = git("rev-parse", "HEAD")
+    if head and git("status", "--porcelain", "--", "src", "perfbench") == "":
+        return head
     h = hashlib.sha256()
     for top in ("src", "perfbench"):
         for p in sorted((ROOT / top).rglob("*")):
             if p.is_file() and "__pycache__" not in p.parts:
                 h.update(str(p.relative_to(ROOT)).encode())
                 h.update(p.read_bytes())
-    return "tree-sha256:" + h.hexdigest()[:16]
+    tree = "tree-sha256:" + h.hexdigest()[:16]
+    return f"{head}+{tree}" if head else tree
 
 
 def run_driver(binary, out, workload, seed, seconds, trace, smoke):
@@ -98,21 +105,25 @@ def run_driver(binary, out, workload, seed, seconds, trace, smoke):
     return parts
 
 
-def trace_overhead_pct(results, workload, e2e):
-    """How much worse the traced run's primary metric reads than the
-    median of the untraced runs of the same workload saved before it."""
-    name, better = PRIMARY[workload]
+def untraced_baseline(results, stamp, name):
+    """The primary metric of the saved untraced runs of the same workload,
+    seed, commit and run length as `stamp`."""
+    same = ("commit", "seed", "seconds", "smoke")
     base = []
-    for p in results.glob(f"{workload}-*-trace0-*.json"):
+    for p in results.glob(f"{stamp['workload']}-seed{stamp['seed']}-trace0-*.json"):
         try:
-            base.append(json.loads(p.read_text())["e2e"][name])
+            d = json.loads(p.read_text())
+            if any(d["stamp"][k] != stamp[k] for k in same):
+                continue
+            base.append(d["e2e"][name])
         except (OSError, ValueError, KeyError):
             continue
-    if not base or name not in e2e or statistics.median(base) == 0:
-        return 0.0, len(base)
-    ref = statistics.median(base)
-    change = (e2e[name] - ref) / ref * 100.0
-    return (change if better == "lower" else -change), len(base)
+    return base
+
+
+def save(results, args, trace, parts):
+    name = f"{args.workload}-seed{args.seed}-trace{int(trace)}-{time.time_ns()}.json"
+    (results / name).write_text(json.dumps(parts, indent=1))
 
 
 def measure(args):
@@ -123,11 +134,21 @@ def measure(args):
     parts = run_driver(binary, out, args.workload, args.seed, args.seconds, args.trace, False)
     result = parts["result"]
     if args.trace:
-        pct, n = trace_overhead_pct(results, args.workload, parts.get("e2e", {}))
-        result["metrics"]["bench.trace_overhead_pct"]["value"] = pct
-        parts["trace_overhead_base_runs"] = n
-    name = f"{args.workload}-seed{args.seed}-trace{int(args.trace)}-{time.time_ns()}.json"
-    (results / name).write_text(json.dumps(parts, indent=1))
+        # bench.trace_overhead_pct: how much worse the traced run's primary
+        # metric reads than in untraced runs of the same code and seed. With
+        # none saved yet, make one now.
+        name, better = PRIMARY[args.workload]
+        base = untraced_baseline(results, parts["stamp"], name)
+        if not base:
+            plain = run_driver(binary, out, args.workload, args.seed, args.seconds, False, False)
+            save(results, args, False, plain)
+            base = [plain["e2e"][name]]
+        ref = statistics.median(base)
+        change = (parts["e2e"][name] - ref) / ref * 100.0
+        result["metrics"]["bench.trace_overhead_pct"]["value"] = (
+            change if better == "lower" else -change)
+        parts["trace_overhead_base_runs"] = len(base)
+    save(results, args, args.trace, parts)
     print(json.dumps({"stamp": parts.get("stamp"), "checks": parts.get("checks")}))
     print(json.dumps(result))
 
