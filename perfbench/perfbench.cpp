@@ -1616,9 +1616,12 @@ int run(const Options& opt) {
   fs::create_directories(dir);
   const RemoveOnExit cleanup{dir};
 
+  // Where a run's wall time goes, for stderr.
+  std::vector<std::pair<const char*, Clock::time_point>> phases{{"", Clock::now()}};
   Checks checks;
   crypto::Sha256 sha;
   const World world = build_store(shape, opt.seed, dir.string(), sha, checks);
+  phases.emplace_back("inputs", Clock::now());
   const std::uint64_t salt = Rng(opt.seed ^ 0x5a17ull).next_u64();
   std::vector<Planned> plan = plan_zipf(shape, opt.seconds, opt.seed);
   hash_plan(sha, plan, salt);
@@ -1650,6 +1653,7 @@ int run(const Options& opt) {
                   rec.profiles_loaded == world.vps;
   }
   checks.add("setup_recovers_the_whole_store", whole_store);
+  phases.emplace_back("set-up", Clock::now());
   const store::RecoveryStats rec = d->recovery();
   const double serving_setup_ms = setup_s.back() * 1e3;
 
@@ -1660,7 +1664,9 @@ int run(const Options& opt) {
     Run r(opt, shape, *d, world, std::move(plan), salt);
     const auto ticks0 = cpu_ticks();
     r.main_phase();
+    phases.emplace_back("window", Clock::now());
     r.probe_phase();
+    phases.emplace_back("probe", Clock::now());
     const auto ticks1 = cpu_ticks();
     if (ticks1.first > ticks0.first)
       steal_pct = 100.0 * static_cast<double>(ticks1.second - ticks0.second) /
@@ -1699,6 +1705,12 @@ int run(const Options& opt) {
   }
   checks.add("clean_drain_and_stop", drained && stopped);
   checks.add("cold_recover_matches_live_digests", match);
+  phases.emplace_back("checks", Clock::now());
+  std::fprintf(stderr, "perfbench:");
+  for (std::size_t i = 1; i < phases.size(); ++i)
+    std::fprintf(stderr, "%s %s %.1f s", i > 1 ? "," : "", phases[i].first,
+                 ms_between(phases[i - 1].second, phases[i].second) / 1e3);
+  std::fprintf(stderr, "\n");
 
   if (opt.trace) {
     layers.push_back({"store.recover_read_ms", static_cast<double>(rec.read_us) / 1e3, "ms"});
