@@ -34,9 +34,9 @@ WORKLOADS = ("upload_flood", "incident_zipf", "incident_sweep")
 # The end-to-end metric each workload's bench.trace_overhead_pct compares
 # between a traced run and the untraced runs saved before it.
 PRIMARY = {
-    "upload_flood": ("upload_vps_per_s", "higher"),
-    "incident_zipf": ("investigate_p50_ms", "lower"),
-    "incident_sweep": ("sweep_p50_ms", "lower"),
+    "upload_flood": ("upload_cpu_us", "lower"),
+    "incident_zipf": ("wall.investigate_p50_ms", "lower"),
+    "incident_sweep": ("minute_cpu_ms", "lower"),
 }
 DRIVER_TIMEOUT_S = 170
 
