@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -140,57 +141,173 @@ constexpr std::uint32_t pair_hi(std::uint64_t key) noexcept {
   return static_cast<std::uint32_t>(key);
 }
 
-/// Everything the per-pair test needs, boxed once per build. Bloom
-/// probe positions live on the profiles themselves
-/// (vp::ViewProfile::bloom_probes(), computed once per profile EVER,
-/// not per build — repeated investigations over the same members hit a
-/// warm table).
-struct PairTester {
-  std::span<const vp::ViewProfile* const> members;
-  std::vector<geo::Rect> boxes;  ///< trajectory bboxes, inflated R/2
-  double link_radius_m;
+/// A trajectory's bounding box padded by `pad` on every side. Two
+/// profiles whose boxes, each padded by R/2, do not overlap were never
+/// within R of each other in exact arithmetic — the ~1 ns reject both
+/// builders run first. (ever_within()'s float differences can round a
+/// gap up to ~15 µm past R = 400 m down to R; sharing the prune keeps
+/// the builders in agreement there.)
+geo::Rect padded_box(const vp::ViewProfile& profile, double pad) {
+  const auto digests = profile.digests();
+  geo::Rect box{{digests[0].loc_x, digests[0].loc_y}, {digests[0].loc_x, digests[0].loc_y}};
+  for (const auto& vd : digests) {
+    box.min.x = std::min<double>(box.min.x, vd.loc_x);
+    box.min.y = std::min<double>(box.min.y, vd.loc_y);
+    box.max.x = std::max<double>(box.max.x, vd.loc_x);
+    box.max.y = std::max<double>(box.max.y, vd.loc_y);
+  }
+  return box.inflated(pad);
+}
 
-  PairTester(std::span<const vp::ViewProfile* const> m, double radius)
-      : members(m), link_radius_m(radius) {
-    const std::size_t n = members.size();
-    boxes.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto digests = members[i]->digests();
-      geo::Rect box{{digests[0].loc_x, digests[0].loc_y},
-                    {digests[0].loc_x, digests[0].loc_y}};
-      for (const auto& vd : digests) {
-        box.min.x = std::min<double>(box.min.x, vd.loc_x);
-        box.min.y = std::min<double>(box.min.y, vd.loc_y);
-        box.max.x = std::max<double>(box.max.x, vd.loc_x);
-        box.max.y = std::max<double>(box.max.y, vd.loc_y);
+/// Negated disjointness, so a NaN box overlaps everything (NaN positions
+/// are ever_within()'s to judge, never the prune's).
+bool boxes_overlap(const geo::Rect& a, const geo::Rect& b) noexcept {
+  return !(a.min.x > b.max.x || b.min.x > a.max.x || a.min.y > b.max.y ||
+           b.min.y > a.max.y);
+}
+
+/// The §5.2.1 edge predicate as a packed per-build kernel: every member
+/// profile is copied once per build into flat, member-major arrays —
+/// padded bbox, the 60 positions, the first timestamp with a "60
+/// contiguous seconds" flag, the Bloom bit array and the memoized probe
+/// table — and the per-pair test scans those arrays instead of chasing
+/// each profile's vectors and probe-table pointer (the flat-arena idiom
+/// of RenderToy's `Packed_UG::pack()`). The arrays live for one build.
+///
+/// Bit-identical to the profiles' own predicates: a Bloom pass tests the
+/// same bits as ViewProfile::heard(), and for two contiguous profiles
+/// second k of one aligns with second k + (t0ᵢ − t0ⱼ) of the other, so
+/// one scan over the overlapping seconds, in the same float-difference /
+/// double-square arithmetic, answers ViewProfile::ever_within() in ≤ 60
+/// steps instead of its first-match search. A profile with gaps or
+/// repeated timestamps falls back to ever_within() itself.
+class PackedMembers {
+ public:
+  PackedMembers(std::span<const vp::ViewProfile* const> members, double radius)
+      : members_(members),
+        radius_(radius),
+        radius_sq_(radius * radius),
+        boxes_(members.size()),
+        ids_(members.size()),
+        t0_(members.size()),
+        contiguous_(members.size()),
+        xs_(members.size() * kSeconds),
+        ys_(members.size() * kSeconds),
+        blooms_(members.size() * vp::kBloomBytes),
+        probes_(members.size() * kProbeSlots) {}
+
+  /// Packs members [lo, hi). Disjoint ranges may be packed concurrently;
+  /// computes any probe table not yet memoized on its profile.
+  void pack(std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const vp::ViewProfile& p = *members_[i];
+      const auto digests = p.digests();
+      boxes_[i] = padded_box(p, radius_ / 2.0);
+      ids_[i] = p.vp_id();
+      const TimeSec t0 = digests[0].time;
+      bool contiguous =
+          t0 <= std::numeric_limits<TimeSec>::max() - static_cast<TimeSec>(kSeconds - 1);
+      for (std::size_t s = 0; s < kSeconds; ++s) {
+        contiguous = contiguous && digests[s].time == t0 + static_cast<TimeSec>(s);
+        xs_[i * kSeconds + s] = digests[s].loc_x;
+        ys_[i * kSeconds + s] = digests[s].loc_y;
       }
-      boxes[i] = box.inflated(link_radius_m / 2.0);
+      t0_[i] = t0;
+      contiguous_[i] = contiguous;
+      const auto& bits = p.neighbor_bloom().data();
+      std::copy(bits.begin(), bits.end(), blooms_.data() + i * vp::kBloomBytes);
+      std::uint16_t* probe = probes_.data() + i * kProbeSlots;
+      for (const auto& positions : p.bloom_probes().at)
+        probe = std::copy(positions.begin(), positions.end(), probe);
     }
   }
 
-  [[nodiscard]] bool heard(std::size_t listener, std::size_t speaker) const {
-    // One implementation of the one-way membership test: the profile's,
-    // which already runs on the memoized probe tables.
-    return members[listener]->heard(*members[speaker]);
+  /// The full viewlink predicate: bbox overlap → one-way Bloom pass →
+  /// time-aligned proximity → Bloom pass back → distinct VP ids (the
+  /// order of the reject shares in src/system/README.md).
+  [[nodiscard]] bool linked(std::uint32_t i, std::uint32_t j) const {
+    return boxes_overlap(boxes_[i], boxes_[j]) && heard(i, j) && near(i, j) &&
+           heard(j, i) && ids_[i] != ids_[j];
   }
 
-  /// The full viewlink predicate, cheapest-reject-first. Ordering was
-  /// measured on the bench_index `viewmap_build` layouts: the bbox
-  /// compare (~1 ns) kills far pairs; for the near pairs the grid
-  /// feeds us, the one-way Bloom pass rejects unlinked candidates
-  /// faster than the 60-second proximity scan does, so it runs second
-  /// and the proximity scan only sees pairs that already share a
-  /// filter hit (see src/system/README.md).
-  [[nodiscard]] bool operator()(std::uint32_t i, std::uint32_t j) const {
-    const geo::Rect& a = boxes[i];
-    const geo::Rect& b = boxes[j];
-    if (a.min.x > b.max.x || b.min.x > a.max.x || a.min.y > b.max.y ||
-        b.min.y > a.max.y)
-      return false;
-    if (!heard(i, j)) return false;
-    if (!members[i]->ever_within(*members[j], link_radius_m)) return false;
-    return heard(j, i);
+ private:
+  static constexpr std::size_t kSeconds = kDigestsPerProfile;
+  static constexpr std::size_t kHashes = vp::kBloomHashes;
+  static constexpr std::size_t kProbeSlots = kSeconds * kHashes;
+  /// Digests (Bloom pass) and seconds (proximity) tested between two
+  /// early-exit branches: short branch-free runs, few mispredictions.
+  static constexpr std::size_t kHeardChunk = 4;
+  static constexpr std::size_t kNearChunk = 4;
+  static_assert(kSeconds % kHeardChunk == 0);
+
+  /// Does `listener`'s filter hold any of `speaker`'s 60 VDs? The bits
+  /// ViewProfile::heard() tests, read from the packed arrays.
+  [[nodiscard]] bool heard(std::uint32_t listener, std::uint32_t speaker) const {
+    const std::uint8_t* bits = blooms_.data() + std::size_t{listener} * vp::kBloomBytes;
+    const std::uint16_t* probe = probes_.data() + std::size_t{speaker} * kProbeSlots;
+    for (std::size_t s = 0; s < kSeconds; s += kHeardChunk) {
+      unsigned hit = 0;
+      for (std::size_t d = s; d < s + kHeardChunk; ++d) {
+        unsigned all = 1;
+        for (std::size_t h = 0; h < kHashes; ++h) {
+          const unsigned bit = probe[d * kHashes + h];
+          all &= bits[bit >> 3] >> (bit & 7);
+        }
+        hit |= all;
+      }
+      if (hit & 1) return true;
+    }
+    return false;
   }
+
+  /// members_[i]->ever_within(*members_[j], radius_), from the packed arrays
+  /// when both profiles cover 60 contiguous seconds.
+  [[nodiscard]] bool near(std::uint32_t i, std::uint32_t j) const {
+    if (!contiguous_[i] || !contiguous_[j])
+      return members_[i]->ever_within(*members_[j], radius_);
+    if (radius_ < 0.0) return false;
+    // Second k of i is second k + shift of j; no overlap beyond |shift| ≥ 60.
+    const TimeSec ti = t0_[i];
+    const TimeSec tj = t0_[j];
+    const auto ui = static_cast<std::uint64_t>(ti);  // unsigned: no overflow
+    const auto uj = static_cast<std::uint64_t>(tj);
+    const std::uint64_t apart = ti >= tj ? ui - uj : uj - ui;
+    if (apart >= kSeconds) return false;
+    const std::size_t skip_i = ti >= tj ? 0 : apart;
+    const std::size_t skip_j = ti >= tj ? apart : 0;
+    const std::size_t len = kSeconds - apart;
+    const float* ax = xs_.data() + std::size_t{i} * kSeconds + skip_i;
+    const float* ay = ys_.data() + std::size_t{i} * kSeconds + skip_i;
+    const float* bx = xs_.data() + std::size_t{j} * kSeconds + skip_j;
+    const float* by = ys_.data() + std::size_t{j} * kSeconds + skip_j;
+    // Float difference, double square: ever_within()'s exact arithmetic.
+    const auto within = [&](std::size_t k) {
+      const double dx = ax[k] - bx[k];
+      const double dy = ay[k] - by[k];
+      return dx * dx + dy * dy <= radius_sq_;
+    };
+    std::size_t k = 0;
+    for (; k + kNearChunk <= len; k += kNearChunk) {
+      bool hit = false;
+      for (std::size_t c = k; c < k + kNearChunk; ++c) hit |= within(c);
+      if (hit) return true;
+    }
+    for (; k < len; ++k)
+      if (within(k)) return true;
+    return false;
+  }
+
+  std::span<const vp::ViewProfile* const> members_;
+  double radius_;
+  double radius_sq_;
+  std::vector<geo::Rect> boxes_;
+  std::vector<Id16> ids_;
+  std::vector<TimeSec> t0_;
+  std::vector<std::uint8_t> contiguous_;  ///< bytes, not vector<bool>: packed in parallel
+  std::vector<float> xs_;                 ///< member-major, 60 per member
+  std::vector<float> ys_;
+  std::vector<std::uint8_t> blooms_;   ///< member-major Bloom bit arrays
+  std::vector<std::uint16_t> probes_;  ///< member-major probe tables
 };
 
 // ── grid candidate generation ────────────────────────────────────────
@@ -328,13 +445,13 @@ struct CandidateGrid {
     return work;
   }
 
-  /// Runs the tester once per unordered candidate pair with anchor in
+  /// Runs the predicate once per unordered candidate pair with anchor in
   /// [lo, hi), appending passing pairs to `out` (anchor ascending;
   /// `stamp` is the caller's n-entry scratch, zero-initialized once).
   /// A pair is only considered in a context where the two occupancy
   /// masks share a second; a context pruned by the mask does NOT stamp,
   /// so a later context with temporal overlap still gets to test.
-  void test_anchors(const PairTester& test, std::uint32_t lo, std::uint32_t hi,
+  void test_anchors(const PackedMembers& test, std::uint32_t lo, std::uint32_t hi,
                     std::vector<std::uint32_t>& stamp,
                     std::vector<std::uint64_t>& out) const {
     for (std::uint32_t i = lo; i < hi; ++i) {
@@ -353,7 +470,7 @@ struct CandidateGrid {
           for (; ent != last; ++ent) {
             if ((own_mask & ent->mask) == 0 || stamp[ent->member] == tag) continue;
             stamp[ent->member] = tag;
-            if (test(i, ent->member)) out.push_back(pack_pair(i, ent->member));
+            if (test.linked(i, ent->member)) out.push_back(pack_pair(i, ent->member));
           }
         }
       }
@@ -379,6 +496,31 @@ std::vector<std::size_t> balanced_bounds(std::span<const std::size_t> work,
   }
   while (bounds.size() <= threads) bounds.push_back(work.size());
   return bounds;
+}
+
+/// Runs fn(0) … fn(threads − 1), each on its own thread (fn(0) on the
+/// caller's), and rethrows a worker's exception once all have joined.
+template <class Fn>
+void run_sharded(std::size_t threads, const Fn& fn) {
+  if (threads <= 1) {
+    fn(0);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(threads);
+  const auto guarded = [&](std::size_t t) {
+    try {
+      fn(t);
+    } catch (...) {
+      errors[t] = std::current_exception();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(guarded, t);
+  guarded(0);
+  for (auto& th : pool) th.join();
+  for (const auto& err : errors)
+    if (err) std::rethrow_exception(err);
 }
 
 /// CSR assembly from the accepted pair list (sorted, unique, smaller id
@@ -412,86 +554,69 @@ Viewmap ViewmapBuilder::build_from_members(
   const std::size_t n = members.size();
   if (n > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("ViewmapBuilder: too many members");
-  const PairTester test(members, cfg_.link_radius_m);
-
-  std::vector<std::uint64_t> accepted;
-  if (n < kGridMinMembers) {
-    // Grid setup costs more than it saves on tiny member sets.
+  // Grid setup costs more than it saves on tiny member sets.
+  std::optional<CandidateGrid> grid;
+  if (n >= kGridMinMembers) {
+    obs::SpanScope obs_span("candidate_grid");
+    grid.emplace(members, std::max(cfg_.link_radius_m, 1.0));
+  }
+  const std::vector<std::uint64_t> accepted = [&] {
     obs::SpanScope obs_span("edge_build");
-    for (std::uint32_t i = 0; i < n; ++i)
-      for (std::uint32_t j = i + 1; j < n; ++j)
-        if (test(i, j)) accepted.push_back(pack_pair(i, j));
-  } else {
-    const CandidateGrid grid = [&] {
-      obs::SpanScope obs_span("candidate_grid");
-      return CandidateGrid(members, std::max(cfg_.link_radius_m, 1.0));
-    }();
-    obs::SpanScope obs_span("edge_build");
+    PackedMembers packed(members, cfg_.link_radius_m);  // freed before CSR assembly
     std::vector<std::size_t> work(n);
     std::size_t total_work = 0;
-    for (std::uint32_t i = 0; i < n; ++i)
-      total_work += work[i] = grid.anchor_work(i);
+    if (grid)
+      for (std::uint32_t i = 0; i < n; ++i) total_work += work[i] = grid->anchor_work(i);
 
-    // When every member piles into a handful of cells (one dense block,
-    // a saturated site), the neighborhood scan would visit more
-    // incidences than the plain sweep visits pairs — fall back to the
-    // duplication-free all-pairs sweep, still sharded across threads.
+    // When every member piles into a handful of cells (one dense block, a
+    // saturated site), the neighborhood scan would visit more incidences
+    // than the plain sweep visits pairs — fall back to the duplication-free
+    // all-pairs sweep, still sharded across threads.
     const std::size_t all_pairs = n * (n - 1) / 2;
-    const bool degenerate = total_work >= all_pairs;
+    const bool degenerate = !grid || total_work >= all_pairs;
     if (degenerate)
       for (std::uint32_t i = 0; i < n; ++i) work[i] = n - 1 - i;
     const std::size_t budget = degenerate ? all_pairs : total_work;
+    const std::size_t threads =
+        budget < kParallelMinPairs
+            ? 1
+            : std::min(resolve_build_threads(cfg_.build_threads),
+                       budget / kMinPairsPerThread + 1);
 
-    const auto run = [&](std::size_t lo, std::size_t hi,
-                         std::vector<std::uint64_t>& out) {
+    // Pack in even member ranges (cold profiles hash their probe tables
+    // here), then shard the candidate stream: contiguous anchor ranges
+    // balanced by scan work, one edge buffer per thread.
+    run_sharded(threads, [&](std::size_t t) {
+      packed.pack(n * t / threads, n * (t + 1) / threads);
+    });
+    const auto bounds = balanced_bounds(work, budget, threads);
+    std::vector<std::vector<std::uint64_t>> partial(threads);
+    run_sharded(threads, [&](std::size_t t) {
+      const auto lo = static_cast<std::uint32_t>(bounds[t]);
+      const auto hi = static_cast<std::uint32_t>(bounds[t + 1]);
       if (degenerate) {
-        for (auto i = static_cast<std::uint32_t>(lo); i < hi; ++i)
-          for (auto j = i + 1; j < n; ++j)
-            if (test(i, j)) out.push_back(pack_pair(i, j));
+        for (std::uint32_t i = lo; i < hi; ++i)
+          for (std::uint32_t j = i + 1; j < n; ++j)
+            if (packed.linked(i, j)) partial[t].push_back(pack_pair(i, j));
       } else {
         std::vector<std::uint32_t> stamp(n, 0);
-        grid.test_anchors(test, static_cast<std::uint32_t>(lo),
-                          static_cast<std::uint32_t>(hi), stamp, out);
+        grid->test_anchors(packed, lo, hi, stamp, partial[t]);
       }
-    };
-
-    const std::size_t threads =
-        std::min(resolve_build_threads(cfg_.build_threads),
-                 budget / kMinPairsPerThread + 1);
-    if (threads <= 1 || budget < kParallelMinPairs) {
-      run(0, n, accepted);
-    } else {
-      // Shard the candidate stream: contiguous anchor ranges balanced
-      // by scan work, one edge buffer per thread, concatenated after
-      // the join (the final sort makes merge order irrelevant).
-      const auto bounds = balanced_bounds(work, budget, threads);
-      std::vector<std::vector<std::uint64_t>> partial(threads);
-      std::vector<std::exception_ptr> errors(threads);
-      std::vector<std::thread> pool;
-      pool.reserve(threads - 1);
-      const auto guarded = [&](std::size_t t) {
-        try {
-          run(bounds[t], bounds[t + 1], partial[t]);
-        } catch (...) {
-          errors[t] = std::current_exception();
-        }
-      };
-      for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(guarded, t);
-      guarded(0);
-      for (auto& th : pool) th.join();
-      for (const auto& err : errors)
-        if (err) std::rethrow_exception(err);
-
-      std::size_t total = 0;
-      for (const auto& p : partial) total += p.size();
-      accepted.reserve(total);
-      for (const auto& p : partial)
-        accepted.insert(accepted.end(), p.begin(), p.end());
-    }
-    // The stamp/sweep discipline yields each pair at most once; only
-    // the per-anchor discovery order is loose. Sort for CSR assembly.
-    std::sort(accepted.begin(), accepted.end());
-  }
+    });
+    std::size_t total = 0;
+    for (const auto& p : partial) total += p.size();
+    std::vector<std::uint64_t> merged = std::move(partial[0]);
+    merged.reserve(total);
+    for (std::size_t t = 1; t < threads; ++t)
+      merged.insert(merged.end(), partial[t].begin(), partial[t].end());
+    // Each pair comes out at most once. The all-pairs sweep and the
+    // ascending anchor ranges emit them in order; only the grid's
+    // per-anchor discovery order is loose, and CSR assembly needs (i, j)
+    // order.
+    if (!std::is_sorted(merged.begin(), merged.end()))
+      std::sort(merged.begin(), merged.end());
+    return merged;
+  }();
 
   CsrGraph graph = [&] {
     obs::SpanScope obs_span("csr_build");
@@ -505,15 +630,24 @@ Viewmap ViewmapBuilder::build_from_members_reference(
     std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
     TimeSec unit_time, const geo::Rect& coverage,
     std::shared_ptr<const index::TimeShard> pinned) const {
-  // The pre-grid algorithm, verbatim: every O(n²) pair, same predicate.
+  // Every O(n²) pair through the profiles' own predicates — no packing,
+  // no grid, no threads — so this checks the packed kernel instead of
+  // sharing it. Only the bbox prune is common to both builders.
   const std::size_t n = members.size();
   if (n > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("ViewmapBuilder: too many members");
-  const PairTester test(members, cfg_.link_radius_m);
+  const double radius = cfg_.link_radius_m;
+  std::vector<geo::Rect> boxes(n);
+  for (std::size_t i = 0; i < n; ++i) boxes[i] = padded_box(*members[i], radius / 2.0);
   std::vector<std::uint64_t> accepted;
   for (std::uint32_t i = 0; i < n; ++i)
-    for (std::uint32_t j = i + 1; j < n; ++j)
-      if (test(i, j)) accepted.push_back(pack_pair(i, j));
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      if (!boxes_overlap(boxes[i], boxes[j])) continue;
+      const vp::ViewProfile& a = *members[i];
+      const vp::ViewProfile& b = *members[j];
+      if (a.vp_id() != b.vp_id() && a.heard(b) && a.ever_within(b, radius) && b.heard(a))
+        accepted.push_back(pack_pair(i, j));
+    }
   return Viewmap(std::move(members), std::move(trusted),
                  csr_from_sorted_pairs(n, accepted), unit_time, coverage,
                  std::move(pinned));

@@ -12,11 +12,17 @@
 // a per-build uniform grid with pitch = link radius, so the edge
 // predicate only runs on pairs sharing a cell or in adjacent cells —
 // O(n · local density) candidate pairs instead of the O(n²) all-pairs
-// sweep — and the surviving edges are laid out as one flat CSR
-// (system/csr_graph.h) that TrustRank and Algorithm 1 consume without
-// copying. The candidate stream can be sharded across a small thread
-// pool (ViewmapConfig::build_threads); the edge set is bit-identical
-// for every thread count and to the retained O(n²) reference builder
+// sweep (which dense layouts, where everyone shares a few cells, still
+// take). The predicate itself is a packed per-build kernel: each member
+// is copied once per build into flat member-major arrays (positions,
+// first second, Bloom bits, probe table), so a Bloom pass is a few byte
+// loads and time-aligned proximity is one ≤ 60-step scan. Surviving
+// edges are laid out as one flat CSR (system/csr_graph.h) that TrustRank
+// and Algorithm 1 consume without copying. Packing and the candidate
+// stream are sharded across a small thread pool
+// (ViewmapConfig::build_threads); the edge set is bit-identical for
+// every thread count and to the retained O(n²) reference builder, which
+// evaluates the predicate through the profiles' own methods
 // (property-tested in tests/viewmap_build_test.cpp).
 #pragma once
 
@@ -36,7 +42,7 @@ namespace viewmap::sys {
 struct ViewmapConfig {
   double link_radius_m = 400.0;  ///< DSRC radio radius (§5.1.2)
   double coverage_margin_m = 200.0;  ///< slack added around site ∪ trusted VP
-  /// Threads sharding the candidate-pair stream of one build. 0 ⇒ pick
+  /// Threads sharding the packing and candidate-pair stream of one build. 0 ⇒ pick
   /// from the hardware (small pool, capped at 4 — investigation-server
   /// workers already parallelize across requests); 1 ⇒ fully serial.
   /// Builds below the parallel cutoff run serial regardless; the edge
@@ -118,19 +124,23 @@ class ViewmapBuilder {
       TimeSec unit_time, const geo::Rect& coverage,
       std::shared_ptr<const index::TimeShard> pinned = {}) const;
 
-  /// The retained naive O(n²) builder: visits every member pair, applies
-  /// the identical edge predicate, emits the identical CSR. It exists as
-  /// the ground truth the grid-accelerated path is property-tested and
-  /// benchmarked against (tests/viewmap_build_test.cpp, the
-  /// `viewmap_build` scenario of bench_index) — never call it on the
-  /// investigation path.
+  /// The retained naive O(n²) builder: visits every member pair and
+  /// evaluates the §5.2.1 predicate through vp::ViewProfile::heard() and
+  /// vp::ViewProfile::ever_within() — no packed arrays, no grid, no
+  /// threads — behind the same trajectory-bbox prune as the fast path
+  /// (which keeps it quick enough for the bench's edge-set check), and
+  /// emits the CSR the same way. It is the independent ground truth the
+  /// grid + packed-kernel path is property-tested and benchmarked against
+  /// (tests/viewmap_build_test.cpp, the `viewmap_build` scenario of
+  /// bench_index) — never call it on the investigation path.
   [[nodiscard]] Viewmap build_from_members_reference(
       std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
       TimeSec unit_time, const geo::Rect& coverage,
       std::shared_ptr<const index::TimeShard> pinned = {}) const;
 
-  /// The §5.2.1 edge predicate, exposed for tests: two-way Bloom pass and
-  /// time-aligned proximity.
+  /// The §5.2.1 edge predicate, exposed for tests: distinct VP ids,
+  /// time-aligned proximity and a two-way Bloom pass. Both builders reject
+  /// equal-id pairs too.
   [[nodiscard]] bool viewlinked(const vp::ViewProfile& a, const vp::ViewProfile& b) const;
 
   /// What a `build_threads` setting resolves to on this host BEFORE the

@@ -20,12 +20,14 @@ void ThreadedBlurPipeline::submit(const Frame& camera_frame) {
   std::unique_lock lock(mutex_);
   cv_done_.wait(lock, [this] { return queue_.size() < kQueueDepth; });
   queue_.push(camera_frame);  // capture I/O: copy out of the camera buffer
+  ++submitted_;
   cv_submit_.notify_one();
 }
 
 std::size_t ThreadedBlurPipeline::drain() {
   std::unique_lock lock(mutex_);
-  cv_done_.wait(lock, [this] { return queue_.empty(); });
+  // Not queue_.empty(): the worker may still be blurring the last frame.
+  cv_done_.wait(lock, [this] { return processed_ == submitted_; });
   return processed_;
 }
 

@@ -45,6 +45,7 @@ class ThreadedBlurPipeline {
   std::condition_variable cv_submit_;
   std::condition_variable cv_done_;
   std::queue<Frame> queue_;
+  std::size_t submitted_ = 0;
   std::size_t processed_ = 0;
   bool stop_ = false;
   std::thread worker_;

@@ -1,18 +1,25 @@
-// Grid-accelerated viewmap construction vs the retained O(n²) reference
-// builder, and the flat CSR machinery underneath it.
+// Grid-accelerated, packed-kernel viewmap construction vs the retained
+// O(n²) reference builder, and the flat CSR machinery underneath it.
 //
 // The load-bearing property: for ANY member layout, link forgery
-// included, the grid+CSR pipeline and the naive all-pairs sweep emit the
+// included, the grid + packed kernel + CSR pipeline and the naive
+// all-pairs sweep through the profiles' own predicates emit the
 // bit-identical edge set — same CSR offsets, same edge array, for every
-// thread count. The randomized layouts stress what the grid can get
-// wrong: dense single-cell pileups, sparse city-scale spread, clusters
-// straddling cell boundaries at exactly the link radius, and
-// adjacent-attacker forgeries (mutual Bloom links between far-apart
-// profiles that proximity must reject).
+// thread count. The randomized layouts stress what the grid and the
+// kernel can get wrong: dense single-cell pileups, sparse city-scale
+// spread, clusters straddling cell boundaries at exactly the link
+// radius, adjacent-attacker forgeries (mutual Bloom links between
+// far-apart profiles that proximity must reject), the dense downtown
+// regime with half-full filters and offset start times, and profiles
+// whose timestamps have gaps or repeats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
+#include <ranges>
+#include <tuple>
 #include <vector>
 
 #include "attack/fake_vp.h"
@@ -61,31 +68,32 @@ std::vector<vp::ViewProfile> random_fleet(std::size_t n, double extent, Rng& rng
   return fleet;
 }
 
-/// Builds with the grid path at the given thread count and with the
-/// naive reference, and requires the bit-identical CSR.
+/// Builds with the naive reference once and with the grid path at each
+/// given thread count, and requires the bit-identical CSR.
 void expect_equivalent(const std::vector<vp::ViewProfile>& fleet,
-                       std::size_t build_threads) {
-  ViewmapConfig cfg;
-  cfg.build_threads = build_threads;
-  const ViewmapBuilder builder(cfg);
+                       std::initializer_list<std::size_t> thread_counts) {
   const geo::Rect cover{{-1e7, -1e7}, {1e7, 1e7}};
   const std::vector<bool> trusted(fleet.size(), false);
-
-  const Viewmap grid = builder.build_from_members(pointers(fleet), trusted, 0, cover);
   const Viewmap ref =
-      builder.build_from_members_reference(pointers(fleet), trusted, 0, cover);
+      ViewmapBuilder().build_from_members_reference(pointers(fleet), trusted, 0, cover);
 
-  ASSERT_EQ(grid.size(), ref.size());
-  EXPECT_EQ(grid.graph(), ref.graph())
-      << "edge sets diverge at n=" << fleet.size() << " threads=" << build_threads;
-  EXPECT_EQ(grid.edge_count(), ref.edge_count());
+  for (const std::size_t build_threads : thread_counts) {
+    ViewmapConfig cfg;
+    cfg.build_threads = build_threads;
+    const Viewmap grid =
+        ViewmapBuilder(cfg).build_from_members(pointers(fleet), trusted, 0, cover);
+    ASSERT_EQ(grid.size(), ref.size());
+    EXPECT_EQ(grid.graph(), ref.graph())
+        << "edge sets diverge at n=" << fleet.size() << " threads=" << build_threads;
+    EXPECT_EQ(grid.edge_count(), ref.edge_count());
+  }
 }
 
 TEST(ViewmapBuildEquivalence, SparseCityScaleLayouts) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(seed);
     // ~150 VPs over ~8×8 km: most cells hold one trajectory.
-    expect_equivalent(random_fleet(150, 4000.0, rng), 1);
+    expect_equivalent(random_fleet(150, 4000.0, rng), {1});
   }
 }
 
@@ -94,7 +102,7 @@ TEST(ViewmapBuildEquivalence, DenseSingleCellPileup) {
     Rng rng(seed);
     // Everybody within one or two grid cells: candidate generation
     // degenerates toward all-pairs and must still match exactly.
-    expect_equivalent(random_fleet(180, 350.0, rng), 1);
+    expect_equivalent(random_fleet(180, 350.0, rng), {1});
   }
 }
 
@@ -102,8 +110,7 @@ TEST(ViewmapBuildEquivalence, ParallelBuildMatchesSerialAndReference) {
   for (std::uint64_t seed : {7u, 8u}) {
     Rng rng(seed);
     const auto fleet = random_fleet(220, 500.0, rng);
-    expect_equivalent(fleet, 1);
-    expect_equivalent(fleet, 4);  // shards the candidate stream
+    expect_equivalent(fleet, {1, 4});  // shards the candidate stream
   }
 }
 
@@ -111,7 +118,7 @@ TEST(ViewmapBuildEquivalence, SmallMemberSetsUseAllPairsPathIdentically) {
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                         std::size_t{20}, std::size_t{47}, std::size_t{48}}) {
     Rng rng(40 + n);
-    expect_equivalent(random_fleet(n, 600.0, rng), 2);
+    expect_equivalent(random_fleet(n, 600.0, rng), {2});
   }
 }
 
@@ -131,8 +138,7 @@ TEST(ViewmapBuildEquivalence, CellBoundaryStraddlersAtExactRadius) {
   for (std::size_t i = 0; i < fleet.size(); ++i)
     for (std::size_t j = i + 1; j < fleet.size(); ++j)
       if (rng.index(3) == 0) vp::link_mutually(fleet[i], fleet[j]);
-  expect_equivalent(fleet, 1);
-  expect_equivalent(fleet, 3);
+  expect_equivalent(fleet, {1, 3});
 
   // Sanity: linked exact-radius pairs do produce edges.
   ViewmapConfig cfg;
@@ -167,8 +173,7 @@ TEST(ViewmapBuildEquivalence, OffsetStartTimesWithinTheMinuteKeepTheirEdges) {
   for (std::size_t i = 0; i < fleet.size(); ++i)
     for (std::size_t j = i + 1; j < fleet.size(); ++j)
       if (rng.index(4) == 0) vp::link_mutually(fleet[i], fleet[j]);
-  expect_equivalent(fleet, 1);
-  expect_equivalent(fleet, 3);
+  expect_equivalent(fleet, {1, 3});
 
   // The sharpest construct: convoy pairs on the same 40 m/s path with a
   // 45 s start offset, positioned to be CO-LOCATED in wall time. The
@@ -185,7 +190,7 @@ TEST(ViewmapBuildEquivalence, OffsetStartTimesWithinTheMinuteKeepTheirEdges) {
         attack::make_fake_profile(45, {1800.0, y}, {4160.0, y}, rng));
     vp::link_mutually(convoy[convoy.size() - 2], convoy.back());
   }
-  expect_equivalent(convoy, 1);
+  expect_equivalent(convoy, {1});
   const ViewmapBuilder builder;
   EXPECT_TRUE(builder.viewlinked(convoy[0], convoy[1]));
   const Viewmap map = builder.build_from_members(
@@ -208,8 +213,139 @@ TEST(ViewmapBuildEquivalence, AdjacentAttackerForgeriesRejectedIdentically) {
     fleet.push_back(attack::make_fake_profile(0, a, {a.x + 200.0, a.y}, rng));
     vp::link_mutually(fleet.back(), fleet[rng.index(honest)]);
   }
-  expect_equivalent(fleet, 1);
-  expect_equivalent(fleet, 4);
+  expect_equivalent(fleet, {1, 4});
+}
+
+/// Rebuilds `p` with new digest timestamps (same positions, id and
+/// filter): the screen admits only 60 contiguous seconds, but the
+/// builders take any member set.
+vp::ViewProfile retimed(const vp::ViewProfile& p, const std::vector<TimeSec>& times) {
+  std::vector<dsrc::ViewDigest> digests(p.digests().begin(), p.digests().end());
+  for (std::size_t s = 0; s < digests.size(); ++s) digests[s].time = times[s];
+  return vp::ViewProfile(std::move(digests), p.neighbor_bloom());
+}
+
+/// The dense downtown regime the service builds in: `n` vehicles on a
+/// 110 m road grid over a `side` × `side` block, start times offset −59…
+/// +59 s (so some pairs are ≥ 60 s apart and share no second), every 8th
+/// profile re-timed with a gap or repeated timestamps, then every pair
+/// within kRadius at some shared second linked mutually, nearest first,
+/// capped at vp::kMaxNeighbors per vehicle. Filters end up about half
+/// full, so most in-range pairs pass the Bloom test by false positive.
+std::vector<vp::ViewProfile> dense_downtown(std::size_t n, double side, Rng& rng) {
+  constexpr double kBlock = 110.0;
+  const auto roads = static_cast<std::int64_t>(side / kBlock);
+  std::vector<vp::ViewProfile> fleet;
+  fleet.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const double road = static_cast<double>(rng.uniform_int(0, roads)) * kBlock;
+    const double from = rng.uniform(0.0, side);
+    const double travel = rng.uniform(-900.0, 900.0);  // ≤ 15 m/s either way
+    const bool along_x = rng.index(2) == 0;
+    const geo::Vec2 a = along_x ? geo::Vec2{from, road} : geo::Vec2{road, from};
+    const geo::Vec2 b = along_x ? geo::Vec2{from + travel, road} : geo::Vec2{road, from + travel};
+    const TimeSec start = rng.uniform_int(-59, 59);
+    fleet.push_back(attack::make_fake_profile(start - 1, a, b, rng));  // seconds start…start+59
+    if (k % 8 != 7) continue;
+    std::vector<TimeSec> times;
+    const TimeSec t0 = fleet.back().start_time();
+    for (TimeSec s = 0; s < kDigestsPerProfile; ++s)
+      times.push_back(k % 16 == 7 ? t0 + s + (s >= 30 ? 7 : 0)  // a 7 s gap
+                                  : t0 + s / 2);                 // each second twice
+    fleet.back() = retimed(fleet.back(), times);
+  }
+
+  // Closest approach at a shared second. Every timestamp lies in
+  // [−59, 125]: index positions by second (first digest of a second).
+  constexpr TimeSec kFirst = -64;
+  constexpr std::size_t kSlots = 200;
+  constexpr double kAbsent = std::numeric_limits<double>::quiet_NaN();  // never near
+  std::vector<std::vector<geo::Vec2>> at(n, std::vector<geo::Vec2>(kSlots, {kAbsent, kAbsent}));
+  for (std::size_t i = 0; i < n; ++i)
+    for (const auto& vd : std::views::reverse(fleet[i].digests()))
+      at[i][static_cast<std::size_t>(vd.time - kFirst)] = {vd.loc_x, vd.loc_y};
+  std::vector<std::tuple<double, std::size_t, std::size_t>> in_range;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) {
+      double best = kRadius * kRadius;
+      bool near = false;
+      for (std::size_t t = 0; t < kSlots; ++t) {
+        const double dx = at[i][t].x - at[j][t].x;
+        const double dy = at[i][t].y - at[j][t].y;
+        const double d2 = dx * dx + dy * dy;
+        if (d2 <= best) {
+          best = d2;
+          near = true;
+        }
+      }
+      if (near) in_range.emplace_back(best, i, j);
+    }
+  std::sort(in_range.begin(), in_range.end());
+  std::vector<std::size_t> degree(n, 0);
+  for (const auto& [d2, i, j] : in_range) {
+    if (degree[i] == vp::kMaxNeighbors || degree[j] == vp::kMaxNeighbors) continue;
+    vp::link_mutually(fleet[i], fleet[j]);
+    ++degree[i];
+    ++degree[j];
+  }
+  return fleet;
+}
+
+TEST(ViewmapBuildEquivalence, DenseDowntownWithHalfFullFilters) {
+  Rng rng(66);
+  // 1,024 vehicles on 1.2 km²: everyone shares a few cells, so the build
+  // takes the sharded all-pairs sweep, as every perfbench build does.
+  const auto fleet = dense_downtown(1024, 1100.0, rng);
+  double fill = 0.0;
+  for (const auto& p : fleet) fill += p.neighbor_bloom().fill_ratio();
+  fill /= static_cast<double>(fleet.size());
+  EXPECT_GT(fill, 0.35);
+  EXPECT_LT(fill, 0.7);
+  expect_equivalent(fleet, {1, 4});
+  const ViewmapBuilder builder;
+  const Viewmap map = builder.build_from_members(
+      pointers(fleet), std::vector<bool>(fleet.size(), false), 0,
+      {{-1e6, -1e6}, {1e6, 1e6}});
+  EXPECT_GT(map.edge_count(), 100 * fleet.size());
+}
+
+TEST(ViewmapBuildEquivalence, SpreadDowntownTakesTheGridPath) {
+  Rng rng(67);
+  // Same traffic at a quarter of the density: the grid's anchor scan
+  // finds the candidates, and its per-anchor order needs the sort.
+  const auto fleet = dense_downtown(1000, 2600.0, rng);
+  expect_equivalent(fleet, {1, 4});
+}
+
+TEST(ViewmapBuildEquivalence, EqualIdsNeverLink) {
+  // Two profiles with one VP id — a clone beside its original, mutually
+  // linked and co-located — are no viewlink for viewlinked() and for
+  // neither builder, below and above the grid cutoff.
+  for (const std::size_t n : {std::size_t{20}, std::size_t{120}}) {
+    Rng rng(68 + n);
+    auto fleet = random_fleet(n, 300.0, rng);
+    std::vector<dsrc::ViewDigest> digests(fleet[0].digests().begin(),
+                                          fleet[0].digests().end());
+    for (auto& vd : digests) vd.loc_x += 25.0f;
+    fleet.emplace_back(std::move(digests), bloom::BloomFilter(vp::kBloomBits, vp::kBloomHashes));
+    vp::link_mutually(fleet[0], fleet.back());
+    vp::link_mutually(fleet[1], fleet.back());
+
+    const ViewmapBuilder builder;
+    ASSERT_EQ(fleet[0].vp_id(), fleet.back().vp_id());
+    EXPECT_FALSE(builder.viewlinked(fleet[0], fleet.back()));
+    expect_equivalent(fleet, {1, 4});
+    const Viewmap map = builder.build_from_members(
+        pointers(fleet), std::vector<bool>(fleet.size(), false), 0,
+        {{-1e6, -1e6}, {1e6, 1e6}});
+    for (std::uint32_t i = 0; i < fleet.size(); ++i)
+      for (std::uint32_t j = i + 1; j < fleet.size(); ++j) {
+        const auto nbrs = map.neighbors(i);
+        EXPECT_EQ(std::binary_search(nbrs.begin(), nbrs.end(), j),
+                  builder.viewlinked(fleet[i], fleet[j]))
+            << "pair " << i << "," << j << " at n=" << fleet.size();
+      }
+  }
 }
 
 // ── CSR machinery ────────────────────────────────────────────────────
