@@ -18,17 +18,15 @@
 //       dense (urban rush hour) and sparse (city-scale) layouts. The two
 //       edge sets are compared bit-for-bit; tools/run_bench.sh fails the
 //       run if they ever diverge.
-//   (6) incremental persistence: full database save (legacy VMDB rewrite)
-//       vs an incremental segment-store checkpoint after 1% shard churn,
-//       plus cold-restart recovery time. tools/run_bench.sh asserts the
+//   (6) incremental persistence: the first full segment-store checkpoint
+//       vs an incremental one after 1% shard churn, plus one cold-restart
+//       recovery of the churned store. tools/run_bench.sh asserts the
 //       recovery invariant (profiles recovered == profiles the manifest
 //       promises == profiles in the pinned snapshot).
-//   (6b) recovery_v2: the same churned checkpoint migrated to the packed
-//       v2 codec and cold-restarted through the parallel recovery pool,
-//       head-to-head against the v1 stream restart of (6) — plus the
+//   (6b) recovery_v2: that cold restart (parallel recovery pool) with its
 //       per-phase (read/validate/parse/adopt) breakdown. tools/
 //       run_bench.sh asserts recovered_matches and, on 1M-VP runs, a
-//       ≥ 5× speedup over the recorded v1 baseline restart.
+//       ≥ 5× speedup over the recorded pre-packed-format baseline restart.
 //   (7) observability overhead: single-thread ingest with the metrics
 //       registry wired vs disabled (the null-registry switch in
 //       TimelineConfig/IngestConfig). tools/run_bench.sh warns when the
@@ -43,7 +41,7 @@
 //       short writes, whole-cycle faults). Each cycle the daemon must eat
 //       a window of injected checkpoint failures without dying, health
 //       must visibly degrade and recover, no *.tmp file may survive, and
-//       a cold recover must match the live shard digests bit-for-bit.
+//       a cold recover must reproduce the live database's canonical bytes.
 //       tools/run_bench.sh fails the run on any violated assertion.
 //   (10) server_zipf: the investigation server under a Zipf-skewed request
 //       mix with the digest-keyed result cache on vs off, while live
@@ -83,7 +81,6 @@
 #include "index/ingest_engine.h"
 #include "obs/metrics.h"
 #include "store/segment_store.h"
-#include "store/vp_store.h"
 #include "system/investigation_server.h"
 #include "system/service.h"
 #include "system/vp_database.h"
@@ -727,8 +724,6 @@ struct CheckpointRow {
   std::size_t shards = 0;
   std::size_t churn_shards = 0;     ///< shards whose content changed (~1%)
   std::size_t churn_vps = 0;        ///< VPs added to force that churn
-  double legacy_full_ms = 0.0;      ///< vp_store full-database rewrite
-  std::uint64_t legacy_full_bytes = 0;
   double full_checkpoint_ms = 0.0;  ///< first segment checkpoint (all shards)
   std::uint64_t full_checkpoint_bytes = 0;
   double incr_checkpoint_ms = 0.0;  ///< checkpoint after the churn
@@ -742,22 +737,20 @@ struct CheckpointRow {
   bool recovered_matches = false;
 };
 
-/// The v1 restart_ms recorded for this scenario at 1M VPs before the
-/// packed v2 codec landed — the restart-time target the v2 row is
-/// judged against (tools/run_bench.sh asserts ≥ 5×).
+/// The restart_ms recorded for this scenario at 1M VPs before the packed
+/// segment format landed — the restart-time target the recovery_v2 row
+/// is judged against (tools/run_bench.sh asserts ≥ 5×).
 constexpr double kRecordedV1RestartMs1M = 83652.5;
 constexpr std::size_t kBaselineVps = 1000000;
 
 struct RecoveryV2Row {
   std::size_t vps = 0;
   std::size_t shards = 0;
-  double restart_v1_ms = 0.0;        ///< same-run cold recover of the v1 store
-  double restart_v2_ms = 0.0;        ///< cold recover of the migrated v2 store
-  double speedup_vs_v1 = 0.0;
-  double baseline_restart_ms = 0.0;  ///< recorded v1 number (1M-VP runs only)
+  double restart_v2_ms = 0.0;        ///< the cold recover of bench_checkpoint
+  double baseline_restart_ms = 0.0;  ///< recorded number (1M-VP runs only)
   double speedup_vs_baseline = 0.0;
   unsigned threads = 0;              ///< recovery worker-pool width used
-  /// Per-phase cost of the v2 restart. read/validate/parse are summed
+  /// Per-phase cost of the restart. read/validate/parse are summed
   /// across workers; adopt is wall clock on the recovering thread.
   double read_ms = 0.0;
   double validate_ms = 0.0;
@@ -770,16 +763,12 @@ struct RecoveryV2Row {
 /// history where only the newest minutes change between checkpoints.
 /// Spreads `vp_count` over 200 unit-times, seals a full checkpoint, churns
 /// 1% of the shards (2 of 200), then measures what §"incremental
-/// persistence" buys: a full legacy save rewrites every byte, the segment
-/// checkpoint rewrites only the 2 changed shards + a ~12 KB manifest.
-/// fsync is ON — these are honest durable-write numbers.
-///
-/// When `v2out` is non-null the same dataset also feeds the recovery_v2
-/// scenario: the churned checkpoint is migrated into a packed v2 store
-/// and cold-recovered through the parallel worker pool, head-to-head
-/// against the v1 stream restart measured here.
-CheckpointRow bench_checkpoint(std::size_t vp_count, Rng& rng,
-                               RecoveryV2Row* v2out = nullptr) {
+/// persistence" buys: the incremental checkpoint rewrites only the 2
+/// changed shards + a ~12 KB manifest. fsync is ON — these are honest
+/// durable-write numbers. The churned store is then cold-restarted once
+/// through the parallel recovery pool; that restart fills both
+/// `restart_ms` here and the recovery_v2 row.
+CheckpointRow bench_checkpoint(std::size_t vp_count, Rng& rng, RecoveryV2Row& v2out) {
   const int minutes = 200;
   const double extent =
       std::max(2000.0, 250.0 * std::sqrt(static_cast<double>(vp_count) / minutes / 50.0) * 8.0);
@@ -792,17 +781,12 @@ CheckpointRow bench_checkpoint(std::size_t vp_count, Rng& rng,
 
   namespace fs = std::filesystem;
   const fs::path seg_dir = "bench_segments.tmp";
-  const fs::path vmdb_path = "bench_full_save.vmdb.tmp";
   fs::remove_all(seg_dir);
 
   CheckpointRow row;
   row.vps = db.size();
 
-  // Pinned to the v1 stream codec: this row is the legacy-format
-  // trajectory the recorded baseline (and the v2 comparison) reference.
-  store::SegmentStoreConfig v1cfg;
-  v1cfg.codec = store::SegmentCodec::kV1;
-  store::SegmentStore segments(seg_dir.string(), v1cfg);
+  store::SegmentStore segments(seg_dir.string());
   {
     const sys::DbSnapshot snap = db.snapshot();
     row.shards = snap.shard_count();
@@ -824,12 +808,6 @@ CheckpointRow bench_checkpoint(std::size_t vp_count, Rng& rng,
   const sys::DbSnapshot churned = db.snapshot();
   {
     const auto start = Clock::now();
-    store::save_snapshot_file(churned, vmdb_path.string());
-    row.legacy_full_ms = seconds_since(start) * 1e3;
-    row.legacy_full_bytes = static_cast<std::uint64_t>(fs::file_size(vmdb_path));
-  }
-  {
-    const auto start = Clock::now();
     const auto stats = segments.checkpoint(churned);
     row.incr_checkpoint_ms = seconds_since(start) * 1e3;
     row.incr_bytes = stats.bytes_written;
@@ -845,51 +823,26 @@ CheckpointRow bench_checkpoint(std::size_t vp_count, Rng& rng,
     row.recovered_matches = rec.profiles_rejected == 0 &&
                             rec.profiles_loaded == rec.manifest_profiles &&
                             recovered.size() == churned.size();
+    v2out.threads = rec.threads_used;
+    v2out.read_ms = static_cast<double>(rec.read_us) / 1e3;
+    v2out.validate_ms = static_cast<double>(rec.validate_us) / 1e3;
+    v2out.parse_ms = static_cast<double>(rec.parse_us) / 1e3;
+    v2out.adopt_ms = static_cast<double>(rec.adopt_us) / 1e3;
   }
 
-  if (v2out != nullptr) {
-    // Migrate the churned checkpoint into a packed v2 store (cross-codec
-    // reuse off ⇒ every shard is re-encoded), then cold-restart it
-    // through the parallel recovery pool.
-    const fs::path v2_dir = "bench_segments_v2.tmp";
-    fs::remove_all(v2_dir);
-    store::SegmentStoreConfig v2cfg;
-    v2cfg.codec = store::SegmentCodec::kV2;
-    v2cfg.reuse_any_codec = false;
-    store::SegmentStore packed(v2_dir.string(), v2cfg);
-    (void)packed.checkpoint(churned);
-
-    v2out->vps = row.vps;
-    v2out->shards = row.shards;
-    v2out->restart_v1_ms = row.restart_ms;
-    {
-      const auto start = Clock::now();
-      store::RecoveryStats rec;
-      const auto recovered = packed.recover(&rec);
-      v2out->restart_v2_ms = seconds_since(start) * 1e3;
-      v2out->threads = rec.threads_used;
-      v2out->read_ms = static_cast<double>(rec.read_us) / 1e3;
-      v2out->validate_ms = static_cast<double>(rec.validate_us) / 1e3;
-      v2out->parse_ms = static_cast<double>(rec.parse_us) / 1e3;
-      v2out->adopt_ms = static_cast<double>(rec.adopt_us) / 1e3;
-      v2out->recovered_matches = rec.profiles_rejected == 0 &&
-                                 rec.profiles_loaded == rec.manifest_profiles &&
-                                 recovered.size() == churned.size();
-    }
-    if (v2out->restart_v2_ms > 0.0)
-      v2out->speedup_vs_v1 = v2out->restart_v1_ms / v2out->restart_v2_ms;
-    if (row.vps == kBaselineVps) {
-      // The recorded-baseline comparison only means something at the VP
-      // count the baseline was recorded at.
-      v2out->baseline_restart_ms = kRecordedV1RestartMs1M;
-      if (v2out->restart_v2_ms > 0.0)
-        v2out->speedup_vs_baseline = kRecordedV1RestartMs1M / v2out->restart_v2_ms;
-    }
-    fs::remove_all(v2_dir);
+  v2out.vps = row.vps;
+  v2out.shards = row.shards;
+  v2out.restart_v2_ms = row.restart_ms;
+  v2out.recovered_matches = row.recovered_matches;
+  if (row.vps == kBaselineVps) {
+    // The recorded-baseline comparison only means something at the VP
+    // count the baseline was recorded at.
+    v2out.baseline_restart_ms = kRecordedV1RestartMs1M;
+    if (v2out.restart_v2_ms > 0.0)
+      v2out.speedup_vs_baseline = kRecordedV1RestartMs1M / v2out.restart_v2_ms;
   }
 
   fs::remove_all(seg_dir);
-  fs::remove(vmdb_path);
   return row;
 }
 
@@ -1061,7 +1014,7 @@ struct DaemonChaosRow {
   bool health_recovered = false;        ///< back to kHealthy after every window
   bool clean_drains = false;            ///< drain cycles reported clean stops
   std::size_t leaked_temps = 0;         ///< *.tmp files found after any cycle
-  bool recovered_matches = false;       ///< per-cycle shard-digest bit-for-bit
+  bool recovered_matches = false;       ///< per-cycle canonical bytes bit-for-bit
 };
 
 /// The chaos soak: the daemon_soak workload with failpoints firing inside
@@ -1072,7 +1025,8 @@ struct DaemonChaosRow {
 /// must leave healthy — then disarms and requires a sealed checkpoint and
 /// health back to healthy. Cycles alternate kill_for_test (crash) with
 /// drain+stop (clean); after each, a cold recover must reproduce the live
-/// database's shard digests bit-for-bit and the store directory must hold
+/// database's canonical bytes (DbSnapshot::canonical_bytes — re-serialized,
+/// not the manifest-seeded digests) and the store directory must hold
 /// zero temp files. This is the acceptance harness for the failpoint
 /// framework: ≥ 20 injected I/O failures per run with no daemon death.
 DaemonChaosRow bench_daemon_chaos(std::size_t cycles,
@@ -1168,9 +1122,9 @@ DaemonChaosRow bench_daemon_chaos(std::size_t cycles,
         recovered_all && d.health_state() == daemon::HealthState::kHealthy;
     survived = survived && d.state() == daemon::LifecycleState::kRunning;
 
-    // The database is now quiescent: capture its shard digests as the
+    // The database is now quiescent: capture its canonical bytes as the
     // bit-for-bit oracle for what a recover must reproduce.
-    const auto expected = d.service().database().snapshot().shard_digests();
+    const auto expected = d.service().database().snapshot().canonical_bytes();
 
     if (cycle % 2 == 0) {
       d.kill_for_test();
@@ -1188,12 +1142,8 @@ DaemonChaosRow bench_daemon_chaos(std::size_t cycles,
     store::SegmentStore store(dir.string());
     store::RecoveryStats rec;
     const auto db = store.recover(&rec);
-    const auto got = db.snapshot().shard_digests();
-    bool match = rec.profiles_rejected == 0 && got.size() == expected.size();
-    for (std::size_t i = 0; match && i < got.size(); ++i)
-      match = got[i].unit_time == expected[i].unit_time &&
-              got[i].digest == expected[i].digest;
-    matches_all = matches_all && match;
+    matches_all = matches_all && rec.profiles_rejected == 0 &&
+                  db.snapshot().canonical_bytes() == expected;
   }
 
   row.daemon_survived = survived;
@@ -1356,37 +1306,34 @@ int main(int argc, char** argv) {
               obs_row.overhead_pct);
 
   // ── incremental persistence: segment checkpoints vs full saves ──────
-  std::printf("\n-- incremental checkpoint (segment store) vs full save (VMDB rewrite) --\n");
+  std::printf("\n-- incremental checkpoint vs full checkpoint (segment store) --\n");
   Rng ckpt_rng(7777);
   RecoveryV2Row rv2;
-  const auto ckpt = bench_checkpoint(checkpoint_vps, ckpt_rng, &rv2);
+  const auto ckpt = bench_checkpoint(checkpoint_vps, ckpt_rng, rv2);
   std::printf(
       "%zu VPs over %zu shards, %zu churned (+%zu VPs):\n"
-      "  full save (legacy VMDB rewrite): %.1f ms, %llu bytes\n"
       "  full segment checkpoint (first): %.1f ms, %llu bytes\n"
       "  incremental checkpoint:          %.1f ms, %llu bytes "
       "(%zu segments written, %zu sealed by reference)\n"
       "  cold restart (recover):          %.1f ms, %zu VPs, invariant %s\n",
-      ckpt.vps, ckpt.shards, ckpt.churn_shards, ckpt.churn_vps, ckpt.legacy_full_ms,
-      static_cast<unsigned long long>(ckpt.legacy_full_bytes), ckpt.full_checkpoint_ms,
+      ckpt.vps, ckpt.shards, ckpt.churn_shards, ckpt.churn_vps, ckpt.full_checkpoint_ms,
       static_cast<unsigned long long>(ckpt.full_checkpoint_bytes),
       ckpt.incr_checkpoint_ms, static_cast<unsigned long long>(ckpt.incr_bytes),
       ckpt.incr_segments_written, ckpt.incr_segments_reused, ckpt.restart_ms,
       ckpt.recovered_vps, ckpt.recovered_matches ? "OK" : "VIOLATED");
 
-  // ── recovery_v2: packed codec + parallel restore vs the v1 stream ───
-  std::printf("\n-- recovery_v2: packed v2 restart vs v1 stream restart --\n");
+  // ── recovery_v2: the cold restart's parallel-restore phases ─────────
+  std::printf("\n-- recovery_v2: packed cold restart, per phase --\n");
   std::printf(
       "%zu VPs over %zu shards, %u recovery thread(s):\n"
-      "  v1 stream cold restart: %.1f ms\n"
-      "  v2 packed cold restart: %.1f ms (%.1fx vs same-run v1), invariant %s\n"
-      "  v2 phases: read %.1f ms, validate %.1f ms, parse %.1f ms "
+      "  cold restart: %.1f ms, invariant %s\n"
+      "  phases: read %.1f ms, validate %.1f ms, parse %.1f ms "
       "(worker-summed), adopt %.1f ms\n",
-      rv2.vps, rv2.shards, rv2.threads, rv2.restart_v1_ms, rv2.restart_v2_ms,
-      rv2.speedup_vs_v1, rv2.recovered_matches ? "OK" : "VIOLATED", rv2.read_ms,
-      rv2.validate_ms, rv2.parse_ms, rv2.adopt_ms);
+      rv2.vps, rv2.shards, rv2.threads, rv2.restart_v2_ms,
+      rv2.recovered_matches ? "OK" : "VIOLATED", rv2.read_ms, rv2.validate_ms,
+      rv2.parse_ms, rv2.adopt_ms);
   if (rv2.baseline_restart_ms > 0.0)
-    std::printf("  vs recorded v1 baseline (%.1f ms at 1M VPs): %.1fx\n",
+    std::printf("  vs recorded pre-packed baseline (%.1f ms at 1M VPs): %.1fx\n",
                 rv2.baseline_restart_ms, rv2.speedup_vs_baseline);
 
   // ── daemon soak: the assembled service under kill -9 cycles ─────────
@@ -1464,14 +1411,12 @@ int main(int argc, char** argv) {
     std::fprintf(
         json,
         "  \"checkpoint_incremental\": {\"vps\": %zu, \"shards\": %zu, "
-        "\"churn_shards\": %zu, \"churn_vps\": %zu, \"legacy_full_ms\": %.1f, "
-        "\"legacy_full_bytes\": %llu, \"full_checkpoint_ms\": %.1f, "
+        "\"churn_shards\": %zu, \"churn_vps\": %zu, \"full_checkpoint_ms\": %.1f, "
         "\"full_checkpoint_bytes\": %llu, \"incr_checkpoint_ms\": %.1f, "
         "\"incr_bytes\": %llu, \"segments_written\": %zu, \"segments_reused\": %zu, "
         "\"restart_ms\": %.1f, \"recovered_vps\": %zu, \"recovered_matches\": %s, "
         "\"note\": \"fsync on; segment writes proportional to churned shards\"},\n",
-        ckpt.vps, ckpt.shards, ckpt.churn_shards, ckpt.churn_vps, ckpt.legacy_full_ms,
-        static_cast<unsigned long long>(ckpt.legacy_full_bytes), ckpt.full_checkpoint_ms,
+        ckpt.vps, ckpt.shards, ckpt.churn_shards, ckpt.churn_vps, ckpt.full_checkpoint_ms,
         static_cast<unsigned long long>(ckpt.full_checkpoint_bytes),
         ckpt.incr_checkpoint_ms, static_cast<unsigned long long>(ckpt.incr_bytes),
         ckpt.incr_segments_written, ckpt.incr_segments_reused, ckpt.restart_ms,
@@ -1479,15 +1424,15 @@ int main(int argc, char** argv) {
     std::fprintf(
         json,
         "  \"recovery_v2\": {\"vps\": %zu, \"shards\": %zu, \"threads\": %u, "
-        "\"restart_v1_ms\": %.1f, \"restart_v2_ms\": %.1f, "
-        "\"speedup_vs_v1\": %.2f, \"baseline_restart_ms\": %.1f, "
+        "\"restart_v2_ms\": %.1f, \"baseline_restart_ms\": %.1f, "
         "\"speedup_vs_baseline\": %.2f, \"read_ms\": %.1f, "
         "\"validate_ms\": %.1f, \"parse_ms\": %.1f, \"adopt_ms\": %.1f, "
-        "\"recovered_matches\": %s, \"note\": \"packed v2 codec + parallel "
-        "restore; baseline is the recorded v1 restart at 1M VPs "
+        "\"recovered_matches\": %s, \"note\": \"the checkpoint_incremental "
+        "store's cold restart through the parallel restore pool; baseline is "
+        "the recorded pre-packed-format restart at 1M VPs "
         "(0.0 when this run used a different VP count)\"},\n",
-        rv2.vps, rv2.shards, rv2.threads, rv2.restart_v1_ms, rv2.restart_v2_ms,
-        rv2.speedup_vs_v1, rv2.baseline_restart_ms, rv2.speedup_vs_baseline,
+        rv2.vps, rv2.shards, rv2.threads, rv2.restart_v2_ms,
+        rv2.baseline_restart_ms, rv2.speedup_vs_baseline,
         rv2.read_ms, rv2.validate_ms, rv2.parse_ms, rv2.adopt_ms,
         rv2.recovered_matches ? "true" : "false");
     std::fprintf(json,

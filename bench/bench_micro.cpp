@@ -99,7 +99,8 @@ void BM_TrustRank(benchmark::State& state) {
   const std::vector<std::size_t> seeds{0};
   sys::TrustRankConfig cfg;
   cfg.tolerance = 1e-10;
-  for (auto _ : state) benchmark::DoNotOptimize(sys::trust_rank(adj, seeds, cfg));
+  const sys::CsrGraph graph = sys::CsrGraph::from_adjacency(adj);
+  for (auto _ : state) benchmark::DoNotOptimize(sys::trust_rank(graph, seeds, cfg));
 }
 BENCHMARK(BM_TrustRank)->Arg(1000)->Arg(6000);
 

@@ -12,8 +12,9 @@ TrialOutcome judge(const AttackGraph& g, const sys::TrustRankConfig& cfg) {
   for (std::size_t i : site)
     (g.fake[i] ? out.site_fakes : out.site_honest) += 1;
 
-  const auto ranks = sys::trust_rank(g.adj, g.trusted, cfg);
-  const auto verdict = sys::algorithm1(g.adj, ranks.scores, site);
+  const sys::CsrGraph graph = sys::CsrGraph::from_adjacency(g.adj);
+  const auto ranks = sys::trust_rank(graph, g.trusted, cfg);
+  const auto verdict = sys::algorithm1(graph, ranks.scores, site);
   for (std::size_t i : verdict.legitimate)
     if (g.fake[i]) ++out.fakes_accepted;
   out.correct = out.fakes_accepted == 0 && !verdict.legitimate.empty() &&

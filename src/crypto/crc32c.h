@@ -1,6 +1,6 @@
 // CRC32C (Castagnoli, the iSCSI/ext4 polynomial) over byte spans.
 //
-// The v2 segment codec (store/segment_store) needs a whole-file
+// The packed segment format (store/segment_store) needs a whole-file
 // integrity check cheap enough to run over gigabytes on every restart.
 // SHA-256 — the right tool for content *identity* (digest-named
 // segments, manifest entries) — costs seconds per gigabyte even with

@@ -24,7 +24,7 @@ void TimeShard::stream_content(
   sink(header.bytes());
 
   // Deterministic order: ascending id, matching DbSnapshot::all() within
-  // one shard — the order store/vp_store has always serialized in.
+  // one shard.
   std::vector<const vp::ViewProfile*> ordered;
   ordered.reserve(profiles.size());
   for (const auto& [id, profile] : profiles) ordered.push_back(profile.get());
@@ -188,6 +188,14 @@ std::vector<DbSnapshot::ShardDigest> DbSnapshot::shard_digests() const {
   for (const auto& shard : state_->shards)
     out.push_back({shard->unit_time, shard->content_digest()});
   return out;
+}
+
+std::vector<std::uint8_t> DbSnapshot::canonical_bytes() const {
+  ByteWriter out;
+  for (const auto& shard : shards())
+    shard->stream_content([&out](std::span<const std::uint8_t> chunk) { out.put_bytes(chunk); });
+  out.put_i64(trusted_now());
+  return std::move(out).take();
 }
 
 std::span<const std::shared_ptr<const TimeShard>> DbSnapshot::shards() const noexcept {

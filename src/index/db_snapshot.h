@@ -196,8 +196,8 @@ class DbSnapshot {
   /// All trusted VPs covering `unit_time`, ordered by id.
   [[nodiscard]] std::vector<const vp::ViewProfile*> trusted_at(TimeSec unit_time) const;
 
-  /// Every VP in the snapshot, ordered by (unit-time, id). This order is
-  /// what makes persistence byte-deterministic (store/vp_store).
+  /// Every VP in the snapshot, ordered by (unit-time, id) — the order
+  /// canonical_bytes() and the segment store serialize in.
   [[nodiscard]] std::vector<const vp::ViewProfile*> all() const;
   /// Identifiers of all trusted VPs, ordered by (unit-time, id).
   [[nodiscard]] std::vector<Id16> trusted_ids() const;
@@ -239,6 +239,14 @@ class DbSnapshot {
   /// untouched since the last call across *any* snapshot answers from its
   /// cache without re-serializing a byte.
   [[nodiscard]] std::vector<ShardDigest> shard_digests() const;
+
+  /// The snapshot's full state as bytes: a fresh stream_content() of
+  /// every pinned shard in unit-time order, then trusted_now() (i64 LE).
+  /// Equal bytes ⇔ equal databases — the oracle recovery is tested and
+  /// benchmarked against. Unlike shard_digests() it never answers from a
+  /// cached digest (recovery seeds those from the manifest), so every
+  /// loaded profile is re-serialized. O(database) — not for hot paths.
+  [[nodiscard]] std::vector<std::uint8_t> canonical_bytes() const;
 
   /// The pinned shards themselves, ordered by unit-time. Persistence and
   /// tests iterate these directly instead of materializing all(); the

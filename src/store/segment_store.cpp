@@ -28,20 +28,22 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::array<std::uint8_t, 4> kSegmentMagic{'V', 'S', 'E', 'G'};
-constexpr std::array<std::uint8_t, 4> kSegmentMagicV2{'V', 'S', 'G', '2'};
+constexpr std::array<std::uint8_t, 4> kSegmentMagic{'V', 'S', 'G', '2'};
 constexpr std::array<std::uint8_t, 4> kManifestMagic{'V', 'M', 'A', 'N'};
-constexpr const char* kSegmentSuffix = ".vseg";
-constexpr const char* kSegmentSuffixV2 = ".vseg2";
+constexpr const char* kSegmentSuffix = ".vseg2";
 constexpr const char* kManifestPrefix = "manifest-";
 constexpr const char* kManifestSuffix = ".vman";
 constexpr const char* kTempSuffix = ".tmp";
 
-/// v2 fixed overhead: magic + version + (unit, vp_count, trusted_count)
-/// header + arena_len before the table; digest + CRC32C after the data.
-constexpr std::size_t kV2Prefix = 4 + 4 + 24 + 8;
-constexpr std::size_t kV2Trailer = 32 + 4;
-constexpr std::size_t kV2TableEntry = 8 + 4;
+/// Segment fixed overhead: magic + version + (unit, vp_count,
+/// trusted_count) header + arena_len before the table; digest + CRC32C
+/// after the data.
+constexpr std::size_t kSegmentPrefix = 4 + 4 + 24 + 8;
+constexpr std::size_t kSegmentTrailer = 32 + 4;
+constexpr std::size_t kTableEntry = 8 + 4;
+/// A manifest entry: unit_time, vp_count, trusted_count, segment format,
+/// digest.
+constexpr std::size_t kManifestEntry = 8 + 8 + 8 + 4 + 32;
 
 /// Bounds-checked little-endian reader over an in-memory file image.
 /// Deliberately not common/bytes.h's ByteReader: recovery needs
@@ -136,6 +138,13 @@ Hash32 sha256_prefix(std::span<const std::uint8_t> data, std::size_t len) {
   return hasher.finish();
 }
 
+/// The store's own crash-debris spellings: `*.vseg2.tmp` / `*.vman.tmp`.
+/// Every other name, a foreign `*.tmp` included, is left alone.
+bool is_own_temp(const std::string& name) {
+  return name.ends_with(std::string(kSegmentSuffix) + kTempSuffix) ||
+         name.ends_with(std::string(kManifestSuffix) + kTempSuffix);
+}
+
 std::uint64_t us_since(std::chrono::steady_clock::time_point start) noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -150,7 +159,6 @@ struct EntryView {
   TimeSec unit_time = 0;
   std::uint64_t vp_count = 0;
   std::uint64_t trusted_count = 0;
-  SegmentCodec codec = SegmentCodec::kV1;
   Hash32 digest{};
   std::string name;  ///< file name inside the store directory
 };
@@ -183,9 +191,8 @@ std::unordered_set<Id16, Id16Hasher> parse_trusted_ids(Reader& reader,
 }
 
 /// Screens one wire payload and admits it into the shard under
-/// construction. Mirrors what db.restore() would do profile by profile:
-/// the structural screen runs again (defense in depth, exactly like
-/// vp_store), a unit-time mismatch or duplicate id is counted and never
+/// construction: the structural upload screen runs again (defense in
+/// depth), a unit-time mismatch or duplicate id is counted and never
 /// loaded. Returns the admitted id (stable — it lives in the shard's
 /// map), or nullptr when the payload was rejected.
 const Id16* admit_profile(index::TimeShard& shard, std::span<const std::uint8_t> payload,
@@ -214,71 +221,19 @@ const Id16* admit_profile(index::TimeShard& shard, std::span<const std::uint8_t>
   }
 }
 
-/// v1 segment → shard. The full SHA-256 content pass is v1's only
-/// integrity check, so it always runs.
-void load_v1_segment(std::span<const std::uint8_t> bytes, const EntryView& entry,
-                     const vp::VpUploadPolicy& policy, SegmentLoad& out) {
-  const auto validate_start = std::chrono::steady_clock::now();
-  Reader reader(bytes, entry.name);
-  reader.expect_magic(kSegmentMagic, "segment");
-  const std::uint32_t version = reader.u32();
-  if (version != kSegmentFormatVersion)
-    throw std::runtime_error("segment_store: unsupported segment version in " +
-                             entry.name);
-  const std::size_t content_begin = reader.position();
-  const auto unit_time = static_cast<TimeSec>(reader.u64());
-  const std::uint64_t vp_count = reader.u64();
-  const std::uint64_t trusted_count = reader.u64();
-  if (unit_time != entry.unit_time || vp_count != entry.vp_count ||
-      trusted_count != entry.trusted_count)
-    throw std::runtime_error("segment_store: segment/manifest disagree on " +
-                             entry.name);
-  // Overflow-safe plausibility bound before the multiplication below.
-  if (vp_count > reader.remaining() / vp::kVpWireSize)
-    throw std::runtime_error("segment_store: implausible VP count in " + entry.name);
-  const auto payloads = reader.take(vp_count * vp::kVpWireSize);
-  const auto trusted = parse_trusted_ids(reader, trusted_count);
-  const std::size_t content_len = reader.position() - content_begin;
-  const Hash32 stored = reader.hash32();
-  if (reader.remaining() != 0)
-    throw std::runtime_error("segment_store: trailing bytes in " + entry.name +
-                             " at offset " + std::to_string(reader.position()));
-  // Both checks matter: the trailer spots torn/corrupted content, the
-  // manifest comparison spots a stale file swapped in under the name.
-  if (stored != entry.digest)
-    throw std::runtime_error("segment_store: digest trailer mismatch in " +
-                             entry.name);
-  if (sha256_prefix(bytes.subspan(content_begin), content_len) != entry.digest)
-    throw std::runtime_error("segment_store: content digest mismatch in " +
-                             entry.name + " (content at offset " +
-                             std::to_string(content_begin) + ", " +
-                             std::to_string(content_len) + " bytes)");
-  out.validate_us = us_since(validate_start);
-
-  const auto parse_start = std::chrono::steady_clock::now();
-  out.shard->profiles.reserve(vp_count);
-  for (std::uint64_t i = 0; i < vp_count; ++i)
-    admit_profile(*out.shard, payloads.subspan(i * vp::kVpWireSize, vp::kVpWireSize),
-                  trusted, entry.unit_time, policy, out.rejected);
-  out.parse_us = us_since(parse_start);
-  // Digest verified + everything admitted ⇒ the shard's canonical bytes
-  // are exactly the segment content: safe to seed the digest cache.
-  out.seed_ok = out.rejected == 0;
-}
-
-/// v2 segment → shard. Integrity = whole-file CRC32C + embedded-digest/
-/// manifest comparison (+ optional deep SHA-256); structure = strict
-/// dense offset table (the writer only ever emits one), so the arena IS
-/// the canonical payload section.
-void load_v2_segment(std::span<const std::uint8_t> bytes, const EntryView& entry,
+/// Segment bytes → shard. Integrity = whole-file CRC32C + embedded-
+/// digest/manifest comparison (+ optional deep SHA-256); structure =
+/// strict dense offset table (the writer only ever emits one), so the
+/// arena IS the canonical payload section.
+void parse_segment(std::span<const std::uint8_t> bytes, const EntryView& entry,
                      const vp::VpUploadPolicy& policy, bool deep_verify,
                      SegmentLoad& out) {
   const auto validate_start = std::chrono::steady_clock::now();
-  if (bytes.size() < kV2Prefix + kV2Trailer)
+  if (bytes.size() < kSegmentPrefix + kSegmentTrailer)
     throw std::runtime_error("segment_store: truncated " + entry.name + " (" +
                              std::to_string(bytes.size()) +
-                             " bytes, v2 needs at least " +
-                             std::to_string(kV2Prefix + kV2Trailer) + ")");
+                             " bytes, a segment needs at least " +
+                             std::to_string(kSegmentPrefix + kSegmentTrailer) + ")");
   // Whole-file CRC first: one linear pass rejects torn writes and bit
   // rot anywhere — including inside the offset table the parser is about
   // to trust — before any field is interpreted.
@@ -291,9 +246,9 @@ void load_v2_segment(std::span<const std::uint8_t> bytes, const EntryView& entry
                              " (" + std::to_string(bytes.size()) + "-byte file)");
 
   Reader reader(bytes, entry.name);
-  reader.expect_magic(kSegmentMagicV2, "segment");
+  reader.expect_magic(kSegmentMagic, "segment");
   const std::uint32_t version = reader.u32();
-  if (version != kSegmentFormatVersionV2)
+  if (version != kSegmentFormatVersion)
     throw std::runtime_error("segment_store: unsupported segment version in " +
                              entry.name);
   const auto unit_time = static_cast<TimeSec>(reader.u64());
@@ -305,15 +260,15 @@ void load_v2_segment(std::span<const std::uint8_t> bytes, const EntryView& entry
     throw std::runtime_error("segment_store: segment/manifest disagree on " +
                              entry.name);
   // Overflow-safe plausibility bounds before the exact-size arithmetic.
-  if (vp_count > bytes.size() / kV2TableEntry || arena_len > bytes.size() ||
+  if (vp_count > bytes.size() / kTableEntry || arena_len > bytes.size() ||
       trusted_count > bytes.size() / 16)
     throw std::runtime_error("segment_store: implausible counts in " + entry.name);
-  const std::size_t expected = kV2Prefix + vp_count * kV2TableEntry + arena_len +
-                               trusted_count * 16 + kV2Trailer;
+  const std::size_t expected = kSegmentPrefix + vp_count * kTableEntry + arena_len +
+                               trusted_count * 16 + kSegmentTrailer;
   if (bytes.size() != expected)
     throw std::runtime_error("segment_store: size mismatch in " + entry.name +
                              " (" + std::to_string(bytes.size()) +
-                             " bytes, v2 layout needs " + std::to_string(expected) + ")");
+                             " bytes, layout needs " + std::to_string(expected) + ")");
 
   // Offset table: strictly dense ascending extents of exactly one wire
   // payload each. Anything else — overlap, gap, short/long extent, an
@@ -325,7 +280,7 @@ void load_v2_segment(std::span<const std::uint8_t> bytes, const EntryView& entry
     const std::uint32_t len = reader.u32();
     const std::string where = " (table entry " + std::to_string(i) +
                               " at file offset " +
-                              std::to_string(table_begin + i * kV2TableEntry) + ")";
+                              std::to_string(table_begin + i * kTableEntry) + ")";
     if (len != vp::kVpWireSize)
       throw std::runtime_error("segment_store: bad payload length " +
                                std::to_string(len) + " in " + entry.name + where);
@@ -353,8 +308,8 @@ void load_v2_segment(std::span<const std::uint8_t> bytes, const EntryView& entry
   if (reader.remaining() != 0)
     throw std::runtime_error("segment_store: trailing bytes in " + entry.name +
                              " at offset " + std::to_string(reader.position()));
-  // A stale or misnamed file (e.g. a valid v2 segment renamed over
-  // another digest's name) carries the wrong embedded digest.
+  // A stale or misnamed file (e.g. a valid segment renamed over another
+  // digest's name) carries the wrong embedded digest.
   if (stored_digest != entry.digest)
     throw std::runtime_error("segment_store: segment digest field disagrees with manifest for " +
                              entry.name);
@@ -400,20 +355,12 @@ SegmentLoad load_one_segment(const std::string& path, const EntryView& entry,
     const auto bytes = read_file(path);
     out.read_us = us_since(read_start);
     out.shard = std::make_shared<index::TimeShard>(entry.unit_time, grid_cfg);
-    if (entry.codec == SegmentCodec::kV2)
-      load_v2_segment(bytes, entry, policy, deep_verify, out);
-    else
-      load_v1_segment(bytes, entry, policy, out);
+    parse_segment(bytes, entry, policy, deep_verify, out);
   } catch (const std::exception& e) {
     out.shard.reset();
     out.error = e.what();
   }
   return out;
-}
-
-std::string entry_file_name(SegmentCodec codec, const Hash32& digest) {
-  return codec == SegmentCodec::kV2 ? SegmentStore::segment_file_name_v2(digest)
-                                    : SegmentStore::segment_file_name(digest);
 }
 
 }  // namespace
@@ -446,10 +393,6 @@ std::string SegmentStore::segment_file_name(const Hash32& digest) {
   // and keep names filesystem-friendly; the full 32-byte digest still
   // travels in the manifest entry and the segment trailer.
   return "seg-" + to_hex(digest.truncated().bytes) + kSegmentSuffix;
-}
-
-std::string SegmentStore::segment_file_name_v2(const Hash32& digest) {
-  return "seg-" + to_hex(digest.truncated().bytes) + kSegmentSuffixV2;
 }
 
 std::string SegmentStore::manifest_file_name(std::uint64_t sequence) {
@@ -618,67 +561,42 @@ CheckpointStats SegmentStore::checkpoint(const index::DbSnapshot& snap) {
   std::vector<ManifestEntry> entries;
   entries.reserve(snap.shard_count());
   for (const auto& shard : snap.shards()) {
-    ManifestEntry entry{shard->unit_time, shard->profiles.size(), shard->trusted.size(),
-                        cfg_.codec, shard->content_digest()};
-
-    // Reuse an already-sealed segment by reference when allowed: always
-    // the target codec's file; the other codec's only under kV2 with
-    // reuse_any_codec (kV1 stays byte-compatible with the old writer,
-    // and reuse_any_codec=false is the migration rewrite).
-    std::vector<SegmentCodec> probe{cfg_.codec};
-    if (cfg_.codec == SegmentCodec::kV2 && cfg_.reuse_any_codec)
-      probe.push_back(SegmentCodec::kV1);
-    bool reused = false;
-    for (const SegmentCodec codec : probe) {
-      std::error_code ec;
-      const auto existing_size =
-          fs::file_size(full_path(entry_file_name(codec, entry.digest)), ec);
-      if (ec) continue;
+    const ManifestEntry entry{shard->unit_time, shard->profiles.size(),
+                              shard->trusted.size(), shard->content_digest()};
+    entries.push_back(entry);
+    const std::string name = segment_file_name(entry.digest);
+    std::error_code ec;
+    const auto existing_size = fs::file_size(full_path(name), ec);
+    if (!ec) {
       // Already sealed under its content address (a final name is only
       // ever produced by a completed rename): reuse by reference.
-      entry.codec = codec;
       ++stats.segments_reused;
       stats.segment_bytes_total += existing_size;
-      reused = true;
-      break;
+      continue;
     }
-    entries.push_back(entry);
-    if (reused) continue;
 
-    // Canonical content once (the same serializer the digest hashes),
-    // then frame it per codec — v2's arena is the payload section
-    // verbatim, which is what keeps identity codec-independent.
+    // The canonical content (the same serializer the digest hashes),
+    // framed with the offset table: the arena is the payload section
+    // verbatim, which is what makes the embedded digest the shard's.
     ByteWriter content(24 + entry.vp_count * vp::kVpWireSize + entry.trusted_count * 16);
     shard->stream_content(
         [&content](std::span<const std::uint8_t> chunk) { content.put_bytes(chunk); });
     const std::span<const std::uint8_t> canonical(content.bytes());
     const std::size_t arena_len = entry.vp_count * vp::kVpWireSize;
-
-    std::vector<std::uint8_t> bytes;
-    if (cfg_.codec == SegmentCodec::kV2) {
-      ByteWriter writer(kV2Prefix + entry.vp_count * kV2TableEntry + canonical.size() - 24 +
-                        kV2Trailer);
-      writer.put_bytes(kSegmentMagicV2);
-      writer.put_u32(kSegmentFormatVersionV2);
-      writer.put_bytes(canonical.subspan(0, 24));  // unit_time, vp_count, trusted_count
-      writer.put_u64(arena_len);
-      for (std::uint64_t i = 0; i < entry.vp_count; ++i) {
-        writer.put_u64(i * vp::kVpWireSize);
-        writer.put_u32(static_cast<std::uint32_t>(vp::kVpWireSize));
-      }
-      writer.put_bytes(canonical.subspan(24));  // arena + trusted ids
-      writer.put_bytes(entry.digest.bytes);
-      writer.put_u32(crypto::crc32c(writer.bytes()));
-      bytes = std::move(writer).take();
-    } else {
-      ByteWriter writer(8 + canonical.size() + 32);
-      writer.put_bytes(kSegmentMagic);
-      writer.put_u32(kSegmentFormatVersion);
-      writer.put_bytes(canonical);
-      writer.put_bytes(entry.digest.bytes);
-      bytes = std::move(writer).take();
+    ByteWriter writer(kSegmentPrefix + entry.vp_count * kTableEntry + canonical.size() - 24 +
+                      kSegmentTrailer);
+    writer.put_bytes(kSegmentMagic);
+    writer.put_u32(kSegmentFormatVersion);
+    writer.put_bytes(canonical.subspan(0, 24));  // unit_time, vp_count, trusted_count
+    writer.put_u64(arena_len);
+    for (std::uint64_t i = 0; i < entry.vp_count; ++i) {
+      writer.put_u64(i * vp::kVpWireSize);
+      writer.put_u32(static_cast<std::uint32_t>(vp::kVpWireSize));
     }
-    const std::string name = entry_file_name(entry.codec, entry.digest);
+    writer.put_bytes(canonical.subspan(24));  // arena + trusted ids
+    writer.put_bytes(entry.digest.bytes);
+    writer.put_u32(crypto::crc32c(writer.bytes()));
+    const std::vector<std::uint8_t> bytes = std::move(writer).take();
     publish_file(name, bytes);
     ++stats.segments_written;
     stats.bytes_written += bytes.size();
@@ -689,15 +607,9 @@ CheckpointStats SegmentStore::checkpoint(const index::DbSnapshot& snap) {
   if (cfg_.fsync) fsync_dir();
 
   // ── manifest: the atomic commit point ──────────────────────────────
-  // A kV1 store writes version-1 manifests (and referenced only v1
-  // segments above), so its output is byte-identical to the old writer;
-  // anything else needs the per-entry codec of version 2.
-  const std::uint32_t manifest_version =
-      cfg_.codec == SegmentCodec::kV1 ? kManifestFormatVersion : kManifestFormatVersionV2;
-  const std::size_t entry_size = manifest_version == kManifestFormatVersion ? 56 : 60;
-  ByteWriter writer(72 + entries.size() * entry_size);
+  ByteWriter writer(72 + entries.size() * kManifestEntry);
   writer.put_bytes(kManifestMagic);
-  writer.put_u32(manifest_version);
+  writer.put_u32(kManifestFormatVersion);
   writer.put_u64(stats.sequence);
   writer.put_i64(snap.trusted_now());
   writer.put_u64(entries.size());
@@ -705,8 +617,7 @@ CheckpointStats SegmentStore::checkpoint(const index::DbSnapshot& snap) {
     writer.put_i64(entry.unit_time);
     writer.put_u64(entry.vp_count);
     writer.put_u64(entry.trusted_count);
-    if (manifest_version == kManifestFormatVersionV2)
-      writer.put_u32(static_cast<std::uint32_t>(entry.codec));
+    writer.put_u32(kSegmentFormatVersion);
     writer.put_bytes(entry.digest.bytes);
   }
   writer.put_bytes(sha256_prefix(writer.bytes(), writer.size()).bytes);
@@ -734,8 +645,9 @@ SegmentStore::Manifest SegmentStore::read_manifest(std::uint64_t sequence) const
   Reader reader(bytes, name);
   reader.expect_magic(kManifestMagic, "manifest");
   const std::uint32_t version = reader.u32();
-  if (version != kManifestFormatVersion && version != kManifestFormatVersionV2)
-    throw std::runtime_error("segment_store: unsupported manifest version in " + name);
+  if (version != kManifestFormatVersion)
+    throw std::runtime_error("segment_store: unsupported manifest version " +
+                             std::to_string(version) + " in " + name);
   Manifest manifest;
   manifest.sequence = reader.u64();
   if (manifest.sequence != sequence)
@@ -743,10 +655,10 @@ SegmentStore::Manifest SegmentStore::read_manifest(std::uint64_t sequence) const
   manifest.trusted_clock = static_cast<TimeSec>(reader.u64());
   const std::uint64_t shard_count = reader.u64();
   // Sanity bound before the reserve: the trailer needs 32 bytes, each
-  // entry 56 (v1) or 60 (v2) — a count the remaining bytes cannot hold
-  // is corruption.
-  const std::size_t entry_size = version == kManifestFormatVersion ? 56 : 60;
-  if (shard_count > (reader.remaining() < 32 ? 0 : (reader.remaining() - 32) / entry_size))
+  // entry kManifestEntry — a count the remaining bytes cannot hold is
+  // corruption.
+  if (shard_count >
+      (reader.remaining() < 32 ? 0 : (reader.remaining() - 32) / kManifestEntry))
     throw std::runtime_error("segment_store: implausible shard count in " + name);
   manifest.entries.reserve(shard_count);
   for (std::uint64_t i = 0; i < shard_count; ++i) {
@@ -754,15 +666,11 @@ SegmentStore::Manifest SegmentStore::read_manifest(std::uint64_t sequence) const
     entry.unit_time = static_cast<TimeSec>(reader.u64());
     entry.vp_count = reader.u64();
     entry.trusted_count = reader.u64();
-    if (version == kManifestFormatVersionV2) {
-      const std::uint32_t codec = reader.u32();
-      if (codec != static_cast<std::uint32_t>(SegmentCodec::kV1) &&
-          codec != static_cast<std::uint32_t>(SegmentCodec::kV2))
-        throw std::runtime_error("segment_store: unknown segment codec " +
-                                 std::to_string(codec) + " in " + name +
-                                 " (entry " + std::to_string(i) + ")");
-      entry.codec = static_cast<SegmentCodec>(codec);
-    }
+    const std::uint32_t format = reader.u32();
+    if (format != kSegmentFormatVersion)
+      throw std::runtime_error("segment_store: unsupported segment format " +
+                               std::to_string(format) + " in " + name + " (entry " +
+                               std::to_string(i) + ")");
     entry.digest = reader.hash32();
     manifest.entries.push_back(entry);
   }
@@ -783,8 +691,7 @@ void SegmentStore::load_segments(const Manifest& manifest, sys::VpDatabase& db,
   entries.reserve(manifest.entries.size());
   for (const auto& entry : manifest.entries)
     entries.push_back({entry.unit_time, entry.vp_count, entry.trusted_count,
-                       entry.codec, entry.digest,
-                       entry_file_name(entry.codec, entry.digest)});
+                       entry.digest, segment_file_name(entry.digest)});
 
   const vp::VpUploadPolicy policy = db.policy();
   const index::SpatialGridConfig grid_cfg = db.timeline().config().grid;
@@ -844,10 +751,6 @@ void SegmentStore::load_segments(const Manifest& manifest, sys::VpDatabase& db,
     stats.profiles_rejected += r.rejected + dropped;
     stats.manifest_profiles += entries[i].vp_count;
     ++stats.segments_loaded;
-    if (entries[i].codec == SegmentCodec::kV2)
-      ++stats.segments_v2;
-    else
-      ++stats.segments_v1;
   }
   stats.adopt_us += us_since(adopt_start);
 }
@@ -904,7 +807,7 @@ sys::VpDatabase SegmentStore::load_checkpoint(std::uint64_t sequence,
   load_segments(manifest, db, stats);
   // Force-set, don't advance: trusted restores already advanced the
   // clock, which must not override an operator's reset_clock()
-  // recovery captured by the checkpoint (same rule as vp_store).
+  // recovery captured by the checkpoint.
   db.reset_clock(manifest.trusted_clock);
   stats.sequence = sequence;
   stats.trusted_marked = db.trusted_count();
@@ -972,7 +875,7 @@ std::size_t SegmentStore::gc() {
     kept_manifests.insert(manifest_file_name(sequence));
     try {
       for (const auto& entry : read_manifest(sequence).entries)
-        referenced.insert(entry_file_name(entry.codec, entry.digest));
+        referenced.insert(segment_file_name(entry.digest));
       ++valid_kept;
     } catch (const std::exception&) {
       references_known = false;
@@ -989,9 +892,7 @@ std::size_t SegmentStore::gc() {
   std::vector<std::string> victims;
   for (const auto& entry : it) {
     const std::string name = entry.path().filename().string();
-    if (name.ends_with(std::string(kSegmentSuffix) + kTempSuffix) ||
-        name.ends_with(std::string(kSegmentSuffixV2) + kTempSuffix) ||
-        name.ends_with(std::string(kManifestSuffix) + kTempSuffix)) {
+    if (is_own_temp(name)) {
       // Our own crash debris (only ours: a foreign *.tmp is left alone
       // like any other foreign file). The single-writer contract means no
       // checkpoint is in flight besides (at most) the one calling us,
@@ -999,8 +900,7 @@ std::size_t SegmentStore::gc() {
       victims.push_back(name);
     } else if (name.starts_with(kManifestPrefix) && name.ends_with(kManifestSuffix)) {
       if (!kept_manifests.contains(name)) victims.push_back(name);
-    } else if (name.starts_with("seg-") &&
-               (name.ends_with(kSegmentSuffix) || name.ends_with(kSegmentSuffixV2))) {
+    } else if (name.starts_with("seg-") && name.ends_with(kSegmentSuffix)) {
       if (references_known && !referenced.contains(name)) victims.push_back(name);
     }
     // Anything else in the directory is not ours; leave it alone.
@@ -1024,10 +924,7 @@ std::size_t SegmentStore::sweep_temps() {
     // Only our own temp spellings; a final-named file is never a victim
     // here (a stale temp can thus never shadow or be mistaken for a
     // sealed segment — sealed names exist only via completed renames).
-    if (name.ends_with(std::string(kSegmentSuffix) + kTempSuffix) ||
-        name.ends_with(std::string(kSegmentSuffixV2) + kTempSuffix) ||
-        name.ends_with(std::string(kManifestSuffix) + kTempSuffix))
-      victims.push_back(name);
+    if (is_own_temp(name)) victims.push_back(name);
   }
   for (const auto& name : victims)
     if (remove_file(name)) ++removed;

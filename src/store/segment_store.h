@@ -1,41 +1,40 @@
 // Incremental, crash-consistent VP persistence: sealed shard segments +
 // atomically-published manifests.
 //
-// The legacy VMDB container (store/vp_store) rewrites every byte of the
-// database on each save — O(database) I/O per checkpoint, a full reparse
-// on restart, and no safe point if the process dies mid-write. A deployed
-// ViewMap service checkpoints continuously over weeks of VP history
-// (§2: dashcam retention is 2–3 weeks), so persistence must be
-// *incremental* and *crash-consistent*. This module stores a database as:
+// A deployed ViewMap service checkpoints continuously over weeks of VP
+// history (§2: dashcam retention is 2–3 weeks), so persistence must be
+// *incremental* and *crash-consistent* — never an O(database) rewrite per
+// save, never a state with no safe point mid-write. This module stores a
+// database as:
 //
 //   dir/
-//     seg-<digest16 hex>.vseg   one sealed segment per unit-time shard,
+//     seg-<digest16 hex>.vseg2  one sealed segment per unit-time shard,
 //                               named by its content digest
 //     manifest-<seq hex>.vman   one small root per checkpoint: the list
 //                               of (unit-time, digest, counts) it is
 //                               composed of, plus the trusted clock
 //     *.tmp                     in-flight writes (crash debris; GC'd)
 //
-// Segment v1:     "VSEG" | u32 1 | content | SHA-256(content)
-//   content    =  unit_time i64 | vp_count u64 | trusted_count u64 |
-//                 vp_count × ViewProfile payload (ascending id) |
-//                 trusted_count × Id16 (ascending)
-// Segment v2:     "VSG2" | u32 2 | unit_time i64 | vp_count u64 |
-//   (.vseg2)      trusted_count u64 | arena_len u64 |
+// Segment:        "VSG2" | u32 2 | unit_time i64 | vp_count u64 |
+//                 trusted_count u64 | arena_len u64 |
 //                 vp_count × (offset u64, len u32) offset table |
 //                 payload arena (ascending id) |
 //                 trusted_count × Id16 (ascending) |
 //                 Hash32 content digest | u32 CRC32C(all preceding bytes)
 //   The arena holds the profiles in ascending-id order, so header fields
-//   + arena + trusted ids ARE the canonical content bytes and the stored
-//   digest equals TimeShard::content_digest() — identity is codec-
-//   independent, incremental reuse works across codecs (see
-//   SegmentCodec). See src/store/README.md for the full v2 rationale.
-// Manifest file:  "VMAN" | u32 version | u64 sequence | i64 trusted_clock |
+//   + arena + trusted ids ARE the canonical content bytes
+//   (TimeShard::stream_content) and the stored digest equals
+//   TimeShard::content_digest(). See src/store/README.md for the layout
+//   rationale and the validation rules.
+// Manifest file:  "VMAN" | u32 2 | u64 sequence | i64 trusted_clock |
 //                 u64 shard_count | shard_count × entry | SHA-256(above)
-//   entry v1   =  unit_time i64 | vp_count u64 | trusted_count u64 |
-//                 Hash32 content digest
-//   entry v2   =  the same + u32 codec (1|2) before the digest
+//   entry      =  unit_time i64 | vp_count u64 | trusted_count u64 |
+//                 u32 segment format (always 2) | Hash32 content digest
+//
+// Only this one format is readable. Anything else — a version-1
+// manifest, an entry naming another segment format, a stream-format
+// `.vseg` file — fails validation like any damaged checkpoint: recovery
+// falls back past it, and throws when nothing loadable is left.
 //
 // Incrementality: a checkpoint walks the snapshot's shards and asks each
 // for its content digest (cached on the shard — an untouched shard
@@ -153,29 +152,10 @@ class StoreError : public std::runtime_error {
   int errno_ = 0;
 };
 
-inline constexpr std::uint32_t kSegmentFormatVersion = 1;
-inline constexpr std::uint32_t kSegmentFormatVersionV2 = 2;
-inline constexpr std::uint32_t kManifestFormatVersion = 1;
-inline constexpr std::uint32_t kManifestFormatVersionV2 = 2;
-
-/// On-disk layout a segment is sealed in. Both are readable forever; the
-/// codec only selects what checkpoint() writes for NEW segments.
-///
-///   kV1  "VSEG": the PR 5 stream format — the canonical content bytes
-///        (TimeShard::stream_content) framed by magic/version and a
-///        SHA-256 trailer. Verifying it on restart costs a full SHA-256
-///        pass; loading it costs a per-profile parse.
-///   kV2  "VSG2" (.vseg2): flat packed arrays — an offset/length table
-///        into a payload arena holding the profiles in ascending-id
-///        order, so the arena IS the canonical payload section and a
-///        shard can be bulk-read and adopted wholesale
-///        (VpTimeline::adopt_shard) instead of re-inserted profile by
-///        profile. Integrity is a whole-file CRC32C (memory-bandwidth
-///        cheap) plus the embedded content digest checked against the
-///        manifest; identity stays the same SHA-256 content digest, so
-///        v1 and v2 segments of one shard share a digest and incremental
-///        reuse works across codecs.
-enum class SegmentCodec : std::uint32_t { kV1 = 1, kV2 = 2 };
+/// The one segment format: "VSG2" packed segments (.vseg2). Written into
+/// every segment header and into every manifest entry's format column.
+inline constexpr std::uint32_t kSegmentFormatVersion = 2;
+inline constexpr std::uint32_t kManifestFormatVersion = 2;
 
 /// One durable filesystem mutation a checkpoint performed, in order.
 /// Test instrumentation (SegmentStoreConfig::op_log): the fault-injection
@@ -201,18 +181,6 @@ struct SegmentStoreConfig {
   /// barrier that makes the recorded operation order the on-disk order.
   /// Off only in tests/benches that model durability logically.
   bool fsync = true;
-  /// Codec NEW segments are sealed in. kV1 writes byte-identical PR 5
-  /// segments AND version-1 manifests, so a store driven with kV1 is
-  /// indistinguishable from one written by the old code
-  /// (viewmap_convert's downgrade migration relies on this — with kV1,
-  /// only v1 segments are ever reused, whatever reuse_any_codec says).
-  SegmentCodec codec = SegmentCodec::kV2;
-  /// When true (default) a kV2 checkpoint reuses an unchanged shard's
-  /// sealed segment in EITHER codec — upgrading a store never rewrites
-  /// history, new churn just arrives in v2. False forces shards whose
-  /// sealed segment is not in `codec` to be rewritten: the migration
-  /// knob (one full checkpoint converts the whole store).
-  bool reuse_any_codec = true;
   /// Recovery worker-pool width: segments are read, validated, and
   /// parsed into ready-to-adopt shards by this many threads. Adoption
   /// itself stays ordered and serial, so the recovered database is
@@ -220,8 +188,7 @@ struct SegmentStoreConfig {
   /// 0 = hardware_concurrency().
   unsigned restore_threads = 0;
   /// Paranoia knob: additionally recompute the full SHA-256 content
-  /// digest of every v2 segment during recovery. v1 always pays the SHA
-  /// pass (the digest is its only integrity check); v2's default check —
+  /// digest of every segment during recovery. The default check —
   /// whole-file CRC32C plus the embedded-digest/manifest comparison —
   /// already catches torn writes, bit rot, and stale-file swaps at
   /// memory-bandwidth cost instead of hash cost.
@@ -254,8 +221,6 @@ struct RecoveryStats {
   std::size_t profiles_loaded = 0;
   std::size_t profiles_rejected = 0;  ///< failed the structural screen
   std::size_t trusted_marked = 0;
-  std::size_t segments_v1 = 0;       ///< segments loaded from the v1 stream codec
-  std::size_t segments_v2 = 0;       ///< segments loaded from the packed v2 codec
   unsigned threads_used = 0;         ///< recovery worker-pool width actually used
   /// Per-phase timings. read/validate/parse are summed across workers
   /// (CPU time — exceeds wall clock when parallel); adopt and total are
@@ -320,7 +285,7 @@ class SegmentStore {
   std::size_t gc();
 
   /// Unlinks crash debris only: stale `*.tmp` files from an interrupted
-  /// checkpoint (ours alone — `.vseg.tmp` / `.vseg2.tmp` / `.vman.tmp`;
+  /// checkpoint (ours alone — `.vseg2.tmp` / `.vman.tmp`;
   /// foreign files are untouched). Returns files removed. Safe on a
   /// directory that does not exist (returns 0). Call it before starting
   /// a checkpoint cadence on a recovered store — recover() itself stays
@@ -340,12 +305,8 @@ class SegmentStore {
   /// drives checkpoint()/recover() — it is not synchronized.
   void adopt_metrics(obs::MetricsRegistry* registry) const;
 
-  /// The v1 (".vseg") and v2 (".vseg2") file names for a content digest.
-  /// One shard sealed in both codecs yields two distinct files sharing
-  /// the digest — which codec a manifest entry references travels in the
-  /// entry itself.
+  /// The ".vseg2" segment file name for a content digest.
   [[nodiscard]] static std::string segment_file_name(const Hash32& digest);
-  [[nodiscard]] static std::string segment_file_name_v2(const Hash32& digest);
   [[nodiscard]] static std::string manifest_file_name(std::uint64_t sequence);
 
  private:
@@ -353,7 +314,6 @@ class SegmentStore {
     TimeSec unit_time = 0;
     std::uint64_t vp_count = 0;
     std::uint64_t trusted_count = 0;
-    SegmentCodec codec = SegmentCodec::kV1;
     Hash32 digest{};
   };
   struct Manifest {

@@ -27,8 +27,9 @@ class CsrGraph {
   /// Throws std::invalid_argument otherwise.
   CsrGraph(std::vector<std::size_t> offsets, std::vector<std::uint32_t> edges);
 
-  /// One-pass conversion from nested adjacency (the legacy shape the
-  /// abstract-graph tests, benches, and attack experiments build).
+  /// One-pass conversion from nested adjacency (the shape the
+  /// abstract-graph tests, benches, and attack experiments build). Convert
+  /// once, then hand the graph to trust_rank() and algorithm1().
   static CsrGraph from_adjacency(std::span<const std::vector<std::uint32_t>> adjacency);
 
   [[nodiscard]] std::size_t size() const noexcept {

@@ -57,12 +57,6 @@ TrustRankResult trust_rank(const CsrGraph& graph, std::span<const std::size_t> s
   return result;
 }
 
-TrustRankResult trust_rank(std::span<const std::vector<std::uint32_t>> adjacency,
-                           std::span<const std::size_t> seeds,
-                           const TrustRankConfig& cfg) {
-  return trust_rank(CsrGraph::from_adjacency(adjacency), seeds, cfg);
-}
-
 TrustRankResult trust_rank(const Viewmap& map, const TrustRankConfig& cfg) {
   // The investigation-path entry point — the low-level overloads stay
   // span-free so direct benchmarks measure the bare iteration.

@@ -40,12 +40,6 @@ struct TrustRankResult {
                                          std::span<const std::size_t> seeds,
                                          const TrustRankConfig& cfg = {});
 
-/// Legacy nested-adjacency entry (abstract-graph tests, benches, attack
-/// experiments): converts to CSR once, then runs the flat core.
-[[nodiscard]] TrustRankResult trust_rank(
-    std::span<const std::vector<std::uint32_t>> adjacency,
-    std::span<const std::size_t> seeds, const TrustRankConfig& cfg = {});
-
 /// Convenience overload seeded at the viewmap's trusted members. Runs
 /// directly on the viewmap's CSR — no adjacency copy of any kind.
 [[nodiscard]] TrustRankResult trust_rank(const Viewmap& map,

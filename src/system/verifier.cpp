@@ -41,12 +41,6 @@ Algorithm1Verdict algorithm1(const CsrGraph& graph, std::span<const double> scor
   return verdict;
 }
 
-Algorithm1Verdict algorithm1(std::span<const std::vector<std::uint32_t>> adjacency,
-                             std::span<const double> scores,
-                             std::span<const std::size_t> site_members) {
-  return algorithm1(CsrGraph::from_adjacency(adjacency), scores, site_members);
-}
-
 bool VerificationResult::is_legitimate(std::size_t member_index) const {
   return std::find(legitimate.begin(), legitimate.end(), member_index) !=
          legitimate.end();

@@ -33,12 +33,6 @@ struct Algorithm1Verdict {
                                            std::span<const double> scores,
                                            std::span<const std::size_t> site_members);
 
-/// Legacy nested-adjacency entry (abstract-graph benches/experiments):
-/// converts to CSR once and runs the flat flood fill.
-[[nodiscard]] Algorithm1Verdict algorithm1(
-    std::span<const std::vector<std::uint32_t>> adjacency,
-    std::span<const double> scores, std::span<const std::size_t> site_members);
-
 struct VerificationResult {
   /// Viewmap member indices inside the site, as discovered (set X).
   std::vector<std::size_t> site_members;

@@ -15,11 +15,6 @@ bool VpDatabase::upload_trusted(vp::ViewProfile profile) {
   return timeline_.insert(std::move(profile), /*trusted=*/true);
 }
 
-bool VpDatabase::restore(vp::ViewProfile profile, bool trusted) {
-  if (!policy_.well_formed(profile)) return false;
-  return timeline_.insert(std::move(profile), trusted);
-}
-
 bool VpDatabase::is_trusted(const Id16& vp_id) const noexcept {
   return timeline_.is_trusted(vp_id);
 }

@@ -65,12 +65,6 @@ class VpDatabase {
   /// index::VpTimeline::reset_clock).
   void reset_clock(TimeSec now) noexcept { timeline_.reset_clock(now); }
 
-  /// Re-admits a profile from a snapshot (store/vp_store). Runs the
-  /// structural screen but NOT the upload timeliness screen: snapshot
-  /// profiles were admitted by the live service already, and trusted
-  /// profiles restored mid-stream advance the clock, which must not
-  /// retro-reject anonymous profiles saved alongside them.
-  bool restore(vp::ViewProfile profile, bool trusted);
   [[nodiscard]] TimeSec trusted_now() const noexcept { return timeline_.trusted_now(); }
 
   /// The read API: an immutable pinned view of the whole database.

@@ -34,7 +34,7 @@ TEST(Lemma1, TrustBeyondLHopsBoundedByDeltaPowL) {
     const auto g = attack::make_geometric_viewmap(cfg, rng);
 
     sys::TrustRankConfig tr;  // δ = 0.8
-    const auto result = sys::trust_rank(g.adj, g.trusted, tr);
+    const auto result = sys::trust_rank(sys::CsrGraph::from_adjacency(g.adj), g.trusted, tr);
     const auto hops = g.hops_from_trusted();
 
     for (std::size_t L = 1; L <= 12; ++L) {
@@ -72,7 +72,7 @@ TEST(Corollary1, MoreFakesMeansLowerPerFakeScore) {
       Rng attack_rng(2000 + static_cast<std::uint64_t>(trial));
       if (!attack::inject_fakes(g, plan, cfg.link_radius_m, attack_rng)) continue;
 
-      const auto result = sys::trust_rank(g.adj, g.trusted, tr);
+      const auto result = sys::trust_rank(sys::CsrGraph::from_adjacency(g.adj), g.trusted, tr);
       double best_fake = 0.0;
       for (std::size_t i : g.site_members())
         if (g.fake[i]) best_fake = std::max(best_fake, result.scores[i]);

@@ -7,8 +7,8 @@
 // on the newest sealed manifest (no fallback), load every profile the
 // manifest promises, reject none. Clean SIGTERM-style drains are held
 // to a stronger bar: the recovered database must equal the live one
-// bit-for-bit (VMDB byte oracle), because the final checkpoint runs
-// after ingest has settled.
+// bit-for-bit (DbSnapshot::canonical_bytes, every shard re-serialized),
+// because the final checkpoint runs after ingest has settled.
 //
 // Satellites: scrape endpoint byte-identity with dump_metrics(),
 // healthz tracking lifecycle state, backpressured submit, the
@@ -40,7 +40,7 @@
 #include "common/rng.h"
 #include "daemon/lifecycle.h"
 #include "obs/metrics.h"
-#include "store/vp_store.h"
+#include "store/segment_store.h"
 
 #if defined(__SANITIZE_THREAD__)
 #define VIEWMAP_TSAN 1
@@ -95,10 +95,8 @@ DaemonConfig test_config(const std::string& store_dir) {
   return cfg;
 }
 
-std::string db_bytes(const sys::VpDatabase& db) {
-  std::stringstream out;
-  store::save_database(db, out);
-  return out.str();
+std::vector<std::uint8_t> db_bytes(const sys::VpDatabase& db) {
+  return db.snapshot().canonical_bytes();
 }
 
 /// Submits `n` synthetic VPs for `unit` through the daemon's

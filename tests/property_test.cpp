@@ -122,7 +122,7 @@ TEST_P(TrustRankProperty, ScoresAreAProbabilityDistributionOverReachableGraphs) 
     adj[b].push_back(a);
   }
   const std::vector<std::size_t> seeds{rng.index(n)};
-  const auto result = sys::trust_rank(adj, seeds, {});
+  const auto result = sys::trust_rank(sys::CsrGraph::from_adjacency(adj), seeds, {});
   EXPECT_TRUE(result.converged);
   double total = 0;
   for (double s : result.scores) {

@@ -1,11 +1,21 @@
 // Robustness & failure-injection tests: fuzzed inputs at every trust
-// boundary, hostile upload streams, degraded channels, and multi-seed /
+// boundary (wire parsers, the upload stream, segment and manifest
+// files), hostile upload streams, degraded channels, and multi-seed /
 // multi-minute service behavior.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <map>
+
 #include "attack/fake_vp.h"
 #include "common/rng.h"
+#include "crypto/crc32c.h"
+#include "crypto/sha256.h"
 #include "sim/simulator.h"
+#include "store/segment_store.h"
 #include "system/service.h"
 
 namespace viewmap {
@@ -85,6 +95,176 @@ TEST(Fuzz, UploadPolicyOnRandomButParseableProfiles) {
     accepted += vp::VpUploadPolicy{}.well_formed(profile) ? 1 : 0;
   }
   EXPECT_EQ(accepted, 0);  // random walks teleport and time-travel
+}
+
+// ── Segment store: seeded mutations of a real checkpoint ─────────────
+// Bit flips, splices, and length-field lies (with the integrity trailer
+// re-stamped, so the lie reaches the structural checks) against the
+// files of a real two-checkpoint store. Every case must recover to one of
+// the two sealed checkpoints' canonical bytes or throw
+// std::runtime_error — never crash, never load anything else.
+
+using Bytes = std::vector<std::uint8_t>;
+
+void put_le(Bytes& bytes, std::size_t at, std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width && at + i < bytes.size(); ++i)
+    bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+std::uint64_t get_le(const Bytes& bytes, std::size_t at, std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width && at + i < bytes.size(); ++i)
+    value |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+  return value;
+}
+
+/// Re-stamps a file's integrity trailer after an edit: the whole-file
+/// CRC32C of a segment, the SHA-256 of a manifest.
+void restamp(const std::string& name, Bytes& bytes) {
+  const std::span<const std::uint8_t> all(bytes);
+  if (name.ends_with(".vseg2")) {
+    if (bytes.size() >= 4)
+      put_le(bytes, bytes.size() - 4, crypto::crc32c(all.first(bytes.size() - 4)), 4);
+  } else if (bytes.size() >= 32) {
+    crypto::Sha256 hasher;
+    hasher.update(all.first(bytes.size() - 32));
+    const Hash32 digest = hasher.finish();
+    std::copy(digest.bytes.begin(), digest.bytes.end(), bytes.end() - 32);
+  }
+}
+
+/// (offset, width) of every length field in one file: a segment's
+/// vp_count, trusted_count, arena_len and offset-table entries; a
+/// manifest's shard_count and per-entry vp/trusted counts.
+std::vector<std::pair<std::size_t, std::size_t>> length_fields(const std::string& name,
+                                                               const Bytes& bytes) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  if (name.ends_with(".vseg2")) {
+    out = {{16, 8}, {24, 8}, {32, 8}};
+    const std::uint64_t vp_count = get_le(bytes, 16, 8);
+    for (std::uint64_t i = 0; i < vp_count; ++i) {
+      out.emplace_back(40 + 12 * i, 8);
+      out.emplace_back(40 + 12 * i + 8, 4);
+    }
+  } else {
+    out = {{24, 8}};
+    const std::uint64_t shard_count = get_le(bytes, 24, 8);
+    for (std::uint64_t i = 0; i < shard_count; ++i) {
+      out.emplace_back(32 + 60 * i + 8, 8);
+      out.emplace_back(32 + 60 * i + 16, 8);
+    }
+  }
+  return out;
+}
+
+TEST(Fuzz, SegmentStoreMutationsRecoverOrThrow) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("viewmap_fuzz_store_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  store::SegmentStoreConfig cfg;
+  cfg.fsync = false;
+  cfg.restore_threads = 2;
+
+  // Two sealed checkpoints: three minutes (one with a trusted mark), then
+  // one changed and one new minute.
+  Rng rng(20);
+  const auto profile = [&rng](int minute, double x) {
+    return attack::make_fake_profile(minute * kUnitTimeSec, {x, 0.0}, {x + 200.0, 0.0}, rng);
+  };
+  sys::VpDatabase db;
+  std::vector<Bytes> sealed;
+  {
+    store::SegmentStore seed_store(dir.string(), cfg);
+    for (int m = 0; m < 3; ++m)
+      for (int i = 0; i < 2; ++i) ASSERT_TRUE(db.upload(profile(m, i * 400.0)));
+    ASSERT_TRUE(db.upload_trusted(profile(1, 900.0)));
+    (void)seed_store.checkpoint(db.snapshot());
+    sealed.push_back(db.snapshot().canonical_bytes());
+    ASSERT_TRUE(db.upload(profile(0, 1800.0)));
+    ASSERT_TRUE(db.upload(profile(3, 0.0)));
+    (void)seed_store.checkpoint(db.snapshot());
+    sealed.push_back(db.snapshot().canonical_bytes());
+  }
+  std::map<std::string, Bytes> image;
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    names.push_back(entry.path().filename().string());
+    image[names.back()] = Bytes(std::istreambuf_iterator<char>(in), {});
+  }
+  std::sort(names.begin(), names.end());
+  ASSERT_EQ(names.size(), 7u);  // 5 segments + 2 manifests
+
+  const auto write_file = [&dir](const std::string& name, const Bytes& content) {
+    std::ofstream out(dir / name, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(content.data()),
+              static_cast<std::streamsize>(content.size()));
+  };
+
+  // One file is mutated per case and restored after it.
+  Rng fuzz(21);
+  std::size_t intact = 0, fell_back = 0, rejected = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    const std::string& name = names[fuzz.index(names.size())];
+    Bytes bytes = image.at(name);
+    const std::size_t kind = fuzz.index(3);
+    if (kind == 0) {
+      // Bit flips anywhere.
+      for (std::size_t n = 1 + fuzz.index(4); n > 0; --n)
+        bytes[fuzz.index(bytes.size())] ^= static_cast<std::uint8_t>(1u << fuzz.index(8));
+    } else if (kind == 1) {
+      // Splice: a slice of any file overwrites or is inserted at a random
+      // offset, or the file is cut short.
+      const Bytes& donor = image.at(names[fuzz.index(names.size())]);
+      const std::size_t from = fuzz.index(donor.size());
+      const std::size_t len = 1 + fuzz.index(std::min<std::size_t>(donor.size() - from, 512));
+      const std::size_t at = fuzz.index(bytes.size() + 1);
+      const auto slice = donor.begin() + static_cast<std::ptrdiff_t>(from);
+      switch (fuzz.index(3)) {
+        case 0:
+          bytes.resize(std::max(bytes.size(), at + len));
+          std::copy(slice, slice + static_cast<std::ptrdiff_t>(len),
+                    bytes.begin() + static_cast<std::ptrdiff_t>(at));
+          break;
+        case 1:
+          bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), slice,
+                       slice + static_cast<std::ptrdiff_t>(len));
+          break;
+        default:
+          bytes.resize(at);
+      }
+    } else {
+      // Length-field lie with the integrity trailer re-stamped.
+      const auto fields = length_fields(name, bytes);
+      const auto [at, width] = fields[fuzz.index(fields.size())];
+      const std::uint64_t was = get_le(bytes, at, width);
+      const std::uint64_t lies[] = {0, 1, was - 1, was + 1, was * 2, 1ull << 32,
+                                    1ull << 63, ~0ull, fuzz.next_u64()};
+      put_le(bytes, at, lies[fuzz.index(std::size(lies))], width);
+      restamp(name, bytes);
+    }
+
+    write_file(name, bytes);
+    try {
+      const store::SegmentStore st(dir.string(), cfg);
+      const Bytes got = st.recover().snapshot().canonical_bytes();
+      EXPECT_TRUE(got == sealed[0] || got == sealed[1])
+          << "iteration " << iter << " (" << name << ", mutation " << kind
+          << ") recovered a state no checkpoint sealed";
+      ++(got == sealed[1] ? intact : fell_back);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+    write_file(name, image.at(name));
+  }
+  fs::remove_all(dir);
+  // Every outcome occurs: harmless edits (manifest 1, a no-op lie) keep
+  // checkpoint 2, damage to checkpoint 2 falls back to 1, and damage to a
+  // segment both share leaves nothing loadable.
+  EXPECT_GT(intact, 0u);
+  EXPECT_GT(fell_back, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ── Channel degradation ─────────────────────────────────────────────────

@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "index/ingest_engine.h"
 #include "index/timeline.h"
 #include "sim/simulator.h"
-#include "store/vp_store.h"
 #include "system/service.h"
 #include "system/viewmap_graph.h"
 #include "system/vp_database.h"
@@ -208,8 +206,7 @@ TEST(DbSnapshot, SerializationIsByteDeterministicUnderConcurrentIngest) {
     ASSERT_TRUE(db.upload(random_vp(kUnitTimeSec * (i % 4), 2000.0, rng)));
 
   const sys::DbSnapshot snap = db.snapshot();
-  std::stringstream first;
-  store::save_snapshot(snap, first);
+  const std::vector<std::uint8_t> first = snap.canonical_bytes();
 
   // A writer hammers the same minutes (forcing copy-on-write of every
   // pinned shard) while the same snapshot serializes again.
@@ -224,14 +221,14 @@ TEST(DbSnapshot, SerializationIsByteDeterministicUnderConcurrentIngest) {
   // The writer is demonstrably landing inserts BEFORE the second
   // serialization starts — on a 1-core host it may otherwise never be
   // scheduled until after the save, and the race this test exists for
-  // would silently not happen.
+  // would silently not happen. canonical_bytes() re-streams every pinned
+  // shard each call, so the second pass really re-reads the shards.
   while (landed.load() == 0) std::this_thread::yield();
-  std::stringstream second;
-  store::save_snapshot(snap, second);
+  const std::vector<std::uint8_t> second = snap.canonical_bytes();
   stop.store(true);
   writer.join();
 
-  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(first, second);
   EXPECT_GT(db.size(), snap.size());  // the writer really did land inserts
 }
 

@@ -153,7 +153,7 @@ TEST(TrustRank, ConservesMassOnConnectedGraph) {
   // Triangle with one seed.
   std::vector<std::vector<std::uint32_t>> adj{{1, 2}, {0, 2}, {0, 1}};
   const std::vector<std::size_t> seeds{0};
-  const auto result = trust_rank(adj, seeds, {});
+  const auto result = trust_rank(CsrGraph::from_adjacency(adj), seeds, {});
   ASSERT_TRUE(result.converged);
   double total = 0;
   for (double s : result.scores) total += s;
@@ -170,24 +170,26 @@ TEST(TrustRank, ScoreDecaysWithHopDistance) {
     adj[i].push_back(i + 1);
     adj[i + 1].push_back(i);
   }
-  const auto result = trust_rank(adj, std::vector<std::size_t>{0}, {});
+  const auto result =
+      trust_rank(CsrGraph::from_adjacency(adj), std::vector<std::size_t>{0}, {});
   for (std::size_t i = 2; i < n; ++i) EXPECT_LT(result.scores[i], result.scores[i - 1]);
 }
 
 TEST(TrustRank, DisconnectedComponentGetsNothing) {
   std::vector<std::vector<std::uint32_t>> adj{{1}, {0}, {3}, {2}};
-  const auto result = trust_rank(adj, std::vector<std::size_t>{0}, {});
+  const auto result =
+      trust_rank(CsrGraph::from_adjacency(adj), std::vector<std::size_t>{0}, {});
   EXPECT_GT(result.scores[1], 0.0);
   EXPECT_EQ(result.scores[2], 0.0);
   EXPECT_EQ(result.scores[3], 0.0);
 }
 
 TEST(TrustRank, RejectsBadInputs) {
-  std::vector<std::vector<std::uint32_t>> adj{{}};
-  EXPECT_THROW(trust_rank(adj, std::vector<std::size_t>{}, {}), std::invalid_argument);
+  const CsrGraph g = CsrGraph::from_adjacency(std::vector<std::vector<std::uint32_t>>{{}});
+  EXPECT_THROW(trust_rank(g, std::vector<std::size_t>{}, {}), std::invalid_argument);
   TrustRankConfig bad;
   bad.damping = 1.5;
-  EXPECT_THROW(trust_rank(adj, std::vector<std::size_t>{0}, bad), std::invalid_argument);
+  EXPECT_THROW(trust_rank(g, std::vector<std::size_t>{0}, bad), std::invalid_argument);
 }
 
 TEST(Algorithm1, FloodFillRestrictedToSite) {
@@ -196,7 +198,7 @@ TEST(Algorithm1, FloodFillRestrictedToSite) {
   std::vector<std::vector<std::uint32_t>> adj{{1}, {0, 2}, {1, 3}, {2}};
   const std::vector<double> scores{0.5, 0.3, 0.15, 0.05};
   const std::vector<std::size_t> site{1, 3};
-  const auto verdict = algorithm1(adj, scores, site);
+  const auto verdict = algorithm1(CsrGraph::from_adjacency(adj), scores, site);
   EXPECT_EQ(verdict.top_scored, 1u);
   EXPECT_EQ(verdict.legitimate, (std::vector<std::size_t>{1}));
 }
@@ -205,7 +207,7 @@ TEST(Algorithm1, ConnectedSiteAllLegitimate) {
   std::vector<std::vector<std::uint32_t>> adj{{1}, {0, 2}, {1}};
   const std::vector<double> scores{0.6, 0.3, 0.1};
   const std::vector<std::size_t> site{0, 1, 2};
-  const auto verdict = algorithm1(adj, scores, site);
+  const auto verdict = algorithm1(CsrGraph::from_adjacency(adj), scores, site);
   EXPECT_EQ(verdict.legitimate.size(), 3u);
 }
 

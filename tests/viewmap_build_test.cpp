@@ -444,15 +444,5 @@ TEST(TrustRankCsr, SeedValidationAndViewmapZeroCopyPath) {
   EXPECT_EQ(ranks.scores, direct.scores);
 }
 
-TEST(Algorithm1Csr, MatchesLegacyAdjacencyEntry) {
-  const std::vector<std::vector<std::uint32_t>> adj{{1}, {0, 2}, {1, 3}, {2}};
-  const std::vector<double> scores{0.5, 0.3, 0.15, 0.05};
-  const std::vector<std::size_t> site{1, 3};
-  const auto legacy = algorithm1(adj, scores, site);
-  const auto csr = algorithm1(CsrGraph::from_adjacency(adj), scores, site);
-  EXPECT_EQ(legacy.top_scored, csr.top_scored);
-  EXPECT_EQ(legacy.legitimate, csr.legitimate);
-}
-
 }  // namespace
 }  // namespace viewmap::sys

@@ -10,7 +10,7 @@
 #      (plain bash /dev/tcp — no curl dependency);
 #   3. kill -9 the process mid-checkpoint-cadence (200 ms interval, so
 #      a hard kill lands between — or inside — cycles); the cadence must
-#      have sealed packed .vseg2 segments (the daemon's default codec);
+#      have sealed packed .vseg2 segments (the store's one format);
 #   4. restart on the same store and assert the recovery line
 #      (recovered seq=N ... rejected=0 ... ms=T), that the parallel v2
 #      cold restart stayed inside its timing budget, and a green
@@ -99,8 +99,7 @@ echo "daemon_smoke: started (pid=$pid, scrape port=$port)"
 # manifests worth of live state.
 sleep 3
 
-# The daemon checkpoints with the packed v2 codec by default: sealed
-# segments must be .vseg2 files.
+# Sealed segments must be packed .vseg2 files, the store's one format.
 ls "$store"/seg-*.vseg2 >/dev/null 2>&1 || {
   echo "daemon_smoke: no packed .vseg2 segments after checkpoint cadence" >&2
   ls "$store" >&2 || true

@@ -6,8 +6,8 @@
 # server throughput scenario (worker pool vs live ingest + eviction; on a
 # 1-core host the JSON carries a note: everything time-slices one CPU),
 # viewmap construction (grid+CSR builder vs the naive O(n²) reference),
-# incremental persistence (segment-store checkpoint vs full VMDB
-# rewrite, plus cold-restart recovery), observability overhead
+# incremental persistence (incremental vs full segment-store checkpoint,
+# plus cold-restart recovery), observability overhead
 # (ingest with the metrics registry on vs off), and the daemon soak
 # (ServiceLifecycle under kill -9 cycles: sustained ingest rate,
 # checkpoint cadence, restart recovery latency), and the daemon chaos
@@ -18,9 +18,8 @@
 # viewmap_build row reports a bit-identical edge set between the two
 # builders, that the checkpoint, recovery_v2, and daemon-soak scenarios'
 # recovery invariant held (profiles recovered == manifest promise,
-# single-attempt restarts), that the packed-v2 restart beats the recorded
-# v1 baseline by ≥ 5× on 1M-VP runs, that viewmap_convert's v1 ↔ v2
-# migration round trips are byte-identical, that the server_zipf
+# single-attempt restarts), that the cold restart beats the recorded
+# pre-packed-format baseline by ≥ 5× on 1M-VP runs, that the server_zipf
 # result-cache scenario hit the cache (hit_rate > 0) with every hit
 # bit-identical to a fresh build and the cache inside its byte bound,
 # and that the server
@@ -36,7 +35,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${BUILD_DIR:-$repo_root/build}"
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build_dir" --target bench_index viewmap_convert viewmap_simulate -j "$(nproc)"
+cmake --build "$build_dir" --target bench_index -j "$(nproc)"
 
 cd "$repo_root"
 "$build_dir/bench/bench_index" "$@"
@@ -67,11 +66,11 @@ if grep -q '"recovered_matches": false' BENCH_index.json; then
 fi
 echo "checkpoint check passed: restart recovered exactly the checkpointed profiles"
 
-# recovery_v2 assertion: the packed-codec restart must be present, must
+# recovery_v2 assertion: the cold restart's row must be present, must
 # have recovered exactly the checkpointed profiles (the shared
 # recovered_matches grep above already fails the run on false), and — on
-# 1M-VP runs, where the recorded v1 baseline applies — must beat that
-# baseline by at least 5x.
+# 1M-VP runs, where the recorded pre-packed-format baseline applies —
+# must beat that baseline by at least 5x.
 if ! grep -q '"recovery_v2"' BENCH_index.json; then
   echo "recovery_v2 check: scenario missing from BENCH_index.json" >&2
   exit 1
@@ -84,31 +83,11 @@ fi
 if awk -v s="$baseline_speedup" 'BEGIN { exit !(s == 0.0) }'; then
   echo "recovery_v2 check: non-1M run; baseline speedup not applicable (skipped)"
 elif awk -v s="$baseline_speedup" 'BEGIN { exit !(s < 5.0) }'; then
-  echo "recovery_v2 check: packed restart is only ${baseline_speedup}x the recorded v1 baseline (need >= 5x)" >&2
+  echo "recovery_v2 check: cold restart is only ${baseline_speedup}x the recorded baseline (need >= 5x)" >&2
   exit 1
 else
-  echo "recovery_v2 check passed: packed restart is ${baseline_speedup}x the recorded v1 baseline"
+  echo "recovery_v2 check passed: cold restart is ${baseline_speedup}x the recorded baseline"
 fi
-
-# Migration round trip: v1 -> v2 -> v1 through viewmap_convert must
-# reproduce the store directory bit-for-bit (shard identity is codec-
-# independent, segments are digest-named, manifests are deterministic).
-roundtrip_dir="$(mktemp -d)"
-trap 'rm -rf "$roundtrip_dir"' EXIT
-"$build_dir/tools/viewmap_simulate" "$roundtrip_dir/seed.vmdb" 40 4 2000 7 >/dev/null
-"$build_dir/tools/viewmap_convert" to-segments "$roundtrip_dir/seed.vmdb" "$roundtrip_dir/s_v2" >/dev/null
-"$build_dir/tools/viewmap_convert" migrate "$roundtrip_dir/s_v2" "$roundtrip_dir/s_v1" v1 >/dev/null
-"$build_dir/tools/viewmap_convert" migrate "$roundtrip_dir/s_v1" "$roundtrip_dir/s_v2rt" v2 >/dev/null
-"$build_dir/tools/viewmap_convert" migrate "$roundtrip_dir/s_v2rt" "$roundtrip_dir/s_v1rt" v1 >/dev/null
-if ! diff -r "$roundtrip_dir/s_v1" "$roundtrip_dir/s_v1rt" >/dev/null; then
-  echo "migration check: v1 -> v2 -> v1 round trip is not byte-identical" >&2
-  exit 1
-fi
-if ! diff -r "$roundtrip_dir/s_v2" "$roundtrip_dir/s_v2rt" >/dev/null; then
-  echo "migration check: v2 -> v1 -> v2 round trip is not byte-identical" >&2
-  exit 1
-fi
-echo "migration check passed: v1 <-> v2 round trips are byte-identical"
 
 # Percentile-monotonicity assertion: the server scenario's serve-side
 # latency histogram must report p50 ≤ p90 ≤ p99 — the exposition contract
@@ -181,8 +160,8 @@ echo "daemon_soak check passed: every kill -9 restart recovered the sealed manif
 # daemon must have survived every injected-failure window (>= 20 injected
 # I/O faults per run), health must have visibly degraded and recovered, no
 # checkpoint temp file may have leaked, and every post-window recover must
-# match the live shard digests bit-for-bit (the shared recovered_matches
-# grep above fails the run on a digest mismatch).
+# reproduce the live database's canonical bytes (the shared
+# recovered_matches grep above fails the run on a mismatch).
 if ! grep -q '"daemon_chaos"' BENCH_index.json; then
   echo "daemon_chaos check: scenario missing from BENCH_index.json" >&2
   exit 1

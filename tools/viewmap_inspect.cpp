@@ -1,23 +1,19 @@
-// viewmap_inspect — load a persisted database (a VMDB snapshot file or a
-// segment-store checkpoint directory), print database statistics, and
-// optionally run an investigation against it.
+// viewmap_inspect — load a segment-store checkpoint directory, print
+// database statistics, and optionally run an investigation against it.
 //
 // Usage:
-//   viewmap_inspect DB.vmdb                      # stats per unit-time
-//   viewmap_inspect SEGMENT_DIR                  # same, from a checkpoint
-//   viewmap_inspect DB.vmdb X Y RADIUS MINUTE    # investigate a site
-//   viewmap_inspect --metrics SEGMENT_DIR ...    # also dump the metrics
-//                                                  the load/recovery published
+//   viewmap_inspect SEGMENT_DIR                      # stats per unit-time
+//   viewmap_inspect SEGMENT_DIR X Y RADIUS MINUTE    # investigate a site
+//   viewmap_inspect --metrics SEGMENT_DIR ...        # also dump the metrics
+//                                                      the recovery published
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <iostream>
 
 #include "common/hex.h"
 #include "obs/metrics.h"
 #include "store/segment_store.h"
-#include "store/vp_store.h"
 #include "system/verifier.h"
 #include "system/viewmap_graph.h"
 
@@ -35,7 +31,7 @@ int main(int argc, char** argv) {
   }
   if (argc != 2 && argc != 6) {
     std::fprintf(stderr,
-                 "usage: %s [--metrics] DB.vmdb|SEGMENT_DIR [X Y RADIUS MINUTE]\n",
+                 "usage: %s [--metrics] SEGMENT_DIR [X Y RADIUS MINUTE]\n",
                  prog);
     return 2;
   }
@@ -43,35 +39,25 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   sys::VpDatabase db;
   try {
-    if (std::filesystem::is_directory(argv[1])) {
-      store::SegmentStoreConfig store_cfg;
-      if (metrics_on) store_cfg.metrics = &registry;
-      store::SegmentStore segments(argv[1], store_cfg);
-      if (segments.latest_sequence() == 0) {
-        // A directory with no manifest is far more likely a typo than a
-        // store that never checkpointed (same guard as viewmap_convert).
-        std::fprintf(stderr, "error: no checkpoint found in %s\n", argv[1]);
-        return 1;
-      }
-      store::RecoveryStats rec;
-      index::TimelineConfig index_cfg;
-      if (metrics_on) index_cfg.metrics = &registry;
-      db = segments.recover(vp::VpUploadPolicy{}, index_cfg, &rec);
-      std::printf(
-          "%s: checkpoint %llu, %zu segments, %zu VPs loaded (%zu rejected by "
-          "the upload screen), %zu trusted%s\n",
-          argv[1], static_cast<unsigned long long>(rec.sequence), rec.segments_loaded,
-          rec.profiles_loaded, rec.profiles_rejected, rec.trusted_marked,
-          rec.manifests_tried > 1 ? " [fell back past a damaged checkpoint]" : "");
-    } else {
-      store::LoadStats stats;
-      db = store::load_database_file(argv[1], &stats);
-      std::printf(
-          "%s: %zu VPs loaded (%zu rejected by the upload screen), %zu trusted, "
-          "%zu shard(s)\n",
-          argv[1], stats.profiles_loaded, stats.profiles_rejected, stats.trusted_marked,
-          stats.shards_loaded);
+    store::SegmentStoreConfig store_cfg;
+    if (metrics_on) store_cfg.metrics = &registry;
+    store::SegmentStore segments(argv[1], store_cfg);
+    if (segments.latest_sequence() == 0) {
+      // A directory with no manifest is far more likely a typo than a
+      // store that never checkpointed.
+      std::fprintf(stderr, "error: no checkpoint found in %s\n", argv[1]);
+      return 1;
     }
+    store::RecoveryStats rec;
+    index::TimelineConfig index_cfg;
+    if (metrics_on) index_cfg.metrics = &registry;
+    db = segments.recover(vp::VpUploadPolicy{}, index_cfg, &rec);
+    std::printf(
+        "%s: checkpoint %llu, %zu segments, %zu VPs loaded (%zu rejected by "
+        "the upload screen), %zu trusted%s\n",
+        argv[1], static_cast<unsigned long long>(rec.sequence), rec.segments_loaded,
+        rec.profiles_loaded, rec.profiles_rejected, rec.trusted_marked,
+        rec.manifests_tried > 1 ? " [fell back past a damaged checkpoint]" : "");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -1,8 +1,8 @@
 // viewmap_simulate — generate a ViewMap VP database from simulated city
-// traffic and write it as a VMDB snapshot.
+// traffic and seal it as a segment-store checkpoint directory.
 //
 // Usage:
-//   viewmap_simulate OUT.vmdb [vehicles] [minutes] [extent_m] [seed]
+//   viewmap_simulate OUT_DIR [vehicles] [minutes] [extent_m] [seed]
 //
 // Vehicle 0 plays the police car: its actual VPs are marked trusted.
 // Inspect the result with viewmap_inspect.
@@ -11,14 +11,14 @@
 
 #include "index/ingest_engine.h"
 #include "sim/simulator.h"
-#include "store/vp_store.h"
+#include "store/segment_store.h"
 
 using namespace viewmap;
 
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: %s OUT.vmdb [vehicles=60] [minutes=5] [extent_m=2500] "
+                 "usage: %s OUT_DIR [vehicles=60] [minutes=5] [extent_m=2500] "
                  "[seed=1]\n",
                  argv[0]);
     return 2;
@@ -64,10 +64,17 @@ int main(int argc, char** argv) {
   // Persist and report from one pinned snapshot: the bytes on disk and
   // the census below describe exactly the same immutable state.
   const sys::DbSnapshot snap = db.snapshot();
-  store::save_snapshot_file(snap, out_path);
-  std::printf("%s: %zu VPs (%zu guards, %zu trusted) from %d vehicles x %d min\n",
-              out_path.c_str(), snap.size(), guards, snap.trusted_count(), vehicles,
-              minutes);
+  store::CheckpointStats sealed;
+  try {
+    store::SegmentStore segments(out_path);
+    sealed = segments.checkpoint(snap);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+  std::printf("%s: checkpoint %llu, %zu VPs (%zu guards, %zu trusted) from %d vehicles x %d min\n",
+              out_path.c_str(), static_cast<unsigned long long>(sealed.sequence), snap.size(),
+              guards, snap.trusted_count(), vehicles, minutes);
   std::printf("ingest: %zu accepted, %zu malformed, %zu untimely, %zu duplicate (%u threads)\n",
               ingest.accepted, ingest.rejected_malformed, ingest.rejected_untimely,
               ingest.rejected_duplicate, engine.worker_count());

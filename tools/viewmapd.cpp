@@ -202,10 +202,9 @@ int main(int argc, char** argv) {
     const auto& r = daemon_instance.recovery();
     std::printf(
         "viewmapd: recovered seq=%llu profiles=%zu rejected=%zu "
-        "segments=%zu (v1=%zu v2=%zu) threads=%u ms=%.1f\n",
+        "segments=%zu threads=%u ms=%.1f\n",
         static_cast<unsigned long long>(r.sequence), r.profiles_loaded,
-        r.profiles_rejected, r.segments_loaded, r.segments_v1, r.segments_v2,
-        r.threads_used, static_cast<double>(r.total_us) / 1000.0);
+        r.profiles_rejected, r.segments_loaded, r.threads_used, static_cast<double>(r.total_us) / 1000.0);
   } else {
     std::printf("viewmapd: fresh database\n");
   }
