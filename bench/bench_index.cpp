@@ -525,7 +525,7 @@ ZipfServerRow bench_server_zipf(std::size_t vp_count, int request_count,
   for (const bool cache_on : {false, true}) {
     sys::ServiceConfig scfg;
     scfg.rsa_bits = 1024;
-    scfg.result_cache.enabled = cache_on;
+    if (!cache_on) scfg.result_cache.capacity_bytes = 0;
     sys::ViewMapService service(scfg);
     // Seeded identically per side: same trusted corridor, same uploads.
     Rng seed_rng(8088);

@@ -41,9 +41,7 @@ ServiceLifecycle::ServiceLifecycle(DaemonConfig cfg)
   health_g_->set(static_cast<int>(HealthState::kHealthy));
 
   if (!cfg_.store_dir.empty()) {
-    auto store_cfg = cfg_.store;
-    store_cfg.metrics = &reg;
-    store_ = std::make_unique<store::SegmentStore>(cfg_.store_dir, store_cfg);
+    store_ = std::make_unique<store::SegmentStore>(cfg_.store_dir, cfg_.store);
     checkpointer_ =
         std::make_unique<CheckpointDaemon>(service_, *store_, cfg_.checkpoint);
   }

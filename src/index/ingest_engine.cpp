@@ -36,16 +36,6 @@ IngestStats IngestMetrics::totals() const {
   return s;
 }
 
-IngestStats& IngestStats::operator+=(const IngestStats& o) noexcept {
-  accepted += o.accepted;
-  rejected_malformed += o.rejected_malformed;
-  rejected_untimely += o.rejected_untimely;
-  rejected_duplicate += o.rejected_duplicate;
-  evicted += o.evicted;
-  batches += o.batches;
-  return *this;
-}
-
 IngestEngine::IngestEngine(VpTimeline& timeline, vp::VpUploadPolicy policy,
                            IngestConfig cfg)
     : timeline_(timeline), policy_(policy), cfg_(cfg) {
@@ -129,8 +119,7 @@ IngestStats IngestEngine::ingest(std::vector<std::vector<std::uint8_t>> payloads
   stats.rejected_malformed = malformed.load();
   stats.rejected_untimely = untimely.load();
   stats.rejected_duplicate = duplicate.load();
-  if (cfg_.enforce_retention) stats.evicted = timeline_.enforce_retention();
-  totals_ += stats;
+  stats.evicted = timeline_.enforce_retention();
   if (wired) {
     if (stats.accepted != 0) metrics_.accepted->add(stats.accepted);
     if (stats.rejected_malformed != 0)

@@ -40,8 +40,6 @@ struct IngestConfig {
   /// thread — spawning workers for a handful of uploads costs more than
   /// the parse work itself.
   std::size_t min_parallel_batch = 64;
-  /// Enforce the timeline's retention window after each batch.
-  bool enforce_retention = true;
   /// When set, the engine publishes accept/reject counters and a
   /// per-batch latency histogram here (see IngestMetrics), aggregated
   /// once per batch from the worker-local tallies so the hot loop pays
@@ -56,7 +54,7 @@ struct IngestConfig {
 /// ingest() (never a registry lookup, never a per-item touch). All
 /// null when no registry is wired (every use is null-checked).
 /// ViewMapService resolves the same set to serve ingest_totals() as a
-/// thin view over the registry.
+/// plain read of the registry — the only place ingest totals are kept.
 struct IngestMetrics {
   obs::Counter* accepted = nullptr;
   obs::Counter* rejected_malformed = nullptr;
@@ -83,8 +81,6 @@ struct IngestStats {
   std::size_t rejected_duplicate = 0;  ///< id collision with a stored VP
   std::size_t evicted = 0;             ///< VPs aged out by retention
   std::size_t batches = 0;
-
-  IngestStats& operator+=(const IngestStats& o) noexcept;
 };
 
 class IngestEngine {
@@ -98,16 +94,12 @@ class IngestEngine {
   /// Drains everything pending on the anonymous channel through ingest().
   IngestStats drain(anonet::AnonymousChannel& channel);
 
-  /// Running totals across all ingest()/drain() calls on this engine.
-  [[nodiscard]] const IngestStats& totals() const noexcept { return totals_; }
-
   [[nodiscard]] unsigned worker_count() const noexcept;
 
  private:
   VpTimeline& timeline_;
   vp::VpUploadPolicy policy_;
   IngestConfig cfg_;
-  IngestStats totals_;
   IngestMetrics metrics_;  ///< resolved once in the ctor; all-null when unwired
 };
 

@@ -7,7 +7,9 @@
 // tests, useless for an always-on daemon: no latency distributions, no
 // common exposition, and (worse) several of those structs were returned
 // by reference while another thread kept mutating them. This module is
-// the common substrate those structs now read through.
+// now the only place a service counter is kept: IngestStats, ServerStats
+// and ResultCache::Stats hold no counts of their own and are filled by
+// reading the registry when asked.
 //
 // Design rules, in order of importance:
 //
@@ -33,9 +35,11 @@
 // counter()/gauge()/histogram() are idempotent (same name + labels ⇒
 // same object), so wiring code resolves pointers once at construction
 // and hot paths never touch the registry again. A null
-// MetricsRegistry* in a component's config disables its instrumentation
-// entirely — that switch is what bench_index's obs_overhead scenario
-// measures. See src/obs/README.md for naming conventions.
+// MetricsRegistry* in TimelineConfig or IngestConfig disables that
+// component's instrumentation entirely — that switch is what
+// bench_index's obs_overhead scenario measures; a SegmentStore publishes
+// only once adopt_metrics() wires it. See src/obs/README.md for naming
+// conventions.
 #pragma once
 
 #include <array>

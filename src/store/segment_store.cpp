@@ -368,7 +368,6 @@ SegmentLoad load_one_segment(const std::string& path, const EntryView& entry,
 SegmentStore::SegmentStore(std::string dir, SegmentStoreConfig cfg)
     : dir_(std::move(dir)), cfg_(cfg) {
   if (cfg_.keep_manifests == 0) cfg_.keep_manifests = 1;
-  adopt_metrics(cfg_.metrics);
 }
 
 void SegmentStore::adopt_metrics(obs::MetricsRegistry* registry) const {

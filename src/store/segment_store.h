@@ -196,11 +196,6 @@ struct SegmentStoreConfig {
   /// Test instrumentation: when set, every durable mutation is appended
   /// here in execution order. Not owned.
   std::vector<RecordedOp>* op_log = nullptr;
-  /// When set, the store publishes checkpoint/recovery counters and
-  /// fsync latency here (see src/obs/README.md for the names). Null
-  /// disables instrumentation; ViewMapService wires its own registry in
-  /// lazily via adopt_metrics(). Not owned; must outlive the store.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 struct CheckpointStats {
@@ -296,13 +291,17 @@ class SegmentStore {
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
   [[nodiscard]] const SegmentStoreConfig& config() const noexcept { return cfg_; }
 
-  /// Late metrics wiring: publishes this store's metrics into `registry`
-  /// unless a registry is already wired (then a no-op — first wins, so a
-  /// store shared between services keeps one consistent set of
-  /// counters). ViewMapService calls this on every checkpoint()/
-  /// restore_from(), which is why it is const: the handles are caching
-  /// state, not store content. Call from the single control thread that
-  /// drives checkpoint()/recover() — it is not synchronized.
+  /// The one metrics wiring path: publishes this store's checkpoint/
+  /// recovery counters and fsync latency (see src/obs/README.md for the
+  /// names) into `registry` unless a registry is already wired (then a
+  /// no-op — first wins, so a store shared between services keeps one
+  /// consistent set of counters). Until then the store publishes
+  /// nothing. ViewMapService calls this on every checkpoint()/
+  /// restore_from() and CheckpointDaemon in its constructor, which is
+  /// why it is const: the handles are caching state, not store content.
+  /// Call from the single control thread that drives checkpoint()/
+  /// recover() — it is not synchronized. `registry` is not owned and
+  /// must outlive the store.
   void adopt_metrics(obs::MetricsRegistry* registry) const;
 
   /// The ".vseg2" segment file name for a content digest.
@@ -356,9 +355,9 @@ class SegmentStore {
   void fsync_dir() const;
   [[nodiscard]] std::string full_path(const std::string& name) const;
 
-  /// Registry handles — all null until a registry is wired (config or
-  /// adopt_metrics). Mutable: they cache where to report, they are not
-  /// store content, and recovery instrumentation runs in const methods.
+  /// Registry handles — all null until adopt_metrics() wires a registry.
+  /// Mutable: they cache where to report, they are not store content,
+  /// and recovery instrumentation runs in const methods.
   struct StoreMetrics {
     obs::Counter* checkpoints = nullptr;
     obs::Counter* bytes_written = nullptr;

@@ -33,8 +33,7 @@ InvestigationServer::InvestigationServer(ViewMapService& service,
   cfg_.queue_capacity = std::max<std::size_t>(cfg_.queue_capacity, 1);
   cfg_.batch_max = std::max<std::size_t>(cfg_.batch_max, 1);
 
-  // Resolve every registry handle before any worker exists, then record
-  // the counters' current values as this server's zero point.
+  // Resolve every registry handle before any worker exists.
   obs::MetricsRegistry& reg = service_.metrics();
   submitted_c_ = &reg.counter("viewmap_server_submitted_total");
   completed_c_ = &reg.counter("viewmap_server_completed_total");
@@ -49,7 +48,6 @@ InvestigationServer::InvestigationServer(ViewMapService& service,
   queue_depth_g_ = &reg.gauge("viewmap_server_queue_depth");
   queue_peak_g_ = &reg.gauge("viewmap_server_queue_peak");
   request_us_ = &reg.histogram("viewmap_server_request_us");
-  base_ = counters_now();
   queue_depth_g_->set(0);
 
   workers_.reserve(cfg_.workers);
@@ -94,9 +92,6 @@ std::future<InvestigationServer::Reports> InvestigationServer::submit_period(
     const std::size_t depth = queued();
     queue_depth_g_->set(static_cast<std::int64_t>(depth));
     queue_peak_g_->update_max(static_cast<std::int64_t>(depth));
-    // Only mutated under mutex_, so a plain max-store cannot lose.
-    if (depth > peak_queue_.load(std::memory_order_relaxed))
-      peak_queue_.store(depth, std::memory_order_relaxed);
   }
   not_empty_.notify_one();
   return fut;
@@ -144,7 +139,7 @@ std::size_t InvestigationServer::worker_count() const {
   return workers_.size();
 }
 
-ServerStats InvestigationServer::counters_now() const {
+ServerStats InvestigationServer::stats() const {
   ServerStats s;
   s.submitted = submitted_c_->value();
   s.completed = completed_c_->value();
@@ -154,21 +149,7 @@ ServerStats InvestigationServer::counters_now() const {
   s.snapshots = snapshots_c_->value();
   s.failed = failed_c_->value();
   s.expired = expired_c_->value();
-  return s;
-}
-
-ServerStats InvestigationServer::stats() const {
-  const ServerStats now = counters_now();
-  ServerStats s;
-  s.submitted = now.submitted - base_.submitted;
-  s.completed = now.completed - base_.completed;
-  s.rejected = now.rejected - base_.rejected;
-  s.reports = now.reports - base_.reports;
-  s.batches = now.batches - base_.batches;
-  s.snapshots = now.snapshots - base_.snapshots;
-  s.failed = now.failed - base_.failed;
-  s.expired = now.expired - base_.expired;
-  s.peak_queue = peak_queue_.load(std::memory_order_relaxed);
+  s.peak_queue = static_cast<std::size_t>(queue_peak_g_->value());
   return s;
 }
 
@@ -226,8 +207,7 @@ void InvestigationServer::worker_loop() {
           failpoint::evaluate("server.snapshot").fires())
         throw std::runtime_error("injected snapshot-acquisition failure");
       const auto& timeline = service_.database().timeline();
-      if (!has_cached || !cfg_.reuse_unchanged_snapshot ||
-          timeline.version() != cached.version()) {
+      if (!has_cached || timeline.version() != cached.version()) {
         const auto pin_start = std::chrono::steady_clock::now();
         cached = service_.database().snapshot();
         has_cached = true;

@@ -65,7 +65,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -135,16 +134,15 @@ struct ServerConfig {
   /// O(live shards) snapshot cut across a burst at the cost of serving
   /// later requests in the batch from a marginally older cut.
   std::size_t batch_max = 1;
-  /// Reuse a worker's previous snapshot when the timeline write-version
-  /// is unchanged (see VpTimeline::version()) instead of re-pinning.
-  bool reuse_unchanged_snapshot = true;
 };
 
-/// Monotonic counters since this server's construction. stats() reads
-/// them as a thin snapshot view over the service's metrics registry
-/// (current counter value minus its value when the server started, so a
-/// stop_server()/start_server() cycle on one service still reports
-/// per-server numbers while the registry keeps the cumulative truth).
+/// Monotonic counters since the service was built. stats() is a plain
+/// read of the viewmap_server_* counters and the viewmap_server_queue_peak
+/// gauge in the service's metrics registry, the only place they are
+/// kept. They count across every server a service has run, so after a
+/// stop_server()/start_server() cycle they include the earlier server's
+/// work; for a service that starts one server (the daemon, the benches,
+/// the tests, the tools) that is the same as counting from server start.
 /// Every field is a race-free sharded-counter sum — no torn multi-field
 /// reads — though fields of one snapshot may be skewed by concurrent
 /// progress; each is exact once the server quiesces.
@@ -214,8 +212,6 @@ class InvestigationServer {
   /// Serves one request from the given snapshot; fulfills its promise
   /// with reports or with the thrown exception.
   void serve(const index::DbSnapshot& snap, Request& req);
-  /// Absolute registry counter values (not base-adjusted).
-  [[nodiscard]] ServerStats counters_now() const;
 
   ViewMapService& service_;
   ServerConfig cfg_;
@@ -237,8 +233,8 @@ class InvestigationServer {
   bool stopping_ = false;
 
   /// Registry handles (the service always has a registry, so never
-  /// null). Counters are cumulative across server generations; base_
-  /// holds their values at construction — see ServerStats.
+  /// null). Counters are cumulative across server generations — see
+  /// ServerStats.
   obs::Counter* submitted_c_ = nullptr;
   obs::Counter* completed_c_ = nullptr;
   obs::Counter* rejected_c_ = nullptr;
@@ -252,8 +248,6 @@ class InvestigationServer {
   obs::Gauge* queue_depth_g_ = nullptr;
   obs::Gauge* queue_peak_g_ = nullptr;
   obs::Histogram* request_us_ = nullptr;
-  ServerStats base_;
-  std::atomic<std::size_t> peak_queue_{0};  ///< this server's own high-water
 
   std::vector<std::thread> workers_;
 };

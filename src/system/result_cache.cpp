@@ -38,16 +38,15 @@ std::size_t ResultCache::KeyHasher::operator()(const Key& k) const noexcept {
   return static_cast<std::size_t>(h);
 }
 
-ResultCache::ResultCache(const ResultCacheConfig& cfg) : cfg_(cfg) {
-  if (cfg_.metrics != nullptr) {
-    hits_c_ = &cfg_.metrics->counter("viewmap_cache_hits_total");
-    misses_c_ = &cfg_.metrics->counter("viewmap_cache_misses_total");
-    insertions_c_ = &cfg_.metrics->counter("viewmap_cache_insertions_total");
-    evictions_c_ = &cfg_.metrics->counter("viewmap_cache_evictions_total");
-    bytes_g_ = &cfg_.metrics->gauge("viewmap_cache_bytes");
-    entries_g_ = &cfg_.metrics->gauge("viewmap_cache_entries");
-  }
-}
+ResultCache::ResultCache(obs::MetricsRegistry& registry,
+                         const ResultCacheConfig& cfg)
+    : cfg_(cfg),
+      hits_c_(&registry.counter("viewmap_cache_hits_total")),
+      misses_c_(&registry.counter("viewmap_cache_misses_total")),
+      insertions_c_(&registry.counter("viewmap_cache_insertions_total")),
+      evictions_c_(&registry.counter("viewmap_cache_evictions_total")),
+      bytes_g_(&registry.gauge("viewmap_cache_bytes")),
+      entries_g_(&registry.gauge("viewmap_cache_entries")) {}
 
 std::size_t ResultCache::estimate_bytes(const CachedInvestigation& e) noexcept {
   const Viewmap& map = e.viewmap;
@@ -73,8 +72,7 @@ std::shared_ptr<const CachedInvestigation> ResultCache::find(const Key& key) {
       it->second.list == ListId::kB2) {
     // A ghost hit is still a miss for the caller; the adaptive nudge
     // happens when the rebuilt entry comes back through insert().
-    ++misses_;
-    if (misses_c_ != nullptr) misses_c_->add(1);
+    misses_c_->add();
     return nullptr;
   }
   Slot& slot = it->second;
@@ -87,8 +85,7 @@ std::shared_ptr<const CachedInvestigation> ResultCache::find(const Key& key) {
   } else {
     t2_.splice(t2_.begin(), t2_, slot.it);
   }
-  ++hits_;
-  if (hits_c_ != nullptr) hits_c_->add(1);
+  hits_c_->add();
   return slot.it->value;  // the report copy happens outside the lock
 }
 
@@ -128,8 +125,7 @@ void ResultCache::insert(const Key& key, std::shared_ptr<CachedInvestigation> va
     t1_bytes_ += bytes;
     index_.emplace(key, Slot{ListId::kT1, t1_.begin()});
   }
-  ++insertions_;
-  if (insertions_c_ != nullptr) insertions_c_->add(1);
+  insertions_c_->add();
   enforce_bounds();
   publish_gauges();
 }
@@ -149,10 +145,10 @@ void ResultCache::clear() {
 ResultCache::Stats ResultCache::stats() const {
   std::lock_guard lock(mu_);
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.insertions = insertions_;
-  s.evictions = evictions_;
+  s.hits = hits_c_->value();
+  s.misses = misses_c_->value();
+  s.insertions = insertions_c_->value();
+  s.evictions = evictions_c_->value();
   s.resident_bytes = t1_bytes_ + t2_bytes_;
   s.resident_entries = t1_.size() + t2_.size();
   s.ghost_entries = b1_.size() + b2_.size();
@@ -188,8 +184,7 @@ void ResultCache::evict_one_resident() {
     t2_bytes_ -= bytes;
     b2_bytes_ += bytes;
   }
-  ++evictions_;
-  if (evictions_c_ != nullptr) evictions_c_->add(1);
+  evictions_c_->add();
 }
 
 void ResultCache::drop_ghost_lru(NodeList& list, std::size_t& bytes) {
@@ -212,10 +207,8 @@ void ResultCache::enforce_bounds() {
 }
 
 void ResultCache::publish_gauges() const {
-  if (bytes_g_ != nullptr)
-    bytes_g_->set(static_cast<std::int64_t>(t1_bytes_ + t2_bytes_));
-  if (entries_g_ != nullptr)
-    entries_g_->set(static_cast<std::int64_t>(t1_.size() + t2_.size()));
+  bytes_g_->set(static_cast<std::int64_t>(t1_bytes_ + t2_bytes_));
+  entries_g_->set(static_cast<std::int64_t>(t1_.size() + t2_.size()));
 }
 
 }  // namespace viewmap::sys

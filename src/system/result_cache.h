@@ -42,21 +42,15 @@ namespace viewmap::obs {
 class MetricsRegistry;
 class Counter;
 class Gauge;
-class Histogram;
 }  // namespace viewmap::obs
 
 namespace viewmap::sys {
 
 struct ResultCacheConfig {
-  /// Master switch. Disabled, find() always misses and insert() is a
-  /// no-op — the service behaves exactly as before PR 10.
-  bool enabled = true;
-  /// Resident-entry byte budget (estimate_bytes accounting). 0 also
-  /// disables the cache.
+  /// Resident-entry byte budget (estimate_bytes accounting). 0 disables
+  /// the cache: find() always misses without counting, insert() is a
+  /// no-op, and the service behaves exactly as it does without a cache.
   std::size_t capacity_bytes = 64u << 20;
-  /// Publishes viewmap_cache_* counters/gauges/histogram when non-null
-  /// (the service wires its own registry in; see wire_config()).
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// The cacheable part of an InvestigationReport. The trace is excluded
@@ -96,7 +90,8 @@ class ResultCache {
     std::size_t operator()(const Key& k) const noexcept;
   };
 
-  /// Torn-free snapshot of the cache counters (see stats()).
+  /// The cache's figures (see stats()): the four counters as the
+  /// registry holds them, the resident/ghost figures from the lists.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -107,11 +102,14 @@ class ResultCache {
     std::size_t ghost_entries = 0;
   };
 
-  explicit ResultCache(const ResultCacheConfig& cfg = {});
+  /// Registers the viewmap_cache_* counters and gauges in `registry`
+  /// (not owned; must outlive the cache) and publishes into them always.
+  /// The registry is the only place the counters live, so two caches
+  /// sharing one registry share their counters.
+  explicit ResultCache(obs::MetricsRegistry& registry,
+                       const ResultCacheConfig& cfg = {});
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return cfg_.enabled && cfg_.capacity_bytes > 0;
-  }
+  [[nodiscard]] bool enabled() const noexcept { return cfg_.capacity_bytes > 0; }
   [[nodiscard]] std::size_t capacity_bytes() const noexcept {
     return cfg_.capacity_bytes;
   }
@@ -127,9 +125,13 @@ class ResultCache {
   /// larger than the whole budget are not cached. No-op when disabled.
   void insert(const Key& key, std::shared_ptr<CachedInvestigation> value);
 
-  /// Drops everything (tests, operator reset). Stats survive.
+  /// Drops everything (tests, operator reset). The counters survive.
   void clear();
 
+  /// Reads the hit/miss/insertion/eviction counters from the registry and
+  /// the resident and ghost figures from the lists, all under the cache
+  /// mutex — every counter bump happens under it too, so one Stats is a
+  /// consistent cut.
   [[nodiscard]] Stats stats() const;
 
   /// Byte cost of one cached entry: the report's owned arrays plus a
@@ -168,9 +170,7 @@ class ResultCache {
   std::size_t b1_bytes_ = 0, b2_bytes_ = 0;       // ghosts (bookkeeping only)
   std::size_t p_ = 0;  ///< adaptive byte target for T1, in [0, capacity]
 
-  std::uint64_t hits_ = 0, misses_ = 0, insertions_ = 0, evictions_ = 0;
-
-  // Registry handles, null when cfg_.metrics is null.
+  // Registry handles, resolved once in the constructor.
   obs::Counter* hits_c_ = nullptr;
   obs::Counter* misses_c_ = nullptr;
   obs::Counter* insertions_c_ = nullptr;

@@ -12,57 +12,35 @@ namespace viewmap::sys {
 
 namespace {
 
-/// Resolves the service's registry (allocating one into `owned` when the
-/// caller supplied none) and propagates it into the component configs
-/// the service constructs its members from — the single place the
-/// registry fans out to every subsystem.
-ServiceConfig wire_config(ServiceConfig cfg,
-                          std::unique_ptr<obs::MetricsRegistry>& owned) {
-  if (cfg.metrics == nullptr) {
-    owned = std::make_unique<obs::MetricsRegistry>();
-    cfg.metrics = owned.get();
-  }
-  cfg.index.metrics = cfg.metrics;
-  cfg.ingest.metrics = cfg.metrics;
-  cfg.result_cache.metrics = cfg.metrics;
+/// Points the component configs the service constructs its members from
+/// at the service's registry — the single place the registry fans out to
+/// every subsystem.
+ServiceConfig wire_config(ServiceConfig cfg, obs::MetricsRegistry& registry) {
+  cfg.index.metrics = &registry;
+  cfg.ingest.metrics = &registry;
   return cfg;
-}
-
-/// Field-wise `current − base`, the registry-to-snapshot-view offset.
-index::IngestStats minus(const index::IngestStats& cur,
-                         const index::IngestStats& base) noexcept {
-  index::IngestStats out;
-  out.accepted = cur.accepted - base.accepted;
-  out.rejected_malformed = cur.rejected_malformed - base.rejected_malformed;
-  out.rejected_untimely = cur.rejected_untimely - base.rejected_untimely;
-  out.rejected_duplicate = cur.rejected_duplicate - base.rejected_duplicate;
-  out.evicted = cur.evicted - base.evicted;
-  out.batches = cur.batches - base.batches;
-  return out;
 }
 
 }  // namespace
 
 ViewMapService::ViewMapService(const ServiceConfig& cfg)
-    : cfg_(wire_config(cfg, owned_metrics_)),
-      metrics_(cfg_.metrics),
+    : cfg_(wire_config(cfg, metrics_)),
       channel_(cfg_.channel_seed, cfg_.mix_pool),
       db_(vp::VpUploadPolicy{}, cfg_.index),
       builder_(cfg_.viewmap),
       verifier_(cfg_.trustrank),
       bank_(cfg_.rsa_bits),
       tracer_(cfg_.slow_trace_keep),
-      cache_(cfg_.result_cache),
-      ingest_metrics_(index::IngestMetrics::wire(*metrics_)),
-      ingest_base_(ingest_metrics_.totals()),
-      investigate_us_(&metrics_->histogram("viewmap_investigate_us")),
-      cache_hit_us_(&metrics_->histogram("viewmap_cache_hit_us")) {}
+      cache_(metrics_, cfg_.result_cache),
+      ingest_metrics_(index::IngestMetrics::wire(metrics_)),
+      investigate_us_(&metrics_.histogram("viewmap_investigate_us")),
+      cache_hit_us_(&metrics_.histogram("viewmap_cache_hit_us")) {}
 
 index::IngestStats ViewMapService::ingest_totals() const noexcept {
-  return minus(ingest_metrics_.totals(), ingest_base_);
+  return ingest_metrics_.totals();
 }
 
-void ViewMapService::dump_metrics(std::ostream& os) const { metrics_->render(os); }
+void ViewMapService::dump_metrics(std::ostream& os) const { metrics_.render(os); }
 
 // Out of line: the header only forward-declares InvestigationServer.
 ViewMapService::~ViewMapService() { stop_server(); }
@@ -85,17 +63,17 @@ void ViewMapService::stop_server() {
 
 std::size_t ViewMapService::ingest_uploads() {
 #ifndef NDEBUG
-  // Catch two control threads draining at once (last_ingest_ would tear).
+  // Catch two control threads draining at once: the daemon is built on
+  // the single-caller contract (IngestService is the one drainer), so a
+  // second concurrent caller is a wiring bug worth failing loudly.
   ReentrancyGuard guard(ingest_entered_, "ViewMapService::ingest_uploads()");
 #endif
-  // The engine is stateless apart from its totals, so a per-call instance
-  // keeps the service free of self-referential members; the service keeps
-  // the running totals itself.
+  // The engine is stateless, so a per-call instance keeps the service
+  // free of self-referential members; the running totals are the
+  // registry counters the engine publishes into (ingest_totals()).
   index::IngestEngine engine(db_.timeline(), db_.policy(), cfg_.ingest);
-  last_ingest_ = engine.drain(channel_);
-  // No totals accumulator here any more: ingest_totals() reads the
-  // registry counters the engine just incremented.
-  return last_ingest_.accepted;
+  const index::IngestStats batch = engine.drain(channel_);
+  return batch.accepted;
 }
 
 bool ViewMapService::register_trusted(vp::ViewProfile profile) {
@@ -106,14 +84,14 @@ store::CheckpointStats ViewMapService::checkpoint(store::SegmentStore& store) co
   // First contact wires the store into this service's registry (no-op if
   // the store already publishes elsewhere); all checkpoint/fsync metrics
   // are recorded inside SegmentStore itself.
-  store.adopt_metrics(metrics_);
+  store.adopt_metrics(&metrics_);
   // One pinned snapshot for the whole checkpoint: immutable while ingest,
   // eviction, and investigations keep mutating the live database.
   return store.checkpoint(db_.snapshot());
 }
 
 store::RecoveryStats ViewMapService::restore_from(const store::SegmentStore& store) {
-  store.adopt_metrics(metrics_);
+  store.adopt_metrics(&metrics_);
   store::RecoveryStats stats;
   // cfg_.index carries this service's registry, so the recovered
   // timeline publishes its shard gauge here too (the old timeline
@@ -124,7 +102,7 @@ store::RecoveryStats ViewMapService::restore_from(const store::SegmentStore& sto
 
 store::RecoveryStats ViewMapService::restore_from(
     const store::SegmentStore& store, std::uint64_t sequence) {
-  store.adopt_metrics(metrics_);
+  store.adopt_metrics(&metrics_);
   store::RecoveryStats stats;
   // recover(sequence) throws on a missing/damaged manifest *before* the
   // assignment, so a failed point-in-time restore leaves db_ intact.

@@ -19,6 +19,7 @@
 
 #include "anonet/channel.h"
 #include "index/ingest_engine.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "reward/bank.h"
 #include "system/result_cache.h"
@@ -34,11 +35,6 @@ class SegmentStore;       // store/segment_store.h
 struct CheckpointStats;   //   (callers of the persistence API include it)
 struct RecoveryStats;
 }  // namespace viewmap::store
-
-namespace viewmap::obs {
-class MetricsRegistry;  // obs/metrics.h
-class Histogram;
-}  // namespace viewmap::obs
 
 namespace viewmap::sys {
 
@@ -60,18 +56,9 @@ struct ServiceConfig {
   /// Digest-keyed investigation result cache (system/result_cache.h):
   /// a repeat investigate() over an unchanged minute shard returns the
   /// cached report instead of rebuilding — bit-identical by key
-  /// construction. Enabled by default; set enabled=false or
-  /// capacity_bytes=0 for the pre-cache behavior (benches compare both).
+  /// construction. Enabled by default; capacity_bytes=0 gives the
+  /// pre-cache behavior (benches compare both).
   ResultCacheConfig result_cache{};
-  /// Metrics registry every subsystem publishes into (ingest counters,
-  /// timeline gauges, server histograms, store checkpoint stats). Null —
-  /// the default — makes the service allocate and own a fresh one;
-  /// supply your own to aggregate several components into one
-  /// exposition (not owned, must outlive the service). Either way
-  /// metrics()/dump_metrics() work; instrumentation is always on at the
-  /// service level (the per-component null-registry switch exists for
-  /// direct component users and the obs_overhead bench).
-  obs::MetricsRegistry* metrics = nullptr;
   /// How many slowest investigation traces the service's Tracer retains
   /// for inspection (tools/viewmap_metrics renders them).
   std::size_t slow_trace_keep = 16;
@@ -118,18 +105,11 @@ class ViewMapService {
   /// a corrupt far-future RTC): force-sets it non-monotonically.
   void reset_clock(TimeSec now) noexcept { db_.reset_clock(now); }
 
-  /// Full statistics of the most recent ingest_uploads() call. Returned
-  /// by value: it reflects the single control thread's last call, and a
-  /// copy can never be torn by the next one.
-  [[nodiscard]] index::IngestStats last_ingest() const noexcept {
-    return last_ingest_;
-  }
-
-  /// Cumulative ingest statistics over the service's lifetime — a thin
-  /// snapshot view over the metrics registry's ingest counters (offset
-  /// by their values at construction, so a shared registry still reads
-  /// per-service). Safe to call from any thread at any time; each field
-  /// is a race-free sharded-counter sum, exact once ingest quiesces.
+  /// Cumulative ingest statistics over the service's lifetime — a plain
+  /// read of the ingest counters in the service's own metrics registry,
+  /// which is where they are kept. Safe to call from any thread at any
+  /// time; each field is a race-free sharded-counter sum, exact once
+  /// ingest quiesces.
   [[nodiscard]] index::IngestStats ingest_totals() const noexcept;
 
   /// Authenticated path for authority vehicles (police cars).
@@ -252,12 +232,14 @@ class ViewMapService {
   [[nodiscard]] reward::Bank& bank() noexcept { return bank_; }
 
   // ── observability (obs/metrics.h, obs/trace.h) ─────────────────────
-  /// The registry every subsystem publishes into (owned unless one was
-  /// supplied via ServiceConfig::metrics). Stable for the service's
-  /// lifetime; see src/obs/README.md for the metric name catalogue.
-  [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return *metrics_; }
+  /// The registry every subsystem publishes into, owned by the service
+  /// — the one place each service counter lives; the stats structs
+  /// (ingest_totals(), InvestigationServer::stats(), ResultCache::stats())
+  /// read it. Stable for the service's lifetime; see src/obs/README.md
+  /// for the metric name catalogue.
+  [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept {
-    return *metrics_;
+    return metrics_;
   }
   /// Prometheus-style text exposition of every metric, plus nothing
   /// else — pipe to a file or scrape endpoint.
@@ -265,18 +247,18 @@ class ViewMapService {
   /// Keeper of the slowest-N investigation traces.
   [[nodiscard]] obs::Tracer& tracer() noexcept { return tracer_; }
   [[nodiscard]] const obs::Tracer& tracer() const noexcept { return tracer_; }
-  /// The investigation result cache (never null; may be disabled —
-  /// see ServiceConfig::result_cache). stats() is how tests and the
-  /// bench assert hit rates and the byte bound.
+  /// The investigation result cache (never null; disabled when
+  /// ServiceConfig::result_cache.capacity_bytes is 0). stats() is how
+  /// tests and the bench assert hit rates and the byte bound.
   [[nodiscard]] ResultCache& result_cache() noexcept { return cache_; }
   [[nodiscard]] const ResultCache& result_cache() const noexcept { return cache_; }
 
  private:
-  /// Owns the registry when ServiceConfig::metrics was null. Declared
-  /// first: every member below may hold pointers into it.
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  /// Declared first: every member below may hold pointers into it.
+  /// Mutable: the const checkpoint() wires its store in (adopt_metrics);
+  /// the registry is observability state, not service state.
+  mutable obs::MetricsRegistry metrics_;
   ServiceConfig cfg_;
-  obs::MetricsRegistry* metrics_ = nullptr;  ///< == cfg_.metrics, never null
   anonet::AnonymousChannel channel_;
   VpDatabase db_;
   ViewmapBuilder builder_;
@@ -286,10 +268,8 @@ class ViewMapService {
   obs::Tracer tracer_;
   ResultCache cache_;  ///< digest-keyed investigation result cache
   index::IngestMetrics ingest_metrics_;  ///< registry handles + name catalogue
-  index::IngestStats ingest_base_;       ///< registry values at construction
   obs::Histogram* investigate_us_ = nullptr;
   obs::Histogram* cache_hit_us_ = nullptr;  ///< latency of cache-served hits
-  index::IngestStats last_ingest_;
   /// Debug-build enforcement of the ingest_uploads() single-caller
   /// contract (see common/reentrancy.h). Header always declares it so
   /// NDEBUG and debug TUs agree on the object layout.

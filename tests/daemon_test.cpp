@@ -25,8 +25,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -126,26 +129,44 @@ void await_checkpoints(ServiceLifecycle& d, std::uint64_t n) {
   }
 }
 
-/// One-shot HTTP GET against 127.0.0.1:port; returns the raw response.
-std::string http_get(std::uint16_t port, const std::string& path) {
+/// One HTTP exchange with 127.0.0.1:port: connects, sends `pieces` as
+/// separate writes, half-closes (so the server sees end-of-request at
+/// once instead of waiting out its read deadline), and reads the reply
+/// until the server closes. Returns the raw reply bytes; `reset` reports a
+/// connection reset instead of an orderly close.
+std::string exchange(std::uint16_t port, const std::vector<std::string>& pieces,
+                     bool& reset) {
+  reset = false;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0)
-      << "connect to " << port;
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  for (const std::string& piece : pieces)
+    if (::send(fd, piece.data(), piece.size(), MSG_NOSIGNAL) < 0) break;
+  ::shutdown(fd, SHUT_WR);
   std::string response;
   char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
-    response.append(buf, static_cast<std::size_t>(n));
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n > 0) {
+      response.append(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    reset = n < 0;
+    break;
+  }
   ::close(fd);
   return response;
+}
+
+/// One-shot HTTP GET against 127.0.0.1:port; returns the raw response.
+std::string http_get(std::uint16_t port, const std::string& path) {
+  bool reset = false;
+  return exchange(port, {"GET " + path + " HTTP/1.0\r\n\r\n"}, reset);
 }
 
 std::string body_of(const std::string& response) {
@@ -161,6 +182,10 @@ TEST(DaemonSoak, KillAndRecoverCycles) {
   constexpr int kCycles = 22;
   TimeSec unit = 0;
   std::size_t prev_manifest_profiles = 0;
+  // The newest sealed manifest when the previous cycle was killed. Read
+  // after kill_for_test(), when no checkpointer runs any more — reading
+  // it after the next start() would race that instance's checkpointer.
+  std::uint64_t sealed_at_kill = 0;
 
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     ServiceLifecycle d(test_config(dir.str()));
@@ -172,7 +197,7 @@ TEST(DaemonSoak, KillAndRecoverCycles) {
       ASSERT_TRUE(d.recovered()) << "cycle " << cycle;
       const auto& r = d.recovery();
       EXPECT_EQ(r.manifests_tried, 1u) << "fallback in cycle " << cycle;
-      EXPECT_EQ(r.sequence, d.store()->latest_sequence());
+      EXPECT_EQ(r.sequence, sealed_at_kill) << "cycle " << cycle;
       EXPECT_EQ(r.profiles_loaded, r.manifest_profiles);
       EXPECT_EQ(r.profiles_rejected, 0u);
       // The crash lost at most what landed after the last seal — never
@@ -198,6 +223,7 @@ TEST(DaemonSoak, KillAndRecoverCycles) {
     prev_manifest_profiles = cycle > 0 ? r.profiles_loaded : 1;
     d.kill_for_test();
     EXPECT_EQ(d.state(), LifecycleState::kStopped);
+    sealed_at_kill = d.store()->latest_sequence();
   }
 
   // After 20+ crash cycles the store must still recover cleanly.
@@ -277,9 +303,12 @@ TEST(DaemonChaos, CheckpointFailsThenRecovers) {
   while (d.service().upload_channel().pending() != 0)
     std::this_thread::sleep_for(1ms);
 
-  // A bounded ENOSPC burst: exactly 4 checkpoint attempts fail, the
-  // daemon must keep its thread alive and walk the retry ladder.
-  failpoint::arm_from_spec("store.write.data=enospc@window:0:4");
+  // An ENOSPC burst: every checkpoint attempt fails until the point is
+  // disarmed below; the daemon must keep its thread alive and walk the
+  // retry ladder. Unbounded, not a self-ending window: on a loaded host
+  // the retry after the last windowed failure could seal before the
+  // checks below run.
+  failpoint::arm_from_spec("store.write.data=enospc");
   await_failures(d, 4);
   EXPECT_TRUE(d.checkpointer()->running());
   EXPECT_EQ(d.checkpointer()->written(), 0u);
@@ -297,8 +326,8 @@ TEST(DaemonChaos, CheckpointFailsThenRecovers) {
   EXPECT_GE(reg.gauge("viewmap_daemon_checkpoint_consecutive_failures").value(),
             4);
 
-  // Window exhausted: the next attempt seals, the streak resets, health
-  // snaps back, and the sequence gauge resumes from the failure pit.
+  // Burst over: the next attempt seals, the streak resets, health snaps
+  // back, and the sequence gauge resumes from the failure pit.
   failpoint::disarm_all();
   await_checkpoints(d, 1);
   EXPECT_EQ(d.checkpointer()->consecutive_failures(), 0u);
@@ -325,6 +354,9 @@ TEST(DaemonChaos, HealthzGoesDegradedAndBack) {
   auto cfg = chaos_config(dir.str());
   cfg.scrape.enabled = true;
   cfg.scrape.port = 0;
+  // However many retries fail before the scrape lands, the streak reads
+  // degraded, not failing.
+  cfg.health.failing_after = 1'000'000;
 
   ServiceLifecycle d(cfg);
   ASSERT_TRUE(d.start());
@@ -341,7 +373,9 @@ TEST(DaemonChaos, HealthzGoesDegradedAndBack) {
   EXPECT_EQ(feed(d, 0, 20, rng), 20u);
   while (d.service().upload_channel().pending() != 0)
     std::this_thread::sleep_for(1ms);
-  failpoint::arm_from_spec("store.write.data=eio@window:0:2");
+  // The streak lasts until the point is disarmed; with a self-ending
+  // window the next retry could seal before the scrape below runs.
+  failpoint::arm_from_spec("store.write.data=eio");
   await_failures(d, 1);
   const std::string degraded = http_get(port, "/healthz");
   EXPECT_NE(degraded.find("503"), std::string::npos);
@@ -349,7 +383,7 @@ TEST(DaemonChaos, HealthzGoesDegradedAndBack) {
   EXPECT_NE(degraded.find("reason=checkpoint-failures:"), std::string::npos);
   EXPECT_NE(degraded.find("last_error="), std::string::npos);
 
-  // Streak past failing_after: health escalates.
+  // A longer streak, then the fault clears.
   await_failures(d, 2);
   failpoint::disarm_all();
 
@@ -438,16 +472,20 @@ TEST(DaemonChaos, IngestSurvivesInjectedDrainFailures) {
   const std::size_t base = d.service().database().size();
 
   // The first two drain passes throw; payloads stay queued and the
-  // retry with backoff must deliver every one of them.
+  // retry with backoff must deliver every one of them. The wait covers
+  // both: a pass that cleared the failpoint check just before arming can
+  // deliver the whole feed before the two failing passes have run.
   failpoint::arm_from_spec("daemon.ingest.pass=error@window:0:2");
   EXPECT_EQ(feed(d, 0, 15, rng), 15u);
   const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (d.service().database().size() < base + 15u) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+  while (d.service().database().size() < base + 15u ||
+         failpoint::stats("daemon.ingest.pass").fires < 2u) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "fires " << failpoint::stats("daemon.ingest.pass").fires;
     std::this_thread::sleep_for(1ms);
   }
   EXPECT_TRUE(d.ingest().running());
-  EXPECT_GE(failpoint::stats("daemon.ingest.pass").fires, 2u);
+  EXPECT_EQ(d.service().database().size(), base + 15u);
   failpoint::disarm_all();
   d.kill_for_test();
 }
@@ -666,6 +704,113 @@ TEST(Scrape, RequestLineSplitAcrossTcpSegmentsStillRoutes) {
 
   EXPECT_NE(response.find("200 OK"), std::string::npos) << response.substr(0, 200);
   EXPECT_NE(body_of(response).find("viewmap_investigate_us"), std::string::npos);
+  ep.stop();
+}
+
+/// Empty when `response` is a well-formed scrape reply (status 200, 404,
+/// 500 or 503 and a Content-Length equal to the body's length); else
+/// what is wrong with it.
+std::string reply_defect(const std::string& response) {
+  static constexpr std::string_view kStatuses[] = {"200 ", "404 ", "500 ",
+                                                   "503 "};
+  const std::string_view r(response);
+  if (!r.starts_with("HTTP/1.1 ")) return "no HTTP/1.1 status line";
+  const std::string_view status = r.substr(9, 4);
+  if (std::find(std::begin(kStatuses), std::end(kStatuses), status) ==
+      std::end(kStatuses))
+    return "unexpected status " + std::string(status);
+  const auto head_end = r.find("\r\n\r\n");
+  if (head_end == std::string_view::npos) return "unterminated header";
+  const std::string_view head = r.substr(0, head_end);
+  const auto cl = head.find("\r\nContent-Length: ");
+  if (cl == std::string_view::npos) return "no Content-Length";
+  const std::size_t declared = std::strtoull(
+      std::string(head.substr(cl + 18)).c_str(), nullptr, 10);
+  const std::size_t body = r.size() - head_end - 4;
+  if (declared != body)
+    return "Content-Length " + std::to_string(declared) + " but body " +
+           std::to_string(body);
+  return {};
+}
+
+TEST(Scrape, SeededRequestMutationsAnswerOrHangUp) {
+  // The scrape port is a trust boundary: anything that can reach it can
+  // send it any bytes. Several hundred fixed-seed mutations of the two
+  // real request lines — truncations, oversized lines, NUL and high
+  // bytes, missing CRLF, random byte flips — each split across 1–3
+  // writes. Every case must end in a hang-up or a well-formed reply, and
+  // the endpoint must still serve a clean scrape afterwards.
+  sys::ServiceConfig scfg;
+  scfg.rsa_bits = 1024;
+  sys::ViewMapService service(scfg);
+  obs::MetricsRegistry own;
+  ScrapeEndpoint ep(
+      service.metrics(), [] { return std::pair{true, std::string("ok\n")}; },
+      ScrapeConfig{}, own);
+  ASSERT_TRUE(ep.start());
+
+  const std::string seeds[] = {"GET /metrics HTTP/1.1\r\n\r\n",
+                               "GET /healthz HTTP/1.1\r\n\r\n"};
+  Rng rng(0x5c2a9e);
+  constexpr int kCases = 400;
+  int answered = 0;
+  for (int c = 0; c < kCases; ++c) {
+    std::string req = seeds[rng.index(2)];
+    switch (rng.index(6)) {
+      case 0:  // truncation
+        req.resize(rng.index(req.size() + 1));
+        break;
+      case 1: {  // oversized line: far past the server's read buffer
+        const std::size_t extra = 1024 + rng.index(3000);
+        req.insert(4 + rng.index(req.size() - 4),
+                   std::string(extra, static_cast<char>('a' + rng.index(26))));
+        break;
+      }
+      case 2:  // NUL and high bytes
+        for (std::size_t k = 1 + rng.index(4); k > 0; --k)
+          req[rng.index(req.size())] =
+              static_cast<char>(rng.index(2) == 0 ? 0 : 0x80 + rng.index(128));
+        break;
+      case 3:  // missing CRLF: drop every CR, or every line ending
+        std::erase(req, '\r');
+        if (rng.index(2) == 0) std::erase(req, '\n');
+        break;
+      case 4:  // random byte flips
+        for (std::size_t k = 1 + rng.index(3); k > 0; --k)
+          req[rng.index(req.size())] ^= static_cast<char>(1 + rng.index(255));
+        break;
+      default:  // the request as is
+        break;
+    }
+    std::vector<std::string> pieces;
+    const std::size_t writes = 1 + rng.index(3);
+    std::size_t from = 0;
+    for (std::size_t w = 1; w < writes && from < req.size(); ++w) {
+      const std::size_t to = from + rng.index(req.size() - from + 1);
+      pieces.push_back(req.substr(from, to - from));
+      from = to;
+    }
+    pieces.push_back(req.substr(from));
+
+    bool reset = false;
+    const std::string response = exchange(ep.port(), pieces, reset);
+    if (response.empty()) continue;  // the server hung up
+    // A reset may cut a reply short (the server closes with an oversized
+    // line still unread), so only an orderly close must carry it whole.
+    if (reset) {
+      EXPECT_EQ(response.substr(0, 9),
+                std::string("HTTP/1.1 ").substr(0, response.size()))
+          << "case " << c;
+      continue;
+    }
+    EXPECT_EQ(reply_defect(response), "") << "case " << c;
+    ++answered;
+  }
+  EXPECT_GT(answered, kCases / 4);  // the mutations did not all hang up
+
+  const std::string clean = http_get(ep.port(), "/metrics");
+  EXPECT_EQ(reply_defect(clean), "");
+  EXPECT_TRUE(clean.starts_with("HTTP/1.1 200 "));
   ep.stop();
 }
 

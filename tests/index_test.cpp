@@ -12,6 +12,7 @@
 #include "index/ingest_engine.h"
 #include "index/spatial_grid.h"
 #include "index/timeline.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "system/vp_database.h"
 
@@ -311,16 +312,23 @@ TEST(IngestEngine, StatsAndDuplicateScreen) {
   payloads.push_back(payloads.front());      // duplicate id
   payloads.push_back({0xde, 0xad, 0xbe});    // malformed
 
+  obs::MetricsRegistry registry;
   IngestConfig cfg;
   cfg.threads = 4;
   cfg.min_parallel_batch = 1;
+  cfg.metrics = &registry;
   IngestEngine engine(db.timeline(), db.policy(), cfg);
   const auto stats = engine.ingest(std::move(payloads));
   EXPECT_EQ(stats.accepted, 20u);
   EXPECT_EQ(stats.rejected_duplicate, 1u);
   EXPECT_EQ(stats.rejected_malformed, 1u);
   EXPECT_EQ(db.size(), 20u);
-  EXPECT_EQ(engine.totals().accepted, 20u);
+  // The running totals live in the registry the engine publishes into.
+  const IngestStats totals = IngestMetrics::wire(registry).totals();
+  EXPECT_EQ(totals.accepted, 20u);
+  EXPECT_EQ(totals.rejected_duplicate, 1u);
+  EXPECT_EQ(totals.rejected_malformed, 1u);
+  EXPECT_EQ(totals.batches, 1u);
 }
 
 TEST(IngestEngine, FarFutureAnonymousBatchCannotEvictRealShards) {

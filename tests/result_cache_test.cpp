@@ -5,8 +5,10 @@
 // ingest and retention eviction.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <unordered_set>
@@ -14,6 +16,7 @@
 
 #include "attack/fake_vp.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "system/result_cache.h"
 #include "system/service.h"
 
@@ -39,7 +42,8 @@ ResultCache::Key key_of(int n) {
 }
 
 TEST(ResultCache, HitReturnsTheInsertedObjectAndCounts) {
-  ResultCache cache({.capacity_bytes = 10'000});
+  obs::MetricsRegistry reg;
+  ResultCache cache(reg, {.capacity_bytes = 10'000});
   auto e = entry();
   const CachedInvestigation* raw = e.get();
   cache.insert(key_of(1), e);
@@ -57,7 +61,8 @@ TEST(ResultCache, HitReturnsTheInsertedObjectAndCounts) {
 }
 
 TEST(ResultCache, AnyKeyComponentChangeMisses) {
-  ResultCache cache({.capacity_bytes = 10'000});
+  obs::MetricsRegistry reg;
+  ResultCache cache(reg, {.capacity_bytes = 10'000});
   cache.insert(key_of(1), entry());
 
   ResultCache::Key other_digest = key_of(1);
@@ -78,7 +83,8 @@ TEST(ResultCache, AnyKeyComponentChangeMisses) {
 
 TEST(ResultCache, ResidentBytesNeverExceedCapacity) {
   constexpr std::size_t kCap = 1000;  // fits ~3 empty entries
-  ResultCache cache({.capacity_bytes = kCap});
+  obs::MetricsRegistry reg;
+  ResultCache cache(reg, {.capacity_bytes = kCap});
   for (int i = 0; i < 10; ++i) {
     cache.insert(key_of(i), entry());
     const auto s = cache.stats();
@@ -94,7 +100,8 @@ TEST(ResultCache, ResidentBytesNeverExceedCapacity) {
 }
 
 TEST(ResultCache, GhostReinsertLandsOnFrequentListAndAdaptsTarget) {
-  ResultCache cache({.capacity_bytes = 700});   // fits 2 empty entries
+  obs::MetricsRegistry reg;
+  ResultCache cache(reg, {.capacity_bytes = 700});  // fits 2 empty entries
   cache.insert(key_of(1), entry());             // A → T1
   cache.insert(key_of(2), entry());             // B → T1
   ASSERT_NE(cache.find(key_of(1)), nullptr);    // A promotes to T2
@@ -115,7 +122,8 @@ TEST(ResultCache, GhostReinsertLandsOnFrequentListAndAdaptsTarget) {
 }
 
 TEST(ResultCache, EntryLargerThanCapacityIsNotCached) {
-  ResultCache cache({.capacity_bytes = 400});
+  obs::MetricsRegistry reg;
+  ResultCache cache(reg, {.capacity_bytes = 400});
   cache.insert(key_of(1), entry(/*pad_ids=*/10));  // ≈ 488 bytes > 400
   EXPECT_EQ(cache.find(key_of(1)), nullptr);
   const auto s = cache.stats();
@@ -124,7 +132,8 @@ TEST(ResultCache, EntryLargerThanCapacityIsNotCached) {
 }
 
 TEST(ResultCache, DisabledCacheIsInert) {
-  ResultCache cache({.enabled = false, .capacity_bytes = 10'000});
+  obs::MetricsRegistry reg;
+  ResultCache cache(reg, {.capacity_bytes = 0});
   EXPECT_FALSE(cache.enabled());
   cache.insert(key_of(1), entry());
   EXPECT_EQ(cache.find(key_of(1)), nullptr);
@@ -133,7 +142,8 @@ TEST(ResultCache, DisabledCacheIsInert) {
 }
 
 TEST(ResultCache, ClearDropsEntriesButKeepsCounters) {
-  ResultCache cache({.capacity_bytes = 10'000});
+  obs::MetricsRegistry reg;
+  ResultCache cache(reg, {.capacity_bytes = 10'000});
   cache.insert(key_of(1), entry());
   ASSERT_NE(cache.find(key_of(1)), nullptr);
   cache.clear();
@@ -191,7 +201,7 @@ TEST(ResultCacheProperty, FortyStepInterleavingIsBitIdenticalToCacheOff) {
   on_cfg.result_cache.capacity_bytes = 2048;  // small: force ARC turnover
   on_cfg.index.retention.window_sec = 300;    // 5 minutes: eviction in-play
   ServiceConfig off_cfg = on_cfg;
-  off_cfg.result_cache.enabled = false;
+  off_cfg.result_cache.capacity_bytes = 0;
   ViewMapService on(on_cfg);
   ViewMapService off(off_cfg);
 
@@ -293,27 +303,38 @@ TEST(ResultCacheConcurrent, HitsRaceLiveIngestAndEviction) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> served{0};
+  std::array<std::atomic<bool>, 2> reader_served{};  // each has served one
   const geo::Rect site{{0, -50}, {800, 50}};
 
   // Two investigators hammer a rotating key set — hits, misses, inserts,
   // and ARC evictions all race each other...
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r)
-    readers.emplace_back([&service, &stop, &served, &site, r] {
+    readers.emplace_back([&service, &stop, &served, &reader_served, &site, r] {
       for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
         const TimeSec t = ((i + r) % kMinutes) * kUnitTimeSec;
         try {
           const auto report = service.investigate(site, t);
-          if (report.viewmap.size() > 0) served.fetch_add(1);
+          if (report.viewmap.size() > 0) {
+            served.fetch_add(1);
+            reader_served[r].store(true);
+          }
         } catch (const std::runtime_error&) {
           // minute evicted mid-run: acceptable, the key just went stale
         }
       }
     });
+  const auto each_reader_served = [&reader_served] {
+    return reader_served[0].load() && reader_served[1].load();
+  };
 
   // ...while the single control thread keeps ingesting into the same
   // minutes (shard change-keys churn ⇒ cache keys go stale) and advances the
-  // retention clock (shards evict under the readers).
+  // retention clock (shards evict under the readers). The clock walks past
+  // every minute within the 40 rounds, so it holds still until each reader
+  // has served a report — on a loaded host the rounds can otherwise finish
+  // before either reader completes one investigation. The wait is capped
+  // (~5 s) so a wedged reader fails the assertions below instead of hanging.
   Rng rng(43);
   for (int k = 0; k < 40; ++k) {
     const TimeSec minute = static_cast<TimeSec>(rng.index(kMinutes)) * kUnitTimeSec;
@@ -323,6 +344,8 @@ TEST(ResultCacheConcurrent, HitsRaceLiveIngestAndEviction) {
           attack::make_fake_profile(minute, {x, 0}, {x + 300, 0}, rng).serialize());
     }
     service.ingest_uploads();
+    for (int waits = 0; !each_reader_served() && waits < 5000; ++waits)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     service.advance_clock(kMinutes * kUnitTimeSec + k * 10);
   }
   stop.store(true);

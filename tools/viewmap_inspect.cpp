@@ -39,9 +39,8 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   sys::VpDatabase db;
   try {
-    store::SegmentStoreConfig store_cfg;
-    if (metrics_on) store_cfg.metrics = &registry;
-    store::SegmentStore segments(argv[1], store_cfg);
+    store::SegmentStore segments(argv[1]);
+    if (metrics_on) segments.adopt_metrics(&registry);
     if (segments.latest_sequence() == 0) {
       // A directory with no manifest is far more likely a typo than a
       // store that never checkpointed.

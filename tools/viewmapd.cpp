@@ -161,7 +161,6 @@ int main(int argc, char** argv) {
   // zero-byte budget admits nothing; the service then skips the lookup).
   cfg.service.result_cache.capacity_bytes =
       static_cast<std::size_t>(opt.cache_mb) << 20;
-  cfg.service.result_cache.enabled = opt.cache_mb > 0;
 
   // Chaos arming before any thread starts, so the very first checkpoint
   // cycle can already hit an armed point. Flag wins over environment.
