@@ -44,8 +44,8 @@
 //       a cold recover must reproduce the live database's canonical bytes.
 //       tools/run_bench.sh fails the run on any violated assertion.
 //   (10) server_zipf: the investigation server under a Zipf-skewed request
-//       mix with the digest-keyed result cache on vs off, while live
-//       ingest lands in the newest minutes (hot-shard digests quiescent).
+//       mix with the generation-keyed result cache on vs off, while live
+//       ingest lands in the newest minutes (hot-shard generations quiescent).
 //       Emits the hit rate, cache-on/off throughput ratio, hit-latency
 //       percentiles, and whether every cache hit was bit-identical to a
 //       fresh build; tools/run_bench.sh asserts hit_rate > 0 and
@@ -289,7 +289,7 @@ struct ServerRow {
   std::size_t reports = 0;      ///< InvestigationReports produced
   double writer_vps_per_sec = 0.0;  ///< concurrent ingest throughput meanwhile
   std::size_t snapshots = 0;    ///< DbSnapshots pinned by the workers
-  std::size_t batches = 0;      ///< dequeue rounds (snapshots ≤ batches)
+  std::size_t batches = 0;      ///< dequeue rounds, one request each
   std::size_t peak_queue = 0;
   /// Serve-side latency distribution from the service registry's
   /// viewmap_server_request_us histogram (excludes queue wait, unlike
@@ -345,7 +345,6 @@ ServerRow bench_server(std::size_t vp_count, int request_count, unsigned workers
   sys::ServerConfig server_cfg;
   server_cfg.workers = workers;
   server_cfg.queue_capacity = 1024;
-  server_cfg.batch_max = 8;
   auto& server = service.start_server(server_cfg);
 
   std::atomic<bool> stop{false};
@@ -567,11 +566,11 @@ ZipfServerRow bench_server_zipf(std::size_t vp_count, int request_count,
     sys::ServerConfig server_cfg;
     server_cfg.workers = workers;
     server_cfg.queue_capacity = 1024;
-    server_cfg.batch_max = 8;
     auto& server = service.start_server(server_cfg);
 
-    // Live ingest confined to the newest minutes: the hot shards' digests
-    // stay put, which is exactly when the cache may keep serving them.
+    // Live ingest confined to the newest minutes: the hot shards'
+    // generations stay put, which is exactly when the cache may keep
+    // serving them.
     std::atomic<bool> stop{false};
     std::thread writer([&] {
       Rng wrng(4242);
@@ -1238,7 +1237,7 @@ int main(int argc, char** argv) {
   const auto srv = bench_server(server_vps, server_requests, threads, server_rng);
   std::printf("%zu VPs, %zu workers: %.0f requests/s (%.1f us/request end to end), "
               "%zu reports from %zu requests;\n"
-              "  %zu snapshots pinned over %zu batches (write-version reuse), "
+              "  %zu snapshots pinned over %zu batches (one per request), "
               "peak queue %zu, writer ingested %.0f VPs/s\n",
               srv.vps, srv.workers, srv.requests_per_sec, srv.request_us,
               srv.reports, srv.requests, srv.snapshots, srv.batches,
@@ -1253,7 +1252,7 @@ int main(int argc, char** argv) {
                 "      time-slice one CPU; worker scaling needs real cores.\n");
 
   // ── server_zipf: result cache under a skewed request mix ─────────────
-  std::printf("\n-- server_zipf: digest-keyed result cache, Zipf request mix, "
+  std::printf("\n-- server_zipf: generation-keyed result cache, Zipf request mix, "
               "cache on vs off --\n");
   // The scenario fixes its own dense (1.2 km)² geometry; 24k VPs over its
   // 12 minutes ≈ 1.4k VPs/km²/minute — the paper's dense urban regime, a

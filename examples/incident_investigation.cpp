@@ -115,15 +115,14 @@ int main() {
   // InvestigationServer puts a worker pool in front of the pipeline.
   // submit()/submit_period() enqueue onto a bounded MPMC queue and hand
   // back a std::future; each worker pins one immutable DbSnapshot per
-  // request batch and runs viewmap → verification → solicitation over
-  // it, so investigations run concurrently with each other AND with the
-  // ingest loop below (eviction can never invalidate a report — the
-  // report's viewmap pins its shard).
+  // request and runs viewmap → verification → solicitation over it, so
+  // investigations run concurrently with each other AND with the ingest
+  // loop below (eviction can never invalidate a report — the report's
+  // viewmap pins its shard).
   sys::ServerConfig server_cfg;
   server_cfg.workers = 2;          // investigation worker pool
   server_cfg.queue_capacity = 64;  // bounded; when full, submit() blocks
                                    // (OverflowPolicy::kReject fails fast)
-  server_cfg.batch_max = 4;        // serve bursts from one pinned snapshot
   auto& server = service.start_server(server_cfg);
 
   // Queue the incident's whole period plus each minute individually —

@@ -98,24 +98,28 @@ bool CheckpointDaemon::running() const {
   return thread_.joinable();
 }
 
+// The cycle outcome counters, the streak gauge and last_error_ change
+// together under mutex_, so each read below sees whole cycles: a caller
+// that observes failures() == n also observes that failure's streak.
 std::uint64_t CheckpointDaemon::written() const {
   std::lock_guard lock(mutex_);
-  return written_n_;
+  return written_c_->value();
 }
 
 std::uint64_t CheckpointDaemon::skipped() const {
   std::lock_guard lock(mutex_);
-  return skipped_n_;
+  return skipped_c_->value();
 }
 
 std::uint64_t CheckpointDaemon::failures() const {
   std::lock_guard lock(mutex_);
-  return failed_n_;
+  return failures_enospc_->value() + failures_eio_->value() +
+         failures_permission_->value() + failures_other_->value();
 }
 
 std::uint64_t CheckpointDaemon::consecutive_failures() const {
   std::lock_guard lock(mutex_);
-  return consecutive_failures_n_;
+  return static_cast<std::uint64_t>(consecutive_g_->value());
 }
 
 std::string CheckpointDaemon::last_error() const {
@@ -156,23 +160,19 @@ bool CheckpointDaemon::cycle() {
     auto digests = snap.shard_digests();
     if (cfg_.skip_if_unchanged && have_last_ &&
         same_digests(digests, last_digests_)) {
+      std::lock_guard lock(mutex_);
       skipped_c_->add();
       consecutive_g_->set(0);
-      std::lock_guard lock(mutex_);
-      ++skipped_n_;
-      consecutive_failures_n_ = 0;
       last_error_.clear();
       return true;
     }
     const store::CheckpointStats stats = store_.checkpoint(snap);
     last_digests_ = std::move(digests);
     have_last_ = true;
-    written_c_->add();
     sequence_g_->set(static_cast<std::int64_t>(stats.sequence));
-    consecutive_g_->set(0);
     std::lock_guard lock(mutex_);
-    ++written_n_;
-    consecutive_failures_n_ = 0;
+    written_c_->add();
+    consecutive_g_->set(0);
     last_error_.clear();
     return true;
   } catch (const std::exception& e) {
@@ -188,15 +188,10 @@ bool CheckpointDaemon::cycle() {
       else if (r == "eio") reason = failures_eio_;
       else if (r == "permission") reason = failures_permission_;
     }
+    std::lock_guard lock(mutex_);
     reason->add();
-    std::uint64_t consecutive = 0;
-    {
-      std::lock_guard lock(mutex_);
-      ++failed_n_;
-      consecutive = ++consecutive_failures_n_;
-      last_error_ = e.what();
-    }
-    consecutive_g_->set(static_cast<std::int64_t>(consecutive));
+    consecutive_g_->add(1);
+    last_error_ = e.what();
     return false;
   }
 }

@@ -115,12 +115,17 @@ class CheckpointDaemon {
   [[nodiscard]] bool running() const;
 
   /// Cycles that sealed a manifest / that skipped as unchanged / that
-  /// failed, this daemon instance.
+  /// failed: plain reads of viewmap_daemon_checkpoints_total{result} and
+  /// the sum of viewmap_daemon_checkpoint_failures_total{reason} in the
+  /// service's registry, the only place they are kept. They count every
+  /// daemon built on the service; ServiceLifecycle builds one per
+  /// service, so that is this daemon's count.
   [[nodiscard]] std::uint64_t written() const;
   [[nodiscard]] std::uint64_t skipped() const;
   [[nodiscard]] std::uint64_t failures() const;
 
-  /// Failed cycles since the last success (0 = healthy). The health
+  /// Failed cycles since the last success (0 = healthy): the
+  /// viewmap_daemon_checkpoint_consecutive_failures gauge. The health
   /// state machine reads this from the lifecycle/scrape threads.
   [[nodiscard]] std::uint64_t consecutive_failures() const;
 
@@ -166,10 +171,6 @@ class CheckpointDaemon {
   bool stop_requested_ = false;   ///< under mutex_
   bool final_checkpoint_ = false; ///< under mutex_
   bool poked_ = false;            ///< under mutex_
-  std::uint64_t written_n_ = 0;   ///< under mutex_ (readable while running)
-  std::uint64_t skipped_n_ = 0;   ///< under mutex_
-  std::uint64_t failed_n_ = 0;    ///< under mutex_
-  std::uint64_t consecutive_failures_n_ = 0;  ///< under mutex_
   std::string last_error_;        ///< under mutex_
   /// Last failure's transient/permanent classification. Thread-private:
   /// only run() reads it (to pick the next backoff step).

@@ -51,23 +51,6 @@ std::uint64_t TimeShard::next_generation() noexcept {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-Hash32 TimeShard::cache_key() const {
-  {
-    std::lock_guard lock(digest_mutex_);
-    if (digest_valid_) return digest_;
-  }
-  // Digest not known: encode the generation stamp. The tag byte keeps the
-  // encoding out of the zero-hash key reserved for "no shard", and a real
-  // SHA-256 digest landing on a stamp encoding (22 fixed zero bytes)
-  // happens with probability ~2^-176 — never by construction.
-  Hash32 key;
-  const std::uint64_t g = generation_;
-  for (std::size_t i = 0; i < 8; ++i)
-    key.bytes[i] = static_cast<std::uint8_t>(g >> (8 * i));
-  key.bytes[31] = 0x67;  // 'g' — generation-stamp key, not a digest
-  return key;
-}
-
 const TimeShard* DbSnapshot::shard_at(TimeSec unit_time) const noexcept {
   // The raw pointer stays valid: state_ owns the shard either way.
   return shard(unit_time).get();
@@ -83,25 +66,10 @@ std::shared_ptr<const TimeShard> DbSnapshot::shard(TimeSec unit_time) const noex
   return *it;
 }
 
-std::optional<Hash32> DbSnapshot::shard_cache_key(TimeSec unit_time) const {
-  const std::shared_ptr<const TimeShard> s = shard(unit_time);
+std::optional<std::uint64_t> DbSnapshot::shard_generation(TimeSec unit_time) const {
+  const TimeShard* s = shard_at(unit_time);
   if (s == nullptr) return std::nullopt;
-  return s->cache_key();
-}
-
-const vp::ViewProfile* DbSnapshot::find(const Id16& vp_id) const {
-  if (!state_) return nullptr;
-  const State* s = state_.get();
-  std::call_once(s->id_index_once, [s] {
-    s->id_index.reserve(s->vp_count);
-    // Shard order ⇒ a duplicate id keeps its earliest-unit-time profile,
-    // matching the per-shard probe this index replaced.
-    for (const auto& shard : s->shards)
-      for (const auto& [id, profile] : shard->profiles)
-        s->id_index.emplace(id, profile.get());
-  });
-  const auto it = s->id_index.find(vp_id);
-  return it == s->id_index.end() ? nullptr : it->second;
+  return s->generation();
 }
 
 bool DbSnapshot::is_trusted(const Id16& vp_id) const noexcept {
@@ -143,18 +111,6 @@ std::vector<const vp::ViewProfile*> DbSnapshot::all() const {
     const std::size_t first = out.size();
     for (const auto& [id, profile] : shard->profiles) out.push_back(profile.get());
     std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(), id_less);
-  }
-  return out;
-}
-
-std::vector<Id16> DbSnapshot::trusted_ids() const {
-  std::vector<Id16> out;
-  if (!state_) return out;
-  out.reserve(state_->trusted_count);
-  for (const auto& shard : state_->shards) {
-    const std::size_t first = out.size();
-    for (const Id16& id : shard->trusted) out.push_back(id);
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
   }
   return out;
 }

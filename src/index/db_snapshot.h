@@ -14,8 +14,8 @@
 //     a snapshot stays alive — bit-identical — until the last snapshot
 //     referencing it is destroyed, then its memory is released.
 //
-// Lifetime contract: every pointer returned by find()/query()/
-// trusted_at()/all() is valid for as long as *any* copy of the snapshot
+// Lifetime contract: every pointer returned by query()/trusted_at()/
+// all() is valid for as long as *any* copy of the snapshot
 // that produced it is alive. There is no "do not hold across ingest"
 // caveat; hold a snapshot as long as you like. Memory cost: a snapshot
 // pins at most the shards that existed when it was taken; shards the
@@ -79,7 +79,7 @@ struct TimeShard {
   /// reading the maps/grid, which a writer may then be mutating.
   mutable std::atomic<std::size_t> pins{0};
 
-  TimeShard(TimeSec unit, SpatialGridConfig grid_cfg) : unit_time(unit), grid(grid_cfg) {}
+  explicit TimeShard(TimeSec unit) : unit_time(unit) {}
   /// COW clone: copies the content, starts unpinned, with an invalid
   /// digest cache and a fresh generation stamp (the clone exists
   /// precisely because it is about to be mutated).
@@ -118,23 +118,20 @@ struct TimeShard {
   /// snapshot holders are fine.
   [[nodiscard]] Hash32 content_digest() const;
 
-  /// O(1) change-identity key for the investigation result cache. Returns
-  /// the content digest when it is already cached (free — no bytes are
-  /// serialized or hashed), else a tagged encoding of the shard's
-  /// generation stamp. Equal keys ⇒ unchanged content: a cached digest is
-  /// content identity outright, and equal stamps mean the same shard
-  /// object with no in-place mutation since (every mutation path — COW
-  /// clone or invalidate_digest() — draws a fresh stamp from a process-
-  /// global counter, so stamps are never reused across objects or edits).
-  /// Unlike content_digest(), this never pays O(shard size) on a serve
-  /// path. Call only while the shard is pinned by a snapshot.
-  [[nodiscard]] Hash32 cache_key() const;
+  /// The shard's change stamp — the investigation result cache's key.
+  /// Equal stamps ⇒ unchanged content: a stamp is drawn from a process-
+  /// global counter (starting at 1) at construction, by every COW clone
+  /// and by every in-place mutation (invalidate_digest()), so stamps are
+  /// never reused across objects or edits. A checkpoint computing the
+  /// content digest leaves it alone. O(1); call only while the shard is
+  /// pinned by a snapshot.
+  [[nodiscard]] std::uint64_t generation() const noexcept { return generation_; }
 
-  /// Writers call this (under the owning time-stripe lock) after mutating
-  /// the shard in place. In-place mutation happens only on unpinned
-  /// shards, so no concurrent content_digest()/cache_key() reader can
-  /// exist — the stripe lock orders these plain stores before any later
-  /// pin.
+  /// Writers call this (under the owning time-stripe lock) whenever they
+  /// mutate the shard in place. In-place mutation happens only on
+  /// unpinned shards, so no concurrent content_digest()/generation()
+  /// reader can exist — the stripe lock orders these plain stores before
+  /// any later pin.
   void invalidate_digest() noexcept {
     digest_valid_ = false;
     generation_ = next_generation();
@@ -155,7 +152,7 @@ struct TimeShard {
 
  private:
   /// Next value of the process-global generation counter (monotone,
-  /// starts at 1 so a stamp-derived cache_key() is never the zero hash).
+  /// starts at 1, so 0 never names a shard).
   static std::uint64_t next_generation() noexcept;
 
   /// content_digest() cache. The mutex only arbitrates concurrent
@@ -164,7 +161,7 @@ struct TimeShard {
   mutable std::mutex digest_mutex_;
   mutable bool digest_valid_ = false;
   mutable Hash32 digest_{};
-  /// Change stamp backing cache_key(): fresh at construction (both ctors
+  /// Change stamp behind generation(): fresh at construction (both ctors
   /// — the COW clone deliberately does not copy it) and on every
   /// invalidate_digest(). Plain (non-atomic) under the same discipline as
   /// digest_valid_: written only at construction or under the stripe lock
@@ -179,13 +176,6 @@ class DbSnapshot {
  public:
   DbSnapshot() = default;
 
-  /// The profile stored under `vp_id` at snapshot time, or nullptr.
-  /// O(1) amortized: the first find() on a snapshot builds a lazy
-  /// id → profile index over the pinned shards (one pass, call_once —
-  /// safe from any number of concurrent const readers); every later
-  /// probe is a single hash lookup. Snapshots that never find() never
-  /// pay for the index.
-  [[nodiscard]] const vp::ViewProfile* find(const Id16& vp_id) const;
   [[nodiscard]] bool is_trusted(const Id16& vp_id) const noexcept;
 
   /// All VPs covering `unit_time` with any claimed location inside
@@ -199,8 +189,6 @@ class DbSnapshot {
   /// Every VP in the snapshot, ordered by (unit-time, id) — the order
   /// canonical_bytes() and the segment store serialize in.
   [[nodiscard]] std::vector<const vp::ViewProfile*> all() const;
-  /// Identifiers of all trusted VPs, ordered by (unit-time, id).
-  [[nodiscard]] std::vector<Id16> trusted_ids() const;
 
   [[nodiscard]] std::size_t size() const noexcept;
   [[nodiscard]] std::size_t trusted_count() const noexcept;
@@ -211,15 +199,6 @@ class DbSnapshot {
   [[nodiscard]] TimeSec trusted_now() const noexcept;
   [[nodiscard]] bool has_trusted_clock() const noexcept {
     return trusted_now() != std::numeric_limits<TimeSec>::min();
-  }
-
-  /// The timeline write-version observed before this snapshot's cut.
-  /// `timeline.version() == snapshot.version()` ⇒ no write has completed
-  /// since, i.e. the snapshot is still an exact image of the live
-  /// timeline and can be reused instead of re-pinned (the investigation
-  /// server's workers do). 0 for the default-constructed empty snapshot.
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    return state_ == nullptr ? 0 : state_->version;
   }
 
   /// Per-shard census, ordered by unit-time.
@@ -258,14 +237,13 @@ class DbSnapshot {
   /// keep just their shard alive instead of the whole snapshot.
   [[nodiscard]] std::shared_ptr<const TimeShard> shard(TimeSec unit_time) const noexcept;
 
-  /// O(1) change-identity key of the shard covering `unit_time`
-  /// (TimeShard::cache_key — the cached content digest when one is
-  /// already known, else the shard's generation stamp), or std::nullopt
-  /// when the snapshot holds no such shard. This is the invalidation key
-  /// of the investigation result cache (system/result_cache.h): any
-  /// ingest or eviction touching the minute changes it. Never serializes
-  /// or hashes shard content — safe on a per-request serve path.
-  [[nodiscard]] std::optional<Hash32> shard_cache_key(TimeSec unit_time) const;
+  /// TimeShard::generation() of the shard covering `unit_time`, or
+  /// std::nullopt when the snapshot holds no such shard. This is the
+  /// invalidation key of the investigation result cache
+  /// (system/result_cache.h): any ingest touching the minute changes it,
+  /// and an evicted minute has no shard. O(log shards); never serializes
+  /// or hashes shard content.
+  [[nodiscard]] std::optional<std::uint64_t> shard_generation(TimeSec unit_time) const;
 
  private:
   friend class VpTimeline;
@@ -275,15 +253,6 @@ class DbSnapshot {
     std::size_t vp_count = 0;
     std::size_t trusted_count = 0;
     TimeSec clock = std::numeric_limits<TimeSec>::min();
-    std::uint64_t version = 0;  ///< timeline write-version before the cut
-
-    /// Lazy global id index for find(): built over the pinned shards on
-    /// first use (call_once ⇒ const-concurrent safe), in shard order so
-    /// a duplicate id resolves to the earliest unit-time exactly like
-    /// the original per-shard probe did. Values point into the pinned
-    /// shards, which this State owns.
-    mutable std::once_flag id_index_once;
-    mutable std::unordered_map<Id16, const vp::ViewProfile*, Id16Hasher> id_index;
 
     State() = default;
     State(const State&) = delete;

@@ -9,8 +9,8 @@
 // the exact `ViewProfile::visits()` predicate, so index and linear scan
 // agree bit-for-bit (property-tested in tests/index_test.cpp).
 //
-// Cell size defaults to 250 m — one city block in the simulated grid city
-// and well under the 400 m DSRC radius, so a typical investigation site
+// The cell pitch is 250 m — one city block in the simulated grid city and
+// well under the 400 m DSRC radius, so a typical investigation site
 // touches a handful of cells.
 #pragma once
 
@@ -25,9 +25,8 @@
 
 namespace viewmap::index {
 
-struct SpatialGridConfig {
-  double cell_m = 250.0;  ///< grid pitch in meters
-};
+/// Pitch of every shard's SpatialGrid, in meters.
+inline constexpr double kShardGridCellM = 250.0;
 
 // ── shared uniform-grid cell math ────────────────────────────────────
 // Every grid in the system (the per-shard SpatialGrid below, the
@@ -62,8 +61,6 @@ struct SpatialGridConfig {
 
 class SpatialGrid {
  public:
-  explicit SpatialGrid(SpatialGridConfig cfg = {}) : cfg_(cfg) {}
-
   /// Registers every distinct cell of the profile's claimed trajectory.
   /// The pointer must stay valid for the grid's lifetime (shards own their
   /// profiles in a node-based map, so pointers are stable).
@@ -87,14 +84,13 @@ class SpatialGrid {
  private:
   using CellKey = std::uint64_t;
 
-  [[nodiscard]] std::int32_t cell_coord(double meters) const noexcept {
-    return grid_cell_coord(meters, cfg_.cell_m);
+  static std::int32_t cell_coord(double meters) noexcept {
+    return grid_cell_coord(meters, kShardGridCellM);
   }
   static CellKey pack(std::int32_t cx, std::int32_t cy) noexcept {
     return grid_pack_cell(cx, cy);
   }
 
-  SpatialGridConfig cfg_;
   std::unordered_map<CellKey, std::vector<const vp::ViewProfile*>> cells_;
   std::size_t entries_ = 0;
 };

@@ -46,10 +46,8 @@ VpTimeline::VpTimeline(VpTimeline&& other) noexcept
       time_stripes_(std::move(other.time_stripes_)),
       size_(other.size_.load()),
       trusted_count_(other.trusted_count_.load()),
-      latest_(other.latest_.load()),
       clock_(other.clock_.load()),
       tombstones_(other.tombstones_.load()),
-      version_(other.version_.load()),
       shards_gauge_(other.shards_gauge_),
       eviction_passes_(other.eviction_passes_),
       evicted_vps_(other.evicted_vps_),
@@ -58,12 +56,10 @@ VpTimeline::VpTimeline(VpTimeline&& other) noexcept
   other.fresh_stripes();
   other.size_ = 0;
   other.trusted_count_ = 0;
-  other.latest_ = std::numeric_limits<TimeSec>::min();
   other.clock_ = std::numeric_limits<TimeSec>::min();
   other.tombstones_ = 0;
   // Gauge contribution moves with the shards; other now owns none.
   other.shard_count_ = 0;
-  other.version_.fetch_add(1, std::memory_order_release);  // contents changed
 }
 
 VpTimeline& VpTimeline::operator=(VpTimeline&& other) noexcept {
@@ -83,17 +79,13 @@ VpTimeline& VpTimeline::operator=(VpTimeline&& other) noexcept {
   time_stripes_ = std::move(other.time_stripes_);
   size_ = other.size_.load();
   trusted_count_ = other.trusted_count_.load();
-  latest_ = other.latest_.load();
   clock_ = other.clock_.load();
   tombstones_ = other.tombstones_.load();
-  version_.fetch_add(other.version_.load() + 1, std::memory_order_release);
   other.fresh_stripes();
   other.size_ = 0;
   other.trusted_count_ = 0;
-  other.latest_ = std::numeric_limits<TimeSec>::min();
   other.clock_ = std::numeric_limits<TimeSec>::min();
   other.tombstones_ = 0;
-  other.version_.fetch_add(1, std::memory_order_release);
   return *this;
 }
 
@@ -136,7 +128,7 @@ bool VpTimeline::insert(vp::ViewProfile profile, bool trusted) {
     if (sit == ts.shards.end()) {
       // Built before the map slot exists so a bad_alloc cannot leave a
       // null shard published.
-      auto fresh_shard = std::make_shared<TimeShard>(unit, cfg_.grid);
+      auto fresh_shard = std::make_shared<TimeShard>(unit);
       sit = ts.shards.emplace(unit, std::move(fresh_shard)).first;
       created = true;
     } else if (sit->second->pins.load(std::memory_order_acquire) > 0) {
@@ -188,13 +180,6 @@ bool VpTimeline::insert(vp::ViewProfile profile, bool trusted) {
   {
     std::lock_guard lock(is.mutex);
     is.ids[id].committed = true;
-  }
-  // Release-bump after the commit: a reader observing the old version is
-  // guaranteed a snapshot cut no earlier than this write (see version()).
-  version_.fetch_add(1, std::memory_order_release);
-  TimeSec prev = latest_.load(std::memory_order_relaxed);
-  while (unit > prev &&
-         !latest_.compare_exchange_weak(prev, unit, std::memory_order_relaxed)) {
   }
   // Trusted uploads arrive authenticated, so their timestamps may drive
   // the retention clock. Anonymous claims never touch it.
@@ -333,25 +318,14 @@ std::size_t VpTimeline::adopt_shard(std::shared_ptr<TimeShard> shard) {
     std::lock_guard lock(is.mutex);
     is.ids[pre.first].committed = true;
   }
-
-  version_.fetch_add(1, std::memory_order_release);
-  TimeSec prev = latest_.load(std::memory_order_relaxed);
-  while (unit > prev &&
-         !latest_.compare_exchange_weak(prev, unit, std::memory_order_relaxed)) {
-  }
   if (trusted_added > 0) advance_clock(unit);
   return drops.size();
 }
 
 void VpTimeline::advance_clock(TimeSec now) noexcept {
   TimeSec prev = clock_.load(std::memory_order_relaxed);
-  while (now > prev) {
-    if (clock_.compare_exchange_weak(prev, now, std::memory_order_relaxed)) {
-      // The clock is part of what snapshots capture (trusted_now()), so a
-      // clock change invalidates version-equality reuse like any write.
-      version_.fetch_add(1, std::memory_order_release);
-      return;
-    }
+  while (now > prev &&
+         !clock_.compare_exchange_weak(prev, now, std::memory_order_relaxed)) {
   }
 }
 
@@ -374,10 +348,6 @@ bool VpTimeline::admissible(TimeSec unit_time) const noexcept {
 
 DbSnapshot VpTimeline::snapshot() const {
   auto state = std::make_shared<DbSnapshot::State>();
-  // Recorded before the cut: version() == snapshot.version() later means
-  // no write completed since before this point, so the snapshot is still
-  // an exact image (conservative — see version()).
-  state->version = version_.load(std::memory_order_acquire);
   {
     // One consistent cut: hold every time-stripe lock (in index order —
     // the same global order compaction uses) while collecting shard
@@ -468,7 +438,6 @@ std::size_t VpTimeline::evict_outside(TimeSec oldest, TimeSec newest) {
       }
     }
   }
-  if (!graveyard.empty()) version_.fetch_add(1, std::memory_order_release);
   size_.fetch_sub(evicted, std::memory_order_relaxed);
   trusted_count_.fetch_sub(trusted_evicted, std::memory_order_relaxed);
   shard_count_.fetch_sub(graveyard.size(), std::memory_order_relaxed);

@@ -78,7 +78,6 @@ struct RetentionConfig {
 };
 
 struct TimelineConfig {
-  SpatialGridConfig grid{};
   RetentionConfig retention{};
   /// When set, the timeline publishes a live-shard gauge and eviction /
   /// tombstone counters here. Null disables all instrumentation. Not
@@ -108,9 +107,9 @@ class VpTimeline {
   /// publishes the shard in one time-stripe critical section instead of
   /// one three-phase insert per profile. When the unit-time slot is
   /// already occupied the survivors are merged into the existing shard
-  /// (copy-on-write when pinned). Counters, the write version, and —
-  /// when the shard carries trusted ids — the trusted clock are updated
-  /// exactly as `profiles.size()` individual inserts would have.
+  /// (copy-on-write when pinned). Counters and — when the shard carries
+  /// trusted ids — the trusted clock are updated exactly as
+  /// `profiles.size()` individual inserts would have.
   /// Returns the number of profiles dropped as id collisions; any drop
   /// or merge invalidates the shard's digest cache. Thread-safe against
   /// concurrent inserts/snapshots, but the shard argument must not be
@@ -136,13 +135,6 @@ class VpTimeline {
   [[nodiscard]] std::size_t trusted_count() const noexcept {
     return trusted_count_.load(std::memory_order_relaxed);
   }
-  /// Newest unit-time ever inserted. Informational only (inspection,
-  /// stats): it reflects anonymous claims, so retention deliberately does
-  /// NOT use it — see trusted_now().
-  [[nodiscard]] TimeSec latest_unit_time() const noexcept {
-    return latest_.load(std::memory_order_relaxed);
-  }
-
   /// Advances the trusted service clock (monotonic max; moves only
   /// forward). Trusted inserts call this implicitly with their unit-time;
   /// the operator feeds wall-clock through it. Anonymous uploads never
@@ -154,9 +146,6 @@ class VpTimeline {
   /// never bring it back. Routine advancement must use advance_clock().
   void reset_clock(TimeSec now) noexcept {
     clock_.store(now, std::memory_order_relaxed);
-    // Snapshots capture the clock, so this is a write for version()
-    // purposes too.
-    version_.fetch_add(1, std::memory_order_release);
   }
   /// The trusted clock, or TimeSec min when it has never been set.
   [[nodiscard]] TimeSec trusted_now() const noexcept {
@@ -164,23 +153,6 @@ class VpTimeline {
   }
   [[nodiscard]] bool has_trusted_clock() const noexcept {
     return trusted_now() != std::numeric_limits<TimeSec>::min();
-  }
-
-  /// Monotonic write-version counter: bumped by every successful insert,
-  /// every eviction pass that removed at least one shard, and every
-  /// trusted-clock change (the clock is part of what snapshots capture). A
-  /// DbSnapshot records the version observed *before* its shard
-  /// collection (DbSnapshot::version()), so `timeline.version() ==
-  /// snap.version()` proves no write has completed since before the
-  /// snapshot was cut — the snapshot is still an exact image of the live
-  /// timeline and may be reused instead of re-pinned. The comparison is
-  /// conservative: a write racing the cut bumps the live counter past
-  /// the recorded one even when the snapshot actually caught it, which
-  /// only costs the holder one redundant re-snapshot. This is the
-  /// snapshot-acquisition hook the investigation server's workers use to
-  /// skip O(live shards) re-pinning between batches on a quiet database.
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    return version_.load(std::memory_order_acquire);
   }
 
   /// The timeliness screen for anonymous uploads: is a claimed unit-time
@@ -268,14 +240,10 @@ class VpTimeline {
   std::vector<std::unique_ptr<TimeStripe>> time_stripes_;
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> trusted_count_{0};
-  std::atomic<TimeSec> latest_{std::numeric_limits<TimeSec>::min()};
   /// Trusted retention clock; min() = never set. Advanced only by
   /// advance_clock() — i.e. trusted inserts and the operator.
   std::atomic<TimeSec> clock_{std::numeric_limits<TimeSec>::min()};
   std::atomic<std::size_t> tombstones_{0};
-  /// Write-version (see version()). Release-bumped after a write commits,
-  /// acquire-read by holders deciding whether a snapshot is still fresh.
-  std::atomic<std::uint64_t> version_{0};
 
   /// Registry handles, resolved once in wire_metrics(); all null when
   /// cfg_.metrics is null. shard_count_ mirrors this instance's

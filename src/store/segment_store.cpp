@@ -177,7 +177,7 @@ struct SegmentLoad {
   std::string error;  ///< non-empty ⇔ the segment is damaged
 };
 
-std::unordered_set<Id16, Id16Hasher> parse_trusted_ids(Reader& reader,
+std::unordered_set<Id16, Id16Hasher> parse_trusted_set(Reader& reader,
                                                        std::uint64_t count) {
   std::unordered_set<Id16, Id16Hasher> trusted;
   trusted.reserve(count);
@@ -302,7 +302,7 @@ void parse_segment(std::span<const std::uint8_t> bytes, const EntryView& entry,
 
   const auto arena = reader.take(arena_len);
   const std::size_t trusted_begin = reader.position();
-  const auto trusted = parse_trusted_ids(reader, trusted_count);
+  const auto trusted = parse_trusted_set(reader, trusted_count);
   const Hash32 stored_digest = reader.hash32();
   (void)reader.u32();  // the CRC32C, already verified above
   if (reader.remaining() != 0)
@@ -347,14 +347,13 @@ void parse_segment(std::span<const std::uint8_t> bytes, const EntryView& entry,
 
 SegmentLoad load_one_segment(const std::string& path, const EntryView& entry,
                              const vp::VpUploadPolicy& policy,
-                             const index::SpatialGridConfig& grid_cfg,
                              bool deep_verify) noexcept {
   SegmentLoad out;
   try {
     const auto read_start = std::chrono::steady_clock::now();
     const auto bytes = read_file(path);
     out.read_us = us_since(read_start);
-    out.shard = std::make_shared<index::TimeShard>(entry.unit_time, grid_cfg);
+    out.shard = std::make_shared<index::TimeShard>(entry.unit_time);
     parse_segment(bytes, entry, policy, deep_verify, out);
   } catch (const std::exception& e) {
     out.shard.reset();
@@ -693,7 +692,6 @@ void SegmentStore::load_segments(const Manifest& manifest, sys::VpDatabase& db,
                        entry.digest, segment_file_name(entry.digest)});
 
   const vp::VpUploadPolicy policy = db.policy();
-  const index::SpatialGridConfig grid_cfg = db.timeline().config().grid;
   unsigned want = cfg_.restore_threads != 0 ? cfg_.restore_threads
                                             : std::thread::hardware_concurrency();
   if (want == 0) want = 1;
@@ -711,14 +709,22 @@ void SegmentStore::load_segments(const Manifest& manifest, sys::VpDatabase& db,
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= entries.size()) return;
       results[i] = load_one_segment(full_path(entries[i].name), entries[i], policy,
-                                    grid_cfg, cfg_.deep_verify);
+                                    cfg_.deep_verify);
     }
   };
   {
     obs::SpanScope span("recover_segments");
     std::vector<std::thread> pool;
     pool.reserve(threads - 1);
-    for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker);
+    try {
+      for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker);
+    } catch (...) {
+      // The workers already running drain the shared cursor and exit, so
+      // joining them returns; destroying them joinable would call
+      // std::terminate.
+      for (auto& th : pool) th.join();
+      throw;
+    }
     worker();  // the recovering thread is pool member 0
     for (auto& th : pool) th.join();
   }

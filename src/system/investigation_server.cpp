@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -31,7 +32,6 @@ InvestigationServer::InvestigationServer(ViewMapService& service,
     cfg_.workers = hw == 0 ? 1 : hw;
   }
   cfg_.queue_capacity = std::max<std::size_t>(cfg_.queue_capacity, 1);
-  cfg_.batch_max = std::max<std::size_t>(cfg_.batch_max, 1);
 
   // Resolve every registry handle before any worker exists.
   obs::MetricsRegistry& reg = service_.metrics();
@@ -154,25 +154,12 @@ ServerStats InvestigationServer::stats() const {
 }
 
 void InvestigationServer::worker_loop() {
-  // Worker-local snapshot cache (see the header's snapshot discipline).
-  index::DbSnapshot cached;
-  bool has_cached = false;
-  std::vector<Request> batch;
-
   for (;;) {
-    batch.clear();
+    // Engaged only on dequeue: a default-constructed Request would
+    // allocate a promise state just to overwrite it.
+    std::optional<Request> req;
     {
       std::unique_lock lock(mutex_);
-      if ((queued() == 0 || paused_) && has_cached) {
-        // About to idle: drop the cached snapshot first so a parked
-        // worker neither keeps evicted shards alive nor forces
-        // copy-on-write on the ingest path. Released outside the lock —
-        // shard destruction can be the expensive part.
-        lock.unlock();
-        cached = index::DbSnapshot{};
-        has_cached = false;
-        lock.lock();
-      }
       // stopping_ overrides paused_ so a pause() racing stop() can never
       // strand queued requests (and stop() in workers' join).
       const auto idle_start = std::chrono::steady_clock::now();
@@ -183,65 +170,27 @@ void InvestigationServer::worker_loop() {
       idle_us_c_->add(us_since(idle_start));
       if (queued() == 0) return;  // stopping, fully drained
       // Highest priority class first (kLive → kNormal → kBatch), FIFO
-      // within a class; one batch may span classes when the hot class
-      // runs dry mid-take.
-      std::size_t take = std::min(cfg_.batch_max, queued());
-      for (std::size_t cls = queues_.size(); cls-- > 0 && take > 0;) {
-        auto& queue = queues_[cls];
-        while (take > 0 && !queue.empty()) {
-          batch.push_back(std::move(queue.front()));
-          queue.pop_front();
-          --take;
-        }
-      }
+      // within a class.
+      auto& queue = *std::find_if(queues_.rbegin(), queues_.rend(),
+                                  [](const auto& q) { return !q.empty(); });
+      req.emplace(std::move(queue.front()));
+      queue.pop_front();
       queue_depth_g_->set(static_cast<std::int64_t>(queued()));
       batches_c_->add();
     }
-    not_full_.notify_all();
+    not_full_.notify_one();
     const auto busy_start = std::chrono::steady_clock::now();
-
-    // One snapshot serves the batch; reuse the cached one when the
-    // timeline write-version proves nothing changed since its cut.
-    try {
-      if (failpoint::any_armed() &&
-          failpoint::evaluate("server.snapshot").fires())
-        throw std::runtime_error("injected snapshot-acquisition failure");
-      const auto& timeline = service_.database().timeline();
-      if (!has_cached || timeline.version() != cached.version()) {
-        const auto pin_start = std::chrono::steady_clock::now();
-        cached = service_.database().snapshot();
-        has_cached = true;
-        snapshots_c_->add();
-        // The pin precedes the traced investigate() entry point; stash
-        // its duration so the batch's first trace adopts it as a span.
-        obs::stash_span("snapshot_pin", us_since(pin_start));
-      }
-    } catch (...) {
-      // Snapshot acquisition failed (allocation): fail the whole batch.
-      // Each request still records its latency and counts as failed —
-      // without these a batch dying here was indistinguishable from
-      // success in stats() and invisible in the latency histogram.
-      const std::exception_ptr err = std::current_exception();
-      for (auto& req : batch) {
-        completed_c_->add();
-        failed_c_->add();
-        request_us_->record(us_since(busy_start));
-        req.promise.set_exception(err);
-      }
-      busy_us_c_->add(us_since(busy_start));
-      continue;
-    }
-    for (auto& req : batch) serve(cached, req);
+    serve(*req);
     busy_us_c_->add(us_since(busy_start));
   }
 }
 
-void InvestigationServer::serve(const index::DbSnapshot& snap, Request& req) {
+void InvestigationServer::serve(Request& req) {
   // Stats commit BEFORE the promise resolves: a caller returning from
   // future::get() always observes this request in stats().completed.
   const auto start = std::chrono::steady_clock::now();
   if (start > req.deadline) {
-    // Expired while queued: fail fast, don't burn a worker on it.
+    // Expired while queued: fail fast, don't pin or burn a worker on it.
     completed_c_->add();
     expired_c_->add();
     request_us_->record(us_since(start));
@@ -249,6 +198,13 @@ void InvestigationServer::serve(const index::DbSnapshot& snap, Request& req) {
     return;
   }
   try {
+    if (failpoint::any_armed() && failpoint::evaluate("server.snapshot").fires())
+      throw std::runtime_error("injected snapshot-acquisition failure");
+    const index::DbSnapshot snap = service_.database().snapshot();
+    snapshots_c_->add();
+    // The pin precedes the traced investigate() entry point; stash its
+    // duration so the request's first trace adopts it as a span.
+    obs::stash_span("snapshot_pin", us_since(start));
     Reports reports = service_.investigate_period(snap, req.site, req.begin, req.end);
     completed_c_->add();
     reports_c_->add(reports.size());

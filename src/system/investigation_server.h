@@ -20,16 +20,15 @@
 // that has a trust seed, each built over one immutable DbSnapshot and
 // therefore valid indefinitely (the viewmap pins its shard).
 //
-// Snapshot discipline. A worker pins one DbSnapshot per request batch
-// (batch_max = 1 ⇒ one per request, the default) and serves the whole
-// batch from it. Between batches it consults the timeline write-version
-// (VpTimeline::version(), the snapshot-acquisition hook): if no write
-// completed since the cached snapshot's cut, the snapshot is still an
-// exact image and is reused instead of re-pinned — O(live shards) of
-// stripe-locked pointer copies saved on a quiet database. An idle worker
-// drops its cached snapshot before blocking on the queue, so a parked
-// server never prolongs the life of evicted shards or forces
-// copy-on-write on the ingest path.
+// Snapshot discipline. A worker dequeues one request at a time, pins one
+// fresh DbSnapshot for it, serves every minute of the request from that
+// snapshot, and releases it before dequeuing again. A pin is O(live
+// shards) stripe-locked pointer copies — microseconds against a viewmap
+// build of milliseconds to seconds — so there is nothing worth
+// amortizing across requests. A worker holds no snapshot while idle, so
+// a parked server never prolongs the life of evicted shards or forces
+// copy-on-write on the ingest path. A request that expired in the queue
+// fails before any pin.
 //
 // Scheduling. The queue is three FIFOs, one per RequestPriority class;
 // workers always drain the highest non-empty class first, so a kLive
@@ -76,7 +75,6 @@
 #include <vector>
 
 #include "geo/geometry.h"
-#include "index/db_snapshot.h"
 #include "system/service.h"
 
 namespace viewmap::obs {
@@ -97,7 +95,7 @@ enum class OverflowPolicy {
 /// highest non-empty class first (FIFO within a class), so a kLive
 /// request submitted behind a backlog of kBatch scans is served next —
 /// SLA traffic preempts historical work at dequeue granularity (an
-/// in-flight batch is never interrupted).
+/// in-flight request is never interrupted).
 enum class RequestPriority : std::uint8_t {
   kBatch = 0,   ///< historical/backfill scans: yield to everything else
   kNormal = 1,  ///< the default
@@ -129,11 +127,6 @@ struct ServerConfig {
   /// Bounded queue capacity; submissions beyond it hit `overflow`.
   std::size_t queue_capacity = 256;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Max requests one worker dequeues and serves from a single pinned
-  /// DbSnapshot. 1 ⇒ snapshot-per-request; larger values amortize the
-  /// O(live shards) snapshot cut across a burst at the cost of serving
-  /// later requests in the batch from a marginally older cut.
-  std::size_t batch_max = 1;
 };
 
 /// Monotonic counters since the service was built. stats() is a plain
@@ -151,8 +144,11 @@ struct ServerStats {
   std::size_t completed = 0;   ///< requests resolved (value or exception)
   std::size_t rejected = 0;    ///< overflow (kReject) + post-stop submissions
   std::size_t reports = 0;     ///< InvestigationReports produced in total
-  std::size_t batches = 0;     ///< dequeue rounds workers ran
-  std::size_t snapshots = 0;   ///< DbSnapshots actually pinned (≤ batches)
+  std::size_t batches = 0;     ///< dequeue rounds workers ran; a batch
+                               ///< is one request
+  std::size_t snapshots = 0;   ///< DbSnapshots pinned: one per request a
+                               ///< worker started serving (≤ batches;
+                               ///< expired requests pin none)
   std::size_t failed = 0;      ///< completed with an exception (snapshot
                                ///< acquisition or serve failure; ⊂ completed)
   std::size_t expired = 0;     ///< completed via DeadlineExpired (⊂ completed)
@@ -184,7 +180,7 @@ class InvestigationServer {
                                                    TimeSec begin, TimeSec end,
                                                    const SubmitOptions& opts = {});
 
-  /// Idle the workers after their in-flight batch; the queue still
+  /// Idle the workers after their in-flight request; the queue still
   /// accepts (and fills — backpressure becomes observable). Idempotent.
   void pause();
   void resume();
@@ -209,9 +205,10 @@ class InvestigationServer {
   };
 
   void worker_loop();
-  /// Serves one request from the given snapshot; fulfills its promise
-  /// with reports or with the thrown exception.
-  void serve(const index::DbSnapshot& snap, Request& req);
+  /// Serves one dequeued request from a freshly pinned snapshot (or
+  /// fails it as expired without pinning); fulfills its promise with
+  /// reports or with the thrown exception.
+  void serve(Request& req);
 
   ViewMapService& service_;
   ServerConfig cfg_;
@@ -243,7 +240,7 @@ class InvestigationServer {
   obs::Counter* snapshots_c_ = nullptr;
   obs::Counter* failed_c_ = nullptr;   ///< requests completed exceptionally
   obs::Counter* expired_c_ = nullptr;  ///< requests failed via DeadlineExpired
-  obs::Counter* busy_us_c_ = nullptr;  ///< worker µs spent serving batches
+  obs::Counter* busy_us_c_ = nullptr;  ///< worker µs spent serving requests
   obs::Counter* idle_us_c_ = nullptr;  ///< worker µs blocked on the queue
   obs::Gauge* queue_depth_g_ = nullptr;
   obs::Gauge* queue_peak_g_ = nullptr;

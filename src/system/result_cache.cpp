@@ -29,12 +29,7 @@ std::size_t ResultCache::KeyHasher::operator()(const Key& k) const noexcept {
   h = fnv_u64(h, std::bit_cast<std::uint64_t>(k.site.min.y));
   h = fnv_u64(h, std::bit_cast<std::uint64_t>(k.site.max.x));
   h = fnv_u64(h, std::bit_cast<std::uint64_t>(k.site.max.y));
-  for (std::size_t i = 0; i < k.digest.bytes.size(); i += 8) {
-    std::uint64_t v = 0;
-    for (std::size_t j = 0; j < 8; ++j)
-      v |= static_cast<std::uint64_t>(k.digest.bytes[i + j]) << (8 * j);
-    h = fnv_u64(h, v);
-  }
+  h = fnv_u64(h, k.generation);
   return static_cast<std::size_t>(h);
 }
 
@@ -103,7 +98,7 @@ void ResultCache::insert(const Key& key, std::shared_ptr<CachedInvestigation> va
       case ListId::kT1:
       case ListId::kT2:
         // Already resident: a racing builder got here first with a
-        // bit-identical report (same digest ⇒ same inputs). Keep it.
+        // bit-identical report (same generation ⇒ same inputs). Keep it.
         return;
       case ListId::kB1:
         // The recency list would have kept this key — grow its share.

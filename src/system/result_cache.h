@@ -1,16 +1,17 @@
-// ResultCache — digest-keyed cache of completed investigations.
+// ResultCache — generation-keyed cache of completed investigations.
 //
 // A public service at scale sees hot incidents: many overlapping
 // (site, unit-time) requests while the underlying minute shards rarely
-// change. The shard change identity (TimeShard::cache_key,
-// index/db_snapshot.h — the content digest when already cached, else a
-// per-shard generation stamp; O(1) either way) makes exact invalidation
-// free: two investigations with the same site rectangle, the same
-// unit-time, and the same shard key consume byte-identical inputs, so
-// the second one can return the first one's report verbatim — no member
-// select, no grid candidate pass, no edge build, no power iteration.
+// change. The shard's change stamp (TimeShard::generation,
+// index/db_snapshot.h — O(1), redrawn by every mutation) makes exact
+// invalidation free: two investigations with the same site rectangle,
+// the same unit-time, and the same shard generation consume
+// byte-identical inputs, so the second one can return the first one's
+// report verbatim — no member select, no grid candidate pass, no edge
+// build, no power iteration.
 // Any ingest or eviction touching the minute changes the key, which
-// misses; stale entries are never *served*, only aged out.
+// misses (a checkpoint changes no key); stale entries are never
+// *served*, only aged out.
 //
 // Replacement is ARC-style (modeled on the NDN-DPDK content store's
 // direct/indirect lists), adapted to byte accounting: resident entries
@@ -70,17 +71,17 @@ struct CachedInvestigation {
 
 class ResultCache {
  public:
-  /// (site cell, unit-time, shard change identity) — the full input
-  /// fingerprint of one investigation. `digest` carries
-  /// DbSnapshot::shard_cache_key's Hash32: the shard content digest when
-  /// one was already cached, else the tagged generation stamp.
+  /// (site cell, unit-time, shard generation) — the full input
+  /// fingerprint of one investigation. `generation` is
+  /// DbSnapshot::shard_generation() of the minute, or 0 when the
+  /// snapshot holds no shard for it (stamps start at 1).
   struct Key {
     geo::Rect site{};
     TimeSec unit_time = 0;
-    Hash32 digest{};
+    std::uint64_t generation = 0;
 
     friend bool operator==(const Key& a, const Key& b) noexcept {
-      return a.unit_time == b.unit_time && a.digest == b.digest &&
+      return a.unit_time == b.unit_time && a.generation == b.generation &&
              a.site.min.x == b.site.min.x && a.site.min.y == b.site.min.y &&
              a.site.max.x == b.site.max.x && a.site.max.y == b.site.max.y;
     }
@@ -121,7 +122,7 @@ class ResultCache {
 
   /// Inserts a freshly built report. Sets value->bytes. A key already
   /// resident is left as is (two racing builders produced bit-identical
-  /// reports — the digest key guarantees it — so first-in wins). Entries
+  /// reports — the generation key guarantees it — so first-in wins). Entries
   /// larger than the whole budget are not cached. No-op when disabled.
   void insert(const Key& key, std::shared_ptr<CachedInvestigation> value);
 

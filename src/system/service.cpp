@@ -129,22 +129,20 @@ InvestigationReport ViewMapService::investigate(const DbSnapshot& snap,
   // investigation server (when it is the caller) becomes its first span.
   obs::TraceScope scope(&tracer_, label);
 
-  // Cache key: (site, unit-time, shard change identity). The builder
-  // reads exactly snap.shard(unit_time)'s contents, and shard_cache_key
-  // equality proves those contents are unchanged since a previous build
-  // (content digest when one is already cached, else the shard's
-  // generation stamp — see TimeShard::cache_key; O(1) either way, never
-  // hashing on this path), so that build's report can be returned
-  // bit-identically (trace excluded — it records the serving path). A
-  // missing shard keys as the zero hash: such builds share one key per
-  // (site, unit_time), correctly, because they all see the same empty
-  // member set.
+  // Cache key: (site, unit-time, shard generation). The builder reads
+  // exactly snap.shard(unit_time)'s contents, and an equal generation
+  // stamp proves those contents are unchanged since a previous build
+  // (see TimeShard::generation; O(1), never hashing on this path), so
+  // that build's report can be returned bit-identically (trace excluded
+  // — it records the serving path). A missing shard keys as generation
+  // 0: such builds share one key per (site, unit_time), correctly,
+  // because they all see the same empty member set.
   ResultCache::Key key{};
   const bool cacheable = cache_.enabled();
   if (cacheable) {
     key.site = site;
     key.unit_time = unit_time;
-    key.digest = snap.shard_cache_key(unit_time).value_or(Hash32{});
+    key.generation = snap.shard_generation(unit_time).value_or(0);
     if (const std::shared_ptr<const CachedInvestigation> hit = cache_.find(key)) {
       std::optional<InvestigationReport> report;
       {

@@ -53,7 +53,7 @@ struct ServiceConfig {
   int rsa_bits = 2048;
   std::uint64_t channel_seed = 0x5eed;
   std::size_t mix_pool = 16;
-  /// Digest-keyed investigation result cache (system/result_cache.h):
+  /// Generation-keyed investigation result cache (system/result_cache.h):
   /// a repeat investigate() over an unchanged minute shard returns the
   /// cached report instead of rebuilding — bit-identical by key
   /// construction. Enabled by default; capacity_bytes=0 gives the
@@ -266,7 +266,7 @@ class ViewMapService {
   NoticeBoard board_;
   reward::Bank bank_;
   obs::Tracer tracer_;
-  ResultCache cache_;  ///< digest-keyed investigation result cache
+  ResultCache cache_;  ///< generation-keyed investigation result cache
   index::IngestMetrics ingest_metrics_;  ///< registry handles + name catalogue
   obs::Histogram* investigate_us_ = nullptr;
   obs::Histogram* cache_hit_us_ = nullptr;  ///< latency of cache-served hits

@@ -516,7 +516,15 @@ void run_sharded(std::size_t threads, const Fn& fn) {
   };
   std::vector<std::thread> pool;
   pool.reserve(threads - 1);
-  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(guarded, t);
+  try {
+    for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(guarded, t);
+  } catch (...) {
+    // A failed spawn leaves its shard unrun, so the build cannot finish:
+    // join the shards already running and report the spawn failure.
+    // Destroying joinable threads would call std::terminate.
+    for (auto& th : pool) th.join();
+    throw;
+  }
   guarded(0);
   for (auto& th : pool) th.join();
   for (const auto& err : errors)

@@ -163,14 +163,14 @@ TEST(VpTimeline, TrustedSetSemantics) {
   EXPECT_TRUE(db.is_trusted(trusted_id));
   EXPECT_FALSE(db.is_trusted(plain_id));
   EXPECT_EQ(db.trusted_count(), 1u);
-  EXPECT_EQ(snap.trusted_ids(), std::vector<Id16>{trusted_id});
-  EXPECT_EQ(snap.trusted_at(0).size(), 1u);
+  const auto trusted_list = snap.trusted_at(0);
+  ASSERT_EQ(trusted_list.size(), 1u);
+  EXPECT_EQ(trusted_list.front()->vp_id(), trusted_id);
   // Live and snapshot trust views agree for every stored VP (the old
   // map<Id,bool> representation could make them disagree).
-  const auto trusted_list = snap.trusted_ids();
   for (const auto* p : snap.all()) {
-    const bool listed = std::find(trusted_list.begin(), trusted_list.end(),
-                                  p->vp_id()) != trusted_list.end();
+    const bool listed = std::find(trusted_list.begin(), trusted_list.end(), p) !=
+                        trusted_list.end();
     EXPECT_EQ(db.is_trusted(p->vp_id()), listed);
     EXPECT_EQ(snap.is_trusted(p->vp_id()), listed);
   }

@@ -1,15 +1,19 @@
-// ResultCache: ARC replacement mechanics on the cache itself, the
-// tentpole bit-identity property (cache-on reports == cache-off reports
-// under an adversarial interleaving of ingest / eviction / clock
-// advance / investigate), and a TSan case with cache hits racing live
-// ingest and retention eviction.
+// ResultCache: ARC replacement mechanics on the cache itself, key
+// stability across a checkpoint, the bit-identity property (cache-on
+// reports == cache-off reports under an adversarial interleaving of
+// ingest / eviction / clock advance / investigate), and a TSan case with
+// cache hits racing live ingest and retention eviction.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "attack/fake_vp.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "store/segment_store.h"
 #include "system/result_cache.h"
 #include "system/service.h"
 
@@ -36,7 +41,7 @@ std::shared_ptr<CachedInvestigation> entry(std::size_t pad_ids = 0) {
 ResultCache::Key key_of(int n) {
   ResultCache::Key k;
   k.unit_time = n * kUnitTimeSec;
-  k.digest.bytes[0] = static_cast<std::uint8_t>(n & 0xff);
+  k.generation = static_cast<std::uint64_t>(n) + 1;
   k.site = {{0, 0}, {100, 100}};
   return k;
 }
@@ -65,9 +70,9 @@ TEST(ResultCache, AnyKeyComponentChangeMisses) {
   ResultCache cache(reg, {.capacity_bytes = 10'000});
   cache.insert(key_of(1), entry());
 
-  ResultCache::Key other_digest = key_of(1);
-  other_digest.digest.bytes[31] = 0xff;  // same (site, unit), new content
-  EXPECT_EQ(cache.find(other_digest), nullptr);
+  ResultCache::Key other_generation = key_of(1);
+  other_generation.generation += 1000;  // same (site, unit), new content
+  EXPECT_EQ(cache.find(other_generation), nullptr);
 
   ResultCache::Key other_site = key_of(1);
   other_site.site.max.x += 1.0;
@@ -152,6 +157,46 @@ TEST(ResultCache, ClearDropsEntriesButKeepsCounters) {
   EXPECT_EQ(s.resident_entries, 0u);
   EXPECT_EQ(s.resident_bytes, 0u);
   EXPECT_EQ(s.hits, 1u);  // history survives the wipe
+}
+
+// ── service-level keys ───────────────────────────────────────────────
+
+TEST(ResultCache, CheckpointWithoutWritesKeepsHits) {
+  // A checkpoint digests every shard (and caches the digest) but changes
+  // no content, so it must not change any cache key: the investigation
+  // after it is still a hit, not a rebuild.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("viewmap_cache_checkpoint_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+
+  ServiceConfig cfg;
+  cfg.rsa_bits = 1024;
+  ViewMapService service(cfg);
+  Rng rng(61);
+  ASSERT_TRUE(service.register_trusted(
+      attack::make_fake_profile(0, {0, 0}, {900, 0}, rng)));
+  for (int i = 0; i < 4; ++i) {
+    const double x = rng.uniform(0.0, 400.0);
+    service.upload_channel().submit(
+        attack::make_fake_profile(0, {x, 0}, {x + 300, 0}, rng).serialize());
+  }
+  ASSERT_EQ(service.ingest_uploads(), 4u);
+
+  const geo::Rect site{{0, -50}, {400, 50}};
+  (void)service.investigate(site, 0);  // miss: builds and inserts
+  (void)service.investigate(site, 0);  // hit
+  ASSERT_EQ(service.result_cache().stats().hits, 1u);
+
+  {
+    store::SegmentStore store(dir.string());
+    (void)service.checkpoint(store);
+  }
+  (void)service.investigate(site, 0);
+  const auto s = service.result_cache().stats();
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.misses, 1u);
+  fs::remove_all(dir);
 }
 
 // ── the tentpole property: bit-identical reports, cache on vs off ────

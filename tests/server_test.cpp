@@ -1,8 +1,8 @@
 // InvestigationServer + concurrent NoticeBoard: the multi-threaded
 // investigation front. Covers the NoticeBoard multi-writer contract (no
 // lost or duplicated notices), queue backpressure (bounded queue full →
-// reject vs block, both observable), per-batch snapshot pinning and
-// write-version reuse, and the tentpole TSan stress: N workers
+// reject vs block, both observable), per-request snapshot pinning, and
+// the tentpole TSan stress: N workers
 // investigating against a live ingest + retention-eviction loop.
 #include <gtest/gtest.h>
 
@@ -238,7 +238,7 @@ TEST(InvestigationServer, BlockPolicyHoldsSubmitterUntilSlotFrees) {
   EXPECT_EQ(server.stats().rejected, 0u);
 }
 
-TEST(InvestigationServer, BatchingServesBurstFromOneSnapshot) {
+TEST(InvestigationServer, EveryServedRequestPinsOneSnapshot) {
   ConvoyWorld world;
   ViewMapService service(small_cfg());
   service.register_trusted(world.record_of(0).profile);
@@ -246,46 +246,27 @@ TEST(InvestigationServer, BatchingServesBurstFromOneSnapshot) {
   ServerConfig scfg;
   scfg.workers = 1;
   scfg.queue_capacity = 16;
-  scfg.batch_max = 8;
   auto& server = service.start_server(scfg);
   server.pause();
 
+  // A paused burst of four servable requests behind one that will have
+  // expired by the time the worker reaches it.
   const geo::Rect site{{0, -50}, {1200, 50}};
-  std::vector<std::future<InvestigationServer::Reports>> futures;
-  for (int i = 0; i < 8; ++i) futures.push_back(server.submit(site, 0));
-  server.resume();
-  for (auto& fut : futures) EXPECT_EQ(fut.get().size(), 1u);
-
-  // The whole paused burst came off the queue as one batch, served from
-  // one pinned DbSnapshot.
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.completed, 8u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.snapshots, 1u);
-}
-
-TEST(InvestigationServer, UnchangedWriteVersionReusesSnapshotAcrossBatches) {
-  ConvoyWorld world;
-  ViewMapService service(small_cfg());
-  service.register_trusted(world.record_of(0).profile);
-
-  ServerConfig scfg;
-  scfg.workers = 1;
-  scfg.queue_capacity = 16;
-  scfg.batch_max = 1;  // four separate batches…
-  auto& server = service.start_server(scfg);
-  server.pause();
-  const geo::Rect site{{0, -50}, {1200, 50}};
+  auto doomed = server.submit(site, 0, {.deadline = std::chrono::milliseconds(1)});
   std::vector<std::future<InvestigationServer::Reports>> futures;
   for (int i = 0; i < 4; ++i) futures.push_back(server.submit(site, 0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   server.resume();
+  EXPECT_THROW(doomed.get(), DeadlineExpired);
   for (auto& fut : futures) EXPECT_EQ(fut.get().size(), 1u);
 
-  // …but the database never changed, so the write-version check let the
-  // worker pin exactly one snapshot for all of them.
+  // One dequeue per request, even with the burst queued and the database
+  // unchanged; one pin per served request; none for the expired one.
   const auto stats = server.stats();
-  EXPECT_EQ(stats.batches, 4u);
-  EXPECT_EQ(stats.snapshots, 1u);
+  EXPECT_EQ(stats.completed, 5u);
+  EXPECT_EQ(stats.batches, 5u);
+  EXPECT_EQ(stats.snapshots, 4u);
+  EXPECT_EQ(stats.expired, 1u);
 }
 
 bool has_span(const obs::Trace& trace, std::string_view name) {
@@ -304,7 +285,6 @@ TEST(InvestigationServer, PriorityRequestsOvertakeQueuedBatchRequests) {
 
   ServerConfig scfg;
   scfg.workers = 1;
-  scfg.batch_max = 1;
   auto& server = service.start_server(scfg);
   server.pause();  // queue deterministically before any serving starts
 
@@ -331,7 +311,7 @@ TEST(InvestigationServer, PriorityRequestsOvertakeQueuedBatchRequests) {
     auto reports = fut.get();
     ASSERT_EQ(reports.size(), 1u);
     EXPECT_TRUE(has_span(reports[0].trace, "result_cache_hit"));
-    // Bit-identical to the live (miss) report's verdict, per the digest key.
+    // Bit-identical to the live (miss) report's verdict, per the generation key.
     EXPECT_EQ(reports[0].solicited, live_reports[0].solicited);
     EXPECT_EQ(reports[0].verification.legitimate,
               live_reports[0].verification.legitimate);
@@ -373,7 +353,6 @@ TEST(InvestigationServer, SnapshotFailureIsCountedAndTimedNotSilent) {
 
   ServerConfig scfg;
   scfg.workers = 1;
-  scfg.batch_max = 2;  // both queued requests die in ONE failed batch
   auto& server = service.start_server(scfg);
   server.pause();
 
@@ -384,28 +363,26 @@ TEST(InvestigationServer, SnapshotFailureIsCountedAndTimedNotSilent) {
                  failpoint::Trigger::once());
   server.resume();
 
+  // The failed pin fails exactly its own request; the next request is
+  // served normally from its own snapshot.
   EXPECT_THROW(f1.get(), std::runtime_error);
-  EXPECT_THROW(f2.get(), std::runtime_error);
+  EXPECT_EQ(f2.get().size(), 1u);
   failpoint::disarm("server.snapshot");
 
-  // The stats invariant this PR fixes: a batch dying at snapshot
-  // acquisition must look like completed-and-failed — with latencies in
-  // the histogram — not like silent success.
+  // A request dying at snapshot acquisition must look like
+  // completed-and-failed — with its latency in the histogram — not like
+  // silent success.
   const auto stats = server.stats();
   EXPECT_EQ(stats.submitted, 2u);
   EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.expired, 0u);
-  EXPECT_EQ(stats.reports, 0u);
+  EXPECT_EQ(stats.reports, 1u);
+  EXPECT_EQ(stats.snapshots, 1u);
   const obs::Histogram* request_us =
       service.metrics().find_histogram("viewmap_server_request_us");
   ASSERT_NE(request_us, nullptr);
   EXPECT_EQ(request_us->snapshot().count, 2u);
-
-  // The server survives: the next request is served normally.
-  auto f3 = server.submit(site, 0);
-  EXPECT_EQ(f3.get().size(), 1u);
-  EXPECT_EQ(server.stats().failed, 2u);
 }
 
 TEST(InvestigationServer, SubmitAfterStopIsRejected) {
@@ -460,7 +437,6 @@ TEST(InvestigationServer, ConcurrentWithIngestAndEvictionStress) {
   ServerConfig scfg;
   scfg.workers = 3;
   scfg.queue_capacity = 8;  // small: backpressure engages under the race
-  scfg.batch_max = 2;
   auto& server = service.start_server(scfg);
 
   std::atomic<bool> done{false};

@@ -62,7 +62,9 @@ TEST(DbSnapshot, IsolationFromLaterInserts) {
   EXPECT_EQ(timeline.size(), 80u);
   EXPECT_EQ(snap.size(), 40u);
   EXPECT_EQ(wire_bytes(snap), bytes_at_cut);
-  for (const Id16& id : first_wave) EXPECT_NE(snap.find(id), nullptr);
+  for (std::size_t i = 0; i < first_wave.size(); ++i)
+    EXPECT_TRUE(snap.shard(kUnitTimeSec * static_cast<TimeSec>(i % 3))
+                    ->profiles.contains(first_wave[i]));
 
   // A fresh snapshot sees everything; the old one still answers queries
   // exactly as of its cut.
@@ -104,7 +106,7 @@ TEST(DbSnapshot, PinsEvictedShardsUntilLastReleaseThenFrees) {
     EXPECT_FALSE(pinned_shard.expired());
     EXPECT_EQ(held.size(), 10u);
     EXPECT_EQ(wire_bytes(held), bytes_before);
-    for (const Id16& id : ids) EXPECT_NE(held.find(id), nullptr);
+    for (const Id16& id : ids) EXPECT_TRUE(held.shard(0)->profiles.contains(id));
 
     // Copies share the pin; dropping one copy must not release it.
     DbSnapshot copy = held;
@@ -128,57 +130,8 @@ TEST(DbSnapshot, SurvivesDatabaseDestruction) {
     snap = db.snapshot();
   }  // database (and its timeline) destroyed here
   EXPECT_EQ(snap.size(), 1u);
-  ASSERT_NE(snap.find(id), nullptr);
-  EXPECT_EQ(snap.find(id)->vp_id(), id);
-}
-
-TEST(DbSnapshot, LazyIdIndexFindIsExactAndConcurrentSafe) {
-  // find() builds its id → profile index lazily on first probe
-  // (call_once). Hammer one snapshot from several threads racing that
-  // first build: every present id must resolve to the exact shard-order
-  // answer, every absent id to nullptr — TSan (CI runs this suite under
-  // it) watches the build race.
-  Rng rng(14);
-  VpTimeline timeline;
-  std::vector<Id16> ids;
-  for (int i = 0; i < 120; ++i) {
-    auto p = random_vp(kUnitTimeSec * (i % 5), 2000.0, rng);
-    ids.push_back(p.vp_id());
-    ASSERT_TRUE(timeline.insert(std::move(p), false));
-  }
-  const DbSnapshot snap = timeline.snapshot();
-
-  // Reference answers via the shards themselves.
-  std::vector<const vp::ViewProfile*> expected;
-  for (const Id16& id : ids) {
-    const vp::ViewProfile* hit = nullptr;
-    for (const auto& shard : snap.shards())
-      if (auto it = shard->profiles.find(id); it != shard->profiles.end()) {
-        hit = it->second.get();
-        break;
-      }
-    ASSERT_NE(hit, nullptr);
-    expected.push_back(hit);
-  }
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t)
-    readers.emplace_back([&] {
-      for (std::size_t k = 0; k < ids.size(); ++k)
-        if (snap.find(ids[k]) != expected[k]) mismatches.fetch_add(1);
-      Id16 absent{};
-      absent.bytes.fill(0xEE);
-      if (snap.find(absent) != nullptr) mismatches.fetch_add(1);
-    });
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
-
-  // Still exact after the live timeline evicts everything: the index
-  // points into pinned shards, not the timeline.
-  timeline.advance_clock(100 * kUnitTimeSec);
-  (void)timeline.enforce_retention();
-  EXPECT_EQ(snap.find(ids.front()), expected.front());
+  ASSERT_NE(snap.shard(0), nullptr);
+  EXPECT_EQ(snap.shard(0)->profiles.at(id)->vp_id(), id);
 }
 
 TEST(DbSnapshot, OwningFindOutlivesEviction) {
@@ -389,8 +342,10 @@ TEST(DbSnapshot, TrackingAnalysisReadsFromSnapshot) {
   for (const auto& minute : per_minute) {
     for (const auto& obs : minute) {
       ++total;
-      const auto* profile = snap.find(obs.vp_id);
-      ASSERT_NE(profile, nullptr);
+      const auto shard = snap.shard(obs.unit_time);
+      ASSERT_NE(shard, nullptr);
+      ASSERT_TRUE(shard->profiles.contains(obs.vp_id));
+      const auto& profile = shard->profiles.at(obs.vp_id);
       EXPECT_EQ(obs.unit_time, profile->unit_time());
       EXPECT_EQ(obs.start.x, profile->first_location().x);
       EXPECT_EQ(obs.end.y, profile->last_location().y);

@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
 
   // Investigation server: R sites across the band, served concurrently —
   // twice. The second pass repeats the same (site, minute) keys over the
-  // unchanged shard, so the digest-keyed result cache serves it from
+  // unchanged shard, so the generation-keyed result cache serves it from
   // memory and the cache families below carry real hits.
   sys::ServerConfig server_cfg;
   server_cfg.workers = opt.workers;

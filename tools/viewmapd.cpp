@@ -12,7 +12,7 @@
 //            [--soak_rate=N] [--unit_every_ms=N] [--investigate_every_ms=N]
 //            [--cache_mb=N] [--failpoints=SPEC]
 //
-// --cache_mb bounds the digest-keyed investigation result cache
+// --cache_mb bounds the generation-keyed investigation result cache
 // (src/system/result_cache.h) in MiB; 0 disables it. Default 64.
 //
 // --failpoints (or the VIEWMAP_FAILPOINTS environment variable) arms
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
   cfg.checkpoint.jitter_pct = static_cast<unsigned>(opt.jitter);
   cfg.scrape.bind_address = opt.bind;
   cfg.scrape.port = static_cast<std::uint16_t>(opt.port);
-  // --cache_mb=0 turns the digest-keyed result cache off entirely (a
+  // --cache_mb=0 turns the generation-keyed result cache off entirely (a
   // zero-byte budget admits nothing; the service then skips the lookup).
   cfg.service.result_cache.capacity_bytes =
       static_cast<std::size_t>(opt.cache_mb) << 20;
