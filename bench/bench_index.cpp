@@ -1,7 +1,8 @@
 // bench_index — perf trajectory for the spatio-temporal VP index.
 //
-//   (1) (site, unit-time) query latency through a DbSnapshot: grid-indexed
-//       shards vs the pre-index linear scan, at growing database sizes.
+//   (1) (site, unit-time) query latency through a DbSnapshot: a scan of
+//       the query's one-minute shard vs the pre-index scan of the whole
+//       store, at growing database sizes.
 //   (2) batched ingest throughput: 1 worker vs N workers through the
 //       striped-lock commit path.
 //   (3) snapshot queries under concurrent ingest + retention eviction:
@@ -1191,7 +1192,7 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency(), threads);
 
   // ── query latency vs database size ───────────────────────────────────
-  std::printf("\n-- (site, unit-time) snapshot query latency: grid index vs linear scan --\n");
+  std::printf("\n-- (site, unit-time) snapshot query latency: minute scan vs full scan --\n");
   std::printf("%-10s %-14s %-14s %-14s %-10s %-8s\n", "VPs", "snapshot (us)",
               "indexed (us)", "linear (us)", "speedup", "hits/q");
   std::vector<QueryRow> query_rows;

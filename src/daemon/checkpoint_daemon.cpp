@@ -33,8 +33,7 @@ CheckpointDaemon::CheckpointDaemon(sys::ViewMapService& service,
                                    CheckpointConfig cfg)
     : service_(service),
       store_(store),
-      cfg_(cfg),
-      jitter_rng_(cfg.jitter_seed) {
+      cfg_(cfg) {
   auto& reg = service_.metrics();
   store_.adopt_metrics(&reg);
   heartbeats_ = &reg.counter("viewmap_daemon_heartbeats_total",
@@ -158,8 +157,7 @@ bool CheckpointDaemon::cycle() {
     // comparison and the checkpoint describe the same database version.
     const index::DbSnapshot snap = service_.database().snapshot();
     auto digests = snap.shard_digests();
-    if (cfg_.skip_if_unchanged && have_last_ &&
-        same_digests(digests, last_digests_)) {
+    if (have_last_ && same_digests(digests, last_digests_)) {
       std::lock_guard lock(mutex_);
       skipped_c_->add();
       consecutive_g_->set(0);

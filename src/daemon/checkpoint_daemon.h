@@ -63,10 +63,6 @@ struct CheckpointConfig {
   std::chrono::milliseconds interval{30000};
   /// Each cycle's wait is interval ± this percentage, drawn per cycle.
   unsigned jitter_pct = 10;
-  std::uint64_t jitter_seed = 0x7ea5;
-  /// Compare shard digests against the previous checkpoint and skip the
-  /// write when nothing changed. Off only for tests that count writes.
-  bool skip_if_unchanged = true;
   /// Retry cadence after a failed cycle: first retry after
   /// retry_backoff_min, doubling per consecutive failure, capped at
   /// retry_backoff_max (jittered by jitter_pct like the normal cadence).
@@ -178,7 +174,7 @@ class CheckpointDaemon {
   /// Outcome of the final checkpoint; written by run() before it
   /// returns, read by stop_impl() after join() (the join orders it).
   bool final_ok_ = true;
-  Rng jitter_rng_{0};
+  Rng jitter_rng_{0x7ea5};  ///< draws the per-cycle jitter
   std::thread thread_;
 };
 

@@ -63,13 +63,8 @@ bool IngestService::submit(std::vector<std::uint8_t> payload) {
   std::unique_lock lock(mutex_);
   if (cfg_.max_pending_uploads != 0) {
     while (accepting_.load(std::memory_order_acquire) &&
-           channel.pending() >= cfg_.max_pending_uploads) {
-      if (cfg_.overflow == BackpressurePolicy::kReject) {
-        rejected_->add();
-        return false;
-      }
+           channel.pending() >= cfg_.max_pending_uploads)
       space_cv_.wait(lock);
-    }
   }
   if (!accepting_.load(std::memory_order_acquire)) {
     rejected_->add();

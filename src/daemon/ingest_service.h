@@ -9,9 +9,8 @@
 // anonet/channel.h) through submit(), which adds the one thing the raw
 // channel lacks: backpressure. An unbounded pending vector under a
 // saturating uploader is an OOM with extra steps, so submit() bounds the
-// channel at max_pending_uploads and either blocks the uploader until
-// the drain catches up (kBlock, the loss-free default) or fails fast
-// (kReject, for callers with their own retry story).
+// channel at max_pending_uploads and blocks the uploader until the
+// drain catches up — loss-free; submit() refuses only while stopping.
 //
 // The drain loop adapts to load: every pass that accepts work resets an
 // exponential idle backoff; an empty channel doubles it up to
@@ -39,13 +38,6 @@ class ViewMapService;
 
 namespace viewmap::daemon {
 
-/// What submit() does when the channel already holds
-/// max_pending_uploads payloads.
-enum class BackpressurePolicy {
-  kBlock,   ///< block the uploader until the drain frees a slot (or stop)
-  kReject,  ///< return false immediately, count the rejection
-};
-
 struct IngestServiceConfig {
   /// First idle sleep after the channel runs dry; doubles per idle pass.
   std::chrono::milliseconds idle_backoff_min{1};
@@ -53,10 +45,10 @@ struct IngestServiceConfig {
   /// a quiet daemon (a submit() notifies the drain, so in practice the
   /// sleeper wakes immediately).
   std::chrono::milliseconds idle_backoff_max{200};
-  /// Channel occupancy bound enforced by submit(). 0 ⇒ unbounded
-  /// (library behaviour — only sensible under a trusted workload).
+  /// Channel occupancy bound enforced by submit(), which blocks the
+  /// uploader at the bound. 0 ⇒ unbounded (library behaviour — only
+  /// sensible under a trusted workload).
   std::size_t max_pending_uploads = 4096;
-  BackpressurePolicy overflow = BackpressurePolicy::kBlock;
 };
 
 class IngestService {
@@ -85,8 +77,9 @@ class IngestService {
   /// ones a real crash would lose). Idempotent.
   void abort();
 
-  /// Uploader-facing enqueue with backpressure (see BackpressurePolicy).
-  /// Returns false when rejected — by policy, or because the service is
+  /// Uploader-facing enqueue with backpressure: blocks while the channel
+  /// holds max_pending_uploads payloads, until the drain frees a slot.
+  /// Returns false (and counts a rejection) only when the service is
   /// stopping. Thread-safe, any number of callers.
   bool submit(std::vector<std::uint8_t> payload);
 
@@ -104,7 +97,7 @@ class IngestService {
   obs::Counter* heartbeats_ = nullptr;
   obs::Counter* passes_ = nullptr;      ///< drain passes that accepted work
   obs::Counter* failures_ = nullptr;    ///< drain passes that threw (retried)
-  obs::Counter* rejected_ = nullptr;    ///< submit()s refused
+  obs::Counter* rejected_ = nullptr;    ///< submit()s refused while stopping
   obs::Gauge* backlog_ = nullptr;       ///< channel pending() after each pass
 
   std::mutex mutex_;

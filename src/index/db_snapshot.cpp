@@ -84,10 +84,8 @@ std::vector<const vp::ViewProfile*> DbSnapshot::query(TimeSec unit_time,
   std::vector<const vp::ViewProfile*> out;
   const TimeShard* shard = shard_at(unit_time);
   if (shard == nullptr) return out;
-  shard->grid.collect_candidates(area, out);
-  // The grid yields a cell-granular superset; finish with the exact
-  // predicate so results match the reference linear scan bit-for-bit.
-  std::erase_if(out, [&](const vp::ViewProfile* p) { return !p->visits(area); });
+  for (const auto& [id, profile] : shard->profiles)
+    if (profile->visits(area)) out.push_back(profile.get());
   std::sort(out.begin(), out.end(), id_less);
   return out;
 }

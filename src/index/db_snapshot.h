@@ -42,7 +42,6 @@
 
 #include "common/types.h"
 #include "geo/geometry.h"
-#include "index/spatial_grid.h"
 #include "vp/view_profile.h"
 
 namespace viewmap::index {
@@ -52,21 +51,17 @@ struct ShardStats {
   TimeSec unit_time = 0;
   std::size_t vp_count = 0;
   std::size_t trusted_count = 0;
-  std::size_t grid_cells = 0;
-  std::size_t grid_entries = 0;
 };
 
 /// One unit-time worth of storage. Published behind std::shared_ptr and
 /// immutable while pinned: the timeline clones before mutating any shard
 /// a snapshot still pins (see VpTimeline). Profiles are themselves
 /// individually refcounted, so cloning a shard copies maps of pointers,
-/// never the ~4.6 KB profiles, and the grid's raw profile pointers stay
-/// valid in every clone.
+/// never the ~4.6 KB profiles.
 struct TimeShard {
   TimeSec unit_time = 0;
   std::unordered_map<Id16, std::shared_ptr<const vp::ViewProfile>, Id16Hasher> profiles;
   std::unordered_set<Id16, Id16Hasher> trusted;
-  SpatialGrid grid;
   /// Count of live DbSnapshots pinning this shard. This — not the
   /// shared_ptr use_count — is the writers' copy-on-write trigger:
   /// pinning happens under the timeline's stripe lock, unpinning is a
@@ -76,7 +71,7 @@ struct TimeShard {
   /// use_count() cannot serve here: its observer is a relaxed load with
   /// no such ordering. Holding the shared_ptr without a pin (a Viewmap
   /// does) keeps the *profile objects* alive but does NOT license
-  /// reading the maps/grid, which a writer may then be mutating.
+  /// reading the maps, which a writer may then be mutating.
   mutable std::atomic<std::size_t> pins{0};
 
   explicit TimeShard(TimeSec unit) : unit_time(unit) {}
@@ -86,12 +81,10 @@ struct TimeShard {
   TimeShard(const TimeShard& other)
       : unit_time(other.unit_time),
         profiles(other.profiles),
-        trusted(other.trusted),
-        grid(other.grid) {}
+        trusted(other.trusted) {}
 
   [[nodiscard]] ShardStats stats() const {
-    return {unit_time, profiles.size(), trusted.size(), grid.cell_count(),
-            grid.entry_count()};
+    return {unit_time, profiles.size(), trusted.size()};
   }
 
   /// Streams this shard's canonical content bytes into `sink`, in one or
@@ -179,8 +172,10 @@ class DbSnapshot {
   [[nodiscard]] bool is_trusted(const Id16& vp_id) const noexcept;
 
   /// All VPs covering `unit_time` with any claimed location inside
-  /// `area`, ordered by id. Exact (not a superset): candidates from the
-  /// shard grid are finished with the ViewProfile::visits() predicate.
+  /// `area`, ordered by id. Exact: one pass over the minute's shard with
+  /// the ViewProfile::visits() predicate, O(VPs in that minute). A site
+  /// typically holds most of its minute (see index/README.md), so a
+  /// per-shard spatial index would skip little.
   [[nodiscard]] std::vector<const vp::ViewProfile*> query(TimeSec unit_time,
                                                           const geo::Rect& area) const;
   /// All trusted VPs covering `unit_time`, ordered by id.

@@ -133,9 +133,8 @@ bool VpTimeline::insert(vp::ViewProfile profile, bool trusted) {
       created = true;
     } else if (sit->second->pins.load(std::memory_order_acquire) > 0) {
       // The shard is pinned by at least one snapshot: copy-on-write.
-      // Cloning copies maps of refcounted profile pointers (and the
-      // grid's raw pointers to those same heap profiles), never profile
-      // payloads. Snapshot holders keep the original, bit-identical.
+      // Cloning copies maps of refcounted profile pointers, never
+      // profile payloads. Snapshot holders keep the original, bit-identical.
       // The acquire pairs with the release unpin of snapshots already
       // destroyed — observing 0 means their reads are ordered before
       // our in-place writes (see TimeShard::pins).
@@ -149,7 +148,6 @@ bool VpTimeline::insert(vp::ViewProfile profile, bool trusted) {
     auto [pit, inserted] = shard.profiles.emplace(id, std::move(owned));
     (void)inserted;
     try {
-      shard.grid.insert(pit->second.get());
       if (trusted) {
         shard.trusted.insert(id);
         trusted_count_.fetch_add(1, std::memory_order_relaxed);
@@ -159,7 +157,6 @@ bool VpTimeline::insert(vp::ViewProfile profile, bool trusted) {
       // can never precede this add and wrap the size_t counters.
       size_.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
-      shard.grid.erase(pit->second.get());  // also clears a partial insert
       shard.profiles.erase(pit);
       if (created) ts.shards.erase(sit);
       throw;
@@ -231,10 +228,8 @@ std::size_t VpTimeline::adopt_shard(std::shared_ptr<TimeShard> shard) {
   // without any lock; the digest cache dies with the first removal (the
   // shard no longer matches the segment it was built from).
   for (const Id16& id : drops) {
-    auto pit = shard->profiles.find(id);
-    shard->grid.erase(pit->second.get());
     shard->trusted.erase(id);
-    shard->profiles.erase(pit);
+    shard->profiles.erase(id);
   }
   if (!drops.empty()) shard->invalidate_digest();
 
@@ -277,9 +272,7 @@ std::size_t VpTimeline::adopt_shard(std::shared_ptr<TimeShard> shard) {
       std::size_t merged = 0;
       try {
         for (const auto& [id, profile] : shard->profiles) {
-          auto [pit, inserted] = dst.profiles.emplace(id, profile);
-          (void)inserted;  // claims guarantee the id is new to dst
-          dst.grid.insert(pit->second.get());
+          dst.profiles.emplace(id, profile);  // claims guarantee the id is new to dst
           if (shard->trusted.contains(id)) dst.trusted.insert(id);
           ++merged;
         }
@@ -288,7 +281,6 @@ std::size_t VpTimeline::adopt_shard(std::shared_ptr<TimeShard> shard) {
         std::size_t undone = 0;
         for (const auto& [id, profile] : shard->profiles) {
           if (undone++ == merged) break;
-          dst.grid.erase(profile.get());
           dst.trusted.erase(id);
           dst.profiles.erase(id);
         }

@@ -1,16 +1,15 @@
-// Time-sharded, grid-indexed VP store with retention-window eviction.
+// Time-sharded VP store with retention-window eviction.
 //
 // ViewMap slices everything by unit-time (1 minute, §5.2.1) and its data
 // ages out naturally — dashcams themselves only retain 2-3 weeks of video
 // (§2), so VPs older than the retention window can never be solicited and
 // are dead weight. The timeline therefore shards storage by unit-time:
 //
-//   unit-time ──► shared_ptr<TimeShard> { profiles, trusted ids, grid }
+//   unit-time ──► shared_ptr<TimeShard> { profiles, trusted ids }
 //
 // An investigation query (site rect, unit-time) touches exactly one shard
-// and, inside it, only the grid cells overlapping the site — O(VPs near
-// the site that minute) instead of O(all VPs ever stored). Retention
-// eviction drops whole shards.
+// and scans it — O(VPs that minute) instead of O(all VPs ever stored).
+// Retention eviction drops whole shards.
 //
 // Retention clock: eviction is measured from a *trusted* clock, never
 // from timestamps claimed inside anonymous uploads. The clock advances
@@ -56,7 +55,6 @@
 #include "common/types.h"
 #include "geo/geometry.h"
 #include "index/db_snapshot.h"
-#include "index/spatial_grid.h"
 #include "vp/view_profile.h"
 
 namespace viewmap::obs {
@@ -100,7 +98,7 @@ class VpTimeline {
   bool insert(vp::ViewProfile profile, bool trusted);
 
   /// Bulk shard adoption — the recovery fast path. The caller hands over
-  /// a fully-built shard (profiles map, trusted set, grid) it owns
+  /// a fully-built shard (profiles map, trusted set) it owns
   /// exclusively; the timeline claims every id, removes collisions
   /// (an id already live elsewhere keeps its earlier profile — the same
   /// first-wins rule the per-profile insert() path applies), and

@@ -212,7 +212,6 @@ const Id16* admit_profile(index::TimeShard& shard, std::span<const std::uint8_t>
       ++rejected;  // duplicate id within one segment
       return nullptr;
     }
-    shard.grid.insert(pit->second.get());
     if (trusted.contains(id)) shard.trusted.insert(id);
     return &pit->first;
   } catch (const std::exception&) {

@@ -25,12 +25,11 @@ ServiceConfig wire_config(ServiceConfig cfg, obs::MetricsRegistry& registry) {
 
 ViewMapService::ViewMapService(const ServiceConfig& cfg)
     : cfg_(wire_config(cfg, metrics_)),
-      channel_(cfg_.channel_seed, cfg_.mix_pool),
+      channel_(/*seed=*/0x5eed, cfg_.mix_pool),
       db_(vp::VpUploadPolicy{}, cfg_.index),
       builder_(cfg_.viewmap),
       verifier_(cfg_.trustrank),
       bank_(cfg_.rsa_bits),
-      tracer_(cfg_.slow_trace_keep),
       cache_(metrics_, cfg_.result_cache),
       ingest_metrics_(index::IngestMetrics::wire(metrics_)),
       investigate_us_(&metrics_.histogram("viewmap_investigate_us")),

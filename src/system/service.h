@@ -48,10 +48,9 @@ struct ServiceConfig {
   /// with. See src/system/README.md §"Viewmap construction pipeline".
   ViewmapConfig viewmap{};
   TrustRankConfig trustrank{};
-  viewmap::index::TimelineConfig index{};  ///< shard grid + retention window
+  viewmap::index::TimelineConfig index{};  ///< retention window + metrics
   viewmap::index::IngestConfig ingest{};   ///< batched concurrent upload ingest
   int rsa_bits = 2048;
-  std::uint64_t channel_seed = 0x5eed;
   std::size_t mix_pool = 16;
   /// Generation-keyed investigation result cache (system/result_cache.h):
   /// a repeat investigate() over an unchanged minute shard returns the
@@ -59,9 +58,6 @@ struct ServiceConfig {
   /// construction. Enabled by default; capacity_bytes=0 gives the
   /// pre-cache behavior (benches compare both).
   ResultCacheConfig result_cache{};
-  /// How many slowest investigation traces the service's Tracer retains
-  /// for inspection (tools/viewmap_metrics renders them).
-  std::size_t slow_trace_keep = 16;
 };
 
 /// Outcome of one investigation over one unit-time.
@@ -129,8 +125,8 @@ class ViewMapService {
   store::CheckpointStats checkpoint(store::SegmentStore& store) const;
 
   /// Replaces the database with the newest recoverable checkpoint in
-  /// `store`, preserving this service's upload policy and index (grid /
-  /// retention) configuration so screening and eviction resume exactly as
+  /// `store`, preserving this service's upload policy and index (retention)
+  /// configuration so screening and eviction resume exactly as
   /// configured. Restart path only: must not run concurrently with
   /// anything else touching the service (stop_server() first).
   store::RecoveryStats restore_from(const store::SegmentStore& store);

@@ -1,6 +1,7 @@
 #include "system/viewmap_graph.h"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <limits>
 #include <optional>
@@ -8,7 +9,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "index/spatial_grid.h"
 #include "obs/trace.h"
 
 namespace viewmap::sys {
@@ -141,13 +141,19 @@ constexpr std::uint32_t pair_hi(std::uint64_t key) noexcept {
   return static_cast<std::uint32_t>(key);
 }
 
-/// A trajectory's bounding box padded by `pad` on every side. Two
-/// profiles whose boxes, each padded by R/2, do not overlap were never
-/// within R of each other in exact arithmetic — the ~1 ns reject both
-/// builders run first. (ever_within()'s float differences can round a
-/// gap up to ~15 µm past R = 400 m down to R; sharing the prune keeps
-/// the builders in agreement there.)
-geo::Rect padded_box(const vp::ViewProfile& profile, double pad) {
+/// The link radius R widened past ever_within()'s rounding. Its float
+/// differences can round an exact gap of up to half a float ulp past R
+/// (~15 µm at R = 400 m) down to R, and a float ulp is at most R·2⁻²³.
+/// The spatial prunes over exact coordinates (the padded boxes, the
+/// candidate grid's pitch) use this reach, so neither ever rejects a
+/// pair ever_within() accepts.
+constexpr double prune_reach(double radius) noexcept { return radius * (1.0 + 0x1p-22); }
+
+/// A trajectory's bounding box padded by half the prune reach of
+/// `radius` on every side. Two profiles whose padded boxes do not
+/// overlap are never within `radius` for ever_within() — the ~1 ns
+/// reject both builders run first.
+geo::Rect padded_box(const vp::ViewProfile& profile, double radius) {
   const auto digests = profile.digests();
   geo::Rect box{{digests[0].loc_x, digests[0].loc_y}, {digests[0].loc_x, digests[0].loc_y}};
   for (const auto& vd : digests) {
@@ -156,7 +162,7 @@ geo::Rect padded_box(const vp::ViewProfile& profile, double pad) {
     box.max.x = std::max<double>(box.max.x, vd.loc_x);
     box.max.y = std::max<double>(box.max.y, vd.loc_y);
   }
-  return box.inflated(pad);
+  return box.inflated(prune_reach(radius) / 2.0);
 }
 
 /// Negated disjointness, so a NaN box overlaps everything (NaN positions
@@ -202,7 +208,7 @@ class PackedMembers {
     for (std::size_t i = lo; i < hi; ++i) {
       const vp::ViewProfile& p = *members_[i];
       const auto digests = p.digests();
-      boxes_[i] = padded_box(p, radius_ / 2.0);
+      boxes_[i] = padded_box(p, radius_);
       ids_[i] = p.vp_id();
       const TimeSec t0 = digests[0].time;
       bool contiguous =
@@ -312,6 +318,36 @@ class PackedMembers {
 
 // ── grid candidate generation ────────────────────────────────────────
 
+// Cells are keyed by packed signed 32-bit coordinates, clamped so an
+// outlier position still lands in a valid (edge) cell.
+
+/// Cell coordinate of a position along one axis, for pitch `cell_m`.
+/// A NaN position lands in the lowest cell: the cast below would be
+/// undefined for it, and build_from_members() callers bypass the upload
+/// screen that rejects non-finite positions.
+std::int32_t grid_cell_coord(double meters, double cell_m) noexcept {
+  const double c = std::floor(meters / cell_m);
+  if (!(c > static_cast<double>(std::numeric_limits<std::int32_t>::min())))
+    return std::numeric_limits<std::int32_t>::min();
+  if (c >= static_cast<double>(std::numeric_limits<std::int32_t>::max()))
+    return std::numeric_limits<std::int32_t>::max();
+  return static_cast<std::int32_t>(c);
+}
+
+/// Packs a cell coordinate pair into one 64-bit hash key.
+constexpr std::uint64_t grid_pack_cell(std::int32_t cx, std::int32_t cy) noexcept {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32 |
+         static_cast<std::uint32_t>(cy);
+}
+
+/// Inverse of grid_pack_cell: (cx, cy) of a packed key.
+constexpr std::int32_t grid_cell_x(std::uint64_t key) noexcept {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(key >> 32));
+}
+constexpr std::int32_t grid_cell_y(std::uint64_t key) noexcept {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(key));
+}
+
 /// Below this member count the all-pairs sweep beats grid setup.
 constexpr std::size_t kGridMinMembers = 48;
 /// Candidate-pair estimate below which one thread is always fastest.
@@ -320,8 +356,8 @@ constexpr std::size_t kParallelMinPairs = 2048;
 /// spawning.
 constexpr std::size_t kMinPairsPerThread = 4096;
 
-/// Per-build uniform grid over member trajectories, pitch = link radius:
-/// two members can only pass the time-aligned proximity test if AT THE
+/// Per-build uniform grid over member trajectories, pitch = the prune
+/// reach of the link radius: two members can only pass the time-aligned proximity test if AT THE
 /// SAME WALL-CLOCK SECOND their cells coincide or are adjacent. Each
 /// (member, cell) incidence therefore carries an occupancy mask with
 /// bit (time mod 64) set for every second the member spends in that
@@ -369,8 +405,8 @@ struct CandidateGrid {
       for (int s = 0; s < kDigestsPerProfile; ++s) {
         const auto& vd = digests[static_cast<std::size_t>(s)];
         const std::uint64_t key =
-            index::grid_pack_cell(index::grid_cell_coord(vd.loc_x, cell_m),
-                                  index::grid_cell_coord(vd.loc_y, cell_m));
+            grid_pack_cell(grid_cell_coord(vd.loc_x, cell_m),
+                           grid_cell_coord(vd.loc_y, cell_m));
         std::size_t slot = 0;
         while (slot < touched && local_key[slot] != key) ++slot;
         if (slot == touched) {
@@ -418,15 +454,15 @@ struct CandidateGrid {
       for (int dx = -1; dx <= 1; ++dx)
         for (int dy = -1; dy <= 1; ++dy) {
           const std::int64_t nx =
-              static_cast<std::int64_t>(index::grid_cell_x(keys[c])) + dx;
+              static_cast<std::int64_t>(grid_cell_x(keys[c])) + dx;
           const std::int64_t ny =
-              static_cast<std::int64_t>(index::grid_cell_y(keys[c])) + dy;
+              static_cast<std::int64_t>(grid_cell_y(keys[c])) + dy;
           if (nx < std::numeric_limits<std::int32_t>::min() ||
               nx > std::numeric_limits<std::int32_t>::max() ||
               ny < std::numeric_limits<std::int32_t>::min() ||
               ny > std::numeric_limits<std::int32_t>::max())
             continue;
-          const auto it = index.find(index::grid_pack_cell(
+          const auto it = index.find(grid_pack_cell(
               static_cast<std::int32_t>(nx), static_cast<std::int32_t>(ny)));
           if (it == index.end()) continue;
           nbr_cells.push_back(it->second);
@@ -566,7 +602,7 @@ Viewmap ViewmapBuilder::build_from_members(
   std::optional<CandidateGrid> grid;
   if (n >= kGridMinMembers) {
     obs::SpanScope obs_span("candidate_grid");
-    grid.emplace(members, std::max(cfg_.link_radius_m, 1.0));
+    grid.emplace(members, std::max(prune_reach(cfg_.link_radius_m), 1.0));
   }
   const std::vector<std::uint64_t> accepted = [&] {
     obs::SpanScope obs_span("edge_build");
@@ -646,7 +682,7 @@ Viewmap ViewmapBuilder::build_from_members_reference(
     throw std::invalid_argument("ViewmapBuilder: too many members");
   const double radius = cfg_.link_radius_m;
   std::vector<geo::Rect> boxes(n);
-  for (std::size_t i = 0; i < n; ++i) boxes[i] = padded_box(*members[i], radius / 2.0);
+  for (std::size_t i = 0; i < n; ++i) boxes[i] = padded_box(*members[i], radius);
   std::vector<std::uint64_t> accepted;
   for (std::uint32_t i = 0; i < n; ++i)
     for (std::uint32_t j = i + 1; j < n; ++j) {

@@ -9,7 +9,7 @@
 // edges to honest VPs they never actually met (§5.2.2 "Insights").
 //
 // Construction is grid-accelerated: member trajectories are binned into
-// a per-build uniform grid with pitch = link radius, so the edge
+// a per-build uniform grid with pitch just over the link radius, so the edge
 // predicate only runs on pairs sharing a cell or in adjacent cells —
 // O(n · local density) candidate pairs instead of the O(n²) all-pairs
 // sweep (which dense layouts, where everyone shares a few cells, still

@@ -148,6 +148,11 @@ bool VpUploadPolicy::well_formed(const ViewProfile& vp) const noexcept {
   for (std::size_t i = 0; i < digests.size(); ++i) {
     const auto& vd = digests[i];
     if (vd.second != static_cast<std::uint16_t>(i + 1)) return false;
+    // Checked first: NaN slips past every comparison below (a NaN step
+    // is never "too fast"), and inf − inf is NaN.
+    if (!std::isfinite(vd.loc_x) || !std::isfinite(vd.loc_y) ||
+        !std::isfinite(vd.initial_x) || !std::isfinite(vd.initial_y))
+      return false;
     if (i > 0) {
       if (vd.time != digests[i - 1].time + 1) return false;
       const double dx = vd.loc_x - digests[i - 1].loc_x;

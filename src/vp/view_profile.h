@@ -128,7 +128,8 @@ class ViewProfile {
 
 /// Structural well-formedness rules the system applies on upload, before
 /// a VP may enter the database: 60 digests, one id, contiguous seconds,
-/// consecutive locations within a plausible per-second travel distance.
+/// finite positions, consecutive locations within a plausible per-second
+/// travel distance.
 struct VpUploadPolicy {
   double max_speed_mps = 70.0;  ///< ~250 km/h — generous physical bound
 

@@ -1,5 +1,5 @@
-// Unit + property tests: spatial grid, sharded timeline, retention
-// eviction, and the concurrent ingest engine.
+// Unit + property tests: sharded timeline queries, retention eviction,
+// and the concurrent ingest engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include "attack/fake_vp.h"
 #include "common/rng.h"
 #include "index/ingest_engine.h"
-#include "index/spatial_grid.h"
 #include "index/timeline.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
@@ -51,68 +50,6 @@ std::vector<Id16> ids_of(const std::vector<const vp::ViewProfile*>& profiles) {
   return out;
 }
 
-TEST(SpatialGrid, CandidatesAreSupersetAndDeduplicated) {
-  Rng rng(1);
-  std::vector<vp::ViewProfile> profiles;
-  for (int i = 0; i < 50; ++i) profiles.push_back(random_vp(0, 3000.0, rng));
-
-  SpatialGrid grid;
-  for (const auto& p : profiles) grid.insert(&p);
-  EXPECT_GT(grid.cell_count(), 0u);
-  EXPECT_GE(grid.entry_count(), profiles.size());
-
-  for (int q = 0; q < 100; ++q) {
-    const geo::Vec2 c{rng.uniform(-3000.0, 3000.0), rng.uniform(-3000.0, 3000.0)};
-    const double half = rng.uniform(50.0, 800.0);
-    const geo::Rect area{{c.x - half, c.y - half}, {c.x + half, c.y + half}};
-
-    std::vector<const vp::ViewProfile*> candidates;
-    grid.collect_candidates(area, candidates);
-
-    // No duplicates.
-    auto sorted = candidates;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end());
-
-    // Every VP that exactly visits the area must be among the candidates.
-    for (const auto& p : profiles)
-      if (p.visits(area))
-        EXPECT_TRUE(std::find(candidates.begin(), candidates.end(), &p) !=
-                    candidates.end());
-  }
-}
-
-TEST(SpatialGrid, EraseRemovesAllReferences) {
-  Rng rng(3);
-  auto keep = random_vp(0, 1000.0, rng);
-  auto drop = random_vp(0, 1000.0, rng);
-  SpatialGrid grid;
-  grid.insert(&keep);
-  grid.insert(&drop);
-  grid.erase(&drop);
-
-  std::vector<const vp::ViewProfile*> candidates;
-  grid.collect_candidates({{-1e9, -1e9}, {1e9, 1e9}}, candidates);
-  EXPECT_EQ(candidates, std::vector<const vp::ViewProfile*>{&keep});
-
-  // Erasing the rest leaves a truly empty grid.
-  grid.erase(&keep);
-  EXPECT_EQ(grid.cell_count(), 0u);
-  EXPECT_EQ(grid.entry_count(), 0u);
-}
-
-TEST(SpatialGrid, HugeQueryRectFallsBackToCellScan) {
-  Rng rng(2);
-  std::vector<vp::ViewProfile> profiles;
-  for (int i = 0; i < 10; ++i) profiles.push_back(random_vp(0, 1000.0, rng));
-  SpatialGrid grid;
-  for (const auto& p : profiles) grid.insert(&p);
-
-  std::vector<const vp::ViewProfile*> candidates;
-  grid.collect_candidates({{-1e9, -1e9}, {1e9, 1e9}}, candidates);
-  EXPECT_EQ(candidates.size(), profiles.size());
-}
-
 TEST(VpTimelineProperty, QueryMatchesLinearScanOnRandomWorkloads) {
   for (std::uint64_t seed = 10; seed < 15; ++seed) {
     Rng rng(seed);
@@ -139,6 +76,28 @@ TEST(VpTimelineProperty, QueryMatchesLinearScanOnRandomWorkloads) {
       for (std::size_t i = 1; i < indexed.size(); ++i)
         EXPECT_TRUE(indexed[i - 1]->vp_id() < indexed[i]->vp_id());
     }
+
+    // Edge-case areas, in every minute plus ones with no shard: an
+    // inverted rect, a zero-area rect on a claimed position, a rect at
+    // a trajectory's exact extent, and the whole world.
+    const vp::ViewProfile& some = *snap.all().front();
+    const geo::Vec2 at = some.location_at(30);
+    const geo::Vec2 from = some.location_at(0);
+    const geo::Vec2 to = some.location_at(kDigestsPerProfile - 1);
+    const std::vector<geo::Rect> special{
+        {{100.0, 100.0}, {-100.0, -100.0}},
+        {at, at},
+        {{std::min(from.x, to.x), std::min(from.y, to.y)},
+         {std::max(from.x, to.x), std::max(from.y, to.y)}},
+        {{-1e300, -1e300}, {1e300, 1e300}},
+    };
+    for (int m = -1; m <= minutes; ++m)
+      for (const geo::Rect& area : special)
+        EXPECT_EQ(ids_of(snap.query(m * kUnitTimeSec, area)),
+                  linear_scan_ids(snap, m * kUnitTimeSec, area));
+    EXPECT_FALSE(snap.query(some.unit_time(), special[1]).empty());
+    EXPECT_TRUE(snap.query(some.unit_time(), special[0]).empty());
+    EXPECT_TRUE(snap.query(minutes * kUnitTimeSec, special[3]).empty());
 
     // Whole-world queries per minute partition all().
     std::size_t total = 0;

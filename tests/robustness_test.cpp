@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 
 #include "attack/fake_vp.h"
@@ -95,6 +96,42 @@ TEST(Fuzz, UploadPolicyOnRandomButParseableProfiles) {
     accepted += vp::VpUploadPolicy{}.well_formed(profile) ? 1 : 0;
   }
   EXPECT_EQ(accepted, 0);  // random walks teleport and time-travel
+}
+
+TEST(Fuzz, UploadPolicyRejectsNonFinitePositions) {
+  // NaN compares false against the speed bound and inf − inf is NaN, so
+  // a non-finite trajectory passes every step check. The screen must
+  // still reject it: downstream cell math casts positions to integers.
+  Rng rng(5);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // Each hostile profile edits a fresh honest one, so ids never collide.
+  const auto edited = [&](auto edit) {
+    const vp::ViewProfile honest =
+        attack::make_fake_profile(0, {100.0, 200.0}, {700.0, 200.0}, rng);
+    EXPECT_TRUE(vp::VpUploadPolicy{}.well_formed(honest));
+    std::vector<dsrc::ViewDigest> digests(honest.digests().begin(), honest.digests().end());
+    for (std::size_t s = 0; s < digests.size(); ++s) edit(s, digests[s]);
+    return vp::ViewProfile(std::move(digests), honest.neighbor_bloom());
+  };
+  const std::vector<vp::ViewProfile> hostile{
+      edited([&](std::size_t s, dsrc::ViewDigest& vd) { if (s >= 4) vd.loc_x = nan; }),
+      edited([&](std::size_t s, dsrc::ViewDigest& vd) { if (s >= 4) vd.loc_y = nan; }),
+      edited([&](std::size_t, dsrc::ViewDigest& vd) { vd.loc_x = vd.initial_x = inf; }),
+      edited([&](std::size_t, dsrc::ViewDigest& vd) { vd.loc_y = vd.initial_y = -inf; }),
+  };
+
+  sys::ServiceConfig cfg;
+  cfg.rsa_bits = 1024;
+  sys::ViewMapService service(cfg);
+  for (const auto& profile : hostile) {
+    // Over the wire, as an uploader would send it.
+    const auto wire = vp::ViewProfile::parse(profile.serialize());
+    EXPECT_FALSE(vp::VpUploadPolicy{}.well_formed(wire));
+    service.upload_channel().submit(profile.serialize());
+  }
+  EXPECT_EQ(service.ingest_uploads(), 0u);
+  EXPECT_EQ(service.database().size(), 0u);
 }
 
 // ── Segment store: seeded mutations of a real checkpoint ─────────────

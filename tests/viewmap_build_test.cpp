@@ -20,6 +20,7 @@
 #include <limits>
 #include <ranges>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "attack/fake_vp.h"
@@ -315,6 +316,50 @@ TEST(ViewmapBuildEquivalence, SpreadDowntownTakesTheGridPath) {
   // finds the candidates, and its per-anchor order needs the sort.
   const auto fleet = dense_downtown(1000, 2600.0, rng);
   expect_equivalent(fleet, {1, 4});
+}
+
+TEST(ViewmapBuildEquivalence, PrunesKeepPairsThatRoundOntoTheRadius) {
+  // ever_within() subtracts floats: an exact gap of 400 + 2⁻¹⁶ m rounds
+  // (ties to even) to exactly R = 400, and 400 + 2⁻¹⁷ rounds down to it.
+  // viewlinked() links such pairs, so neither builder may prune them —
+  // the bbox prune and the candidate grid compare exact coordinates. The
+  // second pair also lies two cells apart at a grid pitch of exactly R.
+  const std::vector<std::pair<geo::Vec2, geo::Vec2>> pairs{
+      {{200.0 + 0x1p-16, 0.0}, {-200.0, 0.0}},
+      {{400.0, 0.0}, {-0x1p-17, 0.0}},
+  };
+  const geo::Rect cover{{-1e7, -1e7}, {1e7, 1e7}};
+  for (const auto& [a, b] : pairs) {
+    Rng rng(69);
+    std::vector<vp::ViewProfile> fleet;
+    fleet.push_back(attack::make_fake_profile(0, a, a, rng));
+    fleet.push_back(attack::make_fake_profile(0, b, b, rng));
+    vp::link_mutually(fleet[0], fleet[1]);
+    const ViewmapBuilder builder;
+    ASSERT_TRUE(builder.viewlinked(fleet[0], fleet[1]));
+    // The pair alone takes the all-pairs sweep; among 60 stationary
+    // profiles 10 km apart it takes the grid path. One more profile with
+    // NaN positions (build_from_members() takes unscreened members) must
+    // link to nothing on either path.
+    for (const bool spread : {false, true}) {
+      if (spread) {
+        for (int k = 1; k <= 60; ++k) {
+          const geo::Vec2 at{10000.0 * k, 10000.0};
+          fleet.push_back(attack::make_fake_profile(0, at, at, rng));
+        }
+        const vp::ViewProfile lost = attack::make_fake_profile(0, b, b, rng);
+        std::vector<dsrc::ViewDigest> digests(lost.digests().begin(), lost.digests().end());
+        for (auto& vd : digests) vd.loc_x = vd.loc_y = std::numeric_limits<float>::quiet_NaN();
+        fleet.emplace_back(std::move(digests), lost.neighbor_bloom());
+        vp::link_mutually(fleet[0], fleet.back());
+      }
+      expect_equivalent(fleet, {1});
+      const Viewmap map = builder.build_from_members(
+          pointers(fleet), std::vector<bool>(fleet.size(), false), 0, cover);
+      EXPECT_EQ(map.neighbors(0).size(), 1u)
+          << "pair at x=" << a.x << " and x=" << b.x << ", n=" << fleet.size();
+    }
+  }
 }
 
 TEST(ViewmapBuildEquivalence, EqualIdsNeverLink) {

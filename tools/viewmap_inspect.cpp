@@ -65,12 +65,10 @@ int main(int argc, char** argv) {
   // One pinned snapshot serves the census and the investigation below —
   // the read API; nothing here touches live shards.
   const sys::DbSnapshot snap = db.snapshot();
-  std::printf("%-12s %-8s %-8s %-10s %-12s\n", "unit-time", "VPs", "trusted",
-              "grid-cells", "grid-entries");
+  std::printf("%-12s %-8s %-8s\n", "unit-time", "VPs", "trusted");
   for (const auto& shard : snap.shard_stats())
-    std::printf("%-12lld %-8zu %-8zu %-10zu %-12zu\n",
-                static_cast<long long>(shard.unit_time), shard.vp_count,
-                shard.trusted_count, shard.grid_cells, shard.grid_entries);
+    std::printf("%-12lld %-8zu %-8zu\n", static_cast<long long>(shard.unit_time),
+                shard.vp_count, shard.trusted_count);
 
   if (argc == 6) {
     const double x = std::atof(argv[2]);

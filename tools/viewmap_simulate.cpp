@@ -78,9 +78,9 @@ int main(int argc, char** argv) {
   std::printf("ingest: %zu accepted, %zu malformed, %zu untimely, %zu duplicate (%u threads)\n",
               ingest.accepted, ingest.rejected_malformed, ingest.rejected_untimely,
               ingest.rejected_duplicate, engine.worker_count());
-  std::printf("%-12s %-8s %-8s %-10s\n", "unit-time", "VPs", "trusted", "grid-cells");
+  std::printf("%-12s %-8s %-8s\n", "unit-time", "VPs", "trusted");
   for (const auto& shard : snap.shard_stats())
-    std::printf("%-12lld %-8zu %-8zu %-10zu\n", static_cast<long long>(shard.unit_time),
-                shard.vp_count, shard.trusted_count, shard.grid_cells);
+    std::printf("%-12lld %-8zu %-8zu\n", static_cast<long long>(shard.unit_time),
+                shard.vp_count, shard.trusted_count);
   return 0;
 }
