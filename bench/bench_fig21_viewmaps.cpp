@@ -10,8 +10,8 @@
 
 #include "bench_util.h"
 #include "sim/simulator.h"
+#include "system/service.h"
 #include "system/viewmap_graph.h"
-#include "system/vp_database.h"
 
 using namespace viewmap;
 
@@ -49,10 +49,10 @@ BuiltViewmap build_traffic_viewmap(double speed_kmh, int vehicles, double extent
   bool trusted_done = false;
   for (const auto& rec : result.profiles) {
     if (!trusted_done && !rec.guard) {
-      built.db->upload_trusted(rec.profile);
+      built.db->upload(rec.profile, /*trusted=*/true);
       trusted_done = true;
     } else {
-      built.db->upload(rec.profile);
+      built.db->upload(rec.profile, /*trusted=*/false);
     }
   }
   const sys::ViewmapBuilder builder;

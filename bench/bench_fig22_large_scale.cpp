@@ -15,8 +15,8 @@
 #include "attack/experiments.h"
 #include "bench_util.h"
 #include "privacy_bench_common.h"
+#include "system/service.h"
 #include "system/viewmap_graph.h"
-#include "system/vp_database.h"
 
 using namespace viewmap;
 
@@ -61,10 +61,10 @@ HeldViewmap viewmap_of(const sim::SimResult& result) {
   bool trusted_done = false;
   for (const auto& rec : result.profiles) {
     if (!trusted_done && !rec.guard) {
-      held.db->upload_trusted(rec.profile);
+      held.db->upload(rec.profile, /*trusted=*/true);
       trusted_done = true;
     } else {
-      held.db->upload(rec.profile);
+      held.db->upload(rec.profile, /*trusted=*/false);
     }
   }
   const sys::ViewmapBuilder builder;

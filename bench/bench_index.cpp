@@ -84,7 +84,6 @@
 #include "store/segment_store.h"
 #include "system/investigation_server.h"
 #include "system/service.h"
-#include "system/vp_database.h"
 
 using namespace viewmap;
 
@@ -95,6 +94,8 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
+
+constexpr auto kAccepted = sys::VpDatabase::Admission::kAccepted;
 
 /// Straight-line synthetic VP inside a city whose extent grows with the
 /// fleet so density stays plausible.
@@ -124,7 +125,7 @@ QueryRow bench_queries(std::size_t vp_count, int query_count, Rng& rng) {
   sys::VpDatabase db;
   for (std::size_t i = 0; i < vp_count; ++i) {
     const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(rng.index(minutes));
-    if (!db.timeline().insert(random_vp(unit, extent, rng), false)) --i;
+    if (db.upload(random_vp(unit, extent, rng), false) != kAccepted) --i;
   }
 
   // Query sites: 200 m half-width incident rectangles at random places.
@@ -191,7 +192,7 @@ IngestRow bench_ingest(std::size_t payload_count, unsigned threads, Rng& rng) {
     sys::VpDatabase db;
     index::IngestConfig cfg;
     cfg.threads = multi ? threads : 1;
-    index::IngestEngine engine(db.timeline(), db.policy(), cfg);
+    index::IngestEngine engine(db, cfg);
     const auto start = Clock::now();
     const auto stats = engine.ingest(payloads);
     const double rate = static_cast<double>(stats.accepted) / seconds_since(start);
@@ -223,7 +224,7 @@ ConcurrentRow bench_concurrent(std::size_t vp_count, int query_count, Rng& rng) 
   sys::VpDatabase db;
   for (std::size_t i = 0; i < vp_count; ++i) {
     const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(rng.index(minutes));
-    if (!db.timeline().insert(random_vp(unit, extent, rng), false)) --i;
+    if (db.upload(random_vp(unit, extent, rng), false) != kAccepted) --i;
   }
 
   std::vector<geo::Rect> sites;
@@ -245,9 +246,9 @@ ConcurrentRow bench_concurrent(std::size_t vp_count, int query_count, Rng& rng) 
     std::size_t n = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(wrng.index(minutes));
-      if (db.timeline().insert(random_vp(unit, extent, wrng), false) && ++n % 128 == 0) {
+      if (db.upload(random_vp(unit, extent, wrng), false) == kAccepted && ++n % 128 == 0) {
         // Churn shards the way the batch path does between batches.
-        db.timeline().evict_older_than(kUnitTimeSec);
+        db.evict_older_than(kUnitTimeSec);
         evictions.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -776,7 +777,7 @@ CheckpointRow bench_checkpoint(std::size_t vp_count, Rng& rng, RecoveryV2Row& v2
   sys::VpDatabase db;
   for (std::size_t i = 0; i < vp_count; ++i) {
     const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(rng.index(minutes));
-    if (!db.timeline().insert(random_vp(unit, extent, rng), false)) --i;
+    if (db.upload(random_vp(unit, extent, rng), false) != kAccepted) --i;
   }
 
   namespace fs = std::filesystem;
@@ -801,7 +802,7 @@ CheckpointRow bench_checkpoint(std::size_t vp_count, Rng& rng, RecoveryV2Row& v2
   for (std::size_t s = 0; s < row.churn_shards; ++s) {
     const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(s * 97 % minutes);
     for (int i = 0; i < 25; ++i) {
-      if (db.timeline().insert(random_vp(unit, extent, rng), false)) ++row.churn_vps;
+      if (db.upload(random_vp(unit, extent, rng), false) == kAccepted) ++row.churn_vps;
     }
   }
 
@@ -879,8 +880,8 @@ ObsRow bench_obs_overhead(std::size_t payload_count, Rng& rng) {
         timeline_cfg.metrics = &registry;
         ingest_cfg.metrics = &registry;
       }
-      sys::VpDatabase db(vp::VpUploadPolicy{}, timeline_cfg);
-      index::IngestEngine engine(db.timeline(), db.policy(), ingest_cfg);
+      sys::VpDatabase db(timeline_cfg);
+      index::IngestEngine engine(db, ingest_cfg);
       const auto start = Clock::now();
       const auto stats = engine.ingest(payloads);
       best = std::max(best,

@@ -122,7 +122,6 @@ int main() {
   sys::ServerConfig server_cfg;
   server_cfg.workers = 2;          // investigation worker pool
   server_cfg.queue_capacity = 64;  // bounded; when full, submit() blocks
-                                   // (OverflowPolicy::kReject fails fast)
   auto& server = service.start_server(server_cfg);
 
   // Queue the incident's whole period plus each minute individually —

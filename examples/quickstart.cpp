@@ -12,9 +12,9 @@
 
 #include "common/hex.h"
 #include "common/rng.h"
+#include "system/service.h"
 #include "system/verifier.h"
 #include "system/viewmap_graph.h"
-#include "system/vp_database.h"
 #include "vp/video.h"
 #include "vp/vp_builder.h"
 
@@ -59,8 +59,8 @@ int main() {
 
   // ── System side ──────────────────────────────────────────────────────
   sys::VpDatabase db;
-  db.upload_trusted(gen_a.profile);  // police car: trusted VP
-  db.upload(gen_b.profile);          // anonymous upload
+  db.upload(gen_a.profile, /*trusted=*/true);   // police car: trusted VP
+  db.upload(gen_b.profile, /*trusted=*/false);  // anonymous upload
 
   const geo::Rect site{{500, -100}, {800, 100}};  // where the incident was
   const sys::ViewmapBuilder builder;

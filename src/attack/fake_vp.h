@@ -15,7 +15,7 @@ namespace viewmap::attack {
 
 /// A structurally well-formed VP claiming a straight-line trajectory
 /// start→end over the given minute, with random hash fields (there is no
-/// video) and an empty neighbor Bloom filter. Passes VpUploadPolicy as
+/// video) and an empty neighbor Bloom filter. Passes vp::well_formed as
 /// long as the implied speed is plausible.
 [[nodiscard]] vp::ViewProfile make_fake_profile(TimeSec minute_start, geo::Vec2 start,
                                                 geo::Vec2 end, Rng& rng);

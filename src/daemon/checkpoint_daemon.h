@@ -39,6 +39,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,11 +130,17 @@ class CheckpointDaemon {
   /// if none ever failed).
   [[nodiscard]] std::string last_error() const;
 
+  /// Draws the wait before the next cycle: interval ± jitter_pct. Each
+  /// daemon seeds its own generator from std::random_device, so daemons
+  /// restarted together draw different waits. The checkpoint thread is
+  /// the only caller while it runs; call it elsewhere only before
+  /// start().
+  [[nodiscard]] std::chrono::milliseconds next_wait();
+
  private:
   void run();
   bool cycle();
   bool stop_impl(bool final_checkpoint);
-  [[nodiscard]] std::chrono::milliseconds next_wait();
   /// Doubles `prev` from retry_backoff_min toward retry_backoff_max;
   /// `permanent` jumps straight to the cap.
   [[nodiscard]] std::chrono::milliseconds next_backoff(
@@ -174,7 +181,7 @@ class CheckpointDaemon {
   /// Outcome of the final checkpoint; written by run() before it
   /// returns, read by stop_impl() after join() (the join orders it).
   bool final_ok_ = true;
-  Rng jitter_rng_{0x7ea5};  ///< draws the per-cycle jitter
+  Rng jitter_rng_{std::random_device{}()};  ///< draws the per-cycle jitter
   std::thread thread_;
 };
 

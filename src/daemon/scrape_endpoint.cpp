@@ -30,6 +30,27 @@ void send_all(int fd, const std::string& data) {
   }
 }
 
+/// Closes a served connection without resetting it. Closing a socket
+/// with unread bytes in its receive queue sends a reset, and a reset can
+/// destroy the reply before the client reads it: a client that writes its
+/// headers after the request line (bash's printf over /dev/tcp does) saw
+/// nothing. So half-close, drop what the client still sends until it
+/// closes or the same 500 ms deadline the request read has, then close.
+void linger_close(int fd) {
+  ::shutdown(fd, SHUT_WR);
+  timeval tv{0, 100 * 1000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  char buf[1024];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    const bool more = n > 0 || (n < 0 && (errno == EINTR || errno == EAGAIN ||
+                                          errno == EWOULDBLOCK));
+    if (!more || std::chrono::steady_clock::now() >= give_up) break;
+  }
+  ::close(fd);
+}
+
 std::string http_response(int status, const char* reason,
                           const std::string& body) {
   std::ostringstream os;
@@ -107,7 +128,7 @@ void ScrapeEndpoint::run() {
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
     serve_one(client);
-    ::close(client);
+    linger_close(client);
   }
 }
 

@@ -163,8 +163,8 @@ struct TimeShard {
 };
 
 /// A pinned, immutable view of a VpTimeline (see file comment). Obtained
-/// from VpTimeline::snapshot() / sys::VpDatabase::snapshot(); the
-/// default-constructed snapshot is a valid empty database.
+/// from VpTimeline::snapshot(); the default-constructed snapshot is a
+/// valid empty database.
 class DbSnapshot {
  public:
   DbSnapshot() = default;

@@ -36,9 +36,8 @@ IngestStats IngestMetrics::totals() const {
   return s;
 }
 
-IngestEngine::IngestEngine(VpTimeline& timeline, vp::VpUploadPolicy policy,
-                           IngestConfig cfg)
-    : timeline_(timeline), policy_(policy), cfg_(cfg) {
+IngestEngine::IngestEngine(VpTimeline& timeline, IngestConfig cfg)
+    : timeline_(timeline), cfg_(cfg) {
   if (cfg_.metrics != nullptr) metrics_ = IngestMetrics::wire(*cfg_.metrics);
 }
 
@@ -71,17 +70,11 @@ IngestStats IngestEngine::ingest(std::vector<std::vector<std::uint8_t>> payloads
       // batch-granular progress, which is all anyone scrapes).
       try {
         auto profile = vp::ViewProfile::parse(payloads[i]);
-        if (!policy_.well_formed(profile)) {
-          ++bad;
-        } else if (!timeline_.admissible(profile.unit_time())) {
-          // Claimed minute implausibly far from the trusted clock —
-          // rejecting here keeps attacker timestamps out of the shards
-          // (retention itself never trusts them either).
-          ++late;
-        } else if (timeline_.insert(std::move(profile), /*trusted=*/false)) {
-          ++ok;
-        } else {
-          ++dup;
+        switch (timeline_.upload(std::move(profile), /*trusted=*/false)) {
+          case VpTimeline::Admission::kAccepted: ++ok; break;
+          case VpTimeline::Admission::kMalformed: ++bad; break;
+          case VpTimeline::Admission::kUntimely: ++late; break;
+          case VpTimeline::Admission::kDuplicate: ++dup; break;
         }
       } catch (const std::exception&) {
         // Malformed payloads are dropped; anonymous senders get no feedback.

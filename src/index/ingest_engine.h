@@ -1,21 +1,19 @@
 // Concurrent batched ingest for anonymous VP uploads.
 //
 // The service-side hot path: drain the anonymous channel in batches,
-// parse + structurally screen each payload (the §4 upload screen — CPU
-// work with no shared state), apply the timeline's timeliness screen
-// (claimed unit-time plausible against the trusted clock, see
-// VpTimeline::admissible), and commit survivors to the timeline's
-// shards under its striped locks. Workers pull payload indices off one
-// atomic cursor, so parse/screen/commit of different uploads overlap
-// freely; there is no global lock anywhere on the path. Retention is
+// parse each payload, hand it to VpTimeline::upload — the one admission
+// path: structural screen, timeliness screen, striped-lock shard commit
+// — and tally the outcome. Workers pull payload indices off one atomic
+// cursor, so parse/screen/commit of different uploads overlap freely;
+// there is no global lock anywhere on the path. Retention is
 // enforced once per batch, between batches — the only moment the engine
 // guarantees no worker holds shard pointers — and is driven by the
 // trusted clock, never by timestamps inside the anonymous batch.
 //
-// Accept/reject results are identical to the serial path regardless of
-// thread count (same screen, same duplicate rule); only the order in
-// which duplicates lose is timing-dependent, exactly as it already was
-// for a shuffled anonymous channel.
+// Accept/reject results are identical to serial VpTimeline::upload
+// calls regardless of thread count (same screen, same duplicate rule);
+// only the order in which duplicates lose is timing-dependent, exactly
+// as it already was for a shuffled anonymous channel.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +21,6 @@
 
 #include "anonet/channel.h"
 #include "index/timeline.h"
-#include "vp/view_profile.h"
 
 namespace viewmap::obs {
 class MetricsRegistry;  // obs/metrics.h
@@ -76,7 +73,7 @@ struct IngestMetrics {
 
 struct IngestStats {
   std::size_t accepted = 0;
-  std::size_t rejected_malformed = 0;  ///< failed parse or the upload screen
+  std::size_t rejected_malformed = 0;  ///< failed parse or vp::well_formed
   std::size_t rejected_untimely = 0;   ///< claimed unit-time implausible vs trusted clock
   std::size_t rejected_duplicate = 0;  ///< id collision with a stored VP
   std::size_t evicted = 0;             ///< VPs aged out by retention
@@ -85,7 +82,7 @@ struct IngestStats {
 
 class IngestEngine {
  public:
-  IngestEngine(VpTimeline& timeline, vp::VpUploadPolicy policy, IngestConfig cfg = {});
+  explicit IngestEngine(VpTimeline& timeline, IngestConfig cfg = {});
 
   /// Ingests one batch of serialized VP payloads (all as anonymous,
   /// untrusted uploads). Blocks until the batch is fully committed.
@@ -98,7 +95,6 @@ class IngestEngine {
 
  private:
   VpTimeline& timeline_;
-  vp::VpUploadPolicy policy_;
   IngestConfig cfg_;
   IngestMetrics metrics_;  ///< resolved once in the ctor; all-null when unwired
 };

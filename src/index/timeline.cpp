@@ -96,7 +96,16 @@ bool VpTimeline::shard_holds(TimeSec unit, const Id16& id) const {
   return it != ts.shards.end() && it->second->profiles.contains(id);
 }
 
-bool VpTimeline::insert(vp::ViewProfile profile, bool trusted) {
+VpTimeline::Admission VpTimeline::upload(vp::ViewProfile profile, bool trusted) {
+  if (!vp::well_formed(profile)) return Admission::kMalformed;
+  // Anonymous claims outside the plausible window around the trusted
+  // clock never enter a shard (and never influence retention).
+  if (!trusted && !admissible(profile.unit_time())) return Admission::kUntimely;
+  return insert(std::move(profile), trusted) ? Admission::kAccepted
+                                             : Admission::kDuplicate;
+}
+
+bool VpTimeline::insert(vp::ViewProfile&& profile, bool trusted) {
   const Id16 id = profile.vp_id();
   const TimeSec unit = profile.unit_time();
 

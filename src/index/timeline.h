@@ -21,7 +21,12 @@
 // claims outside [clock − window, clock + skew] are rejected before
 // they ever reach a shard.
 //
-// Concurrency: insert/is_trusted/snapshot take striped locks — ids are
+// Admission: upload() is the one way a VP enters a shard — the
+// structural screen (vp::well_formed), the timeliness screen for
+// anonymous uploads, then the insert. Recovery's adopt_shard is the
+// only bulk path, fed by the segment store's own screen.
+//
+// Concurrency: upload/is_trusted/snapshot take striped locks — ids are
 // striped by id hash, shards by unit-time hash — so concurrent ingest
 // threads working on different minutes (or different ids within a
 // minute) rarely contend and never take a global lock. The global id map
@@ -93,19 +98,33 @@ class VpTimeline {
   VpTimeline(const VpTimeline&) = delete;
   VpTimeline& operator=(const VpTimeline&) = delete;
 
-  /// Stores an already-screened profile. Thread-safe. Returns false when
-  /// the id collides with a live (or in-flight) entry.
-  bool insert(vp::ViewProfile profile, bool trusted);
+  /// Which step of the admission screen decided an upload.
+  enum class Admission : std::uint8_t {
+    kAccepted,   ///< stored
+    kMalformed,  ///< failed vp::well_formed
+    kUntimely,   ///< anonymous claim outside admissible()
+    kDuplicate,  ///< id collides with a live (or in-flight) entry
+  };
+
+  /// The one admission path (paper §4): every VP that enters a shard
+  /// comes through here, except recovery's bulk adopt_shard, whose
+  /// profiles the store screens itself. Runs vp::well_formed, then — for
+  /// anonymous uploads only — admissible() on the claimed unit-time,
+  /// then the three-phase insert. Trusted uploads arrive authenticated:
+  /// they skip the timeliness screen and advance the retention clock to
+  /// their unit-time (so a device with a corrupt far-future RTC poisons
+  /// the clock — reset_clock() is the recovery path). Thread-safe.
+  Admission upload(vp::ViewProfile profile, bool trusted);
 
   /// Bulk shard adoption — the recovery fast path. The caller hands over
-  /// a fully-built shard (profiles map, trusted set) it owns
-  /// exclusively; the timeline claims every id, removes collisions
-  /// (an id already live elsewhere keeps its earlier profile — the same
-  /// first-wins rule the per-profile insert() path applies), and
-  /// publishes the shard in one time-stripe critical section instead of
-  /// one three-phase insert per profile. When the unit-time slot is
-  /// already occupied the survivors are merged into the existing shard
-  /// (copy-on-write when pinned). Counters and — when the shard carries
+  /// a fully-built, already-screened shard (profiles map, trusted set)
+  /// it owns exclusively; the timeline claims every id, removes
+  /// collisions (an id already live elsewhere keeps its earlier profile —
+  /// the same first-wins rule upload() applies), and publishes the shard
+  /// in one time-stripe critical section instead of one three-phase
+  /// insert per profile. When the unit-time slot is already occupied
+  /// the survivors are merged into the existing shard (copy-on-write
+  /// when pinned). Counters and — when the shard carries
   /// trusted ids — the trusted clock are updated exactly as
   /// `profiles.size()` individual inserts would have.
   /// Returns the number of profiles dropped as id collisions; any drop
@@ -153,15 +172,8 @@ class VpTimeline {
     return trusted_now() != std::numeric_limits<TimeSec>::min();
   }
 
-  /// The timeliness screen for anonymous uploads: is a claimed unit-time
-  /// plausible relative to the trusted clock? True whenever the clock is
-  /// unset (no trusted reference to compare against — and then nothing
-  /// can be evicted either). Otherwise the claim must lie within
-  /// [clock − retention window, clock + max_future_skew_sec].
-  [[nodiscard]] bool admissible(TimeSec unit_time) const noexcept;
-
   /// Drops every shard with unit-time < cutoff. Returns evicted VP count.
-  /// Thread-safe, including against concurrent insert(): a profile and
+  /// Thread-safe, including against concurrent upload(): a profile and
   /// the size/trusted counters commit atomically under the shard's lock,
   /// so eviction never observes one without the other. Shards pinned by
   /// snapshots stay alive until their last snapshot is released; the
@@ -217,6 +229,18 @@ class VpTimeline {
   /// (compaction, snapshot) acquire id stripes in index order, then time
   /// stripes in index order.
   [[nodiscard]] bool shard_holds(TimeSec unit, const Id16& id) const;
+
+  /// Stores a screened profile (upload()'s last step; takes it by
+  /// reference so the hand-over costs no extra move). Returns false when
+  /// the id collides with a live (or in-flight) entry.
+  bool insert(vp::ViewProfile&& profile, bool trusted);
+
+  /// The timeliness screen for anonymous uploads: is a claimed unit-time
+  /// plausible relative to the trusted clock? True whenever the clock is
+  /// unset (no trusted reference to compare against — and then nothing
+  /// can be evicted either). Otherwise the claim must lie within
+  /// [clock − retention window, clock + max_future_skew_sec].
+  [[nodiscard]] bool admissible(TimeSec unit_time) const noexcept;
 
   struct RetentionBounds {
     TimeSec oldest;

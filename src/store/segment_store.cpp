@@ -191,17 +191,18 @@ std::unordered_set<Id16, Id16Hasher> parse_trusted_set(Reader& reader,
 }
 
 /// Screens one wire payload and admits it into the shard under
-/// construction: the structural upload screen runs again (defense in
-/// depth), a unit-time mismatch or duplicate id is counted and never
-/// loaded. Returns the admitted id (stable — it lives in the shard's
-/// map), or nullptr when the payload was rejected.
+/// construction: the structural screen runs again (a CRC is not
+/// authentication), and only then — its timestamps proven in range — is
+/// the claimed unit-time compared with the segment's. A mismatch or a
+/// duplicate id is counted and never loaded. Returns the admitted id
+/// (stable — it lives in the shard's map), or nullptr when the payload
+/// was rejected.
 const Id16* admit_profile(index::TimeShard& shard, std::span<const std::uint8_t> payload,
                           const std::unordered_set<Id16, Id16Hasher>& trusted,
-                          TimeSec unit_time, const vp::VpUploadPolicy& policy,
-                          std::size_t& rejected) {
+                          TimeSec unit_time, std::size_t& rejected) {
   try {
     auto profile = vp::ViewProfile::parse(payload);
-    if (profile.unit_time() != unit_time || !policy.well_formed(profile)) {
+    if (!vp::well_formed(profile) || profile.unit_time() != unit_time) {
       ++rejected;
       return nullptr;
     }
@@ -225,8 +226,7 @@ const Id16* admit_profile(index::TimeShard& shard, std::span<const std::uint8_t>
 /// strict dense offset table (the writer only ever emits one), so the
 /// arena IS the canonical payload section.
 void parse_segment(std::span<const std::uint8_t> bytes, const EntryView& entry,
-                     const vp::VpUploadPolicy& policy, bool deep_verify,
-                     SegmentLoad& out) {
+                   bool deep_verify, SegmentLoad& out) {
   const auto validate_start = std::chrono::steady_clock::now();
   if (bytes.size() < kSegmentPrefix + kSegmentTrailer)
     throw std::runtime_error("segment_store: truncated " + entry.name + " (" +
@@ -331,7 +331,7 @@ void parse_segment(std::span<const std::uint8_t> bytes, const EntryView& entry,
   for (std::uint64_t i = 0; i < vp_count; ++i) {
     const Id16* id = admit_profile(*out.shard,
                                    arena.subspan(i * vp::kVpWireSize, vp::kVpWireSize),
-                                   trusted, entry.unit_time, policy, out.rejected);
+                                   trusted, entry.unit_time, out.rejected);
     if (id == nullptr) continue;
     // Canonical order check: ascending ids are what make the arena the
     // digest preimage. Out of order ⇒ not a file our writer produced.
@@ -345,7 +345,6 @@ void parse_segment(std::span<const std::uint8_t> bytes, const EntryView& entry,
 }
 
 SegmentLoad load_one_segment(const std::string& path, const EntryView& entry,
-                             const vp::VpUploadPolicy& policy,
                              bool deep_verify) noexcept {
   SegmentLoad out;
   try {
@@ -353,7 +352,7 @@ SegmentLoad load_one_segment(const std::string& path, const EntryView& entry,
     const auto bytes = read_file(path);
     out.read_us = us_since(read_start);
     out.shard = std::make_shared<index::TimeShard>(entry.unit_time);
-    parse_segment(bytes, entry, policy, deep_verify, out);
+    parse_segment(bytes, entry, deep_verify, out);
   } catch (const std::exception& e) {
     out.shard.reset();
     out.error = e.what();
@@ -681,7 +680,7 @@ SegmentStore::Manifest SegmentStore::read_manifest(std::uint64_t sequence) const
   return manifest;
 }
 
-void SegmentStore::load_segments(const Manifest& manifest, sys::VpDatabase& db,
+void SegmentStore::load_segments(const Manifest& manifest, index::VpTimeline& db,
                                  RecoveryStats& stats) const {
   if (manifest.entries.empty()) return;
   std::vector<EntryView> entries;
@@ -690,7 +689,6 @@ void SegmentStore::load_segments(const Manifest& manifest, sys::VpDatabase& db,
     entries.push_back({entry.unit_time, entry.vp_count, entry.trusted_count,
                        entry.digest, segment_file_name(entry.digest)});
 
-  const vp::VpUploadPolicy policy = db.policy();
   unsigned want = cfg_.restore_threads != 0 ? cfg_.restore_threads
                                             : std::thread::hardware_concurrency();
   if (want == 0) want = 1;
@@ -707,8 +705,8 @@ void SegmentStore::load_segments(const Manifest& manifest, sys::VpDatabase& db,
     for (;;) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= entries.size()) return;
-      results[i] = load_one_segment(full_path(entries[i].name), entries[i], policy,
-                                    cfg_.deep_verify);
+      results[i] =
+          load_one_segment(full_path(entries[i].name), entries[i], cfg_.deep_verify);
     }
   };
   {
@@ -750,7 +748,7 @@ void SegmentStore::load_segments(const Manifest& manifest, sys::VpDatabase& db,
     // only valid when the shard is exactly the segment's content
     // (adopt_shard invalidates it again if a collision drops anything).
     if (r.seed_ok) r.shard->seed_digest(entries[i].digest);
-    const std::size_t dropped = db.timeline().adopt_shard(std::move(r.shard));
+    const std::size_t dropped = db.adopt_shard(std::move(r.shard));
     stats.profiles_loaded += survivors - dropped;
     stats.profiles_rejected += r.rejected + dropped;
     stats.manifest_profiles += entries[i].vp_count;
@@ -759,68 +757,8 @@ void SegmentStore::load_segments(const Manifest& manifest, sys::VpDatabase& db,
   stats.adopt_us += us_since(adopt_start);
 }
 
-sys::VpDatabase SegmentStore::recover(RecoveryStats* stats) const {
-  return recover_impl({}, {}, stats);
-}
-
-sys::VpDatabase SegmentStore::recover(vp::VpUploadPolicy policy,
-                                      index::TimelineConfig index_cfg,
-                                      RecoveryStats* stats) const {
-  return recover_impl(policy, index_cfg, stats);
-}
-
-sys::VpDatabase SegmentStore::recover(std::uint64_t sequence,
-                                      RecoveryStats* stats) const {
-  return recover(sequence, {}, {}, stats);
-}
-
-sys::VpDatabase SegmentStore::recover(std::uint64_t sequence,
-                                      vp::VpUploadPolicy policy,
-                                      index::TimelineConfig index_cfg,
-                                      RecoveryStats* stats) const {
-  const auto start = std::chrono::steady_clock::now();
-  RecoveryStats local;
-  ++local.manifests_tried;
-  // No fallback: a damaged named checkpoint throws out of load_checkpoint
-  // rather than landing the caller on a sibling they did not ask for.
-  sys::VpDatabase db = load_checkpoint(sequence, policy, index_cfg, local);
-  local.total_us = us_since(start);
-  if (stats != nullptr) *stats = local;
-  if (m_.recoveries != nullptr) {
-    m_.recoveries->add();
-    m_.recovered_profiles->add(local.profiles_loaded);
-    m_.recover_us->record(local.total_us);
-    m_.recover_read_us->record(local.read_us);
-    m_.recover_validate_us->record(local.validate_us);
-    m_.recover_parse_us->record(local.parse_us);
-    m_.recover_adopt_us->record(local.adopt_us);
-  }
-  return db;
-}
-
-sys::VpDatabase SegmentStore::load_checkpoint(std::uint64_t sequence,
-                                              vp::VpUploadPolicy policy,
-                                              index::TimelineConfig index_cfg,
-                                              RecoveryStats& stats) const {
-  sys::VpDatabase db(policy, index_cfg);
-  Manifest manifest;
-  {
-    obs::SpanScope span("recover_manifest");
-    manifest = read_manifest(sequence);
-  }
-  load_segments(manifest, db, stats);
-  // Force-set, don't advance: trusted restores already advanced the
-  // clock, which must not override an operator's reset_clock()
-  // recovery captured by the checkpoint.
-  db.reset_clock(manifest.trusted_clock);
-  stats.sequence = sequence;
-  stats.trusted_marked = db.trusted_count();
-  return db;
-}
-
-sys::VpDatabase SegmentStore::recover_impl(vp::VpUploadPolicy policy,
-                                           index::TimelineConfig index_cfg,
-                                           RecoveryStats* stats) const {
+index::VpTimeline SegmentStore::recover(RecoveryStats* stats,
+                                        index::TimelineConfig index_cfg) const {
   const auto start = std::chrono::steady_clock::now();
   RecoveryStats local;
   const auto manifests = list_manifests_desc();
@@ -829,18 +767,10 @@ sys::VpDatabase SegmentStore::recover_impl(vp::VpUploadPolicy policy,
     ++local.manifests_tried;
     RecoveryStats attempt = local;
     try {
-      sys::VpDatabase db = load_checkpoint(sequence, policy, index_cfg, attempt);
+      index::VpTimeline db = load_checkpoint(sequence, index_cfg, attempt);
       attempt.total_us = us_since(start);
       if (stats != nullptr) *stats = attempt;
-      if (m_.recoveries != nullptr) {
-        m_.recoveries->add();
-        m_.recovered_profiles->add(attempt.profiles_loaded);
-        m_.recover_us->record(attempt.total_us);
-        m_.recover_read_us->record(attempt.read_us);
-        m_.recover_validate_us->record(attempt.validate_us);
-        m_.recover_parse_us->record(attempt.parse_us);
-        m_.recover_adopt_us->record(attempt.adopt_us);
-      }
+      record_recovery(attempt);
       return db;
     } catch (const std::exception& e) {
       if (newest_error.empty()) newest_error = e.what();
@@ -854,10 +784,54 @@ sys::VpDatabase SegmentStore::recover_impl(vp::VpUploadPolicy policy,
       m_.recoveries->add();
       m_.recover_us->record(us_since(start));
     }
-    return sys::VpDatabase(policy, index_cfg);
+    return index::VpTimeline(index_cfg);
   }
   throw std::runtime_error("segment_store: no loadable checkpoint in " + dir_ +
                            " (newest failure: " + newest_error + ")");
+}
+
+index::VpTimeline SegmentStore::recover(std::uint64_t sequence, RecoveryStats* stats,
+                                        index::TimelineConfig index_cfg) const {
+  const auto start = std::chrono::steady_clock::now();
+  RecoveryStats local;
+  ++local.manifests_tried;
+  // No fallback: a damaged named checkpoint throws out of load_checkpoint
+  // rather than landing the caller on a sibling they did not ask for.
+  index::VpTimeline db = load_checkpoint(sequence, index_cfg, local);
+  local.total_us = us_since(start);
+  if (stats != nullptr) *stats = local;
+  record_recovery(local);
+  return db;
+}
+
+void SegmentStore::record_recovery(const RecoveryStats& stats) const {
+  if (m_.recoveries == nullptr) return;
+  m_.recoveries->add();
+  m_.recovered_profiles->add(stats.profiles_loaded);
+  m_.recover_us->record(stats.total_us);
+  m_.recover_read_us->record(stats.read_us);
+  m_.recover_validate_us->record(stats.validate_us);
+  m_.recover_parse_us->record(stats.parse_us);
+  m_.recover_adopt_us->record(stats.adopt_us);
+}
+
+index::VpTimeline SegmentStore::load_checkpoint(std::uint64_t sequence,
+                                                index::TimelineConfig index_cfg,
+                                                RecoveryStats& stats) const {
+  index::VpTimeline db(index_cfg);
+  Manifest manifest;
+  {
+    obs::SpanScope span("recover_manifest");
+    manifest = read_manifest(sequence);
+  }
+  load_segments(manifest, db, stats);
+  // Force-set, don't advance: trusted restores already advanced the
+  // clock, which must not override an operator's reset_clock()
+  // recovery captured by the checkpoint.
+  db.reset_clock(manifest.trusted_clock);
+  stats.sequence = sequence;
+  stats.trusted_marked = db.trusted_count();
+  return db;
 }
 
 std::size_t SegmentStore::gc() {

@@ -85,7 +85,7 @@
 
 #include "common/types.h"
 #include "index/db_snapshot.h"
-#include "system/vp_database.h"
+#include "index/timeline.h"
 
 namespace viewmap::obs {
 class MetricsRegistry;  // obs/metrics.h
@@ -238,19 +238,17 @@ class SegmentStore {
   /// its previous checkpoint (nothing final was overwritten).
   CheckpointStats checkpoint(const index::DbSnapshot& snap);
 
-  /// Loads the newest recoverable checkpoint into a fresh database
-  /// (optionally with the caller's upload policy + index config, so
-  /// retention/screening behave identically after a restart). A store
+  /// Loads the newest recoverable checkpoint into a fresh timeline
+  /// (optionally with the caller's index config, so retention and the
+  /// timeliness screen behave identically after a restart). A store
   /// with no manifest at all — including a directory never created —
   /// yields an empty database; a directory that exists but cannot be
   /// listed, or whose manifests are all damaged, throws
   /// std::runtime_error (an I/O failure must never masquerade as a
   /// fresh store). Damaged newest checkpoints fall back
   /// (RecoveryStats::manifests_tried > 1).
-  [[nodiscard]] sys::VpDatabase recover(RecoveryStats* stats = nullptr) const;
-  [[nodiscard]] sys::VpDatabase recover(vp::VpUploadPolicy policy,
-                                        index::TimelineConfig index_cfg,
-                                        RecoveryStats* stats = nullptr) const;
+  [[nodiscard]] index::VpTimeline recover(RecoveryStats* stats = nullptr,
+                                          index::TimelineConfig index_cfg = {}) const;
 
   /// Point-in-time restore: loads exactly the checkpoint sealed under
   /// manifest `sequence` — the daemon's "restart from a chosen
@@ -260,12 +258,9 @@ class SegmentStore {
   /// missing or damaged named manifest throws std::runtime_error,
   /// because silently landing on a different checkpoint than the one the
   /// operator named would defeat the point of naming it.
-  [[nodiscard]] sys::VpDatabase recover(std::uint64_t sequence,
-                                        RecoveryStats* stats = nullptr) const;
-  [[nodiscard]] sys::VpDatabase recover(std::uint64_t sequence,
-                                        vp::VpUploadPolicy policy,
-                                        index::TimelineConfig index_cfg,
-                                        RecoveryStats* stats = nullptr) const;
+  [[nodiscard]] index::VpTimeline recover(std::uint64_t sequence,
+                                          RecoveryStats* stats = nullptr,
+                                          index::TimelineConfig index_cfg = {}) const;
 
   /// Manifest sequences present on disk, ascending — the menu a
   /// point-in-time recover(sequence) picks from. Presence does not imply
@@ -332,18 +327,17 @@ class SegmentStore {
   /// any segment damage (missing file, bad magic/version, CRC / digest /
   /// count / offset-table mismatch) — when several segments are damaged,
   /// deterministically the earliest one in manifest order.
-  void load_segments(const Manifest& manifest, sys::VpDatabase& db,
+  void load_segments(const Manifest& manifest, index::VpTimeline& db,
                      RecoveryStats& stats) const;
-  [[nodiscard]] sys::VpDatabase recover_impl(vp::VpUploadPolicy policy,
-                                             index::TimelineConfig index_cfg,
-                                             RecoveryStats* stats) const;
   /// Parses + fully validates exactly one checkpoint into a fresh
-  /// database. Throws on any damage; shared by the fallback walk and the
+  /// timeline. Throws on any damage; shared by the fallback walk and the
   /// point-in-time recover(sequence).
-  [[nodiscard]] sys::VpDatabase load_checkpoint(std::uint64_t sequence,
-                                                vp::VpUploadPolicy policy,
-                                                index::TimelineConfig index_cfg,
-                                                RecoveryStats& stats) const;
+  [[nodiscard]] index::VpTimeline load_checkpoint(std::uint64_t sequence,
+                                                  index::TimelineConfig index_cfg,
+                                                  RecoveryStats& stats) const;
+  /// Publishes one successful recovery into the wired registry (no-op
+  /// until adopt_metrics()).
+  void record_recovery(const RecoveryStats& stats) const;
 
   void write_file(const std::string& name, std::span<const std::uint8_t> bytes);
   /// write_file to `name + ".tmp"` then atomic-rename to `name` — and on

@@ -79,11 +79,10 @@ std::future<InvestigationServer::Reports> InvestigationServer::submit_period(
   auto& queue = queues_[static_cast<std::size_t>(opts.priority)];
   {
     std::unique_lock lock(mutex_);
-    if (cfg_.overflow == OverflowPolicy::kBlock)
-      not_full_.wait(lock, [this] {
-        return queued() < cfg_.queue_capacity || stopping_;
-      });
-    if (stopping_ || queued() >= cfg_.queue_capacity) {
+    not_full_.wait(lock, [this] {
+      return queued() < cfg_.queue_capacity || stopping_;
+    });
+    if (stopping_) {
       rejected_c_->add();
       return {};  // invalid future ⇔ rejected, nothing queued
     }

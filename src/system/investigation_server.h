@@ -38,13 +38,13 @@
 // DeadlineExpired instead of wasting a worker — see stats().expired.
 //
 // Backpressure. The queue is bounded (queue_capacity). When it is full,
-// submit() either blocks the submitter until a slot frees
-// (OverflowPolicy::kBlock, the default) or rejects immediately
-// (kReject). A rejected — or post-stop() — submission returns a future
-// for which valid() == false; nothing is enqueued and stats().rejected
-// counts it. pause()/resume() idle the workers without stopping intake
-// (maintenance, tests); stop() rejects new submissions, drains every
-// queued request, and joins the pool. The destructor stop()s.
+// submit() blocks the submitter until a slot frees. A post-stop()
+// submission — including one blocked when stop() began — returns a
+// future for which valid() == false; nothing is enqueued and
+// stats().rejected counts it. pause()/resume() idle the workers without
+// stopping intake (maintenance, tests); stop() rejects new submissions,
+// drains every queued request, and joins the pool. The destructor
+// stop()s.
 //
 // Concurrency contract. submit*/pause/resume/stop/queue_depth/stats are
 // all thread-safe. Workers call ViewMapService::investigate(snap, …),
@@ -85,12 +85,6 @@ class Histogram;
 
 namespace viewmap::sys {
 
-/// What submit() does when the request queue is at capacity.
-enum class OverflowPolicy {
-  kBlock,   ///< block the submitter until a slot frees (or stop())
-  kReject,  ///< fail fast: return an invalid future, count it rejected
-};
-
 /// Scheduling class of one submitted request. Workers always drain the
 /// highest non-empty class first (FIFO within a class), so a kLive
 /// request submitted behind a backlog of kBatch scans is served next —
@@ -108,7 +102,7 @@ struct SubmitOptions {
   /// Max time the request may wait before a worker *starts* serving it.
   /// Zero (the default) means no deadline. A request dequeued after its
   /// deadline fails fast: its future throws DeadlineExpired, and
-  /// stats().expired counts it — distinct from queue-overflow rejection
+  /// stats().expired counts it — distinct from post-stop rejection
   /// (invalid future) and from serve failure (stats().failed).
   std::chrono::milliseconds deadline{0};
 };
@@ -124,9 +118,9 @@ class DeadlineExpired : public std::runtime_error {
 struct ServerConfig {
   /// Worker threads draining the queue. 0 ⇒ hardware_concurrency (min 1).
   std::size_t workers = 0;
-  /// Bounded queue capacity; submissions beyond it hit `overflow`.
+  /// Bounded queue capacity; a submission beyond it blocks until a
+  /// worker frees a slot (or stop() rejects it).
   std::size_t queue_capacity = 256;
-  OverflowPolicy overflow = OverflowPolicy::kBlock;
 };
 
 /// Monotonic counters since the service was built. stats() is a plain
@@ -142,7 +136,7 @@ struct ServerConfig {
 struct ServerStats {
   std::size_t submitted = 0;   ///< requests accepted into the queue
   std::size_t completed = 0;   ///< requests resolved (value or exception)
-  std::size_t rejected = 0;    ///< overflow (kReject) + post-stop submissions
+  std::size_t rejected = 0;    ///< post-stop submissions
   std::size_t reports = 0;     ///< InvestigationReports produced in total
   std::size_t batches = 0;     ///< dequeue rounds workers ran; a batch
                                ///< is one request
@@ -173,9 +167,9 @@ class InvestigationServer {
   /// §5.2.1 period investigation: one report per whole unit-time in
   /// [begin, end) that has a trust seed (seedless minutes are skipped,
   /// exactly as investigate_period() does). An invalid returned future
-  /// (valid() == false) means the request was rejected, not queued; a
-  /// valid future may still throw DeadlineExpired when opts.deadline
-  /// passed before a worker got to it.
+  /// (valid() == false) means the server was stopping, so the request
+  /// was rejected, not queued; a valid future may still throw
+  /// DeadlineExpired when opts.deadline passed before a worker got to it.
   [[nodiscard]] std::future<Reports> submit_period(const geo::Rect& site,
                                                    TimeSec begin, TimeSec end,
                                                    const SubmitOptions& opts = {});
@@ -223,8 +217,8 @@ class InvestigationServer {
   std::condition_variable not_full_;
   /// One FIFO per priority class, indexed by RequestPriority; dequeue
   /// scans kLive → kNormal → kBatch. The capacity bound applies to the
-  /// sum — a full queue rejects regardless of class (priority decides
-  /// service order, not admission).
+  /// sum — a full queue blocks submitters regardless of class (priority
+  /// decides service order, not admission).
   std::array<std::deque<Request>, 3> queues_;
   bool paused_ = false;
   bool stopping_ = false;

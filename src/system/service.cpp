@@ -26,7 +26,7 @@ ServiceConfig wire_config(ServiceConfig cfg, obs::MetricsRegistry& registry) {
 ViewMapService::ViewMapService(const ServiceConfig& cfg)
     : cfg_(wire_config(cfg, metrics_)),
       channel_(/*seed=*/0x5eed, cfg_.mix_pool),
-      db_(vp::VpUploadPolicy{}, cfg_.index),
+      db_(cfg_.index),
       builder_(cfg_.viewmap),
       verifier_(cfg_.trustrank),
       bank_(cfg_.rsa_bits),
@@ -70,13 +70,14 @@ std::size_t ViewMapService::ingest_uploads() {
   // The engine is stateless, so a per-call instance keeps the service
   // free of self-referential members; the running totals are the
   // registry counters the engine publishes into (ingest_totals()).
-  index::IngestEngine engine(db_.timeline(), db_.policy(), cfg_.ingest);
+  index::IngestEngine engine(db_, cfg_.ingest);
   const index::IngestStats batch = engine.drain(channel_);
   return batch.accepted;
 }
 
 bool ViewMapService::register_trusted(vp::ViewProfile profile) {
-  return db_.upload_trusted(std::move(profile));
+  return db_.upload(std::move(profile), /*trusted=*/true) ==
+         VpDatabase::Admission::kAccepted;
 }
 
 store::CheckpointStats ViewMapService::checkpoint(store::SegmentStore& store) const {
@@ -95,7 +96,7 @@ store::RecoveryStats ViewMapService::restore_from(const store::SegmentStore& sto
   // cfg_.index carries this service's registry, so the recovered
   // timeline publishes its shard gauge here too (the old timeline
   // withdraws its own contribution as it is destroyed).
-  db_ = store.recover(db_.policy(), cfg_.index, &stats);
+  db_ = store.recover(&stats, cfg_.index);
   return stats;
 }
 
@@ -105,7 +106,7 @@ store::RecoveryStats ViewMapService::restore_from(
   store::RecoveryStats stats;
   // recover(sequence) throws on a missing/damaged manifest *before* the
   // assignment, so a failed point-in-time restore leaves db_ intact.
-  db_ = store.recover(sequence, db_.policy(), cfg_.index, &stats);
+  db_ = store.recover(sequence, &stats, cfg_.index);
   return stats;
 }
 

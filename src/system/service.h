@@ -19,6 +19,7 @@
 
 #include "anonet/channel.h"
 #include "index/ingest_engine.h"
+#include "index/timeline.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "reward/bank.h"
@@ -26,7 +27,6 @@
 #include "system/solicitation.h"
 #include "system/verifier.h"
 #include "system/viewmap_graph.h"
-#include "system/vp_database.h"
 #include "vp/video.h"
 #include "vp/view_profile.h"
 
@@ -40,6 +40,13 @@ namespace viewmap::sys {
 
 class InvestigationServer;  // system/investigation_server.h
 struct ServerConfig;
+
+/// The paper's §4 VP database is the spatio-temporal timeline itself:
+/// VpTimeline::upload is its one admission screen (index/timeline.h).
+using VpDatabase = index::VpTimeline;
+/// The snapshot type served by VpDatabase::snapshot() (see
+/// index/db_snapshot.h for the full read API and lifetime contract).
+using DbSnapshot = index::DbSnapshot;
 
 struct ServiceConfig {
   /// Viewmap construction knobs, including build_threads — the in-build
@@ -108,7 +115,9 @@ class ViewMapService {
   /// ingest quiesces.
   [[nodiscard]] index::IngestStats ingest_totals() const noexcept;
 
-  /// Authenticated path for authority vehicles (police cars).
+  /// Authenticated path for authority vehicles (police cars): the same
+  /// admission screen minus the timeliness check, and the VP's unit-time
+  /// advances the trusted clock. True when the VP was stored.
   bool register_trusted(vp::ViewProfile profile);
 
   [[nodiscard]] const VpDatabase& database() const noexcept { return db_; }
@@ -125,10 +134,10 @@ class ViewMapService {
   store::CheckpointStats checkpoint(store::SegmentStore& store) const;
 
   /// Replaces the database with the newest recoverable checkpoint in
-  /// `store`, preserving this service's upload policy and index (retention)
-  /// configuration so screening and eviction resume exactly as
-  /// configured. Restart path only: must not run concurrently with
-  /// anything else touching the service (stop_server() first).
+  /// `store`, preserving this service's index (retention) configuration
+  /// so screening and eviction resume exactly as configured. Restart
+  /// path only: must not run concurrently with anything else touching
+  /// the service (stop_server() first).
   store::RecoveryStats restore_from(const store::SegmentStore& store);
 
   /// Point-in-time variant: restores exactly the checkpoint sealed under

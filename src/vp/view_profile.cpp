@@ -1,6 +1,7 @@
 #include "vp/view_profile.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -143,21 +144,31 @@ ViewProfile ViewProfile::parse(std::span<const std::uint8_t> data) {
   return ViewProfile(std::move(digests), std::move(bloom));
 }
 
-bool VpUploadPolicy::well_formed(const ViewProfile& vp) const noexcept {
+bool well_formed(const ViewProfile& vp) noexcept {
   const auto digests = vp.digests();
+  // Range first, so the arithmetic below cannot overflow: the last
+  // timestamp t0 + 59 and the minute start unit_start(t0) must both be
+  // representable. The smallest representable minute start is min
+  // rounded toward zero to a multiple of the unit.
+  constexpr TimeSec kMinStart =
+      std::numeric_limits<TimeSec>::min() / kUnitTimeSec * kUnitTimeSec;
+  constexpr TimeSec kMaxStart =
+      std::numeric_limits<TimeSec>::max() - (kDigestsPerProfile - 1);
+  const TimeSec t0 = digests[0].time;
+  if (t0 < kMinStart || t0 > kMaxStart) return false;
   for (std::size_t i = 0; i < digests.size(); ++i) {
     const auto& vd = digests[i];
     if (vd.second != static_cast<std::uint16_t>(i + 1)) return false;
+    if (vd.time != t0 + static_cast<TimeSec>(i)) return false;
     // Checked first: NaN slips past every comparison below (a NaN step
     // is never "too fast"), and inf − inf is NaN.
     if (!std::isfinite(vd.loc_x) || !std::isfinite(vd.loc_y) ||
         !std::isfinite(vd.initial_x) || !std::isfinite(vd.initial_y))
       return false;
     if (i > 0) {
-      if (vd.time != digests[i - 1].time + 1) return false;
       const double dx = vd.loc_x - digests[i - 1].loc_x;
       const double dy = vd.loc_y - digests[i - 1].loc_y;
-      if (std::sqrt(dx * dx + dy * dy) > max_speed_mps) return false;
+      if (std::sqrt(dx * dx + dy * dy) > kMaxSpeedMps) return false;
       if (vd.file_size < digests[i - 1].file_size) return false;
       if (vd.initial_x != digests[0].initial_x || vd.initial_y != digests[0].initial_y)
         return false;

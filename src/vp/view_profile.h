@@ -126,15 +126,18 @@ class ViewProfile {
   mutable std::atomic<const BloomProbes*> probes_{nullptr};
 };
 
-/// Structural well-formedness rules the system applies on upload, before
-/// a VP may enter the database: 60 digests, one id, contiguous seconds,
-/// finite positions, consecutive locations within a plausible per-second
-/// travel distance.
-struct VpUploadPolicy {
-  double max_speed_mps = 70.0;  ///< ~250 km/h — generous physical bound
+/// Fastest per-second step a well-formed trajectory may claim: ~250 km/h,
+/// a generous physical bound.
+inline constexpr double kMaxSpeedMps = 70.0;
 
-  [[nodiscard]] bool well_formed(const ViewProfile& vp) const noexcept;
-};
+/// The structural screen every VP passes before it may enter the
+/// database (index::VpTimeline::upload, and again on recovery): 60
+/// digests, one id, seconds 1..60, timestamps one apart whose minute
+/// start is representable, finite positions, consecutive locations at
+/// most kMaxSpeedMps apart, non-decreasing file sizes, and an advertised
+/// initial location equal to the trajectory start. Total over every
+/// parsed payload: it checks ranges before any arithmetic on them.
+[[nodiscard]] bool well_formed(const ViewProfile& vp) noexcept;
 
 /// The owner-retained secret behind a VP: Q_u with R_u = H(Q_u) (§5.1.1).
 /// Q never leaves the vehicle until the reward claim (§5.3).

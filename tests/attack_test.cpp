@@ -158,7 +158,7 @@ TEST(GeometricAccuracy, ReturnsFractionInUnitInterval) {
 TEST(FakeVp, WellFormedButUnlinked) {
   Rng rng(9);
   const auto fake = make_fake_profile(60, {0, 0}, {300, 0}, rng);
-  EXPECT_TRUE(vp::VpUploadPolicy{}.well_formed(fake));
+  EXPECT_TRUE(vp::well_formed(fake));
   EXPECT_EQ(fake.unit_time(), 60);
   EXPECT_EQ(fake.neighbor_bloom().popcount(), 0u);
 }

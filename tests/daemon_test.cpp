@@ -30,6 +30,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -82,7 +83,7 @@ class TempDir {
 };
 
 /// Fast daemon config for tests: tiny checkpoint interval, no fsync,
-/// deterministic jitter, scrape off unless a test turns it on.
+/// no jitter, scrape off unless a test turns it on.
 DaemonConfig test_config(const std::string& store_dir) {
   DaemonConfig cfg;
   cfg.service.rsa_bits = 1024;
@@ -492,6 +493,32 @@ TEST(DaemonChaos, IngestSurvivesInjectedDrainFailures) {
 
 // ── lifecycle edges ──────────────────────────────────────────────────
 
+TEST(CheckpointJitter, DaemonsBuiltBackToBackDrawDifferentWaits) {
+  // A fleet restarted together must not fsync in lockstep: each daemon
+  // seeds its own jitter, so two built one after the other disagree on
+  // their first waits.
+  TempDir dir("jitter");
+  sys::ServiceConfig scfg;
+  scfg.rsa_bits = 1024;
+  sys::ViewMapService service(scfg);
+  store::SegmentStore store(dir.str());
+  CheckpointConfig cfg;
+  cfg.interval = 10000ms;
+  cfg.jitter_pct = 10;
+  CheckpointDaemon first(service, store, cfg);
+  CheckpointDaemon second(service, store, cfg);
+  std::vector<std::chrono::milliseconds> a, b;
+  for (int i = 0; i < 4; ++i) {
+    a.push_back(first.next_wait());
+    b.push_back(second.next_wait());
+    for (const auto w : {a.back(), b.back()}) {
+      EXPECT_GE(w, 9000ms);
+      EXPECT_LE(w, 11000ms);
+    }
+  }
+  EXPECT_NE(a, b);
+}
+
 TEST(Lifecycle, DoubleStartRefused) {
   TempDir dir("dbl");
   ServiceLifecycle d(test_config(dir.str()));
@@ -515,7 +542,6 @@ TEST(Lifecycle, DrainWithFullInvestigationQueue) {
   auto cfg = test_config(dir.str());
   cfg.server.workers = 1;
   cfg.server.queue_capacity = 2;
-  cfg.server.overflow = sys::OverflowPolicy::kReject;
 
   ServiceLifecycle d(cfg);
   ASSERT_TRUE(d.start());
@@ -733,6 +759,47 @@ std::string reply_defect(const std::string& response) {
   return {};
 }
 
+TEST(Scrape, HeadersSentAfterTheReplyDoNotResetTheConnection) {
+  // The server answers as soon as the request line is in. A client that
+  // writes its headers afterwards (bash's printf over /dev/tcp writes one
+  // line per write) must be able to finish writing and read the whole
+  // reply: closing with those bytes unread used to reset the connection,
+  // so the client's next write failed and the reply could be lost.
+  sys::ServiceConfig scfg;
+  scfg.rsa_bits = 1024;
+  sys::ViewMapService service(scfg);
+  obs::MetricsRegistry own;
+  ScrapeEndpoint ep(
+      service.metrics(), [] { return std::pair{true, std::string("ok\n")}; },
+      ScrapeConfig{}, own);
+  ASSERT_TRUE(ep.start());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(ep.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  for (const std::string line : {"GET /healthz HTTP/1.1\r\n", "Host: localhost\r\n",
+                                 "Connection: close\r\n\r\n"}) {
+    EXPECT_EQ(::send(fd, line.data(), line.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(line.size()))
+        << "writing " << line.substr(0, line.size() - 2) << ": " << std::strerror(errno);
+    std::this_thread::sleep_for(50ms);  // the server answers in between
+  }
+  std::string response;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
+    response.append(buf, static_cast<std::size_t>(n));
+  EXPECT_EQ(n, 0) << "connection reset: " << std::strerror(errno);
+  ::close(fd);
+  EXPECT_EQ(reply_defect(response), "");
+  EXPECT_TRUE(response.starts_with("HTTP/1.1 200 ")) << response.substr(0, 100);
+  ep.stop();
+}
+
 TEST(Scrape, SeededRequestMutationsAnswerOrHangUp) {
   // The scrape port is a trust boundary: anything that can reach it can
   // send it any bytes. Several hundred fixed-seed mutations of the two
@@ -843,7 +910,7 @@ TEST(Ingest, SubmitLifecycleAndBackpressure) {
   TempDir dir("bp");
   Rng rng(29);
   auto cfg = test_config(dir.str());
-  cfg.ingest.max_pending_uploads = 8;  // tiny bound, kBlock default
+  cfg.ingest.max_pending_uploads = 8;  // tiny bound; a full queue blocks
 
   ServiceLifecycle d(cfg);
   // Before start: the daemon is not accepting.
@@ -853,8 +920,8 @@ TEST(Ingest, SubmitLifecycleAndBackpressure) {
   ASSERT_TRUE(d.start());
   ASSERT_TRUE(d.service().register_trusted(
       attack::make_fake_profile(0, {0, 0}, {800, 0}, rng)));
-  // Two submitters flood well past the bound; kBlock means every submit
-  // eventually lands (none rejected, none lost).
+  // Two submitters flood well past the bound; blocking means every
+  // submit eventually lands (none rejected, none lost).
   constexpr std::size_t kPerThread = 150;
   std::atomic<std::size_t> admitted{0};
   std::vector<std::thread> submitters;

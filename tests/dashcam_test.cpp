@@ -58,7 +58,7 @@ TEST_F(DashcamFixture, OneVpPerMinutePlusGuards) {
   EXPECT_EQ(uploads.size(), 4u);
   for (const auto& payload : uploads) {
     const auto profile = ViewProfile::parse(payload);
-    EXPECT_TRUE(VpUploadPolicy{}.well_formed(profile));
+    EXPECT_TRUE(well_formed(profile));
   }
   EXPECT_TRUE(a.drain_uploads().empty());  // queue drained
 }

@@ -85,7 +85,7 @@ TEST_F(GuardFixture, GuardIsStructurallyIndistinguishable) {
   ASSERT_TRUE(guard.has_value());
   // The system's upload screen must accept guards like actual VPs —
   // indistinguishability is the whole point (§5.1.2).
-  EXPECT_TRUE(VpUploadPolicy{}.well_formed(*guard));
+  EXPECT_TRUE(well_formed(*guard));
   EXPECT_EQ(guard->digests().size(), static_cast<std::size_t>(kDigestsPerProfile));
   EXPECT_EQ(guard->unit_time(), 0);
 }
@@ -120,7 +120,7 @@ TEST_F(GuardFixture, GuardSpeedIsPlausible) {
   for (std::size_t i = 1; i < digests.size(); ++i) {
     const double dx = digests[i].loc_x - digests[i - 1].loc_x;
     const double dy = digests[i].loc_y - digests[i - 1].loc_y;
-    EXPECT_LE(std::hypot(dx, dy), 70.0);  // < VpUploadPolicy::max_speed_mps
+    EXPECT_LE(std::hypot(dx, dy), vp::kMaxSpeedMps);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -13,13 +14,15 @@
 #include "index/timeline.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
-#include "system/vp_database.h"
 
 namespace viewmap::index {
 namespace {
 
+using Admission = VpTimeline::Admission;
+constexpr auto kAccepted = Admission::kAccepted;
+
 /// Cheap structurally-valid VP: straight line over one minute. Same
-/// generator the attack experiments use, so it passes VpUploadPolicy.
+/// generator the attack experiments use, so it passes vp::well_formed.
 vp::ViewProfile straight_vp(TimeSec unit, geo::Vec2 start, geo::Vec2 end, Rng& rng) {
   return attack::make_fake_profile(unit, start, end, rng);
 }
@@ -53,14 +56,13 @@ std::vector<Id16> ids_of(const std::vector<const vp::ViewProfile*>& profiles) {
 TEST(VpTimelineProperty, QueryMatchesLinearScanOnRandomWorkloads) {
   for (std::uint64_t seed = 10; seed < 15; ++seed) {
     Rng rng(seed);
-    sys::VpDatabase db;
+    VpTimeline db;
     const int minutes = 5;
     for (int i = 0; i < 300; ++i) {
       const TimeSec unit = kUnitTimeSec * rng.index(static_cast<std::size_t>(minutes));
       auto profile = random_vp(unit, 4000.0, rng);
       const bool trusted = rng.index(10) == 0;
-      ASSERT_TRUE(trusted ? db.upload_trusted(std::move(profile))
-                          : db.upload(std::move(profile)));
+      ASSERT_EQ(db.upload(std::move(profile), trusted), kAccepted);
     }
 
     const DbSnapshot snap = db.snapshot();
@@ -110,13 +112,13 @@ TEST(VpTimelineProperty, QueryMatchesLinearScanOnRandomWorkloads) {
 
 TEST(VpTimeline, TrustedSetSemantics) {
   Rng rng(20);
-  sys::VpDatabase db;
+  VpTimeline db;
   auto trusted = random_vp(0, 1000.0, rng);
   auto plain = random_vp(0, 1000.0, rng);
   const Id16 trusted_id = trusted.vp_id();
   const Id16 plain_id = plain.vp_id();
-  ASSERT_TRUE(db.upload_trusted(std::move(trusted)));
-  ASSERT_TRUE(db.upload(std::move(plain)));
+  ASSERT_EQ(db.upload(std::move(trusted), true), kAccepted);
+  ASSERT_EQ(db.upload(std::move(plain), false), kAccepted);
 
   const DbSnapshot snap = db.snapshot();
   EXPECT_TRUE(db.is_trusted(trusted_id));
@@ -145,18 +147,18 @@ TEST(VpTimeline, RetentionEvictsWholeShards) {
   for (int i = 0; i < 10; ++i) {
     auto p = random_vp(0, 1000.0, rng);
     minute0_ids.push_back(p.vp_id());
-    ASSERT_TRUE(timeline.insert(std::move(p), i == 0));  // one trusted
+    ASSERT_EQ(timeline.upload(std::move(p), i == 0), kAccepted);  // one trusted
   }
   auto p60 = random_vp(60, 1000.0, rng);
   const Id16 id60 = p60.vp_id();
-  ASSERT_TRUE(timeline.insert(std::move(p60), false));
+  ASSERT_EQ(timeline.upload(std::move(p60), false), kAccepted);
   EXPECT_EQ(timeline.size(), 11u);
   EXPECT_EQ(timeline.trusted_count(), 1u);
   EXPECT_EQ(timeline.trusted_now(), 0);  // trusted insert set the clock
   EXPECT_EQ(timeline.enforce_retention(), 0u);  // everything within window
 
   auto p180 = random_vp(180, 1000.0, rng);
-  ASSERT_TRUE(timeline.insert(std::move(p180), false));
+  ASSERT_EQ(timeline.upload(std::move(p180), false), kAccepted);
   // An anonymous insert never advances the retention clock...
   EXPECT_EQ(timeline.trusted_now(), 0);
   EXPECT_EQ(timeline.enforce_retention(), 0u);
@@ -174,12 +176,13 @@ TEST(VpTimeline, RetentionEvictsWholeShards) {
   EXPECT_NE(timeline.find(id60), nullptr);
   EXPECT_TRUE(timeline.snapshot().query(0, {{-1e6, -1e6}, {1e6, 1e6}}).empty());
 
-  // An evicted id is a tombstone, not a live entry: re-uploading it (the
-  // same vehicle re-submitting after the service aged it out) must work.
-  Rng rng2(30);  // same seed → same first profile → same id
-  auto again = random_vp(0, 1000.0, rng2);
+  // An evicted id is a tombstone, not a live entry: an upload reusing it
+  // must be accepted. (Minute 0 itself is now outside the window, so the
+  // reuse claims a minute the screen still admits.)
+  Rng rng2(30);  // same seed → same first id, whatever the minute
+  auto again = random_vp(180, 1000.0, rng2);
   ASSERT_EQ(again.vp_id(), minute0_ids[0]);
-  EXPECT_TRUE(timeline.insert(std::move(again), false));
+  EXPECT_EQ(timeline.upload(std::move(again), false), kAccepted);
   EXPECT_NE(timeline.find(minute0_ids[0]), nullptr);
 }
 
@@ -189,11 +192,11 @@ TEST(VpTimeline, RetentionIgnoresAnonymousClaims) {
   cfg.retention.window_sec = 2 * kUnitTimeSec;
   VpTimeline timeline(cfg);
   for (int i = 0; i < 10; ++i)
-    ASSERT_TRUE(timeline.insert(random_vp(0, 1000.0, rng), false));
+    ASSERT_EQ(timeline.upload(random_vp(0, 1000.0, rng), false), kAccepted);
 
   // The anonymous-attacker eviction vector: a well-formed upload claiming
   // a far-future minute must not age out anyone else's shards.
-  ASSERT_TRUE(timeline.insert(random_vp(1'000'000'000'000LL, 1000.0, rng), false));
+  ASSERT_EQ(timeline.upload(random_vp(1'000'000'000'000LL, 1000.0, rng), false), kAccepted);
   EXPECT_FALSE(timeline.has_trusted_clock());
   EXPECT_EQ(timeline.enforce_retention(), 0u);  // no trusted clock, no eviction
   EXPECT_EQ(timeline.size(), 11u);
@@ -219,19 +222,23 @@ TEST(VpTimeline, AdmissionScreenBoundsAnonymousTimestamps) {
   TimelineConfig cfg;
   cfg.retention.window_sec = 2 * kUnitTimeSec;
   cfg.retention.max_future_skew_sec = kUnitTimeSec;
-  sys::VpDatabase db({}, cfg);
+  VpTimeline db(cfg);
 
   // No trusted reference yet: every claim is admissible.
-  ASSERT_TRUE(db.upload(random_vp(0, 1000.0, rng)));
+  ASSERT_EQ(db.upload(random_vp(0, 1000.0, rng), false), kAccepted);
 
   auto authority = random_vp(600, 1000.0, rng);
-  ASSERT_TRUE(db.upload_trusted(std::move(authority)));
+  ASSERT_EQ(db.upload(std::move(authority), true), kAccepted);
   EXPECT_EQ(db.trusted_now(), 600);
 
-  EXPECT_TRUE(db.upload(random_vp(600 + kUnitTimeSec, 1000.0, rng)));   // at skew edge
-  EXPECT_TRUE(db.upload(random_vp(600 - 2 * kUnitTimeSec, 1000.0, rng)));  // at window edge
-  EXPECT_FALSE(db.upload(random_vp(600 + 2 * kUnitTimeSec, 1000.0, rng)));  // too new
-  EXPECT_FALSE(db.upload(random_vp(600 - 3 * kUnitTimeSec, 1000.0, rng)));  // too old
+  EXPECT_EQ(db.upload(random_vp(600 + kUnitTimeSec, 1000.0, rng), false),
+            kAccepted);  // at skew edge
+  EXPECT_EQ(db.upload(random_vp(600 - 2 * kUnitTimeSec, 1000.0, rng), false),
+            kAccepted);  // at window edge
+  EXPECT_EQ(db.upload(random_vp(600 + 2 * kUnitTimeSec, 1000.0, rng), false),
+            Admission::kUntimely);  // too new
+  EXPECT_EQ(db.upload(random_vp(600 - 3 * kUnitTimeSec, 1000.0, rng), false),
+            Admission::kUntimely);  // too old
   EXPECT_EQ(db.size(), 4u);
 
   // Retention measures from the same trusted clock: only the pre-clock
@@ -249,13 +256,13 @@ TEST(VpTimeline, TombstoneCompactionKeepsLookupsConsistent) {
   for (int i = 0; i < 200; ++i) {
     auto p = random_vp(0, 2000.0, rng);
     old_ids.push_back(p.vp_id());
-    ASSERT_TRUE(timeline.insert(std::move(p), false));
+    ASSERT_EQ(timeline.upload(std::move(p), false), kAccepted);
   }
   std::vector<Id16> new_ids;
   for (int i = 0; i < 5; ++i) {
     auto p = random_vp(600, 2000.0, rng);
     new_ids.push_back(p.vp_id());
-    ASSERT_TRUE(timeline.insert(std::move(p), false));
+    ASSERT_EQ(timeline.upload(std::move(p), false), kAccepted);
   }
   EXPECT_EQ(timeline.evict_older_than(600), 200u);
   EXPECT_EQ(timeline.size(), 5u);
@@ -265,7 +272,7 @@ TEST(VpTimeline, TombstoneCompactionKeepsLookupsConsistent) {
 
 TEST(IngestEngine, StatsAndDuplicateScreen) {
   Rng rng(50);
-  sys::VpDatabase db;
+  VpTimeline db;
   std::vector<std::vector<std::uint8_t>> payloads;
   for (int i = 0; i < 20; ++i) payloads.push_back(random_vp(0, 2000.0, rng).serialize());
   payloads.push_back(payloads.front());      // duplicate id
@@ -276,7 +283,7 @@ TEST(IngestEngine, StatsAndDuplicateScreen) {
   cfg.threads = 4;
   cfg.min_parallel_batch = 1;
   cfg.metrics = &registry;
-  IngestEngine engine(db.timeline(), db.policy(), cfg);
+  IngestEngine engine(db, cfg);
   const auto stats = engine.ingest(std::move(payloads));
   EXPECT_EQ(stats.accepted, 20u);
   EXPECT_EQ(stats.rejected_duplicate, 1u);
@@ -294,16 +301,16 @@ TEST(IngestEngine, FarFutureAnonymousBatchCannotEvictRealShards) {
   Rng rng(55);
   TimelineConfig tl_cfg;
   tl_cfg.retention.window_sec = 2 * kUnitTimeSec;
-  sys::VpDatabase db({}, tl_cfg);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(db.upload(random_vp(0, 2000.0, rng)));
-  ASSERT_TRUE(db.upload_trusted(random_vp(60, 2000.0, rng)));  // clock = 60
+  VpTimeline db(tl_cfg);
+  for (int i = 0; i < 10; ++i) ASSERT_EQ(db.upload(random_vp(0, 2000.0, rng), false), kAccepted);
+  ASSERT_EQ(db.upload(random_vp(60, 2000.0, rng), true), kAccepted);  // clock = 60
 
   // The batch path enforces retention after every ingest; a far-future
   // anonymous claim must be screened out, not advance the cutoff.
   IngestConfig cfg;
   cfg.threads = 2;
   cfg.min_parallel_batch = 1;
-  IngestEngine engine(db.timeline(), db.policy(), cfg);
+  IngestEngine engine(db, cfg);
   std::vector<std::vector<std::uint8_t>> payloads;
   payloads.push_back(random_vp(1'000'000'000'000LL, 2000.0, rng).serialize());
   payloads.push_back(random_vp(0, 2000.0, rng).serialize());  // still plausible
@@ -326,21 +333,20 @@ TEST(IngestEngine, ThreadCountDoesNotChangeTheOutcome) {
   // which worker wins the race.
   for (std::size_t i = 0; i < 200; i += 4) payloads.push_back(payloads[i]);
 
-  std::vector<Id16> reference;
+  // Serial reference: one VpTimeline::upload per payload.
+  VpTimeline serial;
+  for (const auto& payload : payloads) serial.upload(vp::ViewProfile::parse(payload), false);
+  const std::vector<Id16> reference = ids_of(serial.snapshot().all());
   for (unsigned threads : {1u, 2u, 8u}) {
-    sys::VpDatabase db;
+    VpTimeline db;
     IngestConfig cfg;
     cfg.threads = threads;
     cfg.min_parallel_batch = 1;
-    IngestEngine engine(db.timeline(), db.policy(), cfg);
+    IngestEngine engine(db, cfg);
     const auto stats = engine.ingest(payloads);
     EXPECT_EQ(stats.accepted, 200u);
     EXPECT_EQ(stats.rejected_duplicate, 50u);
-    auto ids = ids_of(db.snapshot().all());
-    if (reference.empty())
-      reference = ids;
-    else
-      EXPECT_EQ(ids, reference);
+    EXPECT_EQ(ids_of(db.snapshot().all()), reference) << threads << " threads";
   }
 }
 
@@ -362,8 +368,8 @@ TEST(IngestEngine, ConcurrentInsertsOnOneTimelineAreSafe) {
   for (int t = 0; t < kThreads; ++t)
     pool.emplace_back([&, t] {
       for (auto& p : private_sets[static_cast<std::size_t>(t)])
-        EXPECT_TRUE(timeline.insert(std::move(p), false));
-      for (const auto& p : shared) timeline.insert(p, false);  // racing duplicates
+        EXPECT_EQ(timeline.upload(std::move(p), false), kAccepted);
+      for (const auto& p : shared) timeline.upload(p, false);  // racing duplicates
     });
   for (auto& th : pool) th.join();
 
@@ -391,7 +397,7 @@ TEST(VpTimeline, EvictionConcurrentWithInsertKeepsCountersSane) {
   for (int t = 0; t < kThreads; ++t)
     pool.emplace_back([&, t] {
       for (auto& p : sets[static_cast<std::size_t>(t)])
-        timeline.insert(std::move(p), false);
+        timeline.upload(std::move(p), false);
     });
   for (auto& th : pool) th.join();
   done.store(true);
@@ -421,19 +427,23 @@ TEST(IngestEngine, DrainsSimulatedTrafficLikeTheSerialPath) {
   auto payloads = sim::upload_payloads(world);
   ASSERT_FALSE(payloads.empty());
 
-  // Serial reference: the pre-engine upload loop.
-  sys::VpDatabase reference;
-  std::size_t reference_accepted = 0;
+  // Serial reference: one VpTimeline::upload per payload, tallied by
+  // outcome.
+  VpTimeline reference;
+  std::map<Admission, std::size_t> reference_outcomes;
   for (const auto& payload : payloads)
-    if (reference.upload(vp::ViewProfile::parse(payload))) ++reference_accepted;
+    ++reference_outcomes[reference.upload(vp::ViewProfile::parse(payload), false)];
 
-  sys::VpDatabase db;
+  VpTimeline db;
   IngestConfig cfg;
   cfg.threads = 4;
   cfg.min_parallel_batch = 1;
-  IngestEngine engine(db.timeline(), db.policy(), cfg);
+  IngestEngine engine(db, cfg);
   const auto stats = engine.ingest(std::move(payloads));
-  EXPECT_EQ(stats.accepted, reference_accepted);
+  EXPECT_EQ(stats.accepted, reference_outcomes[kAccepted]);
+  EXPECT_EQ(stats.rejected_malformed, reference_outcomes[Admission::kMalformed]);
+  EXPECT_EQ(stats.rejected_untimely, reference_outcomes[Admission::kUntimely]);
+  EXPECT_EQ(stats.rejected_duplicate, reference_outcomes[Admission::kDuplicate]);
   EXPECT_EQ(ids_of(db.snapshot().all()), ids_of(reference.snapshot().all()));
 }
 

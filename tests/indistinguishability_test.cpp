@@ -13,8 +13,8 @@
 
 #include "common/stats.h"
 #include "sim/simulator.h"
+#include "system/service.h"
 #include "system/viewmap_graph.h"
-#include "system/vp_database.h"
 
 namespace viewmap {
 namespace {
@@ -68,10 +68,9 @@ struct IndistinguishabilityFixture : ::testing::Test {
 };
 
 TEST_F(IndistinguishabilityFixture, GuardsPassEveryStructuralCheckActualsPass) {
-  const vp::VpUploadPolicy policy;
   std::size_t guards = 0;
   for (const auto& rec : world().profiles) {
-    EXPECT_TRUE(policy.well_formed(rec.profile));
+    EXPECT_TRUE(vp::well_formed(rec.profile));
     guards += rec.guard;
   }
   ASSERT_GT(guards, 0u);
@@ -128,7 +127,7 @@ TEST_F(IndistinguishabilityFixture, GuardsAreViewlinkedToTheirCreators) {
   // From the system's perspective a guard arrives as a normally-linked
   // member of the mesh, not as an isolated oddity.
   sys::VpDatabase db;
-  for (const auto& rec : world().profiles) db.upload(rec.profile);
+  for (const auto& rec : world().profiles) db.upload(rec.profile, false);
   const sys::ViewmapBuilder builder;
   for (const auto& rec : world().profiles) {
     if (!rec.guard) continue;

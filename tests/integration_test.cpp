@@ -185,10 +185,10 @@ TEST_F(CityWorld, ViewmapMembershipIsHigh) {
   const vp::ViewProfile* trusted = nullptr;
   for (const auto& rec : result.profiles) {
     if (!rec.guard && rec.creator == 0 && rec.profile.unit_time() == 0) {
-      db.upload_trusted(rec.profile);
+      db.upload(rec.profile, true);
       trusted = &rec.profile;
     } else {
-      db.upload(rec.profile);
+      db.upload(rec.profile, false);
     }
   }
   ASSERT_NE(trusted, nullptr);

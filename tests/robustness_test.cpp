@@ -6,6 +6,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -21,6 +23,8 @@
 
 namespace viewmap {
 namespace {
+
+constexpr auto kAccepted = sys::VpDatabase::Admission::kAccepted;
 
 // ── Parser fuzzing: hostile bytes must throw or parse, never crash ──────
 
@@ -71,7 +75,7 @@ TEST(Fuzz, ServiceIngestSurvivesGarbageStream) {
   EXPECT_EQ(service.database().size(), 0u);
 }
 
-TEST(Fuzz, UploadPolicyOnRandomButParseableProfiles) {
+TEST(Fuzz, UploadScreenOnRandomButParseableProfiles) {
   // Profiles with a consistent id but random everything else must be
   // screened out by the plausibility rules.
   Rng rng(4);
@@ -93,12 +97,12 @@ TEST(Fuzz, UploadPolicyOnRandomButParseableProfiles) {
     }
     const vp::ViewProfile profile(std::move(digests),
                                   bloom::BloomFilter(vp::kBloomBits, vp::kBloomHashes));
-    accepted += vp::VpUploadPolicy{}.well_formed(profile) ? 1 : 0;
+    accepted += vp::well_formed(profile) ? 1 : 0;
   }
   EXPECT_EQ(accepted, 0);  // random walks teleport and time-travel
 }
 
-TEST(Fuzz, UploadPolicyRejectsNonFinitePositions) {
+TEST(Fuzz, UploadScreenRejectsNonFinitePositions) {
   // NaN compares false against the speed bound and inf − inf is NaN, so
   // a non-finite trajectory passes every step check. The screen must
   // still reject it: downstream cell math casts positions to integers.
@@ -109,7 +113,7 @@ TEST(Fuzz, UploadPolicyRejectsNonFinitePositions) {
   const auto edited = [&](auto edit) {
     const vp::ViewProfile honest =
         attack::make_fake_profile(0, {100.0, 200.0}, {700.0, 200.0}, rng);
-    EXPECT_TRUE(vp::VpUploadPolicy{}.well_formed(honest));
+    EXPECT_TRUE(vp::well_formed(honest));
     std::vector<dsrc::ViewDigest> digests(honest.digests().begin(), honest.digests().end());
     for (std::size_t s = 0; s < digests.size(); ++s) edit(s, digests[s]);
     return vp::ViewProfile(std::move(digests), honest.neighbor_bloom());
@@ -127,7 +131,7 @@ TEST(Fuzz, UploadPolicyRejectsNonFinitePositions) {
   for (const auto& profile : hostile) {
     // Over the wire, as an uploader would send it.
     const auto wire = vp::ViewProfile::parse(profile.serialize());
-    EXPECT_FALSE(vp::VpUploadPolicy{}.well_formed(wire));
+    EXPECT_FALSE(vp::well_formed(wire));
     service.upload_channel().submit(profile.serialize());
   }
   EXPECT_EQ(service.ingest_uploads(), 0u);
@@ -214,12 +218,12 @@ TEST(Fuzz, SegmentStoreMutationsRecoverOrThrow) {
   {
     store::SegmentStore seed_store(dir.string(), cfg);
     for (int m = 0; m < 3; ++m)
-      for (int i = 0; i < 2; ++i) ASSERT_TRUE(db.upload(profile(m, i * 400.0)));
-    ASSERT_TRUE(db.upload_trusted(profile(1, 900.0)));
+      for (int i = 0; i < 2; ++i) ASSERT_EQ(db.upload(profile(m, i * 400.0), false), kAccepted);
+    ASSERT_EQ(db.upload(profile(1, 900.0), true), kAccepted);
     (void)seed_store.checkpoint(db.snapshot());
     sealed.push_back(db.snapshot().canonical_bytes());
-    ASSERT_TRUE(db.upload(profile(0, 1800.0)));
-    ASSERT_TRUE(db.upload(profile(3, 0.0)));
+    ASSERT_EQ(db.upload(profile(0, 1800.0), false), kAccepted);
+    ASSERT_EQ(db.upload(profile(3, 0.0), false), kAccepted);
     (void)seed_store.checkpoint(db.snapshot());
     sealed.push_back(db.snapshot().canonical_bytes());
   }
@@ -302,6 +306,238 @@ TEST(Fuzz, SegmentStoreMutationsRecoverOrThrow) {
   EXPECT_GT(intact, 0u);
   EXPECT_GT(fell_back, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+// ── Upload screen: crafted and structure-aware hostile VPs ──────────────
+// The screen (vp::well_formed inside VpTimeline::upload) is the trust
+// boundary for anonymous VP payloads. These cases build payloads field by
+// field, the way a hostile uploader would, and send them through the
+// service's real ingest path.
+
+/// The wire payload ViewProfile::serialize would produce for these
+/// digests and Bloom bytes, built without the constructor's checks.
+Bytes wire_of(const std::vector<dsrc::ViewDigest>& digests,
+              const std::vector<std::uint8_t>& bloom) {
+  Bytes out;
+  out.reserve(vp::kVpWireSize);
+  for (const auto& vd : digests) {
+    const auto frame = vd.serialize();
+    out.insert(out.end(), frame.begin(), frame.end());
+  }
+  out.insert(out.end(), bloom.begin(), bloom.end());
+  return out;
+}
+
+/// `time(i)` stamped on every digest of an honest, stationary profile.
+template <typename TimeOf>
+Bytes stationary_with_times(Rng& rng, TimeOf time) {
+  const vp::ViewProfile honest =
+      attack::make_fake_profile(0, {100.0, 200.0}, {100.0, 200.0}, rng);
+  std::vector<dsrc::ViewDigest> digests(honest.digests().begin(), honest.digests().end());
+  for (std::size_t i = 0; i < digests.size(); ++i) digests[i].time = time(i);
+  return wire_of(digests, honest.neighbor_bloom().data());
+}
+
+constexpr TimeSec kTimeMin = std::numeric_limits<TimeSec>::min();
+constexpr TimeSec kTimeMax = std::numeric_limits<TimeSec>::max();
+
+TEST(Fuzz, UploadScreenRejectsUnrepresentableTimestamps) {
+  // Regression seeds for two signed overflows one anonymous payload
+  // reached: the screen's own contiguity check (time + 1 at the top of
+  // the range) and the minute start of a trajectory at the bottom of the
+  // range (unit_start(min) is not representable).
+  Rng rng(24);
+  const Bytes top = stationary_with_times(rng, [](std::size_t) { return kTimeMax; });
+  const Bytes bottom = stationary_with_times(
+      rng, [](std::size_t i) { return kTimeMin + static_cast<TimeSec>(i); });
+
+  sys::ServiceConfig cfg;
+  cfg.rsa_bits = 1024;
+  sys::ViewMapService service(cfg);
+  service.upload_channel().submit(top);
+  service.upload_channel().submit(bottom);
+  EXPECT_EQ(service.ingest_uploads(), 0u);
+  EXPECT_EQ(service.ingest_totals().rejected_malformed, 2u);
+  EXPECT_EQ(service.database().size(), 0u);
+}
+
+TEST(Fuzz, CraftedSegmentPayloadIsScreenedBeforeItsMinuteIsComputed) {
+  // A segment's CRC is not authentication: a payload planted in a sealed
+  // segment (CRC re-stamped) must meet the same screen as an upload
+  // before recovery derives its minute.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("viewmap_fuzz_planted_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  store::SegmentStoreConfig cfg;
+  cfg.fsync = false;
+  Rng rng(25);
+  {
+    sys::VpDatabase db;
+    for (int i = 0; i < 3; ++i)
+      ASSERT_EQ(db.upload(attack::make_fake_profile(0, {i * 400.0, 0.0},
+                                                    {i * 400.0 + 200.0, 0.0}, rng),
+                          false),
+                kAccepted);
+    (void)store::SegmentStore(dir.string(), cfg).checkpoint(db.snapshot());
+  }
+  std::string segment;
+  for (const auto& entry : fs::directory_iterator(dir))
+    if (entry.path().extension() == ".vseg2") segment = entry.path().filename().string();
+  ASSERT_FALSE(segment.empty());
+  Bytes bytes;
+  {
+    std::ifstream in(dir / segment, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // The arena follows the 40-byte header and the 12-byte offset entries.
+  const std::size_t arena = 40 + 12 * get_le(bytes, 16, 8);
+  const Bytes planted = stationary_with_times(
+      rng, [](std::size_t i) { return kTimeMin + static_cast<TimeSec>(i); });
+  ASSERT_LE(arena + planted.size(), bytes.size());
+  std::copy(planted.begin(), planted.end(), bytes.begin() + static_cast<std::ptrdiff_t>(arena));
+  restamp(segment, bytes);
+  {
+    std::ofstream out(dir / segment, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  store::RecoveryStats rec;
+  const auto recovered = store::SegmentStore(dir.string(), cfg).recover(&rec);
+  EXPECT_EQ(rec.profiles_rejected, 1u);
+  EXPECT_EQ(recovered.size(), 2u);
+  fs::remove_all(dir);
+}
+
+template <typename T>
+T pick(Rng& rng, std::initializer_list<T> options) {
+  return *(options.begin() + rng.index(options.size()));
+}
+
+/// t + delta, wrapping: an earlier mutation may already have moved t to
+/// either end of the range, and the test itself must stay defined.
+TimeSec wrapping_add(TimeSec t, std::int64_t delta) {
+  return static_cast<TimeSec>(static_cast<std::uint64_t>(t) +
+                              static_cast<std::uint64_t>(delta));
+}
+
+/// One seeded field-level mutation of a serialized VP's parts.
+void mutate_field(std::vector<dsrc::ViewDigest>& d, std::vector<std::uint8_t>& bloom,
+                  Rng& rng) {
+  auto& vd = d[rng.index(d.size())];
+  switch (rng.index(7)) {
+    case 0:  // one VD's time
+      vd.time = pick(rng, {kTimeMin, kTimeMax, wrapping_add(vd.time, 1),
+                           wrapping_add(vd.time, -1), TimeSec{0},
+                           static_cast<TimeSec>(rng.next_u64())});
+      break;
+    case 1:  // one VD's second index
+      vd.second = pick(rng, {std::uint16_t{0}, std::uint16_t{61},
+                             static_cast<std::uint16_t>(vd.second + 1), std::uint16_t{65535},
+                             static_cast<std::uint16_t>(rng.next_u64())});
+      break;
+    case 2: {  // a location float: NaN, ±inf, ±FLT_MAX or a denormal
+      const float value =
+          pick(rng, {std::numeric_limits<float>::quiet_NaN(),
+                     std::numeric_limits<float>::infinity(),
+                     -std::numeric_limits<float>::infinity(), FLT_MAX, -FLT_MAX,
+                     std::numeric_limits<float>::denorm_min(), -FLT_TRUE_MIN, FLT_MIN / 4});
+      switch (rng.index(4)) {
+        case 0: vd.loc_x = value; break;
+        case 1: vd.initial_y = value; break;
+        case 2:  // the whole trajectory moves, consistently
+          for (auto& each : d) each.loc_x = each.initial_x = value;
+          break;
+        default:
+          for (auto& each : d) each.loc_y = each.initial_y = value;
+      }
+      break;
+    }
+    case 3:  // one VD's file size
+      vd.file_size =
+          pick(rng, {std::uint64_t{0}, ~std::uint64_t{0}, vd.file_size - 1, rng.next_u64()});
+      break;
+    case 4:  // one VD's id bytes
+      vd.vp_id.bytes[rng.index(vd.vp_id.bytes.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.index(8));
+      break;
+    case 5:  // Bloom bytes
+      if (rng.bernoulli(0.5))
+        std::fill(bloom.begin(), bloom.end(), std::uint8_t{0xff});
+      else
+        for (std::size_t n = 1 + rng.index(16); n > 0; --n)
+          bloom[rng.index(bloom.size())] = static_cast<std::uint8_t>(rng.next_u64());
+      break;
+    default: {  // the whole trajectory shifted, toward either end or nearby
+      const auto slack = static_cast<TimeSec>(rng.index(150));
+      const TimeSec t0 =
+          pick(rng, {kTimeMin + slack, kTimeMax - slack,
+                     wrapping_add(d[0].time, kUnitTimeSec * rng.uniform_int(-90, 90))});
+      for (std::size_t i = 0; i < d.size(); ++i)
+        d[i].time = wrapping_add(t0, static_cast<std::int64_t>(i));
+    }
+  }
+}
+
+TEST(Fuzz, StructureAwareViewProfileMutations) {
+  // Honest VPs with 1–3 seeded field mutations each (plus verbatim
+  // resubmits), through the real ingest path. Every payload must end as a
+  // counted reject or as a stored profile that re-serializes to exactly
+  // the submitted bytes and passes the screen.
+  sys::ServiceConfig cfg;
+  cfg.rsa_bits = 1024;
+  sys::ViewMapService service(cfg);
+  Rng rng(26);
+  // A trusted clock at minute 10, so the timeliness screen runs too.
+  ASSERT_TRUE(service.register_trusted(
+      attack::make_fake_profile(10 * kUnitTimeSec, {0.0, 0.0}, {500.0, 0.0}, rng)));
+
+  constexpr int kBatches = 8;
+  constexpr int kPerBatch = 250;
+  std::vector<Bytes> submitted;
+  for (int batch = 0; batch < kBatches; ++batch) {
+    for (int c = 0; c < kPerBatch; ++c) {
+      Bytes wire;
+      if (!submitted.empty() && rng.index(20) == 0) {
+        wire = submitted[rng.index(submitted.size())];
+      } else {
+        const geo::Vec2 start{rng.uniform(-3000.0, 3000.0), rng.uniform(-3000.0, 3000.0)};
+        const geo::Vec2 end{start.x + rng.uniform(-1500.0, 1500.0),
+                            start.y + rng.uniform(-1500.0, 1500.0)};
+        const vp::ViewProfile honest = attack::make_fake_profile(
+            kUnitTimeSec * rng.uniform_int(0, 20), start, end, rng);
+        std::vector<dsrc::ViewDigest> digests(honest.digests().begin(),
+                                              honest.digests().end());
+        std::vector<std::uint8_t> bloom = honest.neighbor_bloom().data();
+        for (std::size_t n = 1 + rng.index(3); n > 0; --n) mutate_field(digests, bloom, rng);
+        wire = wire_of(digests, bloom);
+      }
+      service.upload_channel().submit(wire);
+      submitted.push_back(std::move(wire));
+    }
+    (void)service.ingest_uploads();
+  }
+
+  const auto totals = service.ingest_totals();
+  EXPECT_EQ(totals.accepted + totals.rejected_malformed + totals.rejected_untimely +
+                totals.rejected_duplicate,
+            submitted.size());
+  // Every outcome occurs, so no screen step went unexercised.
+  EXPECT_GT(totals.accepted, 0u);
+  EXPECT_GT(totals.rejected_malformed, 0u);
+  EXPECT_GT(totals.rejected_untimely, 0u);
+  EXPECT_GT(totals.rejected_duplicate, 0u);
+
+  const auto snap = service.database().snapshot();
+  EXPECT_EQ(snap.size(), totals.accepted + 1);  // + the trusted seed
+  for (const auto* profile : snap.all()) {
+    if (service.database().is_trusted(profile->vp_id())) continue;
+    const Bytes bytes = profile->serialize();
+    EXPECT_NE(std::find(submitted.begin(), submitted.end(), bytes), submitted.end());
+    EXPECT_EQ(vp::ViewProfile::parse(bytes).serialize(), bytes);
+    EXPECT_TRUE(vp::well_formed(*profile));
+  }
 }
 
 // ── Channel degradation ─────────────────────────────────────────────────
@@ -410,10 +646,7 @@ TEST(Service, MultipleTrustedSeedsShareTrustMass) {
   for (int i = 0; i < 4; ++i) {
     auto gen = builders[static_cast<std::size_t>(i)].finish();
     ids.push_back(gen.profile.vp_id());
-    if (i == 0 || i == 3)
-      db.upload_trusted(std::move(gen.profile));
-    else
-      db.upload(std::move(gen.profile));
+    db.upload(std::move(gen.profile), /*trusted=*/i == 0 || i == 3);
   }
   const sys::ViewmapBuilder builder;
   const geo::Rect site{{-10, -10}, {600, 200}};

@@ -50,6 +50,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
+constexpr auto kAccepted = sys::VpDatabase::Admission::kAccepted;
+
 // ── helpers ──────────────────────────────────────────────────────────
 
 /// Unique scratch directory, removed on destruction.
@@ -312,8 +314,9 @@ TEST(SegmentStore, CheckpointRecoverRoundTrip) {
   sys::VpDatabase db;
   for (int m = 0; m < 3; ++m)
     for (int i = 0; i < 2; ++i)
-      ASSERT_TRUE(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 100.0}, rng)));
-  ASSERT_TRUE(db.upload_trusted(make_profile(kUnitTimeSec, {0.0, 900.0}, rng)));
+      ASSERT_EQ(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 100.0}, rng), false),
+                kAccepted);
+  ASSERT_EQ(db.upload(make_profile(kUnitTimeSec, {0.0, 900.0}, rng), true), kAccepted);
 
   SegmentStore store(dir.str(), fast_config());
   const auto stats = store.checkpoint(db.snapshot());
@@ -376,14 +379,15 @@ TEST(SegmentStore, IncrementalCheckpointWritesOnlyChangedShards) {
   sys::VpDatabase db;
   for (int m = 0; m < 4; ++m)
     for (int i = 0; i < 3; ++i)
-      ASSERT_TRUE(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 100.0}, rng)));
+      ASSERT_EQ(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 100.0}, rng), false),
+                kAccepted);
 
   SegmentStore store(dir.str(), fast_config());
   const auto first = store.checkpoint(db.snapshot());
   EXPECT_EQ(first.segments_written, 4u);
 
   // Touch exactly one minute.
-  ASSERT_TRUE(db.upload(make_profile(2 * kUnitTimeSec, {5000.0, 0.0}, rng)));
+  ASSERT_EQ(db.upload(make_profile(2 * kUnitTimeSec, {5000.0, 0.0}, rng), false), kAccepted);
   const auto second = store.checkpoint(db.snapshot());
   EXPECT_EQ(second.sequence, 2u);
   EXPECT_EQ(second.shards_total, 4u);
@@ -407,10 +411,10 @@ TEST(SegmentStore, EvictionUnreferencesSegmentsAndGcReclaims) {
   Rng rng(3);
   index::TimelineConfig tcfg;
   tcfg.retention.window_sec = 2 * kUnitTimeSec;
-  sys::VpDatabase db(vp::VpUploadPolicy{}, tcfg);
+  sys::VpDatabase db(tcfg);
   db.advance_clock(2 * kUnitTimeSec);
   for (int m = 0; m < 3; ++m)
-    ASSERT_TRUE(db.upload(make_profile(m * kUnitTimeSec, {m * 300.0, 0.0}, rng)));
+    ASSERT_EQ(db.upload(make_profile(m * kUnitTimeSec, {m * 300.0, 0.0}, rng), false), kAccepted);
 
   SegmentStore store(dir.str(), fast_config());
   (void)store.checkpoint(db.snapshot());
@@ -431,7 +435,7 @@ TEST(SegmentStore, EvictionUnreferencesSegmentsAndGcReclaims) {
   EXPECT_FALSE(fs::exists(dir.path() / evicted_segment));
   // Retention survives the restart: the recovered database has only the
   // in-window shards.
-  const auto loaded = store.recover(vp::VpUploadPolicy{}, tcfg);
+  const auto loaded = store.recover(nullptr, tcfg);
   EXPECT_EQ(db_bytes(loaded), db_bytes(db));
   EXPECT_EQ(loaded.snapshot().shard_count(), 2u);
 }
@@ -444,7 +448,7 @@ TEST(SegmentStore, KeepManifestsBoundsHistory) {
   cfg.keep_manifests = 3;
   SegmentStore store(dir.str(), cfg);
   for (int round = 0; round < 5; ++round) {
-    ASSERT_TRUE(db.upload(make_profile(0, {round * 500.0, 0.0}, rng)));
+    ASSERT_EQ(db.upload(make_profile(0, {round * 500.0, 0.0}, rng), false), kAccepted);
     (void)store.checkpoint(db.snapshot());
   }
   std::size_t manifests = 0;
@@ -463,8 +467,8 @@ TEST(SegmentStore, PointInTimeRecoverLandsOnTheNamedManifest) {
   SegmentStore store(dir.str(), cfg);
   std::map<std::uint64_t, Bytes> sealed;  // sequence → canonical bytes
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(db.upload(
-        make_profile(round * kUnitTimeSec, {round * 300.0, 0.0}, rng)));
+    ASSERT_EQ(db.upload(
+        make_profile(round * kUnitTimeSec, {round * 300.0, 0.0}, rng), false), kAccepted);
     const auto stats = store.checkpoint(db.snapshot());
     sealed[stats.sequence] = db_bytes(db);
   }
@@ -490,7 +494,7 @@ TEST(SegmentStore, PointInTimeRecoverMissingSequenceThrows) {
   Rng rng(41);
   sys::VpDatabase db;
   SegmentStore store(dir.str(), fast_config());
-  ASSERT_TRUE(db.upload(make_profile(0, {0.0, 0.0}, rng)));
+  ASSERT_EQ(db.upload(make_profile(0, {0.0, 0.0}, rng), false), kAccepted);
   (void)store.checkpoint(db.snapshot());
 
   const std::uint64_t absent = 99;
@@ -505,10 +509,10 @@ TEST(SegmentStore, PointInTimeRecoverNeverFallsBack) {
   Rng rng(42);
   sys::VpDatabase db;
   SegmentStore store(dir.str(), fast_config());
-  ASSERT_TRUE(db.upload(make_profile(0, {0.0, 0.0}, rng)));
+  ASSERT_EQ(db.upload(make_profile(0, {0.0, 0.0}, rng), false), kAccepted);
   (void)store.checkpoint(db.snapshot());
   const Bytes sealed_bytes = db_bytes(db);
-  ASSERT_TRUE(db.upload(make_profile(kUnitTimeSec, {400.0, 0.0}, rng)));
+  ASSERT_EQ(db.upload(make_profile(kUnitTimeSec, {400.0, 0.0}, rng), false), kAccepted);
   (void)store.checkpoint(db.snapshot());
 
   // Damage the newest manifest. Newest-first recover() falls back to
@@ -529,7 +533,7 @@ TEST(SegmentStore, ClockRecoverySurvivesCheckpoint) {
   TempDir dir("clock");
   Rng rng(5);
   sys::VpDatabase db;
-  ASSERT_TRUE(db.upload_trusted(make_profile(kUnitTimeSec, {0.0, 0.0}, rng)));
+  ASSERT_EQ(db.upload(make_profile(kUnitTimeSec, {0.0, 0.0}, rng), true), kAccepted);
   db.reset_clock(10);  // operator walked a poisoned clock back
   SegmentStore store(dir.str(), fast_config());
   (void)store.checkpoint(db.snapshot());
@@ -546,8 +550,9 @@ TEST(SegmentStore, PackedCheckpointRoundTripAndDigestSeeding) {
   sys::VpDatabase db;
   for (int m = 0; m < 3; ++m)
     for (int i = 0; i < 2; ++i)
-      ASSERT_TRUE(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 100.0}, rng)));
-  ASSERT_TRUE(db.upload_trusted(make_profile(kUnitTimeSec, {0.0, 900.0}, rng)));
+      ASSERT_EQ(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 100.0}, rng), false),
+                kAccepted);
+  ASSERT_EQ(db.upload(make_profile(kUnitTimeSec, {0.0, 900.0}, rng), true), kAccepted);
 
   SegmentStore store(dir.str(), fast_config());
   const auto stats = store.checkpoint(db.snapshot());
@@ -602,15 +607,17 @@ TEST(SegmentStore, ParallelRecoveryIsDeterministicAcrossThreadCounts) {
   // recovered manifest mixes reused and freshly written segments.
   for (int m = 0; m < 3; ++m)
     for (int i = 0; i < 3; ++i)
-      ASSERT_TRUE(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 90.0}, rng)));
+      ASSERT_EQ(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 90.0}, rng), false),
+                kAccepted);
   {
     SegmentStore first(dir.str(), fast_config());
     (void)first.checkpoint(db.snapshot());
   }
   for (int m = 3; m < 6; ++m)
     for (int i = 0; i < 3; ++i)
-      ASSERT_TRUE(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 90.0}, rng)));
-  ASSERT_TRUE(db.upload_trusted(make_profile(2 * kUnitTimeSec, {0.0, 1200.0}, rng)));
+      ASSERT_EQ(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 90.0}, rng), false),
+                kAccepted);
+  ASSERT_EQ(db.upload(make_profile(2 * kUnitTimeSec, {0.0, 1200.0}, rng), true), kAccepted);
   {
     SegmentStore writer(dir.str(), fast_config());
     (void)writer.checkpoint(db.snapshot());
@@ -645,8 +652,8 @@ TEST(SegmentStore, DamagedSegmentErrorsNameFileAndOffsetAtAnyPoolWidth) {
   Rng rng(64);
   sys::VpDatabase db;
   for (int m = 0; m < 4; ++m) {
-    ASSERT_TRUE(db.upload(make_profile(m * kUnitTimeSec, {m * 350.0, 0.0}, rng)));
-    ASSERT_TRUE(db.upload(make_profile(m * kUnitTimeSec, {m * 350.0, 600.0}, rng)));
+    ASSERT_EQ(db.upload(make_profile(m * kUnitTimeSec, {m * 350.0, 0.0}, rng), false), kAccepted);
+    ASSERT_EQ(db.upload(make_profile(m * kUnitTimeSec, {m * 350.0, 600.0}, rng), false), kAccepted);
   }
   SegmentStore writer(dir.str(), fast_config());
   (void)writer.checkpoint(db.snapshot());
@@ -693,8 +700,8 @@ TEST(ShardDigest, InsertionOrderInsensitiveAndContentSensitive) {
   sys::VpDatabase forward;
   sys::VpDatabase backward;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
-    ASSERT_TRUE(forward.upload(fleet[i]));
-    ASSERT_TRUE(backward.upload(fleet[fleet.size() - 1 - i]));
+    ASSERT_EQ(forward.upload(fleet[i], false), kAccepted);
+    ASSERT_EQ(backward.upload(fleet[fleet.size() - 1 - i], false), kAccepted);
   }
   const auto a = forward.snapshot().shard_digests();
   const auto b = backward.snapshot().shard_digests();
@@ -705,15 +712,15 @@ TEST(ShardDigest, InsertionOrderInsensitiveAndContentSensitive) {
   EXPECT_EQ(a[0].unit_time, 0);
 
   // Mutation changes the digest; the cache must not serve stale bytes.
-  ASSERT_TRUE(forward.upload(make_profile(0, {9000.0, 0.0}, rng)));
+  ASSERT_EQ(forward.upload(make_profile(0, {9000.0, 0.0}, rng), false), kAccepted);
   const auto c = forward.snapshot().shard_digests();
   EXPECT_NE(c[0].digest, a[0].digest);
 
   // Trusted marking is content too (it changes what recovery restores).
   sys::VpDatabase trusted_db;
-  ASSERT_TRUE(trusted_db.upload_trusted(fleet[0]));
+  ASSERT_EQ(trusted_db.upload(fleet[0], true), kAccepted);
   sys::VpDatabase anon_db;
-  ASSERT_TRUE(anon_db.upload(fleet[0]));
+  ASSERT_EQ(anon_db.upload(fleet[0], false), kAccepted);
   EXPECT_NE(trusted_db.snapshot().shard_digests()[0].digest,
             anon_db.snapshot().shard_digests()[0].digest);
 }
@@ -726,12 +733,12 @@ TEST(SegmentStoreFaults, EveryCrashPointRecoversTheLastSealedCheckpoint) {
     Rng rng(seed);
     index::TimelineConfig tcfg;
     tcfg.retention.window_sec = 3 * kUnitTimeSec;
-    sys::VpDatabase db(vp::VpUploadPolicy{}, tcfg);
+    sys::VpDatabase db(tcfg);
     db.advance_clock(2 * kUnitTimeSec);
     for (int m = 0; m < 2; ++m)
       for (int i = 0; i < 2; ++i)
-        ASSERT_TRUE(
-            db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 150.0}, rng)));
+        ASSERT_EQ(db.upload(make_profile(m * kUnitTimeSec, {i * 400.0, m * 150.0}, rng), false),
+                  kAccepted);
 
     // Seal checkpoint 1, the recovery floor for the first replay, through
     // a separate store instance — a previous process's history.
@@ -749,8 +756,8 @@ TEST(SegmentStoreFaults, EveryCrashPointRecoversTheLastSealedCheckpoint) {
 
     // Transition 1 → 2: one changed shard, one brand-new shard, while the
     // unchanged shard is sealed by reference.
-    ASSERT_TRUE(db.upload(make_profile(0, {7000.0, 0.0}, rng)));
-    ASSERT_TRUE(db.upload(make_profile(2 * kUnitTimeSec, {0.0, 2500.0}, rng)));
+    ASSERT_EQ(db.upload(make_profile(0, {7000.0, 0.0}, rng), false), kAccepted);
+    ASSERT_EQ(db.upload(make_profile(2 * kUnitTimeSec, {0.0, 2500.0}, rng), false), kAccepted);
     (void)store.checkpoint(db.snapshot());
     const Bytes sealed2 = db_bytes(db);
     ASSERT_GE(ops.size(), 6u);  // 2 segments (write+rename), manifest (write+rename)
@@ -766,7 +773,7 @@ TEST(SegmentStoreFaults, EveryCrashPointRecoversTheLastSealedCheckpoint) {
     const DirImage base2 = capture_dir(dir.path());
     db.advance_clock(4 * kUnitTimeSec);
     EXPECT_GT(db.enforce_retention(), 0u);
-    ASSERT_TRUE(db.upload(make_profile(3 * kUnitTimeSec, {100.0, 100.0}, rng)));
+    ASSERT_EQ(db.upload(make_profile(3 * kUnitTimeSec, {100.0, 100.0}, rng), false), kAccepted);
     ops.clear();
     (void)store.checkpoint(db.snapshot());
     const Bytes sealed3 = db_bytes(db);
@@ -795,15 +802,15 @@ SealedPair build_sealed_pair(const fs::path& dir) {
   sys::VpDatabase db;
   SegmentStore store(dir.string(), fast_config());
   for (int i = 0; i < 2; ++i)
-    EXPECT_TRUE(db.upload(make_profile(0, {i * 400.0, 0.0}, rng)));
+    EXPECT_EQ(db.upload(make_profile(0, {i * 400.0, 0.0}, rng), false), kAccepted);
   (void)store.checkpoint(db.snapshot());
   SealedPair out;
   out.sealed1 = db_bytes(db);
   out.shared_segment =
       SegmentStore::segment_file_name(db.snapshot().shard_digests()[0].digest);
 
-  EXPECT_TRUE(db.upload(make_profile(kUnitTimeSec, {0.0, 700.0}, rng)));
-  EXPECT_TRUE(db.upload(make_profile(kUnitTimeSec, {900.0, 700.0}, rng)));
+  EXPECT_EQ(db.upload(make_profile(kUnitTimeSec, {0.0, 700.0}, rng), false), kAccepted);
+  EXPECT_EQ(db.upload(make_profile(kUnitTimeSec, {900.0, 700.0}, rng), false), kAccepted);
   (void)store.checkpoint(db.snapshot());
   out.sealed2 = db_bytes(db);
   out.fresh_segment =
@@ -923,8 +930,10 @@ TEST(SegmentStoreFaults, CorruptionCorpusRecoversOrFailsCleanly) {
     TempDir other("corpus_other");
     Rng other_rng(9);
     sys::VpDatabase other_db;
-    EXPECT_TRUE(other_db.upload(make_profile(kUnitTimeSec, {0.0, 700.0}, other_rng)));
-    EXPECT_TRUE(other_db.upload(make_profile(kUnitTimeSec, {900.0, 700.0}, other_rng)));
+    EXPECT_EQ(other_db.upload(make_profile(kUnitTimeSec, {0.0, 700.0}, other_rng), false),
+              kAccepted);
+    EXPECT_EQ(other_db.upload(make_profile(kUnitTimeSec, {900.0, 700.0}, other_rng), false),
+              kAccepted);
     SegmentStore other_store(other.str(), fast_config());
     (void)other_store.checkpoint(other_db.snapshot());
     const std::string stale_name =
@@ -1030,7 +1039,7 @@ TEST(SegmentStoreFaults, FailedCheckpointCleansItsTempAndStaysRecoverable) {
   Rng rng(17);
   sys::VpDatabase db;
   for (int m = 0; m < 3; ++m)
-    ASSERT_TRUE(db.upload(make_profile(m * kUnitTimeSec, {m * 300.0, 0.0}, rng)));
+    ASSERT_EQ(db.upload(make_profile(m * kUnitTimeSec, {m * 300.0, 0.0}, rng), false), kAccepted);
 
   SegmentStore store(dir.str(), fast_config());
   (void)store.checkpoint(db.snapshot());
@@ -1040,7 +1049,7 @@ TEST(SegmentStoreFaults, FailedCheckpointCleansItsTempAndStaysRecoverable) {
   // site in the durable-write path. After each failure the directory
   // must hold zero temp files and recover() must land on the sealed
   // predecessor — retries never fight leaked `.tmp` artifacts.
-  ASSERT_TRUE(db.upload(make_profile(5 * kUnitTimeSec, {4000.0, 0.0}, rng)));
+  ASSERT_EQ(db.upload(make_profile(5 * kUnitTimeSec, {4000.0, 0.0}, rng), false), kAccepted);
   for (const char* spec :
        {"store.write.open=enospc@once", "store.write.data=enospc@once",
         "store.write.data=short@once", "store.write.close=eio@once",
@@ -1266,9 +1275,8 @@ TEST(SegmentStoreProperty, AnyInterleavingMatchesNeverRestartedReference) {
     Rng rng(seed);
     index::TimelineConfig tcfg;
     tcfg.retention.window_sec = 4 * kUnitTimeSec;
-    const vp::VpUploadPolicy policy{};
-    sys::VpDatabase reference(policy, tcfg);
-    sys::VpDatabase live(policy, tcfg);
+    sys::VpDatabase reference(tcfg);
+    sys::VpDatabase live(tcfg);
     // Restarts recover through a 3-wide worker pool.
     SegmentStoreConfig cfg = fast_config();
     cfg.restore_threads = 3;
@@ -1289,11 +1297,7 @@ TEST(SegmentStoreProperty, AnyInterleavingMatchesNeverRestartedReference) {
           const auto profile = make_profile(
               unit, {rng.uniform(-4000.0, 4000.0), rng.uniform(-4000.0, 4000.0)}, rng);
           const bool trusted = rng.index(5) == 0;
-          const bool ref_ok = trusted ? reference.upload_trusted(profile)
-                                      : reference.upload(profile);
-          const bool live_ok =
-              trusted ? live.upload_trusted(profile) : live.upload(profile);
-          EXPECT_EQ(ref_ok, live_ok);
+          EXPECT_EQ(reference.upload(profile, trusted), live.upload(profile, trusted));
           if (trusted) clock = std::max(clock, unit);
         }
       } else if (pick < 7) {
@@ -1307,7 +1311,7 @@ TEST(SegmentStoreProperty, AnyInterleavingMatchesNeverRestartedReference) {
       } else {
         // Restart: checkpoint, drop the live database, recover from disk.
         (void)store.checkpoint(live.snapshot());
-        live = store.recover(policy, tcfg);
+        live = store.recover(nullptr, tcfg);
       }
       ASSERT_EQ(db_bytes(live), db_bytes(reference)) << "seed " << seed
                                                      << " step " << step;
@@ -1371,7 +1375,7 @@ TEST(SegmentStoreConcurrency, CheckpointRacesIngestEvictionAndServerWorkers) {
     const Bytes expected = snap.canonical_bytes();
     const auto stats = store.checkpoint(snap);
     EXPECT_EQ(stats.sequence, static_cast<std::uint64_t>(round + 1));
-    const auto recovered = store.recover(vp::VpUploadPolicy{}, scfg.index);
+    const auto recovered = store.recover(nullptr, scfg.index);
     EXPECT_EQ(db_bytes(recovered), expected) << "round " << round;
   }
   stop.store(true);

@@ -172,38 +172,7 @@ TEST(InvestigationServer, ServesRequestsAndPostsSolicitationsConcurrently) {
   EXPECT_EQ(service.server(), nullptr);
 }
 
-TEST(InvestigationServer, RejectPolicyIsObservableWhenQueueFull) {
-  ConvoyWorld world;
-  ViewMapService service(small_cfg());
-  service.register_trusted(world.record_of(0).profile);
-
-  ServerConfig scfg;
-  scfg.workers = 1;
-  scfg.queue_capacity = 2;
-  scfg.overflow = OverflowPolicy::kReject;
-  auto& server = service.start_server(scfg);
-  server.pause();  // workers idle ⇒ the bounded queue fills deterministically
-
-  const geo::Rect site{{0, -50}, {1200, 50}};
-  auto f1 = server.submit(site, 0);
-  auto f2 = server.submit(site, 0);
-  auto f3 = server.submit(site, 0);  // queue full → rejected
-  EXPECT_TRUE(f1.valid());
-  EXPECT_TRUE(f2.valid());
-  EXPECT_FALSE(f3.valid());
-  EXPECT_EQ(server.queue_depth(), 2u);
-  EXPECT_EQ(server.stats().rejected, 1u);
-
-  server.resume();
-  EXPECT_EQ(f1.get().size(), 1u);
-  EXPECT_EQ(f2.get().size(), 1u);
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.peak_queue, 2u);
-}
-
-TEST(InvestigationServer, BlockPolicyHoldsSubmitterUntilSlotFrees) {
+TEST(InvestigationServer, FullQueueBlocksSubmitterUntilSlotFrees) {
   ConvoyWorld world;
   ViewMapService service(small_cfg());
   service.register_trusted(world.record_of(0).profile);
@@ -211,7 +180,6 @@ TEST(InvestigationServer, BlockPolicyHoldsSubmitterUntilSlotFrees) {
   ServerConfig scfg;
   scfg.workers = 1;
   scfg.queue_capacity = 1;
-  scfg.overflow = OverflowPolicy::kBlock;
   auto& server = service.start_server(scfg);
   server.pause();
 
@@ -235,7 +203,10 @@ TEST(InvestigationServer, BlockPolicyHoldsSubmitterUntilSlotFrees) {
   ASSERT_TRUE(f2.valid());
   EXPECT_EQ(f1.get().size(), 1u);
   EXPECT_EQ(f2.get().size(), 1u);
-  EXPECT_EQ(server.stats().rejected, 0u);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.peak_queue, 1u);  // the blocked submit never overfilled it
 }
 
 TEST(InvestigationServer, EveryServedRequestPinsOneSnapshot) {

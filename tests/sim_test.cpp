@@ -90,9 +90,8 @@ TEST(Simulator, ProducesOneActualVpPerVehicleMinute) {
 TEST(Simulator, ProfilesPassUploadScreen) {
   TrafficSimulator sim(small_city(), small_cfg());
   const auto result = sim.run();
-  const vp::VpUploadPolicy policy;
   for (const auto& rec : result.profiles)
-    EXPECT_TRUE(policy.well_formed(rec.profile)) << (rec.guard ? "guard" : "actual");
+    EXPECT_TRUE(vp::well_formed(rec.profile)) << (rec.guard ? "guard" : "actual");
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {

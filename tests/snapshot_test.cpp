@@ -16,11 +16,12 @@
 #include "sim/simulator.h"
 #include "system/service.h"
 #include "system/viewmap_graph.h"
-#include "system/vp_database.h"
 #include "track/privacy_eval.h"
 
 namespace viewmap::index {
 namespace {
+
+constexpr auto kAccepted = VpTimeline::Admission::kAccepted;
 
 vp::ViewProfile random_vp(TimeSec unit, double extent, Rng& rng) {
   const geo::Vec2 start{rng.uniform(-extent, extent), rng.uniform(-extent, extent)};
@@ -47,7 +48,7 @@ TEST(DbSnapshot, IsolationFromLaterInserts) {
   for (int i = 0; i < 40; ++i) {
     auto p = random_vp(kUnitTimeSec * (i % 3), 2000.0, rng);
     first_wave.push_back(p.vp_id());
-    ASSERT_TRUE(timeline.insert(std::move(p), i == 0));
+    ASSERT_EQ(timeline.upload(std::move(p), i == 0), kAccepted);
   }
 
   const DbSnapshot snap = timeline.snapshot();
@@ -58,7 +59,7 @@ TEST(DbSnapshot, IsolationFromLaterInserts) {
   // Writes into the SAME minutes force copy-on-write of every pinned
   // shard; the snapshot must not see any of them.
   for (int i = 0; i < 40; ++i)
-    ASSERT_TRUE(timeline.insert(random_vp(kUnitTimeSec * (i % 3), 2000.0, rng), false));
+    ASSERT_EQ(timeline.upload(random_vp(kUnitTimeSec * (i % 3), 2000.0, rng), false), kAccepted);
   EXPECT_EQ(timeline.size(), 80u);
   EXPECT_EQ(snap.size(), 40u);
   EXPECT_EQ(wire_bytes(snap), bytes_at_cut);
@@ -85,7 +86,7 @@ TEST(DbSnapshot, PinsEvictedShardsUntilLastReleaseThenFrees) {
   for (int i = 0; i < 10; ++i) {
     auto p = random_vp(0, 1000.0, rng);
     ids.push_back(p.vp_id());
-    ASSERT_TRUE(timeline.insert(std::move(p), false));
+    ASSERT_EQ(timeline.upload(std::move(p), false), kAccepted);
   }
 
   std::weak_ptr<const TimeShard> pinned_shard;
@@ -126,7 +127,7 @@ TEST(DbSnapshot, SurvivesDatabaseDestruction) {
     sys::VpDatabase db;
     auto p = random_vp(0, 1000.0, rng);
     id = p.vp_id();
-    ASSERT_TRUE(db.upload(std::move(p)));
+    ASSERT_EQ(db.upload(std::move(p), false), kAccepted);
     snap = db.snapshot();
   }  // database (and its timeline) destroyed here
   EXPECT_EQ(snap.size(), 1u);
@@ -142,7 +143,7 @@ TEST(DbSnapshot, OwningFindOutlivesEviction) {
   auto p = random_vp(0, 1000.0, rng);
   const Id16 id = p.vp_id();
   const auto bytes = p.serialize();
-  ASSERT_TRUE(timeline.insert(std::move(p), false));
+  ASSERT_EQ(timeline.upload(std::move(p), false), kAccepted);
 
   const std::shared_ptr<const vp::ViewProfile> held = timeline.find(id);
   ASSERT_NE(held, nullptr);
@@ -156,7 +157,7 @@ TEST(DbSnapshot, SerializationIsByteDeterministicUnderConcurrentIngest) {
   Rng rng(5);
   sys::VpDatabase db;
   for (int i = 0; i < 60; ++i)
-    ASSERT_TRUE(db.upload(random_vp(kUnitTimeSec * (i % 4), 2000.0, rng)));
+    ASSERT_EQ(db.upload(random_vp(kUnitTimeSec * (i % 4), 2000.0, rng), false), kAccepted);
 
   const sys::DbSnapshot snap = db.snapshot();
   const std::vector<std::uint8_t> first = snap.canonical_bytes();
@@ -168,7 +169,7 @@ TEST(DbSnapshot, SerializationIsByteDeterministicUnderConcurrentIngest) {
   std::thread writer([&] {
     Rng wrng(6);
     while (!stop.load())
-      if (db.upload(random_vp(kUnitTimeSec * wrng.index(4), 2000.0, wrng)))
+      if (db.upload(random_vp(kUnitTimeSec * wrng.index(4), 2000.0, wrng), false) == kAccepted)
         landed.fetch_add(1);
   });
   // The writer is demonstrably landing inserts BEFORE the second
@@ -219,7 +220,7 @@ TEST(DbSnapshot, SnapshotConcurrentWithInsertAndEvictIsSafe) {
   for (int t = 0; t < kWriters; ++t)
     writers.emplace_back([&, t] {
       for (auto& p : sets[static_cast<std::size_t>(t)])
-        timeline.insert(std::move(p), false);
+        timeline.upload(std::move(p), false);
     });
   for (auto& th : writers) th.join();
   done.store(true);
@@ -330,7 +331,7 @@ TEST(DbSnapshot, TrackingAnalysisReadsFromSnapshot) {
   const auto world = simulator.run();
 
   sys::VpDatabase db;
-  IngestEngine engine(db.timeline(), db.policy(), {});
+  IngestEngine engine(db);
   (void)engine.ingest(sim::upload_payloads(world));
   ASSERT_GT(db.size(), 0u);
 

@@ -3,15 +3,18 @@
 
 #include "attack/fake_vp.h"
 #include "common/rng.h"
+#include "system/service.h"
 #include "system/trustrank.h"
 #include "system/verifier.h"
 #include "system/viewmap_graph.h"
-#include "system/vp_database.h"
 #include "vp/video.h"
 #include "vp/vp_builder.h"
 
 namespace viewmap::sys {
 namespace {
+
+using Admission = VpDatabase::Admission;
+constexpr auto kAccepted = Admission::kAccepted;
 
 /// Builds a convoy of `count` vehicles driving east with full pairwise VD
 /// exchange between adjacent vehicles (spacing 50 m). Returns the finished
@@ -48,8 +51,8 @@ TEST(VpDatabase, UploadScreensAndDeduplicates) {
   Rng rng(1);
   auto convoy = make_convoy(2, 0, rng);
   VpDatabase db;
-  EXPECT_TRUE(db.upload(convoy[0].profile));
-  EXPECT_FALSE(db.upload(convoy[0].profile));  // duplicate id
+  EXPECT_EQ(db.upload(convoy[0].profile, false), kAccepted);
+  EXPECT_EQ(db.upload(convoy[0].profile, false), Admission::kDuplicate);
   EXPECT_EQ(db.size(), 1u);
   EXPECT_NE(db.find(convoy[0].profile.vp_id()), nullptr);
   EXPECT_EQ(db.find(convoy[1].profile.vp_id()), nullptr);
@@ -64,7 +67,7 @@ TEST(VpDatabase, RejectsMalformedUpload) {
   vp::ViewProfile bad(std::move(digests),
                       bloom::BloomFilter(vp::kBloomBits, vp::kBloomHashes));
   VpDatabase db;
-  EXPECT_FALSE(db.upload(std::move(bad)));
+  EXPECT_EQ(db.upload(std::move(bad), false), Admission::kMalformed);
 }
 
 TEST(VpDatabase, QueryByTimeAndArea) {
@@ -72,8 +75,8 @@ TEST(VpDatabase, QueryByTimeAndArea) {
   auto m0 = make_convoy(2, 0, rng);
   auto m1 = make_convoy(2, 60, rng);
   VpDatabase db;
-  for (auto& g : m0) db.upload(g.profile);
-  for (auto& g : m1) db.upload(g.profile);
+  for (auto& g : m0) db.upload(g.profile, false);
+  for (auto& g : m1) db.upload(g.profile, false);
 
   const DbSnapshot snap = db.snapshot();
   const geo::Rect everywhere{{-1e6, -1e6}, {1e6, 1e6}};
@@ -88,8 +91,8 @@ TEST(VpDatabase, TrustedRegistry) {
   Rng rng(4);
   auto convoy = make_convoy(2, 0, rng);
   VpDatabase db;
-  db.upload_trusted(convoy[0].profile);
-  db.upload(convoy[1].profile);
+  db.upload(convoy[0].profile, true);
+  db.upload(convoy[1].profile, false);
   EXPECT_TRUE(db.is_trusted(convoy[0].profile.vp_id()));
   EXPECT_FALSE(db.is_trusted(convoy[1].profile.vp_id()));
   const DbSnapshot snap = db.snapshot();
@@ -101,8 +104,8 @@ TEST(ViewmapBuilder, ConvoyFormsChainGraph) {
   Rng rng(5);
   auto convoy = make_convoy(4, 0, rng);
   VpDatabase db;
-  db.upload_trusted(convoy[0].profile);
-  for (std::size_t i = 1; i < convoy.size(); ++i) db.upload(convoy[i].profile);
+  db.upload(convoy[0].profile, true);
+  for (std::size_t i = 1; i < convoy.size(); ++i) db.upload(convoy[i].profile, false);
 
   const ViewmapBuilder builder;
   const geo::Rect site{{0, 100}, {600, 200}};  // around vehicles 2-3
@@ -118,7 +121,7 @@ TEST(ViewmapBuilder, NoTrustedVpThrows) {
   Rng rng(6);
   auto convoy = make_convoy(2, 0, rng);
   VpDatabase db;
-  for (auto& g : convoy) db.upload(g.profile);
+  for (auto& g : convoy) db.upload(g.profile, false);
   const ViewmapBuilder builder;
   EXPECT_THROW(builder.build(db.snapshot(), {{0, 0}, {10, 10}}, 0), std::runtime_error);
 }
@@ -215,8 +218,8 @@ TEST(Verifier, EndToEndConvoyAllLegitimate) {
   Rng rng(9);
   auto convoy = make_convoy(5, 0, rng);
   VpDatabase db;
-  db.upload_trusted(convoy[0].profile);
-  for (std::size_t i = 1; i < convoy.size(); ++i) db.upload(convoy[i].profile);
+  db.upload(convoy[0].profile, true);
+  for (std::size_t i = 1; i < convoy.size(); ++i) db.upload(convoy[i].profile, false);
 
   const ViewmapBuilder builder;
   const geo::Rect site{{-10, -10}, {600, 260}};
@@ -238,9 +241,9 @@ TEST(Verifier, FakeLayerRejected) {
   auto fake = attack::make_fake_profile(0, {200, 100}, {260, 100}, attacker_rng);
 
   VpDatabase db;
-  db.upload_trusted(convoy[0].profile);
-  for (std::size_t i = 1; i < convoy.size(); ++i) db.upload(convoy[i].profile);
-  EXPECT_TRUE(db.upload(std::move(fake)));  // well-formed, so accepted
+  db.upload(convoy[0].profile, true);
+  for (std::size_t i = 1; i < convoy.size(); ++i) db.upload(convoy[i].profile, false);
+  EXPECT_EQ(db.upload(std::move(fake), false), kAccepted);  // well-formed, so accepted
 
   const ViewmapBuilder builder;
   const geo::Rect site{{-10, -10}, {600, 260}};

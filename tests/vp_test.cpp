@@ -72,7 +72,7 @@ TEST(ViewProfile, BuilderProducesWellFormedProfile) {
   EXPECT_EQ(p.end_time(), 180);
   EXPECT_EQ(p.unit_time(), 120);
   EXPECT_EQ(p.vp_id(), gen.secret.vp_id());
-  EXPECT_TRUE(VpUploadPolicy{}.well_formed(p));
+  EXPECT_TRUE(well_formed(p));
 }
 
 TEST(ViewProfile, SerializationRoundTrip) {
@@ -209,7 +209,7 @@ TEST(VpBuilder, TwoVehiclesFormTwoWayLink) {
   EXPECT_TRUE(ga.profile.ever_within(gb.profile, 400));
 }
 
-TEST(UploadPolicy, RejectsTeleportingProfile) {
+TEST(WellFormed, RejectsTeleportingProfile) {
   Rng rng(11);
   auto gen = build_profile(0, {0, 0}, {10, 0}, rng);
   auto digests =
@@ -218,10 +218,10 @@ TEST(UploadPolicy, RejectsTeleportingProfile) {
   digests[30].loc_x = 5000.0f;  // 5 km jump within one second
   const ViewProfile teleporter(std::move(digests),
                                bloom::BloomFilter(kBloomBits, kBloomHashes));
-  EXPECT_FALSE(VpUploadPolicy{}.well_formed(teleporter));
+  EXPECT_FALSE(well_formed(teleporter));
 }
 
-TEST(UploadPolicy, RejectsShrinkingFile) {
+TEST(WellFormed, RejectsShrinkingFile) {
   Rng rng(12);
   auto gen = build_profile(0, {0, 0}, {1, 0}, rng);
   auto digests =
@@ -230,7 +230,7 @@ TEST(UploadPolicy, RejectsShrinkingFile) {
   digests[10].file_size = 1;  // video cannot shrink while recording
   const ViewProfile shrinker(std::move(digests),
                              bloom::BloomFilter(kBloomBits, kBloomHashes));
-  EXPECT_FALSE(VpUploadPolicy{}.well_formed(shrinker));
+  EXPECT_FALSE(well_formed(shrinker));
 }
 
 TEST(VpSecret, IdDerivation) {

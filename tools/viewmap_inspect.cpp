@@ -14,6 +14,7 @@
 #include "common/hex.h"
 #include "obs/metrics.h"
 #include "store/segment_store.h"
+#include "system/service.h"
 #include "system/verifier.h"
 #include "system/viewmap_graph.h"
 
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
     store::RecoveryStats rec;
     index::TimelineConfig index_cfg;
     if (metrics_on) index_cfg.metrics = &registry;
-    db = segments.recover(vp::VpUploadPolicy{}, index_cfg, &rec);
+    db = segments.recover(&rec, index_cfg);
     std::printf(
         "%s: checkpoint %llu, %zu segments, %zu VPs loaded (%zu rejected by "
         "the upload screen), %zu trusted%s\n",

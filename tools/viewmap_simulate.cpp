@@ -12,6 +12,7 @@
 #include "index/ingest_engine.h"
 #include "sim/simulator.h"
 #include "store/segment_store.h"
+#include "system/service.h"
 
 using namespace viewmap;
 
@@ -54,11 +55,11 @@ int main(int argc, char** argv) {
   for (const auto& rec : world.profiles) {
     guards += rec.guard;
     if (!rec.guard && rec.creator == 0)
-      db.upload_trusted(rec.profile);
+      db.upload(rec.profile, /*trusted=*/true);
     else
       anonymous.push_back(rec.profile.serialize());
   }
-  index::IngestEngine engine(db.timeline(), db.policy());
+  index::IngestEngine engine(db);
   const auto ingest = engine.ingest(std::move(anonymous));
 
   // Persist and report from one pinned snapshot: the bytes on disk and
