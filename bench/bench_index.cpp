@@ -14,7 +14,7 @@
 //       solicitation chain per request, batched snapshot pinning) while a
 //       live ingest loop keeps committing uploads and the trusted clock
 //       walks minutes out of the retention window.
-//   (5) viewmap construction: the grid-accelerated CSR builder vs the
+//   (5) viewmap construction: the packed, sharded CSR builder vs the
 //       retained naive O(n²) reference, n ∈ {1k, 10k, 50k} members in
 //       dense (urban rush hour) and sparse (city-scale) layouts. The two
 //       edge sets are compared bit-for-bit; tools/run_bench.sh fails the
@@ -641,11 +641,11 @@ struct ViewmapBuildRow {
   std::size_t n = 0;
   const char* layout = "";
   double density_per_km2 = 0.0;
-  double grid_ms = 0.0;   ///< grid-accelerated CSR builder
+  double grid_ms = 0.0;   ///< packed, sharded CSR builder (name predates it)
   double naive_ms = 0.0;  ///< retained O(n²) reference builder
   double speedup = 0.0;
   std::size_t edges = 0;
-  double edges_per_sec = 0.0;  ///< viewlinks emitted per second (grid path)
+  double edges_per_sec = 0.0;  ///< viewlinks emitted per second (packed path)
   bool edges_match = false;    ///< CSR bit-identical to the reference
   /// Upper bound the auto setting resolves to on this host; small
   /// builds clamp lower inside the builder (serial cutoff, per-thread
@@ -656,7 +656,7 @@ struct ViewmapBuildRow {
 /// §5.2.1 viewmap construction over a synthetic minute of traffic:
 /// vehicles travel in platoons (≤6 vehicles, 40 m headway) with mutual
 /// Bloom links between platoon neighbors — the local connectivity real
-/// VD exchange produces — spread at the layout's density. The grid
+/// VD exchange produces — spread at the layout's density. The packed
 /// builder and the naive reference apply the identical edge predicate;
 /// the row records both times and whether the CSRs matched exactly.
 ViewmapBuildRow bench_viewmap_build(std::size_t n, bool dense, Rng& rng) {
@@ -704,7 +704,7 @@ ViewmapBuildRow bench_viewmap_build(std::size_t n, bool dense, Rng& rng) {
   row.build_threads_max = sys::ViewmapBuilder::resolved_build_threads(0);
 
   auto start = Clock::now();
-  const sys::Viewmap grid = builder.build_from_members(members, trusted, 0, cover);
+  const sys::Viewmap packed = builder.build_from_members(members, trusted, 0, cover);
   row.grid_ms = seconds_since(start) * 1e3;
 
   start = Clock::now();
@@ -713,10 +713,10 @@ ViewmapBuildRow bench_viewmap_build(std::size_t n, bool dense, Rng& rng) {
   row.naive_ms = seconds_since(start) * 1e3;
 
   row.speedup = row.grid_ms > 0 ? row.naive_ms / row.grid_ms : 0.0;
-  row.edges = grid.edge_count();
+  row.edges = packed.edge_count();
   row.edges_per_sec =
       row.grid_ms > 0 ? static_cast<double>(row.edges) / (row.grid_ms / 1e3) : 0.0;
-  row.edges_match = grid.graph() == naive.graph();
+  row.edges_match = packed.graph() == naive.graph();
   return row;
 }
 
@@ -1279,10 +1279,10 @@ int main(int argc, char** argv) {
       zipf.cache_bytes, zipf.cache_capacity_bytes,
       zipf.bytes_ok ? "within bound" : "OVER BOUND");
 
-  // ── viewmap construction: grid+CSR vs naive O(n²) reference ─────────
-  std::printf("\n-- viewmap construction: grid+CSR builder vs naive O(n^2) reference --\n");
+  // ── viewmap construction: packed builder vs naive O(n²) reference ───
+  std::printf("\n-- viewmap construction: packed builder vs naive O(n^2) reference --\n");
   std::printf("%-8s %-8s %-12s %-12s %-10s %-10s %-12s %-6s\n", "members", "layout",
-              "grid (ms)", "naive (ms)", "speedup", "edges", "edges/s", "match");
+              "build (ms)", "naive (ms)", "speedup", "edges", "edges/s", "match");
   std::vector<ViewmapBuildRow> vm_rows;
   for (std::size_t n : {std::size_t{1000}, std::size_t{10000}, std::size_t{50000}}) {
     if (n > viewmap_vps) break;

@@ -7,11 +7,12 @@ void AnonymousChannel::submit(std::vector<std::uint8_t> payload) {
   pending_.push_back(std::move(payload));
 }
 
-std::vector<Delivery> AnonymousChannel::release(std::size_t count) {
+std::vector<Delivery> AnonymousChannel::drain() {
+  std::lock_guard lock(mutex_);
   rng_.shuffle(pending_);
   std::vector<Delivery> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+  out.reserve(pending_.size());
+  while (!pending_.empty()) {
     Delivery d;
     d.session_id = rng_.next_u64();
     d.payload = std::move(pending_.back());
@@ -19,17 +20,6 @@ std::vector<Delivery> AnonymousChannel::release(std::size_t count) {
     out.push_back(std::move(d));
   }
   return out;
-}
-
-std::vector<Delivery> AnonymousChannel::drain() {
-  std::lock_guard lock(mutex_);
-  return release(pending_.size());
-}
-
-std::vector<Delivery> AnonymousChannel::drain_batch() {
-  std::lock_guard lock(mutex_);
-  if (pending_.size() < mix_pool_) return {};
-  return release(mix_pool_);
 }
 
 }  // namespace viewmap::anonet

@@ -5,10 +5,10 @@
 // among users by session ids". We model exactly the property the rest of
 // the design relies on: the server receives payloads tagged only with
 // throwaway session identifiers, in an order decorrelated from submission
-// order (a small mix pool). No sender identity exists anywhere in the
+// order (each drain shuffles). No sender identity exists anywhere in the
 // delivered record — verified by tests, relied on by the privacy analysis.
 //
-// Thread safety: submit/drain/drain_batch/pending are internally
+// Thread safety: submit/drain/pending are internally
 // synchronized (one mutex; the pending vector and the RNG are the only
 // shared state). This is what lets the daemon's IngestService thread
 // drain continuously while any number of uploader threads submit —
@@ -31,11 +31,8 @@ struct Delivery {
 
 class AnonymousChannel {
  public:
-  /// `mix_pool` controls reorder depth: deliveries are released in random
-  /// order once at least this many uploads are pending (drain() releases
-  /// everything, still shuffled).
-  explicit AnonymousChannel(std::uint64_t seed, std::size_t mix_pool = 16)
-      : rng_(seed), mix_pool_(mix_pool) {}
+  /// `seed` drives the shuffle and the session ids.
+  explicit AnonymousChannel(std::uint64_t seed) : rng_(seed) {}
 
   /// Client side: enqueue one payload. Thread-safe.
   void submit(std::vector<std::uint8_t> payload);
@@ -44,23 +41,14 @@ class AnonymousChannel {
   /// fresh session id. Thread-safe.
   [[nodiscard]] std::vector<Delivery> drain();
 
-  /// Server side: receive up to the mix-pool batch (empty if fewer than
-  /// `mix_pool` uploads are pending — batching is what hides timing).
-  /// Thread-safe.
-  [[nodiscard]] std::vector<Delivery> drain_batch();
-
   [[nodiscard]] std::size_t pending() const noexcept {
     std::lock_guard lock(mutex_);
     return pending_.size();
   }
 
  private:
-  /// Caller holds mutex_.
-  [[nodiscard]] std::vector<Delivery> release(std::size_t count);
-
   mutable std::mutex mutex_;  ///< guards pending_ and rng_
   Rng rng_;
-  std::size_t mix_pool_;
   std::vector<std::vector<std::uint8_t>> pending_;
 };
 

@@ -1,6 +1,8 @@
 #include "common/failpoint.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -58,49 +60,73 @@ bool trigger_fires(Point& p) {
   return false;
 }
 
+/// A whole token of decimal digits: no sign, space, suffix or overflow.
+std::uint64_t parse_count(std::string_view s, const char* field) {
+  std::uint64_t v = 0;
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc{} || ptr != last)
+    throw std::invalid_argument(std::string("failpoint: ") + field +
+                                " needs decimal digits, got '" + std::string(s) + "'");
+  return v;
+}
+
+/// A finite fixed-point decimal; Trigger::probability checks the range.
+double parse_probability(std::string_view s) {
+  double v = 0.0;
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v, std::chars_format::fixed);
+  if (ec != std::errc{} || ptr != last || !std::isfinite(v))
+    throw std::invalid_argument("failpoint: prob:P needs a finite decimal, got '" +
+                                std::string(s) + "'");
+  return v;
+}
+
 Action parse_action(std::string_view s, std::chrono::milliseconds& delay) {
   const auto colon = s.find(':');
   const std::string_view name = s.substr(0, colon);
-  std::string_view arg =
-      colon == std::string_view::npos ? std::string_view{} : s.substr(colon + 1);
+  if (name == "delay") {
+    if (colon == std::string_view::npos)
+      throw std::invalid_argument("failpoint: delay needs :MS");
+    const std::uint64_t ms = parse_count(s.substr(colon + 1), "delay:MS");
+    if (ms > static_cast<std::uint64_t>(std::chrono::milliseconds::max().count()))
+      throw std::invalid_argument("failpoint: delay:MS out of range");
+    delay = std::chrono::milliseconds{static_cast<std::chrono::milliseconds::rep>(ms)};
+    return Action::kDelay;
+  }
+  if (colon != std::string_view::npos)
+    throw std::invalid_argument("failpoint: action '" + std::string(name) +
+                                "' takes no argument");
   if (name == "eio") return Action::kEIO;
   if (name == "enospc") return Action::kENOSPC;
   if (name == "short") return Action::kShortWrite;
   if (name == "error") return Action::kError;
-  if (name == "delay") {
-    if (arg.empty()) throw std::invalid_argument("failpoint: delay needs :MS");
-    delay = std::chrono::milliseconds{std::stoll(std::string(arg))};
-    return Action::kDelay;
-  }
   throw std::invalid_argument("failpoint: unknown action '" + std::string(s) + "'");
 }
 
 Trigger parse_trigger(std::string_view s) {
-  // Split on ':' into at most three fields.
-  std::vector<std::string> f;
+  // Split on ':' into fields.
+  std::vector<std::string_view> f;
   std::size_t start = 0;
-  while (start <= s.size()) {
+  while (true) {
     const auto colon = s.find(':', start);
-    if (colon == std::string_view::npos) {
-      f.emplace_back(s.substr(start));
-      break;
-    }
-    f.emplace_back(s.substr(start, colon - start));
+    f.push_back(s.substr(start, colon == std::string_view::npos ? colon : colon - start));
+    if (colon == std::string_view::npos) break;
     start = colon + 1;
   }
-  if (f.empty()) throw std::invalid_argument("failpoint: empty trigger");
-  const std::string& kind = f[0];
+  const std::string_view kind = f[0];
   if (kind == "always" && f.size() == 1) return Trigger::always();
   if (kind == "once" && f.size() == 1) return Trigger::once();
   if (kind == "every" && f.size() == 2)
-    return Trigger::every_nth(std::stoull(f[1]));
+    return Trigger::every_nth(parse_count(f[1], "every:N"));
   if (kind == "prob" && (f.size() == 2 || f.size() == 3)) {
-    const double p = std::stod(f[1]);
-    return f.size() == 3 ? Trigger::probability(p, std::stoull(f[2]))
+    const double p = parse_probability(f[1]);
+    return f.size() == 3 ? Trigger::probability(p, parse_count(f[2], "prob:P:SEED"))
                          : Trigger::probability(p);
   }
   if (kind == "window" && f.size() == 3)
-    return Trigger::window(std::stoull(f[1]), std::stoull(f[2]));
+    return Trigger::window(parse_count(f[1], "window:A:B"),
+                           parse_count(f[2], "window:A:B"));
   throw std::invalid_argument("failpoint: bad trigger '" + std::string(s) + "'");
 }
 
@@ -153,7 +179,7 @@ Trigger Trigger::every_nth(std::uint64_t n) {
 }
 
 Trigger Trigger::probability(double p, std::uint64_t seed) {
-  if (p < 0.0 || p > 1.0)
+  if (!(p >= 0.0 && p <= 1.0))  // negated, so NaN fails too
     throw std::invalid_argument("failpoint: prob:P needs P in [0, 1]");
   Trigger t{Kind::kProbability};
   t.p = p;
@@ -209,15 +235,20 @@ std::size_t arm_from_spec(std::string_view spec) {
                                   "' (want point=action[@trigger])");
     const std::string_view point = clause.substr(0, eq);
     std::string_view rhs = clause.substr(eq + 1);
-    Trigger trigger = Trigger::always();
-    const auto at = rhs.find('@');
-    if (at != std::string_view::npos) {
-      trigger = parse_trigger(rhs.substr(at + 1));
-      rhs = rhs.substr(0, at);
+    try {
+      Trigger trigger = Trigger::always();
+      const auto at = rhs.find('@');
+      if (at != std::string_view::npos) {
+        trigger = parse_trigger(rhs.substr(at + 1));
+        rhs = rhs.substr(0, at);
+      }
+      std::chrono::milliseconds delay{0};
+      const Action action = parse_action(rhs, delay);
+      parsed.push_back({std::string(point), action, trigger, delay});
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string(e.what()) + " in clause '" +
+                                  std::string(clause) + "'");
     }
-    std::chrono::milliseconds delay{0};
-    const Action action = parse_action(rhs, delay);
-    parsed.push_back({std::string(point), action, trigger, delay});
   }
   for (auto& p : parsed)
     arm(std::move(p.point), p.action, p.trigger, p.delay);

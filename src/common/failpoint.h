@@ -31,6 +31,9 @@
 // Spec grammar (one string arms many points):
 //   point=action@trigger[;point=action@trigger…]
 //   e.g. "store.write.fsync=eio@every:3;store.write.data=enospc@window:2:6"
+// N, A, B, SEED and MS are whole tokens of decimal digits (no sign,
+// space or suffix) that fit their field; P is a finite fixed-point decimal.
+// Only delay takes an argument.
 //
 // Determinism: all trigger state (hit counters, the probability RNG) is
 // per-point and advances only on evaluation, so a single-threaded test

@@ -1,8 +1,8 @@
 // Per-request span tracing for investigations.
 //
 // A slow investigation is opaque from the outside: the request histogram
-// says "32 ms", not whether the time went to snapshot pinning, candidate
-// generation, edge building, TrustRank, or verification. The tracer
+// says "32 ms", not whether the time went to snapshot pinning, member
+// selection, edge building, TrustRank, or verification. The tracer
 // answers that with near-zero plumbing:
 //
 //   TraceScope trace(&tracer, "investigate …");   // request entry point

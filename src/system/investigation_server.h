@@ -56,7 +56,7 @@
 //
 // Parallelism composes on two axes: this pool runs N *requests*
 // concurrently, and each worker's viewmap build can additionally shard
-// its candidate-pair stream across ViewmapConfig::build_threads
+// its all-pairs sweep across ViewmapConfig::build_threads
 // (ServiceConfig::viewmap). Large single viewmaps benefit from
 // build_threads; high request rates benefit from workers; both read
 // only pinned snapshot state, so they compose with each other and with

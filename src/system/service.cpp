@@ -25,7 +25,7 @@ ServiceConfig wire_config(ServiceConfig cfg, obs::MetricsRegistry& registry) {
 
 ViewMapService::ViewMapService(const ServiceConfig& cfg)
     : cfg_(wire_config(cfg, metrics_)),
-      channel_(/*seed=*/0x5eed, cfg_.mix_pool),
+      channel_(/*seed=*/0x5eed),
       db_(cfg_.index),
       builder_(cfg_.viewmap),
       verifier_(cfg_.trustrank),

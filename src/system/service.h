@@ -58,7 +58,6 @@ struct ServiceConfig {
   viewmap::index::TimelineConfig index{};  ///< retention window + metrics
   viewmap::index::IngestConfig ingest{};   ///< batched concurrent upload ingest
   int rsa_bits = 2048;
-  std::size_t mix_pool = 16;
   /// Generation-keyed investigation result cache (system/result_cache.h):
   /// a repeat investigate() over an unchanged minute shard returns the
   /// cached report instead of rebuilding — bit-identical by key
@@ -73,9 +72,9 @@ struct InvestigationReport {
   VerificationResult verification;
   std::vector<Id16> solicited;  ///< VP ids posted as 'request for video'
   /// Per-phase timing of this investigation (snapshot_pin when served by
-  /// the investigation server, member_select, candidate_grid, edge_build,
-  /// csr_build, trust_rank, algorithm1, solicit). The same trace competes
-  /// for the service Tracer's slowest-N ring.
+  /// the investigation server, member_select, edge_build, csr_build,
+  /// trust_rank, algorithm1, solicit). The same trace competes for the
+  /// service Tracer's slowest-N ring.
   obs::Trace trace;
 };
 

@@ -1,13 +1,10 @@
 #include "system/viewmap_graph.h"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "obs/trace.h"
 
@@ -129,7 +126,7 @@ namespace {
 
 // ── the §5.2.1 edge predicate over a fixed member set ────────────────
 
-/// Packed candidate pair, smaller index in the high half so a sorted
+/// Packed member pair, smaller index in the high half so a sorted
 /// pair array is ordered by (i, j) — the order CSR assembly wants.
 constexpr std::uint64_t pack_pair(std::uint32_t i, std::uint32_t j) noexcept {
   return static_cast<std::uint64_t>(i) << 32 | j;
@@ -144,9 +141,8 @@ constexpr std::uint32_t pair_hi(std::uint64_t key) noexcept {
 /// The link radius R widened past ever_within()'s rounding. Its float
 /// differences can round an exact gap of up to half a float ulp past R
 /// (~15 µm at R = 400 m) down to R, and a float ulp is at most R·2⁻²³.
-/// The spatial prunes over exact coordinates (the padded boxes, the
-/// candidate grid's pitch) use this reach, so neither ever rejects a
-/// pair ever_within() accepts.
+/// The padded boxes, the one spatial prune over exact coordinates, use
+/// this reach, so it never rejects a pair ever_within() accepts.
 constexpr double prune_reach(double radius) noexcept { return radius * (1.0 + 0x1p-22); }
 
 /// A trajectory's bounding box padded by half the prune reach of
@@ -316,203 +312,12 @@ class PackedMembers {
   std::vector<std::uint16_t> probes_;  ///< member-major probe tables
 };
 
-// ── grid candidate generation ────────────────────────────────────────
+// ── the all-pairs sweep ──────────────────────────────────────────────
 
-// Cells are keyed by packed signed 32-bit coordinates, clamped so an
-// outlier position still lands in a valid (edge) cell.
-
-/// Cell coordinate of a position along one axis, for pitch `cell_m`.
-/// A NaN position lands in the lowest cell: the cast below would be
-/// undefined for it, and build_from_members() callers bypass the upload
-/// screen that rejects non-finite positions.
-std::int32_t grid_cell_coord(double meters, double cell_m) noexcept {
-  const double c = std::floor(meters / cell_m);
-  if (!(c > static_cast<double>(std::numeric_limits<std::int32_t>::min())))
-    return std::numeric_limits<std::int32_t>::min();
-  if (c >= static_cast<double>(std::numeric_limits<std::int32_t>::max()))
-    return std::numeric_limits<std::int32_t>::max();
-  return static_cast<std::int32_t>(c);
-}
-
-/// Packs a cell coordinate pair into one 64-bit hash key.
-constexpr std::uint64_t grid_pack_cell(std::int32_t cx, std::int32_t cy) noexcept {
-  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32 |
-         static_cast<std::uint32_t>(cy);
-}
-
-/// Inverse of grid_pack_cell: (cx, cy) of a packed key.
-constexpr std::int32_t grid_cell_x(std::uint64_t key) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(key >> 32));
-}
-constexpr std::int32_t grid_cell_y(std::uint64_t key) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(key));
-}
-
-/// Below this member count the all-pairs sweep beats grid setup.
-constexpr std::size_t kGridMinMembers = 48;
-/// Candidate-pair estimate below which one thread is always fastest.
+/// Pair count below which one thread is always fastest.
 constexpr std::size_t kParallelMinPairs = 2048;
-/// Minimum candidate pairs a worker thread must have to be worth
-/// spawning.
+/// Minimum pairs a worker thread must have to be worth spawning.
 constexpr std::size_t kMinPairsPerThread = 4096;
-
-/// Per-build uniform grid over member trajectories, pitch = the prune
-/// reach of the link radius: two members can only pass the time-aligned proximity test if AT THE
-/// SAME WALL-CLOCK SECOND their cells coincide or are adjacent. Each
-/// (member, cell) incidence therefore carries an occupancy mask with
-/// bit (time mod 64) set for every second the member spends in that
-/// cell — wall-clock, NOT digest index, because profiles in one shard
-/// may start at offset seconds within the minute and ever_within()
-/// aligns by VD timestamp. Aligned seconds always share a bit; times 64
-/// apart collide onto the same bit, which only weakens the pruning
-/// (the candidate set stays a superset). A cell-neighborhood pair whose
-/// masks never overlap cannot link and is pruned by one AND before
-/// anything else runs. Candidates are generated
-/// anchor-style: member i scans the 3×3 neighborhoods of its own cells
-/// and considers every j > i found there, with a per-thread stamp array
-/// deduplicating js across contexts — so the (expensive) edge predicate
-/// runs AT MOST ONCE per unordered pair, no matter how many cells a
-/// pair shares, and memory stays O(n + edges).
-struct CandidateGrid {
-  struct Entry {
-    std::uint32_t member = 0;
-    std::uint64_t mask = 0;  ///< wall-clock seconds (mod 64) spent in the cell
-  };
-
-  std::vector<std::uint64_t> keys;           ///< packed cell coords
-  std::unordered_map<std::uint64_t, std::uint32_t> index;
-  std::vector<Entry> entries;                 ///< flat, cell-grouped
-  std::vector<std::uint32_t> cell_offsets;    ///< cell count + 1 into entries
-  std::vector<std::uint32_t> member_cells;    ///< flat cell ids, member-grouped
-  std::vector<std::uint64_t> member_masks;    ///< mask per member_cells entry
-  std::vector<std::uint32_t> member_offsets;  ///< n+1 into member_cells
-  std::vector<std::uint32_t> nbr_cells;       ///< flat 3×3 neighborhoods
-  std::vector<std::uint32_t> nbr_offsets;     ///< cell count + 1 into nbr_cells
-  std::vector<std::size_t> cell_scan;         ///< Σ|list| over a cell's 3×3
-
-  CandidateGrid(std::span<const vp::ViewProfile* const> members, double cell_m) {
-    const std::size_t n = members.size();
-    index.reserve(n);
-    member_offsets.reserve(n + 1);
-    member_offsets.push_back(0);
-    // A trajectory changes cells rarely (≤ ~18 touches a minute), so
-    // per-member dedup is a linear probe of a short local list.
-    std::uint64_t local_key[kDigestsPerProfile];
-    std::uint64_t local_mask[kDigestsPerProfile];
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto digests = members[i]->digests();
-      std::size_t touched = 0;
-      for (int s = 0; s < kDigestsPerProfile; ++s) {
-        const auto& vd = digests[static_cast<std::size_t>(s)];
-        const std::uint64_t key =
-            grid_pack_cell(grid_cell_coord(vd.loc_x, cell_m),
-                           grid_cell_coord(vd.loc_y, cell_m));
-        std::size_t slot = 0;
-        while (slot < touched && local_key[slot] != key) ++slot;
-        if (slot == touched) {
-          local_key[touched] = key;
-          local_mask[touched] = 0;
-          ++touched;
-        }
-        // Two's-complement cast keeps the mod-64 bit consistent across
-        // profiles for negative timestamps too.
-        local_mask[slot] |= std::uint64_t{1}
-                            << (static_cast<std::uint64_t>(vd.time) & 63);
-      }
-      for (std::size_t k = 0; k < touched; ++k) {
-        auto [it, fresh] =
-            index.try_emplace(local_key[k], static_cast<std::uint32_t>(keys.size()));
-        if (fresh) keys.push_back(local_key[k]);
-        member_cells.push_back(it->second);
-        member_masks.push_back(local_mask[k]);
-      }
-      member_offsets.push_back(static_cast<std::uint32_t>(member_cells.size()));
-    }
-
-    // Lay the per-cell member lists out flat (counting sort over the
-    // incidences): the scan below streams each list from one contiguous
-    // block instead of chasing a heap vector per cell.
-    const std::size_t cell_count = keys.size();
-    cell_offsets.assign(cell_count + 1, 0);
-    for (const std::uint32_t c : member_cells) ++cell_offsets[c + 1];
-    for (std::size_t c = 0; c < cell_count; ++c) cell_offsets[c + 1] += cell_offsets[c];
-    entries.resize(member_cells.size());
-    {
-      std::vector<std::uint32_t> cursor(cell_offsets.begin(), cell_offsets.end() - 1);
-      for (std::uint32_t i = 0; i < n; ++i)
-        for (std::uint32_t k = member_offsets[i]; k < member_offsets[i + 1]; ++k)
-          entries[cursor[member_cells[k]]++] = {i, member_masks[k]};
-    }
-
-    // Resolve every cell's 3×3 neighborhood (self included) once; the
-    // anchor scan then never touches the hash map.
-    nbr_offsets.reserve(cell_count + 1);
-    nbr_offsets.push_back(0);
-    cell_scan.resize(cell_count);
-    for (std::size_t c = 0; c < cell_count; ++c) {
-      std::size_t scan = 0;
-      for (int dx = -1; dx <= 1; ++dx)
-        for (int dy = -1; dy <= 1; ++dy) {
-          const std::int64_t nx =
-              static_cast<std::int64_t>(grid_cell_x(keys[c])) + dx;
-          const std::int64_t ny =
-              static_cast<std::int64_t>(grid_cell_y(keys[c])) + dy;
-          if (nx < std::numeric_limits<std::int32_t>::min() ||
-              nx > std::numeric_limits<std::int32_t>::max() ||
-              ny < std::numeric_limits<std::int32_t>::min() ||
-              ny > std::numeric_limits<std::int32_t>::max())
-            continue;
-          const auto it = index.find(grid_pack_cell(
-              static_cast<std::int32_t>(nx), static_cast<std::int32_t>(ny)));
-          if (it == index.end()) continue;
-          nbr_cells.push_back(it->second);
-          scan += cell_offsets[it->second + 1] - cell_offsets[it->second];
-        }
-      nbr_offsets.push_back(static_cast<std::uint32_t>(nbr_cells.size()));
-      cell_scan[c] = scan;
-    }
-  }
-
-  /// Stamp checks anchor i will perform — the balance/estimate metric.
-  [[nodiscard]] std::size_t anchor_work(std::uint32_t i) const {
-    std::size_t work = 0;
-    for (std::uint32_t k = member_offsets[i]; k < member_offsets[i + 1]; ++k)
-      work += cell_scan[member_cells[k]];
-    return work;
-  }
-
-  /// Runs the predicate once per unordered candidate pair with anchor in
-  /// [lo, hi), appending passing pairs to `out` (anchor ascending;
-  /// `stamp` is the caller's n-entry scratch, zero-initialized once).
-  /// A pair is only considered in a context where the two occupancy
-  /// masks share a second; a context pruned by the mask does NOT stamp,
-  /// so a later context with temporal overlap still gets to test.
-  void test_anchors(const PackedMembers& test, std::uint32_t lo, std::uint32_t hi,
-                    std::vector<std::uint32_t>& stamp,
-                    std::vector<std::uint64_t>& out) const {
-    for (std::uint32_t i = lo; i < hi; ++i) {
-      const std::uint32_t tag = i + 1;  // 0 = never seen
-      for (std::uint32_t k = member_offsets[i]; k < member_offsets[i + 1]; ++k) {
-        const std::uint32_t c = member_cells[k];
-        const std::uint64_t own_mask = member_masks[k];
-        for (std::uint32_t a = nbr_offsets[c]; a < nbr_offsets[c + 1]; ++a) {
-          const std::uint32_t cc = nbr_cells[a];
-          // Lists are member-ascending: skip the j ≤ i prefix wholesale.
-          const auto* first = entries.data() + cell_offsets[cc];
-          const auto* last = entries.data() + cell_offsets[cc + 1];
-          const auto* ent = std::upper_bound(
-              first, last, i,
-              [](std::uint32_t v, const Entry& e) { return v < e.member; });
-          for (; ent != last; ++ent) {
-            if ((own_mask & ent->mask) == 0 || stamp[ent->member] == tag) continue;
-            stamp[ent->member] = tag;
-            if (test.linked(i, ent->member)) out.push_back(pack_pair(i, ent->member));
-          }
-        }
-      }
-    }
-  }
-};
 
 std::size_t resolve_build_threads(std::size_t configured) {
   if (configured != 0) return configured;
@@ -520,17 +325,19 @@ std::size_t resolve_build_threads(std::size_t configured) {
   return std::clamp<std::size_t>(hw == 0 ? 1 : hw, 1, 4);
 }
 
-/// Contiguous range boundaries over `work.size()` items, balanced so
-/// each of the `threads` ranges carries ≈ total/threads of the work.
-std::vector<std::size_t> balanced_bounds(std::span<const std::size_t> work,
-                                         std::size_t total, std::size_t threads) {
-  std::vector<std::size_t> bounds{0};
+/// Anchor-range boundaries for the sweep over n members. Anchor i tests
+/// the n − 1 − i pairs (i, j > i), so each of the `threads` contiguous
+/// ranges is balanced to ≈ 1/threads of the pair triangle.
+std::vector<std::uint32_t> triangle_bounds(std::size_t n, std::size_t threads) {
+  const std::size_t total = n * (n - 1) / 2;
+  std::vector<std::uint32_t> bounds{0};
   std::size_t acc = 0;
-  for (std::size_t c = 0; c < work.size() && bounds.size() < threads; ++c) {
-    acc += work[c];
-    if (acc * threads >= total * bounds.size()) bounds.push_back(c + 1);
+  for (std::size_t i = 0; i < n && bounds.size() < threads; ++i) {
+    acc += n - 1 - i;
+    if (acc * threads >= total * bounds.size())
+      bounds.push_back(static_cast<std::uint32_t>(i + 1));
   }
-  while (bounds.size() <= threads) bounds.push_back(work.size());
+  while (bounds.size() <= threads) bounds.push_back(static_cast<std::uint32_t>(n));
   return bounds;
 }
 
@@ -598,54 +405,30 @@ Viewmap ViewmapBuilder::build_from_members(
   const std::size_t n = members.size();
   if (n > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("ViewmapBuilder: too many members");
-  // Grid setup costs more than it saves on tiny member sets.
-  std::optional<CandidateGrid> grid;
-  if (n >= kGridMinMembers) {
-    obs::SpanScope obs_span("candidate_grid");
-    grid.emplace(members, std::max(prune_reach(cfg_.link_radius_m), 1.0));
-  }
   const std::vector<std::uint64_t> accepted = [&] {
     obs::SpanScope obs_span("edge_build");
     PackedMembers packed(members, cfg_.link_radius_m);  // freed before CSR assembly
-    std::vector<std::size_t> work(n);
-    std::size_t total_work = 0;
-    if (grid)
-      for (std::uint32_t i = 0; i < n; ++i) total_work += work[i] = grid->anchor_work(i);
-
-    // When every member piles into a handful of cells (one dense block, a
-    // saturated site), the neighborhood scan would visit more incidences
-    // than the plain sweep visits pairs — fall back to the duplication-free
-    // all-pairs sweep, still sharded across threads.
     const std::size_t all_pairs = n * (n - 1) / 2;
-    const bool degenerate = !grid || total_work >= all_pairs;
-    if (degenerate)
-      for (std::uint32_t i = 0; i < n; ++i) work[i] = n - 1 - i;
-    const std::size_t budget = degenerate ? all_pairs : total_work;
     const std::size_t threads =
-        budget < kParallelMinPairs
+        all_pairs < kParallelMinPairs
             ? 1
             : std::min(resolve_build_threads(cfg_.build_threads),
-                       budget / kMinPairsPerThread + 1);
+                       all_pairs / kMinPairsPerThread + 1);
 
     // Pack in even member ranges (cold profiles hash their probe tables
-    // here), then shard the candidate stream: contiguous anchor ranges
-    // balanced by scan work, one edge buffer per thread.
+    // here), then sweep every pair (i, j > i) in contiguous anchor ranges
+    // balanced by pair count, one edge buffer per thread. Each buffer
+    // comes out in (i, j) order and the ranges ascend, so concatenating
+    // them yields the sorted pair list CSR assembly wants.
     run_sharded(threads, [&](std::size_t t) {
       packed.pack(n * t / threads, n * (t + 1) / threads);
     });
-    const auto bounds = balanced_bounds(work, budget, threads);
+    const auto bounds = triangle_bounds(n, threads);
     std::vector<std::vector<std::uint64_t>> partial(threads);
     run_sharded(threads, [&](std::size_t t) {
-      const auto lo = static_cast<std::uint32_t>(bounds[t]);
-      const auto hi = static_cast<std::uint32_t>(bounds[t + 1]);
-      if (degenerate) {
-        for (std::uint32_t i = lo; i < hi; ++i)
-          for (std::uint32_t j = i + 1; j < n; ++j)
-            if (packed.linked(i, j)) partial[t].push_back(pack_pair(i, j));
-      } else {
-        std::vector<std::uint32_t> stamp(n, 0);
-        grid->test_anchors(packed, lo, hi, stamp, partial[t]);
-      }
+      for (std::uint32_t i = bounds[t]; i < bounds[t + 1]; ++i)
+        for (std::uint32_t j = i + 1; j < n; ++j)
+          if (packed.linked(i, j)) partial[t].push_back(pack_pair(i, j));
     });
     std::size_t total = 0;
     for (const auto& p : partial) total += p.size();
@@ -653,12 +436,6 @@ Viewmap ViewmapBuilder::build_from_members(
     merged.reserve(total);
     for (std::size_t t = 1; t < threads; ++t)
       merged.insert(merged.end(), partial[t].begin(), partial[t].end());
-    // Each pair comes out at most once. The all-pairs sweep and the
-    // ascending anchor ranges emit them in order; only the grid's
-    // per-anchor discovery order is loose, and CSR assembly needs (i, j)
-    // order.
-    if (!std::is_sorted(merged.begin(), merged.end()))
-      std::sort(merged.begin(), merged.end());
     return merged;
   }();
 
@@ -675,8 +452,8 @@ Viewmap ViewmapBuilder::build_from_members_reference(
     TimeSec unit_time, const geo::Rect& coverage,
     std::shared_ptr<const index::TimeShard> pinned) const {
   // Every O(n²) pair through the profiles' own predicates — no packing,
-  // no grid, no threads — so this checks the packed kernel instead of
-  // sharing it. Only the bbox prune is common to both builders.
+  // no threads — so this checks the packed kernel instead of sharing it.
+  // Only the bbox prune is common to both builders.
   const std::size_t n = members.size();
   if (n > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("ViewmapBuilder: too many members");

@@ -8,22 +8,18 @@
 // of the other. Two-way validation is what stops attackers from forging
 // edges to honest VPs they never actually met (§5.2.2 "Insights").
 //
-// Construction is grid-accelerated: member trajectories are binned into
-// a per-build uniform grid with pitch just over the link radius, so the edge
-// predicate only runs on pairs sharing a cell or in adjacent cells —
-// O(n · local density) candidate pairs instead of the O(n²) all-pairs
-// sweep (which dense layouts, where everyone shares a few cells, still
-// take). The predicate itself is a packed per-build kernel: each member
-// is copied once per build into flat member-major arrays (positions,
-// first second, Bloom bits, probe table), so a Bloom pass is a few byte
-// loads and time-aligned proximity is one ≤ 60-step scan. Surviving
-// edges are laid out as one flat CSR (system/csr_graph.h) that TrustRank
-// and Algorithm 1 consume without copying. Packing and the candidate
-// stream are sharded across a small thread pool
-// (ViewmapConfig::build_threads); the edge set is bit-identical for
-// every thread count and to the retained O(n²) reference builder, which
-// evaluates the predicate through the profiles' own methods
-// (property-tested in tests/viewmap_build_test.cpp).
+// Construction is one all-pairs sweep over a packed per-build kernel:
+// each member is copied once per build into flat member-major arrays
+// (padded trajectory bbox, positions, first second, Bloom bits, probe
+// table), so the ~1 ns bbox test rejects most far-apart pairs, a Bloom
+// pass is a few byte loads and time-aligned proximity is one ≤ 60-step
+// scan. Surviving edges are laid out as one flat CSR (system/csr_graph.h)
+// that TrustRank and Algorithm 1 consume without copying. Packing and the
+// sweep are sharded across a small thread pool (ViewmapConfig::
+// build_threads) in contiguous anchor ranges; the edge set is
+// bit-identical for every thread count and to the retained reference
+// builder, which evaluates the predicate through the profiles' own
+// methods (property-tested in tests/viewmap_build_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -42,9 +38,10 @@ namespace viewmap::sys {
 struct ViewmapConfig {
   double link_radius_m = 400.0;  ///< DSRC radio radius (§5.1.2)
   double coverage_margin_m = 200.0;  ///< slack added around site ∪ trusted VP
-  /// Threads sharding the packing and candidate-pair stream of one build. 0 ⇒ pick
-  /// from the hardware (small pool, capped at 4 — investigation-server
-  /// workers already parallelize across requests); 1 ⇒ fully serial.
+  /// Threads sharding the packing and the all-pairs sweep of one build.
+  /// 0 ⇒ pick from the hardware (small pool, capped at 4 —
+  /// investigation-server workers already parallelize across requests);
+  /// 1 ⇒ fully serial.
   /// Builds below the parallel cutoff run serial regardless; the edge
   /// set never depends on this knob.
   std::size_t build_threads = 0;
@@ -118,7 +115,7 @@ class ViewmapBuilder {
   /// (evaluation harnesses inject synthetic/fake VPs this way). Pass the
   /// shard the members point into when there is one, so the viewmap pins
   /// it; with the default null shard the caller keeps the profiles
-  /// alive. Grid-accelerated (see the file comment).
+  /// alive. Runs the packed, sharded sweep (see the file comment).
   [[nodiscard]] Viewmap build_from_members(
       std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
       TimeSec unit_time, const geo::Rect& coverage,
@@ -126,11 +123,11 @@ class ViewmapBuilder {
 
   /// The retained naive O(n²) builder: visits every member pair and
   /// evaluates the §5.2.1 predicate through vp::ViewProfile::heard() and
-  /// vp::ViewProfile::ever_within() — no packed arrays, no grid, no
-  /// threads — behind the same trajectory-bbox prune as the fast path
-  /// (which keeps it quick enough for the bench's edge-set check), and
-  /// emits the CSR the same way. It is the independent ground truth the
-  /// grid + packed-kernel path is property-tested and benchmarked against
+  /// vp::ViewProfile::ever_within() — no packed arrays, no threads —
+  /// behind the same trajectory-bbox prune as the fast path (which keeps
+  /// it quick enough for the bench's edge-set check), and emits the CSR
+  /// the same way. It is the independent ground truth the packed-kernel
+  /// path is property-tested and benchmarked against
   /// (tests/viewmap_build_test.cpp, the `viewmap_build` scenario of
   /// bench_index) — never call it on the investigation path.
   [[nodiscard]] Viewmap build_from_members_reference(

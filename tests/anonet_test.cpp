@@ -44,16 +44,6 @@ TEST(AnonymousChannel, MixDecorrelatesOrder) {
   EXPECT_EQ(tags.size(), 32u);
 }
 
-TEST(AnonymousChannel, BatchWithholdsBelowPoolSize) {
-  AnonymousChannel ch(4, /*mix_pool=*/8);
-  for (std::uint8_t i = 0; i < 5; ++i) ch.submit(payload(i));
-  EXPECT_TRUE(ch.drain_batch().empty());  // timing protection: wait for pool
-  for (std::uint8_t i = 5; i < 9; ++i) ch.submit(payload(i));
-  const auto out = ch.drain_batch();
-  EXPECT_EQ(out.size(), 8u);
-  EXPECT_EQ(ch.pending(), 1u);
-}
-
 TEST(AnonymousChannel, DeliveryCarriesNoSenderInformation) {
   // Structural check: Delivery exposes exactly a session id and payload.
   static_assert(sizeof(Delivery) ==

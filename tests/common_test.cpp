@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
@@ -295,10 +296,98 @@ TEST_F(FailpointTest, SpecRejectsMalformedClauses) {
                std::invalid_argument);
   EXPECT_THROW(failpoint::arm_from_spec("p=eio@prob:1.5"),
                std::invalid_argument);
+  // Numbers are whole digit tokens (a finite decimal for P) that fit
+  // their field: no sign, space, suffix, NaN or overflow.
+  for (const char* spec :
+       {"p=eio@every:-1", "p=eio@every:3x", "p=eio@every:+4", "p=eio@every: 4",
+        "p=eio@prob:nan", "p=eio@prob:0.5junk", "p=delay:-5", "p=delay:7ms",
+        "p=eio@window:1:-1", "p=eio@every:99999999999999999999999",
+        "p=delay:99999999999999999999"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_THROW(failpoint::arm_from_spec(spec), std::invalid_argument);
+    EXPECT_FALSE(failpoint::any_armed());
+  }
+  // Only delay takes an argument.
+  EXPECT_THROW(failpoint::arm_from_spec("p=eio:3"), std::invalid_argument);
+  // The error names the clause it rejects.
+  try {
+    (void)failpoint::arm_from_spec("ok=eio;p=eio@every:3x");
+    ADD_FAILURE() << "bad clause armed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'p=eio@every:3x'"), std::string::npos)
+        << e.what();
+  }
   // A throwing spec arms nothing it parsed before the bad clause.
   EXPECT_THROW(failpoint::arm_from_spec("ok=eio;bad=nope"),
                std::invalid_argument);
   EXPECT_FALSE(failpoint::any_armed());
+}
+
+TEST_F(FailpointTest, SpecMutationsArmExactlyTheirPointsOrNothing) {
+  // Seeded byte-level mutations of valid specs. Each case either arms
+  // exactly the points its clauses name, or throws
+  // std::invalid_argument with nothing armed — never another exception.
+  const std::vector<std::string> seeds = {
+      "store.write.fsync=eio@every:3;store.write.data=enospc@window:2:6",
+      "p.a=delay:5@once;p.b=short@prob:0.25:99",
+      "x=error@always;y=eio@prob:1;;z=enospc",
+      "store.rename=enospc@window:0:18446744073709551615",
+      "a=delay:0;b=eio@every:1;c=error@prob:0.5:7"};
+  const std::string alphabet = "0123456789:;=@-+ .xenaip";
+  Rng rng(19);
+  const auto pick = [&rng](std::size_t n) { return rng.index(n); };
+  for (int c = 0; c < 20000; ++c) {
+    std::string spec = seeds[pick(seeds.size())];
+    const int mutations = static_cast<int>(rng.uniform_int(1, 3));
+    for (int m = 0; m < mutations; ++m) {
+      const std::size_t at = pick(spec.size() + 1);
+      switch (rng.uniform_int(0, 4)) {
+        case 0:  // overwrite a byte, from the grammar's alphabet or raw
+          if (at < spec.size())
+            spec[at] = rng.bernoulli(0.8) ? alphabet[pick(alphabet.size())]
+                                          : static_cast<char>(rng.uniform_int(0, 255));
+          break;
+        case 1:  // insert a grammar byte
+          spec.insert(at, 1, alphabet[pick(alphabet.size())]);
+          break;
+        case 2:  // delete a byte
+          if (at < spec.size()) spec.erase(at, 1);
+          break;
+        case 3: {  // duplicate a span elsewhere
+          const std::size_t from = pick(spec.size() + 1);
+          const std::size_t len = pick(spec.size() - from + 1);
+          spec.insert(at, spec.substr(from, len));
+          break;
+        }
+        default:  // splice in an edge-case number
+          spec.insert(at, std::vector<const char*>{
+                              "-1", "18446744073709551616", "9223372036854775808",
+                              "nan", "1e3", "0", "00"}[pick(7)]);
+      }
+    }
+    SCOPED_TRACE(spec);
+    failpoint::disarm_all();
+    std::size_t armed = 0;
+    try {
+      armed = failpoint::arm_from_spec(spec);
+    } catch (const std::invalid_argument&) {
+      EXPECT_FALSE(failpoint::any_armed());
+      continue;
+    }
+    std::set<std::string> named;
+    std::size_t clauses = 0;
+    for (std::size_t start = 0; start < spec.size();) {
+      std::size_t end = spec.find(';', start);
+      if (end == std::string::npos) end = spec.size();
+      const std::string clause = spec.substr(start, end - start);
+      start = end + 1;
+      if (clause.empty()) continue;
+      ++clauses;
+      named.insert(clause.substr(0, clause.find('=')));
+    }
+    EXPECT_EQ(armed, clauses);
+    EXPECT_EQ(failpoint::armed_points(), std::vector<std::string>(named.begin(), named.end()));
+  }
 }
 
 TEST_F(FailpointTest, DisarmDropsCountersAndTotalFires) {

@@ -473,8 +473,8 @@ TEST(InvestigationServer, ConcurrentWithIngestAndEvictionStress) {
 }
 
 TEST(InvestigationServer, ParallelViewmapBuildRacesIngestAndEviction) {
-  // The grid-accelerated builder shards one viewmap's candidate-pair
-  // stream across build_threads (src/system/viewmap_graph.cpp). Here
+  // The builder shards one viewmap's all-pairs sweep across
+  // build_threads (src/system/viewmap_graph.cpp). Here
   // every build crosses the parallel cutoff — a dense minute of ~160
   // members — so server workers spawn in-build pools that read pinned
   // shard profiles while a live ingest loop commits uploads and the

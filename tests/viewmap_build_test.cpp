@@ -1,17 +1,19 @@
-// Grid-accelerated, packed-kernel viewmap construction vs the retained
-// O(n²) reference builder, and the flat CSR machinery underneath it.
+// Packed-kernel viewmap construction (the sharded all-pairs sweep) vs
+// the retained O(n²) reference builder, and the flat CSR machinery
+// underneath it.
 //
 // The load-bearing property: for ANY member layout, link forgery
-// included, the grid + packed kernel + CSR pipeline and the naive
-// all-pairs sweep through the profiles' own predicates emit the
+// included, the packed kernel + sharded sweep + CSR pipeline and the
+// naive sweep through the profiles' own predicates emit the
 // bit-identical edge set — same CSR offsets, same edge array, for every
-// thread count. The randomized layouts stress what the grid and the
-// kernel can get wrong: dense single-cell pileups, sparse city-scale
-// spread, clusters straddling cell boundaries at exactly the link
-// radius, adjacent-attacker forgeries (mutual Bloom links between
-// far-apart profiles that proximity must reject), the dense downtown
-// regime with half-full filters and offset start times, and profiles
-// whose timestamps have gaps or repeats.
+// thread count. The randomized layouts stress what the bbox prune, the
+// packed predicate and the anchor-range sharding can get wrong: dense
+// pileups where nearly every pair reaches the Bloom test, sparse
+// city-scale spread where most pairs fail the prune, pairs at exactly
+// the link radius, adjacent-attacker forgeries (mutual Bloom links
+// between far-apart profiles that proximity must reject), the dense
+// downtown regime with half-full filters and offset start times, and
+// profiles whose timestamps have gaps or repeats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,8 +71,8 @@ std::vector<vp::ViewProfile> random_fleet(std::size_t n, double extent, Rng& rng
   return fleet;
 }
 
-/// Builds with the naive reference once and with the grid path at each
-/// given thread count, and requires the bit-identical CSR.
+/// Builds with the naive reference once and with the packed sweep at
+/// each given thread count, and requires the bit-identical CSR.
 void expect_equivalent(const std::vector<vp::ViewProfile>& fleet,
                        std::initializer_list<std::size_t> thread_counts) {
   const geo::Rect cover{{-1e7, -1e7}, {1e7, 1e7}};
@@ -81,19 +83,19 @@ void expect_equivalent(const std::vector<vp::ViewProfile>& fleet,
   for (const std::size_t build_threads : thread_counts) {
     ViewmapConfig cfg;
     cfg.build_threads = build_threads;
-    const Viewmap grid =
+    const Viewmap packed =
         ViewmapBuilder(cfg).build_from_members(pointers(fleet), trusted, 0, cover);
-    ASSERT_EQ(grid.size(), ref.size());
-    EXPECT_EQ(grid.graph(), ref.graph())
+    ASSERT_EQ(packed.size(), ref.size());
+    EXPECT_EQ(packed.graph(), ref.graph())
         << "edge sets diverge at n=" << fleet.size() << " threads=" << build_threads;
-    EXPECT_EQ(grid.edge_count(), ref.edge_count());
+    EXPECT_EQ(packed.edge_count(), ref.edge_count());
   }
 }
 
 TEST(ViewmapBuildEquivalence, SparseCityScaleLayouts) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(seed);
-    // ~150 VPs over ~8×8 km: most cells hold one trajectory.
+    // ~150 VPs over ~8×8 km: most pairs fail the bbox prune.
     expect_equivalent(random_fleet(150, 4000.0, rng), {1});
   }
 }
@@ -101,8 +103,8 @@ TEST(ViewmapBuildEquivalence, SparseCityScaleLayouts) {
 TEST(ViewmapBuildEquivalence, DenseSingleCellPileup) {
   for (std::uint64_t seed : {4u, 5u, 6u}) {
     Rng rng(seed);
-    // Everybody within one or two grid cells: candidate generation
-    // degenerates toward all-pairs and must still match exactly.
+    // Everybody within about one link radius: nearly every pair passes
+    // the bbox prune, so the Bloom and proximity tests decide them all.
     expect_equivalent(random_fleet(180, 350.0, rng), {1});
   }
 }
@@ -111,11 +113,13 @@ TEST(ViewmapBuildEquivalence, ParallelBuildMatchesSerialAndReference) {
   for (std::uint64_t seed : {7u, 8u}) {
     Rng rng(seed);
     const auto fleet = random_fleet(220, 500.0, rng);
-    expect_equivalent(fleet, {1, 4});  // shards the candidate stream
+    expect_equivalent(fleet, {1, 4});  // 4 threads shard the sweep
   }
 }
 
 TEST(ViewmapBuildEquivalence, SmallMemberSetsUseAllPairsPathIdentically) {
+  // Empty, single and tiny member sets: all below the parallel cutoff,
+  // so the sweep runs serial even when two threads are configured.
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                         std::size_t{20}, std::size_t{47}, std::size_t{48}}) {
     Rng rng(40 + n);
@@ -124,11 +128,10 @@ TEST(ViewmapBuildEquivalence, SmallMemberSetsUseAllPairsPathIdentically) {
 }
 
 TEST(ViewmapBuildEquivalence, CellBoundaryStraddlersAtExactRadius) {
-  // Stationary profiles in columns exactly one link radius apart, i.e.
-  // on consecutive grid cell boundaries: every adjacent-column pair is
-  // at distance exactly R (edges require distance ≤ R, so these are the
-  // knife-edge candidates the grid must not miss), and same-column
-  // pairs are co-located.
+  // Stationary profiles in columns exactly one link radius apart: every
+  // adjacent-column pair is at distance exactly R (edges require
+  // distance ≤ R, so these are the knife-edge pairs the bbox prune must
+  // not reject), and same-column pairs are co-located.
   Rng rng(60);
   std::vector<vp::ViewProfile> fleet;
   for (int col = 0; col < 10; ++col)
@@ -155,14 +158,11 @@ TEST(ViewmapBuildEquivalence, OffsetStartTimesWithinTheMinuteKeepTheirEdges) {
   // alignment, so one shard can hold profiles whose start times are
   // offset within the minute. ever_within() aligns digests by
   // wall-clock timestamp (index 30 of one against index 0 of another);
-  // the grid's occupancy masks must use the same clock — a mask keyed
-  // by digest index would prune these pairs and silently drop real
-  // viewlinks (regression: caught in review).
-  // Spread far enough that the grid path runs for real (a tight cluster
-  // would divert to the degenerate all-pairs fallback, bypassing the
-  // masks this test exists to check): 16×10 stationary profiles at
-  // 300 m spacing — adjacent neighbors within the 400 m link radius,
-  // most cells lightly occupied.
+  // the packed proximity scan must shift by the start-time difference
+  // the same way — a scan aligned by digest index would compare the
+  // wrong seconds and silently drop real viewlinks. 16×10 stationary
+  // profiles at 300 m spacing with four start offsets: adjacent
+  // neighbors are within the 400 m link radius, at every shift.
   Rng rng(65);
   std::vector<vp::ViewProfile> fleet;
   for (int k = 0; k < 160; ++k) {
@@ -177,11 +177,10 @@ TEST(ViewmapBuildEquivalence, OffsetStartTimesWithinTheMinuteKeepTheirEdges) {
   expect_equivalent(fleet, {1, 3});
 
   // The sharpest construct: convoy pairs on the same 40 m/s path with a
-  // 45 s start offset, positioned to be CO-LOCATED in wall time. The
-  // leader crosses the last grid cell at digest indices ~50–59, the
-  // follower crosses it at ITS indices ~5–14 — index-keyed masks would
-  // never intersect and the edge would vanish; wall-clock masks share
-  // bits 50–59.
+  // 45 s start offset, positioned to be CO-LOCATED in wall time. Only
+  // the leader's last 15 seconds overlap the follower's first 15, where
+  // the two are at the same spot; compared index by index they are
+  // always 1,800 m apart, so only the time-aligned scan keeps the edge.
   std::vector<vp::ViewProfile> convoy;
   for (int lane = 0; lane < 100; ++lane) {
     const double y = lane * 500.0;  // > link radius: lanes independent
@@ -204,8 +203,8 @@ TEST(ViewmapBuildEquivalence, OffsetStartTimesWithinTheMinuteKeepTheirEdges) {
 TEST(ViewmapBuildEquivalence, AdjacentAttackerForgeriesRejectedIdentically) {
   // Colluders 10 km from the honest cluster forge mutual links to
   // clones of honest trajectories (§6.3.1-style): proximity kills the
-  // edges, and the grid path must agree with the reference on exactly
-  // which survive.
+  // edges, and the packed sweep must agree with the reference on
+  // exactly which survive.
   Rng rng(61);
   auto fleet = random_fleet(120, 400.0, rng);
   const std::size_t honest = fleet.size();
@@ -294,8 +293,8 @@ std::vector<vp::ViewProfile> dense_downtown(std::size_t n, double side, Rng& rng
 
 TEST(ViewmapBuildEquivalence, DenseDowntownWithHalfFullFilters) {
   Rng rng(66);
-  // 1,024 vehicles on 1.2 km²: everyone shares a few cells, so the build
-  // takes the sharded all-pairs sweep, as every perfbench build does.
+  // 1,024 vehicles on 1.2 km²: most pairs pass the bbox prune, the
+  // density every perfbench build sees.
   const auto fleet = dense_downtown(1024, 1100.0, rng);
   double fill = 0.0;
   for (const auto& p : fleet) fill += p.neighbor_bloom().fill_ratio();
@@ -310,10 +309,10 @@ TEST(ViewmapBuildEquivalence, DenseDowntownWithHalfFullFilters) {
   EXPECT_GT(map.edge_count(), 100 * fleet.size());
 }
 
-TEST(ViewmapBuildEquivalence, SpreadDowntownTakesTheGridPath) {
+TEST(ViewmapBuildEquivalence, SpreadDowntownWithHalfFullFilters) {
   Rng rng(67);
-  // Same traffic at a quarter of the density: the grid's anchor scan
-  // finds the candidates, and its per-anchor order needs the sort.
+  // Same traffic at about a sixth of the density: the bbox prune rejects
+  // far more pairs before the Bloom test.
   const auto fleet = dense_downtown(1000, 2600.0, rng);
   expect_equivalent(fleet, {1, 4});
 }
@@ -322,8 +321,8 @@ TEST(ViewmapBuildEquivalence, PrunesKeepPairsThatRoundOntoTheRadius) {
   // ever_within() subtracts floats: an exact gap of 400 + 2⁻¹⁶ m rounds
   // (ties to even) to exactly R = 400, and 400 + 2⁻¹⁷ rounds down to it.
   // viewlinked() links such pairs, so neither builder may prune them —
-  // the bbox prune and the candidate grid compare exact coordinates. The
-  // second pair also lies two cells apart at a grid pitch of exactly R.
+  // the bbox prune compares exact coordinates, padded by the prune
+  // reach.
   const std::vector<std::pair<geo::Vec2, geo::Vec2>> pairs{
       {{200.0 + 0x1p-16, 0.0}, {-200.0, 0.0}},
       {{400.0, 0.0}, {-0x1p-17, 0.0}},
@@ -337,10 +336,10 @@ TEST(ViewmapBuildEquivalence, PrunesKeepPairsThatRoundOntoTheRadius) {
     vp::link_mutually(fleet[0], fleet[1]);
     const ViewmapBuilder builder;
     ASSERT_TRUE(builder.viewlinked(fleet[0], fleet[1]));
-    // The pair alone takes the all-pairs sweep; among 60 stationary
-    // profiles 10 km apart it takes the grid path. One more profile with
-    // NaN positions (build_from_members() takes unscreened members) must
-    // link to nothing on either path.
+    // The pair alone, then among 60 stationary profiles 10 km apart
+    // whose boxes the prune rejects. One more profile with NaN positions
+    // (build_from_members() takes unscreened members) overlaps every box,
+    // and must link to nothing.
     for (const bool spread : {false, true}) {
       if (spread) {
         for (int k = 1; k <= 60; ++k) {
@@ -365,7 +364,8 @@ TEST(ViewmapBuildEquivalence, PrunesKeepPairsThatRoundOntoTheRadius) {
 TEST(ViewmapBuildEquivalence, EqualIdsNeverLink) {
   // Two profiles with one VP id — a clone beside its original, mutually
   // linked and co-located — are no viewlink for viewlinked() and for
-  // neither builder, below and above the grid cutoff.
+  // neither builder, at 21 members (serial) and 121 (sharded when 4
+  // threads are configured).
   for (const std::size_t n : {std::size_t{20}, std::size_t{120}}) {
     Rng rng(68 + n);
     auto fleet = random_fleet(n, 300.0, rng);

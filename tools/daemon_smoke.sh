@@ -22,6 +22,10 @@
 #      failure counters must show up on /metrics, no checkpoint temp
 #      file may be left behind, and SIGTERM must still exit clean.
 #
+# Before any of that, numeric flags and config lines the daemon cannot
+# hold (an out-of-range port, a non-digit count, trailing garbage) must
+# exit 2 without creating the store.
+#
 #   tools/daemon_smoke.sh [path/to/viewmapd]   (default build/tools/viewmapd)
 set -euo pipefail
 
@@ -85,6 +89,22 @@ http_get() {
   echo "daemon_smoke: scrape GET $path failed after 25 attempts" >&2
   return 1
 }
+
+# ── 0. malformed values exit 2 before anything binds ─────────────────
+expect_usage() {
+  local status=0
+  "$bin" --store="$workdir/rejected" --run_seconds=1 "$@" >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ] || [ -e "$workdir/rejected" ]; then
+    echo "daemon_smoke: $* gave exit $status (want 2, no store created)" >&2
+    exit 1
+  fi
+}
+expect_usage --port=70000
+expect_usage --workers=abc
+expect_usage --recover_seq=12x
+printf 'jitter=10\ncache_mb=64MB\n' > "$workdir/bad.conf"
+expect_usage --config="$workdir/bad.conf"
+echo "daemon_smoke: malformed flag and config values exit 2"
 
 # ── 1. fresh start under soak load ───────────────────────────────────
 start_daemon

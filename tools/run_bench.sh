@@ -5,7 +5,7 @@
 # snapshot-queries-vs-concurrent-ingest scenario, the investigation
 # server throughput scenario (worker pool vs live ingest + eviction; on a
 # 1-core host the JSON carries a note: everything time-slices one CPU),
-# viewmap construction (grid+CSR builder vs the naive O(n²) reference),
+# viewmap construction (packed builder vs the naive O(n²) reference),
 # incremental persistence (incremental vs full segment-store checkpoint,
 # plus cold-restart recovery), observability overhead
 # (ingest with the metrics registry on vs off), and the daemon soak
@@ -41,17 +41,17 @@ cd "$repo_root"
 "$build_dir/bench/bench_index" "$@"
 echo "BENCH_index.json -> $repo_root/BENCH_index.json"
 
-# Edge-set assertion: the grid-accelerated builder must have produced the
+# Edge-set assertion: the packed, sharded builder must have produced the
 # bit-identical CSR as the retained naive reference in every layout.
 if ! grep -q '"viewmap_build"' BENCH_index.json; then
   echo "viewmap_build check: scenario missing from BENCH_index.json" >&2
   exit 1
 fi
 if grep -q '"edges_match": false' BENCH_index.json; then
-  echo "viewmap_build check: grid and reference builders disagree on the edge set" >&2
+  echo "viewmap_build check: packed and reference builders disagree on the edge set" >&2
   exit 1
 fi
-echo "viewmap_build check passed: grid edge sets match the O(n^2) reference"
+echo "viewmap_build check passed: packed edge sets match the O(n^2) reference"
 
 # Recovery-invariant assertion: the checkpoint scenario must have restarted
 # from its own segments and found exactly the profiles the manifest (and the

@@ -24,6 +24,10 @@
 //
 // The config file is `key=value` per line (# comments); keys are the
 // long flag names without the leading dashes. Flags override the file.
+// A numeric value is a whole token of decimal digits that its field can
+// hold (--port ≤ 65535, intervals within the steady clock's range); any
+// other value, in a flag or a config line, exits 2 with usage before the
+// daemon binds or opens its store.
 //
 // Soak mode (--soak_rate=N > 0) generates N synthetic VPs/second of
 // live ingest through the daemon's backpressured submit path, advances
@@ -36,11 +40,12 @@
 // Startup prints one parseable line per fact the harnesses assert on:
 //   viewmapd: scrape listening on 127.0.0.1:PORT
 //   viewmapd: recovered seq=N profiles=M      (or: fresh database)
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -74,24 +79,58 @@ struct Options {
   std::string failpoints;  ///< failpoint spec; empty = none
 };
 
+/// Parses a whole token of decimal digits no larger than `max` into
+/// `out`; false (and `out` untouched) for an empty value, a sign, a
+/// space, a suffix, or a number the destination cannot hold.
+bool parse_digits(const std::string& value, std::uint64_t max, std::uint64_t& out) {
+  std::uint64_t v = 0;
+  const char* last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, v);
+  if (ec != std::errc{} || ptr != last || v > max) return false;
+  out = v;
+  return true;
+}
+
+/// Sets one option from a `key=value` flag or config line; false for an
+/// unknown key or a numeric value its field cannot hold.
 bool apply(Options& o, const std::string& key, const std::string& value) {
-  const auto u64 = [&value] { return std::strtoull(value.c_str(), nullptr, 10); };
   if (key == "store") o.store_dir = value;
   else if (key == "bind") o.bind = value;
-  else if (key == "port") o.port = u64();
-  else if (key == "workers") o.workers = u64();
-  else if (key == "checkpoint_interval_ms") o.checkpoint_interval_ms = u64();
-  else if (key == "jitter") o.jitter = u64();
-  else if (key == "keep_manifests") o.keep_manifests = u64();
-  else if (key == "recover_seq") o.recover_seq = u64();
-  else if (key == "run_seconds") o.run_seconds = u64();
-  else if (key == "soak_rate") o.soak_rate = u64();
-  else if (key == "unit_every_ms") o.unit_every_ms = u64();
-  else if (key == "investigate_every_ms") o.investigate_every_ms = u64();
-  else if (key == "cache_mb") o.cache_mb = u64();
-  else if (key == "seed") o.seed = u64();
   else if (key == "failpoints") o.failpoints = value;
-  else return false;
+  else {
+    using std::chrono::steady_clock;
+    constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+    constexpr std::uint64_t kSize = std::numeric_limits<std::size_t>::max();
+    // Intervals are added to steady_clock time points, so they must fit
+    // its duration, not just std::chrono::milliseconds.
+    constexpr auto kMs = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(steady_clock::duration::max())
+            .count());
+    constexpr auto kSeconds = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::seconds>(steady_clock::duration::max())
+            .count());
+    const struct {
+      const char* key;
+      std::uint64_t* field;
+      std::uint64_t max;
+    } numeric[] = {
+        {"port", &o.port, std::numeric_limits<std::uint16_t>::max()},
+        {"workers", &o.workers, kSize},
+        {"checkpoint_interval_ms", &o.checkpoint_interval_ms, kMs},
+        {"jitter", &o.jitter, std::numeric_limits<unsigned>::max()},
+        {"keep_manifests", &o.keep_manifests, kSize},
+        {"recover_seq", &o.recover_seq, kAny},
+        {"run_seconds", &o.run_seconds, kSeconds},
+        {"soak_rate", &o.soak_rate, kAny},
+        {"unit_every_ms", &o.unit_every_ms, kMs},
+        {"investigate_every_ms", &o.investigate_every_ms, kMs},
+        {"cache_mb", &o.cache_mb, kSize >> 20},  // shifted into bytes
+        {"seed", &o.seed, kAny},
+    };
+    for (const auto& n : numeric)
+      if (key == n.key) return parse_digits(value, n.max, *n.field);
+    return false;
+  }
   return true;
 }
 
@@ -132,18 +171,21 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   Options opt;
-  // First pass: config file only, so flags override it.
+  // First pass: config file only, so flags override it. Every value is
+  // checked here, before anything binds or touches the store.
   for (int i = 1; i < argc; ++i)
     if (std::strncmp(argv[i], "--config=", 9) == 0 &&
         !load_config_file(opt, argv[i] + 9))
-      return 2;
+      return usage(argv[0]);
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--config=", 9) == 0) continue;
-    if (std::strncmp(arg, "--", 2) != 0) return usage(argv[0]);
     const char* eq = std::strchr(arg, '=');
-    if (eq == nullptr || !apply(opt, std::string(arg + 2, eq), eq + 1))
+    if (std::strncmp(arg, "--", 2) != 0 || eq == nullptr ||
+        !apply(opt, std::string(arg + 2, eq), eq + 1)) {
+      std::fprintf(stderr, "viewmapd: bad flag: %s\n", arg);
       return usage(argv[0]);
+    }
   }
 
   daemon::DaemonConfig cfg;
