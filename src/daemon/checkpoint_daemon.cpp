@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <stdexcept>
 #include <string_view>
 
 #include "common/failpoint.h"
@@ -16,6 +17,13 @@ namespace {
 /// Slice long waits so the thread heartbeats (and notices stop/poke)
 /// at least once a second.
 constexpr std::chrono::milliseconds kMaxSlice{1000};
+
+/// Longest wait ever drawn: half the steady clock's range (~146 years),
+/// so `steady_clock::now() + wait` cannot wrap.
+constexpr std::int64_t kMaxWaitMs =
+    std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::duration::max())
+        .count() / 2;
 
 bool same_digests(const std::vector<index::DbSnapshot::ShardDigest>& a,
                   const std::vector<index::DbSnapshot::ShardDigest>& b) {
@@ -34,6 +42,8 @@ CheckpointDaemon::CheckpointDaemon(sys::ViewMapService& service,
     : service_(service),
       store_(store),
       cfg_(cfg) {
+  if (cfg_.jitter_pct > 100)
+    throw std::invalid_argument("CheckpointConfig::jitter_pct must be 0-100");
   auto& reg = service_.metrics();
   store_.adopt_metrics(&reg);
   heartbeats_ = &reg.counter("viewmap_daemon_heartbeats_total",
@@ -127,15 +137,15 @@ std::string CheckpointDaemon::last_error() const {
 }
 
 std::chrono::milliseconds CheckpointDaemon::jittered(std::chrono::milliseconds base) {
-  if (cfg_.jitter_pct == 0) return std::max<std::chrono::milliseconds>(
-      base, std::chrono::milliseconds{1});
-  const auto b = base.count();
-  const std::int64_t span =
-      std::max<std::int64_t>(1, b * static_cast<std::int64_t>(cfg_.jitter_pct) / 100);
-  // base − span … base + span, uniform.
-  const std::int64_t offset =
-      static_cast<std::int64_t>(jitter_rng_.next_u64() % (2 * span + 1)) - span;
-  return std::chrono::milliseconds(std::max<std::int64_t>(1, b + offset));
+  const std::int64_t b = std::clamp<std::int64_t>(base.count(), 1, kMaxWaitMs);
+  if (cfg_.jitter_pct == 0) return std::chrono::milliseconds(b);
+  // b · pct / 100 without forming b · pct; pct ≤ 100 keeps span ≤ b.
+  const auto pct = static_cast<std::int64_t>(cfg_.jitter_pct);
+  const std::int64_t span = std::max<std::int64_t>(1, b / 100 * pct + b % 100 * pct / 100);
+  // base − span … base + span, uniform; b + span ≤ 2 · kMaxWaitMs fits.
+  const std::int64_t offset = static_cast<std::int64_t>(
+      jitter_rng_.next_u64() % static_cast<std::uint64_t>(2 * span + 1)) - span;
+  return std::chrono::milliseconds(std::clamp<std::int64_t>(b + offset, 1, kMaxWaitMs));
 }
 
 std::chrono::milliseconds CheckpointDaemon::next_wait() {

@@ -63,6 +63,7 @@ namespace viewmap::daemon {
 struct CheckpointConfig {
   std::chrono::milliseconds interval{30000};
   /// Each cycle's wait is interval ± this percentage, drawn per cycle.
+  /// 0–100; the daemon's constructor throws std::invalid_argument above.
   unsigned jitter_pct = 10;
   /// Retry cadence after a failed cycle: first retry after
   /// retry_backoff_min, doubling per consecutive failure, capped at
@@ -78,6 +79,7 @@ class CheckpointDaemon {
  public:
   /// Wires `store` into the service's registry (adopt_metrics) and
   /// registers its own metrics there. Nothing runs until start().
+  /// Throws std::invalid_argument when cfg.jitter_pct exceeds 100.
   CheckpointDaemon(sys::ViewMapService& service, store::SegmentStore& store,
                    CheckpointConfig cfg);
   /// abort()s — destruction must not write a checkpoint nobody asked for.
@@ -130,9 +132,11 @@ class CheckpointDaemon {
   /// if none ever failed).
   [[nodiscard]] std::string last_error() const;
 
-  /// Draws the wait before the next cycle: interval ± jitter_pct. Each
-  /// daemon seeds its own generator from std::random_device, so daemons
-  /// restarted together draw different waits. The checkpoint thread is
+  /// Draws the wait before the next cycle: interval ± jitter_pct, at
+  /// least 1 ms and at most half the steady clock's range, so
+  /// steady_clock::now() + wait cannot wrap. Each daemon seeds its own
+  /// generator from std::random_device, so daemons restarted together
+  /// draw different waits. The checkpoint thread is
   /// the only caller while it runs; call it elsewhere only before
   /// start().
   [[nodiscard]] std::chrono::milliseconds next_wait();

@@ -17,8 +17,6 @@ void VpTimeline::wire_metrics() {
   shards_gauge_ = &cfg_.metrics->gauge("viewmap_timeline_shards");
   eviction_passes_ = &cfg_.metrics->counter("viewmap_timeline_eviction_passes_total");
   evicted_vps_ = &cfg_.metrics->counter("viewmap_timeline_evicted_vps_total");
-  tombstones_reclaimed_ =
-      &cfg_.metrics->counter("viewmap_timeline_tombstones_reclaimed_total");
 }
 
 VpTimeline::~VpTimeline() {
@@ -47,17 +45,14 @@ VpTimeline::VpTimeline(VpTimeline&& other) noexcept
       size_(other.size_.load()),
       trusted_count_(other.trusted_count_.load()),
       clock_(other.clock_.load()),
-      tombstones_(other.tombstones_.load()),
       shards_gauge_(other.shards_gauge_),
       eviction_passes_(other.eviction_passes_),
       evicted_vps_(other.evicted_vps_),
-      tombstones_reclaimed_(other.tombstones_reclaimed_),
       shard_count_(other.shard_count_.load()) {
   other.fresh_stripes();
   other.size_ = 0;
   other.trusted_count_ = 0;
   other.clock_ = std::numeric_limits<TimeSec>::min();
-  other.tombstones_ = 0;
   // Gauge contribution moves with the shards; other now owns none.
   other.shard_count_ = 0;
 }
@@ -71,7 +66,6 @@ VpTimeline& VpTimeline::operator=(VpTimeline&& other) noexcept {
   shards_gauge_ = other.shards_gauge_;
   eviction_passes_ = other.eviction_passes_;
   evicted_vps_ = other.evicted_vps_;
-  tombstones_reclaimed_ = other.tombstones_reclaimed_;
   shard_count_ = other.shard_count_.load();
   other.shard_count_ = 0;
   cfg_ = other.cfg_;
@@ -80,20 +74,11 @@ VpTimeline& VpTimeline::operator=(VpTimeline&& other) noexcept {
   size_ = other.size_.load();
   trusted_count_ = other.trusted_count_.load();
   clock_ = other.clock_.load();
-  tombstones_ = other.tombstones_.load();
   other.fresh_stripes();
   other.size_ = 0;
   other.trusted_count_ = 0;
   other.clock_ = std::numeric_limits<TimeSec>::min();
-  other.tombstones_ = 0;
   return *this;
-}
-
-bool VpTimeline::shard_holds(TimeSec unit, const Id16& id) const {
-  TimeStripe& ts = time_stripe(unit);
-  std::lock_guard lock(ts.mutex);
-  auto it = ts.shards.find(unit);
-  return it != ts.shards.end() && it->second->profiles.contains(id);
 }
 
 VpTimeline::Admission VpTimeline::upload(vp::ViewProfile profile, bool trusted) {
@@ -110,23 +95,19 @@ bool VpTimeline::insert(vp::ViewProfile&& profile, bool trusted) {
   const TimeSec unit = profile.unit_time();
 
   // Phase 1: claim the id globally (duplicate screen across all shards).
+  // Every entry is a live id, an in-flight claim or an evicted id not yet
+  // released, so any entry makes this upload a duplicate.
   IdStripe& is = id_stripe(id);
   {
     std::lock_guard lock(is.mutex);
-    auto [it, fresh] = is.ids.try_emplace(id, IdEntry{unit, false});
-    if (!fresh) {
-      if (!it->second.committed) return false;  // concurrent insert in flight
-      if (shard_holds(it->second.unit_time, id)) return false;  // live duplicate
-      it->second = IdEntry{unit, false};  // tombstone of an evicted shard
-      tombstones_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    if (!is.ids.try_emplace(id, unit).second) return false;
   }
 
   // Phase 2: commit to the minute's shard. Only this id's claimant can be
   // here, so the shard emplace cannot collide. Allocation failure must not
-  // strand the phase-1 claim (an uncommitted entry blocks its id forever
-  // and compaction keeps it), so unwind rolls back shard state under the
-  // time lock, then the claim under the id lock — never both held.
+  // strand the phase-1 claim (it would block its id forever), so unwind
+  // rolls back shard state under the time lock, then the claim under the
+  // id lock — never both held.
   TimeStripe& ts = time_stripe(unit);
   bool created_shard = false;
   try {
@@ -180,13 +161,6 @@ bool VpTimeline::insert(vp::ViewProfile&& profile, bool trusted) {
     shard_count_.fetch_add(1, std::memory_order_relaxed);
     if (shards_gauge_ != nullptr) shards_gauge_->add(1);
   }
-
-  // Phase 3: publish — the id entry now survives as a tombstone if its
-  // shard is later evicted.
-  {
-    std::lock_guard lock(is.mutex);
-    is.ids[id].committed = true;
-  }
   // Trusted uploads arrive authenticated, so their timestamps may drive
   // the retention clock. Anonymous claims never touch it.
   if (trusted) advance_clock(unit);
@@ -197,39 +171,27 @@ std::size_t VpTimeline::adopt_shard(std::shared_ptr<TimeShard> shard) {
   if (shard == nullptr || shard->profiles.empty()) return 0;
   const TimeSec unit = shard->unit_time;
 
-  // ── Phase 1: claim every id, uncommitted — the same in-flight marker
-  // insert() uses, so a concurrent insert of a colliding id is rejected
-  // rather than racing the publish below. Ids are bucketed per stripe so
-  // each stripe mutex is taken once, not once per profile.
-  std::array<std::vector<Id16>, kIdStripes> buckets;
+  // ── Phase 1: claim every id — the same claim insert() takes, so a
+  // concurrent insert of a colliding id is rejected rather than racing the
+  // publish below. Ids are bucketed per stripe so each stripe mutex is
+  // taken once, not once per profile.
+  IdBuckets buckets;
   for (const auto& [id, profile] : shard->profiles)
     buckets[Id16Hasher{}(id) % kIdStripes].push_back(id);
 
   std::vector<Id16> drops;
-  /// Exactly the ids this call claimed (fresh entries), per stripe — the
-  /// precise set phase 3 commits and a failed publish unwinds. Dropped
-  /// ids and foreign in-flight claims are never touched.
-  std::array<std::vector<Id16>, kIdStripes> claimed;
-  /// Tombstones overwritten by the claim, with their pre-images — the
-  /// rollback set if publication fails.
-  std::vector<std::pair<Id16, IdEntry>> reclaimed;
+  /// Exactly the ids this call claimed, per stripe — the set a failed
+  /// publish unwinds. Dropped ids are never touched.
+  IdBuckets claimed;
   for (std::size_t s = 0; s < kIdStripes; ++s) {
     if (buckets[s].empty()) continue;
     IdStripe& is = *id_stripes_[s];
     std::lock_guard lock(is.mutex);
     for (const Id16& id : buckets[s]) {
-      auto [it, fresh] = is.ids.try_emplace(id, IdEntry{unit, false});
-      if (fresh) {
+      if (is.ids.try_emplace(id, unit).second)
         claimed[s].push_back(id);
-        continue;
-      }
-      if (!it->second.committed || shard_holds(it->second.unit_time, id)) {
-        drops.push_back(id);  // in-flight or live elsewhere: first wins
-        continue;
-      }
-      reclaimed.emplace_back(id, it->second);  // tombstone of an evicted shard
-      it->second = IdEntry{unit, false};
-      tombstones_.fetch_sub(1, std::memory_order_relaxed);
+      else
+        drops.push_back(id);  // live, in flight or being evicted: first wins
     }
   }
 
@@ -245,21 +207,6 @@ std::size_t VpTimeline::adopt_shard(std::shared_ptr<TimeShard> shard) {
   const std::size_t adopted = shard->profiles.size();
   const std::size_t trusted_added = shard->trusted.size();
   if (adopted == 0) return drops.size();  // everything collided; no claims held
-
-  const auto unwind_claims = [&] {
-    for (std::size_t s = 0; s < kIdStripes; ++s) {
-      if (claimed[s].empty()) continue;
-      IdStripe& is = *id_stripes_[s];
-      std::lock_guard lock(is.mutex);
-      for (const Id16& id : claimed[s]) is.ids.erase(id);
-    }
-    for (const auto& [id, entry] : reclaimed) {
-      IdStripe& is = id_stripe(id);
-      std::lock_guard lock(is.mutex);
-      is.ids[id] = entry;
-      tombstones_.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
 
   // ── Phase 2: publish the whole shard in one critical section. An
   // occupied slot (a live service adopting into a non-empty minute) takes
@@ -297,7 +244,7 @@ std::size_t VpTimeline::adopt_shard(std::shared_ptr<TimeShard> shard) {
       }
     }
   } catch (...) {
-    unwind_claims();
+    release_ids(claimed);
     throw;
   }
   if (created_shard) {
@@ -307,18 +254,6 @@ std::size_t VpTimeline::adopt_shard(std::shared_ptr<TimeShard> shard) {
   size_.fetch_add(adopted, std::memory_order_relaxed);
   trusted_count_.fetch_add(trusted_added, std::memory_order_relaxed);
 
-  // ── Phase 3: commit the claims; ids now survive eviction as tombstones.
-  for (std::size_t s = 0; s < kIdStripes; ++s) {
-    if (claimed[s].empty()) continue;
-    IdStripe& is = *id_stripes_[s];
-    std::lock_guard lock(is.mutex);
-    for (const Id16& id : claimed[s]) is.ids[id].committed = true;
-  }
-  for (const auto& pre : reclaimed) {
-    IdStripe& is = id_stripe(pre.first);
-    std::lock_guard lock(is.mutex);
-    is.ids[pre.first].committed = true;
-  }
   if (trusted_added > 0) advance_clock(unit);
   return drops.size();
 }
@@ -350,10 +285,10 @@ bool VpTimeline::admissible(TimeSec unit_time) const noexcept {
 DbSnapshot VpTimeline::snapshot() const {
   auto state = std::make_shared<DbSnapshot::State>();
   {
-    // One consistent cut: hold every time-stripe lock (in index order —
-    // the same global order compaction uses) while collecting shard
-    // references. O(live shards) pointer copies; the copies are what
-    // make every collected shard copy-on-write for later writers.
+    // One consistent cut: hold every time-stripe lock (in index order)
+    // while collecting shard references. O(live shards) pointer copies;
+    // the copies are what make every collected shard copy-on-write for
+    // later writers.
     std::vector<std::unique_lock<std::mutex>> locks;
     locks.reserve(kTimeStripes);
     for (const auto& stripe : time_stripes_) locks.emplace_back(stripe->mutex);
@@ -387,13 +322,13 @@ std::shared_ptr<const vp::ViewProfile> VpTimeline::find(const Id16& vp_id) const
     IdStripe& is = id_stripe(vp_id);
     std::lock_guard lock(is.mutex);
     auto it = is.ids.find(vp_id);
-    if (it == is.ids.end() || !it->second.committed) return nullptr;
-    unit = it->second.unit_time;
+    if (it == is.ids.end()) return nullptr;
+    unit = it->second;
   }
   TimeStripe& ts = time_stripe(unit);
   std::lock_guard lock(ts.mutex);
   auto sit = ts.shards.find(unit);
-  if (sit == ts.shards.end()) return nullptr;  // evicted → id is a tombstone
+  if (sit == ts.shards.end()) return nullptr;  // evicted, id not yet released
   auto pit = sit->second->profiles.find(vp_id);
   return pit == sit->second->profiles.end() ? nullptr : pit->second;
 }
@@ -404,8 +339,8 @@ bool VpTimeline::is_trusted(const Id16& vp_id) const {
     IdStripe& is = id_stripe(vp_id);
     std::lock_guard lock(is.mutex);
     auto it = is.ids.find(vp_id);
-    if (it == is.ids.end() || !it->second.committed) return false;
-    unit = it->second.unit_time;
+    if (it == is.ids.end()) return false;
+    unit = it->second;
   }
   TimeStripe& ts = time_stripe(unit);
   std::lock_guard lock(ts.mutex);
@@ -448,8 +383,15 @@ std::size_t VpTimeline::evict_outside(TimeSec oldest, TimeSec newest) {
     if (!graveyard.empty())
       shards_gauge_->sub(static_cast<std::int64_t>(graveyard.size()));
   }
-  const std::size_t dead = tombstones_.fetch_add(evicted, std::memory_order_relaxed) + evicted;
-  if (dead > size_.load(std::memory_order_relaxed)) compact_tombstones();
+  // Release the evicted ids, one lock per id stripe and no time lock
+  // held. No pin is needed: a shard off the map is out of every writer's
+  // reach, so its profiles map is stable. Until its id is released, a
+  // re-upload of it is a duplicate.
+  IdBuckets released;
+  for (const auto& shard : graveyard)
+    for (const auto& [id, profile] : shard->profiles)
+      released[Id16Hasher{}(id) % kIdStripes].push_back(id);
+  release_ids(released);
   return evicted;
 }
 
@@ -464,28 +406,13 @@ std::size_t VpTimeline::enforce_retention() {
   return evict_outside(oldest, newest);
 }
 
-void VpTimeline::compact_tombstones() {
-  // One sweep over the id maps, dropping entries whose shard is gone.
-  // Takes every stripe lock, id stripes first — the same global order any
-  // single insert/lookup follows, so this cannot deadlock against them.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(kIdStripes + kTimeStripes);
-  for (const auto& stripe : id_stripes_) locks.emplace_back(stripe->mutex);
-  for (const auto& stripe : time_stripes_) locks.emplace_back(stripe->mutex);
-
-  const auto live = [this](TimeSec unit, const Id16& id) {
-    auto& shards = time_stripe(unit).shards;
-    auto it = shards.find(unit);
-    return it != shards.end() && it->second->profiles.contains(id);
-  };
-  std::size_t reclaimed = 0;
-  for (const auto& stripe : id_stripes_)
-    reclaimed += std::erase_if(stripe->ids, [&](const auto& entry) {
-      return entry.second.committed && !live(entry.second.unit_time, entry.first);
-    });
-  tombstones_.store(0, std::memory_order_relaxed);
-  if (tombstones_reclaimed_ != nullptr && reclaimed != 0)
-    tombstones_reclaimed_->add(reclaimed);
+void VpTimeline::release_ids(const IdBuckets& ids) {
+  for (std::size_t s = 0; s < kIdStripes; ++s) {
+    if (ids[s].empty()) continue;
+    IdStripe& is = *id_stripes_[s];
+    std::lock_guard lock(is.mutex);
+    for (const Id16& id : ids[s]) is.ids.erase(id);
+  }
 }
 
 std::vector<ShardStats> VpTimeline::shard_stats() const {

@@ -29,14 +29,15 @@
 // Concurrency: upload/is_trusted/snapshot take striped locks — ids are
 // striped by id hash, shards by unit-time hash — so concurrent ingest
 // threads working on different minutes (or different ids within a
-// minute) rarely contend and never take a global lock. The global id map
-// makes duplicate-id detection work across shards; eviction does NOT
-// walk it (that would make eviction O(evicted VPs) of index surgery
-// under the ingest path's locks). Instead evicted ids become
-// *tombstones* that are resolved lazily: a lookup whose shard has
-// vanished reports the id as absent, a re-upload reclaims the entry, and
-// once tombstones outnumber live ids the maps are compacted in one
-// sweep.
+// minute) rarely contend and never take a global lock. No thread holds
+// an id-stripe mutex and a time-stripe mutex at once; snapshot, the one
+// multi-stripe holder, takes the time stripes in index order. The global id map
+// makes duplicate-id detection work across shards (the NoticeBoard and
+// the reward path look VPs up by id). It holds only live and in-flight
+// ids: eviction releases the ids of every shard it drops, one lock per
+// id stripe, after its time-stripe locks are released — O(evicted ids),
+// paid beside the shard's own destruction. An evicted id stays a
+// duplicate until it is released; after that it may be uploaded again.
 //
 // Read surface: there is none on the live timeline beyond O(1) scalar
 // accessors, find() (which returns an owning shared_ptr) and is_trusted.
@@ -49,6 +50,7 @@
 // publishes the clone; eviction just drops the timeline's reference.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -82,9 +84,9 @@ struct RetentionConfig {
 
 struct TimelineConfig {
   RetentionConfig retention{};
-  /// When set, the timeline publishes a live-shard gauge and eviction /
-  /// tombstone counters here. Null disables all instrumentation. Not
-  /// owned; must outlive the timeline.
+  /// When set, the timeline publishes a live-shard gauge and eviction
+  /// counters here. Null disables all instrumentation. Not owned; must
+  /// outlive the timeline.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -103,30 +105,30 @@ class VpTimeline {
     kAccepted,   ///< stored
     kMalformed,  ///< failed vp::well_formed
     kUntimely,   ///< anonymous claim outside admissible()
-    kDuplicate,  ///< id collides with a live (or in-flight) entry
+    kDuplicate,  ///< id is live, in flight, or evicted but not yet released
   };
 
   /// The one admission path (paper §4): every VP that enters a shard
   /// comes through here, except recovery's bulk adopt_shard, whose
   /// profiles the store screens itself. Runs vp::well_formed, then — for
   /// anonymous uploads only — admissible() on the claimed unit-time,
-  /// then the three-phase insert. Trusted uploads arrive authenticated:
-  /// they skip the timeliness screen and advance the retention clock to
-  /// their unit-time (so a device with a corrupt far-future RTC poisons
-  /// the clock — reset_clock() is the recovery path). Thread-safe.
+  /// then the insert. Trusted uploads arrive authenticated: they skip
+  /// the timeliness screen and advance the retention clock to their
+  /// unit-time (so a device with a corrupt far-future RTC poisons the
+  /// clock — reset_clock() is the recovery path). Thread-safe.
   Admission upload(vp::ViewProfile profile, bool trusted);
 
   /// Bulk shard adoption — the recovery fast path. The caller hands over
   /// a fully-built, already-screened shard (profiles map, trusted set)
   /// it owns exclusively; the timeline claims every id, removes
-  /// collisions (an id already live elsewhere keeps its earlier profile —
-  /// the same first-wins rule upload() applies), and publishes the shard
-  /// in one time-stripe critical section instead of one three-phase
-  /// insert per profile. When the unit-time slot is already occupied
-  /// the survivors are merged into the existing shard (copy-on-write
-  /// when pinned). Counters and — when the shard carries
-  /// trusted ids — the trusted clock are updated exactly as
-  /// `profiles.size()` individual inserts would have.
+  /// collisions (an id already claimed elsewhere keeps its earlier
+  /// profile — the same first-wins rule upload() applies), and publishes the shard
+  /// in one time-stripe critical section instead of one insert per
+  /// profile. When the unit-time slot is already occupied the survivors
+  /// are merged into the existing shard (copy-on-write when pinned).
+  /// Counters and — when the shard carries trusted ids — the trusted
+  /// clock are updated exactly as `profiles.size()` individual inserts
+  /// would have.
   /// Returns the number of profiles dropped as id collisions; any drop
   /// or merge invalidates the shard's digest cache. Thread-safe against
   /// concurrent inserts/snapshots, but the shard argument must not be
@@ -195,18 +197,16 @@ class VpTimeline {
   static constexpr std::size_t kIdStripes = 16;
   static constexpr std::size_t kTimeStripes = 8;
 
-  struct IdEntry {
-    TimeSec unit_time = 0;
-    /// False while the owning insert is between claiming the id and
-    /// committing the profile to its shard; such entries are hard
-    /// duplicates, never tombstones.
-    bool committed = false;
-  };
-
   struct IdStripe {
     mutable std::mutex mutex;
-    std::unordered_map<Id16, IdEntry, Id16Hasher> ids;
+    /// Id → unit-time of its shard, for every live id and every id whose
+    /// insert has claimed it but not yet reached its shard. An evicted
+    /// shard's ids are erased by the evictor.
+    std::unordered_map<Id16, TimeSec, Id16Hasher> ids;
   };
+  /// Ids grouped by id stripe, so a bulk claim or release takes each
+  /// stripe mutex once.
+  using IdBuckets = std::array<std::vector<Id16>, kIdStripes>;
 
   struct TimeStripe {
     mutable std::mutex mutex;
@@ -224,15 +224,10 @@ class VpTimeline {
   [[nodiscard]] TimeStripe& time_stripe(TimeSec unit) const {
     return *time_stripes_[static_cast<std::uint64_t>(unit) / kUnitTimeSec % kTimeStripes];
   }
-  /// Lock-order invariant: a thread holding an id-stripe mutex may acquire
-  /// a time-stripe mutex, never the reverse. Multi-stripe holders
-  /// (compaction, snapshot) acquire id stripes in index order, then time
-  /// stripes in index order.
-  [[nodiscard]] bool shard_holds(TimeSec unit, const Id16& id) const;
 
   /// Stores a screened profile (upload()'s last step; takes it by
   /// reference so the hand-over costs no extra move). Returns false when
-  /// the id collides with a live (or in-flight) entry.
+  /// the id is already claimed (see Admission::kDuplicate).
   bool insert(vp::ViewProfile&& profile, bool trusted);
 
   /// The timeliness screen for anonymous uploads: is a claimed unit-time
@@ -254,7 +249,8 @@ class VpTimeline {
   std::size_t evict_outside(TimeSec oldest, TimeSec newest);
 
   void fresh_stripes();
-  void compact_tombstones();
+  /// Erases every listed id from its stripe's map.
+  void release_ids(const IdBuckets& ids);
   void wire_metrics();
 
   TimelineConfig cfg_;
@@ -265,7 +261,6 @@ class VpTimeline {
   /// Trusted retention clock; min() = never set. Advanced only by
   /// advance_clock() — i.e. trusted inserts and the operator.
   std::atomic<TimeSec> clock_{std::numeric_limits<TimeSec>::min()};
-  std::atomic<std::size_t> tombstones_{0};
 
   /// Registry handles, resolved once in wire_metrics(); all null when
   /// cfg_.metrics is null. shard_count_ mirrors this instance's
@@ -275,7 +270,6 @@ class VpTimeline {
   obs::Gauge* shards_gauge_ = nullptr;
   obs::Counter* eviction_passes_ = nullptr;
   obs::Counter* evicted_vps_ = nullptr;
-  obs::Counter* tombstones_reclaimed_ = nullptr;
   std::atomic<std::size_t> shard_count_{0};
 };
 

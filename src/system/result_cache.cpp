@@ -1,5 +1,6 @@
 #include "system/result_cache.h"
 
+#include <array>
 #include <bit>
 #include <utility>
 
@@ -20,16 +21,26 @@ inline std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) noexcept {
   return h;
 }
 
+/// The key as hashing and equality both read it: the site's doubles by
+/// bit pattern, so +0.0 and −0.0 differ and a NaN site equals itself.
+std::array<std::uint64_t, 6> key_words(const ResultCache::Key& k) noexcept {
+  return {static_cast<std::uint64_t>(k.unit_time),
+          std::bit_cast<std::uint64_t>(k.site.min.x),
+          std::bit_cast<std::uint64_t>(k.site.min.y),
+          std::bit_cast<std::uint64_t>(k.site.max.x),
+          std::bit_cast<std::uint64_t>(k.site.max.y),
+          k.generation};
+}
+
 }  // namespace
+
+bool operator==(const ResultCache::Key& a, const ResultCache::Key& b) noexcept {
+  return key_words(a) == key_words(b);
+}
 
 std::size_t ResultCache::KeyHasher::operator()(const Key& k) const noexcept {
   std::uint64_t h = kFnvOffset;
-  h = fnv_u64(h, static_cast<std::uint64_t>(k.unit_time));
-  h = fnv_u64(h, std::bit_cast<std::uint64_t>(k.site.min.x));
-  h = fnv_u64(h, std::bit_cast<std::uint64_t>(k.site.min.y));
-  h = fnv_u64(h, std::bit_cast<std::uint64_t>(k.site.max.x));
-  h = fnv_u64(h, std::bit_cast<std::uint64_t>(k.site.max.y));
-  h = fnv_u64(h, k.generation);
+  for (const std::uint64_t w : key_words(k)) h = fnv_u64(h, w);
   return static_cast<std::size_t>(h);
 }
 

@@ -80,11 +80,9 @@ class ResultCache {
     TimeSec unit_time = 0;
     std::uint64_t generation = 0;
 
-    friend bool operator==(const Key& a, const Key& b) noexcept {
-      return a.unit_time == b.unit_time && a.generation == b.generation &&
-             a.site.min.x == b.site.min.x && a.site.min.y == b.site.min.y &&
-             a.site.max.x == b.site.max.x && a.site.max.y == b.site.max.y;
-    }
+    /// Bitwise, the same definition KeyHasher hashes: a NaN site equals
+    /// itself, and +0.0 and −0.0 sites are different keys.
+    friend bool operator==(const Key& a, const Key& b) noexcept;
   };
 
   struct KeyHasher {

@@ -34,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -517,6 +518,30 @@ TEST(CheckpointJitter, DaemonsBuiltBackToBackDrawDifferentWaits) {
     }
   }
   EXPECT_NE(a, b);
+}
+
+TEST(CheckpointJitter, ExtremeSettingsDrawWaitsThatCannotWrapTheClock) {
+  TempDir dir("jitter_max");
+  sys::ServiceConfig scfg;
+  scfg.rsa_bits = 1024;
+  sys::ViewMapService service(scfg);
+  store::SegmentStore store(dir.str());
+  CheckpointConfig cfg;
+  cfg.jitter_pct = 101;
+  EXPECT_THROW({ CheckpointDaemon rejected(service, store, cfg); }, std::invalid_argument);
+
+  // The largest interval viewmapd accepts, at full jitter: every draw is
+  // at least 1 ms, and its deadline lies after now, never wrapped before.
+  cfg.interval = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::duration::max());
+  cfg.jitter_pct = 100;
+  CheckpointDaemon daemon(service, store, cfg);
+  for (int i = 0; i < 1000; ++i) {
+    const auto wait = daemon.next_wait();
+    ASSERT_GE(wait, 1ms);
+    const auto now = std::chrono::steady_clock::now();
+    ASSERT_GT(now + wait, now);
+  }
 }
 
 TEST(Lifecycle, DoubleStartRefused) {

@@ -176,8 +176,8 @@ TEST(VpTimeline, RetentionEvictsWholeShards) {
   EXPECT_NE(timeline.find(id60), nullptr);
   EXPECT_TRUE(timeline.snapshot().query(0, {{-1e6, -1e6}, {1e6, 1e6}}).empty());
 
-  // An evicted id is a tombstone, not a live entry: an upload reusing it
-  // must be accepted. (Minute 0 itself is now outside the window, so the
+  // Eviction released the evicted ids: an upload reusing one must be
+  // accepted. (Minute 0 itself is now outside the window, so the
   // reuse claims a minute the screen still admits.)
   Rng rng2(30);  // same seed → same first id, whatever the minute
   auto again = random_vp(180, 1000.0, rng2);
@@ -247,11 +247,11 @@ TEST(VpTimeline, AdmissionScreenBoundsAnonymousTimestamps) {
   EXPECT_EQ(db.size(), 3u);
 }
 
-TEST(VpTimeline, TombstoneCompactionKeepsLookupsConsistent) {
+TEST(VpTimeline, EvictionReleasesEveryEvictedId) {
   Rng rng(40);
   VpTimeline timeline;
-  // Many VPs in an old minute, then few in a new one: eviction leaves
-  // tombstones outnumbering live ids, forcing a compaction sweep.
+  // Many VPs in an old minute, then few in a new one: eviction must
+  // release every old id and keep every new one.
   std::vector<Id16> old_ids;
   for (int i = 0; i < 200; ++i) {
     auto p = random_vp(0, 2000.0, rng);
@@ -268,6 +268,16 @@ TEST(VpTimeline, TombstoneCompactionKeepsLookupsConsistent) {
   EXPECT_EQ(timeline.size(), 5u);
   for (const auto& id : old_ids) EXPECT_EQ(timeline.find(id), nullptr);
   for (const auto& id : new_ids) EXPECT_NE(timeline.find(id), nullptr);
+
+  // Every released id may be uploaded again: the same seed regenerates the
+  // same 200 ids, now claiming a minute the screen still admits.
+  Rng again(40);
+  for (const auto& id : old_ids) {
+    auto p = random_vp(1200, 2000.0, again);
+    ASSERT_EQ(p.vp_id(), id);
+    EXPECT_EQ(timeline.upload(std::move(p), false), kAccepted);
+  }
+  EXPECT_EQ(timeline.size(), 205u);
 }
 
 TEST(IngestEngine, StatsAndDuplicateScreen) {
@@ -386,6 +396,7 @@ TEST(VpTimeline, EvictionConcurrentWithInsertKeepsCountersSane) {
     for (int i = 0; i < kPerThread; ++i)
       sets[static_cast<std::size_t>(t)].push_back(
           random_vp(kUnitTimeSec * (i % 6), 2000.0, rng));
+  const auto copies = sets;  // for the re-uploads after the race
 
   VpTimeline timeline;
   std::atomic<bool> done{false};
@@ -410,6 +421,20 @@ TEST(VpTimeline, EvictionConcurrentWithInsertKeepsCountersSane) {
   EXPECT_EQ(timeline.size(), survivors.size());
   EXPECT_LE(timeline.size(), static_cast<std::size_t>(kThreads * kPerThread));
   for (const auto* p : survivors) EXPECT_GE(p->unit_time(), 3 * kUnitTimeSec);
+
+  // The id map agrees with the shards: an id resolves exactly when the
+  // final snapshot holds its profile, so no evicted id was left claimed.
+  const std::vector<Id16> held = ids_of(survivors);
+  for (const auto& set : copies)
+    for (const auto& p : set)
+      EXPECT_EQ(timeline.find(p.vp_id()) != nullptr,
+                std::binary_search(held.begin(), held.end(), p.vp_id()));
+  // Every evicted id re-uploads; every survivor is still a duplicate.
+  for (const auto& set : copies)
+    for (const auto& p : set) {
+      const bool survived = std::binary_search(held.begin(), held.end(), p.vp_id());
+      EXPECT_EQ(timeline.upload(p, false), survived ? Admission::kDuplicate : kAccepted);
+    }
 }
 
 TEST(IngestEngine, DrainsSimulatedTrafficLikeTheSerialPath) {

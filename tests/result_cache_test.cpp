@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -84,6 +85,38 @@ TEST(ResultCache, AnyKeyComponentChangeMisses) {
 
   EXPECT_EQ(cache.find(key_of(1)) != nullptr, true);
   EXPECT_EQ(cache.stats().misses, 3u);
+}
+
+TEST(ResultCache, KeyEqualityMatchesTheHash) {
+  obs::MetricsRegistry reg;
+  ResultCache cache(reg, {.capacity_bytes = 10'000});
+  const ResultCache::KeyHasher hash;
+
+  // A NaN site is still one key: it hits after insert, and inserting it
+  // again replaces the entry instead of piling up unreachable copies.
+  ResultCache::Key nan_site = key_of(1);
+  nan_site.site.min.x = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(nan_site == nan_site);
+  cache.insert(nan_site, entry());
+  EXPECT_NE(cache.find(nan_site), nullptr);
+  for (int i = 0; i < 3; ++i) cache.insert(nan_site, entry());
+  EXPECT_EQ(cache.stats().resident_entries, 1u);
+  EXPECT_NE(cache.find(nan_site), nullptr);
+
+  // +0.0 and −0.0 hash differently, so they must not compare equal:
+  // equal keys always hash alike. Each finds its own entry.
+  ResultCache::Key pos = key_of(2);
+  ResultCache::Key neg = key_of(2);
+  pos.site.min.x = 0.0;
+  neg.site.min.x = -0.0;
+  EXPECT_TRUE(!(pos == neg) || hash(pos) == hash(neg));
+  const auto pos_entry = entry();
+  const auto neg_entry = entry();
+  cache.insert(pos, pos_entry);
+  cache.insert(neg, neg_entry);
+  EXPECT_EQ(cache.find(pos), pos_entry);
+  EXPECT_EQ(cache.find(neg), neg_entry);
+  EXPECT_EQ(cache.stats().resident_entries, 3u);
 }
 
 TEST(ResultCache, ResidentBytesNeverExceedCapacity) {

@@ -102,6 +102,7 @@ expect_usage() {
 expect_usage --port=70000
 expect_usage --workers=abc
 expect_usage --recover_seq=12x
+expect_usage --jitter=101
 printf 'jitter=10\ncache_mb=64MB\n' > "$workdir/bad.conf"
 expect_usage --config="$workdir/bad.conf"
 echo "daemon_smoke: malformed flag and config values exit 2"

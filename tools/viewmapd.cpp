@@ -25,9 +25,9 @@
 // The config file is `key=value` per line (# comments); keys are the
 // long flag names without the leading dashes. Flags override the file.
 // A numeric value is a whole token of decimal digits that its field can
-// hold (--port ≤ 65535, intervals within the steady clock's range); any
-// other value, in a flag or a config line, exits 2 with usage before the
-// daemon binds or opens its store.
+// hold (--port ≤ 65535, --jitter 0–100, intervals within the steady
+// clock's range); any other value, in a flag or a config line, exits 2
+// with usage before the daemon binds or opens its store.
 //
 // Soak mode (--soak_rate=N > 0) generates N synthetic VPs/second of
 // live ingest through the daemon's backpressured submit path, advances
@@ -117,7 +117,7 @@ bool apply(Options& o, const std::string& key, const std::string& value) {
         {"port", &o.port, std::numeric_limits<std::uint16_t>::max()},
         {"workers", &o.workers, kSize},
         {"checkpoint_interval_ms", &o.checkpoint_interval_ms, kMs},
-        {"jitter", &o.jitter, std::numeric_limits<unsigned>::max()},
+        {"jitter", &o.jitter, 100},  // a percentage
         {"keep_manifests", &o.keep_manifests, kSize},
         {"recover_seq", &o.recover_seq, kAny},
         {"run_seconds", &o.run_seconds, kSeconds},
