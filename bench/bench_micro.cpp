@@ -1,19 +1,45 @@
 // Micro-benchmarks (google-benchmark) for the protocol's hot primitives:
-// cascaded hash steps, VD serialization, Bloom operations, viewmap-probe
-// membership tests, and TrustRank iterations. These are the knobs §6.1
+// cascaded hash steps, one-shot frame hashing, VD and VP serialization,
+// Bloom operations, cold probe tables, viewmap-probe membership tests,
+// and TrustRank iterations. These are the knobs §6.1
 // budgets (per-second VD deadline, VP storage, verification latency).
 #include <benchmark/benchmark.h>
 
 #include "bloom/bloom_filter.h"
 #include "common/rng.h"
 #include "crypto/hash_chain.h"
+#include "crypto/sha256.h"
 #include "dsrc/view_digest.h"
 #include "system/trustrank.h"
 #include "vp/video.h"
+#include "vp/view_profile.h"
 
 using namespace viewmap;
 
 namespace {
+
+/// A seeded profile with random digests and Bloom bits (not well_formed;
+/// hashing and serialization do not care).
+vp::ViewProfile random_profile(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<dsrc::ViewDigest> digests(kDigestsPerProfile);
+  Id16 id;
+  rng.fill_bytes(id.bytes);
+  for (int s = 0; s < kDigestsPerProfile; ++s) {
+    auto& vd = digests[static_cast<std::size_t>(s)];
+    vd.time = 61 + s;
+    vd.loc_x = static_cast<float>(rng.uniform(0, 1000));
+    vd.loc_y = static_cast<float>(rng.uniform(0, 1000));
+    vd.file_size = rng.next_u64();
+    vd.vp_id = id;
+    rng.fill_bytes(vd.hash.bytes);
+    vd.second = static_cast<std::uint16_t>(s + 1);
+  }
+  std::vector<std::uint8_t> bits(vp::kBloomBytes);
+  rng.fill_bytes(bits);
+  return vp::ViewProfile(std::move(digests),
+                         bloom::BloomFilter::from_bytes(bits, vp::kBloomHashes));
+}
 
 void BM_CascadedHashStep(benchmark::State& state) {
   const auto chunk_size = static_cast<std::uint64_t>(state.range(0));
@@ -47,6 +73,34 @@ void BM_VdSerialize(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(vd.serialize());
 }
 BENCHMARK(BM_VdSerialize);
+
+// One-shot SHA-256 of one 72-byte VD frame: the unit of Bloom probing.
+void BM_Sha256Frame(benchmark::State& state) {
+  std::vector<std::uint8_t> frame(dsrc::kViewDigestWireSize);
+  Rng rng(8);
+  rng.fill_bytes(frame);
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::sha256(frame));
+}
+BENCHMARK(BM_Sha256Frame);
+
+// The first bloom_probes() call on a VP: 60 frames serialized and hashed.
+// A copy drops the memo, so each iteration copies the profile and builds
+// the table cold; the copy is two allocations, a small share of the row.
+void BM_ColdProbeTable(benchmark::State& state) {
+  const vp::ViewProfile source = random_profile(9);
+  for (auto _ : state) {
+    const vp::ViewProfile cold = source;
+    benchmark::DoNotOptimize(&cold.bloom_probes());
+  }
+}
+BENCHMARK(BM_ColdProbeTable);
+
+// One VP to its 4576-byte wire payload (upload, checkpoint, digest).
+void BM_VpSerialize(benchmark::State& state) {
+  const vp::ViewProfile profile = random_profile(10);
+  for (auto _ : state) benchmark::DoNotOptimize(profile.serialize());
+}
+BENCHMARK(BM_VpSerialize);
 
 void BM_BloomInsert(benchmark::State& state) {
   bloom::BloomFilter filter(2048, 3);

@@ -13,7 +13,10 @@
 
 namespace viewmap::crypto {
 
-/// One-shot SHA-256.
+/// One-shot SHA-256. Thread-safe: each thread reuses its own digest
+/// context, allocated on its first call and freed when it exits, over
+/// one algorithm handle fetched once per process — an implicit fetch per
+/// call would cost more than hashing a 72-byte VD frame.
 [[nodiscard]] Hash32 sha256(std::span<const std::uint8_t> data);
 
 /// Incremental SHA-256 for multi-part inputs (avoids concatenation copies
@@ -32,7 +35,7 @@ class Sha256 {
   [[nodiscard]] Hash32 finish();
 
  private:
-  void* ctx_;  // EVP_MD_CTX, kept opaque to avoid leaking OpenSSL headers
+  void* ctx_ = nullptr;  // EVP_MD_CTX, kept opaque to avoid leaking OpenSSL headers
 };
 
 /// VP identifier derivation: R = H(Q) truncated to 128 bits (§5.1.1).

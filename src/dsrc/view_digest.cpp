@@ -1,28 +1,57 @@
 #include "dsrc/view_digest.h"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/bytes.h"
 
 namespace viewmap::dsrc {
 
-std::vector<std::uint8_t> ViewDigest::serialize() const {
-  ByteWriter w(kViewDigestWireSize);
-  w.put_i64(time);
-  w.put_f32(loc_x);
-  w.put_f32(loc_y);
-  w.put_u64(file_size);
-  w.put_f32(initial_x);
-  w.put_f32(initial_y);
-  w.put_bytes(vp_id.bytes);
-  w.put_bytes(hash.bytes);
-  w.put_u16(second);
-  // Reserved padding keeps the frame at the §6.1 size.
-  for (int i = 0; i < 6; ++i) w.put_u8(0);
-  if (w.size() != kViewDigestWireSize)
-    throw std::logic_error("ViewDigest: wire size drifted from spec");
-  return std::move(w).take();
+namespace {
+
+/// Field widths of the §6.1 frame, in wire order; six reserved zero
+/// bytes of padding fill the rest.
+constexpr std::size_t kFieldBytes = sizeof(TimeSec) + 2 * sizeof(float) +
+                                    sizeof(std::uint64_t) + 2 * sizeof(float) +
+                                    sizeof(Id16::bytes) + sizeof(Hash16::bytes) +
+                                    sizeof(std::uint16_t);
+static_assert(kFieldBytes + 6 == kViewDigestWireSize,
+              "ViewDigest: wire size drifted from spec");
+
+/// Stores `v` little-endian at `p`; returns the byte after it.
+template <typename T>
+std::uint8_t* put_le(std::uint8_t* p, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
+  return p + sizeof(T);
+}
+
+std::uint8_t* put_f32(std::uint8_t* p, float v) {
+  return put_le(p, std::bit_cast<std::uint32_t>(v));
+}
+
+std::uint8_t* put_bytes(std::uint8_t* p, std::span<const std::uint8_t> b) {
+  std::memcpy(p, b.data(), b.size());
+  return p + b.size();
+}
+
+}  // namespace
+
+std::array<std::uint8_t, kViewDigestWireSize> ViewDigest::serialize() const {
+  std::array<std::uint8_t, kViewDigestWireSize> frame{};  // padding stays zero
+  std::uint8_t* p = frame.data();
+  p = put_le(p, static_cast<std::uint64_t>(time));
+  p = put_f32(p, loc_x);
+  p = put_f32(p, loc_y);
+  p = put_le(p, file_size);
+  p = put_f32(p, initial_x);
+  p = put_f32(p, initial_y);
+  p = put_bytes(p, vp_id.bytes);
+  p = put_bytes(p, hash.bytes);
+  put_le(p, second);
+  return frame;
 }
 
 ViewDigest ViewDigest::parse(std::span<const std::uint8_t> frame) {

@@ -7,9 +7,9 @@
 // second-index and padding), small enough to piggyback on a DSRC beacon.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/types.h"
 #include "crypto/hash_chain.h"
@@ -34,8 +34,9 @@ struct ViewDigest {
 
   /// 72-byte wire frame; also the Bloom-filter element for neighbor
   /// summaries (both sides must serialize identically for the membership
-  /// check to work, so the element *is* the frame).
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;
+  /// check to work, so the element *is* the frame). Returned by value in
+  /// the caller's storage: no allocation.
+  [[nodiscard]] std::array<std::uint8_t, kViewDigestWireSize> serialize() const;
 
   /// Parses a frame. Throws std::invalid_argument on bad size and
   /// std::out_of_range on truncation.

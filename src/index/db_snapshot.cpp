@@ -1,6 +1,7 @@
 #include "index/db_snapshot.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/bytes.h"
 #include "crypto/sha256.h"
@@ -29,7 +30,13 @@ void TimeShard::stream_content(
   ordered.reserve(profiles.size());
   for (const auto& [id, profile] : profiles) ordered.push_back(profile.get());
   std::sort(ordered.begin(), ordered.end(), id_less);
-  for (const auto* profile : ordered) sink(profile->serialize());
+  // One buffer for every profile: the sink consumes each chunk before
+  // the next serialize_into overwrites it.
+  std::array<std::uint8_t, vp::kVpWireSize> wire{};
+  for (const auto* profile : ordered) {
+    profile->serialize_into(wire);
+    sink(wire);
+  }
 
   std::vector<Id16> trusted_ordered(trusted.begin(), trusted.end());
   std::sort(trusted_ordered.begin(), trusted_ordered.end());

@@ -88,7 +88,7 @@ struct TimeShard {
   }
 
   /// Streams this shard's canonical content bytes into `sink`, in one or
-  /// more chunks:
+  /// more chunks, each valid only for the duration of its sink call:
   ///
   ///   unit_time i64 LE | vp_count u64 LE | trusted_count u64 LE |
   ///   vp_count × ViewProfile wire payload (ascending id) |

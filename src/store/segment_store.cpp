@@ -132,12 +132,6 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   return out;
 }
 
-Hash32 sha256_prefix(std::span<const std::uint8_t> data, std::size_t len) {
-  crypto::Sha256 hasher;
-  hasher.update(data.subspan(0, len));
-  return hasher.finish();
-}
-
 /// The store's own crash-debris spellings: `*.vseg2.tmp` / `*.vman.tmp`.
 /// Every other name, a foreign `*.tmp` included, is left alone.
 bool is_own_temp(const std::string& name) {
@@ -616,7 +610,7 @@ CheckpointStats SegmentStore::checkpoint(const index::DbSnapshot& snap) {
     writer.put_u32(kSegmentFormatVersion);
     writer.put_bytes(entry.digest.bytes);
   }
-  writer.put_bytes(sha256_prefix(writer.bytes(), writer.size()).bytes);
+  writer.put_bytes(crypto::sha256(writer.bytes()).bytes);
   const std::vector<std::uint8_t> manifest = std::move(writer).take();
 
   const std::string manifest_name = manifest_file_name(stats.sequence);
@@ -675,7 +669,7 @@ SegmentStore::Manifest SegmentStore::read_manifest(std::uint64_t sequence) const
   if (reader.remaining() != 0)
     throw std::runtime_error("segment_store: trailing bytes in " + name +
                              " at offset " + std::to_string(reader.position()));
-  if (stored != sha256_prefix(bytes, payload_len))
+  if (stored != crypto::sha256(std::span(bytes).first(payload_len)))
     throw std::runtime_error("segment_store: manifest checksum mismatch in " + name);
   return manifest;
 }

@@ -1,6 +1,7 @@
 #include "vp/view_profile.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -117,17 +118,22 @@ bool ViewProfile::heard(const ViewProfile& other) const {
 }
 
 std::vector<std::uint8_t> ViewProfile::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kVpWireSize);
+  std::vector<std::uint8_t> out(kVpWireSize);
+  serialize_into(std::span<std::uint8_t, kVpWireSize>(out));
+  return out;
+}
+
+void ViewProfile::serialize_into(std::span<std::uint8_t, kVpWireSize> out) const {
+  const auto& bits = bloom_.data();
+  if (digests_.size() * dsrc::kViewDigestWireSize + bits.size() != out.size())
+    throw std::logic_error("ViewProfile: wire size drifted from spec");
+  std::uint8_t* p = out.data();
   for (const auto& vd : digests_) {
     const auto frame = vd.serialize();
-    out.insert(out.end(), frame.begin(), frame.end());
+    std::memcpy(p, frame.data(), frame.size());
+    p += frame.size();
   }
-  const auto& bits = bloom_.data();
-  out.insert(out.end(), bits.begin(), bits.end());
-  if (out.size() != kVpWireSize)
-    throw std::logic_error("ViewProfile: wire size drifted from spec");
-  return out;
+  std::memcpy(p, bits.data(), bits.size());
 }
 
 ViewProfile ViewProfile::parse(std::span<const std::uint8_t> data) {

@@ -1,7 +1,11 @@
 // Unit tests: SHA-256 wrapper, cascaded hash chain, blind RSA signatures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <string>
+#include <thread>
 
 #include "common/hex.h"
 #include "common/rng.h"
@@ -39,6 +43,68 @@ TEST(Sha256, FinishResetsContext) {
   (void)h.finish();
   h.update(bytes_of("abc"));
   EXPECT_EQ(h.finish(), sha256(bytes_of("abc")));
+}
+
+TEST(Sha256, LongMessageVectors) {
+  // FIPS 180-2: the 448-bit two-block message, and one million 'a's fed
+  // through the incremental hasher in uneven pieces.
+  const auto two_block = bytes_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+  const std::string expected_two_block =
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1";
+  EXPECT_EQ(to_hex(sha256(two_block).bytes), expected_two_block);
+  Sha256 inc;
+  EXPECT_EQ(to_hex(inc.update(two_block).finish().bytes), expected_two_block);
+
+  const std::vector<std::uint8_t> a(1'000'000, 'a');
+  const std::span<const std::uint8_t> all(a);
+  for (std::size_t off = 0; off < all.size();) {
+    const std::size_t n = std::min<std::size_t>(all.size() - off, 1 + off % 4093);
+    inc.update(all.subspan(off, n));
+    off += n;
+  }
+  const std::string expected_million =
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+  EXPECT_EQ(to_hex(inc.finish().bytes), expected_million);
+  EXPECT_EQ(to_hex(sha256(a).bytes), expected_million);
+}
+
+TEST(Sha256, OneShotMatchesAcrossThreads) {
+  // One-shot calls reuse a per-thread context: threads hashing at once
+  // must not share state, and threads started after earlier ones exited
+  // must get working contexts of their own.
+  std::vector<std::vector<std::uint8_t>> inputs{bytes_of(""), bytes_of("abc")};
+  Rng rng(7);
+  for (int i = 0; i < 6; ++i) {
+    std::vector<std::uint8_t> frame(72);
+    rng.fill_bytes(frame);
+    inputs.push_back(std::move(frame));
+  }
+  std::vector<Hash32> expected;
+  for (const auto& in : inputs) {
+    Sha256 inc;  // a different code path from the one under test
+    expected.push_back(inc.update(in).finish());
+  }
+  EXPECT_EQ(to_hex(expected[0].bytes),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(to_hex(expected[1].bytes),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 10'000;
+  for (int wave = 0; wave < 2; ++wave) {
+    std::array<int, kThreads> mismatches{};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        for (int r = 0; r < kRounds; ++r) {
+          const std::size_t i = static_cast<std::size_t>(r + t) % inputs.size();
+          if (sha256(inputs[i]) != expected[i]) ++mismatches[static_cast<std::size_t>(t)];
+        }
+      });
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t)
+      EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "wave " << wave << " thread " << t;
+  }
 }
 
 TEST(Sha256, DeriveVpIdIsTruncatedHash) {

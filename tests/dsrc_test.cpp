@@ -1,6 +1,9 @@
 // Unit tests: VD wire format, radio model, broadcast channel.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/hex.h"
 #include "common/rng.h"
 #include "dsrc/channel.h"
 #include "dsrc/radio.h"
@@ -49,6 +52,36 @@ TEST(ViewDigest, DistinctDigestsSerializeDistinctly) {
   ViewDigest b = a;
   b.second = 18;
   EXPECT_NE(a.serialize(), b.serialize());
+}
+
+TEST(ViewDigest, FrameBytesAreGolden) {
+  // The §6.1 layout byte for byte, pinned from a build that serialized
+  // through ByteWriter: little-endian fields in declaration order, then
+  // six zero padding bytes. A negative time, an all-ones file size, and
+  // distinct id and hash bytes make any reordering or width slip show.
+  ViewDigest vd;
+  vd.time = -1'234'567'890'123LL;
+  vd.loc_x = 10.5f;
+  vd.loc_y = -3.25f;
+  vd.file_size = std::numeric_limits<std::uint64_t>::max();
+  vd.initial_x = 1234.5f;
+  vd.initial_y = -7.75f;
+  for (std::size_t i = 0; i < vd.vp_id.bytes.size(); ++i)
+    vd.vp_id.bytes[i] = static_cast<std::uint8_t>(0x10 + i);
+  for (std::size_t i = 0; i < vd.hash.bytes.size(); ++i)
+    vd.hash.bytes[i] = static_cast<std::uint8_t>(0xe0 + i);
+  vd.second = 60;
+  const auto frame = vd.serialize();
+  EXPECT_EQ(to_hex(frame),
+            "35fb048ee0feffff"                   // time
+            "00002841000050c0"                   // loc_x, loc_y
+            "ffffffffffffffff"                   // file_size
+            "00509a440000f8c0"                   // initial_x, initial_y
+            "101112131415161718191a1b1c1d1e1f"   // vp_id
+            "e0e1e2e3e4e5e6e7e8e9eaebecedeeef"   // hash
+            "3c00"                               // second
+            "000000000000");                     // padding
+  EXPECT_EQ(ViewDigest::parse(frame), vd);
 }
 
 TEST(AcceptancePolicy, TimeWindow) {

@@ -1,7 +1,12 @@
 // Unit tests: synthetic video, ViewProfile, VpBuilder state machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "common/hex.h"
 #include "common/rng.h"
+#include "crypto/sha256.h"
 #include "vp/video.h"
 #include "vp/view_profile.h"
 #include "vp/vp_builder.h"
@@ -249,6 +254,179 @@ TEST(LinkMutually, CreatesTwoWayBloomMembership) {
   link_mutually(a.profile, b.profile);
   EXPECT_TRUE(a.profile.heard(b.profile));
   EXPECT_TRUE(b.profile.heard(a.profile));
+}
+
+/// A fixed profile built without randomness: a straight trajectory,
+/// one id, distinct per-second hash bytes, an empty Bloom filter.
+ViewProfile golden_profile() {
+  std::vector<dsrc::ViewDigest> digests(kDigestsPerProfile);
+  for (int s = 0; s < kDigestsPerProfile; ++s) {
+    auto& vd = digests[static_cast<std::size_t>(s)];
+    vd.time = 6'001 + s;
+    vd.loc_x = 100.0f + 12.5f * static_cast<float>(s);
+    vd.loc_y = -40.0f + 0.25f * static_cast<float>(s);
+    vd.file_size = 4096u * static_cast<std::uint64_t>(s + 1);
+    vd.initial_x = 100.0f;
+    vd.initial_y = -40.0f;
+    for (std::size_t i = 0; i < vd.vp_id.bytes.size(); ++i)
+      vd.vp_id.bytes[i] = static_cast<std::uint8_t>(0x5a ^ i);
+    for (std::size_t i = 0; i < vd.hash.bytes.size(); ++i)
+      vd.hash.bytes[i] = static_cast<std::uint8_t>(16 * s + static_cast<int>(i));
+    vd.second = static_cast<std::uint16_t>(s + 1);
+  }
+  return ViewProfile(std::move(digests), bloom::BloomFilter(kBloomBits, kBloomHashes));
+}
+
+/// A seeded random profile: finite fields, one id, random Bloom bits.
+/// Not well_formed — the wire format does not care.
+ViewProfile random_profile(Rng& rng) {
+  std::vector<dsrc::ViewDigest> digests(kDigestsPerProfile);
+  Id16 id;
+  rng.fill_bytes(id.bytes);
+  for (auto& vd : digests) {
+    vd.time = static_cast<TimeSec>(rng.next_u64());
+    vd.loc_x = static_cast<float>(rng.uniform(-1e5, 1e5));
+    vd.loc_y = static_cast<float>(rng.uniform(-1e5, 1e5));
+    vd.file_size = rng.next_u64();
+    vd.initial_x = static_cast<float>(rng.uniform(-1e5, 1e5));
+    vd.initial_y = static_cast<float>(rng.uniform(-1e5, 1e5));
+    vd.vp_id = id;
+    rng.fill_bytes(vd.hash.bytes);
+    vd.second = static_cast<std::uint16_t>(rng.next_u64());
+  }
+  std::vector<std::uint8_t> bits(kBloomBytes);
+  rng.fill_bytes(bits);
+  return ViewProfile(std::move(digests), bloom::BloomFilter::from_bytes(bits, kBloomHashes));
+}
+
+TEST(BloomProbes, MatchGoldenPositions) {
+  // Pinned from a build that hashed each frame with a one-shot
+  // EVP_Digest over a freshly serialized vector. The packed and the
+  // reference viewmap builders share bloom_probes(), so edges_match
+  // cannot see a framing or hashing change; this table can.
+  static constexpr std::array<std::uint16_t, 3 * kDigestsPerProfile> kGolden = {
+    1664, 655, 1694,
+    1222, 11, 848,
+    769, 140, 1559,
+    1337, 366, 1443,
+    1974, 915, 1904,
+    412, 1051, 1690,
+    937, 430, 1971,
+    1159, 608, 57,
+    1790, 1371, 952,
+    85, 276, 467,
+    1839, 126, 461,
+    1281, 736, 191,
+    58, 1679, 1252,
+    89, 1062, 2035,
+    1913, 1618, 1323,
+    607, 1276, 1945,
+    1315, 1488, 1661,
+    1887, 1344, 801,
+    1143, 1082, 1021,
+    749, 1932, 1067,
+    636, 975, 1314,
+    71, 104, 137,
+    1232, 443, 1702,
+    1692, 1637, 1582,
+    576, 1343, 62,
+    1831, 16, 249,
+    1870, 1863, 1856,
+    1278, 715, 152,
+    836, 731, 626,
+    215, 1954, 1645,
+    943, 1612, 233,
+    1844, 435, 1074,
+    1054, 1303, 1552,
+    963, 790, 617,
+    888, 983, 1078,
+    1527, 406, 1333,
+    64, 303, 542,
+    1620, 1901, 134,
+    1091, 1388, 1685,
+    1269, 1420, 1571,
+    2040, 1735, 1430,
+    1465, 76, 735,
+    206, 1147, 40,
+    1647, 390, 1181,
+    1572, 1715, 1858,
+    1832, 205, 626,
+    1606, 159, 760,
+    1140, 807, 474,
+    283, 1250, 169,
+    1657, 1438, 1219,
+    237, 450, 663,
+    73, 960, 1847,
+    193, 218, 243,
+    804, 1219, 1634,
+    1818, 1403, 988,
+    1836, 1083, 330,
+    1279, 800, 321,
+    178, 995, 1812,
+    1666, 1499, 1332,
+    2022, 515, 1056,
+  };
+  const ViewProfile p = golden_profile();
+  EXPECT_EQ(to_hex(crypto::sha256(p.digests()[0].serialize()).bytes),
+            "80ce594967d650a90e94218d88fdde44468e84763c3b3cd98b5205daa4342a4e");
+  const BloomProbes& table = p.bloom_probes();
+  for (std::size_t s = 0; s < table.at.size(); ++s)
+    for (std::size_t h = 0; h < table.at[s].size(); ++h)
+      EXPECT_EQ(table.at[s][h], kGolden[3 * s + h]) << "second " << s << " hash " << h;
+}
+
+TEST(BloomProbes, PositionsAreWhatInsertAndQueryTest) {
+  // Any 72 bytes parse; re-serializing zeroes the padding. The positions
+  // probe_positions() derives from that frame must be exactly the bits
+  // insert() sets and maybe_contains() reads.
+  Rng rng(21);
+  std::vector<std::uint8_t> raw(dsrc::kViewDigestWireSize);
+  for (int i = 0; i < 1000; ++i) {
+    rng.fill_bytes(raw);
+    const auto frame = dsrc::ViewDigest::parse(raw).serialize();
+    std::array<std::size_t, kBloomHashes> pos{};
+    bloom::BloomFilter::probe_positions(frame, kBloomBits, kBloomHashes, pos);
+
+    bloom::BloomFilter inserted(kBloomBits, kBloomHashes);
+    inserted.insert(frame);
+    std::vector<std::uint8_t> bits(kBloomBytes);
+    for (const std::size_t b : pos) bits[b / 8] |= static_cast<std::uint8_t>(1u << (b % 8));
+    ASSERT_EQ(inserted.data(), bits) << "frame " << i;
+    EXPECT_TRUE(inserted.maybe_contains(frame));
+
+    // Clearing any one probed bit must make the element absent.
+    for (const std::size_t b : pos) {
+      auto holed = bits;
+      holed[b / 8] &= static_cast<std::uint8_t>(~(1u << (b % 8)));
+      EXPECT_FALSE(bloom::BloomFilter::from_bytes(holed, kBloomHashes).maybe_contains(frame));
+    }
+  }
+}
+
+TEST(ViewProfile, WireIsFramesThenBloomBits) {
+  Rng rng(22);
+  for (int i = 0; i < 50; ++i) {
+    const ViewProfile p = random_profile(rng);
+    std::vector<std::uint8_t> expected;
+    for (const auto& vd : p.digests()) {
+      const auto frame = vd.serialize();
+      expected.insert(expected.end(), frame.begin(), frame.end());
+    }
+    expected.insert(expected.end(), p.neighbor_bloom().data().begin(),
+                    p.neighbor_bloom().data().end());
+    const auto wire = p.serialize();
+    ASSERT_EQ(wire, expected) << "profile " << i;
+    EXPECT_EQ(ViewProfile::parse(wire), p);
+
+    // The memoized table is the per-frame probe positions, narrowed.
+    const BloomProbes& table = p.bloom_probes();
+    for (std::size_t s = 0; s < p.digests().size(); ++s) {
+      std::array<std::size_t, kBloomHashes> pos{};
+      bloom::BloomFilter::probe_positions(p.digests()[s].serialize(), kBloomBits,
+                                          kBloomHashes, pos);
+      EXPECT_TRUE(std::equal(pos.begin(), pos.end(), table.at[s].begin()));
+    }
+  }
 }
 
 }  // namespace
