@@ -1,16 +1,27 @@
 // Micro-benchmarks (google-benchmark) for the protocol's hot primitives:
 // cascaded hash steps, one-shot frame hashing, VD and VP serialization,
 // Bloom operations, cold probe tables, viewmap-probe membership tests,
+// viewmap builds of one downtown minute (cold and warm viewlink memo)
 // and TrustRank iterations. These are the knobs §6.1
 // budgets (per-second VD deadline, VP storage, verification latency).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
+
+#include "attack/fake_vp.h"
 #include "bloom/bloom_filter.h"
 #include "common/rng.h"
 #include "crypto/hash_chain.h"
 #include "crypto/sha256.h"
 #include "dsrc/view_digest.h"
+#include "index/db_snapshot.h"
 #include "system/trustrank.h"
+#include "system/viewmap_graph.h"
 #include "vp/video.h"
 #include "vp/view_profile.h"
 
@@ -157,6 +168,110 @@ void BM_TrustRank(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(sys::trust_rank(graph, seeds, cfg));
 }
 BENCHMARK(BM_TrustRank)->Arg(1000)->Arg(6000);
+
+/// A 2,000-VP minute of the downtown layout perfbench sweeps: vehicles
+/// on a 110 m road grid over (1.1 km)², up to 15 m/s either way, and
+/// every pair that came within the 400 m link radius at some second
+/// linked mutually, nearest first, until either side has
+/// vp::kMaxNeighbors. Probe tables are warm, as on a live server.
+struct DowntownMinute {
+  std::unordered_map<Id16, std::shared_ptr<const vp::ViewProfile>, Id16Hasher> profiles;
+  std::vector<const vp::ViewProfile*> members;  ///< the whole minute, by id
+};
+
+const DowntownMinute& downtown_minute() {
+  static const DowntownMinute minute = [] {
+    constexpr std::size_t kVps = 2000;
+    constexpr double kSide = 1100.0;
+    constexpr double kBlock = 110.0;
+    constexpr double kRadius = 400.0;
+    Rng rng(11);
+    std::vector<vp::ViewProfile> fleet;
+    for (std::size_t k = 0; k < kVps; ++k) {
+      const double road = static_cast<double>(rng.uniform_int(0, 10)) * kBlock;
+      const double from = rng.uniform(0.0, kSide);
+      const double travel = rng.uniform(-900.0, 900.0);
+      const bool along_x = rng.index(2) == 0;
+      const geo::Vec2 a = along_x ? geo::Vec2{from, road} : geo::Vec2{road, from};
+      const geo::Vec2 b =
+          along_x ? geo::Vec2{from + travel, road} : geo::Vec2{road, from + travel};
+      fleet.push_back(attack::make_fake_profile(0, a, b, rng));
+    }
+    std::vector<std::tuple<double, std::size_t, std::size_t>> in_range;
+    for (std::size_t i = 0; i < kVps; ++i)
+      for (std::size_t j = i + 1; j < kVps; ++j) {
+        double best = kRadius * kRadius;
+        bool near = false;
+        for (int s = 0; s < kDigestsPerProfile; ++s) {
+          const geo::Vec2 d = fleet[i].location_at(s) - fleet[j].location_at(s);
+          const double d2 = d.x * d.x + d.y * d.y;
+          near = near || d2 <= best;
+          best = std::min(best, d2);
+        }
+        if (near) in_range.emplace_back(best, i, j);
+      }
+    std::sort(in_range.begin(), in_range.end());
+    std::vector<std::size_t> degree(kVps, 0);
+    for (const auto& [d2, i, j] : in_range) {
+      if (degree[i] == vp::kMaxNeighbors || degree[j] == vp::kMaxNeighbors) continue;
+      vp::link_mutually(fleet[i], fleet[j]);
+      ++degree[i];
+      ++degree[j];
+    }
+    DowntownMinute m;
+    for (auto& p : fleet) {
+      auto owned = std::make_shared<const vp::ViewProfile>(std::move(p));
+      (void)owned->bloom_probes();
+      m.members.push_back(owned.get());
+      m.profiles.emplace(owned->vp_id(), std::move(owned));
+    }
+    std::sort(m.members.begin(), m.members.end(),
+              [](const auto* a, const auto* b) { return a->vp_id() < b->vp_id(); });
+    return m;
+  }();
+  return minute;
+}
+
+/// A new shard lineage over the minute's profiles: no verdict memo yet.
+/// No timeline holds it, so no writer mutates it while a build reads it
+/// (what a snapshot's pin guarantees for a live shard).
+std::shared_ptr<const index::TimeShard> fresh_shard(const DowntownMinute& minute) {
+  auto shard = std::make_shared<index::TimeShard>(0);
+  shard->profiles = minute.profiles;
+  return shard;
+}
+
+/// One build of the whole minute through its shard, on one core. The
+/// shard and the viewmap are made and freed outside the timed region.
+void build_minute(benchmark::State& state, bool warm) {
+  const DowntownMinute& minute = downtown_minute();
+  sys::ViewmapConfig cfg;
+  cfg.build_threads = 1;
+  const sys::ViewmapBuilder builder(cfg);
+  const std::vector<bool> trusted(minute.members.size(), false);
+  const geo::Rect cover{{-1e4, -1e4}, {1e4, 1e4}};
+  auto shard = fresh_shard(minute);
+  if (warm) (void)builder.build_from_members(minute.members, trusted, 0, cover, shard);
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (!warm) shard = fresh_shard(minute);
+    std::optional<sys::Viewmap> map;
+    state.ResumeTiming();
+    map.emplace(builder.build_from_members(minute.members, trusted, 0, cover, shard));
+    state.PauseTiming();
+    map.reset();
+    state.ResumeTiming();
+  }
+}
+
+// The first build of a minute: every pair runs the kernel (and, with the
+// viewlink memo, writes its verdict bits).
+void BM_ViewmapBuildCold(benchmark::State& state) { build_minute(state, false); }
+BENCHMARK(BM_ViewmapBuildCold)->Unit(benchmark::kMillisecond);
+
+// A repeat build of the same minute: every verdict comes from the memo.
+void BM_ViewmapBuildWarm(benchmark::State& state) { build_minute(state, true); }
+BENCHMARK(BM_ViewmapBuildWarm)->Unit(benchmark::kMillisecond);
 
 void BM_SyntheticChunk(benchmark::State& state) {
   const vp::SyntheticVideoSource source(7, static_cast<std::uint64_t>(state.range(0)));

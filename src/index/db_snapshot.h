@@ -44,6 +44,10 @@
 #include "geo/geometry.h"
 #include "vp/view_profile.h"
 
+namespace viewmap::sys {
+class ViewlinkMemo;  // system/viewmap_graph.h
+}  // namespace viewmap::sys
+
 namespace viewmap::index {
 
 /// Per-shard census row (inspection tooling, persistence stats).
@@ -74,14 +78,36 @@ struct TimeShard {
   /// reading the maps, which a writer may then be mutating.
   mutable std::atomic<std::size_t> pins{0};
 
+  /// Where this minute's viewlink verdict memo lives (sys::ViewlinkMemo,
+  /// system/viewmap_graph.h): 2 bits per pair of the profiles it indexes,
+  /// filled by the viewmap builds over this shard. It caches verdicts —
+  /// pure functions of two immutable profiles and the link radius — so
+  /// it is not shard content: digests and generations ignore it.
+  ///
+  /// The cell, not the memo, is what a COW clone copies, so a whole
+  /// lineage (a shard and every clone descended from it) shares one
+  /// memo. A build that installs the memo on a pinned shard thus also
+  /// installs it for the clones late uploads made meanwhile. That is
+  /// sound because a lineage only ever adds profiles and profiles are
+  /// immutable: whatever version a memo was made from, its slots are
+  /// either profiles of the reading shard or matched by none of its
+  /// members. Retention drops the memo with the lineage's last shard.
+  struct ViewlinkMemoCell {
+    std::mutex mutex;  ///< guards memo; held only to read or swap the pointer
+    std::shared_ptr<const sys::ViewlinkMemo> memo;
+  };
+  const std::shared_ptr<ViewlinkMemoCell> viewlink_memo = std::make_shared<ViewlinkMemoCell>();
+
   explicit TimeShard(TimeSec unit) : unit_time(unit) {}
-  /// COW clone: copies the content, starts unpinned, with an invalid
-  /// digest cache and a fresh generation stamp (the clone exists
-  /// precisely because it is about to be mutated).
+  /// COW clone: copies the content and shares the viewlink memo cell,
+  /// starts unpinned, with an invalid digest cache and a fresh
+  /// generation stamp (the clone exists precisely because it is about to
+  /// be mutated).
   TimeShard(const TimeShard& other)
       : unit_time(other.unit_time),
         profiles(other.profiles),
-        trusted(other.trusted) {}
+        trusted(other.trusted),
+        viewlink_memo(other.viewlink_memo) {}
 
   [[nodiscard]] ShardStats stats() const {
     return {unit_time, profiles.size(), trusted.size()};

@@ -33,7 +33,10 @@ ViewMapService::ViewMapService(const ServiceConfig& cfg)
       cache_(metrics_, cfg_.result_cache),
       ingest_metrics_(index::IngestMetrics::wire(metrics_)),
       investigate_us_(&metrics_.histogram("viewmap_investigate_us")),
-      cache_hit_us_(&metrics_.histogram("viewmap_cache_hit_us")) {}
+      cache_hit_us_(&metrics_.histogram("viewmap_cache_hit_us")),
+      pairs_tested_(&metrics_.counter("viewmap_viewlink_pairs_tested_total")),
+      pairs_memoized_(&metrics_.counter("viewmap_viewlink_pairs_memoized_total")),
+      memo_bytes_(&metrics_.gauge("viewmap_viewlink_memo_bytes")) {}
 
 index::IngestStats ViewMapService::ingest_totals() const noexcept {
   return ingest_metrics_.totals();
@@ -162,6 +165,9 @@ InvestigationReport ViewMapService::investigate(const DbSnapshot& snap,
   }
 
   Viewmap map = builder_.build(snap, site, unit_time);
+  pairs_tested_->add(map.pair_counts().tested);
+  pairs_memoized_->add(map.pair_counts().memoized);
+  memo_bytes_->set(static_cast<std::int64_t>(viewlink_memo_bytes()));
   VerificationResult verdict = verifier_.verify(map, site);
 
   std::vector<Id16> solicited;

@@ -274,6 +274,9 @@ class ViewMapService {
   index::IngestMetrics ingest_metrics_;  ///< registry handles + name catalogue
   obs::Histogram* investigate_us_ = nullptr;
   obs::Histogram* cache_hit_us_ = nullptr;  ///< latency of cache-served hits
+  obs::Counter* pairs_tested_ = nullptr;    ///< viewlink kernel runs, per build
+  obs::Counter* pairs_memoized_ = nullptr;  ///< pairs read from viewlink memos
+  obs::Gauge* memo_bytes_ = nullptr;        ///< viewlink_memo_bytes() after a build
   /// Debug-build enforcement of the ingest_uploads() single-caller
   /// contract (see common/reentrancy.h). Header always declares it so
   /// NDEBUG and debug TUs agree on the object layout.

@@ -1,10 +1,15 @@
 #include "system/viewmap_graph.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <exception>
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -12,13 +17,14 @@ namespace viewmap::sys {
 
 Viewmap::Viewmap(std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
                  CsrGraph graph, TimeSec unit_time, geo::Rect coverage,
-                 std::shared_ptr<const index::TimeShard> pinned)
+                 std::shared_ptr<const index::TimeShard> pinned, PairCounts pairs)
     : members_(std::move(members)),
       trusted_(std::move(trusted)),
       graph_(std::move(graph)),
       unit_time_(unit_time),
       coverage_(coverage),
-      pinned_(std::move(pinned)) {
+      pinned_(std::move(pinned)),
+      pairs_(pairs) {
   if (members_.size() != trusted_.size() || members_.size() != graph_.size())
     throw std::invalid_argument("Viewmap: inconsistent member arrays");
 }
@@ -74,14 +80,19 @@ Viewmap ViewmapBuilder::build(const index::DbSnapshot& snap, const geo::Rect& si
   geo::Rect cover = site;
   {
     obs::SpanScope obs_span("member_select");
+    if (!std::isfinite(site.min.x) || !std::isfinite(site.min.y) ||
+        !std::isfinite(site.max.x) || !std::isfinite(site.max.y))
+      throw std::invalid_argument("ViewmapBuilder: site coordinates must be finite");
     const auto trusted = snap.trusted_at(unit_time);
     if (trusted.empty())
       throw std::runtime_error("ViewmapBuilder: no trusted VP for this unit-time");
 
     // Trusted VP closest to the investigation site (§5.2.1). Trusted cars
     // are rarely at the site itself; the coverage area bridges the gap.
+    // A finite site so far out that every distance overflows to +inf
+    // keeps the first trusted VP.
     const geo::Vec2 site_center = site.center();
-    const vp::ViewProfile* seed = nullptr;
+    const vp::ViewProfile* seed = trusted.front();
     double best = std::numeric_limits<double>::infinity();
     for (const auto* t : trusted) {
       for (int s = 0; s < kDigestsPerProfile; ++s) {
@@ -121,6 +132,158 @@ Viewmap ViewmapBuilder::build(const index::DbSnapshot& snap, const geo::Rect& si
   return build_from_members(std::move(members), std::move(trusted_flags), unit_time,
                             cover, snap.shard(unit_time));
 }
+
+// ── the viewlink verdict memo ────────────────────────────────────────
+
+namespace {
+
+/// Bytes held by every granted MemoBudgetLease; never above the budget.
+std::atomic<std::size_t> memo_bytes_in_use{0};
+
+/// Zeroed 64-bit words mapped straight from the kernel. A page costs
+/// memory only once a build touches it, and a long-lived memo never sits
+/// in the malloc heaps between the per-build buffers that come and go
+/// around it (which kept freed buffers resident). Empty when the mapping
+/// fails or `count` is 0.
+class MappedWords {
+ public:
+  explicit MappedWords(std::size_t count) noexcept : bytes_(count * sizeof(std::uint64_t)) {
+    if (count == 0) return;
+    void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p != MAP_FAILED) data_ = static_cast<std::uint64_t*>(p);
+  }
+  MappedWords(MappedWords&& other) noexcept
+      : bytes_(other.bytes_), data_(std::exchange(other.data_, nullptr)) {}
+  MappedWords& operator=(MappedWords&&) = delete;
+  ~MappedWords() {
+    if (data_ != nullptr) ::munmap(data_, bytes_);
+  }
+
+  [[nodiscard]] bool mapped() const noexcept { return data_ != nullptr || bytes_ == 0; }
+  [[nodiscard]] std::uint64_t& operator[](std::uint64_t index) const noexcept {
+    return data_[index];
+  }
+
+ private:
+  std::size_t bytes_;
+  std::uint64_t* data_ = nullptr;
+};
+
+}  // namespace
+
+std::size_t viewlink_memo_bytes() noexcept {
+  return memo_bytes_in_use.load(std::memory_order_relaxed);
+}
+
+MemoBudgetLease::MemoBudgetLease(std::size_t bytes) noexcept {
+  std::size_t used = memo_bytes_in_use.load(std::memory_order_relaxed);
+  do {
+    if (bytes > kViewlinkMemoBudget - used) return;
+  } while (!memo_bytes_in_use.compare_exchange_weak(used, used + bytes,
+                                                    std::memory_order_relaxed));
+  bytes_ = bytes;
+  granted_ = true;
+}
+
+MemoBudgetLease::MemoBudgetLease(MemoBudgetLease&& other) noexcept
+    : bytes_(std::exchange(other.bytes_, 0)), granted_(std::exchange(other.granted_, false)) {}
+
+MemoBudgetLease::~MemoBudgetLease() {
+  if (granted_) memo_bytes_in_use.fetch_sub(bytes_, std::memory_order_relaxed);
+}
+
+/// The viewlink verdict memo of one minute (see the file comment of
+/// viewmap_graph.h and index::TimeShard::viewlink_memo). Slot s is the
+/// s-th profile, by ascending id, of the shard version it was made from;
+/// the memo holds those profiles, so a slot's address is never reused
+/// while a build could match a member against it. Pair (a, b), a < b,
+/// owns 2 bits (tested, linked) at its index in the row-major upper
+/// triangle, so one anchor's pairs with ascending slots are consecutive
+/// bits of consecutive words.
+///
+/// Everything but the verdict words is immutable once made (and
+/// published through the shard's cell, under its mutex). Builds read and OR bits
+/// into the words only through relaxed std::atomic_ref operations: a
+/// pair's two bits arrive in one fetch_or, so whoever reads its tested
+/// bit reads its linked bit in the same word value, and a verdict is the
+/// same whichever build wrote it.
+class ViewlinkMemo {
+ public:
+  static constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+  static constexpr std::uint64_t kTested = 1;
+  static constexpr std::uint64_t kLinked = 2;
+
+  /// A memo over every profile of `shard` (pinned by the caller) for
+  /// link radius `radius`, or null when the budget cannot hold it.
+  static std::shared_ptr<const ViewlinkMemo> make(const index::TimeShard& shard,
+                                                  double radius) {
+    const std::size_t n = shard.profiles.size();
+    MemoBudgetLease lease(sizeof(ViewlinkMemo) + n * sizeof(Profile) +
+                          word_count(n) * sizeof(std::uint64_t));
+    if (!lease.granted()) return nullptr;
+    MappedWords words(word_count(n));
+    if (!words.mapped()) return nullptr;
+    std::vector<Profile> profiles;
+    profiles.reserve(n);
+    for (const auto& [id, profile] : shard.profiles) profiles.push_back(profile);
+    std::sort(profiles.begin(), profiles.end(),
+              [](const Profile& a, const Profile& b) { return a->vp_id() < b->vp_id(); });
+    return std::shared_ptr<const ViewlinkMemo>(
+        new ViewlinkMemo(std::move(profiles), radius, std::move(words), std::move(lease)));
+  }
+
+  [[nodiscard]] double radius() const noexcept { return radius_; }
+  [[nodiscard]] std::size_t size() const noexcept { return profiles_.size(); }
+
+  /// Sets slots[i] to member i's slot — same id AND same profile object —
+  /// or kNoSlot, and returns how many members fall outside.
+  std::size_t assign_slots(std::span<const vp::ViewProfile* const> members,
+                           std::vector<std::uint32_t>& slots) const {
+    slots.resize(members.size());
+    std::size_t outside = 0;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const auto it = std::lower_bound(
+          profiles_.begin(), profiles_.end(), members[i]->vp_id(),
+          [](const Profile& slot, const Id16& id) { return slot->vp_id() < id; });
+      const bool hit = it != profiles_.end() && it->get() == members[i];
+      slots[i] = hit ? static_cast<std::uint32_t>(it - profiles_.begin()) : kNoSlot;
+      outside += hit ? 0 : 1;
+    }
+    return outside;
+  }
+
+  /// Where anchor slot a's row sits: pair (a, b > a) owns bit
+  /// row_bit(a) + 2b (tested) and the bit above it (linked). Row a starts
+  /// at triangle index a(2n − a − 1)/2, and its pair b is b − a − 1 into
+  /// it; the unsigned wrap of row 0's −2 cancels once 2b is added.
+  [[nodiscard]] std::uint64_t row_bit(std::uint32_t a) const noexcept {
+    const std::uint64_t n = profiles_.size();
+    return 2 * (std::uint64_t{a} * (2 * n - a - 1) / 2) - 2 * (std::uint64_t{a} + 1);
+  }
+  [[nodiscard]] std::atomic_ref<std::uint64_t> word(std::uint64_t index) const noexcept {
+    return std::atomic_ref<std::uint64_t>(words_[index]);
+  }
+
+ private:
+  using Profile = std::shared_ptr<const vp::ViewProfile>;
+
+  static std::size_t word_count(std::size_t n) noexcept {
+    const std::uint64_t pairs = std::uint64_t{n} * (n - 1) / 2;  // 0 when n = 0
+    return static_cast<std::size_t>((2 * pairs + 63) / 64);
+  }
+
+  ViewlinkMemo(std::vector<Profile> profiles, double radius, MappedWords words,
+               MemoBudgetLease lease)
+      : profiles_(std::move(profiles)),
+        radius_(radius),
+        words_(std::move(words)),
+        lease_(std::move(lease)) {}
+
+  std::vector<Profile> profiles_;  ///< slot s holds profiles_[s]; ascending id
+  double radius_;
+  MappedWords words_;  ///< zeroed (nothing tested); accessed only through word()
+  MemoBudgetLease lease_;
+};
 
 namespace {
 
@@ -374,6 +537,105 @@ void run_sharded(std::size_t threads, const Fn& fn) {
     if (err) std::rethrow_exception(err);
 }
 
+/// The memo a build over `members` of `shard` reads and fills, with each
+/// member's slot in `slots`; null (the build runs memo-off) when the
+/// lineage's memo serves another link radius, or when there is none and
+/// the budget cannot hold one. The first build of a lineage installs its
+/// memo. A later build replaces it when more than an eighth of its
+/// members fall outside it and the shard has more profiles than the memo
+/// indexes (late uploads), so replacements stop once the minute is quiet.
+/// Racing builds install one memo: a loser adopts the winner's. The cell
+/// is locked only to read or swap the pointer; a memo is made outside it.
+std::shared_ptr<const ViewlinkMemo> memo_for_build(
+    const index::TimeShard& shard, double radius,
+    std::span<const vp::ViewProfile* const> members, std::vector<std::uint32_t>& slots) {
+  index::TimeShard::ViewlinkMemoCell& cell = *shard.viewlink_memo;
+  std::shared_ptr<const ViewlinkMemo> memo;
+  {
+    std::lock_guard lock(cell.mutex);
+    memo = cell.memo;
+  }
+  if (memo != nullptr) {
+    if (memo->radius() != radius) return nullptr;
+    const std::size_t outside = memo->assign_slots(members, slots);
+    if (outside * 8 <= members.size() || shard.profiles.size() <= memo->size()) return memo;
+  }
+  std::shared_ptr<const ViewlinkMemo> fresh = ViewlinkMemo::make(shard, radius);
+  if (fresh == nullptr) return memo;  // over budget: keep what there is
+  {
+    std::lock_guard lock(cell.mutex);
+    if (cell.memo == memo)
+      cell.memo = fresh;
+    else
+      fresh = cell.memo;  // another build got there first
+  }
+  if (fresh->radius() != radius) return nullptr;
+  fresh->assign_slots(members, slots);
+  return fresh;
+}
+
+/// One sweep thread's walk over a memo's verdict words, one anchor row
+/// at a time. A pair of slots (a, b > a) whose tested bit is set is
+/// answered from its linked bit; any other pair runs the kernel, and a
+/// memo pair's two new bits are ORed into its word once per visit, when
+/// the walk moves to another word — not at all for a word the walk found
+/// fully tested. Pairs with a member outside the memo, and pairs whose
+/// slots descend (members not in id order), run the kernel unrecorded.
+class MemoCursor {
+ public:
+  /// With a null memo every pair runs the kernel.
+  explicit MemoCursor(const ViewlinkMemo* memo) noexcept : memo_(memo) {}
+  MemoCursor(const MemoCursor&) = delete;
+  MemoCursor& operator=(const MemoCursor&) = delete;
+  ~MemoCursor() { flush(); }
+
+  /// Starts the row of anchor slot `a` (kNoSlot for a member outside).
+  void anchor(std::uint32_t a) noexcept {
+    anchor_ = memo_ == nullptr ? ViewlinkMemo::kNoSlot : a;
+    if (anchor_ != ViewlinkMemo::kNoSlot) row_bit_ = memo_->row_bit(a);
+  }
+
+  /// The verdict of the anchor and slot `b`, from the memo or `kernel()`.
+  template <class Kernel>
+  bool linked(std::uint32_t b, const Kernel& kernel) {
+    if (anchor_ >= b || b == ViewlinkMemo::kNoSlot) return kernel();
+    const std::uint64_t bit = row_bit_ + 2 * std::uint64_t{b};
+    const std::uint64_t word = bit / 64;
+    const unsigned shift = static_cast<unsigned>(bit % 64);
+    if (word != word_) {
+      flush();
+      word_ = word;
+      bits_ = memo_->word(word).load(std::memory_order_relaxed);
+    }
+    const std::uint64_t verdict = bits_ >> shift;
+    if (verdict & ViewlinkMemo::kTested) {
+      ++memoized_;
+      return (verdict & ViewlinkMemo::kLinked) != 0;
+    }
+    const bool linked = kernel();
+    pending_ |= (linked ? ViewlinkMemo::kTested | ViewlinkMemo::kLinked
+                        : ViewlinkMemo::kTested)
+                << shift;
+    return linked;
+  }
+
+  [[nodiscard]] std::uint64_t memoized() const noexcept { return memoized_; }
+
+ private:
+  void flush() noexcept {
+    if (pending_ != 0) memo_->word(word_).fetch_or(pending_, std::memory_order_relaxed);
+    pending_ = 0;
+  }
+
+  const ViewlinkMemo* memo_;
+  std::uint32_t anchor_ = ViewlinkMemo::kNoSlot;
+  std::uint64_t row_bit_ = 0;
+  std::uint64_t word_ = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t bits_ = 0;
+  std::uint64_t pending_ = 0;
+  std::uint64_t memoized_ = 0;
+};
+
 /// CSR assembly from the accepted pair list (sorted, unique, smaller id
 /// high): count degrees, prefix-sum, then two fill passes — smaller-side
 /// neighbors first, larger-side second — so every neighbor list comes
@@ -405,10 +667,15 @@ Viewmap ViewmapBuilder::build_from_members(
   const std::size_t n = members.size();
   if (n > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("ViewmapBuilder: too many members");
+  const std::size_t all_pairs = n * (n - 1) / 2;
+  std::uint64_t memoized = 0;
   const std::vector<std::uint64_t> accepted = [&] {
     obs::SpanScope obs_span("edge_build");
+    std::vector<std::uint32_t> slots(n, ViewlinkMemo::kNoSlot);
+    const std::shared_ptr<const ViewlinkMemo> memo =
+        pinned == nullptr ? nullptr
+                          : memo_for_build(*pinned, cfg_.link_radius_m, members, slots);
     PackedMembers packed(members, cfg_.link_radius_m);  // freed before CSR assembly
-    const std::size_t all_pairs = n * (n - 1) / 2;
     const std::size_t threads =
         all_pairs < kParallelMinPairs
             ? 1
@@ -417,19 +684,35 @@ Viewmap ViewmapBuilder::build_from_members(
 
     // Pack in even member ranges (cold profiles hash their probe tables
     // here), then sweep every pair (i, j > i) in contiguous anchor ranges
-    // balanced by pair count, one edge buffer per thread. Each buffer
-    // comes out in (i, j) order and the ranges ascend, so concatenating
-    // them yields the sorted pair list CSR assembly wants.
+    // balanced by pair count, one edge buffer per thread. A pair of two
+    // memo slots takes its verdict from the memo when an earlier build
+    // tested it; every other pair runs the kernel. Each buffer comes out
+    // in (i, j) order and the ranges ascend, so concatenating them yields
+    // the sorted pair list CSR assembly wants.
     run_sharded(threads, [&](std::size_t t) {
       packed.pack(n * t / threads, n * (t + 1) / threads);
     });
     const auto bounds = triangle_bounds(n, threads);
     std::vector<std::vector<std::uint64_t>> partial(threads);
+    std::vector<std::uint64_t> partial_memoized(threads, 0);
     run_sharded(threads, [&](std::size_t t) {
-      for (std::uint32_t i = bounds[t]; i < bounds[t + 1]; ++i)
-        for (std::uint32_t j = i + 1; j < n; ++j)
-          if (packed.linked(i, j)) partial[t].push_back(pack_pair(i, j));
+      // Each row's candidates are written unconditionally and kept by
+      // advancing the count: no branch on the (unpredictable) verdict.
+      std::vector<std::uint64_t> row(n);
+      MemoCursor cursor(memo.get());
+      for (std::uint32_t i = bounds[t]; i < bounds[t + 1]; ++i) {
+        cursor.anchor(slots[i]);
+        std::size_t kept = 0;
+        for (std::uint32_t j = i + 1; j < n; ++j) {
+          row[kept] = pack_pair(i, j);
+          kept += cursor.linked(slots[j], [&] { return packed.linked(i, j); });
+        }
+        partial[t].insert(partial[t].end(), row.begin(),
+                          row.begin() + static_cast<std::ptrdiff_t>(kept));
+      }
+      partial_memoized[t] = cursor.memoized();
     });
+    for (const std::uint64_t m : partial_memoized) memoized += m;
     std::size_t total = 0;
     for (const auto& p : partial) total += p.size();
     std::vector<std::uint64_t> merged = std::move(partial[0]);
@@ -443,8 +726,8 @@ Viewmap ViewmapBuilder::build_from_members(
     obs::SpanScope obs_span("csr_build");
     return csr_from_sorted_pairs(n, accepted);
   }();
-  return Viewmap(std::move(members), std::move(trusted), std::move(graph),
-                 unit_time, coverage, std::move(pinned));
+  return Viewmap(std::move(members), std::move(trusted), std::move(graph), unit_time,
+                 coverage, std::move(pinned), {all_pairs - memoized, memoized});
 }
 
 Viewmap ViewmapBuilder::build_from_members_reference(

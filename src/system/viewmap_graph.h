@@ -16,12 +16,25 @@
 // scan. Surviving edges are laid out as one flat CSR (system/csr_graph.h)
 // that TrustRank and Algorithm 1 consume without copying. Packing and the
 // sweep are sharded across a small thread pool (ViewmapConfig::
-// build_threads) in contiguous anchor ranges; the edge set is
-// bit-identical for every thread count and to the retained reference
-// builder, which evaluates the predicate through the profiles' own
-// methods (property-tested in tests/viewmap_build_test.cpp).
+// build_threads) in contiguous anchor ranges.
+//
+// A verdict depends only on two immutable profiles and the link radius,
+// never on the site, so a build over a minute's shard first consults
+// that minute's viewlink memo (ViewlinkMemo, held by the shard lineage:
+// index::TimeShard::viewlink_memo). It stores 2 bits per pair (tested,
+// linked) of the shard's profiles; the sweep runs the kernel only on
+// pairs no earlier build of the minute tested, and ORs the new verdicts
+// in. Repeat investigations of a minute — other sites, other requests —
+// thus pay member selection, a scan of memo bits, CSR and TrustRank. All
+// memos together stay under kViewlinkMemoBudget bytes; past it a build
+// runs memo-off. build_from_members() without a shard is the memo-off
+// path. The edge set is bit-identical memo-on and memo-off, for every
+// thread count, and to the retained reference builder, which evaluates
+// the predicate through the profiles' own methods (property-tested in
+// tests/viewmap_build_test.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -47,6 +60,38 @@ struct ViewmapConfig {
   std::size_t build_threads = 0;
 };
 
+/// The process-wide cap on the bytes of all live viewlink memos. A build
+/// that would take a memo past it runs memo-off (same edges, no memo).
+inline constexpr std::size_t kViewlinkMemoBudget = std::size_t{128} << 20;
+
+/// Bytes every live viewlink memo of the process holds — the
+/// `viewmap_viewlink_memo_bytes` gauge.
+[[nodiscard]] std::size_t viewlink_memo_bytes() noexcept;
+
+/// A claim on `bytes` of kViewlinkMemoBudget, held until the lease is
+/// destroyed. Each memo holds one for its own size; a claim that would
+/// overrun the budget is refused (granted() is false, nothing is held).
+class MemoBudgetLease {
+ public:
+  explicit MemoBudgetLease(std::size_t bytes) noexcept;
+  MemoBudgetLease(MemoBudgetLease&& other) noexcept;
+  MemoBudgetLease& operator=(MemoBudgetLease&&) = delete;
+  ~MemoBudgetLease();
+
+  [[nodiscard]] bool granted() const noexcept { return granted_; }
+
+ private:
+  std::size_t bytes_ = 0;
+  bool granted_ = false;
+};
+
+/// Work of one packed build, in member pairs: run through the viewlink
+/// kernel, or answered from the minute's viewlink memo.
+struct PairCounts {
+  std::uint64_t tested = 0;
+  std::uint64_t memoized = 0;
+};
+
 /// One constructed viewmap: member VPs with undirected CSR adjacency.
 ///
 /// Lifetime: a Viewmap spans one unit-time, so when built over a
@@ -61,7 +106,7 @@ class Viewmap {
  public:
   Viewmap(std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
           CsrGraph graph, TimeSec unit_time, geo::Rect coverage,
-          std::shared_ptr<const index::TimeShard> pinned = {});
+          std::shared_ptr<const index::TimeShard> pinned = {}, PairCounts pairs = {});
 
   [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
   [[nodiscard]] const vp::ViewProfile& member(std::size_t i) const { return *members_.at(i); }
@@ -76,6 +121,9 @@ class Viewmap {
   [[nodiscard]] const CsrGraph& graph() const noexcept { return graph_; }
 
   [[nodiscard]] std::size_t edge_count() const noexcept { return graph_.edge_slots() / 2; }
+  /// How the packed build that made this viewmap decided its member
+  /// pairs (zero for any other viewmap, the reference builder's included).
+  [[nodiscard]] const PairCounts& pair_counts() const noexcept { return pairs_; }
   [[nodiscard]] std::vector<std::size_t> trusted_indices() const;
 
   /// Indices of members with any claimed location inside `site` — the set
@@ -95,6 +143,7 @@ class Viewmap {
   /// Keeps the member profiles alive (null when members are
   /// caller-owned — see the class comment).
   std::shared_ptr<const index::TimeShard> pinned_;
+  PairCounts pairs_;
 };
 
 class ViewmapBuilder {
@@ -106,6 +155,7 @@ class ViewmapBuilder {
   /// pull in every VP claiming locations inside, and create viewlinks.
   /// The minute's shard is pinned inside the returned Viewmap, so the
   /// result remains valid however long the caller keeps it. Throws
+  /// std::invalid_argument if a site coordinate is NaN or infinite, and
   /// std::runtime_error if the snapshot holds no trusted VP for that
   /// minute (a viewmap without a trust seed cannot be verified).
   [[nodiscard]] Viewmap build(const index::DbSnapshot& snap, const geo::Rect& site,
@@ -114,8 +164,13 @@ class ViewmapBuilder {
   /// Lower-level entry: build a viewmap over an explicit member set
   /// (evaluation harnesses inject synthetic/fake VPs this way). Pass the
   /// shard the members point into when there is one, so the viewmap pins
-  /// it; with the default null shard the caller keeps the profiles
-  /// alive. Runs the packed, sharded sweep (see the file comment).
+  /// it and the sweep reads and fills its viewlink memo; the shard must
+  /// then be pinned by a snapshot the caller holds for the call. Members
+  /// match memo slots by id and pointer identity, so a foreign profile
+  /// that shares an id with a shard profile is always tested. With the
+  /// default null shard the caller keeps the profiles alive, and the
+  /// build is memo-off. Runs the packed, sharded sweep (see the file
+  /// comment).
   [[nodiscard]] Viewmap build_from_members(
       std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
       TimeSec unit_time, const geo::Rect& coverage,

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -315,6 +316,52 @@ TEST(InvestigationServer, DeadlineExpiredRequestsFailFastAndDistinctly) {
   EXPECT_EQ(stats.expired, 1u);    // …under their own distinct reason
   EXPECT_EQ(stats.failed, 0u);     // an expiry is not a serve failure
   EXPECT_EQ(stats.rejected, 0u);   // and not a queue rejection either
+}
+
+TEST(InvestigationServer, NonFiniteSiteFailsItsFutureAndTheNextRequestIsServed) {
+  // A NaN or infinite site coordinate used to leave the builder without a
+  // seed VP and take the whole process down; now each such request fails
+  // its own future and the worker serves the next one.
+  ConvoyWorld world;
+  ViewMapService service(small_cfg());
+  service.register_trusted(world.record_of(0).profile);
+  for (VehicleId v = 1; v < 4; ++v)
+    service.upload_channel().submit(world.record_of(v).profile.serialize());
+  service.ingest_uploads();
+  ServerConfig scfg;
+  scfg.workers = 1;
+  auto& server = service.start_server(scfg);
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const geo::Rect site{{0, -50}, {1200, 50}};
+  std::size_t bad_requests = 0;
+  for (const double bad : {kNaN, kInf, -kInf})
+    for (int corner = 0; corner < 4; ++corner) {
+      geo::Rect bad_site = site;
+      double* coords[] = {&bad_site.min.x, &bad_site.min.y, &bad_site.max.x, &bad_site.max.y};
+      *coords[corner] = bad;
+      auto doomed = corner % 2 == 0 ? server.submit(bad_site, 0)
+                                    : server.submit_period(bad_site, 0, kUnitTimeSec);
+      ASSERT_TRUE(doomed.valid());
+      EXPECT_THROW(doomed.get(), std::invalid_argument);
+      ++bad_requests;
+      const auto served = server.submit(site, 0).get();
+      ASSERT_EQ(served.size(), 1u);
+      EXPECT_EQ(served[0].viewmap.size(), 4u);
+    }
+
+  // Finite, but so far away that every distance overflows: the first
+  // trusted VP seeds the viewmap, and the request is served.
+  const geo::Rect far{{-1.6e308, -1.6e308}, {-1.4e308, -1.4e308}};
+  const auto far_reports = server.submit(far, 0).get();
+  ASSERT_EQ(far_reports.size(), 1u);
+  EXPECT_EQ(far_reports[0].viewmap.trusted_indices().size(), 1u);
+  EXPECT_TRUE(far_reports[0].verification.site_members.empty());
+
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.failed, bad_requests);
+  EXPECT_EQ(stats.completed, 2 * bad_requests + 1);
 }
 
 TEST(InvestigationServer, SnapshotFailureIsCountedAndTimedNotSilent) {

@@ -14,19 +14,32 @@
 // between far-apart profiles that proximity must reject), the dense
 // downtown regime with half-full filters and offset start times, and
 // profiles whose timestamps have gaps or repeats.
+//
+// The viewlink memo must not change that: builds over shards admitted
+// through VpTimeline::upload — cold, warm, across late uploads and
+// copy-on-write clones, from four threads at once, beside a builder of
+// another radius, with a foreign member that shares an id, and with the
+// memo budget exhausted — all emit the reference's CSR.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <latch>
 #include <limits>
+#include <mutex>
 #include <ranges>
+#include <stdexcept>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "attack/fake_vp.h"
 #include "common/rng.h"
+#include "index/timeline.h"
 #include "system/csr_graph.h"
 #include "system/trustrank.h"
 #include "system/verifier.h"
@@ -391,6 +404,302 @@ TEST(ViewmapBuildEquivalence, EqualIdsNeverLink) {
             << "pair " << i << "," << j << " at n=" << fleet.size();
       }
   }
+}
+
+// ── the viewlink verdict memo ────────────────────────────────────────
+
+constexpr geo::Rect kEverywhere{{-1e7, -1e7}, {1e7, 1e7}};
+
+/// Minute 0 of dense downtown traffic (about 300 VPs on 0.8 km²) as the
+/// upload screen admits it: dense_downtown() profiles that start in
+/// minute 0 and cover 60 contiguous seconds, in a seeded order. Made
+/// once; every memo test uploads copies into a timeline of its own.
+const std::vector<vp::ViewProfile>& minute_zero() {
+  static const std::vector<vp::ViewProfile> fleet = [] {
+    Rng rng(70);
+    std::vector<vp::ViewProfile> out;
+    for (auto& p : dense_downtown(700, 900.0, rng))
+      if (p.unit_time() == 0 && vp::well_formed(p)) out.push_back(std::move(p));
+    return out;
+  }();
+  return fleet;
+}
+
+/// Uploads fleet[from, to) into `timeline`: fleet[0] as the trusted seed
+/// (it also sets the clock), the rest anonymously.
+void upload(index::VpTimeline& timeline, const std::vector<vp::ViewProfile>& fleet,
+            std::size_t from, std::size_t to) {
+  for (std::size_t k = from; k < to; ++k)
+    ASSERT_EQ(timeline.upload(fleet[k], /*trusted=*/k == 0),
+              index::VpTimeline::Admission::kAccepted);
+}
+
+std::uint64_t pairs_of(std::size_t n) { return n * (n - 1) / 2; }
+
+/// Builds `members` of `snap`'s minute 0 through its memo, requires the
+/// reference's CSR and accounts for every pair, and returns the counts.
+PairCounts memo_build(const ViewmapBuilder& builder, const index::DbSnapshot& snap,
+                      const std::vector<const vp::ViewProfile*>& members) {
+  const std::vector<bool> trusted(members.size(), false);
+  const Viewmap ref = builder.build_from_members_reference(members, trusted, 0, kEverywhere);
+  const Viewmap map = builder.build_from_members(members, trusted, 0, kEverywhere, snap.shard(0));
+  EXPECT_EQ(map.graph(), ref.graph()) << "memo build diverges at n=" << members.size();
+  const PairCounts counts = map.pair_counts();
+  EXPECT_EQ(counts.tested + counts.memoized, pairs_of(members.size()));
+  return counts;
+}
+
+TEST(ViewlinkMemo, ColdWarmAndMemoOffBuildsMatchTheReference) {
+  const auto& fleet = minute_zero();
+  ASSERT_GT(fleet.size(), 200u);
+  const std::size_t bytes_before = viewlink_memo_bytes();
+  {
+    index::VpTimeline timeline;
+    upload(timeline, fleet, 0, fleet.size());
+    const index::DbSnapshot snap = timeline.snapshot();
+    const ViewmapBuilder builder;
+    const auto west = snap.query(0, {{-1e3, -1e3}, {450.0, 1e3}});
+    const auto all = snap.query(0, kEverywhere);
+    ASSERT_GT(west.size(), 50u);
+    ASSERT_LT(west.size(), all.size());
+
+    const PairCounts cold = memo_build(builder, snap, west);
+    EXPECT_EQ(cold.memoized, 0u);
+    EXPECT_GT(viewlink_memo_bytes(), bytes_before);
+    const PairCounts warm = memo_build(builder, snap, west);
+    EXPECT_EQ(warm.tested, 0u);
+
+    // The memo-off twin: the same call without a shard.
+    const std::vector<bool> trusted(west.size(), false);
+    const Viewmap off = builder.build_from_members(west, trusted, 0, kEverywhere);
+    EXPECT_EQ(off.graph(),
+              builder.build_from_members_reference(west, trusted, 0, kEverywhere).graph());
+    EXPECT_EQ(off.pair_counts().tested, pairs_of(west.size()));
+    EXPECT_EQ(off.pair_counts().memoized, 0u);
+
+    // The whole minute reads exactly the west pairs from the memo.
+    const PairCounts whole = memo_build(builder, snap, all);
+    EXPECT_EQ(whole.memoized, pairs_of(west.size()));
+    EXPECT_EQ(memo_build(builder, snap, all).tested, 0u);
+
+    // build() itself, over a site: every pair is memoized by now.
+    const Viewmap via_site = builder.build(snap, {{300.0, 300.0}, {400.0, 400.0}}, 0);
+    EXPECT_EQ(via_site.pair_counts().tested, 0u);
+    std::vector<const vp::ViewProfile*> members;
+    for (std::size_t i = 0; i < via_site.size(); ++i) members.push_back(&via_site.member(i));
+    EXPECT_EQ(via_site.graph(),
+              builder.build_from_members_reference(members, std::vector<bool>(members.size()),
+                                                   0, kEverywhere)
+                  .graph());
+  }
+  // Retention drops the memo with the last shard of its minute.
+  EXPECT_EQ(viewlink_memo_bytes(), bytes_before);
+}
+
+TEST(ViewlinkMemo, LateUploadsShareTheMemoAndFallOutsideIt) {
+  const auto& fleet = minute_zero();
+  const std::size_t first = fleet.size() * 3 / 4;
+  index::VpTimeline timeline;
+  upload(timeline, fleet, 0, first);
+  const ViewmapBuilder builder;
+  const index::DbSnapshot snap1 = timeline.snapshot();
+  const auto all1 = snap1.query(0, kEverywhere);
+  EXPECT_EQ(memo_build(builder, snap1, all1).memoized, 0u);
+
+  // A few late uploads into the pinned minute: the clone shares the memo,
+  // and only pairs with a new profile run the kernel.
+  const std::size_t few = first / 10;
+  upload(timeline, fleet, first, first + few);
+  const index::DbSnapshot snap2 = timeline.snapshot();
+  ASSERT_NE(snap2.shard(0), snap1.shard(0));
+  EXPECT_EQ(snap2.shard(0)->viewlink_memo, snap1.shard(0)->viewlink_memo);
+  const auto all2 = snap2.query(0, kEverywhere);
+  ASSERT_EQ(all2.size(), first + few);
+  const PairCounts late = memo_build(builder, snap2, all2);
+  EXPECT_EQ(late.memoized, pairs_of(first));
+  EXPECT_EQ(late.tested, pairs_of(first + few) - pairs_of(first));
+
+  // Past an eighth of the members outside it, a build replaces the memo
+  // with one over the grown shard; the build after it is all memo.
+  upload(timeline, fleet, first + few, fleet.size());
+  const index::DbSnapshot snap3 = timeline.snapshot();
+  const auto all3 = snap3.query(0, kEverywhere);
+  ASSERT_GT((all3.size() - all1.size()) * 8, all3.size());
+  EXPECT_EQ(memo_build(builder, snap3, all3).memoized, 0u);
+  EXPECT_EQ(memo_build(builder, snap3, all3).tested, 0u);
+  // The oldest version still pinned reads the replacement through the
+  // shared cell: its profiles are slots of it too.
+  EXPECT_EQ(memo_build(builder, snap1, all1).tested, 0u);
+  EXPECT_EQ(memo_build(builder, snap2, all2).tested, 0u);
+}
+
+TEST(ViewlinkMemo, FourThreadsBuildOneMinuteConcurrently) {
+  const auto& fleet = minute_zero();
+  index::VpTimeline timeline;
+  upload(timeline, fleet, 0, fleet.size());
+  const index::DbSnapshot snap = timeline.snapshot();
+  const std::vector<geo::Rect> areas{kEverywhere,
+                                     {{-1e3, -1e3}, {450.0, 1e3}},
+                                     {{450.0, -1e3}, {1e3, 1e3}},
+                                     {{-1e3, 200.0}, {1e3, 700.0}}};
+  std::vector<std::vector<const vp::ViewProfile*>> members;
+  std::vector<CsrGraph> expected;
+  const ViewmapBuilder reference;
+  for (const geo::Rect& area : areas) {
+    members.push_back(snap.query(0, area));
+    expected.push_back(reference
+                           .build_from_members_reference(members.back(),
+                                                         std::vector<bool>(members.back().size()),
+                                                         0, kEverywhere)
+                           .graph());
+  }
+  // Every thread starts with the first, unmemoized build of the minute,
+  // so the memo's install races too; sharded and serial sweeps mix.
+  std::atomic<int> mismatches{0};
+  std::latch start(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      ViewmapConfig cfg;
+      cfg.build_threads = t % 2 == 0 ? 1 : 2;
+      const ViewmapBuilder builder(cfg);
+      start.arrive_and_wait();
+      for (std::size_t round = 0; round < 3; ++round)
+        for (std::size_t k = 0; k < areas.size(); ++k) {
+          const std::size_t a = (k + t) % areas.size();
+          const Viewmap map = builder.build_from_members(
+              members[a], std::vector<bool>(members[a].size()), 0, kEverywhere, snap.shard(0));
+          if (map.graph() != expected[a]) mismatches.fetch_add(1);
+        }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(memo_build(ViewmapBuilder(), snap, members[0]).tested, 0u);
+}
+
+TEST(ViewlinkMemo, AnotherRadiusIgnoresTheMemo) {
+  const auto& fleet = minute_zero();
+  index::VpTimeline timeline;
+  upload(timeline, fleet, 0, fleet.size());
+  const index::DbSnapshot snap = timeline.snapshot();
+  const auto all = snap.query(0, kEverywhere);
+  const ViewmapBuilder builder;
+  ViewmapConfig narrow_cfg;
+  narrow_cfg.link_radius_m = 150.0;
+  const ViewmapBuilder narrow(narrow_cfg);
+
+  EXPECT_EQ(memo_build(builder, snap, all).memoized, 0u);
+  EXPECT_EQ(memo_build(narrow, snap, all).memoized, 0u);
+  EXPECT_EQ(memo_build(narrow, snap, all).memoized, 0u);
+  EXPECT_EQ(memo_build(builder, snap, all).tested, 0u);
+  // The radii really disagree on some pair.
+  const std::vector<bool> trusted(all.size(), false);
+  EXPECT_LT(narrow.build_from_members(all, trusted, 0, kEverywhere, snap.shard(0)).edge_count(),
+            builder.build_from_members(all, trusted, 0, kEverywhere, snap.shard(0)).edge_count());
+}
+
+TEST(ViewlinkMemo, ForeignMemberWithACollidingIdIsTested) {
+  const auto& fleet = minute_zero();
+  index::VpTimeline timeline;
+  upload(timeline, fleet, 0, fleet.size());
+  const index::DbSnapshot snap = timeline.snapshot();
+  auto members = snap.query(0, kEverywhere);
+  const ViewmapBuilder builder;
+  EXPECT_EQ(memo_build(builder, snap, members).memoized, 0u);
+
+  // The best-linked member's twin: same frames (so the same id and
+  // trajectory), an empty filter, so it links to nothing. Matched by id
+  // alone it would inherit the original's edges from the memo.
+  const Viewmap warm = builder.build_from_members(
+      members, std::vector<bool>(members.size()), 0, kEverywhere, snap.shard(0));
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < warm.size(); ++i)
+    if (warm.neighbors(i).size() > warm.neighbors(k).size()) k = i;
+  ASSERT_GT(warm.neighbors(k).size(), 0u);
+  const vp::ViewProfile twin(
+      std::vector<dsrc::ViewDigest>(members[k]->digests().begin(), members[k]->digests().end()),
+      bloom::BloomFilter(vp::kBloomBits, vp::kBloomHashes));
+  ASSERT_EQ(twin.vp_id(), members[k]->vp_id());
+
+  const vp::ViewProfile* original = members[k];
+  members[k] = &twin;
+  const PairCounts swapped = memo_build(builder, snap, members);
+  EXPECT_EQ(swapped.tested, members.size() - 1);
+  // Both the original and its twin: the twin's pairs, the equal-id pair
+  // among them, still run the kernel.
+  members.insert(members.begin() + static_cast<std::ptrdiff_t>(k) + 1, original);
+  const PairCounts both = memo_build(builder, snap, members);
+  EXPECT_EQ(both.tested, members.size() - 1);
+  // Members out of id order: every pair's slots descend, so every pair
+  // runs the kernel, unrecorded, and the CSR still matches.
+  std::reverse(members.begin(), members.end());
+  EXPECT_EQ(memo_build(builder, snap, members).memoized, 0u);
+}
+
+TEST(ViewlinkMemo, ExhaustedBudgetBuildsMemoOff) {
+  const auto& fleet = minute_zero();
+  const std::size_t bytes_before = viewlink_memo_bytes();
+  index::VpTimeline timeline;
+  upload(timeline, fleet, 0, fleet.size());
+  const ViewmapBuilder builder;
+  {
+    MemoBudgetLease rest(kViewlinkMemoBudget - bytes_before);
+    ASSERT_TRUE(rest.granted());
+    EXPECT_FALSE(MemoBudgetLease(1).granted());
+    const index::DbSnapshot snap = timeline.snapshot();
+    const auto all = snap.query(0, kEverywhere);
+    EXPECT_EQ(memo_build(builder, snap, all).memoized, 0u);
+    EXPECT_EQ(memo_build(builder, snap, all).memoized, 0u);
+    index::TimeShard::ViewlinkMemoCell& cell = *snap.shard(0)->viewlink_memo;
+    std::lock_guard lock(cell.mutex);
+    EXPECT_EQ(cell.memo, nullptr);
+  }
+  EXPECT_EQ(viewlink_memo_bytes(), bytes_before);
+  {
+    const index::DbSnapshot snap = timeline.snapshot();
+    const auto all = snap.query(0, kEverywhere);
+    EXPECT_EQ(memo_build(builder, snap, all).memoized, 0u);
+    EXPECT_EQ(memo_build(builder, snap, all).tested, 0u);
+    EXPECT_GT(viewlink_memo_bytes(), bytes_before);
+  }
+  // Eviction drops the minute, and its memo with it.
+  EXPECT_GT(timeline.evict_older_than(kUnitTimeSec), 0u);
+  EXPECT_EQ(viewlink_memo_bytes(), bytes_before);
+}
+
+// ── non-finite investigation sites ───────────────────────────────────
+
+TEST(ViewmapBuilderSite, NonFiniteSitesAreRejectedAndFarSitesKeepASeed) {
+  // Two linked vehicles 60 m apart, the first of them trusted.
+  Rng rng(76);
+  vp::ViewProfile a = attack::make_fake_profile(0, {0.0, 0.0}, {700.0, 0.0}, rng);
+  vp::ViewProfile b = attack::make_fake_profile(0, {60.0, 0.0}, {760.0, 0.0}, rng);
+  vp::link_mutually(a, b);
+  index::VpTimeline timeline;
+  ASSERT_EQ(timeline.upload(a, true), index::VpTimeline::Admission::kAccepted);
+  ASSERT_EQ(timeline.upload(b, false), index::VpTimeline::Admission::kAccepted);
+  const index::DbSnapshot snap = timeline.snapshot();
+  const ViewmapBuilder builder;
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNaN, kInf, -kInf})
+    for (int corner = 0; corner < 4; ++corner) {
+      geo::Rect site{{500.0, -100.0}, {800.0, 100.0}};
+      double* coords[] = {&site.min.x, &site.min.y, &site.max.x, &site.max.y};
+      *coords[corner] = bad;
+      EXPECT_THROW((void)builder.build(snap, site, 0), std::invalid_argument)
+          << "coordinate " << corner << " = " << bad;
+    }
+
+  // Finite, but so far out that every distance to it overflows to +inf:
+  // the first trusted VP seeds the coverage.
+  const geo::Rect far{{-1.6e308, -1.6e308}, {-1.4e308, -1.4e308}};
+  ASSERT_TRUE(std::isinf(geo::distance(a.location_at(0), far.center())));
+  const Viewmap map = builder.build(snap, far, 0);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(map.trusted_indices().size(), 1u);
+  EXPECT_EQ(map.edge_count(), 1u);
 }
 
 // ── CSR machinery ────────────────────────────────────────────────────

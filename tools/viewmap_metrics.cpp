@@ -8,7 +8,8 @@
 // --selftest exercises the same workload but prints nothing except
 // failures and exits non-zero when any observability invariant breaks
 // (metric families present, p50 ≤ p90 ≤ p99, registry counters agreeing
-// with the stats structs, at least one multi-span trace). CI's Release
+// with the stats structs, at least one multi-span trace, repeat builds of
+// one minute answered from its viewlink memo). CI's Release
 // job runs it as a smoke test of the whole obs stack.
 #include <cstdio>
 #include <cstdlib>
@@ -132,8 +133,22 @@ int main(int argc, char** argv) {
           "viewmap_server_request_us", "viewmap_investigate_us",
           "viewmap_cache_hits_total", "viewmap_cache_misses_total",
           "viewmap_cache_bytes", "viewmap_cache_hit_us",
-          "viewmap_store_checkpoints_total"})
+          "viewmap_store_checkpoints_total", "viewmap_viewlink_pairs_tested_total",
+          "viewmap_viewlink_pairs_memoized_total", "viewmap_viewlink_memo_bytes"})
       if (text.find(family) == std::string::npos) return fail(family);
+
+    // Every request reads the same minute, so after the first build the
+    // minute's viewlink memo answers pairs, and it is resident.
+    const obs::Counter* tested =
+        service.metrics().find_counter("viewmap_viewlink_pairs_tested_total");
+    const obs::Counter* memoized =
+        service.metrics().find_counter("viewmap_viewlink_pairs_memoized_total");
+    const obs::Gauge* memo_bytes = service.metrics().find_gauge("viewmap_viewlink_memo_bytes");
+    if (tested == nullptr || tested->value() == 0) return fail("no viewlink pair tested");
+    if (memoized == nullptr || memoized->value() == 0)
+      return fail("no viewlink pair answered from the memo");
+    if (memo_bytes == nullptr || memo_bytes->value() <= 0)
+      return fail("viewlink memo gauge not published");
 
     const sys::ResultCache::Stats cache = service.result_cache().stats();
     if (cache.hits < opt.requests)
