@@ -79,7 +79,7 @@ struct TimeShard {
   mutable std::atomic<std::size_t> pins{0};
 
   /// Where this minute's viewlink verdict memo lives (sys::ViewlinkMemo,
-  /// system/viewmap_graph.h): 2 bits per pair of the profiles it indexes,
+  /// system/viewmap_graph.cpp): 2 bits per pair of the profiles it indexes,
   /// filled by the viewmap builds over this shard. It caches verdicts —
   /// pure functions of two immutable profiles and the link radius — so
   /// it is not shard content: digests and generations ignore it.
@@ -93,7 +93,7 @@ struct TimeShard {
   /// either profiles of the reading shard or matched by none of its
   /// members. Retention drops the memo with the lineage's last shard.
   struct ViewlinkMemoCell {
-    std::mutex mutex;  ///< guards memo; held only to read or swap the pointer
+    std::mutex mutex;  ///< guards memo; held to read it or to make the first one
     std::shared_ptr<const sys::ViewlinkMemo> memo;
   };
   const std::shared_ptr<ViewlinkMemoCell> viewlink_memo = std::make_shared<ViewlinkMemoCell>();

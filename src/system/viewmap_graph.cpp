@@ -1,7 +1,5 @@
 #include "system/viewmap_graph.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -137,37 +135,8 @@ Viewmap ViewmapBuilder::build(const index::DbSnapshot& snap, const geo::Rect& si
 
 namespace {
 
-/// Bytes held by every granted MemoBudgetLease; never above the budget.
+/// Bytes held by every live viewlink memo; never above the budget.
 std::atomic<std::size_t> memo_bytes_in_use{0};
-
-/// Zeroed 64-bit words mapped straight from the kernel. A page costs
-/// memory only once a build touches it, and a long-lived memo never sits
-/// in the malloc heaps between the per-build buffers that come and go
-/// around it (which kept freed buffers resident). Empty when the mapping
-/// fails or `count` is 0.
-class MappedWords {
- public:
-  explicit MappedWords(std::size_t count) noexcept : bytes_(count * sizeof(std::uint64_t)) {
-    if (count == 0) return;
-    void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p != MAP_FAILED) data_ = static_cast<std::uint64_t*>(p);
-  }
-  MappedWords(MappedWords&& other) noexcept
-      : bytes_(other.bytes_), data_(std::exchange(other.data_, nullptr)) {}
-  MappedWords& operator=(MappedWords&&) = delete;
-  ~MappedWords() {
-    if (data_ != nullptr) ::munmap(data_, bytes_);
-  }
-
-  [[nodiscard]] bool mapped() const noexcept { return data_ != nullptr || bytes_ == 0; }
-  [[nodiscard]] std::uint64_t& operator[](std::uint64_t index) const noexcept {
-    return data_[index];
-  }
-
- private:
-  std::size_t bytes_;
-  std::uint64_t* data_ = nullptr;
-};
 
 }  // namespace
 
@@ -175,22 +144,44 @@ std::size_t viewlink_memo_bytes() noexcept {
   return memo_bytes_in_use.load(std::memory_order_relaxed);
 }
 
-MemoBudgetLease::MemoBudgetLease(std::size_t bytes) noexcept {
+/// Claims `bytes` of kViewlinkMemoBudget and returns true, unless that
+/// would overrun the budget (then nothing is claimed). No header declares
+/// this pair: a memo claims its bytes through a MemoBudgetLease, and
+/// tests/viewmap_build_test.cpp declares them to exhaust the budget.
+bool claim_viewlink_memo_bytes(std::size_t bytes) noexcept {
   std::size_t used = memo_bytes_in_use.load(std::memory_order_relaxed);
   do {
-    if (bytes > kViewlinkMemoBudget - used) return;
+    if (bytes > kViewlinkMemoBudget - used) return false;
   } while (!memo_bytes_in_use.compare_exchange_weak(used, used + bytes,
                                                     std::memory_order_relaxed));
-  bytes_ = bytes;
-  granted_ = true;
+  return true;
 }
 
-MemoBudgetLease::MemoBudgetLease(MemoBudgetLease&& other) noexcept
-    : bytes_(std::exchange(other.bytes_, 0)), granted_(std::exchange(other.granted_, false)) {}
-
-MemoBudgetLease::~MemoBudgetLease() {
-  if (granted_) memo_bytes_in_use.fetch_sub(bytes_, std::memory_order_relaxed);
+void release_viewlink_memo_bytes(std::size_t bytes) noexcept {
+  memo_bytes_in_use.fetch_sub(bytes, std::memory_order_relaxed);
 }
+
+namespace {
+
+/// A claim on `bytes` (> 0) of kViewlinkMemoBudget, held until the lease
+/// is destroyed; granted() is false when the claim was refused.
+class MemoBudgetLease {
+ public:
+  explicit MemoBudgetLease(std::size_t bytes) noexcept
+      : bytes_(claim_viewlink_memo_bytes(bytes) ? bytes : 0) {}
+  MemoBudgetLease(MemoBudgetLease&& other) noexcept : bytes_(std::exchange(other.bytes_, 0)) {}
+  MemoBudgetLease& operator=(MemoBudgetLease&&) = delete;
+  ~MemoBudgetLease() {
+    if (bytes_ != 0) release_viewlink_memo_bytes(bytes_);
+  }
+
+  [[nodiscard]] bool granted() const noexcept { return bytes_ != 0; }
+
+ private:
+  std::size_t bytes_;
+};
+
+}  // namespace
 
 /// The viewlink verdict memo of one minute (see the file comment of
 /// viewmap_graph.h and index::TimeShard::viewlink_memo). Slot s is the
@@ -202,8 +193,8 @@ MemoBudgetLease::~MemoBudgetLease() {
 /// bits of consecutive words.
 ///
 /// Everything but the verdict words is immutable once made (and
-/// published through the shard's cell, under its mutex). Builds read and OR bits
-/// into the words only through relaxed std::atomic_ref operations: a
+/// published through the shard's cell, under its mutex). Builds read and
+/// OR bits into the words only through relaxed std::atomic_ref operations: a
 /// pair's two bits arrive in one fetch_or, so whoever reads its tested
 /// bit reads its linked bit in the same word value, and a verdict is the
 /// same whichever build wrote it.
@@ -221,8 +212,7 @@ class ViewlinkMemo {
     MemoBudgetLease lease(sizeof(ViewlinkMemo) + n * sizeof(Profile) +
                           word_count(n) * sizeof(std::uint64_t));
     if (!lease.granted()) return nullptr;
-    MappedWords words(word_count(n));
-    if (!words.mapped()) return nullptr;
+    std::unique_ptr<std::uint64_t[]> words(new std::uint64_t[word_count(n)]());
     std::vector<Profile> profiles;
     profiles.reserve(n);
     for (const auto& [id, profile] : shard.profiles) profiles.push_back(profile);
@@ -233,23 +223,19 @@ class ViewlinkMemo {
   }
 
   [[nodiscard]] double radius() const noexcept { return radius_; }
-  [[nodiscard]] std::size_t size() const noexcept { return profiles_.size(); }
 
   /// Sets slots[i] to member i's slot — same id AND same profile object —
-  /// or kNoSlot, and returns how many members fall outside.
-  std::size_t assign_slots(std::span<const vp::ViewProfile* const> members,
-                           std::vector<std::uint32_t>& slots) const {
+  /// or kNoSlot.
+  void assign_slots(std::span<const vp::ViewProfile* const> members,
+                    std::vector<std::uint32_t>& slots) const {
     slots.resize(members.size());
-    std::size_t outside = 0;
     for (std::size_t i = 0; i < members.size(); ++i) {
       const auto it = std::lower_bound(
           profiles_.begin(), profiles_.end(), members[i]->vp_id(),
           [](const Profile& slot, const Id16& id) { return slot->vp_id() < id; });
       const bool hit = it != profiles_.end() && it->get() == members[i];
       slots[i] = hit ? static_cast<std::uint32_t>(it - profiles_.begin()) : kNoSlot;
-      outside += hit ? 0 : 1;
     }
-    return outside;
   }
 
   /// Where anchor slot a's row sits: pair (a, b > a) owns bit
@@ -272,8 +258,8 @@ class ViewlinkMemo {
     return static_cast<std::size_t>((2 * pairs + 63) / 64);
   }
 
-  ViewlinkMemo(std::vector<Profile> profiles, double radius, MappedWords words,
-               MemoBudgetLease lease)
+  ViewlinkMemo(std::vector<Profile> profiles, double radius,
+               std::unique_ptr<std::uint64_t[]> words, MemoBudgetLease lease)
       : profiles_(std::move(profiles)),
         radius_(radius),
         words_(std::move(words)),
@@ -281,7 +267,7 @@ class ViewlinkMemo {
 
   std::vector<Profile> profiles_;  ///< slot s holds profiles_[s]; ascending id
   double radius_;
-  MappedWords words_;  ///< zeroed (nothing tested); accessed only through word()
+  std::unique_ptr<std::uint64_t[]> words_;  ///< zeroed (nothing tested); only through word()
   MemoBudgetLease lease_;
 };
 
@@ -540,12 +526,11 @@ void run_sharded(std::size_t threads, const Fn& fn) {
 /// The memo a build over `members` of `shard` reads and fills, with each
 /// member's slot in `slots`; null (the build runs memo-off) when the
 /// lineage's memo serves another link radius, or when there is none and
-/// the budget cannot hold one. The first build of a lineage installs its
-/// memo. A later build replaces it when more than an eighth of its
-/// members fall outside it and the shard has more profiles than the memo
-/// indexes (late uploads), so replacements stop once the minute is quiet.
-/// Racing builds install one memo: a loser adopts the winner's. The cell
-/// is locked only to read or swap the pointer; a memo is made outside it.
+/// the budget cannot hold one. The first build of a lineage makes and
+/// installs its memo under the cell's lock, so racing first builds share
+/// one. The memo is never replaced: profiles uploaded after it was made
+/// fall outside it and are always tested (a few percent of a swept
+/// minute's members; see src/system/README.md).
 std::shared_ptr<const ViewlinkMemo> memo_for_build(
     const index::TimeShard& shard, double radius,
     std::span<const vp::ViewProfile* const> members, std::vector<std::uint32_t>& slots) {
@@ -553,25 +538,12 @@ std::shared_ptr<const ViewlinkMemo> memo_for_build(
   std::shared_ptr<const ViewlinkMemo> memo;
   {
     std::lock_guard lock(cell.mutex);
+    if (cell.memo == nullptr) cell.memo = ViewlinkMemo::make(shard, radius);
     memo = cell.memo;
   }
-  if (memo != nullptr) {
-    if (memo->radius() != radius) return nullptr;
-    const std::size_t outside = memo->assign_slots(members, slots);
-    if (outside * 8 <= members.size() || shard.profiles.size() <= memo->size()) return memo;
-  }
-  std::shared_ptr<const ViewlinkMemo> fresh = ViewlinkMemo::make(shard, radius);
-  if (fresh == nullptr) return memo;  // over budget: keep what there is
-  {
-    std::lock_guard lock(cell.mutex);
-    if (cell.memo == memo)
-      cell.memo = fresh;
-    else
-      fresh = cell.memo;  // another build got there first
-  }
-  if (fresh->radius() != radius) return nullptr;
-  fresh->assign_slots(members, slots);
-  return fresh;
+  if (memo == nullptr || memo->radius() != radius) return nullptr;
+  memo->assign_slots(members, slots);
+  return memo;
 }
 
 /// One sweep thread's walk over a memo's verdict words, one anchor row

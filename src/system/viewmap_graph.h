@@ -68,23 +68,6 @@ inline constexpr std::size_t kViewlinkMemoBudget = std::size_t{128} << 20;
 /// `viewmap_viewlink_memo_bytes` gauge.
 [[nodiscard]] std::size_t viewlink_memo_bytes() noexcept;
 
-/// A claim on `bytes` of kViewlinkMemoBudget, held until the lease is
-/// destroyed. Each memo holds one for its own size; a claim that would
-/// overrun the budget is refused (granted() is false, nothing is held).
-class MemoBudgetLease {
- public:
-  explicit MemoBudgetLease(std::size_t bytes) noexcept;
-  MemoBudgetLease(MemoBudgetLease&& other) noexcept;
-  MemoBudgetLease& operator=(MemoBudgetLease&&) = delete;
-  ~MemoBudgetLease();
-
-  [[nodiscard]] bool granted() const noexcept { return granted_; }
-
- private:
-  std::size_t bytes_ = 0;
-  bool granted_ = false;
-};
-
 /// Work of one packed build, in member pairs: run through the viewlink
 /// kernel, or answered from the minute's viewlink memo.
 struct PairCounts {

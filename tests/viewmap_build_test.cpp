@@ -519,18 +519,20 @@ TEST(ViewlinkMemo, LateUploadsShareTheMemoAndFallOutsideIt) {
   EXPECT_EQ(late.memoized, pairs_of(first));
   EXPECT_EQ(late.tested, pairs_of(first + few) - pairs_of(first));
 
-  // Past an eighth of the members outside it, a build replaces the memo
-  // with one over the grown shard; the build after it is all memo.
+  // However many arrive later, the memo stays the one the first build
+  // made: the new profiles' pairs are tested, the old ones' memoized.
   upload(timeline, fleet, first + few, fleet.size());
   const index::DbSnapshot snap3 = timeline.snapshot();
   const auto all3 = snap3.query(0, kEverywhere);
-  ASSERT_GT((all3.size() - all1.size()) * 8, all3.size());
-  EXPECT_EQ(memo_build(builder, snap3, all3).memoized, 0u);
-  EXPECT_EQ(memo_build(builder, snap3, all3).tested, 0u);
-  // The oldest version still pinned reads the replacement through the
-  // shared cell: its profiles are slots of it too.
+  ASSERT_GT((all3.size() - all1.size()) * 4, all3.size());
+  for (int build = 0; build < 2; ++build) {
+    const PairCounts grown = memo_build(builder, snap3, all3);
+    EXPECT_EQ(grown.memoized, pairs_of(first));
+    EXPECT_EQ(grown.tested, pairs_of(all3.size()) - pairs_of(first));
+  }
+  // The oldest version still pinned reads the memo through the shared
+  // cell.
   EXPECT_EQ(memo_build(builder, snap1, all1).tested, 0u);
-  EXPECT_EQ(memo_build(builder, snap2, all2).tested, 0u);
 }
 
 TEST(ViewlinkMemo, FourThreadsBuildOneMinuteConcurrently) {
@@ -636,6 +638,15 @@ TEST(ViewlinkMemo, ForeignMemberWithACollidingIdIsTested) {
   EXPECT_EQ(memo_build(builder, snap, members).memoized, 0u);
 }
 
+}  // namespace
+
+// Claims on kViewlinkMemoBudget (system/viewmap_graph.cpp), declared by
+// no header; the test takes the whole budget with them.
+bool claim_viewlink_memo_bytes(std::size_t bytes) noexcept;
+void release_viewlink_memo_bytes(std::size_t bytes) noexcept;
+
+namespace {
+
 TEST(ViewlinkMemo, ExhaustedBudgetBuildsMemoOff) {
   const auto& fleet = minute_zero();
   const std::size_t bytes_before = viewlink_memo_bytes();
@@ -643,13 +654,14 @@ TEST(ViewlinkMemo, ExhaustedBudgetBuildsMemoOff) {
   upload(timeline, fleet, 0, fleet.size());
   const ViewmapBuilder builder;
   {
-    MemoBudgetLease rest(kViewlinkMemoBudget - bytes_before);
-    ASSERT_TRUE(rest.granted());
-    EXPECT_FALSE(MemoBudgetLease(1).granted());
+    const std::size_t rest = kViewlinkMemoBudget - bytes_before;
+    ASSERT_TRUE(claim_viewlink_memo_bytes(rest));
+    EXPECT_FALSE(claim_viewlink_memo_bytes(1));
     const index::DbSnapshot snap = timeline.snapshot();
     const auto all = snap.query(0, kEverywhere);
     EXPECT_EQ(memo_build(builder, snap, all).memoized, 0u);
     EXPECT_EQ(memo_build(builder, snap, all).memoized, 0u);
+    release_viewlink_memo_bytes(rest);
     index::TimeShard::ViewlinkMemoCell& cell = *snap.shard(0)->viewlink_memo;
     std::lock_guard lock(cell.mutex);
     EXPECT_EQ(cell.memo, nullptr);
