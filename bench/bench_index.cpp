@@ -30,8 +30,9 @@
 //       ≥ 5× speedup over the recorded pre-packed-format baseline restart.
 //   (7) observability overhead: single-thread ingest with the metrics
 //       registry wired vs disabled (the null-registry switch in
-//       TimelineConfig/IngestConfig). tools/run_bench.sh warns when the
-//       overhead exceeds the 3% budget documented in src/obs/README.md.
+//       TimelineConfig, and an all-null IngestMetrics). tools/run_bench.sh
+//       warns when the overhead exceeds the 3% budget documented in
+//       src/obs/README.md.
 //   (8) daemon soak: the assembled ServiceLifecycle daemon under kill -9
 //       cycles — sustained ingest rate through the IngestService drain,
 //       checkpoint cadence, and per-restart recovery latency. Every
@@ -78,6 +79,7 @@
 #include "bench_util.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "common/worker_pool.h"
 #include "daemon/lifecycle.h"
 #include "index/ingest_engine.h"
 #include "obs/metrics.h"
@@ -177,7 +179,7 @@ struct IngestRow {
   double speedup = 0.0;
 };
 
-IngestRow bench_ingest(std::size_t payload_count, unsigned threads, Rng& rng) {
+IngestRow bench_ingest(std::size_t payload_count, Rng& rng) {
   std::vector<std::vector<std::uint8_t>> payloads;
   payloads.reserve(payload_count);
   for (std::size_t i = 0; i < payload_count; ++i) {
@@ -187,12 +189,11 @@ IngestRow bench_ingest(std::size_t payload_count, unsigned threads, Rng& rng) {
 
   IngestRow row;
   row.payloads = payload_count;
-  row.threads = threads;
+  row.threads = common::WorkerPool::process().width();
+  common::WorkerPool single(1);
   for (const bool multi : {false, true}) {
     sys::VpDatabase db;
-    index::IngestConfig cfg;
-    cfg.threads = multi ? threads : 1;
-    index::IngestEngine engine(db, cfg);
+    index::IngestEngine engine(db, {}, multi ? common::WorkerPool::process() : single);
     const auto start = Clock::now();
     const auto stats = engine.ingest(payloads);
     const double rate = static_cast<double>(stats.accepted) / seconds_since(start);
@@ -647,9 +648,9 @@ struct ViewmapBuildRow {
   std::size_t edges = 0;
   double edges_per_sec = 0.0;  ///< viewlinks emitted per second (packed path)
   bool edges_match = false;    ///< CSR bit-identical to the reference
-  /// Upper bound the auto setting resolves to on this host; small
-  /// builds clamp lower inside the builder (serial cutoff, per-thread
-  /// minimum work), so the actual pool may be smaller.
+  /// The process pool's width: the most tasks a build shards into on
+  /// this host. Small builds use fewer (serial cutoff, per-task minimum
+  /// work).
   std::size_t build_threads_max = 1;
 };
 
@@ -700,8 +701,8 @@ ViewmapBuildRow bench_viewmap_build(std::size_t n, bool dense, Rng& rng) {
   row.n = n;
   row.layout = dense ? "dense" : "sparse";
   row.density_per_km2 = density;
-  const sys::ViewmapBuilder builder;  // default config: auto build_threads
-  row.build_threads_max = sys::ViewmapBuilder::resolved_build_threads(0);
+  const sys::ViewmapBuilder builder;  // builds on the process pool
+  row.build_threads_max = common::WorkerPool::process().width();
 
   auto start = Clock::now();
   const sys::Viewmap packed = builder.build_from_members(members, trusted, 0, cover);
@@ -870,18 +871,18 @@ ObsRow bench_obs_overhead(std::size_t payload_count, Rng& rng) {
   ObsRow row;
   row.payloads = payload_count;
   obs::MetricsRegistry registry;
+  common::WorkerPool single(1);
   for (const bool metered : {false, true}) {
     double best = 0.0;
     for (int run = 0; run < 3; ++run) {
       index::TimelineConfig timeline_cfg;
-      index::IngestConfig ingest_cfg;
-      ingest_cfg.threads = 1;
+      index::IngestMetrics ingest_metrics;
       if (metered) {
         timeline_cfg.metrics = &registry;
-        ingest_cfg.metrics = &registry;
+        ingest_metrics = index::IngestMetrics::wire(registry);
       }
       sys::VpDatabase db(timeline_cfg);
-      index::IngestEngine engine(db, ingest_cfg);
+      index::IngestEngine engine(db, ingest_metrics, single);
       const auto start = Clock::now();
       const auto stats = engine.ingest(payloads);
       best = std::max(best,
@@ -1189,8 +1190,9 @@ int main(int argc, char** argv) {
     threads = hw == 0 ? 1 : hw;
   }
 
-  std::printf("(hardware_concurrency=%u, ingest workers=%u)\n",
-              std::thread::hardware_concurrency(), threads);
+  std::printf("(hardware_concurrency=%u, worker pool width=%u, server workers=%u)\n",
+              std::thread::hardware_concurrency(), common::WorkerPool::process().width(),
+              threads);
 
   // ── query latency vs database size ───────────────────────────────────
   std::printf("\n-- (site, unit-time) snapshot query latency: minute scan vs full scan --\n");
@@ -1212,7 +1214,7 @@ int main(int argc, char** argv) {
   // ── ingest throughput: 1 worker vs N ─────────────────────────────────
   std::printf("\n-- batched ingest throughput (parse + screen + shard commit) --\n");
   Rng ingest_rng(77);
-  const auto ingest = bench_ingest(ingest_vps, threads, ingest_rng);
+  const auto ingest = bench_ingest(ingest_vps, ingest_rng);
   std::printf("%zu payloads: %.0f VPs/s single-thread, %.0f VPs/s with %u threads "
               "(%.2fx)\n",
               ingest.payloads, ingest.single_vps_per_sec, ingest.multi_vps_per_sec,

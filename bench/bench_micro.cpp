@@ -16,6 +16,7 @@
 #include "attack/fake_vp.h"
 #include "bloom/bloom_filter.h"
 #include "common/rng.h"
+#include "common/worker_pool.h"
 #include "crypto/hash_chain.h"
 #include "crypto/sha256.h"
 #include "dsrc/view_digest.h"
@@ -245,9 +246,8 @@ std::shared_ptr<const index::TimeShard> fresh_shard(const DowntownMinute& minute
 /// shard and the viewmap are made and freed outside the timed region.
 void build_minute(benchmark::State& state, bool warm) {
   const DowntownMinute& minute = downtown_minute();
-  sys::ViewmapConfig cfg;
-  cfg.build_threads = 1;
-  const sys::ViewmapBuilder builder(cfg);
+  common::WorkerPool serial(1);
+  const sys::ViewmapBuilder builder({}, serial);
   const std::vector<bool> trusted(minute.members.size(), false);
   const geo::Rect cover{{-1e4, -1e4}, {1e4, 1e4}};
   auto shard = fresh_shard(minute);

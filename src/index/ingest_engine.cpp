@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <thread>
 
 #include "obs/metrics.h"
 
@@ -36,16 +35,18 @@ IngestStats IngestMetrics::totals() const {
   return s;
 }
 
-IngestEngine::IngestEngine(VpTimeline& timeline, IngestConfig cfg)
-    : timeline_(timeline), cfg_(cfg) {
-  if (cfg_.metrics != nullptr) metrics_ = IngestMetrics::wire(*cfg_.metrics);
-}
+namespace {
 
-unsigned IngestEngine::worker_count() const noexcept {
-  if (cfg_.threads != 0) return cfg_.threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
+/// Batches below this size are ingested inline on the calling thread:
+/// waking workers for a handful of uploads costs more than the parse
+/// work itself (incident_sweep's late uploads drain a few at a time).
+constexpr std::size_t kParallelMinBatch = 64;
+
+}  // namespace
+
+IngestEngine::IngestEngine(VpTimeline& timeline, IngestMetrics metrics,
+                           common::WorkerPool& pool)
+    : timeline_(timeline), metrics_(metrics), pool_(pool) {}
 
 IngestStats IngestEngine::ingest(std::vector<std::vector<std::uint8_t>> payloads) {
   IngestStats stats;
@@ -87,26 +88,12 @@ IngestStats IngestEngine::ingest(std::vector<std::vector<std::uint8_t>> payloads
     duplicate.fetch_add(dup, std::memory_order_relaxed);
   };
 
-  // Never more threads than payloads: each extra worker would pop the
-  // cursor once past the end and exit, paying spawn/join for nothing.
-  const unsigned workers = static_cast<unsigned>(
-      std::min<std::size_t>(worker_count(), payloads.size()));
-  if (workers <= 1 || payloads.size() < cfg_.min_parallel_batch) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    try {
-      for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-    } catch (...) {
-      // A thread that failed to start never claimed a cursor slot; the
-      // ones already running drain the batch and exit, so joining them
-      // terminates. Destroying joinable threads would std::terminate.
-      for (auto& th : pool) th.join();
-      throw;
-    }
-    for (auto& th : pool) th.join();
-  }
+  // Never more tasks than payloads: each extra one would pop the cursor
+  // once past the end and return.
+  const std::size_t tasks = payloads.size() < kParallelMinBatch
+                                ? 1
+                                : std::min<std::size_t>(pool_.width(), payloads.size());
+  pool_.parallel_for(tasks, [&](std::size_t) { worker(); });
 
   stats.accepted = accepted.load();
   stats.rejected_malformed = malformed.load();

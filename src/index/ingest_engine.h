@@ -3,8 +3,9 @@
 // The service-side hot path: drain the anonymous channel in batches,
 // parse each payload, hand it to VpTimeline::upload — the one admission
 // path: structural screen, timeliness screen, striped-lock shard commit
-// — and tally the outcome. Workers pull payload indices off one atomic
-// cursor, so parse/screen/commit of different uploads overlap freely;
+// — and tally the outcome. Tasks on the process WorkerPool pull payload
+// indices off one atomic cursor, so parse/screen/commit of different
+// uploads overlap freely;
 // there is no global lock anywhere on the path. Retention is
 // enforced once per batch, between batches — the only moment the engine
 // guarantees no worker holds shard pointers — and is driven by the
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "anonet/channel.h"
+#include "common/worker_pool.h"
 #include "index/timeline.h"
 
 namespace viewmap::obs {
@@ -30,28 +32,13 @@ class Histogram;
 
 namespace viewmap::index {
 
-struct IngestConfig {
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
-  unsigned threads = 0;
-  /// Payload batches below this size are ingested inline on the calling
-  /// thread — spawning workers for a handful of uploads costs more than
-  /// the parse work itself.
-  std::size_t min_parallel_batch = 64;
-  /// When set, the engine publishes accept/reject counters and a
-  /// per-batch latency histogram here (see IngestMetrics), aggregated
-  /// once per batch from the worker-local tallies so the hot loop pays
-  /// nothing. Null disables all instrumentation — the toggle
-  /// bench_index's obs_overhead scenario measures. Not owned; must
-  /// outlive the engine.
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-/// The registry metrics the ingest path publishes, resolved once at
-/// construction and fed batch-aggregated deltas at the end of each
-/// ingest() (never a registry lookup, never a per-item touch). All
-/// null when no registry is wired (every use is null-checked).
-/// ViewMapService resolves the same set to serve ingest_totals() as a
-/// plain read of the registry — the only place ingest totals are kept.
+/// The registry metrics the ingest path publishes, resolved once by
+/// wire() and fed batch-aggregated deltas at the end of each ingest()
+/// (never a registry lookup, never a per-item touch). All null when
+/// unwired — the toggle bench_index's obs_overhead scenario measures.
+/// ViewMapService wires one set for its lifetime and serves
+/// ingest_totals() as a plain read of it — the only place ingest totals
+/// are kept.
 struct IngestMetrics {
   obs::Counter* accepted = nullptr;
   obs::Counter* rejected_malformed = nullptr;
@@ -82,7 +69,10 @@ struct IngestStats {
 
 class IngestEngine {
  public:
-  explicit IngestEngine(VpTimeline& timeline, IngestConfig cfg = {});
+  /// Runs batches on `pool`, bound here so that a pool that cannot
+  /// start fails before anything is drained.
+  explicit IngestEngine(VpTimeline& timeline, IngestMetrics metrics = {},
+                        common::WorkerPool& pool = common::WorkerPool::process());
 
   /// Ingests one batch of serialized VP payloads (all as anonymous,
   /// untrusted uploads). Blocks until the batch is fully committed.
@@ -91,12 +81,10 @@ class IngestEngine {
   /// Drains everything pending on the anonymous channel through ingest().
   IngestStats drain(anonet::AnonymousChannel& channel);
 
-  [[nodiscard]] unsigned worker_count() const noexcept;
-
  private:
   VpTimeline& timeline_;
-  IngestConfig cfg_;
-  IngestMetrics metrics_;  ///< resolved once in the ctor; all-null when unwired
+  IngestMetrics metrics_;
+  common::WorkerPool& pool_;
 };
 
 }  // namespace viewmap::index

@@ -35,8 +35,9 @@
 // counter()/gauge()/histogram() are idempotent (same name + labels ⇒
 // same object), so wiring code resolves pointers once at construction
 // and hot paths never touch the registry again. A null
-// MetricsRegistry* in TimelineConfig or IngestConfig disables that
-// component's instrumentation entirely — that switch is what
+// MetricsRegistry* in TimelineConfig, or an unwired (all-null)
+// index::IngestMetrics, disables that component's instrumentation
+// entirely — that switch is what
 // bench_index's obs_overhead scenario measures; a SegmentStore publishes
 // only once adopt_metrics() wires it. See src/obs/README.md for naming
 // conventions.

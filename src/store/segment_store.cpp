@@ -5,12 +5,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -356,8 +354,8 @@ SegmentLoad load_one_segment(const std::string& path, const EntryView& entry,
 
 }  // namespace
 
-SegmentStore::SegmentStore(std::string dir, SegmentStoreConfig cfg)
-    : dir_(std::move(dir)), cfg_(cfg) {
+SegmentStore::SegmentStore(std::string dir, SegmentStoreConfig cfg, common::WorkerPool& pool)
+    : dir_(std::move(dir)), cfg_(cfg), pool_(pool) {
   if (cfg_.keep_manifests == 0) cfg_.keep_manifests = 1;
 }
 
@@ -683,41 +681,19 @@ void SegmentStore::load_segments(const Manifest& manifest, index::VpTimeline& db
     entries.push_back({entry.unit_time, entry.vp_count, entry.trusted_count,
                        entry.digest, segment_file_name(entry.digest)});
 
-  unsigned want = cfg_.restore_threads != 0 ? cfg_.restore_threads
-                                            : std::thread::hardware_concurrency();
-  if (want == 0) want = 1;
-  const auto threads =
-      static_cast<unsigned>(std::min<std::size_t>(want, entries.size()));
-  stats.threads_used = threads;
+  stats.threads_used =
+      static_cast<unsigned>(std::min<std::size_t>(pool_.width(), entries.size()));
 
-  // ── fan out: each worker pulls the next manifest entry and builds a
-  // ready-to-adopt shard. Errors are captured per entry, never thrown
-  // across threads.
+  // ── fan out: each pool task reads, validates and parses one manifest
+  // entry into a ready-to-adopt shard. Errors are captured per entry,
+  // never thrown across threads.
   std::vector<SegmentLoad> results(entries.size());
-  std::atomic<std::size_t> cursor{0};
-  const auto worker = [&]() noexcept {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= entries.size()) return;
-      results[i] =
-          load_one_segment(full_path(entries[i].name), entries[i], cfg_.deep_verify);
-    }
-  };
   {
     obs::SpanScope span("recover_segments");
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    try {
-      for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker);
-    } catch (...) {
-      // The workers already running drain the shared cursor and exit, so
-      // joining them returns; destroying them joinable would call
-      // std::terminate.
-      for (auto& th : pool) th.join();
-      throw;
-    }
-    worker();  // the recovering thread is pool member 0
-    for (auto& th : pool) th.join();
+    pool_.parallel_for(entries.size(), [&](std::size_t i) {
+      results[i] =
+          load_one_segment(full_path(entries[i].name), entries[i], cfg_.deep_verify);
+    });
   }
   for (const auto& r : results) {
     stats.read_us += r.read_us;

@@ -84,6 +84,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "common/worker_pool.h"
 #include "index/db_snapshot.h"
 #include "index/timeline.h"
 
@@ -181,12 +182,6 @@ struct SegmentStoreConfig {
   /// barrier that makes the recorded operation order the on-disk order.
   /// Off only in tests/benches that model durability logically.
   bool fsync = true;
-  /// Recovery worker-pool width: segments are read, validated, and
-  /// parsed into ready-to-adopt shards by this many threads. Adoption
-  /// itself stays ordered and serial, so the recovered database is
-  /// bit-identical whatever the width (the determinism tests prove it).
-  /// 0 = hardware_concurrency().
-  unsigned restore_threads = 0;
   /// Paranoia knob: additionally recompute the full SHA-256 content
   /// digest of every segment during recovery. The default check —
   /// whole-file CRC32C plus the embedded-digest/manifest comparison —
@@ -216,7 +211,7 @@ struct RecoveryStats {
   std::size_t profiles_loaded = 0;
   std::size_t profiles_rejected = 0;  ///< failed the structural screen
   std::size_t trusted_marked = 0;
-  unsigned threads_used = 0;         ///< recovery worker-pool width actually used
+  unsigned threads_used = 0;         ///< min(pool width, segments): recovery's parallelism bound
   /// Per-phase timings. read/validate/parse are summed across workers
   /// (CPU time — exceeds wall clock when parallel); adopt and total are
   /// wall clock on the recovering thread.
@@ -229,7 +224,11 @@ struct RecoveryStats {
 
 class SegmentStore {
  public:
-  explicit SegmentStore(std::string dir, SegmentStoreConfig cfg = {});
+  /// Recovery reads, validates and parses segments on `pool`; adoption
+  /// stays ordered and serial, so the recovered database is
+  /// bit-identical whatever its width (the determinism tests prove it).
+  explicit SegmentStore(std::string dir, SegmentStoreConfig cfg = {},
+                        common::WorkerPool& pool = common::WorkerPool::process());
 
   /// Seals one checkpoint of the pinned snapshot: writes segments for
   /// new/changed shards only, reuses sealed segments by digest, then
@@ -320,8 +319,8 @@ class SegmentStore {
   [[nodiscard]] std::vector<std::uint64_t> list_manifests_desc() const;
   /// Parses + checksum-validates a manifest file. Throws on any damage.
   [[nodiscard]] Manifest read_manifest(std::uint64_t sequence) const;
-  /// Loads every segment of `manifest` into `db`: a worker pool
-  /// (restore_threads wide) reads/validates/parses segments into
+  /// Loads every segment of `manifest` into `db`: the worker pool
+  /// reads/validates/parses segments into
   /// ready-to-adopt shards; the calling thread then adopts them in
   /// manifest order (deterministic whatever the pool width). Throws on
   /// any segment damage (missing file, bad magic/version, CRC / digest /
@@ -373,6 +372,7 @@ class SegmentStore {
 
   std::string dir_;
   SegmentStoreConfig cfg_;
+  common::WorkerPool& pool_;
   mutable StoreMetrics m_;
 };
 

@@ -56,11 +56,11 @@
 //
 // Parallelism composes on two axes: this pool runs N *requests*
 // concurrently, and each worker's viewmap build can additionally shard
-// its all-pairs sweep across ViewmapConfig::build_threads
-// (ServiceConfig::viewmap). Large single viewmaps benefit from
-// build_threads; high request rates benefit from workers; both read
-// only pinned snapshot state, so they compose with each other and with
-// live ingest/eviction (TSan-covered in tests/server_test.cpp).
+// its all-pairs sweep over the process common::WorkerPool, whose width
+// caps the helper threads all builds and ingest add together; a worker
+// claims its own sweep tasks, so it never waits on a busy pool. Both
+// read only pinned snapshot state, so they compose with each other and
+// with live ingest/eviction (TSan-covered in tests/server_test.cpp).
 #pragma once
 
 #include <array>

@@ -17,7 +17,6 @@ namespace {
 /// every subsystem.
 ServiceConfig wire_config(ServiceConfig cfg, obs::MetricsRegistry& registry) {
   cfg.index.metrics = &registry;
-  cfg.ingest.metrics = &registry;
   return cfg;
 }
 
@@ -71,9 +70,10 @@ std::size_t ViewMapService::ingest_uploads() {
   ReentrancyGuard guard(ingest_entered_, "ViewMapService::ingest_uploads()");
 #endif
   // The engine is stateless, so a per-call instance keeps the service
-  // free of self-referential members; the running totals are the
-  // registry counters the engine publishes into (ingest_totals()).
-  index::IngestEngine engine(db_, cfg_.ingest);
+  // free of self-referential members; it publishes into the handles
+  // wired once at construction, whose counters are the running totals
+  // (ingest_totals()).
+  index::IngestEngine engine(db_, ingest_metrics_);
   const index::IngestStats batch = engine.drain(channel_);
   return batch.accepted;
 }

@@ -49,14 +49,13 @@ using VpDatabase = index::VpTimeline;
 using DbSnapshot = index::DbSnapshot;
 
 struct ServiceConfig {
-  /// Viewmap construction knobs, including build_threads — the in-build
-  /// parallelism every investigation entry point (direct investigate(),
-  /// investigate_period(), and the InvestigationServer workers) builds
-  /// with. See src/system/README.md §"Viewmap construction pipeline".
+  /// Viewmap construction settings every investigation entry point
+  /// (direct investigate(), investigate_period(), and the
+  /// InvestigationServer workers) builds with. See src/system/README.md
+  /// §"Viewmap construction pipeline".
   ViewmapConfig viewmap{};
   TrustRankConfig trustrank{};
   viewmap::index::TimelineConfig index{};  ///< retention window + metrics
-  viewmap::index::IngestConfig ingest{};   ///< batched concurrent upload ingest
   int rsa_bits = 2048;
   /// Generation-keyed investigation result cache (system/result_cache.h):
   /// a repeat investigate() over an unchanged minute shard returns the

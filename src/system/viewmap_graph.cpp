@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "obs/trace.h"
@@ -465,62 +463,23 @@ class PackedMembers {
 
 /// Pair count below which one thread is always fastest.
 constexpr std::size_t kParallelMinPairs = 2048;
-/// Minimum pairs a worker thread must have to be worth spawning.
-constexpr std::size_t kMinPairsPerThread = 4096;
-
-std::size_t resolve_build_threads(std::size_t configured) {
-  if (configured != 0) return configured;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw == 0 ? 1 : hw, 1, 4);
-}
+/// Minimum pairs a sweep task must have to be worth a worker.
+constexpr std::size_t kMinPairsPerTask = 4096;
 
 /// Anchor-range boundaries for the sweep over n members. Anchor i tests
-/// the n − 1 − i pairs (i, j > i), so each of the `threads` contiguous
-/// ranges is balanced to ≈ 1/threads of the pair triangle.
-std::vector<std::uint32_t> triangle_bounds(std::size_t n, std::size_t threads) {
+/// the n − 1 − i pairs (i, j > i), so each of the `tasks` contiguous
+/// ranges is balanced to ≈ 1/tasks of the pair triangle.
+std::vector<std::uint32_t> triangle_bounds(std::size_t n, std::size_t tasks) {
   const std::size_t total = n * (n - 1) / 2;
   std::vector<std::uint32_t> bounds{0};
   std::size_t acc = 0;
-  for (std::size_t i = 0; i < n && bounds.size() < threads; ++i) {
+  for (std::size_t i = 0; i < n && bounds.size() < tasks; ++i) {
     acc += n - 1 - i;
-    if (acc * threads >= total * bounds.size())
+    if (acc * tasks >= total * bounds.size())
       bounds.push_back(static_cast<std::uint32_t>(i + 1));
   }
-  while (bounds.size() <= threads) bounds.push_back(static_cast<std::uint32_t>(n));
+  while (bounds.size() <= tasks) bounds.push_back(static_cast<std::uint32_t>(n));
   return bounds;
-}
-
-/// Runs fn(0) … fn(threads − 1), each on its own thread (fn(0) on the
-/// caller's), and rethrows a worker's exception once all have joined.
-template <class Fn>
-void run_sharded(std::size_t threads, const Fn& fn) {
-  if (threads <= 1) {
-    fn(0);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(threads);
-  const auto guarded = [&](std::size_t t) {
-    try {
-      fn(t);
-    } catch (...) {
-      errors[t] = std::current_exception();
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  try {
-    for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(guarded, t);
-  } catch (...) {
-    // A failed spawn leaves its shard unrun, so the build cannot finish:
-    // join the shards already running and report the spawn failure.
-    // Destroying joinable threads would call std::terminate.
-    for (auto& th : pool) th.join();
-    throw;
-  }
-  guarded(0);
-  for (auto& th : pool) th.join();
-  for (const auto& err : errors)
-    if (err) std::rethrow_exception(err);
 }
 
 /// The memo a build over `members` of `shard` reads and fills, with each
@@ -546,7 +505,7 @@ std::shared_ptr<const ViewlinkMemo> memo_for_build(
   return memo;
 }
 
-/// One sweep thread's walk over a memo's verdict words, one anchor row
+/// One sweep task's walk over a memo's verdict words, one anchor row
 /// at a time. A pair of slots (a, b > a) whose tested bit is set is
 /// answered from its linked bit; any other pair runs the kernel, and a
 /// memo pair's two new bits are ORed into its word once per visit, when
@@ -628,10 +587,6 @@ CsrGraph csr_from_sorted_pairs(std::size_t n, std::span<const std::uint64_t> pai
 
 }  // namespace
 
-std::size_t ViewmapBuilder::resolved_build_threads(std::size_t configured) {
-  return resolve_build_threads(configured);
-}
-
 Viewmap ViewmapBuilder::build_from_members(
     std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
     TimeSec unit_time, const geo::Rect& coverage,
@@ -648,26 +603,25 @@ Viewmap ViewmapBuilder::build_from_members(
         pinned == nullptr ? nullptr
                           : memo_for_build(*pinned, cfg_.link_radius_m, members, slots);
     PackedMembers packed(members, cfg_.link_radius_m);  // freed before CSR assembly
-    const std::size_t threads =
+    const std::size_t tasks =
         all_pairs < kParallelMinPairs
             ? 1
-            : std::min(resolve_build_threads(cfg_.build_threads),
-                       all_pairs / kMinPairsPerThread + 1);
+            : std::min<std::size_t>(pool_.width(), all_pairs / kMinPairsPerTask + 1);
 
     // Pack in even member ranges (cold profiles hash their probe tables
     // here), then sweep every pair (i, j > i) in contiguous anchor ranges
-    // balanced by pair count, one edge buffer per thread. A pair of two
+    // balanced by pair count, one edge buffer per task. A pair of two
     // memo slots takes its verdict from the memo when an earlier build
     // tested it; every other pair runs the kernel. Each buffer comes out
     // in (i, j) order and the ranges ascend, so concatenating them yields
     // the sorted pair list CSR assembly wants.
-    run_sharded(threads, [&](std::size_t t) {
-      packed.pack(n * t / threads, n * (t + 1) / threads);
+    pool_.parallel_for(tasks, [&](std::size_t t) {
+      packed.pack(n * t / tasks, n * (t + 1) / tasks);
     });
-    const auto bounds = triangle_bounds(n, threads);
-    std::vector<std::vector<std::uint64_t>> partial(threads);
-    std::vector<std::uint64_t> partial_memoized(threads, 0);
-    run_sharded(threads, [&](std::size_t t) {
+    const auto bounds = triangle_bounds(n, tasks);
+    std::vector<std::vector<std::uint64_t>> partial(tasks);
+    std::vector<std::uint64_t> partial_memoized(tasks, 0);
+    pool_.parallel_for(tasks, [&](std::size_t t) {
       // Each row's candidates are written unconditionally and kept by
       // advancing the count: no branch on the (unpredictable) verdict.
       std::vector<std::uint64_t> row(n);
@@ -689,7 +643,7 @@ Viewmap ViewmapBuilder::build_from_members(
     for (const auto& p : partial) total += p.size();
     std::vector<std::uint64_t> merged = std::move(partial[0]);
     merged.reserve(total);
-    for (std::size_t t = 1; t < threads; ++t)
+    for (std::size_t t = 1; t < tasks; ++t)
       merged.insert(merged.end(), partial[t].begin(), partial[t].end());
     return merged;
   }();

@@ -15,8 +15,8 @@
 // pass is a few byte loads and time-aligned proximity is one ≤ 60-step
 // scan. Surviving edges are laid out as one flat CSR (system/csr_graph.h)
 // that TrustRank and Algorithm 1 consume without copying. Packing and the
-// sweep are sharded across a small thread pool (ViewmapConfig::
-// build_threads) in contiguous anchor ranges.
+// sweep are sharded over the process WorkerPool (common/worker_pool.h)
+// in contiguous anchor ranges.
 //
 // A verdict depends only on two immutable profiles and the link radius,
 // never on the site, so a build over a minute's shard first consults
@@ -28,8 +28,8 @@
 // thus pay member selection, a scan of memo bits, CSR and TrustRank. All
 // memos together stay under kViewlinkMemoBudget bytes; past it a build
 // runs memo-off. build_from_members() without a shard is the memo-off
-// path. The edge set is bit-identical memo-on and memo-off, for every
-// thread count, and to the retained reference builder, which evaluates
+// path. The edge set is bit-identical memo-on and memo-off, at every
+// pool width, and to the retained reference builder, which evaluates
 // the predicate through the profiles' own methods (property-tested in
 // tests/viewmap_build_test.cpp).
 #pragma once
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "common/worker_pool.h"
 #include "geo/geometry.h"
 #include "index/db_snapshot.h"
 #include "system/csr_graph.h"
@@ -51,13 +52,6 @@ namespace viewmap::sys {
 struct ViewmapConfig {
   double link_radius_m = 400.0;  ///< DSRC radio radius (§5.1.2)
   double coverage_margin_m = 200.0;  ///< slack added around site ∪ trusted VP
-  /// Threads sharding the packing and the all-pairs sweep of one build.
-  /// 0 ⇒ pick from the hardware (small pool, capped at 4 —
-  /// investigation-server workers already parallelize across requests);
-  /// 1 ⇒ fully serial.
-  /// Builds below the parallel cutoff run serial regardless; the edge
-  /// set never depends on this knob.
-  std::size_t build_threads = 0;
 };
 
 /// The process-wide cap on the bytes of all live viewlink memos. A build
@@ -131,7 +125,11 @@ class Viewmap {
 
 class ViewmapBuilder {
  public:
-  explicit ViewmapBuilder(ViewmapConfig cfg = {}) : cfg_(cfg) {}
+  /// Builds shard their packing and sweep over `pool`; the edge set
+  /// never depends on its width.
+  explicit ViewmapBuilder(ViewmapConfig cfg = {},
+                          common::WorkerPool& pool = common::WorkerPool::process())
+      : cfg_(cfg), pool_(pool) {}
 
   /// §5.2.1 procedure: choose the trusted VP closest to `site` at
   /// `unit_time`, span the coverage area over site ∪ that VP's trajectory,
@@ -178,13 +176,9 @@ class ViewmapBuilder {
   /// equal-id pairs too.
   [[nodiscard]] bool viewlinked(const vp::ViewProfile& a, const vp::ViewProfile& b) const;
 
-  /// What a `build_threads` setting resolves to on this host BEFORE the
-  /// per-build clamps (serial cutoff, per-thread minimum work): 0 ⇒ the
-  /// auto pick. The bench reports this as the pool's upper bound.
-  [[nodiscard]] static std::size_t resolved_build_threads(std::size_t configured);
-
  private:
   ViewmapConfig cfg_;
+  common::WorkerPool& pool_;
 };
 
 }  // namespace viewmap::sys

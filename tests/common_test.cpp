@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <latch>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
@@ -18,6 +22,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "common/worker_pool.h"
 
 namespace viewmap {
 namespace {
@@ -413,6 +418,104 @@ TEST_F(FailpointTest, ArmFromEnvReadsVariableExplicitly) {
   ::unsetenv("VIEWMAP_FAILPOINTS");
   failpoint::disarm_all();
   EXPECT_EQ(failpoint::arm_from_env(), 0u);
+}
+
+// ── worker pool ──────────────────────────────────────────────────────
+
+/// Runs parallel_for(n) on `pool` and returns how often each index ran.
+std::vector<int> run_counts(common::WorkerPool& pool, std::size_t n) {
+  std::vector<std::atomic<int>> runs(n);
+  pool.parallel_for(n, [&](std::size_t i) { runs[i].fetch_add(1); });
+  std::vector<int> out;
+  for (const auto& r : runs) out.push_back(r.load());
+  return out;
+}
+
+TEST(WorkerPool, EveryIndexRunsExactlyOnce) {
+  for (const unsigned width : {1u, 2u, 3u, 4u}) {
+    common::WorkerPool pool(width);
+    EXPECT_EQ(pool.width(), width);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{width - 1},
+                                std::size_t{1000}}) {
+      const std::vector<int> runs = run_counts(pool, n);
+      EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), static_cast<std::ptrdiff_t>(n))
+          << "width " << width << ", n " << n;
+    }
+  }
+}
+
+TEST(WorkerPool, ExceptionReachesCallerAfterClaimedIndicesReturn) {
+  common::WorkerPool pool(4);
+  std::atomic<int> in_flight{0};
+  std::vector<std::atomic<int>> runs(400);
+  try {
+    pool.parallel_for(runs.size(), [&](std::size_t i) {
+      in_flight.fetch_add(1);
+      runs[i].fetch_add(1);
+      if (i == 7) {
+        in_flight.fetch_sub(1);
+        throw std::runtime_error("index 7");
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      in_flight.fetch_sub(1);
+    });
+    FAIL() << "parallel_for swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 7");
+    EXPECT_EQ(in_flight.load(), 0) << "rethrown while claimed indices still ran";
+  }
+  // No index ran twice, and the throw stopped further claims.
+  std::size_t ran = 0;
+  for (const auto& r : runs) {
+    EXPECT_LE(r.load(), 1);
+    ran += static_cast<std::size_t>(r.load());
+  }
+  EXPECT_LT(ran, runs.size());
+  // The same pool serves the next call in full.
+  const std::vector<int> next = run_counts(pool, 1000);
+  EXPECT_EQ(std::count(next.begin(), next.end(), 1), 1000);
+}
+
+TEST(WorkerPool, ConcurrentCallersOnANarrowPoolAllComplete) {
+  // Server workers share the process pool: every caller claims its own
+  // indices, so 8 callers on one worker all finish.
+  common::WorkerPool pool(2);
+  constexpr std::size_t kCallers = 8;
+  std::vector<std::vector<int>> results(kCallers);
+  std::latch start(kCallers);
+  const auto call = [&](std::size_t c) {
+    start.arrive_and_wait();
+    results[c] = run_counts(pool, 500);
+  };
+  std::vector<std::thread> callers;
+  for (std::size_t c = 1; c < kCallers; ++c) callers.emplace_back(call, c);
+  call(0);
+  for (auto& t : callers) t.join();
+  for (const auto& runs : results)
+    EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), 500);
+}
+
+TEST(WorkerPool, NestedParallelForCompletes) {
+  common::WorkerPool pool(3);
+  std::vector<std::atomic<int>> runs(8 * 100);
+  pool.parallel_for(8, [&](std::size_t i) {
+    pool.parallel_for(100, [&](std::size_t j) { runs[i * 100 + j].fetch_add(1); });
+  });
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+}
+
+TEST_F(FailpointTest, PoolSpawnFailureJoinsStartedWorkersAndThrows) {
+  // The second spawn fails: the constructor must join the one worker it
+  // started (destroying it joinable would end the process) and rethrow.
+  failpoint::arm_from_spec("pool.spawn=error@window:1:2");
+  EXPECT_THROW(common::WorkerPool(4), std::system_error);
+  EXPECT_EQ(failpoint::stats("pool.spawn").hits, 2u);
+  EXPECT_EQ(failpoint::stats("pool.spawn").fires, 1u);
+
+  failpoint::disarm("pool.spawn");
+  common::WorkerPool pool(4);
+  const std::vector<int> runs = run_counts(pool, 1000);
+  EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), 1000);
 }
 
 }  // namespace

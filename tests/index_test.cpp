@@ -10,6 +10,7 @@
 
 #include "attack/fake_vp.h"
 #include "common/rng.h"
+#include "common/worker_pool.h"
 #include "index/ingest_engine.h"
 #include "index/timeline.h"
 #include "obs/metrics.h"
@@ -283,25 +284,23 @@ TEST(VpTimeline, EvictionReleasesEveryEvictedId) {
 TEST(IngestEngine, StatsAndDuplicateScreen) {
   Rng rng(50);
   VpTimeline db;
+  // Past the inline cutoff (64 payloads), so four tasks commit at once.
   std::vector<std::vector<std::uint8_t>> payloads;
-  for (int i = 0; i < 20; ++i) payloads.push_back(random_vp(0, 2000.0, rng).serialize());
+  for (int i = 0; i < 80; ++i) payloads.push_back(random_vp(0, 2000.0, rng).serialize());
   payloads.push_back(payloads.front());      // duplicate id
   payloads.push_back({0xde, 0xad, 0xbe});    // malformed
 
   obs::MetricsRegistry registry;
-  IngestConfig cfg;
-  cfg.threads = 4;
-  cfg.min_parallel_batch = 1;
-  cfg.metrics = &registry;
-  IngestEngine engine(db, cfg);
+  common::WorkerPool pool(4);
+  IngestEngine engine(db, IngestMetrics::wire(registry), pool);
   const auto stats = engine.ingest(std::move(payloads));
-  EXPECT_EQ(stats.accepted, 20u);
+  EXPECT_EQ(stats.accepted, 80u);
   EXPECT_EQ(stats.rejected_duplicate, 1u);
   EXPECT_EQ(stats.rejected_malformed, 1u);
-  EXPECT_EQ(db.size(), 20u);
+  EXPECT_EQ(db.size(), 80u);
   // The running totals live in the registry the engine publishes into.
   const IngestStats totals = IngestMetrics::wire(registry).totals();
-  EXPECT_EQ(totals.accepted, 20u);
+  EXPECT_EQ(totals.accepted, 80u);
   EXPECT_EQ(totals.rejected_duplicate, 1u);
   EXPECT_EQ(totals.rejected_malformed, 1u);
   EXPECT_EQ(totals.batches, 1u);
@@ -316,19 +315,19 @@ TEST(IngestEngine, FarFutureAnonymousBatchCannotEvictRealShards) {
   ASSERT_EQ(db.upload(random_vp(60, 2000.0, rng), true), kAccepted);  // clock = 60
 
   // The batch path enforces retention after every ingest; a far-future
-  // anonymous claim must be screened out, not advance the cutoff.
-  IngestConfig cfg;
-  cfg.threads = 2;
-  cfg.min_parallel_batch = 1;
-  IngestEngine engine(db, cfg);
+  // anonymous claim must be screened out, not advance the cutoff — also
+  // when it races 64 plausible uploads through a parallel batch.
+  common::WorkerPool pool(2);
+  IngestEngine engine(db, {}, pool);
   std::vector<std::vector<std::uint8_t>> payloads;
   payloads.push_back(random_vp(1'000'000'000'000LL, 2000.0, rng).serialize());
-  payloads.push_back(random_vp(0, 2000.0, rng).serialize());  // still plausible
+  for (int i = 0; i < 64; ++i)
+    payloads.push_back(random_vp(0, 2000.0, rng).serialize());  // still plausible
   const auto stats = engine.ingest(std::move(payloads));
   EXPECT_EQ(stats.rejected_untimely, 1u);
-  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.accepted, 64u);
   EXPECT_EQ(stats.evicted, 0u);
-  EXPECT_EQ(db.size(), 12u);
+  EXPECT_EQ(db.size(), 75u);
   EXPECT_EQ(db.trusted_now(), 60);
 }
 
@@ -347,16 +346,14 @@ TEST(IngestEngine, ThreadCountDoesNotChangeTheOutcome) {
   VpTimeline serial;
   for (const auto& payload : payloads) serial.upload(vp::ViewProfile::parse(payload), false);
   const std::vector<Id16> reference = ids_of(serial.snapshot().all());
-  for (unsigned threads : {1u, 2u, 8u}) {
+  for (unsigned width : {1u, 2u, 8u}) {
     VpTimeline db;
-    IngestConfig cfg;
-    cfg.threads = threads;
-    cfg.min_parallel_batch = 1;
-    IngestEngine engine(db, cfg);
+    common::WorkerPool pool(width);
+    IngestEngine engine(db, {}, pool);
     const auto stats = engine.ingest(payloads);
     EXPECT_EQ(stats.accepted, 200u);
     EXPECT_EQ(stats.rejected_duplicate, 50u);
-    EXPECT_EQ(ids_of(db.snapshot().all()), reference) << threads << " threads";
+    EXPECT_EQ(ids_of(db.snapshot().all()), reference) << "pool width " << width;
   }
 }
 
@@ -444,13 +441,13 @@ TEST(IngestEngine, DrainsSimulatedTrafficLikeTheSerialPath) {
   auto city = road::make_grid_city(ccfg, city_rng);
   sim::SimConfig scfg;
   scfg.seed = 81;
-  scfg.vehicle_count = 12;
+  scfg.vehicle_count = 40;
   scfg.minutes = 2;
   scfg.video_bytes_per_second = 8;
   sim::TrafficSimulator simulator(std::move(city), scfg);
   const auto world = simulator.run();
   auto payloads = sim::upload_payloads(world);
-  ASSERT_FALSE(payloads.empty());
+  ASSERT_GE(payloads.size(), 64u);  // a parallel batch, not the inline path
 
   // Serial reference: one VpTimeline::upload per payload, tallied by
   // outcome.
@@ -460,10 +457,8 @@ TEST(IngestEngine, DrainsSimulatedTrafficLikeTheSerialPath) {
     ++reference_outcomes[reference.upload(vp::ViewProfile::parse(payload), false)];
 
   VpTimeline db;
-  IngestConfig cfg;
-  cfg.threads = 4;
-  cfg.min_parallel_batch = 1;
-  IngestEngine engine(db, cfg);
+  common::WorkerPool pool(4);
+  IngestEngine engine(db, {}, pool);
   const auto stats = engine.ingest(std::move(payloads));
   EXPECT_EQ(stats.accepted, reference_outcomes[kAccepted]);
   EXPECT_EQ(stats.rejected_malformed, reference_outcomes[Admission::kMalformed]);

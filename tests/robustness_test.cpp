@@ -15,6 +15,7 @@
 
 #include "attack/fake_vp.h"
 #include "common/rng.h"
+#include "common/worker_pool.h"
 #include "crypto/crc32c.h"
 #include "crypto/sha256.h"
 #include "sim/simulator.h"
@@ -205,7 +206,7 @@ TEST(Fuzz, SegmentStoreMutationsRecoverOrThrow) {
   fs::remove_all(dir);
   store::SegmentStoreConfig cfg;
   cfg.fsync = false;
-  cfg.restore_threads = 2;
+  common::WorkerPool pool(2);
 
   // Two sealed checkpoints: three minutes (one with a trusted mark), then
   // one changed and one new minute.
@@ -216,7 +217,7 @@ TEST(Fuzz, SegmentStoreMutationsRecoverOrThrow) {
   sys::VpDatabase db;
   std::vector<Bytes> sealed;
   {
-    store::SegmentStore seed_store(dir.string(), cfg);
+    store::SegmentStore seed_store(dir.string(), cfg, pool);
     for (int m = 0; m < 3; ++m)
       for (int i = 0; i < 2; ++i) ASSERT_EQ(db.upload(profile(m, i * 400.0), false), kAccepted);
     ASSERT_EQ(db.upload(profile(1, 900.0), true), kAccepted);
@@ -288,7 +289,7 @@ TEST(Fuzz, SegmentStoreMutationsRecoverOrThrow) {
 
     write_file(name, bytes);
     try {
-      const store::SegmentStore st(dir.string(), cfg);
+      const store::SegmentStore st(dir.string(), cfg, pool);
       const Bytes got = st.recover().snapshot().canonical_bytes();
       EXPECT_TRUE(got == sealed[0] || got == sealed[1])
           << "iteration " << iter << " (" << name << ", mutation " << kind

@@ -39,6 +39,7 @@
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/bytes.h"
+#include "common/worker_pool.h"
 #include "crypto/crc32c.h"
 #include "crypto/sha256.h"
 #include "store/segment_store.h"
@@ -625,25 +626,24 @@ TEST(SegmentStore, ParallelRecoveryIsDeterministicAcrossThreadCounts) {
 
   const Bytes expected = db_bytes(db);
   RecoveryStats base;
-  for (const unsigned threads : {1u, 2u, 4u, 0u}) {  // 0 = hardware concurrency
-    SegmentStoreConfig cfg = fast_config();
-    cfg.restore_threads = threads;
-    SegmentStore store(dir.str(), cfg);
+  for (const unsigned width : {1u, 2u, 4u}) {
+    common::WorkerPool pool(width);
+    SegmentStore store(dir.str(), fast_config(), pool);
     RecoveryStats rec;
     const auto loaded = store.recover(&rec);
     // Bit-identical database AND identical recovery accounting, however
     // wide the pool — adoption order is manifest order, not finish order.
-    EXPECT_EQ(db_bytes(loaded), expected) << "threads=" << threads;
-    if (threads == 1) {
-      EXPECT_EQ(rec.threads_used, 1u);
+    EXPECT_EQ(db_bytes(loaded), expected) << "width=" << width;
+    EXPECT_EQ(rec.threads_used, width);
+    if (width == 1) {
       base = rec;
       continue;
     }
-    EXPECT_EQ(rec.sequence, base.sequence) << "threads=" << threads;
-    EXPECT_EQ(rec.segments_loaded, base.segments_loaded) << "threads=" << threads;
-    EXPECT_EQ(rec.profiles_loaded, base.profiles_loaded) << "threads=" << threads;
-    EXPECT_EQ(rec.profiles_rejected, base.profiles_rejected) << "threads=" << threads;
-    EXPECT_EQ(rec.trusted_marked, base.trusted_marked) << "threads=" << threads;
+    EXPECT_EQ(rec.sequence, base.sequence) << "width=" << width;
+    EXPECT_EQ(rec.segments_loaded, base.segments_loaded) << "width=" << width;
+    EXPECT_EQ(rec.profiles_loaded, base.profiles_loaded) << "width=" << width;
+    EXPECT_EQ(rec.profiles_rejected, base.profiles_rejected) << "width=" << width;
+    EXPECT_EQ(rec.trusted_marked, base.trusted_marked) << "width=" << width;
   }
 }
 
@@ -671,19 +671,18 @@ TEST(SegmentStore, DamagedSegmentErrorsNameFileAndOffsetAtAnyPoolWidth) {
   fix_crc(dir.path(), first);
   corrupt_truncate(dir.path(), third, 50);
   std::map<unsigned, std::string> messages;
-  for (const unsigned threads : {1u, 4u}) {
-    SegmentStoreConfig cfg = fast_config();
-    cfg.restore_threads = threads;
-    SegmentStore store(dir.str(), cfg);
+  for (const unsigned width : {1u, 2u, 4u}) {
+    common::WorkerPool pool(width);
+    SegmentStore store(dir.str(), fast_config(), pool);
     const std::uint64_t sealed = 1;
     try {
       (void)store.recover(sealed);
-      FAIL() << "recover(1) of a damaged checkpoint must throw (threads="
-             << threads << ")";
+      FAIL() << "recover(1) of a damaged checkpoint must throw (width=" << width << ")";
     } catch (const std::runtime_error& e) {
-      messages[threads] = e.what();
+      messages[width] = e.what();
     }
   }
+  EXPECT_EQ(messages[1], messages[2]);
   EXPECT_EQ(messages[1], messages[4]);
   EXPECT_NE(messages[1].find(first), std::string::npos) << messages[1];
   EXPECT_NE(messages[1].find("table entry 1"), std::string::npos) << messages[1];
@@ -1278,9 +1277,8 @@ TEST(SegmentStoreProperty, AnyInterleavingMatchesNeverRestartedReference) {
     sys::VpDatabase reference(tcfg);
     sys::VpDatabase live(tcfg);
     // Restarts recover through a 3-wide worker pool.
-    SegmentStoreConfig cfg = fast_config();
-    cfg.restore_threads = 3;
-    SegmentStore store(dir.str(), cfg);
+    common::WorkerPool pool(3);
+    SegmentStore store(dir.str(), fast_config(), pool);
 
     TimeSec clock = 4 * kUnitTimeSec;
     reference.advance_clock(clock);
@@ -1413,9 +1411,8 @@ TEST(SegmentStoreConcurrency, ParallelRecoveryFeedsLiveService) {
               .serialize());
   EXPECT_GT(origin.ingest_uploads(), 0u);
 
-  SegmentStoreConfig cfg = fast_config();
-  cfg.restore_threads = 4;
-  SegmentStore store(dir.str(), cfg);
+  common::WorkerPool pool(4);
+  SegmentStore store(dir.str(), fast_config(), pool);
   (void)origin.checkpoint(store);
   const Bytes expected = db_bytes(origin.database());
 

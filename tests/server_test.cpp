@@ -441,7 +441,6 @@ TEST(InvestigationServer, ConcurrentWithIngestAndEvictionStress) {
   ServiceConfig cfg;
   cfg.rsa_bits = 1024;
   cfg.index.retention.window_sec = 3 * kUnitTimeSec;
-  cfg.ingest.min_parallel_batch = 4;
   ViewMapService service(cfg);
 
   // Trust seeds for minutes 0–5, each crossing the investigation site.
@@ -489,12 +488,13 @@ TEST(InvestigationServer, ConcurrentWithIngestAndEvictionStress) {
   // is capped so minutes 3–5 keep their seeds and investigations keep
   // producing reports). The loop runs until the submitters have resolved
   // a healthy number of requests — on a 1-core host they only make
-  // progress when this thread cedes the CPU.
+  // progress when this thread cedes the CPU. Each round is one 64-upload
+  // batch, the size at which the engine commits on several pool tasks.
   Rng urng(23);
   std::size_t rounds = 0;
   while (rounds < 25 || (resolved.load() < 20 && rounds < 5000)) {
     const TimeSec base = kUnitTimeSec * static_cast<TimeSec>(rounds % 5);
-    for (int i = 0; i < 6; ++i) {
+    for (int i = 0; i < 64; ++i) {
       const geo::Vec2 a{urng.uniform(-350.0, 650.0), urng.uniform(-350.0, 350.0)};
       const geo::Vec2 b{a.x + 200.0, a.y};
       service.upload_channel().submit(
@@ -520,20 +520,18 @@ TEST(InvestigationServer, ConcurrentWithIngestAndEvictionStress) {
 }
 
 TEST(InvestigationServer, ParallelViewmapBuildRacesIngestAndEviction) {
-  // The builder shards one viewmap's all-pairs sweep across
-  // build_threads (src/system/viewmap_graph.cpp). Here
-  // every build crosses the parallel cutoff — a dense minute of ~160
-  // members — so server workers spawn in-build pools that read pinned
-  // shard profiles while a live ingest loop commits uploads and the
-  // trusted clock walks an older investigated minute out of retention.
-  // TSan (CI runs this suite under it) checks the per-thread edge
-  // buffers and the merge; the assertions check CSR invariants.
+  // The builder shards one viewmap's all-pairs sweep over the process
+  // WorkerPool (src/system/viewmap_graph.cpp). Here every build crosses
+  // the parallel cutoff — a dense minute of ~160 members — so two server
+  // workers share the pool's workers with the ingest batches, reading
+  // pinned shard profiles while a live ingest loop commits uploads and
+  // the trusted clock walks an older investigated minute out of
+  // retention. TSan (CI runs this suite under it) checks the per-task
+  // edge buffers and the merge; the assertions check CSR invariants.
   Rng rng(31);
   ServiceConfig cfg;
   cfg.rsa_bits = 1024;
-  cfg.viewmap.build_threads = 3;
   cfg.index.retention.window_sec = 3 * kUnitTimeSec;
-  cfg.ingest.min_parallel_batch = 4;
   ViewMapService service(cfg);
 
   Rng trng(32);
@@ -563,11 +561,12 @@ TEST(InvestigationServer, ParallelViewmapBuildRacesIngestAndEviction) {
   // minute — and every build over it — without limit on a slow host.
   std::atomic<bool> writer_done{false};
   std::thread writer([&] {
-    // Commits minute-1 uploads while the clock walk evicts minute 0
-    // beneath the investigators (cutoff reaches 60 s).
+    // Commits minute-1 uploads, one 64-upload batch per round so each
+    // commits on several pool tasks, while the clock walk evicts minute
+    // 0 beneath the investigators (cutoff reaches 60 s).
     Rng wrng(33);
-    for (std::size_t round = 1; round <= 40; ++round) {
-      for (int i = 0; i < 8; ++i) {
+    for (std::size_t round = 1; round <= 8; ++round) {
+      for (int i = 0; i < 64; ++i) {
         const geo::Vec2 a{wrng.uniform(-300.0, 300.0), wrng.uniform(-300.0, 300.0)};
         service.upload_channel().submit(
             attack::make_fake_profile(kUnitTimeSec, a, {a.x + 150.0, a.y}, wrng)

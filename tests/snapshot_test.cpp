@@ -241,7 +241,6 @@ TEST(DbSnapshot, InvestigateConcurrentWithIngestAndEviction) {
   sys::ServiceConfig cfg;
   cfg.rsa_bits = 1024;
   cfg.index.retention.window_sec = 2 * kUnitTimeSec;
-  cfg.ingest.min_parallel_batch = 4;
   sys::ViewMapService service(cfg);
 
   // Trust seed at minute 0, inside what will be the investigation site.
@@ -282,16 +281,18 @@ TEST(DbSnapshot, InvestigateConcurrentWithIngestAndEviction) {
   // retention evicts minute 0 out from under the investigator. The
   // eviction waits for the investigator to have built at least one
   // report — on a 1-core host it may not get scheduled for many rounds.
+  // Each round is one 64-upload batch, the size at which the engine
+  // commits on several pool tasks at once.
   Rng urng(10);
   for (std::size_t round = 0; round < 5000; ++round) {
-    for (int i = 0; i < 8; ++i) {
+    for (int i = 0; i < 64; ++i) {
       const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(round % 2);
       const geo::Vec2 a{urng.uniform(-350.0, 650.0), urng.uniform(-350.0, 350.0)};
       const geo::Vec2 b{a.x + 200.0, a.y};
       service.upload_channel().submit(attack::make_fake_profile(unit, a, b, urng).serialize());
     }
     (void)service.ingest_uploads();
-    if (round >= 30 && produced.load() > 0) {
+    if (round >= 4 && produced.load() > 0) {
       service.advance_clock(10 * kUnitTimeSec);  // minute 0 now outside the window
       // Retention runs per non-empty batch (an empty drain returns
       // early), so feed one admissible upload with the eviction pass.

@@ -5,8 +5,8 @@
 // The load-bearing property: for ANY member layout, link forgery
 // included, the packed kernel + sharded sweep + CSR pipeline and the
 // naive sweep through the profiles' own predicates emit the
-// bit-identical edge set — same CSR offsets, same edge array, for every
-// thread count. The randomized layouts stress what the bbox prune, the
+// bit-identical edge set — same CSR offsets, same edge array, at every
+// pool width. The randomized layouts stress what the bbox prune, the
 // packed predicate and the anchor-range sharding can get wrong: dense
 // pileups where nearly every pair reaches the Bloom test, sparse
 // city-scale spread where most pairs fail the prune, pairs at exactly
@@ -39,6 +39,7 @@
 
 #include "attack/fake_vp.h"
 #include "common/rng.h"
+#include "common/worker_pool.h"
 #include "index/timeline.h"
 #include "system/csr_graph.h"
 #include "system/trustrank.h"
@@ -84,23 +85,22 @@ std::vector<vp::ViewProfile> random_fleet(std::size_t n, double extent, Rng& rng
   return fleet;
 }
 
-/// Builds with the naive reference once and with the packed sweep at
-/// each given thread count, and requires the bit-identical CSR.
+/// Builds with the naive reference once and with the packed sweep on a
+/// pool of each given width, and requires the bit-identical CSR.
 void expect_equivalent(const std::vector<vp::ViewProfile>& fleet,
-                       std::initializer_list<std::size_t> thread_counts) {
+                       std::initializer_list<unsigned> widths) {
   const geo::Rect cover{{-1e7, -1e7}, {1e7, 1e7}};
   const std::vector<bool> trusted(fleet.size(), false);
   const Viewmap ref =
       ViewmapBuilder().build_from_members_reference(pointers(fleet), trusted, 0, cover);
 
-  for (const std::size_t build_threads : thread_counts) {
-    ViewmapConfig cfg;
-    cfg.build_threads = build_threads;
+  for (const unsigned width : widths) {
+    common::WorkerPool pool(width);
     const Viewmap packed =
-        ViewmapBuilder(cfg).build_from_members(pointers(fleet), trusted, 0, cover);
+        ViewmapBuilder({}, pool).build_from_members(pointers(fleet), trusted, 0, cover);
     ASSERT_EQ(packed.size(), ref.size());
     EXPECT_EQ(packed.graph(), ref.graph())
-        << "edge sets diverge at n=" << fleet.size() << " threads=" << build_threads;
+        << "edge sets diverge at n=" << fleet.size() << " pool width=" << width;
     EXPECT_EQ(packed.edge_count(), ref.edge_count());
   }
 }
@@ -126,13 +126,13 @@ TEST(ViewmapBuildEquivalence, ParallelBuildMatchesSerialAndReference) {
   for (std::uint64_t seed : {7u, 8u}) {
     Rng rng(seed);
     const auto fleet = random_fleet(220, 500.0, rng);
-    expect_equivalent(fleet, {1, 4});  // 4 threads shard the sweep
+    expect_equivalent(fleet, {1, 4});  // 4 tasks shard the sweep
   }
 }
 
 TEST(ViewmapBuildEquivalence, SmallMemberSetsUseAllPairsPathIdentically) {
   // Empty, single and tiny member sets: all below the parallel cutoff,
-  // so the sweep runs serial even when two threads are configured.
+  // so the sweep runs serial even on a pool of two.
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                         std::size_t{20}, std::size_t{47}, std::size_t{48}}) {
     Rng rng(40 + n);
@@ -377,8 +377,8 @@ TEST(ViewmapBuildEquivalence, PrunesKeepPairsThatRoundOntoTheRadius) {
 TEST(ViewmapBuildEquivalence, EqualIdsNeverLink) {
   // Two profiles with one VP id — a clone beside its original, mutually
   // linked and co-located — are no viewlink for viewlinked() and for
-  // neither builder, at 21 members (serial) and 121 (sharded when 4
-  // threads are configured).
+  // neither builder, at 21 members (serial) and 121 (sharded on a pool
+  // of 4).
   for (const std::size_t n : {std::size_t{20}, std::size_t{120}}) {
     Rng rng(68 + n);
     auto fleet = random_fleet(n, 300.0, rng);
@@ -556,15 +556,16 @@ TEST(ViewlinkMemo, FourThreadsBuildOneMinuteConcurrently) {
                            .graph());
   }
   // Every thread starts with the first, unmemoized build of the minute,
-  // so the memo's install races too; sharded and serial sweeps mix.
+  // so the memo's install races too; sharded and serial sweeps mix, and
+  // two threads share one pool.
   std::atomic<int> mismatches{0};
   std::latch start(4);
+  common::WorkerPool serial(1);
+  common::WorkerPool sharded(2);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < 4; ++t)
     threads.emplace_back([&, t] {
-      ViewmapConfig cfg;
-      cfg.build_threads = t % 2 == 0 ? 1 : 2;
-      const ViewmapBuilder builder(cfg);
+      const ViewmapBuilder builder({}, t % 2 == 0 ? serial : sharded);
       start.arrive_and_wait();
       for (std::size_t round = 0; round < 3; ++round)
         for (std::size_t k = 0; k < areas.size(); ++k) {

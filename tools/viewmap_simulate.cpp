@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/worker_pool.h"
 #include "index/ingest_engine.h"
 #include "sim/simulator.h"
 #include "store/segment_store.h"
@@ -76,9 +77,9 @@ int main(int argc, char** argv) {
   std::printf("%s: checkpoint %llu, %zu VPs (%zu guards, %zu trusted) from %d vehicles x %d min\n",
               out_path.c_str(), static_cast<unsigned long long>(sealed.sequence), snap.size(),
               guards, snap.trusted_count(), vehicles, minutes);
-  std::printf("ingest: %zu accepted, %zu malformed, %zu untimely, %zu duplicate (%u threads)\n",
+  std::printf("ingest: %zu accepted, %zu malformed, %zu untimely, %zu duplicate (pool width %u)\n",
               ingest.accepted, ingest.rejected_malformed, ingest.rejected_untimely,
-              ingest.rejected_duplicate, engine.worker_count());
+              ingest.rejected_duplicate, common::WorkerPool::process().width());
   std::printf("%-12s %-8s %-8s\n", "unit-time", "VPs", "trusted");
   for (const auto& shard : snap.shard_stats())
     std::printf("%-12lld %-8zu %-8zu\n", static_cast<long long>(shard.unit_time),
