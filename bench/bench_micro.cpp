@@ -2,8 +2,9 @@
 // cascaded hash steps, one-shot frame hashing, VD and VP serialization,
 // Bloom operations, cold probe tables, viewmap-probe membership tests,
 // viewmap builds of one downtown minute (cold and warm viewlink memo)
-// and TrustRank iterations. These are the knobs §6.1
-// budgets (per-second VD deadline, VP storage, verification latency).
+// and TrustRank iterations, on sparse graphs and on that minute. These
+// are the knobs §6.1 budgets (per-second VD deadline, VP storage,
+// verification latency).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -272,6 +273,24 @@ BENCHMARK(BM_ViewmapBuildCold)->Unit(benchmark::kMillisecond);
 // A repeat build of the same minute: every verdict comes from the memo.
 void BM_ViewmapBuildWarm(benchmark::State& state) { build_minute(state, true); }
 BENCHMARK(BM_ViewmapBuildWarm)->Unit(benchmark::kMillisecond);
+
+/// TrustRank on the downtown minute's viewmap, seeded at every 100th
+/// member: 39% of member pairs are viewlinks (778k edges), the kind of
+/// graph every swept minute ranks; BM_TrustRank's have average degree 8.
+void BM_TrustRankDowntown(benchmark::State& state) {
+  const DowntownMinute& minute = downtown_minute();
+  common::WorkerPool serial(1);
+  std::vector<bool> trusted(minute.members.size(), false);
+  for (std::size_t i = 0; i < trusted.size(); i += 100) trusted[i] = true;
+  const sys::Viewmap map = sys::ViewmapBuilder({}, serial).build_from_members(
+      minute.members, trusted, 0, {{-1e4, -1e4}, {1e4, 1e4}});
+  const auto seeds = map.trusted_indices();
+  for (auto _ : state) benchmark::DoNotOptimize(sys::trust_rank(map.graph(), seeds));
+  const double n = static_cast<double>(map.size());
+  state.counters["edges"] = static_cast<double>(map.edge_count());
+  state.counters["density"] = static_cast<double>(map.edge_count()) / (n * (n - 1) / 2);
+}
+BENCHMARK(BM_TrustRankDowntown)->Unit(benchmark::kMillisecond);
 
 void BM_SyntheticChunk(benchmark::State& state) {
   const vp::SyntheticVideoSource source(7, static_cast<std::uint64_t>(state.range(0)));

@@ -1,5 +1,6 @@
 #include "system/csr_graph.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -18,8 +19,13 @@ CsrGraph::CsrGraph(std::vector<std::size_t> offsets, std::vector<std::uint32_t> 
   for (std::size_t i = 0; i < n; ++i)
     if (offsets_[i] > offsets_[i + 1])
       throw std::invalid_argument("CsrGraph: offsets must be non-decreasing");
-  for (const std::uint32_t e : edges_)
-    if (e >= n) throw std::invalid_argument("CsrGraph: edge target out of range");
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = offsets_[i]; k < offsets_[i + 1]; ++k) {
+      if (edges_[k] >= n) throw std::invalid_argument("CsrGraph: edge target out of range");
+      if (k > offsets_[i] && edges_[k - 1] > edges_[k])
+        throw std::invalid_argument("CsrGraph: neighbor rows must be ascending");
+    }
+  }
 }
 
 CsrGraph CsrGraph::from_adjacency(
@@ -29,7 +35,10 @@ CsrGraph CsrGraph::from_adjacency(
   for (std::size_t i = 0; i < n; ++i) offsets[i + 1] = offsets[i] + adjacency[i].size();
   std::vector<std::uint32_t> edges;
   edges.reserve(offsets.back());
-  for (const auto& nbrs : adjacency) edges.insert(edges.end(), nbrs.begin(), nbrs.end());
+  for (const auto& nbrs : adjacency) {
+    const auto row = edges.insert(edges.end(), nbrs.begin(), nbrs.end());
+    std::sort(row, edges.end());
+  }
   return CsrGraph(std::move(offsets), std::move(edges));
 }
 

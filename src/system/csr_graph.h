@@ -17,18 +17,25 @@ namespace viewmap::sys {
 
 /// Immutable CSR adjacency over nodes [0, n). Undirected graphs store
 /// both directions (edge_slots() == 2 × undirected edge count).
+///
+/// Invariant: every neighbor row is ascending (non-decreasing: a
+/// repeated neighbor, i.e. a multi-edge, is legal). Pull-form TrustRank
+/// relies on it: summing a row in ascending order adds the same terms in
+/// the same order as pushing each node's share along its edges in node
+/// order, so both forms give the same bits (system/trustrank.h).
 class CsrGraph {
  public:
   /// Empty graph with zero nodes.
   CsrGraph() = default;
 
   /// Takes ownership of prebuilt arrays: n+1 offsets, front() == 0,
-  /// non-decreasing, back() == edges.size(), every edge target < n.
-  /// Throws std::invalid_argument otherwise.
+  /// non-decreasing, back() == edges.size(), every edge target < n, and
+  /// every row ascending. Throws std::invalid_argument otherwise.
   CsrGraph(std::vector<std::size_t> offsets, std::vector<std::uint32_t> edges);
 
   /// One-pass conversion from nested adjacency (the shape the
-  /// abstract-graph tests, benches, and attack experiments build). Convert
+  /// abstract-graph tests, benches, and attack experiments build); each
+  /// row is sorted, so the input rows may come in any order. Convert
   /// once, then hand the graph to trust_rank() and algorithm1().
   static CsrGraph from_adjacency(std::span<const std::vector<std::uint32_t>> adjacency);
 

@@ -11,6 +11,16 @@
 // per-node heap hops, no bounds-checked access, and no per-call copy of
 // the viewmap's adjacency (the Viewmap overload consumes its CSR view
 // directly).
+//
+// Each iteration runs in pull form: share[v] = δ·P[v]/deg(v) once per
+// node, then next[u] = (1−δ)·d[u] + Σ share[v] over u's row, four rows
+// at a time so four independent add chains are in flight. Because
+// CsrGraph rows ascend, each next[u] adds the same terms in the same
+// order as the push form (every v, in node order, adding its share to
+// each neighbor), so the scores and iteration counts are bit-identical
+// to it — provided the adjacency is symmetric (u lists v exactly as
+// often as v lists u), as every undirected viewmap is. On an asymmetric
+// graph the pull form computes Mᵀ·P instead of M·P; no check is made.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +43,10 @@ struct TrustRankResult {
   bool converged = false;
 };
 
-/// Runs TrustRank on a CSR adjacency — the zero-copy hot path. `seeds`
-/// receive the uniform (1−δ) reinjection mass; they must be non-empty
-/// and in range (validated once, before the iteration).
+/// Runs TrustRank on a symmetric CSR adjacency — the zero-copy hot path.
+/// `seeds` receive the uniform (1−δ) reinjection mass; they must be
+/// non-empty, in range and distinct (validated once, before the
+/// iteration; std::invalid_argument otherwise).
 [[nodiscard]] TrustRankResult trust_rank(const CsrGraph& graph,
                                          std::span<const std::size_t> seeds,
                                          const TrustRankConfig& cfg = {});

@@ -273,18 +273,6 @@ namespace {
 
 // ── the §5.2.1 edge predicate over a fixed member set ────────────────
 
-/// Packed member pair, smaller index in the high half so a sorted
-/// pair array is ordered by (i, j) — the order CSR assembly wants.
-constexpr std::uint64_t pack_pair(std::uint32_t i, std::uint32_t j) noexcept {
-  return static_cast<std::uint64_t>(i) << 32 | j;
-}
-constexpr std::uint32_t pair_lo(std::uint64_t key) noexcept {
-  return static_cast<std::uint32_t>(key >> 32);
-}
-constexpr std::uint32_t pair_hi(std::uint64_t key) noexcept {
-  return static_cast<std::uint32_t>(key);
-}
-
 /// The link radius R widened past ever_within()'s rounding. Its float
 /// differences can round an exact gap of up to half a float ulp past R
 /// (~15 µm at R = 400 m) down to R, and a float ulp is at most R·2⁻²³.
@@ -465,6 +453,12 @@ class PackedMembers {
 constexpr std::size_t kParallelMinPairs = 2048;
 /// Minimum pairs a sweep task must have to be worth a worker.
 constexpr std::size_t kMinPairsPerTask = 4096;
+/// Most upper-neighbor entries a sweep task reserves up front (16 MiB):
+/// its whole share of the pair triangle while that is at most 4 Mi pairs
+/// (a 5,800-member minute over 4 tasks), and no more on a 50k-member
+/// minute, whose share would reserve 1.25 GB for a few thousand edges.
+/// Past the reserve the list grows as a vector does.
+constexpr std::size_t kMaxReservedNeighbors = std::size_t{1} << 22;
 
 /// Anchor-range boundaries for the sweep over n members. Anchor i tests
 /// the n − 1 − i pairs (i, j > i), so each of the `tasks` contiguous
@@ -567,21 +561,31 @@ class MemoCursor {
   std::uint64_t memoized_ = 0;
 };
 
-/// CSR assembly from the accepted pair list (sorted, unique, smaller id
-/// high): count degrees, prefix-sum, then two fill passes — smaller-side
-/// neighbors first, larger-side second — so every neighbor list comes
-/// out ascending without a per-node sort.
-CsrGraph csr_from_sorted_pairs(std::size_t n, std::span<const std::uint64_t> pairs) {
+/// CSR assembly from the sweep's own rows: anchor i of task t kept
+/// upper_degree[i] linked neighbors j > i, ascending, stored back to back
+/// in upper[t] for the anchors bounds[t] … bounds[t + 1] − 1. Row i is
+/// its lower neighbors (the anchors h < i that kept i) followed by its
+/// upper ones. Count the lower degrees, prefix-sum the offsets, then,
+/// visiting anchors in ascending order, copy each anchor's list into the
+/// tail of its row and scatter the anchor into the lower part of every
+/// row it lists — so each row comes out ascending with no sort.
+CsrGraph csr_from_upper_rows(std::size_t n, std::span<const std::uint32_t> bounds,
+                             std::span<const std::vector<std::uint32_t>> upper,
+                             std::span<const std::uint32_t> upper_degree) {
   std::vector<std::size_t> offsets(n + 1, 0);
-  for (const std::uint64_t key : pairs) {
-    ++offsets[pair_lo(key) + 1];
-    ++offsets[pair_hi(key) + 1];
+  for (const auto& list : upper)
+    for (const std::uint32_t j : list) ++offsets[j + 1];
+  for (std::size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i] + upper_degree[i];
+  std::vector<std::uint32_t> edges(offsets[n]);
+  std::vector<std::size_t> lower_end(offsets.begin(), offsets.end() - 1);
+  for (std::size_t t = 0; t < upper.size(); ++t) {
+    const std::uint32_t* list = upper[t].data();
+    for (std::uint32_t i = bounds[t]; i < bounds[t + 1]; ++i) {
+      const std::uint32_t* list_end = list + upper_degree[i];
+      std::copy(list, list_end, edges.data() + (offsets[i + 1] - upper_degree[i]));
+      for (; list != list_end; ++list) edges[lower_end[*list]++] = i;
+    }
   }
-  for (std::size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
-  std::vector<std::uint32_t> edges(pairs.size() * 2);
-  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (const std::uint64_t key : pairs) edges[cursor[pair_hi(key)]++] = pair_lo(key);
-  for (const std::uint64_t key : pairs) edges[cursor[pair_lo(key)]++] = pair_hi(key);
   return CsrGraph(std::move(offsets), std::move(edges));
 }
 
@@ -596,7 +600,10 @@ Viewmap ViewmapBuilder::build_from_members(
     throw std::invalid_argument("ViewmapBuilder: too many members");
   const std::size_t all_pairs = n * (n - 1) / 2;
   std::uint64_t memoized = 0;
-  const std::vector<std::uint64_t> accepted = [&] {
+  std::vector<std::uint32_t> bounds;
+  std::vector<std::vector<std::uint32_t>> upper;  // one per sweep task
+  std::vector<std::uint32_t> upper_degree(n);
+  {
     obs::SpanScope obs_span("edge_build");
     std::vector<std::uint32_t> slots(n, ViewlinkMemo::kNoSlot);
     const std::shared_ptr<const ViewlinkMemo> memo =
@@ -610,47 +617,44 @@ Viewmap ViewmapBuilder::build_from_members(
 
     // Pack in even member ranges (cold profiles hash their probe tables
     // here), then sweep every pair (i, j > i) in contiguous anchor ranges
-    // balanced by pair count, one edge buffer per task. A pair of two
-    // memo slots takes its verdict from the memo when an earlier build
-    // tested it; every other pair runs the kernel. Each buffer comes out
-    // in (i, j) order and the ranges ascend, so concatenating them yields
-    // the sorted pair list CSR assembly wants.
+    // balanced by pair count. A pair of two memo slots takes its verdict
+    // from the memo when an earlier build tested it; every other pair
+    // runs the kernel. Each task keeps, per anchor, its linked upper
+    // neighbors in ascending order: their count in upper_degree[i], the
+    // lists back to back in upper[t] — what CSR assembly reads.
     pool_.parallel_for(tasks, [&](std::size_t t) {
       packed.pack(n * t / tasks, n * (t + 1) / tasks);
     });
-    const auto bounds = triangle_bounds(n, tasks);
-    std::vector<std::vector<std::uint64_t>> partial(tasks);
+    bounds = triangle_bounds(n, tasks);
+    upper.resize(tasks);
     std::vector<std::uint64_t> partial_memoized(tasks, 0);
     pool_.parallel_for(tasks, [&](std::size_t t) {
+      // Reserved up front, so a dense minute's list never regrows.
+      std::size_t pairs = 0;
+      for (std::uint32_t i = bounds[t]; i < bounds[t + 1]; ++i) pairs += n - 1 - i;
+      upper[t].reserve(std::min(pairs, kMaxReservedNeighbors));
       // Each row's candidates are written unconditionally and kept by
       // advancing the count: no branch on the (unpredictable) verdict.
-      std::vector<std::uint64_t> row(n);
+      std::vector<std::uint32_t> row(n);
       MemoCursor cursor(memo.get());
       for (std::uint32_t i = bounds[t]; i < bounds[t + 1]; ++i) {
         cursor.anchor(slots[i]);
-        std::size_t kept = 0;
+        std::uint32_t kept = 0;
         for (std::uint32_t j = i + 1; j < n; ++j) {
-          row[kept] = pack_pair(i, j);
+          row[kept] = j;
           kept += cursor.linked(slots[j], [&] { return packed.linked(i, j); });
         }
-        partial[t].insert(partial[t].end(), row.begin(),
-                          row.begin() + static_cast<std::ptrdiff_t>(kept));
+        upper_degree[i] = kept;
+        upper[t].insert(upper[t].end(), row.begin(), row.begin() + std::ptrdiff_t{kept});
       }
       partial_memoized[t] = cursor.memoized();
     });
     for (const std::uint64_t m : partial_memoized) memoized += m;
-    std::size_t total = 0;
-    for (const auto& p : partial) total += p.size();
-    std::vector<std::uint64_t> merged = std::move(partial[0]);
-    merged.reserve(total);
-    for (std::size_t t = 1; t < tasks; ++t)
-      merged.insert(merged.end(), partial[t].begin(), partial[t].end());
-    return merged;
-  }();
+  }
 
   CsrGraph graph = [&] {
     obs::SpanScope obs_span("csr_build");
-    return csr_from_sorted_pairs(n, accepted);
+    return csr_from_upper_rows(n, bounds, upper, upper_degree);
   }();
   return Viewmap(std::move(members), std::move(trusted), std::move(graph), unit_time,
                  coverage, std::move(pinned), {all_pairs - memoized, memoized});
@@ -669,18 +673,19 @@ Viewmap ViewmapBuilder::build_from_members_reference(
   const double radius = cfg_.link_radius_m;
   std::vector<geo::Rect> boxes(n);
   for (std::size_t i = 0; i < n; ++i) boxes[i] = padded_box(*members[i], radius);
-  std::vector<std::uint64_t> accepted;
+  std::vector<std::vector<std::uint32_t>> adjacency(n);
   for (std::uint32_t i = 0; i < n; ++i)
     for (std::uint32_t j = i + 1; j < n; ++j) {
       if (!boxes_overlap(boxes[i], boxes[j])) continue;
       const vp::ViewProfile& a = *members[i];
       const vp::ViewProfile& b = *members[j];
-      if (a.vp_id() != b.vp_id() && a.heard(b) && a.ever_within(b, radius) && b.heard(a))
-        accepted.push_back(pack_pair(i, j));
+      if (a.vp_id() != b.vp_id() && a.heard(b) && a.ever_within(b, radius) && b.heard(a)) {
+        adjacency[i].push_back(j);
+        adjacency[j].push_back(i);
+      }
     }
-  return Viewmap(std::move(members), std::move(trusted),
-                 csr_from_sorted_pairs(n, accepted), unit_time, coverage,
-                 std::move(pinned));
+  return Viewmap(std::move(members), std::move(trusted), CsrGraph::from_adjacency(adjacency),
+                 unit_time, coverage, std::move(pinned));
 }
 
 }  // namespace viewmap::sys

@@ -161,8 +161,9 @@ class ViewmapBuilder {
   /// evaluates the §5.2.1 predicate through vp::ViewProfile::heard() and
   /// vp::ViewProfile::ever_within() — no packed arrays, no threads —
   /// behind the same trajectory-bbox prune as the fast path (which keeps
-  /// it quick enough for the bench's edge-set check), and emits the CSR
-  /// the same way. It is the independent ground truth the packed-kernel
+  /// it quick enough for the bench's edge-set check), and assembles its
+  /// CSR through CsrGraph::from_adjacency rather than the sweep's own
+  /// assembly. It is the independent ground truth the packed-kernel
   /// path is property-tested and benchmarked against
   /// (tests/viewmap_build_test.cpp, the `viewmap_build` scenario of
   /// bench_index) — never call it on the investigation path.

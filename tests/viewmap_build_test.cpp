@@ -1,6 +1,6 @@
 // Packed-kernel viewmap construction (the sharded all-pairs sweep) vs
-// the retained O(n²) reference builder, and the flat CSR machinery
-// underneath it.
+// the retained O(n²) reference builder, the flat CSR machinery
+// underneath it, and pull-form TrustRank over it against a push loop.
 //
 // The load-bearing property: for ANY member layout, link forgery
 // included, the packed kernel + sharded sweep + CSR pipeline and the
@@ -31,6 +31,7 @@
 #include <limits>
 #include <mutex>
 #include <ranges>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -126,8 +127,38 @@ TEST(ViewmapBuildEquivalence, ParallelBuildMatchesSerialAndReference) {
   for (std::uint64_t seed : {7u, 8u}) {
     Rng rng(seed);
     const auto fleet = random_fleet(220, 500.0, rng);
-    expect_equivalent(fleet, {1, 4});  // 4 tasks shard the sweep
+    expect_equivalent(fleet, {1, 2, 3, 4, 8});  // up to 8 tasks shard the sweep
   }
+}
+
+TEST(ViewmapBuildEquivalence, TaskRangesEndingInAnchorsWithoutUpperNeighbors) {
+  // 300 stationary VPs within 100 m of each other; only the hubs are
+  // Bloom-linked, each to every VP after it: the first ten, and two late
+  // hubs (250 and 280) inside the last task's anchor range at every
+  // width tested. Every other anchor has lower neighbors only, so each
+  // task range ends in an anchor without an upper neighbor and the
+  // middle tasks keep nothing at all — CSR assembly must still find the
+  // late hubs' lists behind them.
+  constexpr std::size_t kVps = 300;
+  const std::vector<std::size_t> hubs{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 280};
+  Rng rng(70);
+  std::vector<vp::ViewProfile> fleet;
+  for (std::size_t k = 0; k < kVps; ++k) {
+    const geo::Vec2 at{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+    fleet.push_back(attack::make_fake_profile(0, at, at, rng));
+  }
+  for (const std::size_t h : hubs)
+    for (std::size_t j = h + 1; j < kVps; ++j) vp::link_mutually(fleet[h], fleet[j]);
+
+  const Viewmap ref = ViewmapBuilder().build_from_members_reference(
+      pointers(fleet), std::vector<bool>(kVps, false), 0, {{-1e6, -1e6}, {1e6, 1e6}});
+  for (std::size_t i = 0; i + 1 < kVps; ++i) {
+    const auto row = ref.neighbors(i);
+    ASSERT_FALSE(row.empty());
+    const bool hub = std::find(hubs.begin(), hubs.end(), i) != hubs.end();
+    EXPECT_EQ(row.back() > i, hub) << "anchor " << i;
+  }
+  expect_equivalent(fleet, {1, 2, 3, 4, 8});
 }
 
 TEST(ViewmapBuildEquivalence, SmallMemberSetsUseAllPairsPathIdentically) {
@@ -730,6 +761,21 @@ TEST(CsrGraph, FromAdjacencyRoundTrip) {
   EXPECT_TRUE(g.neighbors(3).empty());
 }
 
+TEST(CsrGraph, FromAdjacencySortsEachRow) {
+  const std::vector<std::vector<std::uint32_t>> adj{{3, 1, 2, 1}, {0, 0}, {0}, {0}};
+  const CsrGraph g = CsrGraph::from_adjacency(adj);
+  const std::vector<std::vector<std::uint32_t>> sorted{{1, 1, 2, 3}, {0, 0}, {0}, {0}};
+  for (std::size_t i = 0; i < sorted.size(); ++i)
+    EXPECT_TRUE(std::ranges::equal(g.neighbors(i), sorted[i])) << "row " << i;
+}
+
+TEST(CsrGraph, RowsMustAscendButMayRepeatANeighbor) {
+  EXPECT_THROW(CsrGraph({0, 2, 2, 2}, {2, 1}), std::invalid_argument);  // row 0 descends
+  EXPECT_THROW(CsrGraph({0, 1, 4, 4}, {1, 0, 2, 0}), std::invalid_argument);
+  EXPECT_NO_THROW(CsrGraph({0, 2, 4}, {1, 1, 0, 0}));  // a doubled edge
+  EXPECT_NO_THROW(CsrGraph({0, 2, 3, 4}, {1, 2, 0, 0}));
+}
+
 TEST(CsrGraph, RejectsMalformedArrays) {
   EXPECT_THROW(CsrGraph({0, 2}, {1}), std::invalid_argument);      // frame mismatch
   EXPECT_THROW(CsrGraph({0, 1}, {5}), std::invalid_argument);      // target ≥ n
@@ -748,10 +794,86 @@ TEST(CsrGraph, ViewmapNeighborsAreBoundsChecked) {
   EXPECT_THROW((void)map.neighbors(5), std::out_of_range);
 }
 
+/// TrustRank restated as the naive push loop over nested adjacency (the
+/// pre-CSR implementation's arithmetic): every node, in node order, adds
+/// its share to each neighbor it lists, whatever order its row is in.
+TrustRankResult push_trust_rank(const std::vector<std::vector<std::uint32_t>>& adj,
+                                std::span<const std::size_t> seeds,
+                                const TrustRankConfig& cfg) {
+  const std::size_t n = adj.size();
+  std::vector<double> d(n, 0.0);
+  for (std::size_t s : seeds) d[s] = 1.0 / static_cast<double>(seeds.size());
+  TrustRankResult out;
+  out.scores = d;
+  std::vector<double> next(n, 0.0);
+  for (int iter = 0; iter < cfg.max_iterations; ++iter) {
+    for (std::size_t u = 0; u < n; ++u) next[u] = (1.0 - cfg.damping) * d[u];
+    for (std::size_t v = 0; v < n; ++v) {
+      if (adj[v].empty()) continue;
+      const double share = cfg.damping * out.scores[v] / static_cast<double>(adj[v].size());
+      for (std::uint32_t u : adj[v]) next[u] += share;
+    }
+    double delta = 0.0;
+    for (std::size_t u = 0; u < n; ++u) delta += std::abs(next[u] - out.scores[u]);
+    out.scores.swap(next);
+    out.iterations = iter + 1;
+    if (delta < cfg.tolerance) {
+      out.converged = true;
+      break;
+    }
+  }
+  return out;
+}
+
+/// The CSR core against push_trust_rank(): identical floating-point
+/// results and iteration counts, not just "close".
+void expect_same_ranks(const std::vector<std::vector<std::uint32_t>>& adj,
+                       std::span<const std::size_t> seeds, const TrustRankConfig& cfg = {}) {
+  const auto pulled = trust_rank(CsrGraph::from_adjacency(adj), seeds, cfg);
+  const auto pushed = push_trust_rank(adj, seeds, cfg);
+  EXPECT_EQ(pulled.iterations, pushed.iterations) << "n=" << adj.size();
+  EXPECT_EQ(pulled.converged, pushed.converged) << "n=" << adj.size();
+  ASSERT_EQ(pulled.scores.size(), pushed.scores.size());
+  for (std::size_t u = 0; u < adj.size(); ++u)
+    EXPECT_EQ(pulled.scores[u], pushed.scores[u]) << "n=" << adj.size() << " node " << u;
+}
+
+/// A random symmetric multigraph on n nodes in unsorted rows: about a
+/// quarter of the nodes isolated, the rest joined by random edges with
+/// repeats (multi-edges) and self-loops (listed twice in their row).
+std::vector<std::vector<std::uint32_t>> random_multigraph(std::size_t n, Rng& rng) {
+  std::vector<std::vector<std::uint32_t>> adj(n);
+  std::vector<std::uint32_t> joined;
+  for (std::uint32_t v = 0; v < n; ++v)
+    if (rng.index(4) != 0) joined.push_back(v);
+  if (!joined.empty()) {
+    const std::size_t edges = n + rng.index(3 * n + 1);
+    std::uint32_t i = 0;
+    std::uint32_t j = 0;
+    for (std::size_t k = 0; k < edges; ++k) {
+      if (k == 0 || rng.index(5) != 0) {  // else repeat the previous edge
+        i = joined[rng.index(joined.size())];
+        j = joined[rng.index(joined.size())];
+      }
+      adj[i].push_back(j);
+      adj[j].push_back(i);
+    }
+  }
+  for (auto& row : adj)
+    for (std::size_t k = row.size(); k > 1; --k) std::swap(row[k - 1], row[rng.index(k)]);
+  return adj;
+}
+
+/// Up to three distinct seeds of [0, n).
+std::vector<std::size_t> random_seeds(std::size_t n, Rng& rng) {
+  std::vector<std::size_t> nodes(n);
+  for (std::size_t v = 0; v < n; ++v) nodes[v] = v;
+  for (std::size_t k = n; k > 1; --k) std::swap(nodes[k - 1], nodes[rng.index(k)]);
+  nodes.resize(1 + rng.index(std::min<std::size_t>(n, 3)));
+  return nodes;
+}
+
 TEST(TrustRankCsr, MatchesNestedAdjacencyPowerIteration) {
-  // The CSR core against an independent naive power iteration (the
-  // pre-CSR implementation's arithmetic, re-stated here): identical
-  // floating-point results, not just "close".
   Rng rng(63);
   const std::size_t n = 40;
   std::vector<std::vector<std::uint32_t>> adj(n);
@@ -763,31 +885,42 @@ TEST(TrustRankCsr, MatchesNestedAdjacencyPowerIteration) {
     adj[i].push_back(j);
     adj[j].push_back(i);
   }
-  const std::vector<std::size_t> seeds{0, 7};
-  const TrustRankConfig cfg;
-  const auto result = trust_rank(CsrGraph::from_adjacency(adj), seeds, cfg);
+  expect_same_ranks(adj, std::vector<std::size_t>{0, 7});
 
-  std::vector<double> d(n, 0.0);
-  for (std::size_t s : seeds) d[s] = 1.0 / static_cast<double>(seeds.size());
-  std::vector<double> scores = d;
-  std::vector<double> next(n, 0.0);
-  int iters = 0;
-  for (int iter = 0; iter < cfg.max_iterations; ++iter) {
-    for (std::size_t u = 0; u < n; ++u) next[u] = (1.0 - cfg.damping) * d[u];
-    for (std::size_t v = 0; v < n; ++v) {
-      if (adj[v].empty()) continue;
-      const double share = cfg.damping * scores[v] / static_cast<double>(adj[v].size());
-      for (std::uint32_t u : adj[v]) next[u] += share;
+  // Pull form sums each row four at a time: every tail of the 4-row
+  // blocks (n = 1…9), then larger graphs, on multigraphs with isolated
+  // nodes, repeated edges and self-loops, from unsorted input rows.
+  for (const std::size_t size : {1, 2, 3, 4, 5, 6, 7, 8, 9, 40, 1000}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const auto graph = random_multigraph(size, rng);
+      expect_same_ranks(graph, random_seeds(size, rng));
     }
-    double delta = 0.0;
-    for (std::size_t u = 0; u < n; ++u) delta += std::abs(next[u] - scores[u]);
-    scores.swap(next);
-    iters = iter + 1;
-    if (delta < cfg.tolerance) break;
   }
-  EXPECT_EQ(result.iterations, iters);
-  ASSERT_EQ(result.scores.size(), scores.size());
-  for (std::size_t u = 0; u < n; ++u) EXPECT_EQ(result.scores[u], scores[u]);
+
+  // The workload's own graph: a dense downtown viewmap, most member
+  // pairs linked, its rows handed to the push loop reversed.
+  const auto fleet = dense_downtown(1024, 1100.0, rng);
+  std::vector<bool> trusted(fleet.size(), false);
+  trusted[0] = trusted[300] = trusted[900] = true;
+  const Viewmap map = ViewmapBuilder().build_from_members(pointers(fleet), trusted, 0,
+                                                          {{-1e6, -1e6}, {1e6, 1e6}});
+  ASSERT_GT(map.edge_count(), 100 * fleet.size());
+  std::vector<std::vector<std::uint32_t>> adj_map(map.size());
+  for (std::size_t u = 0; u < map.size(); ++u)
+    adj_map[u].assign(map.neighbors(u).rbegin(), map.neighbors(u).rend());
+  expect_same_ranks(adj_map, map.trusted_indices());
+}
+
+TEST(TrustRankCsr, RejectsRepeatedSeeds) {
+  // A repeated seed would take 1/|seeds| of d twice over, so d's total
+  // mass would fall below 1.
+  const CsrGraph g = CsrGraph::from_adjacency(
+      std::vector<std::vector<std::uint32_t>>{{1}, {0, 2}, {1}});
+  EXPECT_THROW((void)trust_rank(g, std::vector<std::size_t>{0, 0}, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)trust_rank(g, std::vector<std::size_t>{2, 0, 2}, {}),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)trust_rank(g, std::vector<std::size_t>{2, 0, 1}, {}));
 }
 
 TEST(TrustRankCsr, SeedValidationAndViewmapZeroCopyPath) {
