@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 
 namespace viewmap {
@@ -19,7 +20,14 @@ inline constexpr TimeSec kUnitTimeSec = 60;
 /// Seconds-within-unit index i runs 1..60 in the paper's notation.
 inline constexpr int kDigestsPerProfile = 60;
 
-/// Start of the unit-time (minute) containing `t`.
+/// The earliest minute start TimeSec can hold: its minimum rounded
+/// toward zero to a whole unit. The seconds before it belong to a
+/// minute that starts outside the range.
+inline constexpr TimeSec kFirstUnitStart =
+    std::numeric_limits<TimeSec>::min() / kUnitTimeSec * kUnitTimeSec;
+
+/// Start of the unit-time (minute) containing `t`. Requires
+/// t >= kFirstUnitStart; callers taking `t` from a request check it.
 constexpr TimeSec unit_start(TimeSec t) noexcept {
   return t - (t % kUnitTimeSec + kUnitTimeSec) % kUnitTimeSec;
 }

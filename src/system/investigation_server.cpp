@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -64,8 +65,14 @@ InvestigationServer::~InvestigationServer() { stop(); }
 
 std::future<InvestigationServer::Reports> InvestigationServer::submit(
     const geo::Rect& site, TimeSec unit_time, const SubmitOptions& opts) {
-  const TimeSec begin = unit_start(unit_time);
-  return submit_period(site, begin, begin + kUnitTimeSec, opts);
+  // A unit_time before kFirstUnitStart has no minute start; it goes to
+  // the worker as is, and investigate_period()'s rejection fails the
+  // future. The last minute is cut at TimeSec's maximum.
+  const TimeSec begin = unit_time < kFirstUnitStart ? unit_time : unit_start(unit_time);
+  const TimeSec end = begin > std::numeric_limits<TimeSec>::max() - kUnitTimeSec
+                          ? std::numeric_limits<TimeSec>::max()
+                          : begin + kUnitTimeSec;
+  return submit_period(site, begin, end, opts);
 }
 
 std::future<InvestigationServer::Reports> InvestigationServer::submit_period(

@@ -161,7 +161,8 @@ class InvestigationServer {
   InvestigationServer& operator=(const InvestigationServer&) = delete;
 
   /// One unit-time investigation. Equivalent to submit_period over
-  /// [unit_start(t), unit_start(t) + one unit).
+  /// [unit_start(t), unit_start(t) + one unit), cut at TimeSec's maximum.
+  /// The future throws std::invalid_argument when t < kFirstUnitStart.
   [[nodiscard]] std::future<Reports> submit(const geo::Rect& site, TimeSec unit_time,
                                             const SubmitOptions& opts = {});
   /// §5.2.1 period investigation: one report per whole unit-time in
@@ -169,7 +170,9 @@ class InvestigationServer {
   /// exactly as investigate_period() does). An invalid returned future
   /// (valid() == false) means the server was stopping, so the request
   /// was rejected, not queued; a valid future may still throw
-  /// DeadlineExpired when opts.deadline passed before a worker got to it.
+  /// DeadlineExpired when opts.deadline passed before a worker got to it,
+  /// or what investigate_period() throws (std::invalid_argument for a
+  /// begin before kFirstUnitStart).
   [[nodiscard]] std::future<Reports> submit_period(const geo::Rect& site,
                                                    TimeSec begin, TimeSec end,
                                                    const SubmitOptions& opts = {});

@@ -13,17 +13,18 @@
 // misses (a checkpoint changes no key); stale entries are never
 // *served*, only aged out.
 //
-// Replacement is ARC-style (modeled on the NDN-DPDK content store's
-// direct/indirect lists), adapted to byte accounting: resident entries
-// live on a recency list (T1, seen once) or a frequency list (T2, seen
-// twice or more); evicted keys leave a byte-free ghost on B1/B2, and a
-// re-insert that hits a ghost steers the adaptive target `p` toward the
-// list that would have kept it. Resident bytes never exceed
-// capacity_bytes; ghosts are bounded by the same budget again.
+// Replacement is one least-recently-used list bounded in bytes: a hit
+// moves its entry to the front, and an insert evicts from the back until
+// the resident bytes fit capacity_bytes.
 //
-// Thread-safety: one mutex guards the lists and the key map. The stored
-// reports are shared_ptr<const …>, so the (comparatively expensive)
-// report copy on a hit happens outside the lock.
+// An entry shares its viewmap's CSR with the report that seeded it and
+// with every report served from it (Viewmap holds the graph behind a
+// shared_ptr), so an insert or a hit copies the member, verdict and
+// solicitation arrays, never the edge array.
+//
+// Thread-safety: one mutex guards the list and the key map. The stored
+// reports are shared_ptr<const …>, so the report copy on a hit happens
+// outside the lock.
 #pragma once
 
 #include <cstddef>
@@ -65,8 +66,6 @@ struct CachedInvestigation {
   Viewmap viewmap;
   VerificationResult verification;
   std::vector<Id16> solicited;
-  /// estimate_bytes() of the three fields above, fixed at insert.
-  std::size_t bytes = 0;
 };
 
 class ResultCache {
@@ -90,15 +89,14 @@ class ResultCache {
   };
 
   /// The cache's figures (see stats()): the four counters as the
-  /// registry holds them, the resident/ghost figures from the lists.
+  /// registry holds them, the resident figures from the list.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;   ///< resident entries pushed out (to ghosts)
+    std::uint64_t evictions = 0;
     std::size_t resident_bytes = 0;
     std::size_t resident_entries = 0;
-    std::size_t ghost_entries = 0;
   };
 
   /// Registers the viewmap_cache_* counters and gauges in `registry`
@@ -113,61 +111,49 @@ class ResultCache {
     return cfg_.capacity_bytes;
   }
 
-  /// Hit: promotes the entry to the frequency list's MRU position and
-  /// returns it. Miss (or disabled): null. Never blocks on anything but
-  /// the cache mutex.
+  /// Hit: moves the entry to the front of the list and returns it. Miss
+  /// (or disabled): null. Never blocks on anything but the cache mutex.
   [[nodiscard]] std::shared_ptr<const CachedInvestigation> find(const Key& key);
 
-  /// Inserts a freshly built report. Sets value->bytes. A key already
+  /// Inserts a freshly built report at the front, then evicts from the
+  /// back until the resident bytes fit the budget. A key already
   /// resident is left as is (two racing builders produced bit-identical
   /// reports — the generation key guarantees it — so first-in wins). Entries
   /// larger than the whole budget are not cached. No-op when disabled.
-  void insert(const Key& key, std::shared_ptr<CachedInvestigation> value);
+  void insert(const Key& key, std::shared_ptr<const CachedInvestigation> value);
 
   /// Drops everything (tests, operator reset). The counters survive.
   void clear();
 
   /// Reads the hit/miss/insertion/eviction counters from the registry and
-  /// the resident and ghost figures from the lists, all under the cache
+  /// the resident figures from the list, all under the cache
   /// mutex — every counter bump happens under it too, so one Stats is a
   /// consistent cut.
   [[nodiscard]] Stats stats() const;
 
-  /// Byte cost of one cached entry: the report's owned arrays plus a
-  /// fixed per-entry overhead. Deliberately excludes the pinned shard
-  /// (shared across entries of the same minute; documented separately).
+  /// Byte cost of one cached entry: the report's arrays plus a fixed
+  /// per-entry overhead. The CSR counted here is shared with the live
+  /// reports of the same build, so while one of them lives the entry
+  /// costs less than its estimate. Deliberately excludes the pinned
+  /// shard (shared across entries of the same minute; documented
+  /// separately).
   [[nodiscard]] static std::size_t estimate_bytes(const CachedInvestigation& e) noexcept;
 
  private:
-  enum class ListId : std::uint8_t { kT1, kT2, kB1, kB2 };
-
   struct Node {
     Key key;
-    std::shared_ptr<const CachedInvestigation> value;  ///< null on B1/B2
-    std::size_t bytes = 0;  ///< resident bytes, or the bytes it had when evicted
+    std::shared_ptr<const CachedInvestigation> value;
+    std::size_t bytes = 0;  ///< estimate_bytes(*value), fixed at insert
   };
 
-  using NodeList = std::list<Node>;
-  struct Slot {
-    ListId list;
-    NodeList::iterator it;
-  };
-
-  // All private helpers assume mu_ is held.
-  void detach(const Key& key, ListId list, NodeList::iterator it);
-  void evict_one_resident();
-  void drop_ghost_lru(NodeList& list, std::size_t& bytes);
-  void enforce_bounds();
-  void publish_gauges() const;
+  void publish_gauges() const;  // assumes mu_ is held
 
   ResultCacheConfig cfg_;
 
   mutable std::mutex mu_;
-  std::unordered_map<Key, Slot, KeyHasher> index_;
-  NodeList t1_, t2_, b1_, b2_;                    // MRU at front, LRU at back
-  std::size_t t1_bytes_ = 0, t2_bytes_ = 0;       // resident
-  std::size_t b1_bytes_ = 0, b2_bytes_ = 0;       // ghosts (bookkeeping only)
-  std::size_t p_ = 0;  ///< adaptive byte target for T1, in [0, capacity]
+  std::list<Node> lru_;  ///< most recently used at the front
+  std::unordered_map<Key, std::list<Node>::iterator, KeyHasher> index_;
+  std::size_t bytes_ = 0;  ///< sum of the resident nodes' bytes
 
   // Registry handles, resolved once in the constructor.
   obs::Counter* hits_c_ = nullptr;

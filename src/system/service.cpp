@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/reentrancy.h"
 #include "obs/metrics.h"
@@ -184,7 +185,8 @@ InvestigationReport ViewMapService::investigate(const DbSnapshot& snap,
 
   if (cacheable) {
     // Copy, don't move: the report below still owns the originals. The
-    // Viewmap copy shares the pinned shard, not the profiles' bytes.
+    // Viewmap copy shares the CSR and the pinned shard, so it copies the
+    // member and verdict arrays only.
     cache_.insert(key, std::make_shared<CachedInvestigation>(
                            CachedInvestigation{map, verdict, solicited}));
   }
@@ -204,10 +206,17 @@ std::vector<InvestigationReport> ViewMapService::investigate_period(
 
 std::vector<InvestigationReport> ViewMapService::investigate_period(
     const DbSnapshot& snap, const geo::Rect& site, TimeSec begin, TimeSec end) {
+  if (begin < kFirstUnitStart)
+    throw std::invalid_argument("investigate_period: begin precedes the first whole minute");
   std::vector<InvestigationReport> reports;
-  for (TimeSec t = unit_start(begin); t < end; t += kUnitTimeSec) {
-    if (snap.trusted_at(t).empty()) continue;  // no trust seed, no verification
-    reports.push_back(investigate(snap, site, t));
+  if (begin >= end) return reports;
+  // Walk the minute starts up to the last one, never past it: stepping
+  // beyond the minute of end − 1 could overflow near TimeSec's maximum.
+  const TimeSec last = unit_start(end - 1);
+  for (TimeSec t = unit_start(begin);; t += kUnitTimeSec) {
+    if (!snap.trusted_at(t).empty())  // no trust seed, no verification
+      reports.push_back(investigate(snap, site, t));
+    if (t == last) break;
   }
   return reports;
 }

@@ -168,9 +168,10 @@ class ViewMapService {
   /// §5.2.1: an incident period is investigated as "a series of viewmaps
   /// each corresponding to a single unit-time". Takes ONE snapshot for
   /// the whole period (every minute sees the same consistent database
-  /// state) and runs investigate() for every whole minute in
-  /// [begin, end); minutes without a trusted VP (unverifiable) are
-  /// skipped.
+  /// state) and runs investigate() for every minute that [begin, end)
+  /// touches; minutes without a trusted VP (unverifiable) are skipped.
+  /// Throws std::invalid_argument when begin < kFirstUnitStart (its
+  /// minute starts before TimeSec's range).
   [[nodiscard]] std::vector<InvestigationReport> investigate_period(
       const geo::Rect& site, TimeSec begin, TimeSec end);
   /// Same, over a caller-supplied snapshot (the investigation server's

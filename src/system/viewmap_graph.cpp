@@ -16,18 +16,18 @@ Viewmap::Viewmap(std::vector<const vp::ViewProfile*> members, std::vector<bool> 
                  std::shared_ptr<const index::TimeShard> pinned, PairCounts pairs)
     : members_(std::move(members)),
       trusted_(std::move(trusted)),
-      graph_(std::move(graph)),
+      graph_(std::make_shared<const CsrGraph>(std::move(graph))),
       unit_time_(unit_time),
       coverage_(coverage),
       pinned_(std::move(pinned)),
       pairs_(pairs) {
-  if (members_.size() != trusted_.size() || members_.size() != graph_.size())
+  if (members_.size() != trusted_.size() || members_.size() != graph_->size())
     throw std::invalid_argument("Viewmap: inconsistent member arrays");
 }
 
 std::span<const std::uint32_t> Viewmap::neighbors(std::size_t i) const {
-  if (i >= graph_.size()) throw std::out_of_range("Viewmap::neighbors: bad index");
-  return graph_.neighbors(i);
+  if (i >= graph_->size()) throw std::out_of_range("Viewmap::neighbors: bad index");
+  return graph_->neighbors(i);
 }
 
 std::vector<std::size_t> Viewmap::trusted_indices() const {
@@ -52,7 +52,7 @@ std::size_t Viewmap::isolated_from_trusted() const {
   while (!frontier.empty()) {
     std::vector<std::size_t> next;
     for (std::size_t u : frontier)
-      for (std::uint32_t v : graph_.neighbors(u))
+      for (std::uint32_t v : graph_->neighbors(u))
         if (!reached[v]) {
           reached[v] = true;
           next.push_back(v);

@@ -95,9 +95,9 @@ class Viewmap {
   /// The viewlink graph itself, in flat CSR form. trust_rank() and
   /// algorithm1() consume this view directly — no per-call adjacency
   /// copy anywhere on the investigation path.
-  [[nodiscard]] const CsrGraph& graph() const noexcept { return graph_; }
+  [[nodiscard]] const CsrGraph& graph() const noexcept { return *graph_; }
 
-  [[nodiscard]] std::size_t edge_count() const noexcept { return graph_.edge_slots() / 2; }
+  [[nodiscard]] std::size_t edge_count() const noexcept { return graph_->edge_slots() / 2; }
   /// How the packed build that made this viewmap decided its member
   /// pairs (zero for any other viewmap, the reference builder's included).
   [[nodiscard]] const PairCounts& pair_counts() const noexcept { return pairs_; }
@@ -114,7 +114,9 @@ class Viewmap {
  private:
   std::vector<const vp::ViewProfile*> members_;
   std::vector<bool> trusted_;
-  CsrGraph graph_;
+  /// Immutable once built, so copies of this viewmap (a cached report
+  /// and the reports served from it) share one edge array.
+  std::shared_ptr<const CsrGraph> graph_;
   TimeSec unit_time_;
   geo::Rect coverage_;
   /// Keeps the member profiles alive (null when members are

@@ -154,14 +154,11 @@ bool well_formed(const ViewProfile& vp) noexcept {
   const auto digests = vp.digests();
   // Range first, so the arithmetic below cannot overflow: the last
   // timestamp t0 + 59 and the minute start unit_start(t0) must both be
-  // representable. The smallest representable minute start is min
-  // rounded toward zero to a multiple of the unit.
-  constexpr TimeSec kMinStart =
-      std::numeric_limits<TimeSec>::min() / kUnitTimeSec * kUnitTimeSec;
+  // representable.
   constexpr TimeSec kMaxStart =
       std::numeric_limits<TimeSec>::max() - (kDigestsPerProfile - 1);
   const TimeSec t0 = digests[0].time;
-  if (t0 < kMinStart || t0 > kMaxStart) return false;
+  if (t0 < kFirstUnitStart || t0 > kMaxStart) return false;
   for (std::size_t i = 0; i < digests.size(); ++i) {
     const auto& vd = digests[i];
     if (vd.second != static_cast<std::uint16_t>(i + 1)) return false;

@@ -1,5 +1,6 @@
-// ResultCache: ARC replacement mechanics on the cache itself, key
-// stability across a checkpoint, the bit-identity property (cache-on
+// ResultCache: LRU replacement mechanics on the cache itself, key
+// stability across a checkpoint, CSR sharing between a cached report and
+// the reports served from it, the bit-identity property (cache-on
 // reports == cache-off reports under an adversarial interleaving of
 // ingest / eviction / clock advance / investigate), and a TSan case with
 // cache hits racing live ingest and retention eviction.
@@ -22,6 +23,7 @@
 #include "attack/fake_vp.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "sim/simulator.h"
 #include "store/segment_store.h"
 #include "system/result_cache.h"
 #include "system/service.h"
@@ -29,14 +31,14 @@
 namespace viewmap::sys {
 namespace {
 
-// ── ARC unit tests ───────────────────────────────────────────────────
+// ── LRU unit tests ───────────────────────────────────────────────────
 
 /// An entry whose byte weight is controlled through the solicited-id
 /// padding: empty report ≈ 328 bytes, +16 per id.
 std::shared_ptr<CachedInvestigation> entry(std::size_t pad_ids = 0) {
   return std::make_shared<CachedInvestigation>(CachedInvestigation{
       Viewmap({}, {}, CsrGraph{}, 0, geo::Rect{}, nullptr),
-      VerificationResult{}, std::vector<Id16>(pad_ids), 0});
+      VerificationResult{}, std::vector<Id16>(pad_ids)});
 }
 
 ResultCache::Key key_of(int n) {
@@ -132,29 +134,20 @@ TEST(ResultCache, ResidentBytesNeverExceedCapacity) {
   EXPECT_EQ(s.insertions, 10u);
   EXPECT_GE(s.evictions, 7u);  // 10 in, ≤3 resident
   EXPECT_LE(s.resident_entries, 3u);
-  // A pure scan fills the recency list to capacity, so the |T1|+|B1| ≤ c
-  // ghost bound correctly leaves no ghosts behind.
-  EXPECT_EQ(s.ghost_entries, 0u);
 }
 
-TEST(ResultCache, GhostReinsertLandsOnFrequentListAndAdaptsTarget) {
+TEST(ResultCache, HitKeySurvivesTheNextEvictionAndTheUntouchedKeyGoes) {
   obs::MetricsRegistry reg;
   ResultCache cache(reg, {.capacity_bytes = 700});  // fits 2 empty entries
-  cache.insert(key_of(1), entry());             // A → T1
-  cache.insert(key_of(2), entry());             // B → T1
-  ASSERT_NE(cache.find(key_of(1)), nullptr);    // A promotes to T2
-  cache.insert(key_of(3), entry());             // C evicts B (T1 LRU) → B1 ghost
-  EXPECT_EQ(cache.find(key_of(2)), nullptr);    // B is a ghost now
-  ASSERT_GT(cache.stats().ghost_entries, 0u);   // and really on a ghost list
-
-  // Re-inserting B hits its B1 ghost: ARC grows the recency target and
-  // seats B on the frequency list, so the replacement it forces comes
-  // out of T2's LRU (A) rather than evicting B straight back.
-  cache.insert(key_of(2), entry());
-  EXPECT_NE(cache.find(key_of(2)), nullptr);  // B resident again, frequent
-  EXPECT_EQ(cache.find(key_of(1)), nullptr);  // A paid for it
-  EXPECT_NE(cache.find(key_of(3)), nullptr);  // the recency list kept C
+  cache.insert(key_of(1), entry());             // A
+  cache.insert(key_of(2), entry());             // B, in front of A
+  ASSERT_NE(cache.find(key_of(1)), nullptr);    // the hit moves A to the front
+  cache.insert(key_of(3), entry());             // C evicts the back: B
+  EXPECT_EQ(cache.find(key_of(2)), nullptr);
+  EXPECT_NE(cache.find(key_of(1)), nullptr);
+  EXPECT_NE(cache.find(key_of(3)), nullptr);
   const auto s = cache.stats();
+  EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.resident_entries, 2u);
   EXPECT_LE(s.resident_bytes, 700u);
 }
@@ -267,6 +260,44 @@ std::uint64_t fingerprint(const InvestigationReport& r) {
   return h;
 }
 
+TEST(ResultCache, ServedReportSharesTheSeedingReportsEdgeArray) {
+  // An insert and a hit copy members and verdicts, never the CSR: the
+  // built report, the cached entry and every served report hold one edge
+  // array. A convoy on an open road, so the viewmap has edges to share.
+  sim::SimConfig sim_cfg;
+  sim_cfg.seed = 5;
+  sim_cfg.vehicle_count = 0;  // explicit fleet below
+  sim_cfg.minutes = 1;
+  sim_cfg.guards_enabled = false;
+  road::CityMap open;
+  open.bounds = {{0, -100}, {5000, 100}};
+  std::vector<sim::VehicleMotion> fleet;
+  for (int i = 0; i < 4; ++i)
+    fleet.push_back(
+        sim::VehicleMotion::scripted({{i * 60.0, 0}, {5000 + i * 60.0, 0}}, 15.0));
+  const sim::SimResult world =
+      sim::TrafficSimulator(std::move(open), sim_cfg, std::move(fleet)).run();
+
+  ServiceConfig cfg;
+  cfg.rsa_bits = 1024;
+  ViewMapService service(cfg);
+  for (const auto& rec : world.profiles) {
+    if (rec.creator == 0)
+      ASSERT_TRUE(service.register_trusted(rec.profile));
+    else
+      service.upload_channel().submit(rec.profile.serialize());
+  }
+  ASSERT_EQ(service.ingest_uploads(), 3u);
+
+  const geo::Rect site{{0, -50}, {1200, 50}};
+  const InvestigationReport built = service.investigate(site, 0);
+  const InvestigationReport served = service.investigate(site, 0);
+  ASSERT_EQ(service.result_cache().stats().hits, 1u);
+  ASSERT_FALSE(built.viewmap.graph().edges().empty());
+  EXPECT_EQ(served.viewmap.graph().edges().data(), built.viewmap.graph().edges().data());
+  EXPECT_EQ(fingerprint(served), fingerprint(built));
+}
+
 TEST(ResultCacheProperty, FortyStepInterleavingIsBitIdenticalToCacheOff) {
   // Two services, identical in everything except the cache switch, fed
   // byte-identical inputs through 40 random steps of
@@ -276,7 +307,7 @@ TEST(ResultCacheProperty, FortyStepInterleavingIsBitIdenticalToCacheOff) {
   // takes real hits and stays inside its byte budget.
   ServiceConfig on_cfg;
   on_cfg.rsa_bits = 1024;
-  on_cfg.result_cache.capacity_bytes = 2048;  // small: force ARC turnover
+  on_cfg.result_cache.capacity_bytes = 2048;  // small: force LRU turnover
   on_cfg.index.retention.window_sec = 300;    // 5 minutes: eviction in-play
   ServiceConfig off_cfg = on_cfg;
   off_cfg.result_cache.capacity_bytes = 0;
@@ -385,7 +416,7 @@ TEST(ResultCacheConcurrent, HitsRaceLiveIngestAndEviction) {
   const geo::Rect site{{0, -50}, {800, 50}};
 
   // Two investigators hammer a rotating key set — hits, misses, inserts,
-  // and ARC evictions all race each other...
+  // and LRU evictions all race each other...
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r)
     readers.emplace_back([&service, &stop, &served, &reader_served, &site, r] {

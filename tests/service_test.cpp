@@ -2,9 +2,13 @@
 // video validation, reward protocol (paper Fig. 2 pipeline).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "attack/fake_vp.h"
 #include "reward/client.h"
 #include "sim/simulator.h"
+#include "system/investigation_server.h"
 #include "system/service.h"
 
 namespace viewmap::sys {
@@ -209,6 +213,44 @@ TEST(Service, FakeVpInSiteIsNotSolicited) {
   const auto report = service.investigate({{0, -50}, {1200, 50}}, 0);
   EXPECT_EQ(report.verification.rejected.size(), 1u);
   EXPECT_FALSE(service.board().is_posted(fake_id, RequestKind::kVideo));
+}
+
+TEST(Service, MinutesAtTheEndsOfTimeNeitherOverflowNorStallTheServer) {
+  // The minute loops once stepped past TimeSec's maximum (signed
+  // overflow, then a walk of ~1.5e17 minutes) and computed a minute start
+  // below its minimum. Both ends now finish or fail at once, and the
+  // next request is served.
+  World world;
+  ViewMapService service(test_cfg());
+  service.register_trusted(world.record_of(0).profile);
+  for (VehicleId v = 1; v < 4; ++v)
+    service.upload_channel().submit(world.record_of(v).profile.serialize());
+  service.ingest_uploads();
+  const geo::Rect site{{0, -50}, {1200, 50}};
+  constexpr TimeSec kMax = std::numeric_limits<TimeSec>::max();
+  constexpr TimeSec kMin = std::numeric_limits<TimeSec>::min();
+
+  // The period's two minutes hold no VP: walked and empty.
+  EXPECT_TRUE(service.investigate_period(site, kMax - 30, kMax).empty());
+  EXPECT_THROW((void)service.investigate_period(site, kFirstUnitStart - 1, kFirstUnitStart),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)service.investigate_period(site, kFirstUnitStart, kFirstUnitStart + 1));
+  EXPECT_EQ(service.investigate_period(site, 0, kUnitTimeSec).size(), 1u);
+  EXPECT_TRUE(service.investigate_period(site, 30, 30).empty());  // touches no minute
+
+  ServerConfig scfg;
+  scfg.workers = 1;
+  auto& server = service.start_server(scfg);
+  auto last_minute = server.submit(site, kMax);
+  ASSERT_TRUE(last_minute.valid());
+  EXPECT_TRUE(last_minute.get().empty());
+  auto before_first_minute = server.submit(site, kMin);
+  ASSERT_TRUE(before_first_minute.valid());
+  EXPECT_THROW(before_first_minute.get(), std::invalid_argument);
+  const auto served = server.submit(site, 0).get();
+  ASSERT_EQ(served.size(), 1u);
+  EXPECT_EQ(served[0].viewmap.size(), 4u);
+  EXPECT_EQ(server.stats().failed, 1u);
 }
 
 }  // namespace
