@@ -9,69 +9,44 @@
 //       one thread investigates (snapshot per query), another keeps
 //       committing uploads and evicting — the workload the snapshot API
 //       exists for.
-//   (4) investigation-server throughput: the InvestigationServer's worker
-//       pool drains a bounded request queue (full §5.2 viewmap + verify +
-//       solicitation chain per request, batched snapshot pinning) while a
-//       live ingest loop keeps committing uploads and the trusted clock
-//       walks minutes out of the retention window.
-//   (5) viewmap construction: the packed, sharded CSR builder vs the
+//   (4) viewmap construction: the packed, sharded CSR builder vs the
 //       retained naive O(n²) reference, n ∈ {1k, 10k, 50k} members in
 //       dense (urban rush hour) and sparse (city-scale) layouts. The two
 //       edge sets are compared bit-for-bit; tools/run_bench.sh fails the
 //       run if they ever diverge.
-//   (6) incremental persistence: the first full segment-store checkpoint
+//   (5) incremental persistence: the first full segment-store checkpoint
 //       vs an incremental one after 1% shard churn, plus one cold-restart
 //       recovery of the churned store. tools/run_bench.sh asserts the
 //       recovery invariant (profiles recovered == profiles the manifest
 //       promises == profiles in the pinned snapshot).
-//   (6b) recovery_v2: that cold restart (parallel recovery pool) with its
+//   (5b) recovery_v2: that cold restart (parallel recovery pool) with its
 //       per-phase (read/validate/parse/adopt) breakdown. tools/
 //       run_bench.sh asserts recovered_matches and, on 1M-VP runs, a
 //       ≥ 5× speedup over the recorded pre-packed-format baseline restart.
-//   (7) observability overhead: single-thread ingest with the metrics
-//       registry wired vs disabled (the null-registry switch in
-//       TimelineConfig, and an all-null IngestMetrics). tools/run_bench.sh
-//       warns when the overhead exceeds the 3% budget documented in
-//       src/obs/README.md.
-//   (8) daemon soak: the assembled ServiceLifecycle daemon under kill -9
-//       cycles — sustained ingest rate through the IngestService drain,
-//       checkpoint cadence, and per-restart recovery latency. Every
-//       restart asserts the recovery invariant; tools/run_bench.sh fails
-//       the run when any cycle violates it.
-//   (9) daemon chaos: the soak workload with failpoints firing inside the
-//       durable-I/O path (ENOSPC bursts, fsync EIO, rename failures, torn
-//       short writes, whole-cycle faults). Each cycle the daemon must eat
+//   (6) daemon chaos: the assembled ServiceLifecycle daemon under live
+//       ingest, with failpoints firing inside the durable-I/O path (ENOSPC
+//       bursts, fsync EIO, rename failures, torn short writes, whole-cycle
+//       faults). Each cycle the daemon must eat
 //       a window of injected checkpoint failures without dying, health
 //       must visibly degrade and recover, no *.tmp file may survive, and
 //       a cold recover must reproduce the live database's canonical bytes.
 //       tools/run_bench.sh fails the run on any violated assertion.
-//   (10) server_zipf: the investigation server under a Zipf-skewed request
-//       mix with the generation-keyed result cache on vs off, while live
-//       ingest lands in the newest minutes (hot-shard generations quiescent).
-//       Emits the hit rate, cache-on/off throughput ratio, hit-latency
-//       percentiles, and whether every cache hit was bit-identical to a
-//       fresh build; tools/run_bench.sh asserts hit_rate > 0 and
-//       reports_match.
 //
 // Emits BENCH_index.json (cwd) so future PRs can diff the numbers.
 //
 //   ./bench/bench_index [--max_vps=1000000] [--queries=200]
-//                       [--ingest_vps=20000] [--threads=N]
-//                       [--server_requests=500] [--zipf_requests=400]
-//                       [--viewmap_vps=50000]
+//                       [--ingest_vps=20000] [--viewmap_vps=50000]
 //                       [--checkpoint_vps=1000000]
-//                       [--soak_cycles=5] [--soak_vps=300]
 //                       [--chaos_cycles=6] [--chaos_failures=4]
 //                       [--chaos_vps=200]
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -82,10 +57,8 @@
 #include "common/worker_pool.h"
 #include "daemon/lifecycle.h"
 #include "index/ingest_engine.h"
-#include "obs/metrics.h"
 #include "store/segment_store.h"
-#include "system/investigation_server.h"
-#include "system/service.h"
+#include "system/viewmap_graph.h"
 
 using namespace viewmap;
 
@@ -280,369 +253,11 @@ ConcurrentRow bench_concurrent(std::size_t vp_count, int query_count, Rng& rng) 
   return row;
 }
 
-struct ServerRow {
-  std::size_t vps = 0;          ///< database size when the run started
-  std::size_t workers = 0;
-  std::size_t requests = 0;     ///< investigation requests submitted
-  double requests_per_sec = 0.0;
-  /// Mean submit→resolve latency per request, measured per future —
-  /// includes queue wait, which dominates when the submitter bursts the
-  /// whole request set ahead of the pool.
-  double request_us = 0.0;
-  std::size_t reports = 0;      ///< InvestigationReports produced
-  double writer_vps_per_sec = 0.0;  ///< concurrent ingest throughput meanwhile
-  std::size_t snapshots = 0;    ///< DbSnapshots pinned by the workers
-  std::size_t batches = 0;      ///< dequeue rounds, one request each
-  std::size_t peak_queue = 0;
-  /// Serve-side latency distribution from the service registry's
-  /// viewmap_server_request_us histogram (excludes queue wait, unlike
-  /// request_us above). Monotone by construction — run_bench.sh asserts
-  /// p50 ≤ p90 ≤ p99.
-  std::uint64_t request_p50_us = 0;
-  std::uint64_t request_p90_us = 0;
-  std::uint64_t request_p99_us = 0;
-};
-
-/// The §5 public-service workload end to end: an InvestigationServer pool
-/// drains submitted (site, unit-time) requests — each the full viewmap →
-/// TrustRank → solicitation chain over a pinned snapshot — while a live
-/// ingest loop keeps committing anonymous uploads and the trusted clock
-/// walks the oldest minutes out of the retention window.
-ServerRow bench_server(std::size_t vp_count, int request_count, unsigned workers,
-                       Rng& rng) {
-  const int minutes = 10;
-  const double extent =
-      std::max(2000.0, 250.0 * std::sqrt(static_cast<double>(vp_count) / minutes / 50.0) * 8.0);
-
-  sys::ServiceConfig scfg;
-  scfg.rsa_bits = 1024;
-  scfg.index.retention.window_sec = 15 * kUnitTimeSec;
-  sys::ViewMapService service(scfg);
-  // One authority trajectory per minute near the city core: the trust
-  // seeds every investigation needs.
-  for (int m = 0; m < minutes; ++m)
-    (void)service.register_trusted(attack::make_fake_profile(
-        kUnitTimeSec * static_cast<TimeSec>(m), {0.0, 0.0}, {300.0, 0.0}, rng));
-  for (std::size_t i = 0; i < vp_count; ++i) {
-    const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(rng.index(minutes));
-    service.upload_channel().submit(random_vp(unit, extent, rng).serialize());
-  }
-  (void)service.ingest_uploads();
-
-  // Incident sites near the authority corridor (coverage spans site ∪
-  // trusted trajectory, so far-flung sites would drag half the city into
-  // one viewmap — not what §5.2.1 investigations look like).
-  std::vector<geo::Rect> sites;
-  std::vector<TimeSec> units;
-  for (int q = 0; q < request_count; ++q) {
-    const geo::Vec2 c{rng.uniform(-1200.0, 1500.0), rng.uniform(-1200.0, 1200.0)};
-    sites.push_back({{c.x - 200.0, c.y - 200.0}, {c.x + 200.0, c.y + 200.0}});
-    units.push_back(kUnitTimeSec * static_cast<TimeSec>(rng.index(minutes)));
-  }
-
-  ServerRow row;
-  row.vps = service.database().size();
-  row.workers = workers;
-  row.requests = static_cast<std::size_t>(request_count);
-
-  sys::ServerConfig server_cfg;
-  server_cfg.workers = workers;
-  server_cfg.queue_capacity = 1024;
-  auto& server = service.start_server(server_cfg);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> written{0};
-  std::thread writer([&] {
-    // The live ingest loop: uploads for the newest minutes (always inside
-    // the admission window), per-batch retention, and a trusted clock
-    // walking forward so the oldest minutes age out mid-run.
-    Rng wrng(4242);
-    std::size_t n = 0;
-    std::size_t step = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      for (int i = 0; i < 64; ++i) {
-        const TimeSec unit =
-            kUnitTimeSec * static_cast<TimeSec>(3 + wrng.index(minutes - 3));
-        service.upload_channel().submit(random_vp(unit, extent, wrng).serialize());
-      }
-      n += service.ingest_uploads();
-      if (++step % 4 == 0)
-        service.advance_clock(kUnitTimeSec * std::min<TimeSec>(
-                                  static_cast<TimeSec>(10 + step / 4), 18));
-    }
-    written.store(n, std::memory_order_relaxed);
-  });
-
-  std::vector<std::future<sys::InvestigationServer::Reports>> futures;
-  std::vector<Clock::time_point> submit_at;
-  futures.reserve(row.requests);
-  submit_at.reserve(row.requests);
-  const auto start = Clock::now();
-  for (int q = 0; q < request_count; ++q) {
-    submit_at.push_back(Clock::now());
-    futures.push_back(server.submit(sites[static_cast<std::size_t>(q)],
-                                    units[static_cast<std::size_t>(q)]));
-  }
-  double latency_sum = 0.0;
-  std::size_t resolved = 0;
-  for (std::size_t q = 0; q < futures.size(); ++q) {
-    if (!futures[q].valid()) continue;
-    row.reports += futures[q].get().size();
-    latency_sum += std::chrono::duration<double>(Clock::now() - submit_at[q]).count();
-    ++resolved;
-  }
-  const double elapsed = seconds_since(start);
-  stop.store(true);
-  writer.join();
-
-  const auto stats = server.stats();
-  if (const obs::Histogram* h =
-          service.metrics().find_histogram("viewmap_server_request_us")) {
-    const obs::Histogram::Snapshot snap = h->snapshot();
-    row.request_p50_us = snap.percentile(0.5);
-    row.request_p90_us = snap.percentile(0.9);
-    row.request_p99_us = snap.percentile(0.99);
-  }
-  service.stop_server();
-  row.requests_per_sec = static_cast<double>(stats.completed) / elapsed;
-  row.request_us = resolved > 0 ? latency_sum / static_cast<double>(resolved) * 1e6 : 0.0;
-  row.writer_vps_per_sec = static_cast<double>(written.load()) / elapsed;
-  row.snapshots = stats.snapshots;
-  row.batches = stats.batches;
-  row.peak_queue = stats.peak_queue;
-  return row;
-}
-
-struct ZipfServerRow {
-  std::size_t vps = 0;
-  std::size_t workers = 0;
-  std::size_t requests = 0;
-  double alpha = 0.0;            ///< Zipf skew of the request mix
-  std::size_t distinct_keys = 0; ///< (site, unit-time) universe size
-  double hit_rate = 0.0;         ///< cache hits / requests, serving phase
-  double req_per_sec = 0.0;          ///< result cache on
-  double req_per_sec_nocache = 0.0;  ///< identical run, cache disabled
-  double speedup_vs_nocache = 0.0;
-  /// Serve-side latency with the cache on (viewmap_server_request_us).
-  std::uint64_t request_p50_us = 0;
-  std::uint64_t request_p99_us = 0;
-  /// Cache-hit investigate() latency (viewmap_cache_hit_us).
-  std::uint64_t hit_p50_us = 0;
-  std::uint64_t hit_p99_us = 0;
-  /// Every key's cache-hit report fingerprint equalled the fresh-build
-  /// (= cache-off path) fingerprint. tools/run_bench.sh fails on false.
-  bool reports_match = false;
-  std::size_t cache_bytes = 0;           ///< resident bytes after the run
-  std::size_t cache_capacity_bytes = 0;  ///< configured bound
-  bool bytes_ok = false;                 ///< resident ≤ bound throughout
-};
-
-/// Order-sensitive fingerprint of everything an InvestigationReport says
-/// (members, trust flags, CSR edges, verdict sets, bit-cast TrustRank
-/// scores, solicitations) — trace excluded, since it records the serving
-/// path. Two reports with equal fingerprints are bit-identical results.
-std::uint64_t report_fingerprint(const sys::InvestigationReport& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  const sys::Viewmap& m = r.viewmap;
-  mix(m.size());
-  mix(static_cast<std::uint64_t>(m.unit_time()));
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    for (std::uint8_t b : m.member(i).vp_id().bytes) mix(b);
-    mix(m.is_trusted(i) ? 1 : 0);
-  }
-  for (std::size_t o : m.graph().offsets()) mix(o);
-  for (std::uint32_t e : m.graph().edges()) mix(e);
-  const sys::VerificationResult& v = r.verification;
-  for (std::size_t i : v.site_members) mix(i);
-  for (std::size_t i : v.legitimate) mix(i);
-  for (std::size_t i : v.rejected) mix(i);
-  for (double s : v.ranks.scores) mix(std::bit_cast<std::uint64_t>(s));
-  mix(static_cast<std::uint64_t>(v.ranks.iterations));
-  mix(v.ranks.converged ? 1 : 0);
-  for (const Id16& id : r.solicited)
-    for (std::uint8_t b : id.bytes) mix(b);
-  return h;
-}
-
-/// The workload the result cache exists for: a Zipf-skewed request mix
-/// (real investigation traffic clusters on a few hot incidents) against
-/// a database whose hot minutes are quiescent while live ingest keeps
-/// landing in the newest minutes. Two identical services — cache on vs
-/// cache off — serve the same precomputed request sequence through the
-/// same server config; the row records the throughput ratio, the hit
-/// rate, and whether every cache hit was bit-identical to a fresh build.
-ZipfServerRow bench_server_zipf(std::size_t vp_count, int request_count,
-                                double alpha, unsigned workers) {
-  const int minutes = 12;       // requests target 0..7; ingest lands in 8..11
-  const int query_minutes = 8;
-  const int site_count = 4;
-  // Fixed dense-city geometry, deliberately NOT the density-preserving
-  // sqrt(vps) extent the other scenarios use: incidents concentrate where
-  // traffic does, and the cache's value is proportional to what a build
-  // costs. A (1.2 km)² downtown with vp_count/minutes VPs per minute puts
-  // a few hundred members in every site rectangle, so a miss pays a real
-  // viewmap + TrustRank build while a hit pays a lookup + report copy.
-  const double extent = 600.0;
-
-  // The (site, unit-time) key universe: incident rectangles along the
-  // trusted corridor × the quiescent minutes. All four sites lie inside
-  // the VP spread and under the corridor, so every key sees trusted
-  // seeds, members, and a full verification.
-  std::vector<geo::Rect> sites;
-  for (int s = 0; s < site_count; ++s) {
-    const double cx = -450.0 + 300.0 * s;
-    sites.push_back({{cx - 200.0, -200.0}, {cx + 200.0, 200.0}});
-  }
-  const std::size_t keys = static_cast<std::size_t>(site_count * query_minutes);
-
-  // Zipf(alpha) over the key universe, sampled once so both sides serve
-  // the byte-identical request sequence.
-  std::vector<double> cdf(keys);
-  double total = 0.0;
-  for (std::size_t k = 0; k < keys; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), alpha);
-    cdf[k] = total;
-  }
-  Rng zipf_rng(60660);
-  std::vector<std::size_t> req_keys;
-  req_keys.reserve(static_cast<std::size_t>(request_count));
-  for (int q = 0; q < request_count; ++q) {
-    const double u = zipf_rng.uniform(0.0, total);
-    req_keys.push_back(static_cast<std::size_t>(
-        std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin()));
-  }
-
-  ZipfServerRow row;
-  row.workers = workers;
-  row.requests = static_cast<std::size_t>(request_count);
-  row.alpha = alpha;
-  row.distinct_keys = keys;
-
-  for (const bool cache_on : {false, true}) {
-    sys::ServiceConfig scfg;
-    scfg.rsa_bits = 1024;
-    if (!cache_on) scfg.result_cache.capacity_bytes = 0;
-    sys::ViewMapService service(scfg);
-    // Seeded identically per side: same trusted corridor, same uploads.
-    Rng seed_rng(8088);
-    for (int m = 0; m < minutes; ++m)
-      (void)service.register_trusted(attack::make_fake_profile(
-          kUnitTimeSec * static_cast<TimeSec>(m), {-650.0, 0.0}, {650.0, 0.0},
-          seed_rng));
-    for (std::size_t i = 0; i < vp_count; ++i) {
-      const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(seed_rng.index(minutes));
-      service.upload_channel().submit(random_vp(unit, extent, seed_rng).serialize());
-    }
-    (void)service.ingest_uploads();
-    row.vps = service.database().size();
-
-    if (cache_on) {
-      // Correctness phase, quiesced: for every key, a fresh build (the
-      // cache-off code path) followed by the cache hit it seeded. The
-      // fingerprints must agree — the bit-identity claim of the cache.
-      bool match = true;
-      for (std::size_t k = 0; k < keys; ++k) {
-        const geo::Rect& site = sites[k % static_cast<std::size_t>(site_count)];
-        const TimeSec unit =
-            kUnitTimeSec * static_cast<TimeSec>(k / static_cast<std::size_t>(site_count));
-        try {
-          const auto fresh = service.investigate(site, unit);
-          const auto hit = service.investigate(site, unit);
-          match = match && report_fingerprint(fresh) == report_fingerprint(hit);
-        } catch (const std::exception&) {
-          match = false;  // corridor keys must all be investigable
-        }
-      }
-      row.reports_match = match;
-      // The serving phase measures a cold cache: first touch per key
-      // misses, the skewed tail hits.
-      service.result_cache().clear();
-    }
-    const std::size_t hits_before = service.result_cache().stats().hits;
-
-    sys::ServerConfig server_cfg;
-    server_cfg.workers = workers;
-    server_cfg.queue_capacity = 1024;
-    auto& server = service.start_server(server_cfg);
-
-    // Live ingest confined to the newest minutes: the hot shards'
-    // generations stay put, which is exactly when the cache may keep
-    // serving them.
-    std::atomic<bool> stop{false};
-    std::thread writer([&] {
-      Rng wrng(4242);
-      while (!stop.load(std::memory_order_relaxed)) {
-        for (int i = 0; i < 64; ++i) {
-          const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(
-              query_minutes + wrng.index(minutes - query_minutes));
-          service.upload_channel().submit(random_vp(unit, extent, wrng).serialize());
-        }
-        (void)service.ingest_uploads();
-      }
-    });
-
-    std::vector<std::future<sys::InvestigationServer::Reports>> futures;
-    futures.reserve(req_keys.size());
-    const auto start = Clock::now();
-    for (const std::size_t k : req_keys)
-      futures.push_back(server.submit(
-          sites[k % static_cast<std::size_t>(site_count)],
-          kUnitTimeSec * static_cast<TimeSec>(k / static_cast<std::size_t>(site_count))));
-    std::size_t resolved = 0;
-    for (auto& fut : futures) {
-      if (!fut.valid()) continue;
-      (void)fut.get();
-      ++resolved;
-    }
-    const double elapsed = seconds_since(start);
-    stop.store(true);
-    writer.join();
-
-    const double rate = elapsed > 0 ? static_cast<double>(resolved) / elapsed : 0.0;
-    if (cache_on) {
-      row.req_per_sec = rate;
-      const auto cstats = service.result_cache().stats();
-      row.hit_rate = row.requests > 0
-                         ? static_cast<double>(cstats.hits - hits_before) /
-                               static_cast<double>(row.requests)
-                         : 0.0;
-      row.cache_bytes = cstats.resident_bytes;
-      row.cache_capacity_bytes = scfg.result_cache.capacity_bytes;
-      row.bytes_ok = cstats.resident_bytes <= scfg.result_cache.capacity_bytes;
-      if (const obs::Histogram* h =
-              service.metrics().find_histogram("viewmap_server_request_us")) {
-        const auto snap = h->snapshot();
-        row.request_p50_us = snap.percentile(0.5);
-        row.request_p99_us = snap.percentile(0.99);
-      }
-      if (const obs::Histogram* h =
-              service.metrics().find_histogram("viewmap_cache_hit_us")) {
-        const auto snap = h->snapshot();
-        row.hit_p50_us = snap.percentile(0.5);
-        row.hit_p99_us = snap.percentile(0.99);
-      }
-    } else {
-      row.req_per_sec_nocache = rate;
-    }
-    service.stop_server();
-  }
-  row.speedup_vs_nocache = row.req_per_sec_nocache > 0
-                               ? row.req_per_sec / row.req_per_sec_nocache
-                               : 0.0;
-  return row;
-}
-
 struct ViewmapBuildRow {
   std::size_t n = 0;
   const char* layout = "";
   double density_per_km2 = 0.0;
-  double grid_ms = 0.0;   ///< packed, sharded CSR builder (name predates it)
+  double build_ms = 0.0;  ///< packed, sharded CSR builder
   double naive_ms = 0.0;  ///< retained O(n²) reference builder
   double speedup = 0.0;
   std::size_t edges = 0;
@@ -706,17 +321,17 @@ ViewmapBuildRow bench_viewmap_build(std::size_t n, bool dense, Rng& rng) {
 
   auto start = Clock::now();
   const sys::Viewmap packed = builder.build_from_members(members, trusted, 0, cover);
-  row.grid_ms = seconds_since(start) * 1e3;
+  row.build_ms = seconds_since(start) * 1e3;
 
   start = Clock::now();
   const sys::Viewmap naive =
       builder.build_from_members_reference(members, trusted, 0, cover);
   row.naive_ms = seconds_since(start) * 1e3;
 
-  row.speedup = row.grid_ms > 0 ? row.naive_ms / row.grid_ms : 0.0;
+  row.speedup = row.build_ms > 0 ? row.naive_ms / row.build_ms : 0.0;
   row.edges = packed.edge_count();
   row.edges_per_sec =
-      row.grid_ms > 0 ? static_cast<double>(row.edges) / (row.grid_ms / 1e3) : 0.0;
+      row.build_ms > 0 ? static_cast<double>(row.edges) / (row.build_ms / 1e3) : 0.0;
   row.edges_match = packed.graph() == naive.graph();
   return row;
 }
@@ -848,165 +463,6 @@ CheckpointRow bench_checkpoint(std::size_t vp_count, Rng& rng, RecoveryV2Row& v2
   return row;
 }
 
-struct ObsRow {
-  std::size_t payloads = 0;
-  double plain_vps_per_sec = 0.0;    ///< registry disabled (null pointers)
-  double metered_vps_per_sec = 0.0;  ///< registry wired into timeline + ingest
-  double overhead_pct = 0.0;         ///< (plain − metered) / plain × 100
-};
-
-/// What the always-on instrumentation costs on the hottest path:
-/// single-thread ingest (parse + screen + shard commit, a counter bump
-/// per VP) with the metrics registry wired vs the null-registry switch.
-/// Best-of-3 per side over a fresh database each run, so allocator state
-/// and shard growth are identical; only the counter increments differ.
-ObsRow bench_obs_overhead(std::size_t payload_count, Rng& rng) {
-  std::vector<std::vector<std::uint8_t>> payloads;
-  payloads.reserve(payload_count);
-  for (std::size_t i = 0; i < payload_count; ++i) {
-    const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(rng.index(30));
-    payloads.push_back(random_vp(unit, 8000.0, rng).serialize());
-  }
-
-  ObsRow row;
-  row.payloads = payload_count;
-  obs::MetricsRegistry registry;
-  common::WorkerPool single(1);
-  for (const bool metered : {false, true}) {
-    double best = 0.0;
-    for (int run = 0; run < 3; ++run) {
-      index::TimelineConfig timeline_cfg;
-      index::IngestMetrics ingest_metrics;
-      if (metered) {
-        timeline_cfg.metrics = &registry;
-        ingest_metrics = index::IngestMetrics::wire(registry);
-      }
-      sys::VpDatabase db(timeline_cfg);
-      index::IngestEngine engine(db, ingest_metrics, single);
-      const auto start = Clock::now();
-      const auto stats = engine.ingest(payloads);
-      best = std::max(best,
-                      static_cast<double>(stats.accepted) / seconds_since(start));
-    }
-    (metered ? row.metered_vps_per_sec : row.plain_vps_per_sec) = best;
-  }
-  row.overhead_pct =
-      row.plain_vps_per_sec > 0
-          ? (row.plain_vps_per_sec - row.metered_vps_per_sec) /
-                row.plain_vps_per_sec * 100.0
-          : 0.0;
-  return row;
-}
-
-struct DaemonSoakRow {
-  std::size_t kill_cycles = 0;
-  std::size_t vps_submitted = 0;       ///< admitted by IngestService::submit
-  std::size_t vps_recovered = 0;       ///< final cold recover() of the store
-  double sustained_ingest_vps_per_sec = 0.0;
-  std::size_t checkpoints = 0;         ///< manifests sealed across all cycles
-  double recovery_ms_mean = 0.0;       ///< start()-time restore, cycles 2..N
-  double recovery_ms_max = 0.0;
-  /// Every restart's recovery invariant (single-attempt recover, zero
-  /// rejects, loaded == manifest promise) plus a clean final cold
-  /// recover. tools/run_bench.sh fails the run when false.
-  bool recovered_matches = false;
-};
-
-/// The assembled daemon under the crash workload the soak test hammers:
-/// each cycle constructs a fresh ServiceLifecycle on the same store
-/// directory, times the restore start() performs, pushes `vps_per_cycle`
-/// uploads through the IngestService drain (blocking backpressure), waits
-/// for a checkpoint sealed after the channel emptied, then kill_for_test()
-/// — the in-process kill -9: no drain, no final checkpoint. fsync is ON;
-/// recovery_ms and checkpoint cadence are honest durable numbers.
-DaemonSoakRow bench_daemon_soak(std::size_t cycles, std::size_t vps_per_cycle,
-                                Rng& rng) {
-  namespace fs = std::filesystem;
-  const fs::path dir = "bench_daemon_soak.tmp";
-  fs::remove_all(dir);
-
-  daemon::DaemonConfig cfg;
-  cfg.service.rsa_bits = 1024;  // keygen is not what this bench measures
-  cfg.start_server = false;
-  cfg.store_dir = dir.string();
-  cfg.checkpoint.interval = std::chrono::milliseconds(25);
-  cfg.checkpoint.jitter_pct = 0;
-  cfg.ingest.idle_backoff_max = std::chrono::milliseconds(5);
-  cfg.scrape.enabled = false;
-  cfg.watchdog.enabled = false;
-
-  DaemonSoakRow row;
-  row.kill_cycles = cycles;
-  bool invariant_ok = true;
-  double feed_seconds = 0.0;
-  std::vector<double> recovery_ms;
-
-  for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
-    daemon::ServiceLifecycle d(cfg);
-    const auto t0 = Clock::now();
-    d.start();
-    const double start_ms = seconds_since(t0) * 1e3;
-    if (cycle > 0) {
-      // Restarts after a kill must land on the newest sealed manifest in
-      // one attempt with nothing rejected — the PR 5 recovery invariant.
-      const auto& rec = d.recovery();
-      recovery_ms.push_back(start_ms);
-      invariant_ok = invariant_ok && d.recovered() && rec.manifests_tried == 1 &&
-                     rec.profiles_rejected == 0 &&
-                     rec.profiles_loaded == rec.manifest_profiles;
-    }
-
-    std::vector<std::vector<std::uint8_t>> payloads;
-    payloads.reserve(vps_per_cycle);
-    for (std::size_t i = 0; i < vps_per_cycle; ++i) {
-      const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(rng.index(30));
-      payloads.push_back(random_vp(unit, 8000.0, rng).serialize());
-    }
-    const auto feed_start = Clock::now();
-    for (auto& p : payloads)
-      if (d.ingest().submit(std::move(p))) ++row.vps_submitted;
-    // Admission rate: submit-to-admitted through the bounded channel while
-    // the drain thread time-slices the same core(s).
-    feed_seconds += seconds_since(feed_start);
-
-    // Wait until the channel emptied, then for one checkpoint sealed
-    // after that — the manifest a kill now must leave recoverable.
-    while (d.service().upload_channel().pending() != 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const std::uint64_t sealed = d.checkpointer()->written();
-    while (d.checkpointer()->written() <= sealed) {
-      d.checkpointer()->poke();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    d.kill_for_test();
-  }
-
-  row.sustained_ingest_vps_per_sec =
-      feed_seconds > 0 ? static_cast<double>(row.vps_submitted) / feed_seconds
-                       : 0.0;
-  if (!recovery_ms.empty()) {
-    double sum = 0.0;
-    for (const double ms : recovery_ms) {
-      sum += ms;
-      row.recovery_ms_max = std::max(row.recovery_ms_max, ms);
-    }
-    row.recovery_ms_mean = sum / static_cast<double>(recovery_ms.size());
-  }
-
-  {
-    store::SegmentStore store(dir.string());
-    row.checkpoints = static_cast<std::size_t>(store.latest_sequence());
-    store::RecoveryStats rec;
-    const auto db = store.recover(&rec);
-    row.vps_recovered = db.size();
-    row.recovered_matches = invariant_ok && rec.profiles_rejected == 0 &&
-                            rec.profiles_loaded == rec.manifest_profiles;
-  }
-
-  fs::remove_all(dir);
-  return row;
-}
-
 struct DaemonChaosRow {
   std::size_t cycles = 0;               ///< lifecycle cycles (kill/drain alternating)
   std::size_t injected_failures = 0;    ///< failpoint fires across all cycles
@@ -1019,18 +475,20 @@ struct DaemonChaosRow {
   bool recovered_matches = false;       ///< per-cycle canonical bytes bit-for-bit
 };
 
-/// The chaos soak: the daemon_soak workload with failpoints firing inside
-/// the checkpoint path. Each cycle arms one fault family (ENOSPC on
-/// segment data, EIO on fsync, rename failure, torn short writes, whole-
-/// cycle failures), feeds live ingest through it, and requires the daemon
-/// to eat `failures_per_cycle` consecutive checkpoint failures — health
-/// must leave healthy — then disarms and requires a sealed checkpoint and
-/// health back to healthy. Cycles alternate kill_for_test (crash) with
-/// drain+stop (clean); after each, a cold recover must reproduce the live
-/// database's canonical bytes (DbSnapshot::canonical_bytes — re-serialized,
-/// not the manifest-seeded digests) and the store directory must hold
-/// zero temp files. This is the acceptance harness for the failpoint
-/// framework: ≥ 20 injected I/O failures per run with no daemon death.
+/// The chaos soak: each cycle constructs a fresh ServiceLifecycle on the
+/// same store directory (fsync on, 25 ms checkpoint cadence), arms one
+/// fault family inside the checkpoint path (ENOSPC on segment data, EIO
+/// on fsync, rename failure, torn short writes, whole-cycle failures),
+/// pushes `vps_per_cycle` uploads through the IngestService drain, and
+/// requires the daemon to eat `failures_per_cycle` consecutive checkpoint
+/// failures — health must leave healthy — then disarms and requires a
+/// sealed checkpoint and health back to healthy. Cycles alternate
+/// kill_for_test (crash) with drain+stop (clean); after each, a cold
+/// recover must reproduce the live database's canonical bytes
+/// (DbSnapshot::canonical_bytes — re-serialized, not the manifest-seeded
+/// digests) and the store directory must hold zero temp files. This is
+/// the acceptance harness for the failpoint framework: ≥ 20 injected I/O
+/// failures per run with no daemon death.
 DaemonChaosRow bench_daemon_chaos(std::size_t cycles,
                                   std::size_t failures_per_cycle,
                                   std::size_t vps_per_cycle, Rng& rng) {
@@ -1167,32 +625,20 @@ int main(int argc, char** argv) {
   const int queries = bench::int_flag(argc, argv, "queries", 200);
   const auto ingest_vps =
       static_cast<std::size_t>(bench::int_flag(argc, argv, "ingest_vps", 20000));
-  const int server_requests = bench::int_flag(argc, argv, "server_requests", 500);
-  const int zipf_requests = bench::int_flag(argc, argv, "zipf_requests", 400);
   const auto viewmap_vps =
       static_cast<std::size_t>(bench::int_flag(argc, argv, "viewmap_vps", 50000));
   const auto checkpoint_vps = std::min<std::size_t>(
       static_cast<std::size_t>(bench::int_flag(argc, argv, "checkpoint_vps", 1000000)),
       max_vps);
-  const auto soak_cycles =
-      static_cast<std::size_t>(bench::int_flag(argc, argv, "soak_cycles", 5));
-  const auto soak_vps =
-      static_cast<std::size_t>(bench::int_flag(argc, argv, "soak_vps", 300));
   const auto chaos_cycles =
       static_cast<std::size_t>(bench::int_flag(argc, argv, "chaos_cycles", 6));
   const auto chaos_failures =
       static_cast<std::size_t>(bench::int_flag(argc, argv, "chaos_failures", 4));
   const auto chaos_vps =
       static_cast<std::size_t>(bench::int_flag(argc, argv, "chaos_vps", 200));
-  unsigned threads = static_cast<unsigned>(bench::int_flag(argc, argv, "threads", 0));
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
 
-  std::printf("(hardware_concurrency=%u, worker pool width=%u, server workers=%u)\n",
-              std::thread::hardware_concurrency(), common::WorkerPool::process().width(),
-              threads);
+  std::printf("(hardware_concurrency=%u, worker pool width=%u)\n",
+              std::thread::hardware_concurrency(), common::WorkerPool::process().width());
 
   // ── query latency vs database size ───────────────────────────────────
   std::printf("\n-- (site, unit-time) snapshot query latency: minute scan vs full scan --\n");
@@ -1219,8 +665,6 @@ int main(int argc, char** argv) {
               "(%.2fx)\n",
               ingest.payloads, ingest.single_vps_per_sec, ingest.multi_vps_per_sec,
               ingest.threads, ingest.speedup);
-  if (std::thread::hardware_concurrency() <= 1)
-    std::printf("note: this host exposes 1 CPU; multi-thread speedup needs cores.\n");
 
   // ── snapshot queries under concurrent ingest + eviction ──────────────
   std::printf("\n-- snapshot queries vs concurrent ingest + retention eviction --\n");
@@ -1230,56 +674,6 @@ int main(int argc, char** argv) {
   std::printf("%zu VPs: %.2f us/investigation (snapshot + query) while a writer "
               "ingested %.0f VPs/s and ran %zu retention passes\n",
               conc.vps, conc.query_us, conc.writer_vps_per_sec, conc.evictions);
-  if (std::thread::hardware_concurrency() <= 1)
-    std::printf("note: 1-core host — reader and writer time-slice one CPU, so the\n"
-                "      per-investigation latency above includes writer preemption.\n");
-
-  // ── investigation-server throughput ──────────────────────────────────
-  std::printf("\n-- investigation server: worker pool vs live ingest + eviction --\n");
-  Rng server_rng(99);
-  const std::size_t server_vps = std::min<std::size_t>(max_vps, 20000);
-  const auto srv = bench_server(server_vps, server_requests, threads, server_rng);
-  std::printf("%zu VPs, %zu workers: %.0f requests/s (%.1f us/request end to end), "
-              "%zu reports from %zu requests;\n"
-              "  %zu snapshots pinned over %zu batches (one per request), "
-              "peak queue %zu, writer ingested %.0f VPs/s\n",
-              srv.vps, srv.workers, srv.requests_per_sec, srv.request_us,
-              srv.reports, srv.requests, srv.snapshots, srv.batches,
-              srv.peak_queue, srv.writer_vps_per_sec);
-  std::printf("  serve-side latency (viewmap_server_request_us): "
-              "p50=%llu us, p90=%llu us, p99=%llu us\n",
-              static_cast<unsigned long long>(srv.request_p50_us),
-              static_cast<unsigned long long>(srv.request_p90_us),
-              static_cast<unsigned long long>(srv.request_p99_us));
-  if (std::thread::hardware_concurrency() <= 1)
-    std::printf("note: 1-core host — workers, submitter, and the ingest loop\n"
-                "      time-slice one CPU; worker scaling needs real cores.\n");
-
-  // ── server_zipf: result cache under a skewed request mix ─────────────
-  std::printf("\n-- server_zipf: generation-keyed result cache, Zipf request mix, "
-              "cache on vs off --\n");
-  // The scenario fixes its own dense (1.2 km)² geometry; 24k VPs over its
-  // 12 minutes ≈ 1.4k VPs/km²/minute — the paper's dense urban regime, a
-  // few hundred site members per key, so a miss pays a real build.
-  const std::size_t zipf_vps = std::min<std::size_t>(max_vps, 24000);
-  const auto zipf =
-      bench_server_zipf(zipf_vps, zipf_requests, /*alpha=*/1.1, threads);
-  std::printf(
-      "%zu VPs, %zu workers, %zu requests over %zu keys (alpha=%.1f):\n"
-      "  cache on:  %.0f requests/s, hit rate %.1f%%, hit p50=%llu us / "
-      "p99=%llu us, serve p50=%llu us / p99=%llu us\n"
-      "  cache off: %.0f requests/s  ->  %.1fx speedup; reports %s; "
-      "cache %zu / %zu bytes (%s)\n",
-      zipf.vps, zipf.workers, zipf.requests, zipf.distinct_keys, zipf.alpha,
-      zipf.req_per_sec, zipf.hit_rate * 100.0,
-      static_cast<unsigned long long>(zipf.hit_p50_us),
-      static_cast<unsigned long long>(zipf.hit_p99_us),
-      static_cast<unsigned long long>(zipf.request_p50_us),
-      static_cast<unsigned long long>(zipf.request_p99_us),
-      zipf.req_per_sec_nocache, zipf.speedup_vs_nocache,
-      zipf.reports_match ? "bit-identical" : "DIVERGED",
-      zipf.cache_bytes, zipf.cache_capacity_bytes,
-      zipf.bytes_ok ? "within bound" : "OVER BOUND");
 
   // ── viewmap construction: packed builder vs naive O(n²) reference ───
   std::printf("\n-- viewmap construction: packed builder vs naive O(n^2) reference --\n");
@@ -1294,19 +688,11 @@ int main(int argc, char** argv) {
       char speedup[32];
       std::snprintf(speedup, sizeof speedup, "%.1fx", row.speedup);
       std::printf("%-8zu %-8s %-12.2f %-12.1f %-10s %-10zu %-12.0f %-6s\n", row.n,
-                  row.layout, row.grid_ms, row.naive_ms, speedup, row.edges,
+                  row.layout, row.build_ms, row.naive_ms, speedup, row.edges,
                   row.edges_per_sec, row.edges_match ? "yes" : "NO");
       vm_rows.push_back(row);
     }
   }
-
-  // ── observability overhead: registry wired vs disabled ──────────────
-  std::printf("\n-- observability overhead: single-thread ingest, registry on vs off --\n");
-  Rng obs_rng(31337);
-  const auto obs_row = bench_obs_overhead(ingest_vps, obs_rng);
-  std::printf("%zu payloads: %.0f VPs/s plain, %.0f VPs/s metered (%.2f%% overhead)\n",
-              obs_row.payloads, obs_row.plain_vps_per_sec, obs_row.metered_vps_per_sec,
-              obs_row.overhead_pct);
 
   // ── incremental persistence: segment checkpoints vs full saves ──────
   std::printf("\n-- incremental checkpoint vs full checkpoint (segment store) --\n");
@@ -1339,20 +725,7 @@ int main(int argc, char** argv) {
     std::printf("  vs recorded pre-packed baseline (%.1f ms at 1M VPs): %.1fx\n",
                 rv2.baseline_restart_ms, rv2.speedup_vs_baseline);
 
-  // ── daemon soak: the assembled service under kill -9 cycles ─────────
-  std::printf("\n-- daemon soak: ServiceLifecycle under repeated kill -9 + restart --\n");
-  Rng soak_rng(4242);
-  const auto soak = bench_daemon_soak(soak_cycles, soak_vps, soak_rng);
-  std::printf(
-      "%zu kill cycles, %zu VPs submitted (%.0f VPs/s sustained through the "
-      "ingest drain):\n"
-      "  %zu checkpoints sealed, restart recovery %.1f ms mean / %.1f ms max, "
-      "%zu VPs in the final cold recover, invariant %s\n",
-      soak.kill_cycles, soak.vps_submitted, soak.sustained_ingest_vps_per_sec,
-      soak.checkpoints, soak.recovery_ms_mean, soak.recovery_ms_max,
-      soak.vps_recovered, soak.recovered_matches ? "OK" : "VIOLATED");
-
-  // ── daemon chaos: the soak under injected durable-I/O failures ──────
+  // ── daemon chaos: the daemon under injected durable-I/O failures ────
   std::printf("\n-- daemon chaos: failpoint-injected I/O failures through the "
               "checkpoint path --\n");
   Rng chaos_rng(31415);
@@ -1383,29 +756,22 @@ int main(int argc, char** argv) {
     }
     std::fprintf(json,
                  "  ],\n  \"ingest\": {\"payloads\": %zu, \"single_vps_per_sec\": %.1f, "
-                 "\"threads\": %u, \"multi_vps_per_sec\": %.1f, \"speedup\": %.3f%s},\n",
+                 "\"threads\": %u, \"multi_vps_per_sec\": %.1f, \"speedup\": %.3f},\n",
                  ingest.payloads, ingest.single_vps_per_sec, ingest.threads,
-                 ingest.multi_vps_per_sec, ingest.speedup,
-                 std::thread::hardware_concurrency() <= 1
-                     ? ", \"note\": \"single-core host: thread scaling not observable\""
-                     : "");
+                 ingest.multi_vps_per_sec, ingest.speedup);
     std::fprintf(json,
                  "  \"snapshot_concurrent\": {\"vps\": %zu, \"query_us\": %.3f, "
-                 "\"writer_vps_per_sec\": %.1f, \"retention_passes\": %zu%s},\n",
-                 conc.vps, conc.query_us, conc.writer_vps_per_sec, conc.evictions,
-                 std::thread::hardware_concurrency() <= 1
-                     ? ", \"note\": \"single-core host: reader/writer time-slice one "
-                       "CPU; latency includes writer preemption\""
-                     : "");
+                 "\"writer_vps_per_sec\": %.1f, \"retention_passes\": %zu},\n",
+                 conc.vps, conc.query_us, conc.writer_vps_per_sec, conc.evictions);
     std::fprintf(json, "  \"viewmap_build\": [\n");
     for (std::size_t i = 0; i < vm_rows.size(); ++i) {
       const auto& r = vm_rows[i];
       std::fprintf(json,
                    "    {\"members\": %zu, \"layout\": \"%s\", "
                    "\"density_per_km2\": %.0f, \"build_threads_max\": %zu, "
-                   "\"grid_ms\": %.3f, \"naive_ms\": %.3f, \"speedup\": %.2f, "
+                   "\"build_ms\": %.3f, \"naive_ms\": %.3f, \"speedup\": %.2f, "
                    "\"edges\": %zu, \"edges_per_sec\": %.0f, \"edges_match\": %s}%s\n",
-                   r.n, r.layout, r.density_per_km2, r.build_threads_max, r.grid_ms,
+                   r.n, r.layout, r.density_per_km2, r.build_threads_max, r.build_ms,
                    r.naive_ms, r.speedup, r.edges, r.edges_per_sec,
                    r.edges_match ? "true" : "false",
                    i + 1 < vm_rows.size() ? "," : "");
@@ -1438,62 +804,6 @@ int main(int argc, char** argv) {
         rv2.baseline_restart_ms, rv2.speedup_vs_baseline,
         rv2.read_ms, rv2.validate_ms, rv2.parse_ms, rv2.adopt_ms,
         rv2.recovered_matches ? "true" : "false");
-    std::fprintf(json,
-                 "  \"server_throughput\": {\"vps\": %zu, \"workers\": %zu, "
-                 "\"requests\": %zu, \"requests_per_sec\": %.1f, \"request_us\": %.1f, "
-                 "\"request_p50_us\": %llu, \"request_p90_us\": %llu, "
-                 "\"request_p99_us\": %llu, "
-                 "\"reports\": %zu, \"writer_vps_per_sec\": %.1f, \"snapshots\": %zu, "
-                 "\"batches\": %zu, \"peak_queue\": %zu%s},\n",
-                 srv.vps, srv.workers, srv.requests, srv.requests_per_sec,
-                 srv.request_us,
-                 static_cast<unsigned long long>(srv.request_p50_us),
-                 static_cast<unsigned long long>(srv.request_p90_us),
-                 static_cast<unsigned long long>(srv.request_p99_us),
-                 srv.reports, srv.writer_vps_per_sec, srv.snapshots,
-                 srv.batches, srv.peak_queue,
-                 std::thread::hardware_concurrency() <= 1
-                     ? ", \"note\": \"single-core host: workers/submitter/ingest "
-                       "time-slice one CPU; worker scaling needs cores\""
-                     : "");
-    std::fprintf(
-        json,
-        "  \"server_zipf\": {\"vps\": %zu, \"workers\": %zu, \"requests\": %zu, "
-        "\"alpha\": %.2f, \"distinct_keys\": %zu, \"hit_rate\": %.4f, "
-        "\"req_per_sec\": %.1f, \"req_per_sec_nocache\": %.1f, "
-        "\"speedup_vs_nocache\": %.2f, \"hit_p50_us\": %llu, \"hit_p99_us\": %llu, "
-        "\"request_p50_us\": %llu, \"request_p99_us\": %llu, "
-        "\"reports_match\": %s, \"cache_bytes\": %zu, "
-        "\"cache_capacity_bytes\": %zu, \"bytes_ok\": %s, "
-        "\"note\": \"Zipf mix over quiescent hot minutes with live ingest in "
-        "the newest minutes; reports_match compares cache-hit vs fresh-build "
-        "fingerprints per key\"},\n",
-        zipf.vps, zipf.workers, zipf.requests, zipf.alpha, zipf.distinct_keys,
-        zipf.hit_rate, zipf.req_per_sec, zipf.req_per_sec_nocache,
-        zipf.speedup_vs_nocache,
-        static_cast<unsigned long long>(zipf.hit_p50_us),
-        static_cast<unsigned long long>(zipf.hit_p99_us),
-        static_cast<unsigned long long>(zipf.request_p50_us),
-        static_cast<unsigned long long>(zipf.request_p99_us),
-        zipf.reports_match ? "true" : "false", zipf.cache_bytes,
-        zipf.cache_capacity_bytes, zipf.bytes_ok ? "true" : "false");
-    std::fprintf(json,
-                 "  \"obs_overhead\": {\"payloads\": %zu, "
-                 "\"plain_vps_per_sec\": %.1f, \"metered_vps_per_sec\": %.1f, "
-                 "\"overhead_pct\": %.2f},\n",
-                 obs_row.payloads, obs_row.plain_vps_per_sec,
-                 obs_row.metered_vps_per_sec, obs_row.overhead_pct);
-    std::fprintf(json,
-                 "  \"daemon_soak\": {\"kill_cycles\": %zu, "
-                 "\"vps_submitted\": %zu, \"sustained_ingest_vps_per_sec\": %.1f, "
-                 "\"checkpoints\": %zu, \"recovery_ms_mean\": %.2f, "
-                 "\"recovery_ms_max\": %.2f, \"vps_recovered\": %zu, "
-                 "\"recovered_matches\": %s, \"note\": \"fsync on; kill -9 via "
-                 "kill_for_test between cycles\"},\n",
-                 soak.kill_cycles, soak.vps_submitted,
-                 soak.sustained_ingest_vps_per_sec, soak.checkpoints,
-                 soak.recovery_ms_mean, soak.recovery_ms_max, soak.vps_recovered,
-                 soak.recovered_matches ? "true" : "false");
     std::fprintf(json,
                  "  \"daemon_chaos\": {\"cycles\": %zu, "
                  "\"injected_failures\": %zu, \"checkpoint_failures\": %zu, "

@@ -35,7 +35,7 @@ namespace viewmap::index {
 /// The registry metrics the ingest path publishes, resolved once by
 /// wire() and fed batch-aggregated deltas at the end of each ingest()
 /// (never a registry lookup, never a per-item touch). All null when
-/// unwired — the toggle bench_index's obs_overhead scenario measures.
+/// unwired, which switches the ingest path's instrumentation off.
 /// ViewMapService wires one set for its lifetime and serves
 /// ingest_totals() as a plain read of it — the only place ingest totals
 /// are kept.

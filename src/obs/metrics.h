@@ -37,9 +37,8 @@
 // and hot paths never touch the registry again. A null
 // MetricsRegistry* in TimelineConfig, or an unwired (all-null)
 // index::IngestMetrics, disables that component's instrumentation
-// entirely — that switch is what
-// bench_index's obs_overhead scenario measures; a SegmentStore publishes
-// only once adopt_metrics() wires it. See src/obs/README.md for naming
+// entirely (standalone components run that way); a SegmentStore
+// publishes only once adopt_metrics() wires it. See src/obs/README.md for naming
 // conventions.
 #pragma once
 

@@ -23,6 +23,21 @@ std::uint64_t us_since(std::chrono::steady_clock::time_point start) noexcept {
           .count());
 }
 
+/// The steady_clock instant by which a request must start; max() ⇔ none.
+/// now() + deadline is computed in nanoseconds, so a deadline beyond the
+/// clock's headroom (~292 years) saturates instead of overflowing int64.
+/// The headroom is compared in milliseconds: converting a huge deadline
+/// to nanoseconds would itself overflow.
+std::chrono::steady_clock::time_point start_by(std::chrono::milliseconds deadline) {
+  using Clock = std::chrono::steady_clock;
+  if (deadline.count() <= 0) return Clock::time_point::max();
+  const auto now = Clock::now();
+  if (deadline >= std::chrono::duration_cast<std::chrono::milliseconds>(
+                      Clock::time_point::max() - now))
+    return Clock::time_point::max();
+  return now + deadline;
+}
+
 }  // namespace
 
 InvestigationServer::InvestigationServer(ViewMapService& service,
@@ -77,11 +92,7 @@ std::future<InvestigationServer::Reports> InvestigationServer::submit(
 
 std::future<InvestigationServer::Reports> InvestigationServer::submit_period(
     const geo::Rect& site, TimeSec begin, TimeSec end, const SubmitOptions& opts) {
-  Request req{site, begin, end,
-              opts.deadline.count() > 0
-                  ? std::chrono::steady_clock::now() + opts.deadline
-                  : std::chrono::steady_clock::time_point::max(),
-              {}};
+  Request req{site, begin, end, start_by(opts.deadline), {}};
   std::future<Reports> fut = req.promise.get_future();
   auto& queue = queues_[static_cast<std::size_t>(opts.priority)];
   {

@@ -318,6 +318,30 @@ TEST(InvestigationServer, DeadlineExpiredRequestsFailFastAndDistinctly) {
   EXPECT_EQ(stats.rejected, 0u);   // and not a queue rejection either
 }
 
+TEST(InvestigationServer, HugeDeadlinesSaturateInsteadOfExpiring) {
+  // now() + deadline is kept in nanoseconds: a deadline of more than
+  // ~292 years overflowed int64 and the request expired on arrival.
+  ConvoyWorld world;
+  ViewMapService service(small_cfg());
+  service.register_trusted(world.record_of(0).profile);
+
+  ServerConfig scfg;
+  scfg.workers = 1;
+  auto& server = service.start_server(scfg);
+
+  const geo::Rect site{{0, -50}, {1200, 50}};
+  for (const auto deadline :
+       {std::chrono::milliseconds::max(),
+        std::chrono::milliseconds(std::numeric_limits<std::int64_t>::max() / 2)}) {
+    auto fut = server.submit(site, 0, {.deadline = deadline});
+    ASSERT_TRUE(fut.valid());
+    EXPECT_EQ(fut.get().size(), 1u);  // served, not DeadlineExpired
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.expired, 0u);
+}
+
 TEST(InvestigationServer, NonFiniteSiteFailsItsFutureAndTheNextRequestIsServed) {
   // A NaN or infinite site coordinate used to leave the builder without a
   // seed VP and take the whole process down; now each such request fails

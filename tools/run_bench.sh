@@ -1,32 +1,21 @@
 #!/usr/bin/env bash
 # Build (Release) and run the index benchmark, leaving BENCH_index.json in
-# the repository root so successive PRs accumulate a perf trajectory.
+# the repository root so successive changes accumulate a perf trajectory.
 # Covers snapshot query latency vs db size, ingest throughput, the
-# snapshot-queries-vs-concurrent-ingest scenario, the investigation
-# server throughput scenario (worker pool vs live ingest + eviction; on a
-# 1-core host the JSON carries a note: everything time-slices one CPU),
-# viewmap construction (packed builder vs the naive O(n²) reference),
-# incremental persistence (incremental vs full segment-store checkpoint,
-# plus cold-restart recovery), observability overhead
-# (ingest with the metrics registry on vs off), and the daemon soak
-# (ServiceLifecycle under kill -9 cycles: sustained ingest rate,
-# checkpoint cadence, restart recovery latency), and the daemon chaos
-# scenario (failpoint-injected ENOSPC/EIO/fsync/rename/torn-write
-# failures through the checkpoint path: daemon survival, health
-# degrade/recover, zero leaked temps, bit-for-bit recovery). Asserts
-# that every
-# viewmap_build row reports a bit-identical edge set between the two
-# builders, that the checkpoint, recovery_v2, and daemon-soak scenarios'
-# recovery invariant held (profiles recovered == manifest promise,
-# single-attempt restarts), that the cold restart beats the recorded
-# pre-packed-format baseline by ≥ 5× on 1M-VP runs, that the server_zipf
-# result-cache scenario hit the cache (hit_rate > 0) with every hit
-# bit-identical to a fresh build and the cache inside its byte bound,
-# and that the server
-# latency percentiles are monotone (p50 ≤ p90 ≤ p99); warns when the
-# observability overhead exceeds its 3% budget. Finishes with a
-# docs-link check: every per-module design doc under src/*/README.md
-# must be referenced from ARCHITECTURE.md.
+# snapshot-queries-vs-concurrent-ingest scenario, viewmap construction
+# (packed builder vs the naive O(n²) reference), incremental persistence
+# (incremental vs full segment-store checkpoint, plus cold-restart
+# recovery), and the daemon chaos scenario (failpoint-injected
+# ENOSPC/EIO/fsync/rename/torn-write failures through the checkpoint path:
+# daemon survival, health degrade/recover, zero leaked temps, bit-for-bit
+# recovery). Asserts that every viewmap_build row reports a bit-identical
+# edge set between the two builders, that the checkpoint and recovery_v2
+# recovery invariant held (profiles recovered == manifest promise), that
+# the cold restart beats the recorded pre-packed-format baseline by ≥ 5×
+# on 1M-VP runs, and that the daemon chaos assertions held. Finishes with
+# a docs-link check: every per-module design doc under src/*/README.md
+# must be referenced from ARCHITECTURE.md. The service itself is
+# benchmarked by perfbench (perfbench/README.md).
 #
 #   tools/run_bench.sh [extra bench_index flags, e.g. --max_vps=100000]
 set -euo pipefail
@@ -88,73 +77,6 @@ elif awk -v s="$baseline_speedup" 'BEGIN { exit !(s < 5.0) }'; then
 else
   echo "recovery_v2 check passed: cold restart is ${baseline_speedup}x the recorded baseline"
 fi
-
-# Percentile-monotonicity assertion: the server scenario's serve-side
-# latency histogram must report p50 ≤ p90 ≤ p99 — the exposition contract
-# the log-linear bucket walk guarantees by construction.
-if ! grep -q '"request_p50_us"' BENCH_index.json; then
-  echo "percentile check: request_p50_us missing from BENCH_index.json" >&2
-  exit 1
-fi
-read -r p50 p90 p99 < <(sed -n 's/.*"request_p50_us": \([0-9]*\), "request_p90_us": \([0-9]*\), "request_p99_us": \([0-9]*\).*/\1 \2 \3/p' BENCH_index.json)
-if [ -z "${p50:-}" ] || [ -z "${p90:-}" ] || [ -z "${p99:-}" ]; then
-  echo "percentile check: could not parse request percentiles" >&2
-  exit 1
-fi
-if [ "$p50" -gt "$p90" ] || [ "$p90" -gt "$p99" ]; then
-  echo "percentile check: not monotone (p50=$p50 p90=$p90 p99=$p99)" >&2
-  exit 1
-fi
-echo "percentile check passed: p50=$p50 <= p90=$p90 <= p99=$p99 (us)"
-
-# server_zipf assertion: the result-cache scenario must be present, the
-# skewed request mix must actually hit the cache, every cache hit must
-# have been bit-identical to a fresh build, and the cache stayed inside
-# its configured byte bound.
-if ! grep -q '"server_zipf"' BENCH_index.json; then
-  echo "server_zipf check: scenario missing from BENCH_index.json" >&2
-  exit 1
-fi
-zipf_row="$(grep -o '"server_zipf": {[^}]*}' BENCH_index.json)"
-if ! echo "$zipf_row" | grep -q '"reports_match": true'; then
-  echo "server_zipf check: a cache hit diverged from the fresh-build report" >&2
-  exit 1
-fi
-if ! echo "$zipf_row" | grep -q '"bytes_ok": true'; then
-  echo "server_zipf check: cache resident bytes exceeded the configured bound" >&2
-  exit 1
-fi
-zipf_hit_rate="$(echo "$zipf_row" | sed -n 's/.*"hit_rate": \([0-9.]*\).*/\1/p')"
-if [ -z "${zipf_hit_rate:-}" ] || awk -v h="$zipf_hit_rate" 'BEGIN { exit !(h <= 0.0) }'; then
-  echo "server_zipf check: hit rate is ${zipf_hit_rate:-unparseable} (need > 0)" >&2
-  exit 1
-fi
-zipf_speedup="$(echo "$zipf_row" | sed -n 's/.*"speedup_vs_nocache": \([0-9.]*\).*/\1/p')"
-echo "server_zipf check passed: hit rate ${zipf_hit_rate}, ${zipf_speedup}x vs cache-off, reports bit-identical"
-
-# Observability overhead: the scenario must be present; the 3% ingest
-# budget is advisory (timing noise on CI runners), so exceeding it warns
-# rather than fails.
-if ! grep -q '"obs_overhead"' BENCH_index.json; then
-  echo "obs_overhead check: scenario missing from BENCH_index.json" >&2
-  exit 1
-fi
-overhead="$(sed -n 's/.*"overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' BENCH_index.json)"
-if awk -v o="$overhead" 'BEGIN { exit !(o > 3.0) }'; then
-  echo "obs_overhead WARNING: metered ingest is ${overhead}% slower than plain (budget 3%)" >&2
-else
-  echo "obs_overhead check passed: ${overhead}% (budget 3%)"
-fi
-
-# Daemon-soak assertion: the always-on service scenario must be present,
-# and every kill -9 restart must have recovered the newest sealed manifest
-# in a single attempt with zero rejects (the shared recovered_matches
-# grep above already fails the run if the invariant broke).
-if ! grep -q '"daemon_soak"' BENCH_index.json; then
-  echo "daemon_soak check: scenario missing from BENCH_index.json" >&2
-  exit 1
-fi
-echo "daemon_soak check passed: every kill -9 restart recovered the sealed manifest"
 
 # Daemon-chaos assertion: the failpoint chaos scenario must be present, the
 # daemon must have survived every injected-failure window (>= 20 injected
