@@ -305,7 +305,6 @@ ViewmapBuildRow bench_viewmap_build(std::size_t n, bool dense, Rng& rng) {
   members.reserve(n);
   for (const auto& p : fleet) members.push_back(&p);
   const std::vector<bool> trusted(n, false);
-  const geo::Rect cover{{-half - 1000.0, -half - 1000.0}, {half + 1000.0, half + 1000.0}};
 
   // Warm the per-profile probe tables (memoized SHA-256 per VD) so both
   // timed builds measure pair work — the steady state a live server
@@ -320,12 +319,11 @@ ViewmapBuildRow bench_viewmap_build(std::size_t n, bool dense, Rng& rng) {
   row.build_threads_max = common::WorkerPool::process().width();
 
   auto start = Clock::now();
-  const sys::Viewmap packed = builder.build_from_members(members, trusted, 0, cover);
+  const sys::Viewmap packed = builder.build_from_members(members, trusted, 0);
   row.build_ms = seconds_since(start) * 1e3;
 
   start = Clock::now();
-  const sys::Viewmap naive =
-      builder.build_from_members_reference(members, trusted, 0, cover);
+  const sys::Viewmap naive = builder.build_from_members_reference(members, trusted, 0);
   row.naive_ms = seconds_since(start) * 1e3;
 
   row.speedup = row.build_ms > 0 ? row.naive_ms / row.build_ms : 0.0;
@@ -505,7 +503,6 @@ DaemonChaosRow bench_daemon_chaos(std::size_t cycles,
   cfg.checkpoint.jitter_pct = 0;
   cfg.checkpoint.retry_backoff_min = std::chrono::milliseconds(2);
   cfg.checkpoint.retry_backoff_max = std::chrono::milliseconds(20);
-  cfg.ingest.idle_backoff_max = std::chrono::milliseconds(5);
   cfg.scrape.enabled = false;
   cfg.watchdog.enabled = false;
   cfg.health.degraded_after = 1;

@@ -248,17 +248,16 @@ std::shared_ptr<const index::TimeShard> fresh_shard(const DowntownMinute& minute
 void build_minute(benchmark::State& state, bool warm) {
   const DowntownMinute& minute = downtown_minute();
   common::WorkerPool serial(1);
-  const sys::ViewmapBuilder builder({}, serial);
+  const sys::ViewmapBuilder builder(serial);
   const std::vector<bool> trusted(minute.members.size(), false);
-  const geo::Rect cover{{-1e4, -1e4}, {1e4, 1e4}};
   auto shard = fresh_shard(minute);
-  if (warm) (void)builder.build_from_members(minute.members, trusted, 0, cover, shard);
+  if (warm) (void)builder.build_from_members(minute.members, trusted, 0, shard);
   for (auto _ : state) {
     state.PauseTiming();
     if (!warm) shard = fresh_shard(minute);
     std::optional<sys::Viewmap> map;
     state.ResumeTiming();
-    map.emplace(builder.build_from_members(minute.members, trusted, 0, cover, shard));
+    map.emplace(builder.build_from_members(minute.members, trusted, 0, shard));
     state.PauseTiming();
     map.reset();
     state.ResumeTiming();
@@ -282,8 +281,8 @@ void BM_TrustRankDowntown(benchmark::State& state) {
   common::WorkerPool serial(1);
   std::vector<bool> trusted(minute.members.size(), false);
   for (std::size_t i = 0; i < trusted.size(); i += 100) trusted[i] = true;
-  const sys::Viewmap map = sys::ViewmapBuilder({}, serial).build_from_members(
-      minute.members, trusted, 0, {{-1e4, -1e4}, {1e4, 1e4}});
+  const sys::Viewmap map =
+      sys::ViewmapBuilder(serial).build_from_members(minute.members, trusted, 0);
   const auto seeds = map.trusted_indices();
   for (auto _ : state) benchmark::DoNotOptimize(sys::trust_rank(map.graph(), seeds));
   const double n = static_cast<double>(map.size());

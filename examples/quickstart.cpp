@@ -69,8 +69,7 @@ int main() {
   const sys::Viewmap map = builder.build(db.snapshot(), site, 0);
   std::printf("viewmap: %zu members, %zu viewlink(s)\n", map.size(), map.edge_count());
 
-  const sys::Verifier verifier;
-  const auto verdict = verifier.verify(map, site);
+  const auto verdict = sys::verify(map, site);
   std::printf("site members: %zu, legitimate: %zu, rejected: %zu\n",
               verdict.site_members.size(), verdict.legitimate.size(),
               verdict.rejected.size());

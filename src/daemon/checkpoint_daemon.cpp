@@ -237,8 +237,7 @@ void CheckpointDaemon::run() {
       if (do_final) {
         bool ok = false;
         std::chrono::milliseconds final_backoff{0};
-        const unsigned attempts = std::max(1u, cfg_.final_attempts);
-        for (unsigned attempt = 0; attempt < attempts && !ok; ++attempt) {
+        for (unsigned attempt = 0; attempt < kFinalCheckpointAttempts && !ok; ++attempt) {
           heartbeats_->add();
           if (attempt > 0) {
             final_backoff = next_backoff(final_backoff, !last_failure_transient_);

@@ -70,10 +70,11 @@ struct CheckpointConfig {
   /// retry_backoff_max (jittered by jitter_pct like the normal cadence).
   std::chrono::milliseconds retry_backoff_min{100};
   std::chrono::milliseconds retry_backoff_max{5000};
-  /// How many times the FINAL checkpoint (finish_and_stop) is attempted
-  /// before giving up and reporting an unclean stop. ≥ 1.
-  unsigned final_attempts = 3;
 };
+
+/// How many times the FINAL checkpoint (finish_and_stop) is attempted
+/// before giving up and reporting an unclean stop.
+inline constexpr unsigned kFinalCheckpointAttempts = 3;
 
 class CheckpointDaemon {
  public:
@@ -94,11 +95,11 @@ class CheckpointDaemon {
   /// Graceful shutdown: waits out any in-flight cycle, runs one final
   /// cycle (which may skip — see header comment), joins. True: the final
   /// checkpoint sealed (or provably skipped) and the newest manifest is
-  /// content-identical to the live database as of the call. False: every
-  /// final_attempts attempt failed — the thread is still joined and the
-  /// store still holds its last good checkpoint, but data ingested since
-  /// is not sealed; last_error() says why. Idempotent (a repeat call
-  /// reports the first call's outcome).
+  /// content-identical to the live database as of the call. False: all
+  /// kFinalCheckpointAttempts attempts failed — the thread is still joined
+  /// and the store still holds its last good checkpoint, but data
+  /// ingested since is not sealed; last_error() says why. Idempotent (a
+  /// repeat call reports the first call's outcome).
   [[nodiscard]] bool finish_and_stop();
 
   /// Crash-path shutdown: joins after the in-flight cycle (a thread

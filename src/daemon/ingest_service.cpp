@@ -1,6 +1,5 @@
 #include "daemon/ingest_service.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/failpoint.h"
@@ -8,10 +7,20 @@
 #include "system/service.h"
 
 namespace viewmap::daemon {
+namespace {
+
+/// Longest idle wait of the drain loop, so heartbeats keep coming.
+constexpr std::chrono::milliseconds kIdleSlice{200};
+/// Wait before the pass after one that threw.
+constexpr std::chrono::milliseconds kFailedPassRetry{10};
+
+}  // namespace
 
 IngestService::IngestService(sys::ViewMapService& service,
                              IngestServiceConfig cfg)
     : service_(service), cfg_(cfg) {
+  if (cfg_.max_pending_uploads == 0)
+    throw std::invalid_argument("IngestService: max_pending_uploads must be >= 1");
   auto& reg = service_.metrics();
   heartbeats_ =
       &reg.counter("viewmap_daemon_heartbeats_total", {{"component", "ingest"}});
@@ -61,11 +70,9 @@ void IngestService::stop_impl(bool drain_remaining) {
 bool IngestService::submit(std::vector<std::uint8_t> payload) {
   auto& channel = service_.upload_channel();
   std::unique_lock lock(mutex_);
-  if (cfg_.max_pending_uploads != 0) {
-    while (accepting_.load(std::memory_order_acquire) &&
-           channel.pending() >= cfg_.max_pending_uploads)
-      space_cv_.wait(lock);
-  }
+  while (accepting_.load(std::memory_order_acquire) &&
+         channel.pending() >= cfg_.max_pending_uploads)
+    space_cv_.wait(lock);
   if (!accepting_.load(std::memory_order_acquire)) {
     rejected_->add();
     return false;
@@ -77,14 +84,14 @@ bool IngestService::submit(std::vector<std::uint8_t> payload) {
 }
 
 void IngestService::run() {
-  auto backoff = cfg_.idle_backoff_min;
+  auto& channel = service_.upload_channel();
   for (;;) {
     heartbeats_->add();
     // A throwing drain pass must not take the thread (and with it the
     // whole daemon) down: the payloads stay queued in the channel, so
-    // backing off and re-draining loses nothing. Real throws here are
-    // resource exhaustion inside ingest; the failpoint stands in for
-    // them in the chaos suite.
+    // waiting a moment and re-draining loses nothing. Real throws here
+    // are resource exhaustion inside ingest; the failpoint stands in
+    // for them in the chaos suite.
     std::size_t accepted = 0;
     try {
       if (const int err = failpoint::inject("daemon.ingest.pass"); err != 0)
@@ -94,18 +101,15 @@ void IngestService::run() {
       failures_->add();
       std::unique_lock lock(mutex_);
       if (stop_requested_ && !drain_final_) return;
-      work_cv_.wait_for(lock, backoff);
-      backoff = std::min(backoff * 2, cfg_.idle_backoff_max);
+      work_cv_.wait_for(lock, kFailedPassRetry);
       continue;
     }
-    backlog_->set(
-        static_cast<std::int64_t>(service_.upload_channel().pending()));
+    backlog_->set(static_cast<std::int64_t>(channel.pending()));
     // The drain freed channel slots — wake submitters parked on the
     // occupancy bound.
     space_cv_.notify_all();
     if (accepted > 0) {
       passes_->add();
-      backoff = cfg_.idle_backoff_min;
       continue;  // stay hot while work keeps arriving
     }
     std::unique_lock lock(mutex_);
@@ -114,11 +118,13 @@ void IngestService::run() {
       // Graceful exit: accepting_ is off and submit() enqueues only
       // under this mutex, so pending() can no longer grow — re-drain
       // until a pass leaves the channel empty.
-      if (service_.upload_channel().pending() == 0) return;
+      if (channel.pending() == 0) return;
       continue;
     }
-    work_cv_.wait_for(lock, backoff);
-    backoff = std::min(backoff * 2, cfg_.idle_backoff_max);
+    // submit() enqueues under this mutex, so a payload that arrived after
+    // the pass is pending here, and one that arrives later notifies.
+    work_cv_.wait_for(lock, kIdleSlice,
+                      [&] { return stop_requested_ || channel.pending() != 0; });
   }
 }
 

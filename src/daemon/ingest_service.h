@@ -12,12 +12,13 @@
 // channel at max_pending_uploads and blocks the uploader until the
 // drain catches up — loss-free; submit() refuses only while stopping.
 //
-// The drain loop adapts to load: every pass that accepts work resets an
-// exponential idle backoff; an empty channel doubles it up to
-// idle_backoff_max, so a quiet daemon costs a few wakeups per second
-// while a busy one drains continuously. Each loop pass bumps
-// viewmap_daemon_heartbeats_total{component="ingest"} — the signal the
-// lifecycle watchdog reads to tell "idle" from "wedged".
+// The drain loop runs passes back to back while they accept work. After
+// a pass that accepts nothing it waits, under the mutex submit()
+// enqueues under, until a payload is pending or a stop is requested —
+// so a submit is never missed, however it races the pass — and at most
+// 200 ms, so a quiet daemon still passes five times a second. Each
+// loop pass bumps viewmap_daemon_heartbeats_total{component="ingest"} —
+// the signal the lifecycle watchdog reads to tell "idle" from "wedged".
 #pragma once
 
 #include <atomic>
@@ -39,22 +40,17 @@ class ViewMapService;
 namespace viewmap::daemon {
 
 struct IngestServiceConfig {
-  /// First idle sleep after the channel runs dry; doubles per idle pass.
-  std::chrono::milliseconds idle_backoff_min{1};
-  /// Idle sleep ceiling — also the worst-case submit→ingest latency on
-  /// a quiet daemon (a submit() notifies the drain, so in practice the
-  /// sleeper wakes immediately).
-  std::chrono::milliseconds idle_backoff_max{200};
   /// Channel occupancy bound enforced by submit(), which blocks the
-  /// uploader at the bound. 0 ⇒ unbounded (library behaviour — only
-  /// sensible under a trusted workload).
+  /// uploader at the bound. ≥ 1; the constructor throws
+  /// std::invalid_argument on 0.
   std::size_t max_pending_uploads = 4096;
 };
 
 class IngestService {
  public:
   /// Registers its metrics in `service.metrics()`. Nothing runs until
-  /// start().
+  /// start(). Throws std::invalid_argument when cfg.max_pending_uploads
+  /// is 0.
   IngestService(sys::ViewMapService& service, IngestServiceConfig cfg);
   /// abort()s — a destructor must not block on a drain nobody asked for.
   ~IngestService();

@@ -15,7 +15,6 @@ bool BroadcastChannel::try_deliver_with_blockage(geo::Vec2 tx, geo::Vec2 rx,
                                                  bool traffic_blocked,
                                                  Rng& rng) const {
   const double d = geo::distance(tx, rx);
-  if (d > radio_.config().max_range_m) return false;
   const bool los = line_of_sight(tx, rx, env);
   // Endpoints inside a structure (tunnel tube, parking deck) attenuate far
   // beyond a mere blocked sight line.

@@ -36,7 +36,7 @@ double RadioModel::sample_pdr(double rssi_dbm, Rng& rng) {
 bool RadioModel::try_deliver(double distance_m, bool line_of_sight,
                              bool blocked_by_traffic, Rng& rng,
                              double extra_loss_db) const {
-  if (distance_m > cfg_.max_range_m) return false;
+  if (distance_m > kRadioRangeM) return false;
   double rssi = sample_rssi_dbm(distance_m, line_of_sight, rng) - extra_loss_db;
   if (blocked_by_traffic) rssi -= cfg_.traffic_block_penalty_db;
   return rng.bernoulli(sample_pdr(rssi, rng));

@@ -21,9 +21,13 @@
 
 namespace viewmap::dsrc {
 
+/// The DSRC radio radius (§5.1.2): the hard decode horizon of every
+/// delivery trial, the farthest a receiver accepts a VD from, and the
+/// viewlink predicate's proximity bound (system/viewmap_graph.h).
+inline constexpr double kRadioRangeM = 400.0;
+
 struct RadioConfig {
   double tx_power_dbm = 14.0;        ///< §7.1, recommended by [17]
-  double max_range_m = 400.0;        ///< hard DSRC decode horizon (§5.1.2)
   double ref_loss_db = 40.0;         ///< path loss at 1 m
   double pathloss_exponent = 2.0;    ///< LOS exponent (open road)
   double nlos_penalty_db = 55.0;     ///< building/structure obstruction

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/bytes.h"
+#include "dsrc/radio.h"
 
 namespace viewmap::dsrc {
 
@@ -71,12 +72,11 @@ ViewDigest ViewDigest::parse(std::span<const std::uint8_t> frame) {
   return vd;
 }
 
-bool VdAcceptancePolicy::acceptable(const ViewDigest& vd, TimeSec now, double rx_x,
-                                    double rx_y) const noexcept {
-  if (vd.time > now + max_clock_skew || vd.time < now - max_clock_skew) return false;
+bool vd_acceptable(const ViewDigest& vd, TimeSec now, double rx_x, double rx_y) noexcept {
+  if (vd.time > now + 1 || vd.time < now - 1) return false;
   const double dx = vd.loc_x - rx_x;
   const double dy = vd.loc_y - rx_y;
-  return std::sqrt(dx * dx + dy * dy) <= max_distance_m;
+  return std::sqrt(dx * dx + dy * dy) <= kRadioRangeM;
 }
 
 }  // namespace viewmap::dsrc

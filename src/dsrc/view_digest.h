@@ -48,15 +48,11 @@ struct ViewDigest {
   }
 };
 
-/// Plausibility window the *receiver* applies before accepting a VD
-/// (§5.1.1 "Accepting neighbor VDs"): timestamp within the current 1-sec
-/// interval and claimed location inside DSRC radius of the receiver.
-struct VdAcceptancePolicy {
-  double max_distance_m = 400.0;  ///< DSRC radio radius
-  TimeSec max_clock_skew = 1;     ///< |T_now − T_vd| tolerance
-
-  [[nodiscard]] bool acceptable(const ViewDigest& vd, TimeSec now,
-                                double rx_x, double rx_y) const noexcept;
-};
+/// The plausibility window the *receiver* applies before accepting a VD
+/// (§5.1.1 "Accepting neighbor VDs"): a timestamp within 1 s of `now`,
+/// and a claimed location within the DSRC radio radius (kRadioRangeM,
+/// dsrc/radio.h) of the receiver at (rx_x, rx_y).
+[[nodiscard]] bool vd_acceptable(const ViewDigest& vd, TimeSec now, double rx_x,
+                                 double rx_y) noexcept;
 
 }  // namespace viewmap::dsrc

@@ -136,7 +136,6 @@ SimResult TrafficSimulator::run() {
   geo::ObstacleIndex obstacle_index(
       std::vector<geo::Rect>(city_.buildings.begin(), city_.buildings.end()));
   dsrc::ChannelEnvironment env{&obstacle_index, cfg_.traffic_blocker_density_per_m};
-  const double range = cfg_.radio.max_range_m;
 
   std::vector<vp::SyntheticVideoSource> cameras;
   cameras.reserve(n);
@@ -173,9 +172,9 @@ SimResult TrafficSimulator::run() {
         ++result.vd_broadcasts;
       }
 
-      PositionGrid grid(positions, range);
+      PositionGrid grid(positions, dsrc::kRadioRangeM);
       std::vector<std::uint64_t> touched;
-      grid.for_near_pairs(positions, range, [&](std::uint32_t a, std::uint32_t b) {
+      grid.for_near_pairs(positions, dsrc::kRadioRangeM, [&](std::uint32_t a, std::uint32_t b) {
         auto& st = pair_state[pair_key(a, b)];
         touched.push_back(pair_key(a, b));
         const double d = geo::distance(positions[a], positions[b]);

@@ -174,9 +174,9 @@ struct RecordedOp {
 
 struct SegmentStoreConfig {
   /// How many checkpoint manifests (newest-first) survive GC — the
-  /// recovery fallback depth. Minimum 1; the default keeps the sealed
-  /// predecessor so a corrupted newest checkpoint never strands the
-  /// store.
+  /// recovery fallback depth. Minimum 1 (the constructor raises 0 to
+  /// 1); the default keeps the sealed predecessor so a corrupted newest
+  /// checkpoint never strands the store.
   std::size_t keep_manifests = 2;
   /// fsync file data before each rename and the directory after — the
   /// barrier that makes the recorded operation order the on-disk order.

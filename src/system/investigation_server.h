@@ -2,8 +2,8 @@
 //
 // ViewMap is pitched as an automated service: investigation requests
 // arrive continuously while the anonymous upload stream never pauses.
-// PR 2's DbSnapshot made a single investigate() safe against concurrent
-// ingest and retention eviction; this server is the missing front — a
+// A DbSnapshot makes a single investigate() safe against concurrent
+// ingest and retention eviction; this server is the front — a
 // bounded MPMC request queue drained by a pool of worker threads, so N
 // investigations proceed in parallel with each other AND with one live
 // ingest_uploads() loop.
@@ -48,9 +48,11 @@
 //
 // Concurrency contract. submit*/pause/resume/stop/queue_depth/stats are
 // all thread-safe. Workers call ViewMapService::investigate(snap, …),
-// whose shared state is the NoticeBoard — thread-safe as of this PR —
-// and const ViewmapBuilder/Verifier configuration; they never touch the
-// service's ingest-side members, so the one rule for the embedding
+// whose shared state is internally synchronized: the NoticeBoard, the
+// result cache, the minutes' viewlink memos and the process WorkerPool.
+// The viewlink radius and the TrustRank settings are constants, so no
+// per-service build configuration exists to share. Workers never touch
+// the service's ingest-side members, so the one rule for the embedding
 // application is unchanged from ViewMapService's own: drive
 // ingest_uploads() from one thread at a time.
 //

@@ -27,8 +27,6 @@ ViewMapService::ViewMapService(const ServiceConfig& cfg)
     : cfg_(wire_config(cfg, metrics_)),
       channel_(/*seed=*/0x5eed),
       db_(cfg_.index),
-      builder_(cfg_.viewmap),
-      verifier_(cfg_.trustrank),
       bank_(cfg_.rsa_bits),
       cache_(metrics_, cfg_.result_cache),
       ingest_metrics_(index::IngestMetrics::wire(metrics_)),
@@ -169,7 +167,7 @@ InvestigationReport ViewMapService::investigate(const DbSnapshot& snap,
   pairs_tested_->add(map.pair_counts().tested);
   pairs_memoized_->add(map.pair_counts().memoized);
   memo_bytes_->set(static_cast<std::int64_t>(viewlink_memo_bytes()));
-  VerificationResult verdict = verifier_.verify(map, site);
+  VerificationResult verdict = verify(map, site);
 
   std::vector<Id16> solicited;
   {

@@ -49,19 +49,13 @@ using VpDatabase = index::VpTimeline;
 using DbSnapshot = index::DbSnapshot;
 
 struct ServiceConfig {
-  /// Viewmap construction settings every investigation entry point
-  /// (direct investigate(), investigate_period(), and the
-  /// InvestigationServer workers) builds with. See src/system/README.md
-  /// §"Viewmap construction pipeline".
-  ViewmapConfig viewmap{};
-  TrustRankConfig trustrank{};
   viewmap::index::TimelineConfig index{};  ///< retention window + metrics
   int rsa_bits = 2048;
   /// Generation-keyed investigation result cache (system/result_cache.h):
   /// a repeat investigate() over an unchanged minute shard returns the
   /// cached report instead of rebuilding — bit-identical by key
-  /// construction. Enabled by default; capacity_bytes=0 gives the
-  /// pre-cache behavior (benches compare both).
+  /// construction. Enabled by default; capacity_bytes=0 turns it off
+  /// (`viewmapd --cache_mb=0`).
   ResultCacheConfig result_cache{};
 };
 
@@ -266,7 +260,6 @@ class ViewMapService {
   anonet::AnonymousChannel channel_;
   VpDatabase db_;
   ViewmapBuilder builder_;
-  Verifier verifier_;
   NoticeBoard board_;
   reward::Bank bank_;
   obs::Tracer tracer_;

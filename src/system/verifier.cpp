@@ -46,14 +46,14 @@ bool VerificationResult::is_legitimate(std::size_t member_index) const {
          legitimate.end();
 }
 
-VerificationResult Verifier::verify(const Viewmap& map, const geo::Rect& site) const {
+VerificationResult verify(const Viewmap& map, const geo::Rect& site) {
   VerificationResult result;
   result.site_members = map.members_visiting(site);
   if (result.site_members.empty()) return result;
 
   // Both stages read the viewmap's CSR in place — the old per-verify
   // vector-of-vectors rebuild is gone.
-  result.ranks = trust_rank(map, cfg_);
+  result.ranks = trust_rank(map);
   const Algorithm1Verdict verdict = [&] {
     obs::SpanScope obs_span("algorithm1");
     return algorithm1(map.graph(), result.ranks.scores, result.site_members);

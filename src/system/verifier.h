@@ -27,8 +27,8 @@ struct Algorithm1Verdict {
   std::vector<std::size_t> legitimate;   ///< W ∪ {u}
 };
 
-/// CSR entry — what Verifier::verify runs on the viewmap's own graph
-/// view, with no adjacency copy.
+/// CSR entry — what verify() runs on the viewmap's own graph view, with
+/// no adjacency copy.
 [[nodiscard]] Algorithm1Verdict algorithm1(const CsrGraph& graph,
                                            std::span<const double> scores,
                                            std::span<const std::size_t> site_members);
@@ -40,27 +40,21 @@ struct VerificationResult {
   std::vector<std::size_t> legitimate;
   /// Subset of X rejected as fake.
   std::vector<std::size_t> rejected;
-  /// Full TrustRank output, exposed for analysis benches.
+  /// Full TrustRank output: the scores Algorithm 1 picks u by. The result
+  /// cache stores and bills it with the verdict, and perfbench's fake
+  /// check compares fake and site scores.
   TrustRankResult ranks;
 
   [[nodiscard]] bool is_legitimate(std::size_t member_index) const;
 };
 
-class Verifier {
- public:
-  explicit Verifier(TrustRankConfig cfg = {}) : cfg_(cfg) {}
-
-  /// Pure function of the viewmap: TrustRank and the Algorithm-1 flood
-  /// fill both consume the viewmap's CSR view directly (zero adjacency
-  /// copies on this path). A viewmap built over a DbSnapshot pins it,
-  /// so verification (and the result's member indices) cannot race
-  /// concurrent ingest or retention eviction — the whole investigation
-  /// chain reads one immutable view.
-  [[nodiscard]] VerificationResult verify(const Viewmap& map,
-                                          const geo::Rect& site) const;
-
- private:
-  TrustRankConfig cfg_;
-};
+/// Algorithm 1 over `map` for `site`, with TrustRank at its defaults
+/// (TrustRankConfig{}). Pure function of the viewmap: TrustRank and the
+/// flood fill both consume the viewmap's CSR view directly (zero
+/// adjacency copies on this path). A viewmap built over a DbSnapshot
+/// pins it, so verification (and the result's member indices) cannot
+/// race concurrent ingest or retention eviction — the whole
+/// investigation chain reads one immutable view.
+[[nodiscard]] VerificationResult verify(const Viewmap& map, const geo::Rect& site);
 
 }  // namespace viewmap::sys

@@ -12,13 +12,12 @@
 namespace viewmap::sys {
 
 Viewmap::Viewmap(std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
-                 CsrGraph graph, TimeSec unit_time, geo::Rect coverage,
+                 CsrGraph graph, TimeSec unit_time,
                  std::shared_ptr<const index::TimeShard> pinned, PairCounts pairs)
     : members_(std::move(members)),
       trusted_(std::move(trusted)),
       graph_(std::make_shared<const CsrGraph>(std::move(graph))),
       unit_time_(unit_time),
-      coverage_(coverage),
       pinned_(std::move(pinned)),
       pairs_(pairs) {
   if (members_.size() != trusted_.size() || members_.size() != graph_->size())
@@ -63,9 +62,9 @@ std::size_t Viewmap::isolated_from_trusted() const {
       std::count(reached.begin(), reached.end(), false));
 }
 
-bool ViewmapBuilder::viewlinked(const vp::ViewProfile& a, const vp::ViewProfile& b) const {
+bool ViewmapBuilder::viewlinked(const vp::ViewProfile& a, const vp::ViewProfile& b) {
   if (a.vp_id() == b.vp_id()) return false;
-  if (!a.ever_within(b, cfg_.link_radius_m)) return false;
+  if (!a.ever_within(b, dsrc::kRadioRangeM)) return false;
   return a.heard(b) && b.heard(a);  // two-way membership validation
 }
 
@@ -108,7 +107,7 @@ Viewmap ViewmapBuilder::build(const index::DbSnapshot& snap, const geo::Rect& si
       cover.max.x = std::max(cover.max.x, p.x);
       cover.max.y = std::max(cover.max.y, p.y);
     }
-    cover = cover.inflated(cfg_.coverage_margin_m);
+    cover = cover.inflated(kCoverageMarginM);
 
     members = snap.query(unit_time, cover);
     // Everything in a viewmap shares one unit-time, so the minute's trusted
@@ -126,7 +125,7 @@ Viewmap ViewmapBuilder::build(const index::DbSnapshot& snap, const geo::Rect& si
   // valid for the viewmap's lifetime, whatever ingest/eviction does
   // meanwhile — without keeping the snapshot's other shards alive.
   return build_from_members(std::move(members), std::move(trusted_flags), unit_time,
-                            cover, snap.shard(unit_time));
+                            snap.shard(unit_time));
 }
 
 // ── the viewlink verdict memo ────────────────────────────────────────
@@ -202,10 +201,9 @@ class ViewlinkMemo {
   static constexpr std::uint64_t kTested = 1;
   static constexpr std::uint64_t kLinked = 2;
 
-  /// A memo over every profile of `shard` (pinned by the caller) for
-  /// link radius `radius`, or null when the budget cannot hold it.
-  static std::shared_ptr<const ViewlinkMemo> make(const index::TimeShard& shard,
-                                                  double radius) {
+  /// A memo over every profile of `shard` (pinned by the caller), or
+  /// null when the budget cannot hold it.
+  static std::shared_ptr<const ViewlinkMemo> make(const index::TimeShard& shard) {
     const std::size_t n = shard.profiles.size();
     MemoBudgetLease lease(sizeof(ViewlinkMemo) + n * sizeof(Profile) +
                           word_count(n) * sizeof(std::uint64_t));
@@ -217,10 +215,8 @@ class ViewlinkMemo {
     std::sort(profiles.begin(), profiles.end(),
               [](const Profile& a, const Profile& b) { return a->vp_id() < b->vp_id(); });
     return std::shared_ptr<const ViewlinkMemo>(
-        new ViewlinkMemo(std::move(profiles), radius, std::move(words), std::move(lease)));
+        new ViewlinkMemo(std::move(profiles), std::move(words), std::move(lease)));
   }
-
-  [[nodiscard]] double radius() const noexcept { return radius_; }
 
   /// Sets slots[i] to member i's slot — same id AND same profile object —
   /// or kNoSlot.
@@ -256,15 +252,13 @@ class ViewlinkMemo {
     return static_cast<std::size_t>((2 * pairs + 63) / 64);
   }
 
-  ViewlinkMemo(std::vector<Profile> profiles, double radius,
-               std::unique_ptr<std::uint64_t[]> words, MemoBudgetLease lease)
+  ViewlinkMemo(std::vector<Profile> profiles, std::unique_ptr<std::uint64_t[]> words,
+               MemoBudgetLease lease)
       : profiles_(std::move(profiles)),
-        radius_(radius),
         words_(std::move(words)),
         lease_(std::move(lease)) {}
 
   std::vector<Profile> profiles_;  ///< slot s holds profiles_[s]; ascending id
-  double radius_;
   std::unique_ptr<std::uint64_t[]> words_;  ///< zeroed (nothing tested); only through word()
   MemoBudgetLease lease_;
 };
@@ -273,18 +267,18 @@ namespace {
 
 // ── the §5.2.1 edge predicate over a fixed member set ────────────────
 
-/// The link radius R widened past ever_within()'s rounding. Its float
-/// differences can round an exact gap of up to half a float ulp past R
-/// (~15 µm at R = 400 m) down to R, and a float ulp is at most R·2⁻²³.
-/// The padded boxes, the one spatial prune over exact coordinates, use
-/// this reach, so it never rejects a pair ever_within() accepts.
-constexpr double prune_reach(double radius) noexcept { return radius * (1.0 + 0x1p-22); }
+/// The link radius R = dsrc::kRadioRangeM widened past ever_within()'s
+/// rounding. Its float differences can round an exact gap of up to half a
+/// float ulp past R (~15 µm at R = 400 m) down to R, and a float ulp is at
+/// most R·2⁻²³. The padded boxes, the one spatial prune over exact
+/// coordinates, use this reach, so it never rejects a pair ever_within()
+/// accepts.
+constexpr double kPruneReach = dsrc::kRadioRangeM * (1.0 + 0x1p-22);
 
-/// A trajectory's bounding box padded by half the prune reach of
-/// `radius` on every side. Two profiles whose padded boxes do not
-/// overlap are never within `radius` for ever_within() — the ~1 ns
-/// reject both builders run first.
-geo::Rect padded_box(const vp::ViewProfile& profile, double radius) {
+/// A trajectory's bounding box padded by half kPruneReach on every side.
+/// Two profiles whose padded boxes do not overlap are never within R for
+/// ever_within() — the ~1 ns reject both builders run first.
+geo::Rect padded_box(const vp::ViewProfile& profile) {
   const auto digests = profile.digests();
   geo::Rect box{{digests[0].loc_x, digests[0].loc_y}, {digests[0].loc_x, digests[0].loc_y}};
   for (const auto& vd : digests) {
@@ -293,7 +287,7 @@ geo::Rect padded_box(const vp::ViewProfile& profile, double radius) {
     box.max.x = std::max<double>(box.max.x, vd.loc_x);
     box.max.y = std::max<double>(box.max.y, vd.loc_y);
   }
-  return box.inflated(prune_reach(radius) / 2.0);
+  return box.inflated(kPruneReach / 2.0);
 }
 
 /// Negated disjointness, so a NaN box overlaps everything (NaN positions
@@ -320,10 +314,8 @@ bool boxes_overlap(const geo::Rect& a, const geo::Rect& b) noexcept {
 /// repeated timestamps falls back to ever_within() itself.
 class PackedMembers {
  public:
-  PackedMembers(std::span<const vp::ViewProfile* const> members, double radius)
+  explicit PackedMembers(std::span<const vp::ViewProfile* const> members)
       : members_(members),
-        radius_(radius),
-        radius_sq_(radius * radius),
         boxes_(members.size()),
         ids_(members.size()),
         t0_(members.size()),
@@ -339,7 +331,7 @@ class PackedMembers {
     for (std::size_t i = lo; i < hi; ++i) {
       const vp::ViewProfile& p = *members_[i];
       const auto digests = p.digests();
-      boxes_[i] = padded_box(p, radius_);
+      boxes_[i] = padded_box(p);
       ids_[i] = p.vp_id();
       const TimeSec t0 = digests[0].time;
       bool contiguous =
@@ -369,6 +361,7 @@ class PackedMembers {
 
  private:
   static constexpr std::size_t kSeconds = kDigestsPerProfile;
+  static constexpr double kRadiusSq = dsrc::kRadioRangeM * dsrc::kRadioRangeM;
   static constexpr std::size_t kHashes = vp::kBloomHashes;
   static constexpr std::size_t kProbeSlots = kSeconds * kHashes;
   /// Digests (Bloom pass) and seconds (proximity) tested between two
@@ -397,12 +390,11 @@ class PackedMembers {
     return false;
   }
 
-  /// members_[i]->ever_within(*members_[j], radius_), from the packed arrays
-  /// when both profiles cover 60 contiguous seconds.
+  /// members_[i]->ever_within(*members_[j], dsrc::kRadioRangeM), from the
+  /// packed arrays when both profiles cover 60 contiguous seconds.
   [[nodiscard]] bool near(std::uint32_t i, std::uint32_t j) const {
     if (!contiguous_[i] || !contiguous_[j])
-      return members_[i]->ever_within(*members_[j], radius_);
-    if (radius_ < 0.0) return false;
+      return members_[i]->ever_within(*members_[j], dsrc::kRadioRangeM);
     // Second k of i is second k + shift of j; no overlap beyond |shift| ≥ 60.
     const TimeSec ti = t0_[i];
     const TimeSec tj = t0_[j];
@@ -421,7 +413,7 @@ class PackedMembers {
     const auto within = [&](std::size_t k) {
       const double dx = ax[k] - bx[k];
       const double dy = ay[k] - by[k];
-      return dx * dx + dy * dy <= radius_sq_;
+      return dx * dx + dy * dy <= kRadiusSq;
     };
     std::size_t k = 0;
     for (; k + kNearChunk <= len; k += kNearChunk) {
@@ -435,8 +427,6 @@ class PackedMembers {
   }
 
   std::span<const vp::ViewProfile* const> members_;
-  double radius_;
-  double radius_sq_;
   std::vector<geo::Rect> boxes_;
   std::vector<Id16> ids_;
   std::vector<TimeSec> t0_;
@@ -478,23 +468,21 @@ std::vector<std::uint32_t> triangle_bounds(std::size_t n, std::size_t tasks) {
 
 /// The memo a build over `members` of `shard` reads and fills, with each
 /// member's slot in `slots`; null (the build runs memo-off) when the
-/// lineage's memo serves another link radius, or when there is none and
-/// the budget cannot hold one. The first build of a lineage makes and
+/// lineage has none and the budget cannot hold one. The first build of a lineage makes and
 /// installs its memo under the cell's lock, so racing first builds share
 /// one. The memo is never replaced: profiles uploaded after it was made
 /// fall outside it and are always tested (a few percent of a swept
 /// minute's members; see src/system/README.md).
 std::shared_ptr<const ViewlinkMemo> memo_for_build(
-    const index::TimeShard& shard, double radius,
-    std::span<const vp::ViewProfile* const> members, std::vector<std::uint32_t>& slots) {
+    const index::TimeShard& shard, std::span<const vp::ViewProfile* const> members, std::vector<std::uint32_t>& slots) {
   index::TimeShard::ViewlinkMemoCell& cell = *shard.viewlink_memo;
   std::shared_ptr<const ViewlinkMemo> memo;
   {
     std::lock_guard lock(cell.mutex);
-    if (cell.memo == nullptr) cell.memo = ViewlinkMemo::make(shard, radius);
+    if (cell.memo == nullptr) cell.memo = ViewlinkMemo::make(shard);
     memo = cell.memo;
   }
-  if (memo == nullptr || memo->radius() != radius) return nullptr;
+  if (memo == nullptr) return nullptr;
   memo->assign_slots(members, slots);
   return memo;
 }
@@ -593,8 +581,7 @@ CsrGraph csr_from_upper_rows(std::size_t n, std::span<const std::uint32_t> bound
 
 Viewmap ViewmapBuilder::build_from_members(
     std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
-    TimeSec unit_time, const geo::Rect& coverage,
-    std::shared_ptr<const index::TimeShard> pinned) const {
+    TimeSec unit_time, std::shared_ptr<const index::TimeShard> pinned) const {
   const std::size_t n = members.size();
   if (n > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("ViewmapBuilder: too many members");
@@ -607,9 +594,8 @@ Viewmap ViewmapBuilder::build_from_members(
     obs::SpanScope obs_span("edge_build");
     std::vector<std::uint32_t> slots(n, ViewlinkMemo::kNoSlot);
     const std::shared_ptr<const ViewlinkMemo> memo =
-        pinned == nullptr ? nullptr
-                          : memo_for_build(*pinned, cfg_.link_radius_m, members, slots);
-    PackedMembers packed(members, cfg_.link_radius_m);  // freed before CSR assembly
+        pinned == nullptr ? nullptr : memo_for_build(*pinned, members, slots);
+    PackedMembers packed(members);  // freed before CSR assembly
     const std::size_t tasks =
         all_pairs < kParallelMinPairs
             ? 1
@@ -657,35 +643,34 @@ Viewmap ViewmapBuilder::build_from_members(
     return csr_from_upper_rows(n, bounds, upper, upper_degree);
   }();
   return Viewmap(std::move(members), std::move(trusted), std::move(graph), unit_time,
-                 coverage, std::move(pinned), {all_pairs - memoized, memoized});
+                 std::move(pinned), {all_pairs - memoized, memoized});
 }
 
 Viewmap ViewmapBuilder::build_from_members_reference(
     std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
-    TimeSec unit_time, const geo::Rect& coverage,
-    std::shared_ptr<const index::TimeShard> pinned) const {
+    TimeSec unit_time, std::shared_ptr<const index::TimeShard> pinned) const {
   // Every O(n²) pair through the profiles' own predicates — no packing,
   // no threads — so this checks the packed kernel instead of sharing it.
   // Only the bbox prune is common to both builders.
   const std::size_t n = members.size();
   if (n > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("ViewmapBuilder: too many members");
-  const double radius = cfg_.link_radius_m;
   std::vector<geo::Rect> boxes(n);
-  for (std::size_t i = 0; i < n; ++i) boxes[i] = padded_box(*members[i], radius);
+  for (std::size_t i = 0; i < n; ++i) boxes[i] = padded_box(*members[i]);
   std::vector<std::vector<std::uint32_t>> adjacency(n);
   for (std::uint32_t i = 0; i < n; ++i)
     for (std::uint32_t j = i + 1; j < n; ++j) {
       if (!boxes_overlap(boxes[i], boxes[j])) continue;
       const vp::ViewProfile& a = *members[i];
       const vp::ViewProfile& b = *members[j];
-      if (a.vp_id() != b.vp_id() && a.heard(b) && a.ever_within(b, radius) && b.heard(a)) {
+      if (a.vp_id() != b.vp_id() && a.heard(b) && a.ever_within(b, dsrc::kRadioRangeM) &&
+          b.heard(a)) {
         adjacency[i].push_back(j);
         adjacency[j].push_back(i);
       }
     }
   return Viewmap(std::move(members), std::move(trusted), CsrGraph::from_adjacency(adjacency),
-                 unit_time, coverage, std::move(pinned));
+                 unit_time, std::move(pinned));
 }
 
 }  // namespace viewmap::sys

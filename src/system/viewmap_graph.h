@@ -18,9 +18,10 @@
 // sweep are sharded over the process WorkerPool (common/worker_pool.h)
 // in contiguous anchor ranges.
 //
-// A verdict depends only on two immutable profiles and the link radius,
-// never on the site, so a build over a minute's shard first consults
-// that minute's viewlink memo (ViewlinkMemo, held by the shard lineage:
+// A verdict depends only on two immutable profiles (the link radius is
+// the one DSRC radius, dsrc::kRadioRangeM), never on the site, so a
+// build over a minute's shard first consults that minute's viewlink memo
+// (ViewlinkMemo, held by the shard lineage:
 // index::TimeShard::viewlink_memo). It stores 2 bits per pair (tested,
 // linked) of the shard's profiles; the sweep runs the kernel only on
 // pairs no earlier build of the minute tested, and ORs the new verdicts
@@ -42,6 +43,7 @@
 
 #include "common/types.h"
 #include "common/worker_pool.h"
+#include "dsrc/radio.h"
 #include "geo/geometry.h"
 #include "index/db_snapshot.h"
 #include "system/csr_graph.h"
@@ -49,10 +51,9 @@
 
 namespace viewmap::sys {
 
-struct ViewmapConfig {
-  double link_radius_m = 400.0;  ///< DSRC radio radius (§5.1.2)
-  double coverage_margin_m = 200.0;  ///< slack added around site ∪ trusted VP
-};
+/// Slack build() adds on every side of the coverage area (site ∪ the
+/// seed's trajectory) before it selects members.
+inline constexpr double kCoverageMarginM = 200.0;
 
 /// The process-wide cap on the bytes of all live viewlink memos. A build
 /// that would take a memo past it runs memo-off (same edges, no memo).
@@ -82,7 +83,7 @@ struct PairCounts {
 class Viewmap {
  public:
   Viewmap(std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
-          CsrGraph graph, TimeSec unit_time, geo::Rect coverage,
+          CsrGraph graph, TimeSec unit_time,
           std::shared_ptr<const index::TimeShard> pinned = {}, PairCounts pairs = {});
 
   [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
@@ -90,7 +91,6 @@ class Viewmap {
   [[nodiscard]] bool is_trusted(std::size_t i) const { return trusted_.at(i); }
   [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i) const;
   [[nodiscard]] TimeSec unit_time() const noexcept { return unit_time_; }
-  [[nodiscard]] const geo::Rect& coverage() const noexcept { return coverage_; }
 
   /// The viewlink graph itself, in flat CSR form. trust_rank() and
   /// algorithm1() consume this view directly — no per-call adjacency
@@ -118,7 +118,6 @@ class Viewmap {
   /// and the reports served from it) share one edge array.
   std::shared_ptr<const CsrGraph> graph_;
   TimeSec unit_time_;
-  geo::Rect coverage_;
   /// Keeps the member profiles alive (null when members are
   /// caller-owned — see the class comment).
   std::shared_ptr<const index::TimeShard> pinned_;
@@ -129,13 +128,13 @@ class ViewmapBuilder {
  public:
   /// Builds shard their packing and sweep over `pool`; the edge set
   /// never depends on its width.
-  explicit ViewmapBuilder(ViewmapConfig cfg = {},
-                          common::WorkerPool& pool = common::WorkerPool::process())
-      : cfg_(cfg), pool_(pool) {}
+  explicit ViewmapBuilder(common::WorkerPool& pool = common::WorkerPool::process())
+      : pool_(pool) {}
 
   /// §5.2.1 procedure: choose the trusted VP closest to `site` at
-  /// `unit_time`, span the coverage area over site ∪ that VP's trajectory,
-  /// pull in every VP claiming locations inside, and create viewlinks.
+  /// `unit_time`, span the coverage area over site ∪ that VP's trajectory
+  /// (widened by kCoverageMarginM), pull in every VP claiming locations
+  /// inside, and create viewlinks.
   /// The minute's shard is pinned inside the returned Viewmap, so the
   /// result remains valid however long the caller keeps it. Throws
   /// std::invalid_argument if a site coordinate is NaN or infinite, and
@@ -156,8 +155,7 @@ class ViewmapBuilder {
   /// comment).
   [[nodiscard]] Viewmap build_from_members(
       std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
-      TimeSec unit_time, const geo::Rect& coverage,
-      std::shared_ptr<const index::TimeShard> pinned = {}) const;
+      TimeSec unit_time, std::shared_ptr<const index::TimeShard> pinned = {}) const;
 
   /// The retained naive O(n²) builder: visits every member pair and
   /// evaluates the §5.2.1 predicate through vp::ViewProfile::heard() and
@@ -171,16 +169,14 @@ class ViewmapBuilder {
   /// bench_index) — never call it on the investigation path.
   [[nodiscard]] Viewmap build_from_members_reference(
       std::vector<const vp::ViewProfile*> members, std::vector<bool> trusted,
-      TimeSec unit_time, const geo::Rect& coverage,
-      std::shared_ptr<const index::TimeShard> pinned = {}) const;
+      TimeSec unit_time, std::shared_ptr<const index::TimeShard> pinned = {}) const;
 
   /// The §5.2.1 edge predicate, exposed for tests: distinct VP ids,
-  /// time-aligned proximity and a two-way Bloom pass. Both builders reject
-  /// equal-id pairs too.
-  [[nodiscard]] bool viewlinked(const vp::ViewProfile& a, const vp::ViewProfile& b) const;
+  /// time-aligned proximity within dsrc::kRadioRangeM and a two-way Bloom
+  /// pass. Both builders reject equal-id pairs too.
+  [[nodiscard]] static bool viewlinked(const vp::ViewProfile& a, const vp::ViewProfile& b);
 
  private:
-  ViewmapConfig cfg_;
   common::WorkerPool& pool_;
 };
 

@@ -39,7 +39,7 @@ dsrc::ViewDigest VpBuilder::tick(geo::Vec2 position,
 bool VpBuilder::accept_neighbor(const dsrc::ViewDigest& vd, geo::Vec2 own_position) {
   if (vd.vp_id == vp_id_) return false;  // own echo
   const TimeSec now = minute_start_ + second_;
-  if (!policy_.acceptable(vd, now, own_position.x, own_position.y)) return false;
+  if (!dsrc::vd_acceptable(vd, now, own_position.x, own_position.y)) return false;
 
   auto it = neighbors_.find(vd.vp_id);
   if (it == neighbors_.end()) {

@@ -74,7 +74,6 @@ class VpBuilder {
   crypto::CascadedHasher hasher_;
   std::vector<dsrc::ViewDigest> own_digests_;
   std::unordered_map<Id16, NeighborRecord, Id16Hasher> neighbors_;
-  dsrc::VdAcceptancePolicy policy_;
 };
 
 }  // namespace viewmap::vp

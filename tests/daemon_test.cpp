@@ -93,7 +93,6 @@ DaemonConfig test_config(const std::string& store_dir) {
   cfg.store.fsync = false;  // durability is modelled logically in tests
   cfg.checkpoint.interval = 5ms;
   cfg.checkpoint.jitter_pct = 0;
-  cfg.ingest.idle_backoff_max = 5ms;  // keep submit→ingest latency tiny
   cfg.server.workers = 1;
   cfg.scrape.enabled = false;
   cfg.watchdog.interval = 50ms;
@@ -401,10 +400,7 @@ TEST(DaemonChaos, FinalCheckpointFailurePropagatesOutOfStop) {
   TempDir dir("chaos_final");
   Rng rng(31);
   failpoint::disarm_all();
-  auto cfg = chaos_config(dir.str());
-  cfg.checkpoint.final_attempts = 2;
-
-  ServiceLifecycle d(cfg);
+  ServiceLifecycle d(chaos_config(dir.str()));
   ASSERT_TRUE(d.start());
   ASSERT_TRUE(d.service().register_trusted(
       attack::make_fake_profile(0, {0, 0}, {800, 0}, rng)));
@@ -937,6 +933,10 @@ TEST(Ingest, SubmitLifecycleAndBackpressure) {
   auto cfg = test_config(dir.str());
   cfg.ingest.max_pending_uploads = 8;  // tiny bound; a full queue blocks
 
+  auto unbounded = cfg;
+  unbounded.ingest.max_pending_uploads = 0;  // refused: no unbounded channel
+  EXPECT_THROW(ServiceLifecycle{unbounded}, std::invalid_argument);
+
   ServiceLifecycle d(cfg);
   // Before start: the daemon is not accepting.
   EXPECT_FALSE(d.ingest().submit(
@@ -963,6 +963,36 @@ TEST(Ingest, SubmitLifecycleAndBackpressure) {
   // After drain: rejected again.
   EXPECT_FALSE(d.ingest().submit(
       attack::make_fake_profile(0, {0, 0}, {300, 0}, rng).serialize()));
+  d.stop();
+}
+
+TEST(Ingest, IdleDrainPicksUpEverySubmit) {
+  // An idle drain waits up to 200 ms between passes; a submit must end
+  // that wait, not sit it out. Each payload lands while the drain waits:
+  // the first after a second of idling, the rest just after the pass
+  // that ingested the one before found the channel empty.
+  TempDir dir("idle");
+  Rng rng(37);
+  ServiceLifecycle d(test_config(dir.str()));
+  ASSERT_TRUE(d.start());
+  ASSERT_TRUE(d.service().register_trusted(
+      attack::make_fake_profile(0, {0, 0}, {800, 0}, rng)));
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (int k = 0; k < 20; ++k) {
+    const geo::Vec2 at{50.0 * k, 0.0};
+    payloads.push_back(attack::make_fake_profile(0, at, {at.x + 300.0, 0.0}, rng).serialize());
+  }
+  std::this_thread::sleep_for(1s);
+  for (std::size_t k = 0; k < payloads.size(); ++k) {
+    const std::size_t before = d.service().database().size();
+    const auto submitted = std::chrono::steady_clock::now();
+    ASSERT_TRUE(d.ingest().submit(std::move(payloads[k])));
+    while (d.service().database().size() == before) {
+      ASSERT_LT(std::chrono::steady_clock::now() - submitted, 100ms)
+          << "submit " << k << " waited out the idle slice";
+      std::this_thread::sleep_for(100us);
+    }
+  }
   d.stop();
 }
 

@@ -85,25 +85,23 @@ TEST(ViewDigest, FrameBytesAreGolden) {
 }
 
 TEST(AcceptancePolicy, TimeWindow) {
-  const VdAcceptancePolicy policy;
   ViewDigest vd = sample_vd();
   vd.time = 100;
   vd.loc_x = 0;
   vd.loc_y = 0;
-  EXPECT_TRUE(policy.acceptable(vd, 100, 0, 0));
-  EXPECT_TRUE(policy.acceptable(vd, 101, 0, 0));
-  EXPECT_FALSE(policy.acceptable(vd, 102, 0, 0));  // stale
-  EXPECT_FALSE(policy.acceptable(vd, 98, 0, 0));   // from the future
+  EXPECT_TRUE(vd_acceptable(vd, 100, 0, 0));
+  EXPECT_TRUE(vd_acceptable(vd, 101, 0, 0));
+  EXPECT_FALSE(vd_acceptable(vd, 102, 0, 0));  // stale
+  EXPECT_FALSE(vd_acceptable(vd, 98, 0, 0));   // from the future
 }
 
 TEST(AcceptancePolicy, DsrcRadius) {
-  const VdAcceptancePolicy policy;
   ViewDigest vd = sample_vd();
   vd.time = 100;
   vd.loc_x = 0;
   vd.loc_y = 0;
-  EXPECT_TRUE(policy.acceptable(vd, 100, 399, 0));
-  EXPECT_FALSE(policy.acceptable(vd, 100, 401, 0));  // claims impossible range
+  EXPECT_TRUE(vd_acceptable(vd, 100, 399, 0));
+  EXPECT_FALSE(vd_acceptable(vd, 100, 401, 0));  // claims impossible range
 }
 
 TEST(Radio, PathLossMonotoneInDistance) {

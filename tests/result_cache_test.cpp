@@ -37,7 +37,7 @@ namespace {
 /// padding: empty report ≈ 328 bytes, +16 per id.
 std::shared_ptr<CachedInvestigation> entry(std::size_t pad_ids = 0) {
   return std::make_shared<CachedInvestigation>(CachedInvestigation{
-      Viewmap({}, {}, CsrGraph{}, 0, geo::Rect{}, nullptr),
+      Viewmap({}, {}, CsrGraph{}, 0, nullptr),
       VerificationResult{}, std::vector<Id16>(pad_ids)});
 }
 

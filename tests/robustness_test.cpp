@@ -658,8 +658,7 @@ TEST(Service, MultipleTrustedSeedsShareTrustMass) {
   for (double s : ranks.scores) total += s;
   EXPECT_NEAR(total, 1.0, 1e-6);
 
-  const sys::Verifier verifier;
-  const auto verdict = verifier.verify(map, site);
+  const auto verdict = sys::verify(map, site);
   EXPECT_EQ(verdict.legitimate.size(), 4u);
 }
 

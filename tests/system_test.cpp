@@ -3,6 +3,9 @@
 
 #include "attack/fake_vp.h"
 #include "common/rng.h"
+#include "dsrc/channel.h"
+#include "dsrc/radio.h"
+#include "dsrc/view_digest.h"
 #include "system/service.h"
 #include "system/trustrank.h"
 #include "system/verifier.h"
@@ -152,6 +155,43 @@ TEST(ViewmapBuilder, ViewlinkRequiresProximity) {
   EXPECT_FALSE(builder.viewlinked(convoy[0].profile, convoy[1].profile));
 }
 
+TEST(DsrcRadius, ViewlinksVdAcceptanceAndTheRadioShareOneRadius) {
+  // §5.1.2's radio radius bounds which VP pairs may link, which VDs a
+  // receiver accepts and which frames it decodes: at 400 m all accept,
+  // at 401 m all reject.
+  for (const double gap : {400.0, 401.0}) {
+    const bool in_range = gap == 400.0;
+    Rng rng(9);
+    // Two parked VPs `gap` apart whose filters hold each other's VDs.
+    std::vector<vp::ViewProfile> pair{attack::make_fake_profile(0, {0, 0}, {0, 0}, rng),
+                                      attack::make_fake_profile(0, {gap, 0}, {gap, 0}, rng)};
+    vp::link_mutually(pair[0], pair[1]);
+    EXPECT_EQ(ViewmapBuilder::viewlinked(pair[0], pair[1]), in_range) << gap;
+    const ViewmapBuilder builder;
+    const std::vector<const vp::ViewProfile*> members{&pair[0], &pair[1]};
+    const std::size_t edges = in_range ? 1 : 0;
+    EXPECT_EQ(builder.build_from_members(members, {false, false}, 0).edge_count(), edges) << gap;
+    EXPECT_EQ(builder.build_from_members_reference(members, {false, false}, 0).edge_count(),
+              edges)
+        << gap;
+
+    const dsrc::ViewDigest& vd = pair[1].digests().front();
+    EXPECT_EQ(dsrc::vd_acceptable(vd, vd.time, 0.0, 0.0), in_range) << gap;
+
+    // Line of sight, no blockage: at 400 m most frames arrive.
+    const dsrc::RadioModel radio;
+    const dsrc::BroadcastChannel channel;
+    int radio_frames = 0;
+    int channel_frames = 0;
+    for (int frame = 0; frame < 100; ++frame) {
+      radio_frames += radio.try_deliver(gap, true, false, rng) ? 1 : 0;
+      channel_frames += channel.try_deliver({0.0, 0.0}, {gap, 0.0}, {}, rng) ? 1 : 0;
+    }
+    EXPECT_EQ(radio_frames > 0, in_range) << gap << ": " << radio_frames;
+    EXPECT_EQ(channel_frames > 0, in_range) << gap << ": " << channel_frames;
+  }
+}
+
 TEST(TrustRank, ConservesMassOnConnectedGraph) {
   // Triangle with one seed.
   std::vector<std::vector<std::uint32_t>> adj{{1, 2}, {0, 2}, {0, 1}};
@@ -224,8 +264,7 @@ TEST(Verifier, EndToEndConvoyAllLegitimate) {
   const ViewmapBuilder builder;
   const geo::Rect site{{-10, -10}, {600, 260}};
   const Viewmap map = builder.build(db.snapshot(), site, 0);
-  const Verifier verifier;
-  const auto result = verifier.verify(map, site);
+  const auto result = verify(map, site);
   EXPECT_EQ(result.site_members.size(), 5u);
   EXPECT_EQ(result.legitimate.size(), 5u);
   EXPECT_TRUE(result.rejected.empty());
@@ -248,8 +287,7 @@ TEST(Verifier, FakeLayerRejected) {
   const ViewmapBuilder builder;
   const geo::Rect site{{-10, -10}, {600, 260}};
   const Viewmap map = builder.build(db.snapshot(), site, 0);
-  const Verifier verifier;
-  const auto result = verifier.verify(map, site);
+  const auto result = verify(map, site);
 
   ASSERT_EQ(result.site_members.size(), 6u);
   EXPECT_EQ(result.legitimate.size(), 5u);

@@ -17,9 +17,9 @@
 //
 // The viewlink memo must not change that: builds over shards admitted
 // through VpTimeline::upload — cold, warm, across late uploads and
-// copy-on-write clones, from four threads at once, beside a builder of
-// another radius, with a foreign member that shares an id, and with the
-// memo budget exhausted — all emit the reference's CSR.
+// copy-on-write clones, from four threads at once, with a foreign member
+// that shares an id, and with the memo budget exhausted — all emit the
+// reference's CSR.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,7 +50,7 @@
 namespace viewmap::sys {
 namespace {
 
-constexpr double kRadius = 400.0;  // ViewmapConfig default link radius
+constexpr double kRadius = dsrc::kRadioRangeM;
 
 std::vector<const vp::ViewProfile*> pointers(const std::vector<vp::ViewProfile>& fleet) {
   std::vector<const vp::ViewProfile*> out;
@@ -90,15 +90,12 @@ std::vector<vp::ViewProfile> random_fleet(std::size_t n, double extent, Rng& rng
 /// pool of each given width, and requires the bit-identical CSR.
 void expect_equivalent(const std::vector<vp::ViewProfile>& fleet,
                        std::initializer_list<unsigned> widths) {
-  const geo::Rect cover{{-1e7, -1e7}, {1e7, 1e7}};
   const std::vector<bool> trusted(fleet.size(), false);
-  const Viewmap ref =
-      ViewmapBuilder().build_from_members_reference(pointers(fleet), trusted, 0, cover);
+  const Viewmap ref = ViewmapBuilder().build_from_members_reference(pointers(fleet), trusted, 0);
 
   for (const unsigned width : widths) {
     common::WorkerPool pool(width);
-    const Viewmap packed =
-        ViewmapBuilder({}, pool).build_from_members(pointers(fleet), trusted, 0, cover);
+    const Viewmap packed = ViewmapBuilder(pool).build_from_members(pointers(fleet), trusted, 0);
     ASSERT_EQ(packed.size(), ref.size());
     EXPECT_EQ(packed.graph(), ref.graph())
         << "edge sets diverge at n=" << fleet.size() << " pool width=" << width;
@@ -151,7 +148,7 @@ TEST(ViewmapBuildEquivalence, TaskRangesEndingInAnchorsWithoutUpperNeighbors) {
     for (std::size_t j = h + 1; j < kVps; ++j) vp::link_mutually(fleet[h], fleet[j]);
 
   const Viewmap ref = ViewmapBuilder().build_from_members_reference(
-      pointers(fleet), std::vector<bool>(kVps, false), 0, {{-1e6, -1e6}, {1e6, 1e6}});
+      pointers(fleet), std::vector<bool>(kVps, false), 0);
   for (std::size_t i = 0; i + 1 < kVps; ++i) {
     const auto row = ref.neighbors(i);
     ASSERT_FALSE(row.empty());
@@ -189,11 +186,9 @@ TEST(ViewmapBuildEquivalence, CellBoundaryStraddlersAtExactRadius) {
   expect_equivalent(fleet, {1, 3});
 
   // Sanity: linked exact-radius pairs do produce edges.
-  ViewmapConfig cfg;
-  const ViewmapBuilder builder(cfg);
+  const ViewmapBuilder builder;
   const Viewmap map = builder.build_from_members(
-      pointers(fleet), std::vector<bool>(fleet.size(), false), 0,
-      {{-1e6, -1e6}, {1e6, 1e6}});
+      pointers(fleet), std::vector<bool>(fleet.size(), false), 0);
   EXPECT_GT(map.edge_count(), 0u);
 }
 
@@ -238,8 +233,7 @@ TEST(ViewmapBuildEquivalence, OffsetStartTimesWithinTheMinuteKeepTheirEdges) {
   const ViewmapBuilder builder;
   EXPECT_TRUE(builder.viewlinked(convoy[0], convoy[1]));
   const Viewmap map = builder.build_from_members(
-      pointers(convoy), std::vector<bool>(convoy.size(), false), 0,
-      {{-1e7, -1e7}, {1e7, 1e7}});
+      pointers(convoy), std::vector<bool>(convoy.size(), false), 0);
   // Every lane's offset pair must have kept its viewlink.
   EXPECT_GE(map.edge_count(), 100u);
 }
@@ -348,8 +342,7 @@ TEST(ViewmapBuildEquivalence, DenseDowntownWithHalfFullFilters) {
   expect_equivalent(fleet, {1, 4});
   const ViewmapBuilder builder;
   const Viewmap map = builder.build_from_members(
-      pointers(fleet), std::vector<bool>(fleet.size(), false), 0,
-      {{-1e6, -1e6}, {1e6, 1e6}});
+      pointers(fleet), std::vector<bool>(fleet.size(), false), 0);
   EXPECT_GT(map.edge_count(), 100 * fleet.size());
 }
 
@@ -371,7 +364,6 @@ TEST(ViewmapBuildEquivalence, PrunesKeepPairsThatRoundOntoTheRadius) {
       {{200.0 + 0x1p-16, 0.0}, {-200.0, 0.0}},
       {{400.0, 0.0}, {-0x1p-17, 0.0}},
   };
-  const geo::Rect cover{{-1e7, -1e7}, {1e7, 1e7}};
   for (const auto& [a, b] : pairs) {
     Rng rng(69);
     std::vector<vp::ViewProfile> fleet;
@@ -398,7 +390,7 @@ TEST(ViewmapBuildEquivalence, PrunesKeepPairsThatRoundOntoTheRadius) {
       }
       expect_equivalent(fleet, {1});
       const Viewmap map = builder.build_from_members(
-          pointers(fleet), std::vector<bool>(fleet.size(), false), 0, cover);
+          pointers(fleet), std::vector<bool>(fleet.size(), false), 0);
       EXPECT_EQ(map.neighbors(0).size(), 1u)
           << "pair at x=" << a.x << " and x=" << b.x << ", n=" << fleet.size();
     }
@@ -425,8 +417,7 @@ TEST(ViewmapBuildEquivalence, EqualIdsNeverLink) {
     EXPECT_FALSE(builder.viewlinked(fleet[0], fleet.back()));
     expect_equivalent(fleet, {1, 4});
     const Viewmap map = builder.build_from_members(
-        pointers(fleet), std::vector<bool>(fleet.size(), false), 0,
-        {{-1e6, -1e6}, {1e6, 1e6}});
+        pointers(fleet), std::vector<bool>(fleet.size(), false), 0);
     for (std::uint32_t i = 0; i < fleet.size(); ++i)
       for (std::uint32_t j = i + 1; j < fleet.size(); ++j) {
         const auto nbrs = map.neighbors(i);
@@ -472,8 +463,8 @@ std::uint64_t pairs_of(std::size_t n) { return n * (n - 1) / 2; }
 PairCounts memo_build(const ViewmapBuilder& builder, const index::DbSnapshot& snap,
                       const std::vector<const vp::ViewProfile*>& members) {
   const std::vector<bool> trusted(members.size(), false);
-  const Viewmap ref = builder.build_from_members_reference(members, trusted, 0, kEverywhere);
-  const Viewmap map = builder.build_from_members(members, trusted, 0, kEverywhere, snap.shard(0));
+  const Viewmap ref = builder.build_from_members_reference(members, trusted, 0);
+  const Viewmap map = builder.build_from_members(members, trusted, 0, snap.shard(0));
   EXPECT_EQ(map.graph(), ref.graph()) << "memo build diverges at n=" << members.size();
   const PairCounts counts = map.pair_counts();
   EXPECT_EQ(counts.tested + counts.memoized, pairs_of(members.size()));
@@ -502,9 +493,9 @@ TEST(ViewlinkMemo, ColdWarmAndMemoOffBuildsMatchTheReference) {
 
     // The memo-off twin: the same call without a shard.
     const std::vector<bool> trusted(west.size(), false);
-    const Viewmap off = builder.build_from_members(west, trusted, 0, kEverywhere);
+    const Viewmap off = builder.build_from_members(west, trusted, 0);
     EXPECT_EQ(off.graph(),
-              builder.build_from_members_reference(west, trusted, 0, kEverywhere).graph());
+              builder.build_from_members_reference(west, trusted, 0).graph());
     EXPECT_EQ(off.pair_counts().tested, pairs_of(west.size()));
     EXPECT_EQ(off.pair_counts().memoized, 0u);
 
@@ -520,7 +511,7 @@ TEST(ViewlinkMemo, ColdWarmAndMemoOffBuildsMatchTheReference) {
     for (std::size_t i = 0; i < via_site.size(); ++i) members.push_back(&via_site.member(i));
     EXPECT_EQ(via_site.graph(),
               builder.build_from_members_reference(members, std::vector<bool>(members.size()),
-                                                   0, kEverywhere)
+                                                   0)
                   .graph());
   }
   // Retention drops the memo with the last shard of its minute.
@@ -583,7 +574,7 @@ TEST(ViewlinkMemo, FourThreadsBuildOneMinuteConcurrently) {
     expected.push_back(reference
                            .build_from_members_reference(members.back(),
                                                          std::vector<bool>(members.back().size()),
-                                                         0, kEverywhere)
+                                                         0)
                            .graph());
   }
   // Every thread starts with the first, unmemoized build of the minute,
@@ -596,40 +587,19 @@ TEST(ViewlinkMemo, FourThreadsBuildOneMinuteConcurrently) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < 4; ++t)
     threads.emplace_back([&, t] {
-      const ViewmapBuilder builder({}, t % 2 == 0 ? serial : sharded);
+      const ViewmapBuilder builder(t % 2 == 0 ? serial : sharded);
       start.arrive_and_wait();
       for (std::size_t round = 0; round < 3; ++round)
         for (std::size_t k = 0; k < areas.size(); ++k) {
           const std::size_t a = (k + t) % areas.size();
           const Viewmap map = builder.build_from_members(
-              members[a], std::vector<bool>(members[a].size()), 0, kEverywhere, snap.shard(0));
+              members[a], std::vector<bool>(members[a].size()), 0, snap.shard(0));
           if (map.graph() != expected[a]) mismatches.fetch_add(1);
         }
     });
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(memo_build(ViewmapBuilder(), snap, members[0]).tested, 0u);
-}
-
-TEST(ViewlinkMemo, AnotherRadiusIgnoresTheMemo) {
-  const auto& fleet = minute_zero();
-  index::VpTimeline timeline;
-  upload(timeline, fleet, 0, fleet.size());
-  const index::DbSnapshot snap = timeline.snapshot();
-  const auto all = snap.query(0, kEverywhere);
-  const ViewmapBuilder builder;
-  ViewmapConfig narrow_cfg;
-  narrow_cfg.link_radius_m = 150.0;
-  const ViewmapBuilder narrow(narrow_cfg);
-
-  EXPECT_EQ(memo_build(builder, snap, all).memoized, 0u);
-  EXPECT_EQ(memo_build(narrow, snap, all).memoized, 0u);
-  EXPECT_EQ(memo_build(narrow, snap, all).memoized, 0u);
-  EXPECT_EQ(memo_build(builder, snap, all).tested, 0u);
-  // The radii really disagree on some pair.
-  const std::vector<bool> trusted(all.size(), false);
-  EXPECT_LT(narrow.build_from_members(all, trusted, 0, kEverywhere, snap.shard(0)).edge_count(),
-            builder.build_from_members(all, trusted, 0, kEverywhere, snap.shard(0)).edge_count());
 }
 
 TEST(ViewlinkMemo, ForeignMemberWithACollidingIdIsTested) {
@@ -645,7 +615,7 @@ TEST(ViewlinkMemo, ForeignMemberWithACollidingIdIsTested) {
   // trajectory), an empty filter, so it links to nothing. Matched by id
   // alone it would inherit the original's edges from the memo.
   const Viewmap warm = builder.build_from_members(
-      members, std::vector<bool>(members.size()), 0, kEverywhere, snap.shard(0));
+      members, std::vector<bool>(members.size()), 0, snap.shard(0));
   std::size_t k = 0;
   for (std::size_t i = 0; i < warm.size(); ++i)
     if (warm.neighbors(i).size() > warm.neighbors(k).size()) k = i;
@@ -790,7 +760,7 @@ TEST(CsrGraph, ViewmapNeighborsAreBoundsChecked) {
   const auto fleet = random_fleet(5, 300.0, rng);
   const ViewmapBuilder builder;
   const Viewmap map = builder.build_from_members(
-      pointers(fleet), std::vector<bool>(5, false), 0, {{-1e6, -1e6}, {1e6, 1e6}});
+      pointers(fleet), std::vector<bool>(5, false), 0);
   EXPECT_THROW((void)map.neighbors(5), std::out_of_range);
 }
 
@@ -902,8 +872,7 @@ TEST(TrustRankCsr, MatchesNestedAdjacencyPowerIteration) {
   const auto fleet = dense_downtown(1024, 1100.0, rng);
   std::vector<bool> trusted(fleet.size(), false);
   trusted[0] = trusted[300] = trusted[900] = true;
-  const Viewmap map = ViewmapBuilder().build_from_members(pointers(fleet), trusted, 0,
-                                                          {{-1e6, -1e6}, {1e6, 1e6}});
+  const Viewmap map = ViewmapBuilder().build_from_members(pointers(fleet), trusted, 0);
   ASSERT_GT(map.edge_count(), 100 * fleet.size());
   std::vector<std::vector<std::uint32_t>> adj_map(map.size());
   for (std::size_t u = 0; u < map.size(); ++u)
@@ -936,8 +905,7 @@ TEST(TrustRankCsr, SeedValidationAndViewmapZeroCopyPath) {
   std::vector<bool> trusted(fleet.size(), false);
   trusted[0] = true;
   const ViewmapBuilder builder;
-  const Viewmap map = builder.build_from_members(pointers(fleet), trusted, 0,
-                                                 {{-1e6, -1e6}, {1e6, 1e6}});
+  const Viewmap map = builder.build_from_members(pointers(fleet), trusted, 0);
   const auto ranks = trust_rank(map);
   ASSERT_EQ(ranks.scores.size(), map.size());
   const auto direct = trust_rank(map.graph(), map.trusted_indices());

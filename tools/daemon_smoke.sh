@@ -12,9 +12,9 @@
 #      a hard kill lands between — or inside — cycles); the cadence must
 #      have sealed packed .vseg2 segments (the store's one format);
 #   4. restart on the same store and assert the recovery line
-#      (recovered seq=N ... rejected=0 ... ms=T), that the parallel v2
-#      cold restart stayed inside its timing budget, and a green
-#      /healthz;
+#      (recovered seq=N ... rejected=0 ... ms=T), that N is the newest
+#      manifest the killed daemon sealed, that the parallel v2 cold
+#      restart stayed inside its timing budget, and a green /healthz;
 #   5. SIGTERM the daemon and assert the clean drain+stop lines;
 #   6. restart with --failpoints injecting an ENOSPC window into the
 #      checkpoint write path: the daemon must survive, /healthz must go
@@ -146,7 +146,16 @@ echo "daemon_smoke: /metrics + /healthz green under live ingest"
 # ── 3. kill -9 mid-cadence ───────────────────────────────────────────
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
-echo "daemon_smoke: killed -9"
+# Manifests appear only by an atomic rename of a complete file, so the
+# newest one left behind is the one a restart must recover.
+newest="$(ls "$store" | sed -n 's/^manifest-\([0-9a-f]\{16\}\)\.vman$/\1/p' | sort | tail -n 1)"
+[ -n "$newest" ] || {
+  echo "daemon_smoke: the killed daemon sealed no manifest" >&2
+  ls "$store" >&2
+  exit 1
+}
+newest_seq=$((16#$newest))
+echo "daemon_smoke: killed -9 (newest sealed manifest seq=$newest_seq)"
 
 # ── 4. restart on the crashed store: the recovery invariant ──────────
 start_daemon
@@ -158,6 +167,11 @@ recovered="$(grep '^viewmapd: recovered seq=' "$log" | head -n 1 || true)"
 }
 echo "$recovered" | grep -q 'rejected=0' ||
   { echo "daemon_smoke: recovery rejected profiles: $recovered" >&2; exit 1; }
+recovered_seq="$(echo "$recovered" | sed -n 's/^viewmapd: recovered seq=\([0-9]*\) .*/\1/p')"
+[ "$recovered_seq" = "$newest_seq" ] || {
+  echo "daemon_smoke: restart recovered seq=$recovered_seq, not the newest sealed manifest seq=$newest_seq" >&2
+  exit 1
+}
 # Cold-restart timing: the recovery line reports ms=N.N for the parallel
 # v2 restore; at smoke scale (a few seconds of soak) anything over 5 s
 # means the packed read path regressed catastrophically.

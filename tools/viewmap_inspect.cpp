@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
 
     const sys::ViewmapBuilder builder;
     const sys::Viewmap map = builder.build(snap, site, minute);
-    const sys::Verifier verifier;
-    const auto verdict = verifier.verify(map, site);
+    const auto verdict = sys::verify(map, site);
     std::printf("\ninvestigation @ (%.0f, %.0f) r=%.0f, minute %lld:\n", x, y, r,
                 static_cast<long long>(minute / kUnitTimeSec));
     std::printf("  viewmap: %zu members, %zu viewlinks\n", map.size(),

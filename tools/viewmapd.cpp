@@ -192,8 +192,7 @@ int main(int argc, char** argv) {
   cfg.service.rsa_bits = 1024;  // synthetic identities; not a deployment CA
   cfg.server.workers = static_cast<std::size_t>(opt.workers);
   cfg.store_dir = opt.store_dir;
-  cfg.store.keep_manifests = static_cast<std::size_t>(
-      opt.keep_manifests == 0 ? 1 : opt.keep_manifests);
+  cfg.store.keep_manifests = static_cast<std::size_t>(opt.keep_manifests);
   cfg.recover_sequence = opt.recover_seq;
   cfg.checkpoint.interval = std::chrono::milliseconds(opt.checkpoint_interval_ms);
   cfg.checkpoint.jitter_pct = static_cast<unsigned>(opt.jitter);
