@@ -23,22 +23,12 @@
 //       per-phase (read/validate/parse/adopt) breakdown. tools/
 //       run_bench.sh asserts recovered_matches and, on 1M-VP runs, a
 //       ≥ 5× speedup over the recorded pre-packed-format baseline restart.
-//   (6) daemon chaos: the assembled ServiceLifecycle daemon under live
-//       ingest, with failpoints firing inside the durable-I/O path (ENOSPC
-//       bursts, fsync EIO, rename failures, torn short writes, whole-cycle
-//       faults). Each cycle the daemon must eat
-//       a window of injected checkpoint failures without dying, health
-//       must visibly degrade and recover, no *.tmp file may survive, and
-//       a cold recover must reproduce the live database's canonical bytes.
-//       tools/run_bench.sh fails the run on any violated assertion.
 //
 // Emits BENCH_index.json (cwd) so future PRs can diff the numbers.
 //
 //   ./bench/bench_index [--max_vps=1000000] [--queries=200]
 //                       [--ingest_vps=20000] [--viewmap_vps=50000]
 //                       [--checkpoint_vps=1000000]
-//                       [--chaos_cycles=6] [--chaos_failures=4]
-//                       [--chaos_vps=200]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -52,12 +42,11 @@
 
 #include "attack/fake_vp.h"
 #include "bench_util.h"
-#include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/worker_pool.h"
-#include "daemon/lifecycle.h"
 #include "index/ingest_engine.h"
 #include "store/segment_store.h"
+#include "system/service.h"
 #include "system/viewmap_graph.h"
 
 using namespace viewmap;
@@ -461,158 +450,6 @@ CheckpointRow bench_checkpoint(std::size_t vp_count, Rng& rng, RecoveryV2Row& v2
   return row;
 }
 
-struct DaemonChaosRow {
-  std::size_t cycles = 0;               ///< lifecycle cycles (kill/drain alternating)
-  std::size_t injected_failures = 0;    ///< failpoint fires across all cycles
-  std::size_t checkpoint_failures = 0;  ///< failed checkpoint cycles (all retried)
-  bool daemon_survived = false;         ///< every thread alive through every window
-  bool health_degraded_seen = false;    ///< healthz left kHealthy inside windows
-  bool health_recovered = false;        ///< back to kHealthy after every window
-  bool clean_drains = false;            ///< drain cycles reported clean stops
-  std::size_t leaked_temps = 0;         ///< *.tmp files found after any cycle
-  bool recovered_matches = false;       ///< per-cycle canonical bytes bit-for-bit
-};
-
-/// The chaos soak: each cycle constructs a fresh ServiceLifecycle on the
-/// same store directory (fsync on, 25 ms checkpoint cadence), arms one
-/// fault family inside the checkpoint path (ENOSPC on segment data, EIO
-/// on fsync, rename failure, torn short writes, whole-cycle failures),
-/// pushes `vps_per_cycle` uploads through the IngestService drain, and
-/// requires the daemon to eat `failures_per_cycle` consecutive checkpoint
-/// failures — health must leave healthy — then disarms and requires a
-/// sealed checkpoint and health back to healthy. Cycles alternate
-/// kill_for_test (crash) with drain+stop (clean); after each, a cold
-/// recover must reproduce the live database's canonical bytes
-/// (DbSnapshot::canonical_bytes — re-serialized, not the manifest-seeded
-/// digests) and the store directory must hold zero temp files. This is
-/// the acceptance harness for the failpoint framework: ≥ 20 injected I/O
-/// failures per run with no daemon death.
-DaemonChaosRow bench_daemon_chaos(std::size_t cycles,
-                                  std::size_t failures_per_cycle,
-                                  std::size_t vps_per_cycle, Rng& rng) {
-  namespace fs = std::filesystem;
-  const fs::path dir = "bench_daemon_chaos.tmp";
-  fs::remove_all(dir);
-  failpoint::disarm_all();
-
-  daemon::DaemonConfig cfg;
-  cfg.service.rsa_bits = 1024;
-  cfg.start_server = false;
-  cfg.store_dir = dir.string();
-  cfg.checkpoint.interval = std::chrono::milliseconds(25);
-  cfg.checkpoint.jitter_pct = 0;
-  cfg.checkpoint.retry_backoff_min = std::chrono::milliseconds(2);
-  cfg.checkpoint.retry_backoff_max = std::chrono::milliseconds(20);
-  cfg.scrape.enabled = false;
-  cfg.watchdog.enabled = false;
-  cfg.health.degraded_after = 1;
-  cfg.health.failing_after = 3;
-
-  // One fault family per cycle, round-robin. Windows are sized so each
-  // family yields exactly `failures_per_cycle` failed checkpoint cycles
-  // (one fire aborts one checkpoint attempt) and then exhausts.
-  const std::string windowed = "@window:0:" + std::to_string(failures_per_cycle);
-  const std::vector<std::string> specs{
-      "store.write.data=enospc" + windowed,
-      "store.write.fsync=eio" + windowed,
-      "store.rename=eio" + windowed,
-      "store.write.data=short" + windowed,
-      "daemon.checkpoint.cycle=eio" + windowed,
-      "store.write.open=enospc" + windowed,
-  };
-
-  DaemonChaosRow row;
-  row.cycles = cycles;
-  bool survived = true;
-  bool degraded_seen_all = true;
-  bool recovered_all = true;
-  bool clean_all = true;
-  bool matches_all = true;
-
-  for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
-    daemon::ServiceLifecycle d(cfg);
-    d.start();
-    row.leaked_temps += d.swept_temps();  // a prior cycle leaked debris
-
-    // Arm BEFORE feeding: the first checkpoint that tries to seal the
-    // new shards walks straight into the fault window.
-    failpoint::arm_from_spec(specs[cycle % specs.size()]);
-
-    std::vector<std::vector<std::uint8_t>> payloads;
-    payloads.reserve(vps_per_cycle);
-    for (std::size_t i = 0; i < vps_per_cycle; ++i) {
-      const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(rng.index(30));
-      payloads.push_back(random_vp(unit, 8000.0, rng).serialize());
-    }
-    for (auto& p : payloads) (void)d.ingest().submit(std::move(p));
-    while (d.service().upload_channel().pending() != 0)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    // Eat the whole fault window: poke the checkpointer through its
-    // backoff until every armed fire has failed a cycle. The daemon must
-    // stay Running (and its threads alive) the entire time, and health
-    // must visibly leave kHealthy.
-    bool left_healthy = false;
-    while (d.checkpointer()->failures() < failures_per_cycle) {
-      d.checkpointer()->poke();
-      if (d.health_state() != daemon::HealthState::kHealthy) left_healthy = true;
-      survived = survived && d.state() == daemon::LifecycleState::kRunning &&
-                 d.ingest().running() && d.checkpointer()->running();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    left_healthy = left_healthy ||
-                   d.health_state() != daemon::HealthState::kHealthy;
-    degraded_seen_all = degraded_seen_all && left_healthy;
-    row.checkpoint_failures += d.checkpointer()->failures();
-    row.injected_failures += failpoint::total_fires();
-    failpoint::disarm_all();
-
-    // Recovery: the next successful cycle (written or provably skipped)
-    // must snap health back to healthy.
-    const std::uint64_t sealed =
-        d.checkpointer()->written() + d.checkpointer()->skipped();
-    while (d.checkpointer()->written() + d.checkpointer()->skipped() <= sealed) {
-      d.checkpointer()->poke();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    recovered_all =
-        recovered_all && d.health_state() == daemon::HealthState::kHealthy;
-    survived = survived && d.state() == daemon::LifecycleState::kRunning;
-
-    // The database is now quiescent: capture its canonical bytes as the
-    // bit-for-bit oracle for what a recover must reproduce.
-    const auto expected = d.service().database().snapshot().canonical_bytes();
-
-    if (cycle % 2 == 0) {
-      d.kill_for_test();
-    } else {
-      const bool drained = d.drain();
-      const bool stopped = d.stop();
-      clean_all = clean_all && drained && stopped;
-    }
-
-    std::size_t temps = 0;
-    for (const auto& entry : fs::directory_iterator(dir))
-      if (entry.path().filename().string().ends_with(".tmp")) ++temps;
-    row.leaked_temps += temps;
-
-    store::SegmentStore store(dir.string());
-    store::RecoveryStats rec;
-    const auto db = store.recover(&rec);
-    matches_all = matches_all && rec.profiles_rejected == 0 &&
-                  db.snapshot().canonical_bytes() == expected;
-  }
-
-  row.daemon_survived = survived;
-  row.health_degraded_seen = degraded_seen_all;
-  row.health_recovered = recovered_all;
-  row.clean_drains = clean_all;
-  row.recovered_matches = matches_all;
-  failpoint::disarm_all();
-  fs::remove_all(dir);
-  return row;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -627,12 +464,6 @@ int main(int argc, char** argv) {
   const auto checkpoint_vps = std::min<std::size_t>(
       static_cast<std::size_t>(bench::int_flag(argc, argv, "checkpoint_vps", 1000000)),
       max_vps);
-  const auto chaos_cycles =
-      static_cast<std::size_t>(bench::int_flag(argc, argv, "chaos_cycles", 6));
-  const auto chaos_failures =
-      static_cast<std::size_t>(bench::int_flag(argc, argv, "chaos_failures", 4));
-  const auto chaos_vps =
-      static_cast<std::size_t>(bench::int_flag(argc, argv, "chaos_vps", 200));
 
   std::printf("(hardware_concurrency=%u, worker pool width=%u)\n",
               std::thread::hardware_concurrency(), common::WorkerPool::process().width());
@@ -722,22 +553,6 @@ int main(int argc, char** argv) {
     std::printf("  vs recorded pre-packed baseline (%.1f ms at 1M VPs): %.1fx\n",
                 rv2.baseline_restart_ms, rv2.speedup_vs_baseline);
 
-  // ── daemon chaos: the daemon under injected durable-I/O failures ────
-  std::printf("\n-- daemon chaos: failpoint-injected I/O failures through the "
-              "checkpoint path --\n");
-  Rng chaos_rng(31415);
-  const auto chaos =
-      bench_daemon_chaos(chaos_cycles, chaos_failures, chaos_vps, chaos_rng);
-  std::printf(
-      "%zu cycles, %zu injected faults, %zu checkpoint failures eaten:\n"
-      "  daemon survived %s, health degraded %s / recovered %s, clean drains "
-      "%s, leaked temps %zu, recovery invariant %s\n",
-      chaos.cycles, chaos.injected_failures, chaos.checkpoint_failures,
-      chaos.daemon_survived ? "yes" : "NO",
-      chaos.health_degraded_seen ? "yes" : "NO",
-      chaos.health_recovered ? "yes" : "NO", chaos.clean_drains ? "yes" : "NO",
-      chaos.leaked_temps, chaos.recovered_matches ? "OK" : "VIOLATED");
-
   // ── JSON trajectory ──────────────────────────────────────────────────
   FILE* json = std::fopen("BENCH_index.json", "w");
   if (json != nullptr) {
@@ -796,26 +611,11 @@ int main(int argc, char** argv) {
         "\"recovered_matches\": %s, \"note\": \"the checkpoint_incremental "
         "store's cold restart through the parallel restore pool; baseline is "
         "the recorded pre-packed-format restart at 1M VPs "
-        "(0.0 when this run used a different VP count)\"},\n",
+        "(0.0 when this run used a different VP count)\"}\n}\n",
         rv2.vps, rv2.shards, rv2.threads, rv2.restart_v2_ms,
         rv2.baseline_restart_ms, rv2.speedup_vs_baseline,
         rv2.read_ms, rv2.validate_ms, rv2.parse_ms, rv2.adopt_ms,
         rv2.recovered_matches ? "true" : "false");
-    std::fprintf(json,
-                 "  \"daemon_chaos\": {\"cycles\": %zu, "
-                 "\"injected_failures\": %zu, \"checkpoint_failures\": %zu, "
-                 "\"daemon_survived\": %s, \"health_degraded_seen\": %s, "
-                 "\"health_recovered\": %s, \"clean_drains\": %s, "
-                 "\"leaked_temps\": %zu, \"recovered_matches\": %s, "
-                 "\"note\": \"failpoint windows: enospc/eio/fsync/rename/torn "
-                 "writes; alternating kill -9 and clean drains\"}\n}\n",
-                 chaos.cycles, chaos.injected_failures,
-                 chaos.checkpoint_failures,
-                 chaos.daemon_survived ? "true" : "false",
-                 chaos.health_degraded_seen ? "true" : "false",
-                 chaos.health_recovered ? "true" : "false",
-                 chaos.clean_drains ? "true" : "false", chaos.leaked_temps,
-                 chaos.recovered_matches ? "true" : "false");
     std::fclose(json);
     std::printf("\nwrote BENCH_index.json\n");
   }

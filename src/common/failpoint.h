@@ -3,8 +3,8 @@
 // PR 5's crash-point replay proved recovery from "the process dies at
 // byte N"; this module generalizes the discipline to "syscall X fails at
 // point Y". Durable-I/O and service-loop code declares *points* —
-// `failpoint::inject("store.write.data")` — and tests, the chaos soak
-// harness, or an operator (`viewmapd --failpoints=…`, the
+// `failpoint::inject("store.write.data")` — and tests (the daemon's
+// chaos soak among them), or an operator (`viewmapd --failpoints=…`, the
 // VIEWMAP_FAILPOINTS environment variable) *arm* them with an action and
 // a trigger policy. Unarmed, a point costs one relaxed atomic load — the
 // framework compiles into production builds so the chaos suite exercises
@@ -16,8 +16,8 @@
 //   short          torn write: the site persists a prefix of the bytes,
 //                  then fails with EIO (only write-shaped sites honor the
 //                  short part; others treat it as eio)
-//   delay:MS       sleep MS milliseconds, then proceed normally — wedge
-//                  and watchdog fodder, not an error
+//   delay:MS       sleep MS milliseconds, then proceed normally — holds
+//                  a thread so it looks wedged, not an error
 //   error          generic failure with no errno (sites throw)
 //
 // Triggers (when an armed point fires, counted in per-point hits):

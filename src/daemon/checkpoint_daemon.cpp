@@ -41,13 +41,12 @@ CheckpointDaemon::CheckpointDaemon(sys::ViewMapService& service,
                                    CheckpointConfig cfg)
     : service_(service),
       store_(store),
-      cfg_(cfg) {
+      cfg_(cfg),
+      heartbeat_(service.metrics(), "checkpoint") {
   if (cfg_.jitter_pct > 100)
     throw std::invalid_argument("CheckpointConfig::jitter_pct must be 0-100");
   auto& reg = service_.metrics();
   store_.adopt_metrics(&reg);
-  heartbeats_ = &reg.counter("viewmap_daemon_heartbeats_total",
-                             {{"component", "checkpoint"}});
   written_c_ = &reg.counter("viewmap_daemon_checkpoints_total",
                             {{"result", "written"}});
   skipped_c_ = &reg.counter("viewmap_daemon_checkpoints_total",
@@ -72,6 +71,7 @@ bool CheckpointDaemon::start() {
   stop_requested_ = false;
   final_checkpoint_ = false;
   poked_ = false;
+  heartbeat_.beat();
   thread_ = std::thread([this] { run(); });
   return true;
 }
@@ -153,10 +153,10 @@ std::chrono::milliseconds CheckpointDaemon::next_wait() {
 }
 
 std::chrono::milliseconds CheckpointDaemon::next_backoff(
-    std::chrono::milliseconds prev, bool permanent) const {
-  if (permanent) return cfg_.retry_backoff_max;
-  if (prev < cfg_.retry_backoff_min) return cfg_.retry_backoff_min;
-  return std::min(prev * 2, cfg_.retry_backoff_max);
+    std::chrono::milliseconds prev, bool permanent) {
+  if (permanent) return kRetryBackoffMax;
+  if (prev < kRetryBackoffMin) return kRetryBackoffMin;
+  return std::min(prev * 2, kRetryBackoffMax);
 }
 
 bool CheckpointDaemon::cycle() {
@@ -216,7 +216,7 @@ void CheckpointDaemon::run() {
       std::unique_lock lock(mutex_);
       while (!stop_requested_ && !poked_ &&
              std::chrono::steady_clock::now() < deadline) {
-        heartbeats_->add();
+        heartbeat_.beat();
         const auto remaining = std::chrono::duration_cast<
             std::chrono::milliseconds>(deadline - std::chrono::steady_clock::now());
         cv_.wait_for(lock, std::min(remaining, kMaxSlice));
@@ -238,7 +238,7 @@ void CheckpointDaemon::run() {
         bool ok = false;
         std::chrono::milliseconds final_backoff{0};
         for (unsigned attempt = 0; attempt < kFinalCheckpointAttempts && !ok; ++attempt) {
-          heartbeats_->add();
+          heartbeat_.beat();
           if (attempt > 0) {
             final_backoff = next_backoff(final_backoff, !last_failure_transient_);
             std::this_thread::sleep_for(jittered(final_backoff));
@@ -249,7 +249,7 @@ void CheckpointDaemon::run() {
       }
       return;
     }
-    heartbeats_->add();
+    heartbeat_.beat();
     backoff = cycle() ? std::chrono::milliseconds{0}
                       : next_backoff(backoff, !last_failure_transient_);
   }

@@ -16,23 +16,23 @@
 // captures every accepted VP), abort() stops without it — the in-process
 // stand-in for a crash, leaving whatever the last periodic cycle sealed.
 //
-// Long intervals are waited out in ≤1 s slices, each bumping
-// viewmap_daemon_heartbeats_total{component="checkpoint"}: the lifecycle
-// watchdog must be able to tell "waiting out a 5-minute interval" from
-// "wedged inside fsync".
+// Long intervals are waited out in ≤1 s slices, each beating the
+// "checkpoint" Heartbeat: the lifecycle's health must be able to tell
+// "waiting out a 5-minute interval" from "wedged inside fsync".
 //
 // Failure handling: a cycle that throws (disk full, EIO, an armed
 // failpoint) must NEVER take the daemon down — the store guarantees a
 // failed checkpoint leaves the previous sealed manifest intact, so the
 // correct response is to keep serving and retry. Failed cycles are
-// retried with capped exponential backoff (retry_backoff_min doubling to
-// retry_backoff_max, ± the same jitter as the cadence; a permanent
+// retried with capped exponential backoff (kRetryBackoffMin doubling to
+// kRetryBackoffMax, ± the same jitter as the cadence; a permanent
 // store::StoreError jumps straight to the cap — hammering a read-only
 // filesystem helps nobody). Each failure bumps
 // viewmap_daemon_checkpoint_failures_total{reason} and the
 // viewmap_daemon_checkpoint_consecutive_failures gauge (health turns
 // degraded/failing on it, see ServiceLifecycle); the first success
-// zeroes the gauge and resumes the normal cadence.
+// zeroes the gauge and resumes the normal cadence. poke() cuts a backoff
+// short, which is how tests walk the ladder without waiting it out.
 #pragma once
 
 #include <chrono>
@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "daemon/heartbeat.h"
 #include "index/db_snapshot.h"
 
 namespace viewmap::obs {
@@ -65,12 +66,13 @@ struct CheckpointConfig {
   /// Each cycle's wait is interval ± this percentage, drawn per cycle.
   /// 0–100; the daemon's constructor throws std::invalid_argument above.
   unsigned jitter_pct = 10;
-  /// Retry cadence after a failed cycle: first retry after
-  /// retry_backoff_min, doubling per consecutive failure, capped at
-  /// retry_backoff_max (jittered by jitter_pct like the normal cadence).
-  std::chrono::milliseconds retry_backoff_min{100};
-  std::chrono::milliseconds retry_backoff_max{5000};
 };
+
+/// Retry cadence after a failed cycle: the first retry waits
+/// kRetryBackoffMin, doubling per consecutive failure, capped at
+/// kRetryBackoffMax (jittered by jitter_pct like the normal cadence).
+inline constexpr std::chrono::milliseconds kRetryBackoffMin{100};
+inline constexpr std::chrono::milliseconds kRetryBackoffMax{5000};
 
 /// How many times the FINAL checkpoint (finish_and_stop) is attempted
 /// before giving up and reporting an unclean stop.
@@ -114,6 +116,8 @@ class CheckpointDaemon {
 
   [[nodiscard]] bool running() const;
 
+  [[nodiscard]] const Heartbeat& heartbeat() const noexcept { return heartbeat_; }
+
   /// Cycles that sealed a manifest / that skipped as unchanged / that
   /// failed: plain reads of viewmap_daemon_checkpoints_total{result} and
   /// the sum of viewmap_daemon_checkpoint_failures_total{reason} in the
@@ -146,10 +150,10 @@ class CheckpointDaemon {
   void run();
   bool cycle();
   bool stop_impl(bool final_checkpoint);
-  /// Doubles `prev` from retry_backoff_min toward retry_backoff_max;
+  /// Doubles `prev` from kRetryBackoffMin toward kRetryBackoffMax;
   /// `permanent` jumps straight to the cap.
-  [[nodiscard]] std::chrono::milliseconds next_backoff(
-      std::chrono::milliseconds prev, bool permanent) const;
+  [[nodiscard]] static std::chrono::milliseconds next_backoff(
+      std::chrono::milliseconds prev, bool permanent);
   [[nodiscard]] std::chrono::milliseconds jittered(
       std::chrono::milliseconds base);
 
@@ -157,7 +161,7 @@ class CheckpointDaemon {
   store::SegmentStore& store_;
   CheckpointConfig cfg_;
 
-  obs::Counter* heartbeats_ = nullptr;
+  Heartbeat heartbeat_;
   obs::Counter* written_c_ = nullptr;
   obs::Counter* skipped_c_ = nullptr;
   obs::Gauge* sequence_g_ = nullptr;  ///< newest manifest this daemon sealed

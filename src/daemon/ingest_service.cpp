@@ -18,12 +18,10 @@ constexpr std::chrono::milliseconds kFailedPassRetry{10};
 
 IngestService::IngestService(sys::ViewMapService& service,
                              IngestServiceConfig cfg)
-    : service_(service), cfg_(cfg) {
+    : service_(service), cfg_(cfg), heartbeat_(service.metrics(), "ingest") {
   if (cfg_.max_pending_uploads == 0)
     throw std::invalid_argument("IngestService: max_pending_uploads must be >= 1");
   auto& reg = service_.metrics();
-  heartbeats_ =
-      &reg.counter("viewmap_daemon_heartbeats_total", {{"component", "ingest"}});
   passes_ = &reg.counter("viewmap_daemon_ingest_passes_total");
   failures_ = &reg.counter("viewmap_daemon_ingest_failures_total");
   rejected_ = &reg.counter("viewmap_daemon_submit_rejected_total");
@@ -37,6 +35,7 @@ bool IngestService::start() {
   if (thread_.joinable()) return false;
   stop_requested_ = false;
   drain_final_ = false;
+  heartbeat_.beat();
   running_.store(true, std::memory_order_release);
   accepting_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { run(); });
@@ -86,7 +85,7 @@ bool IngestService::submit(std::vector<std::uint8_t> payload) {
 void IngestService::run() {
   auto& channel = service_.upload_channel();
   for (;;) {
-    heartbeats_->add();
+    heartbeat_.beat();
     // A throwing drain pass must not take the thread (and with it the
     // whole daemon) down: the payloads stay queued in the channel, so
     // waiting a moment and re-draining loses nothing. Real throws here

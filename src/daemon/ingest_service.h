@@ -17,8 +17,8 @@
 // enqueues under, until a payload is pending or a stop is requested —
 // so a submit is never missed, however it races the pass — and at most
 // 200 ms, so a quiet daemon still passes five times a second. Each
-// loop pass bumps viewmap_daemon_heartbeats_total{component="ingest"} —
-// the signal the lifecycle watchdog reads to tell "idle" from "wedged".
+// loop pass beats the "ingest" Heartbeat — what the lifecycle's health
+// reads to tell "idle" from "wedged".
 #pragma once
 
 #include <atomic>
@@ -28,6 +28,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "daemon/heartbeat.h"
 
 namespace viewmap::obs {
 class Counter;
@@ -83,6 +85,8 @@ class IngestService {
     return running_.load(std::memory_order_acquire);
   }
 
+  [[nodiscard]] const Heartbeat& heartbeat() const noexcept { return heartbeat_; }
+
  private:
   void run();
   void stop_impl(bool drain_remaining);
@@ -90,7 +94,7 @@ class IngestService {
   sys::ViewMapService& service_;
   IngestServiceConfig cfg_;
 
-  obs::Counter* heartbeats_ = nullptr;
+  Heartbeat heartbeat_;
   obs::Counter* passes_ = nullptr;      ///< drain passes that accepted work
   obs::Counter* failures_ = nullptr;    ///< drain passes that threw (retried)
   obs::Counter* rejected_ = nullptr;    ///< submit()s refused while stopping

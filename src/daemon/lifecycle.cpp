@@ -1,5 +1,6 @@
 #include "daemon/lifecycle.h"
 
+#include <algorithm>
 #include <csignal>
 
 #include "obs/metrics.h"
@@ -33,12 +34,17 @@ const char* to_string(HealthState s) noexcept {
 }
 
 ServiceLifecycle::ServiceLifecycle(DaemonConfig cfg)
-    : cfg_(std::move(cfg)), service_(cfg_.service) {
+    : cfg_(std::move(cfg)),
+      service_(cfg_.service),
+      scrape_(service_.metrics(), [this] { return health(); }, cfg_.scrape,
+              service_.metrics()) {
   auto& reg = service_.metrics();
   state_g_ = &reg.gauge("viewmap_daemon_state");
   state_g_->set(static_cast<int>(LifecycleState::kInit));
   health_g_ = &reg.gauge("viewmap_daemon_health");
   health_g_->set(static_cast<int>(HealthState::kHealthy));
+  for (std::size_t i = 0; i < kComponents.size(); ++i)
+    wedged_g_[i] = &reg.gauge("viewmap_daemon_wedged", {{"component", kComponents[i]}});
 
   if (!cfg_.store_dir.empty()) {
     store_ = std::make_unique<store::SegmentStore>(cfg_.store_dir, cfg_.store);
@@ -46,23 +52,6 @@ ServiceLifecycle::ServiceLifecycle(DaemonConfig cfg)
         std::make_unique<CheckpointDaemon>(service_, *store_, cfg_.checkpoint);
   }
   ingest_ = std::make_unique<IngestService>(service_, cfg_.ingest);
-  if (cfg_.scrape.enabled) {
-    scrape_ = std::make_unique<ScrapeEndpoint>(
-        reg, [this] { return health(); }, cfg_.scrape, reg);
-  }
-
-  // Register the wedged gauges up front so a scrape before the first
-  // watchdog pass still sees them (at 0).
-  for (const char* component : {"ingest", "checkpoint", "scrape"}) {
-    Watched w;
-    w.component = component;
-    w.beats = reg.find_counter(obs::MetricsRegistry::full_name(
-        "viewmap_daemon_heartbeats_total", {{"component", component}}));
-    w.wedged =
-        &reg.gauge("viewmap_daemon_wedged", {{"component", component}});
-    w.wedged->set(0);
-    if (w.beats != nullptr) watched_.push_back(std::move(w));
-  }
 }
 
 ServiceLifecycle::~ServiceLifecycle() { stop(); }
@@ -93,19 +82,16 @@ bool ServiceLifecycle::start() {
 
   ingest_->start();
   if (checkpointer_ != nullptr) checkpointer_->start();
-  if (cfg_.start_server) service_.start_server(cfg_.server);
-  if (scrape_ != nullptr) {
-    try {
-      scrape_->start();
-    } catch (...) {
-      // Leave no thread running behind a failed start.
-      ingest_->abort();
-      if (checkpointer_ != nullptr) checkpointer_->abort();
-      service_.stop_server();
-      throw;
-    }
+  service_.start_server(cfg_.server);
+  try {
+    scrape_.start();
+  } catch (...) {
+    // Leave no thread running behind a failed start.
+    ingest_->abort();
+    if (checkpointer_ != nullptr) checkpointer_->abort();
+    service_.stop_server();
+    throw;
   }
-  start_watchdog();
   set_state(LifecycleState::kRunning);
   return true;
 }
@@ -145,8 +131,7 @@ bool ServiceLifecycle::stop() {
     return clean_;
   }
   if (s == LifecycleState::kRunning) drain();
-  stop_watchdog();
-  if (scrape_ != nullptr) scrape_->stop();
+  scrape_.stop();
   set_state(LifecycleState::kStopped);
   std::lock_guard lock(error_mutex_);
   return clean_;
@@ -159,51 +144,62 @@ void ServiceLifecycle::kill_for_test() {
   ingest_->abort();
   if (checkpointer_ != nullptr) checkpointer_->abort();
   service_.stop_server();
-  stop_watchdog();
-  if (scrape_ != nullptr) scrape_->stop();
+  scrape_.stop();
   set_state(LifecycleState::kStopped);
 }
 
-HealthState ServiceLifecycle::health_state() const {
-  bool wedged_any = false;
-  for (const auto& w : watched_)
-    if (w.wedged->value() != 0) wedged_any = true;
-  const std::uint64_t consecutive =
+ServiceLifecycle::Verdict ServiceLifecycle::evaluate(
+    std::chrono::steady_clock::time_point now) const {
+  const auto stalled = [now](bool running, const Heartbeat& h) {
+    return running && now - h.last() >= kStallAfter;
+  };
+  Verdict v;
+  v.wedged = {stalled(ingest_->running(), ingest_->heartbeat()),
+              checkpointer_ != nullptr &&
+                  stalled(checkpointer_->running(), checkpointer_->heartbeat()),
+              stalled(scrape_.running(), scrape_.heartbeat())};
+  v.consecutive_failures =
       checkpointer_ != nullptr ? checkpointer_->consecutive_failures() : 0;
-  HealthState h = HealthState::kHealthy;
-  if (wedged_any || consecutive >= cfg_.health.failing_after)
-    h = HealthState::kFailing;
-  else if (consecutive >= cfg_.health.degraded_after)
-    h = HealthState::kDegraded;
-  health_g_->set(static_cast<int>(h));
-  return h;
+  const bool wedged_any = std::ranges::find(v.wedged, true) != v.wedged.end();
+  if (wedged_any || v.consecutive_failures >= kFailingAfter)
+    v.health = HealthState::kFailing;
+  else if (v.consecutive_failures > 0)
+    v.health = HealthState::kDegraded;
+  for (std::size_t i = 0; i < kComponents.size(); ++i) wedged_g_[i]->set(v.wedged[i]);
+  health_g_->set(static_cast<int>(v.health));
+  return v;
 }
 
-std::pair<bool, std::string> ServiceLifecycle::health() const {
+HealthState ServiceLifecycle::health_state(
+    std::chrono::steady_clock::time_point now) const {
+  return evaluate(now).health;
+}
+
+std::pair<bool, std::string> ServiceLifecycle::health(
+    std::chrono::steady_clock::time_point now) const {
   const LifecycleState s = state();
-  const HealthState h = health_state();
+  const Verdict v = evaluate(now);
   std::string body = "state=";
   body += to_string(s);
   body += '\n';
   body += "health=";
-  body += to_string(h);
+  body += to_string(v.health);
   body += '\n';
-  for (const auto& w : watched_) {
-    if (w.wedged->value() != 0) body += "wedged=" + w.component + '\n';
-  }
-  if (h != HealthState::kHealthy && checkpointer_ != nullptr) {
-    const std::uint64_t consecutive = checkpointer_->consecutive_failures();
-    if (consecutive > 0) {
-      body += "reason=checkpoint-failures:" + std::to_string(consecutive) + '\n';
-      body += "last_error=" + checkpointer_->last_error() + '\n';
-    }
-  }
+  for (std::size_t i = 0; i < kComponents.size(); ++i)
+    if (v.wedged[i]) body += std::string("wedged=") + kComponents[i] + '\n';
+  if (v.consecutive_failures > 0)
+    body += "reason=checkpoint-failures:" + std::to_string(v.consecutive_failures) + '\n';
   {
+    // One last_error= line: a failed final checkpoint's verdict already
+    // quotes the streak's newest error.
     std::lock_guard lock(error_mutex_);
-    if (!clean_) body += "last_error=" + last_error_ + '\n';
+    if (!clean_)
+      body += "last_error=" + last_error_ + '\n';
+    else if (v.consecutive_failures > 0)
+      body += "last_error=" + checkpointer_->last_error() + '\n';
   }
   const bool healthy =
-      s == LifecycleState::kRunning && h == HealthState::kHealthy;
+      s == LifecycleState::kRunning && v.health == HealthState::kHealthy;
   body += healthy ? "ok\n" : "not-ready\n";
   return {healthy, body};
 }
@@ -211,54 +207,6 @@ std::pair<bool, std::string> ServiceLifecycle::health() const {
 std::string ServiceLifecycle::last_error() const {
   std::lock_guard lock(error_mutex_);
   return last_error_;
-}
-
-void ServiceLifecycle::start_watchdog() {
-  if (!cfg_.watchdog.enabled) return;
-  const auto now = std::chrono::steady_clock::now();
-  for (auto& w : watched_) {
-    w.last_value = w.beats->value();
-    w.last_change = now;
-  }
-  {
-    std::lock_guard lock(watchdog_mutex_);
-    watchdog_stop_ = false;
-  }
-  watchdog_ = std::thread([this] { watchdog_run(); });
-}
-
-void ServiceLifecycle::stop_watchdog() {
-  {
-    std::lock_guard lock(watchdog_mutex_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
-}
-
-void ServiceLifecycle::watchdog_run() {
-  for (;;) {
-    {
-      std::unique_lock lock(watchdog_mutex_);
-      watchdog_cv_.wait_for(lock, cfg_.watchdog.interval,
-                            [this] { return watchdog_stop_; });
-      if (watchdog_stop_) return;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    for (auto& w : watched_) {
-      const std::uint64_t v = w.beats->value();
-      if (v != w.last_value) {
-        w.last_value = v;
-        w.last_change = now;
-        w.wedged->set(0);
-      } else if (now - w.last_change >= cfg_.watchdog.stall_after) {
-        w.wedged->set(1);
-      }
-    }
-    // Keep the exported health gauge moving even when nobody scrapes
-    // /healthz — alerting reads the metric, not the endpoint.
-    (void)health_state();
-  }
 }
 
 // ── signals ──────────────────────────────────────────────────────────

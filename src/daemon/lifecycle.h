@@ -2,8 +2,8 @@
 //
 // Owns one ViewMapService plus the threads that make it a service
 // instead of a library: the IngestService drain, the CheckpointDaemon,
-// the service's own InvestigationServer pool, the scrape endpoint, and
-// a watchdog. Sequences them through
+// the service's own InvestigationServer pool and the scrape endpoint.
+// Sequences them through
 //
 //   Init ──start()──▶ Running ──drain()──▶ Draining ──stop()──▶ Stopped
 //
@@ -18,47 +18,42 @@
 // checkpointer LAST — its final cycle therefore seals a manifest
 // containing every VP any submitter was ever told was accepted. The
 // scrape endpoint outlives the drain so operators can watch it happen;
-// stop() takes it down with the watchdog.
+// stop() takes it down.
 //
 // kill_for_test() is the in-process stand-in for kill -9: every thread
 // is abort()ed — no channel drain, no final checkpoint — so the store
 // holds exactly what the last periodic cycle sealed, which is precisely
-// the state a crash leaves. The soak harness alternates it with fresh
+// the state a crash leaves. The soak tests alternate it with fresh
 // ServiceLifecycle instances on the same directory to hammer the PR 5
 // recovery invariant.
 //
-// The watchdog samples every component's
-// viewmap_daemon_heartbeats_total{component=…} counter; a counter that
-// stops moving for stall_after while the daemon is Running flips
-// viewmap_daemon_wedged{component=…} to 1 (and back on recovery), which
-// healthz reports as 503. Components heartbeat even when idle (sliced
-// waits), so "quiet" and "wedged" are distinguishable by construction.
-//
-// Health is a second axis, orthogonal to lifecycle state: a Running
-// daemon is healthy / degraded / failing depending on what its
-// components report (today: the checkpointer's consecutive-failure
-// count, and any wedged component). Degraded means "serving, but a
-// durability cycle has failed recently — data since the last sealed
-// manifest is at risk if we crash now"; failing means the condition has
-// persisted past failing_after failures (or a component is wedged) and
-// an operator/orchestrator should act. /healthz returns 200 only for a
-// healthy Running daemon; the body carries health= and reason= lines,
-// and viewmap_daemon_health exports 0/1/2 for alerting without scraping
-// /healthz at all. The first successful checkpoint snaps health straight
-// back to healthy — the state machine has no memory beyond the
-// consecutive-failure gauge it reads.
+// Health is computed when it is read, a pure function of the clock and
+// what the components report; no thread samples anything. It is a
+// second axis, orthogonal to lifecycle state: a Running daemon is
+// healthy / degraded / failing. Degraded means "serving, but a
+// durability cycle has failed since the last success — data since the
+// last sealed manifest is at risk if we crash now"; failing means
+// kFailingAfter consecutive checkpoint failures, or a wedged component:
+// a running ingest, checkpoint or scrape thread whose Heartbeat is
+// kStallAfter old (each beats even when idle, so "quiet" and "wedged"
+// are distinguishable). An operator/orchestrator should act on failing.
+// /healthz returns 200 only for a healthy Running daemon; the body
+// carries health=, wedged= and reason= lines. Every read also sets
+// viewmap_daemon_health (0/1/2) and viewmap_daemon_wedged{component},
+// and the scrape endpoint reads health before each GET /metrics, so the
+// exported gauges are current in every scrape. The first successful
+// checkpoint snaps health straight back to healthy — the state machine
+// has no memory beyond the consecutive-failure gauge it reads.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "daemon/checkpoint_daemon.h"
 #include "daemon/ingest_service.h"
@@ -88,30 +83,18 @@ enum class HealthState : int {
 
 [[nodiscard]] const char* to_string(HealthState s) noexcept;
 
-struct HealthConfig {
-  /// Consecutive checkpoint failures at which health turns degraded /
-  /// failing. degraded_after ≤ failing_after; a wedged component is
-  /// always failing regardless of these.
-  std::uint64_t degraded_after = 1;
-  std::uint64_t failing_after = 5;
-};
+/// Consecutive checkpoint failures at which health turns failing; the
+/// first failure already turns it degraded.
+inline constexpr std::uint64_t kFailingAfter = 5;
 
-struct WatchdogConfig {
-  bool enabled = true;
-  std::chrono::milliseconds interval{500};
-  /// A Running component whose heartbeat counter has not moved for this
-  /// long is flagged wedged. Generous default: a loaded 1-core box
-  /// legitimately schedules threads coarsely.
-  std::chrono::milliseconds stall_after{10000};
-};
+/// A running component whose Heartbeat is this old is wedged (failing).
+/// Generous: a loaded 1-core box legitimately schedules threads coarsely.
+inline constexpr std::chrono::milliseconds kStallAfter{10000};
 
 struct DaemonConfig {
   sys::ServiceConfig service{};
-  /// Investigation front. start_server = false runs ingest-only (the
-  /// paper's service still answers investigations, but a test may not
-  /// want the pool).
+  /// Investigation front.
   sys::ServerConfig server{};
-  bool start_server = true;
   /// Segment-store directory. Empty ⇒ no persistence: no recovery on
   /// start, no checkpoint thread (a pure in-memory service).
   std::string store_dir;
@@ -121,9 +104,9 @@ struct DaemonConfig {
   std::uint64_t recover_sequence = 0;
   IngestServiceConfig ingest{};
   CheckpointConfig checkpoint{};
+  /// Port 0 (the default) binds an OS-assigned port; read it back via
+  /// scrape_port().
   ScrapeConfig scrape{};
-  WatchdogConfig watchdog{};
-  HealthConfig health{};
 };
 
 class ServiceLifecycle {
@@ -138,8 +121,8 @@ class ServiceLifecycle {
   ServiceLifecycle& operator=(const ServiceLifecycle&) = delete;
 
   /// Init → Running: sweep stale checkpoint temps, restore from the
-  /// store, then start ingest, checkpointer, investigation server,
-  /// scrape endpoint, watchdog — in that order. False when not in Init
+  /// store, then start ingest, checkpointer, investigation server and
+  /// scrape endpoint — in that order. False when not in Init
   /// (double start, restart of a stopped instance — construct a fresh
   /// one). Throws when recovery or the scrape bind fails; no thread is
   /// left running on throw.
@@ -155,7 +138,7 @@ class ServiceLifecycle {
   bool drain();
 
   /// → Stopped: drain() first when still Running, then stop the scrape
-  /// endpoint and watchdog. Returns the drain verdict (false ⇔ a final
+  /// endpoint. Returns the drain verdict (false ⇔ a final
   /// checkpoint was attempted and failed; see drain()). Safe before
   /// start() and idempotent — repeat calls report the recorded outcome.
   bool stop();
@@ -175,9 +158,9 @@ class ServiceLifecycle {
     return checkpointer_.get();
   }
   [[nodiscard]] store::SegmentStore* store() noexcept { return store_.get(); }
-  /// 0 when the scrape endpoint is disabled or not running.
+  /// 0 when the scrape endpoint is not running.
   [[nodiscard]] std::uint16_t scrape_port() const noexcept {
-    return scrape_ ? scrape_->port() : 0;
+    return scrape_.port();
   }
   /// Stats of the restore start() performed; recovered() false when the
   /// store was empty or absent (fresh database).
@@ -186,18 +169,21 @@ class ServiceLifecycle {
     return recovery_;
   }
 
-  /// Health state machine (see header comment): kHealthy unless the
-  /// checkpointer reports consecutive failures (degraded_after /
-  /// failing_after thresholds) or the watchdog flagged a component
-  /// wedged (always kFailing). Also refreshes viewmap_daemon_health.
-  /// Thread-safe (scrape thread + watchdog + tests).
-  [[nodiscard]] HealthState health_state() const;
+  /// Health state machine (see header comment) as of `now`: kFailing
+  /// when a component is wedged or the checkpointer reports
+  /// kFailingAfter consecutive failures, kDegraded after one, kHealthy
+  /// otherwise. Also sets viewmap_daemon_health and
+  /// viewmap_daemon_wedged{component}. Thread-safe (scrape thread +
+  /// tests).
+  [[nodiscard]] HealthState health_state(
+      std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now()) const;
 
-  /// healthz payload: 200 ⇔ Running AND kHealthy. The body reports
-  /// state=, health=, any wedged= components, a reason= line while
-  /// degraded/failing, and last_error= with the newest checkpoint
-  /// failure message.
-  [[nodiscard]] std::pair<bool, std::string> health() const;
+  /// healthz payload as of `now`: 200 ⇔ Running AND kHealthy. The body
+  /// reports state=, health=, any wedged= components, a reason= line
+  /// while checkpoints fail, and one last_error= line: why the final
+  /// checkpoint failed, else the newest failure of the current streak.
+  [[nodiscard]] std::pair<bool, std::string> health(
+      std::chrono::steady_clock::time_point now = std::chrono::steady_clock::now()) const;
 
   /// what() of the failure that made drain()/stop() return false; empty
   /// while clean. Thread-safe.
@@ -218,16 +204,24 @@ class ServiceLifecycle {
 
  private:
   void set_state(LifecycleState s) noexcept;
-  void start_watchdog();
-  void stop_watchdog();
-  void watchdog_run();
+
+  /// The components health watches, in kComponents order.
+  static constexpr std::array<const char*, 3> kComponents{"ingest", "checkpoint",
+                                                          "scrape"};
+  struct Verdict {
+    HealthState health = HealthState::kHealthy;
+    std::array<bool, kComponents.size()> wedged{};
+    std::uint64_t consecutive_failures = 0;  ///< the checkpoint streak read
+  };
+  /// Computes health as of `now` and exports it to the gauges.
+  Verdict evaluate(std::chrono::steady_clock::time_point now) const;
 
   DaemonConfig cfg_;
   sys::ViewMapService service_;
   std::unique_ptr<store::SegmentStore> store_;
   std::unique_ptr<IngestService> ingest_;
   std::unique_ptr<CheckpointDaemon> checkpointer_;
-  std::unique_ptr<ScrapeEndpoint> scrape_;
+  ScrapeEndpoint scrape_;
 
   store::RecoveryStats recovery_{};
   bool recovered_ = false;
@@ -236,25 +230,13 @@ class ServiceLifecycle {
   std::atomic<int> state_{static_cast<int>(LifecycleState::kInit)};
   obs::Gauge* state_g_ = nullptr;
   obs::Gauge* health_g_ = nullptr;
+  std::array<obs::Gauge*, kComponents.size()> wedged_g_{};  ///< viewmap_daemon_wedged
 
   /// Shutdown verdict + its error, shared between the draining thread
   /// and health()/last_error() readers.
   mutable std::mutex error_mutex_;
   bool clean_ = true;            ///< under error_mutex_
   std::string last_error_;       ///< under error_mutex_
-
-  struct Watched {
-    std::string component;          ///< heartbeat label value
-    const obs::Counter* beats = nullptr;
-    obs::Gauge* wedged = nullptr;
-    std::uint64_t last_value = 0;
-    std::chrono::steady_clock::time_point last_change{};
-  };
-  std::vector<Watched> watched_;
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;  ///< under watchdog_mutex_
-  std::thread watchdog_;
 };
 
 }  // namespace viewmap::daemon

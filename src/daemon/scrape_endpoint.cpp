@@ -67,16 +67,17 @@ std::string http_response(int status, const char* reason,
 ScrapeEndpoint::ScrapeEndpoint(const obs::MetricsRegistry& registry,
                                HealthProbe health, ScrapeConfig cfg,
                                obs::MetricsRegistry& own_metrics)
-    : registry_(registry), health_(std::move(health)), cfg_(std::move(cfg)) {
-  heartbeats_ = &own_metrics.counter("viewmap_daemon_heartbeats_total",
-                                     {{"component", "scrape"}});
+    : registry_(registry),
+      health_(std::move(health)),
+      cfg_(std::move(cfg)),
+      heartbeat_(own_metrics, "scrape") {
   requests_ = &own_metrics.counter("viewmap_daemon_scrape_requests_total");
 }
 
 ScrapeEndpoint::~ScrapeEndpoint() { stop(); }
 
 bool ScrapeEndpoint::start() {
-  if (!cfg_.enabled || thread_.joinable()) return false;
+  if (thread_.joinable()) return false;
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw std::runtime_error("scrape: socket() failed");
@@ -102,6 +103,7 @@ bool ScrapeEndpoint::start() {
 
   listen_fd_ = fd;
   stop_flag_.store(false, std::memory_order_release);
+  heartbeat_.beat();
   running_.store(true, std::memory_order_release);
   port_.store(ntohs(bound.sin_port), std::memory_order_release);
   thread_ = std::thread([this] { run(); });
@@ -110,6 +112,9 @@ bool ScrapeEndpoint::start() {
 
 void ScrapeEndpoint::stop() {
   stop_flag_.store(true, std::memory_order_release);
+  // A shut-down listening socket polls as hung up, so the accept loop
+  // sees the flag now instead of at its next 100 ms timeout.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -121,7 +126,7 @@ void ScrapeEndpoint::stop() {
 
 void ScrapeEndpoint::run() {
   while (!stop_flag_.load(std::memory_order_acquire)) {
-    heartbeats_->add();
+    heartbeat_.beat();
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
     if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flag
@@ -135,8 +140,8 @@ void ScrapeEndpoint::run() {
 void ScrapeEndpoint::serve_one(int client_fd) {
   requests_->add();
   // One failed response must not take the accept loop with it: answer
-  // 500 and keep serving (the scraper retries; the accept loop is the
-  // thing the watchdog needs alive).
+  // 500 and keep serving (the scraper retries; the accept loop is what
+  // beats the scrape heartbeat).
   if (failpoint::any_armed() &&
       failpoint::evaluate("daemon.scrape.serve").fires()) {
     send_all(client_fd, http_response(500, "Internal Server Error",
@@ -171,6 +176,7 @@ void ScrapeEndpoint::serve_one(int client_fd) {
   const std::string_view line = request.substr(0, line_end);
 
   if (line.starts_with("GET /metrics")) {
+    (void)health_();  // refreshes the health gauges this scrape exports
     send_all(client_fd, http_response(200, "OK", registry_.render_text()));
   } else if (line.starts_with("GET /healthz")) {
     auto [healthy, body] = health_();

@@ -11,6 +11,8 @@
 //                   identical to ViewMapService::dump_metrics() for a
 //                   quiesced service — the sharded counters converge the
 //                   instant writers pause; tests assert the equality).
+//                   The health probe runs first, so the health gauges it
+//                   sets are current in every scrape.
 //   GET /healthz  → 200 when the supplied health callback says the
 //                   daemon is Running and nothing is wedged, 503
 //                   otherwise; the body names the lifecycle state either
@@ -19,10 +21,9 @@
 //   anything else → 404.
 //
 // The accept loop polls with a 100 ms timeout and re-checks a stop flag
-// each lap, bumping viewmap_daemon_heartbeats_total{component="scrape"}
-// — closing a listening socket does not reliably wake a blocked
-// accept(), so we never block in accept() without poll() saying a
-// connection is already waiting.
+// each lap, beating the "scrape" Heartbeat — closing a listening socket
+// does not reliably wake a blocked accept(), so we never block in
+// accept() without poll() saying a connection is already waiting.
 #pragma once
 
 #include <atomic>
@@ -32,15 +33,11 @@
 #include <thread>
 #include <utility>
 
-namespace viewmap::obs {
-class Counter;
-class MetricsRegistry;
-}  // namespace viewmap::obs
+#include "daemon/heartbeat.h"
 
 namespace viewmap::daemon {
 
 struct ScrapeConfig {
-  bool enabled = true;
   std::string bind_address = "127.0.0.1";
   /// 0 ⇒ OS-assigned; read the result back via port().
   std::uint16_t port = 0;
@@ -62,7 +59,7 @@ class ScrapeEndpoint {
   ScrapeEndpoint& operator=(const ScrapeEndpoint&) = delete;
 
   /// Binds, listens, spawns the serving thread. False when already
-  /// started or disabled by config; throws std::runtime_error when the
+  /// started; throws std::runtime_error when the
   /// bind itself fails (a daemon that silently serves nothing is worse
   /// than one that fails to start).
   bool start();
@@ -80,6 +77,8 @@ class ScrapeEndpoint {
     return running_.load(std::memory_order_acquire);
   }
 
+  [[nodiscard]] const Heartbeat& heartbeat() const noexcept { return heartbeat_; }
+
  private:
   void run();
   void serve_one(int client_fd);
@@ -87,7 +86,7 @@ class ScrapeEndpoint {
   const obs::MetricsRegistry& registry_;
   HealthProbe health_;
   ScrapeConfig cfg_;
-  obs::Counter* heartbeats_ = nullptr;
+  Heartbeat heartbeat_;
   obs::Counter* requests_ = nullptr;
 
   std::atomic<bool> stop_flag_{false};

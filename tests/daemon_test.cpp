@@ -10,13 +10,17 @@
 // bit-for-bit (DbSnapshot::canonical_bytes, every shard re-serialized),
 // because the final checkpoint runs after ingest has settled.
 //
-// Satellites: scrape endpoint byte-identity with dump_metrics(),
-// healthz tracking lifecycle state, backpressured submit, the
-// ReentrancyGuard crash (single-threaded death test, skipped under
-// TSan), and the lifecycle edge matrix from the issue — double start,
-// stop before start, drain with a full investigation queue, a
-// checkpoint daemon firing during drain, SIGTERM racing an in-flight
-// checkpoint.
+// The chaos cases arm failpoints inside the checkpoint and ingest paths;
+// their soak drives every fault family through alternating kill and
+// drain cycles, and they reach every health state — degraded, failing,
+// and wedged (read at a `now` past the stall, so no test sleeps it out).
+//
+// Also: scrape endpoint byte-identity with dump_metrics(), healthz
+// tracking lifecycle state, backpressured submit, the ReentrancyGuard
+// crash (single-threaded death test, skipped under TSan), and the
+// lifecycle edge matrix — double start, stop before start, drain with a
+// full investigation queue, a checkpoint daemon firing during drain,
+// SIGTERM racing an in-flight checkpoint.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -84,7 +88,7 @@ class TempDir {
 };
 
 /// Fast daemon config for tests: tiny checkpoint interval, no fsync,
-/// no jitter, scrape off unless a test turns it on.
+/// no jitter; the scrape endpoint binds an OS-assigned loopback port.
 DaemonConfig test_config(const std::string& store_dir) {
   DaemonConfig cfg;
   cfg.service.rsa_bits = 1024;
@@ -94,8 +98,6 @@ DaemonConfig test_config(const std::string& store_dir) {
   cfg.checkpoint.interval = 5ms;
   cfg.checkpoint.jitter_pct = 0;
   cfg.server.workers = 1;
-  cfg.scrape.enabled = false;
-  cfg.watchdog.interval = 50ms;
   return cfg;
 }
 
@@ -173,6 +175,29 @@ std::string http_get(std::uint16_t port, const std::string& path) {
 std::string body_of(const std::string& response) {
   const auto pos = response.find("\r\n\r\n");
   return pos == std::string::npos ? std::string() : response.substr(pos + 4);
+}
+
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size()))
+    ++n;
+  return n;
+}
+
+/// Checkpoint temp files (`*.tmp`) in `dir`.
+std::size_t temps_in(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir))
+    if (entry.path().filename().string().ends_with(".tmp")) ++n;
+  return n;
+}
+
+/// The registry exposition /metrics serves, rendered in-process.
+std::string exposition(ServiceLifecycle& d) {
+  std::ostringstream os;
+  d.service().dump_metrics(os);
+  return os.str();
 }
 
 // ── tentpole: soak / crash harness ───────────────────────────────────
@@ -267,16 +292,12 @@ TEST(DaemonSoak, CleanDrainIsBitForBit) {
 
 // ── chaos: failpoint-injected checkpoint failures ────────────────────
 
-/// test_config plus a fast retry ladder, tight health thresholds, and a
-/// cadence that only moves when poked — each test controls exactly when
-/// a checkpoint attempt meets an armed failpoint.
+/// test_config with a cadence that only moves when poked — each test
+/// controls exactly when a checkpoint attempt meets an armed failpoint,
+/// and pokes it through the retry backoff.
 DaemonConfig chaos_config(const std::string& store_dir) {
   auto cfg = test_config(store_dir);
   cfg.checkpoint.interval = 1h;
-  cfg.checkpoint.retry_backoff_min = 1ms;
-  cfg.checkpoint.retry_backoff_max = 5ms;
-  cfg.health.degraded_after = 1;
-  cfg.health.failing_after = 3;
   return cfg;
 }
 
@@ -342,9 +363,7 @@ TEST(DaemonChaos, CheckpointFailsThenRecovers) {
   store::SegmentStore store(dir.str());
   EXPECT_EQ(db_bytes(store.recover()), db_bytes(d.service().database()));
   // And no failed attempt leaked a temp file.
-  for (const auto& entry : fs::directory_iterator(dir.str()))
-    EXPECT_FALSE(entry.path().filename().string().ends_with(".tmp"))
-        << entry.path().filename();
+  EXPECT_EQ(temps_in(dir.str()), 0u);
   d.kill_for_test();
 }
 
@@ -352,14 +371,10 @@ TEST(DaemonChaos, HealthzGoesDegradedAndBack) {
   TempDir dir("chaos_healthz");
   Rng rng(29);
   failpoint::disarm_all();
-  auto cfg = chaos_config(dir.str());
-  cfg.scrape.enabled = true;
-  cfg.scrape.port = 0;
-  // However many retries fail before the scrape lands, the streak reads
-  // degraded, not failing.
-  cfg.health.failing_after = 1'000'000;
-
-  ServiceLifecycle d(cfg);
+  // Unpoked, the retries after the first failure wait 100 ms, 200 ms,
+  // 400 ms …, so the scrape below lands long before the streak reaches
+  // kFailingAfter: it reads degraded, not failing.
+  ServiceLifecycle d(chaos_config(dir.str()));
   ASSERT_TRUE(d.start());
   const std::uint16_t port = d.scrape_port();
   ASSERT_NE(port, 0);
@@ -420,6 +435,11 @@ TEST(DaemonChaos, FinalCheckpointFailurePropagatesOutOfStop) {
   EXPECT_FALSE(d.checkpointer()->running());
   EXPECT_FALSE(d.ingest().running());
   EXPECT_NE(d.last_error().find("final checkpoint failed"), std::string::npos);
+  // The healthz body names the failure once: the final verdict quotes
+  // the streak's newest error, so the streak's own line is not repeated.
+  const std::string body = d.health().second;
+  EXPECT_EQ(occurrences(body, "last_error="), 1u) << body;
+  EXPECT_NE(body.find("last_error=final checkpoint failed"), std::string::npos) << body;
   // Idempotent: a repeat stop() reports the recorded verdict.
   EXPECT_FALSE(d.stop());
   failpoint::disarm_all();
@@ -427,9 +447,7 @@ TEST(DaemonChaos, FinalCheckpointFailurePropagatesOutOfStop) {
   // The store still recovers to its last sealed state (nothing sealed
   // here — the window covered every cycle — so it recovers empty) and
   // holds no temp debris.
-  for (const auto& entry : fs::directory_iterator(dir.str()))
-    EXPECT_FALSE(entry.path().filename().string().ends_with(".tmp"))
-        << entry.path().filename();
+  EXPECT_EQ(temps_in(dir.str()), 0u);
 
   // Same shutdown with the fault cleared: the verdict is clean again on
   // a fresh instance.
@@ -486,6 +504,223 @@ TEST(DaemonChaos, IngestSurvivesInjectedDrainFailures) {
   EXPECT_EQ(d.service().database().size(), base + 15u);
   failpoint::disarm_all();
   d.kill_for_test();
+}
+
+TEST(DaemonChaos, HealthTurnsFailingAtTheStreakBoundAndBack) {
+  TempDir dir("chaos_failing");
+  Rng rng(41);
+  failpoint::disarm_all();
+  ServiceLifecycle d(chaos_config(dir.str()));
+  ASSERT_TRUE(d.start());
+  const std::uint16_t port = d.scrape_port();
+  ASSERT_TRUE(d.service().register_trusted(
+      attack::make_fake_profile(0, {0, 0}, {800, 0}, rng)));
+  EXPECT_EQ(feed(d, 0, 20, rng), 20u);
+
+  // Every cycle fails until disarmed, so the streak only grows. /metrics
+  // is read first: only the scrape's own health read can have moved the
+  // gauge, since nothing else has read health yet.
+  failpoint::arm_from_spec("daemon.checkpoint.cycle=eio");
+  await_failures(d, kFailingAfter);
+  EXPECT_NE(body_of(http_get(port, "/metrics")).find("\nviewmap_daemon_health 2\n"),
+            std::string::npos);
+  EXPECT_EQ(d.health_state(), HealthState::kFailing);
+  const std::string failing = http_get(port, "/healthz");
+  EXPECT_TRUE(failing.starts_with("HTTP/1.1 503 ")) << failing;
+  EXPECT_NE(failing.find("health=failing"), std::string::npos) << failing;
+
+  // The first success snaps all three back; /metrics again comes first,
+  // so its 0 is the scrape's own refresh of the gauge the reads above set
+  // to 2.
+  failpoint::disarm_all();
+  await_checkpoints(d, 1);
+  EXPECT_NE(body_of(http_get(port, "/metrics")).find("\nviewmap_daemon_health 0\n"),
+            std::string::npos);
+  EXPECT_EQ(d.health_state(), HealthState::kHealthy);
+  const std::string healthy = http_get(port, "/healthz");
+  EXPECT_TRUE(healthy.starts_with("HTTP/1.1 200 ")) << healthy;
+  EXPECT_NE(healthy.find("health=healthy"), std::string::npos) << healthy;
+  d.kill_for_test();
+}
+
+TEST(DaemonChaos, HeldCheckpointThreadIsWedgedUntilItBeatsAgain) {
+  // Health judges a stall when it is read, against the `now` it is given:
+  // no 10 s sleep. Hold the checkpoint thread inside one cycle, then read
+  // health at kStallAfter past the moment the hold began. The ingest and
+  // scrape threads keep beating meanwhile, so once each has beaten after
+  // that moment, checkpoint alone is wedged.
+  TempDir dir("wedge");
+  failpoint::disarm_all();
+  ServiceLifecycle d(test_config(dir.str()));  // a cycle every 5 ms
+  ASSERT_TRUE(d.start());
+  failpoint::arm_from_spec("daemon.checkpoint.cycle=delay:1500@once");
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (failpoint::stats("daemon.checkpoint.cycle").fires == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(1ms);
+  }
+  // The checkpoint thread beat last before it entered the held cycle.
+  const auto at = std::chrono::steady_clock::now() + kStallAfter;
+  const auto wedged_lines = [](const std::string& body) {
+    std::string lines;
+    for (auto pos = body.find("wedged="); pos != std::string::npos;
+         pos = body.find("wedged=", pos + 1))
+      lines += body.substr(pos, body.find('\n', pos) + 1 - pos);
+    return lines;
+  };
+  std::pair<bool, std::string> healthz = d.health(at);
+  while (wedged_lines(healthz.second) != "wedged=checkpoint\n") {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << healthz.second;
+    std::this_thread::sleep_for(5ms);
+    healthz = d.health(at);
+  }
+  // That read also set the gauges /metrics exports.
+  EXPECT_FALSE(healthz.first);
+  EXPECT_NE(healthz.second.find("health=failing"), std::string::npos);
+  const std::string held = exposition(d);
+  EXPECT_NE(held.find("viewmap_daemon_wedged{component=\"checkpoint\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(held.find("viewmap_daemon_wedged{component=\"ingest\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(held.find("viewmap_daemon_wedged{component=\"scrape\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(held.find("\nviewmap_daemon_health 2\n"), std::string::npos);
+
+  // Once the hold ends the thread beats again, and the same `now` reads
+  // healthy: the verdict follows the heartbeat, not the clock.
+  while (d.health_state(at) != HealthState::kHealthy) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_TRUE(d.health(at).first);
+  const std::string released = exposition(d);
+  EXPECT_NE(released.find("viewmap_daemon_wedged{component=\"checkpoint\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(released.find("\nviewmap_daemon_health 0\n"), std::string::npos);
+  failpoint::disarm_all();
+  d.stop();
+}
+
+TEST(DaemonChaos, EveryFaultFamilyAcrossKillAndDrainCycles) {
+  // The chaos soak. Each cycle builds a fresh daemon on one store
+  // directory, with fsync on so the fsync point can fire, and arms one
+  // fault family inside the checkpoint path: ENOSPC on segment data,
+  // fsync EIO, rename EIO, torn short writes, whole-cycle faults, ENOSPC
+  // on open. It feeds uploads, then pokes the checkpointer through
+  // kFailuresPerCycle failed cycles: the daemon must stay up and health
+  // must leave healthy. Disarmed, the next cycle must seal and health
+  // must come back. Cycles alternate kill_for_test with drain + stop; after
+  // each, a cold recover must reproduce the live database's canonical
+  // bytes and the directory must hold no temp file.
+  TempDir dir("chaos_soak");
+  Rng rng(31415);
+  failpoint::disarm_all();
+  DaemonConfig cfg;
+  cfg.service.rsa_bits = 1024;
+  cfg.store_dir = dir.str();
+  cfg.checkpoint.interval = 25ms;
+  cfg.checkpoint.jitter_pct = 0;
+  cfg.server.workers = 1;
+  ASSERT_TRUE(cfg.store.fsync);
+
+  constexpr std::uint64_t kFailuresPerCycle = 4;
+  constexpr std::size_t kVpsPerCycle = 200;
+  const std::string window = "@window:0:" + std::to_string(kFailuresPerCycle);
+  const std::vector<std::string> families{
+      "store.write.data=enospc", "store.write.fsync=eio",
+      "store.rename=eio",        "store.write.data=short",
+      "daemon.checkpoint.cycle=eio", "store.write.open=enospc"};
+  const auto settled = [](ServiceLifecycle& d) {
+    const index::IngestStats t = d.service().ingest_totals();
+    return t.accepted + t.rejected_malformed + t.rejected_untimely +
+           t.rejected_duplicate;
+  };
+
+  std::uint64_t injected = 0;
+  std::size_t leaked_temps = 0;
+  for (std::size_t cycle = 0; cycle < families.size(); ++cycle) {
+    SCOPED_TRACE(families[cycle]);
+    ServiceLifecycle d(cfg);
+    ASSERT_TRUE(d.start());
+    leaked_temps += d.swept_temps();  // debris the previous cycle left
+
+    // Armed before the feed: the first checkpoint that tries to seal the
+    // new shards walks straight into the fault window.
+    failpoint::arm_from_spec(families[cycle] + window);
+    const std::size_t before = settled(d);
+    for (std::size_t i = 0; i < kVpsPerCycle; ++i) {
+      const TimeSec unit = kUnitTimeSec * static_cast<TimeSec>(rng.index(30));
+      const geo::Vec2 start{rng.uniform(-8000.0, 8000.0), rng.uniform(-8000.0, 8000.0)};
+      const geo::Vec2 end{start.x + rng.uniform(-1500.0, 1500.0),
+                          start.y + rng.uniform(-1500.0, 1500.0)};
+      ASSERT_TRUE(d.ingest().submit(
+          attack::make_fake_profile(unit, start, end, rng).serialize()));
+    }
+    auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (settled(d) < before + kVpsPerCycle) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::sleep_for(1ms);
+    }
+
+    // Eat the whole window. Every thread stays alive throughout, and
+    // health visibly leaves healthy. The last failure is left to the
+    // backoff, not a poke, so that no poke is pending after it.
+    bool survived = true;
+    bool left_healthy = false;
+    for (std::uint64_t failed = 0; failed < kFailuresPerCycle;
+         failed = d.checkpointer()->failures()) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "failed cycles " << failed;
+      if (failed + 1 < kFailuresPerCycle) d.checkpointer()->poke();
+      left_healthy = left_healthy || d.health_state() != HealthState::kHealthy;
+      survived = survived && d.state() == LifecycleState::kRunning &&
+                 d.ingest().running() && d.checkpointer()->running();
+      std::this_thread::sleep_for(1ms);
+    }
+    left_healthy = left_healthy || d.health_state() != HealthState::kHealthy;
+    EXPECT_TRUE(survived);
+    EXPECT_TRUE(left_healthy);
+    injected += failpoint::total_fires();
+    failpoint::disarm_all();
+
+    // Every failed attempt must have unlinked its temps. The next sealed
+    // checkpoint's gc() would sweep a leaked one unseen, so look with the
+    // checkpoint thread stopped (its next attempt was a backoff away).
+    d.checkpointer()->abort();
+    leaked_temps += temps_in(dir.str());
+    ASSERT_TRUE(d.checkpointer()->start());
+
+    // The next successful cycle, written or provably skipped, snaps
+    // health back.
+    const auto sealed = [&d] {
+      return d.checkpointer()->written() + d.checkpointer()->skipped();
+    };
+    const std::uint64_t sealed_in_window = sealed();
+    while (sealed() <= sealed_in_window) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      d.checkpointer()->poke();
+      std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_EQ(d.health_state(), HealthState::kHealthy);
+    EXPECT_EQ(d.state(), LifecycleState::kRunning);
+
+    // The database is quiescent: its canonical bytes are what a cold
+    // recover must reproduce.
+    const auto expected = db_bytes(d.service().database());
+    if (cycle % 2 == 0) {
+      d.kill_for_test();
+    } else {
+      EXPECT_TRUE(d.drain());
+      EXPECT_TRUE(d.stop());
+    }
+    leaked_temps += temps_in(dir.str());
+    store::RecoveryStats rec;
+    const sys::VpDatabase recovered = store::SegmentStore(dir.str()).recover(&rec);
+    EXPECT_EQ(rec.profiles_rejected, 0u);
+    EXPECT_TRUE(db_bytes(recovered) == expected)
+        << "recovered database is not bit-for-bit the live one";
+  }
+  EXPECT_EQ(leaked_temps, 0u);
+  EXPECT_GE(injected, 20u);
 }
 
 // ── lifecycle edges ──────────────────────────────────────────────────
@@ -904,10 +1139,7 @@ TEST(Scrape, SeededRequestMutationsAnswerOrHangUp) {
 
 TEST(Scrape, HealthzTracksLifecycleState) {
   TempDir dir("healthz");
-  auto cfg = test_config(dir.str());
-  cfg.scrape.enabled = true;  // port 0 → OS-assigned
-
-  ServiceLifecycle d(cfg);
+  ServiceLifecycle d(test_config(dir.str()));
   ASSERT_TRUE(d.start());
   const std::uint16_t port = d.scrape_port();
   ASSERT_NE(port, 0);

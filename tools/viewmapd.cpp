@@ -1,7 +1,7 @@
 // viewmapd — the always-on ViewMap service daemon.
 //
 // Wires a ServiceLifecycle (ingest thread + checkpoint thread +
-// investigation server + scrape endpoint + watchdog, src/daemon/) behind
+// investigation server + scrape endpoint, src/daemon/) behind
 // a config file and flags, installs SIGTERM/SIGINT handlers, and runs
 // until signalled (or for --run_seconds, for harnesses).
 //
